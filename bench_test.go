@@ -366,10 +366,10 @@ func BenchmarkEmulationThroughputSnapshots(b *testing.B) {
 // journal attached — the configuration the epoch causal tracer
 // consumes. Tracing is post-hoc reconstruction from the journal, so
 // the steady-state cost is only the journal stamps on the protocol
-// paths; the CI gate holds this within 3% of
-// BenchmarkEmulationThroughputSnapshots and at 0 allocs/op. The
-// reconstruction runs once after the timed region to prove the journal
-// it produced is traceable.
+// paths; the CI gate holds what it adds over
+// BenchmarkEmulationThroughputSnapshots at 12 ns per event, and both
+// at 0 allocs/op. The reconstruction runs once after the timed region
+// to prove the journal it produced is traceable.
 func BenchmarkEmulationThroughputTraced(b *testing.B) {
 	set := journal.NewSet(0)
 	benchThroughputSnapshotting(b, set)
@@ -453,12 +453,14 @@ func benchFabrics(b *testing.B) []struct {
 // events per second of wall time) of the serial engine against the
 // sharded parallel engine, on a leaf-spine and a fat-tree fabric under
 // heavy shard-local traffic. The conformance suite proves the outputs
-// byte-identical; this benchmark prices the difference. CI runs the
-// fat-tree case serial vs 4-shard and fails on regression below 1.5x
-// (multi-core runners only — on a single core the parallel engine only
-// pays barrier overhead).
+// byte-identical; this benchmark prices the difference. The ratios
+// mean speedup only when the machine has at least as many CPUs as
+// shards; below that the shards time-share cores and the sharded rows
+// measure synchronization overhead. No CI gate reads it: CI reports
+// sim.shard_speedup from cmd/bench's fabric_sharded workload, at a
+// shard count clamped to the runner's CPUs.
 //
-//	go test -run '^$' -bench BenchmarkShardScaling -benchtime 2x
+//	go test -run '^$' -bench BenchmarkShardScaling -benchtime 5x
 func BenchmarkShardScaling(b *testing.B) {
 	for _, fab := range benchFabrics(b) {
 		for _, shards := range []int{0, 2, 4, 8} {

@@ -84,8 +84,8 @@ const (
 // blessedConsumers lists cross-package calls that take ownership of any
 // pooled argument, keyed by package scope then function/method name.
 // These are the sanctioned handoff points of DESIGN.md §9: the sim
-// scheduling family owns events/payloads it enqueues, emunet injection
-// owns the injected packet, and container/heap.Push stores its value.
+// scheduling family owns events/payloads it enqueues, and emunet
+// injection owns the injected packet.
 var blessedConsumers = map[string]map[string]bool{
 	"sim": {
 		"Send": true, "SendAt": true, "SendCall": true,
@@ -93,7 +93,6 @@ var blessedConsumers = map[string]map[string]bool{
 		"After": true, "AfterCall": true,
 	},
 	"emunet": {"InjectFrom": true, "InjectFromHost": true},
-	"heap":   {"Push": true},
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

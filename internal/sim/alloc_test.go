@@ -2,33 +2,6 @@ package sim
 
 import "testing"
 
-// TestCalendarQueueSteadyStateAllocs: the opt-in calendar queue must
-// meet the same zero-allocation contract as the binary heap on the
-// pooled scheduling path. The warm-up walks the whole bucket ring so
-// every bucket's backing slice exists before measurement.
-//
-//speedlight:allocgate sim.calQueue.push sim.calQueue.pop sim.calQueue.peek
-func TestCalendarQueueSteadyStateAllocs(t *testing.T) {
-	withCalendarQueue(t, func() {
-		e := NewEngine(1)
-		p := e.Proc(GlobalDomain)
-		var sink int64
-		fn := CallFn(func(_, _ any, i int64) { sink += i })
-		for i := 0; i < 8192; i++ {
-			p.AfterCall(1, fn, nil, nil, 1)
-			e.Step()
-		}
-		avg := testing.AllocsPerRun(1000, func() {
-			p.AfterCall(1, fn, nil, nil, 1)
-			e.Step()
-		})
-		if avg != 0 {
-			t.Errorf("calendar-queue AfterCall+Step allocates %v allocs/op, want 0", avg)
-		}
-		_ = sink
-	})
-}
-
 // TestParallelSteadyStateAllocs: the sharded engine's schedule/drain
 // cycle — parProc.sendAt into the shard's own queue, one single-shard
 // round processed inline on the coordinator — must not allocate.

@@ -254,12 +254,12 @@ func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 		lookahead: lookahead,
 		rng:       rand.New(rand.NewSource(seed)),
 		seedSrc:   rand.New(rand.NewSource(seed ^ 0x5eed_11a7)),
-		global:    &pshard{q: newEvq()},
+		global:    &pshard{},
 		shards:    make([]*pshard, shards),
 		domains:   []pardom{{shard: -1}}, // GlobalDomain
 	}
 	for i := range p.shards {
-		p.shards[i] = &pshard{q: newEvq(), idx: i}
+		p.shards[i] = &pshard{idx: i}
 	}
 	return p
 }
@@ -560,9 +560,7 @@ func (p *Parallel) Pending() int {
 
 // Proc returns the scheduling handle of one domain.
 func (p *Parallel) Proc(domain int) Proc {
-	if domain < 0 {
-		panic(fmt.Sprintf("sim: negative domain %d", domain))
-	}
+	checkDomain(domain)
 	p.ensureDomain(domain)
 	return parProc{p: p, dom: domain}
 }
@@ -1304,6 +1302,9 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 		panic(fmt.Sprintf("sim: send to unknown domain %d", owner))
 	}
 	ds := &p.domains[pr.dom]
+	if ds.seq >= maxSeq {
+		seqOverflow(pr.dom)
+	}
 	src := ds.shard
 	home := p.global
 	if src >= 0 {

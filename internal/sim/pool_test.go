@@ -70,7 +70,7 @@ func TestCancelRecyclesEagerly(t *testing.T) {
 // contract (the emunet half is gated in the emulation's own tests).
 //
 //speedlight:allocgate sim.Engine.schedule sim.Engine.Step sim.Event.fire sim.eventPool.get sim.eventPool.put
-//speedlight:allocgate sim.evq.push sim.evq.pop sim.evq.peek
+//speedlight:allocgate sim.evq.push sim.evq.pop sim.evq.peek sim.evq.remove sim.evq.up sim.evq.down
 func TestPooledSchedulingAllocs(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Proc(GlobalDomain)
@@ -108,102 +108,5 @@ func TestTickerSteadyStateAllocs(t *testing.T) {
 	}
 	if ticks == 0 {
 		t.Fatal("ticker never fired")
-	}
-}
-
-// withCalendarQueue runs f with the opt-in calendar queue enabled.
-func withCalendarQueue(t *testing.T, f func()) {
-	t.Helper()
-	CalendarQueue = true
-	defer func() { CalendarQueue = false }()
-	f()
-}
-
-// TestCalendarQueueEquivalence: the opt-in calendar queue realizes the
-// same (time, src, seq) total order as the binary heap, so the full
-// random scenario produces a byte-identical record log on both queue
-// types, serial and sharded.
-func TestCalendarQueueEquivalence(t *testing.T) {
-	ref := formatRecords(runScenario(NewEngine(11), 4, 100))
-	refPar := formatRecords(runScenario(NewParallel(11, 4, 100), 4, 100))
-	if ref != refPar {
-		t.Fatal("heap-backed serial and parallel diverge (pre-existing)")
-	}
-	withCalendarQueue(t, func() {
-		if got := formatRecords(runScenario(NewEngine(11), 4, 100)); got != ref {
-			t.Error("calendar-queue serial engine diverges from heap-backed run")
-		}
-		if got := formatRecords(runScenario(NewParallel(11, 4, 100), 4, 100)); got != ref {
-			t.Error("calendar-queue parallel engine diverges from heap-backed run")
-		}
-	})
-}
-
-// TestCalendarQueueSparse: events far beyond one bucket ring "year"
-// (2ms of virtual time) exercise the sparse fallback scan.
-func TestCalendarQueueSparse(t *testing.T) {
-	withCalendarQueue(t, func() {
-		e := NewEngine(1)
-		var fired []Time
-		for _, at := range []Time{5, 3 * Time(Millisecond), 10 * Time(Second), 7} {
-			at := at
-			e.Schedule(at, func() { fired = append(fired, at) })
-		}
-		e.Run()
-		want := []Time{5, 7, 3 * Time(Millisecond), 10 * Time(Second)}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("fired = %v, want %v", fired, want)
-			}
-		}
-	})
-}
-
-// TestCalendarQueueCancel: eager cancel unlinks from the right bucket.
-func TestCalendarQueueCancel(t *testing.T) {
-	withCalendarQueue(t, func() {
-		e := NewEngine(1)
-		fired := false
-		h := e.Schedule(10*Time(Millisecond), func() { fired = true })
-		e.Schedule(20, func() {})
-		e.Cancel(h)
-		e.Run()
-		if fired {
-			t.Error("cancelled event fired")
-		}
-		if e.Pending() != 0 {
-			t.Errorf("Pending = %d, want 0", e.Pending())
-		}
-	})
-}
-
-// BenchmarkEventQueue prices the two queue implementations against each
-// other on a churning hold-model workload (the pattern emulation
-// produces: pop the minimum, push a successor a short latency out).
-func BenchmarkEventQueue(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		cal  bool
-	}{{"heap", false}, {"calendar", true}} {
-		b.Run(impl.name, func(b *testing.B) {
-			CalendarQueue = impl.cal
-			defer func() { CalendarQueue = false }()
-			e := NewEngine(1)
-			p := e.Proc(GlobalDomain)
-			r := e.NewRand()
-			var churn CallFn
-			churn = func(_, _ any, _ int64) {
-				p.AfterCall(Duration(1+r.Intn(2000)), churn, nil, nil, 0)
-			}
-			// 512 concurrent event chains approximates a busy fabric.
-			for i := 0; i < 512; i++ {
-				p.AfterCall(Duration(1+r.Intn(2000)), churn, nil, nil, 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
 	}
 }

@@ -10,8 +10,10 @@
 //     with virtual nanosecond time and fully seeded randomness.
 //   - Parallel (parallel.go): a conservatively synchronized sharded
 //     engine that partitions simulation domains across worker
-//     goroutines and executes barrier rounds bounded by a link-latency
-//     lookahead.
+//     goroutines; each shard free-runs up to the clocks its inbound
+//     neighbor shards publish plus the pair's link-latency lookahead.
+//
+// Both keep their pending events in the same queue (evq.go).
 //
 // Determinism contract. Every event carries a tie-break key
 // (time, src, seq): src is the scheduling domain and seq a per-domain
@@ -81,10 +83,11 @@ func DurationOfMicros(us float64) Duration { return Duration(us * float64(Micros
 
 // GlobalDomain is the serializing domain: events owned by it execute
 // with exclusive access to the whole simulation (on the Parallel engine
-// they run between rounds, with every worker parked). Drivers,
-// observers and anything that touches more than one domain's state
-// belong here. It is also the domain of every event scheduled through
-// an engine's legacy top-level Schedule/After methods.
+// they run on the coordinator between epochs, with every worker
+// parked). Drivers, observers and anything that touches more than one
+// domain's state belong here. It is also the domain of every event
+// scheduled through an engine's legacy top-level Schedule/After
+// methods.
 const GlobalDomain = 0
 
 // maxTime is the sentinel "no event" time.
@@ -212,43 +215,6 @@ func (p *eventPool) put(ev *Event) {
 	p.free = append(p.free, ev)
 }
 
-// eventLess is the engines' total event order: (time, src domain,
-// per-domain sequence).
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap orders events by (time, src domain, per-domain sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
 // Sim is the contract shared by the serial Engine and the Parallel
 // sharded engine. Emulations program against it so a network can run on
 // either engine unchanged; the conformance tests prove the two produce
@@ -349,7 +315,6 @@ var _ Sim = (*Engine)(nil)
 // logic produce identical runs.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		q:   newEvq(),
 		rng: rand.New(rand.NewSource(seed)),
 		// The xor only decorrelates the substream-seed source from
 		// the main RNG stream.
@@ -390,15 +355,16 @@ func (e *Engine) nextSeq(dom int) uint64 {
 		e.domSeq = append(e.domSeq, 0)
 	}
 	s := e.domSeq[dom]
+	if s >= maxSeq {
+		seqOverflow(dom)
+	}
 	e.domSeq[dom]++
 	return s
 }
 
 // Proc returns the scheduling handle of one domain.
 func (e *Engine) Proc(domain int) Proc {
-	if domain < 0 {
-		panic(fmt.Sprintf("sim: negative domain %d", domain))
-	}
+	checkDomain(domain)
 	return engineProc{e: e, dom: domain}
 }
 

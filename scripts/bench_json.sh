@@ -24,8 +24,8 @@ hot=$(go test -run '^$' \
 # The trace-overhead pair runs at a fixed iteration count in fresh
 # alternating processes and keeps each benchmark's best events/sec:
 # run-to-run scheduler noise (~8%) and in-process heap-state bias
-# against the later benchmark would otherwise swamp the <=3% stamp
-# overhead being recorded.
+# against the later benchmark would otherwise swamp the few ns per
+# event of stamp overhead being recorded.
 go test -run '^$' -bench 'BenchmarkEmulationThroughputTraced$' -c -o /tmp/speedlight-bench.test .
 tracedraw=""
 for i in 1 2 3 4 5 6 7 8; do
@@ -71,7 +71,7 @@ END {
     printf "  \"generated\": \"%s\",\n", date
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"cpus\": %s,\n", cpus
-    printf "  \"note\": \"before = PR 7 numbers (BENCH_7.json after-column), recorded on the barrier-round engine with the observer on the serialized global domain. PR 10 replaces fleet-wide barrier rounds with per-pair channel clocks and SPSC ring handoff, and moves snapshot ingest / invariants / epoch stamping into an observer shard domain. ShardScaling ratios are meaningful only when cpus >= shard count: on a single-CPU machine shards time-share one core and the sharded rows measure synchronization overhead, not speedup (CI gates 8-shard >= 2.5x serial on >=8-CPU runners).\",\n"
+    printf "  \"note\": \"before = PR 7 numbers (BENCH_7.json after-column), recorded on the barrier-round engine with the observer on the serialized global domain. PR 10 replaces fleet-wide barrier rounds with per-pair channel clocks and SPSC ring handoff, and moves snapshot ingest / invariants / epoch stamping into an observer shard domain. ShardScaling ratios are meaningful only when cpus >= shard count: on a single-CPU machine shards time-share one core and the sharded rows measure synchronization overhead, not speedup.\",\n"
     printf "  \"before\": {\n"
     printf "    \"UnitOnPacket\": {\"ns_per_op\": 34.91, \"allocs_per_op\": 0, \"bytes_per_op\": 0},\n"
     printf "    \"HeaderCodec\": {\"ns_per_op\": 1.2, \"allocs_per_op\": 0, \"bytes_per_op\": 0},\n"
