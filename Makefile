@@ -3,7 +3,7 @@
 
 SLVET := $(CURDIR)/bin/speedlightvet
 
-.PHONY: all help build test race lint hotgate vet bench-shards bench-json churn clean
+.PHONY: all help build test race lint hotgate vet bench-shards churn loc clean
 
 all: build lint hotgate test
 
@@ -18,13 +18,11 @@ help:
 	@echo "               their //speedlight:allocgate allocation gates"
 	@echo "  vet          plain go vet"
 	@echo "  bench-shards serial-vs-sharded scaling benchmarks"
-	@echo "  bench-json   regenerate BENCH_10.json (hot-path allocs/op,"
-	@echo "               trace-overhead pair, snapstore ingest/query"
-	@echo "               rates, events/sec, with the frozen pre-PR"
-	@echo "               baseline)"
 	@echo "  churn        seeded churn scenario suite under -race with"
 	@echo "               shuffled order, then all four CLI scenarios at"
 	@echo "               shards 1/4/8 (CI churn-scenarios gate)"
+	@echo "  loc          non-test Go lines per package (non-blank,"
+	@echo "               non-comment), the tracked size metric"
 	@echo "  clean        remove bin/"
 
 build:
@@ -83,13 +81,16 @@ churn:
 	  done; \
 	done
 
-# bench-json reruns the hot-path, trace-overhead, snapstore and scaling
-# benchmarks and rewrites BENCH_10.json (committed) with after-numbers
-# from this machine next to the frozen pre-PR baseline. CI uploads the
-# file as an artifact and gates allocs/op == 0 on the hot-path
-# benchmarks plus at most 12 ns per event added by the journal.
-bench-json:
-	sh scripts/bench_json.sh BENCH_10.json
+# loc prints non-blank, non-comment lines of non-test Go per package
+# and in total (blank lines and // comment lines dropped; the tree has
+# no block comments to speak of). ROADMAP tracks this number per
+# package; a PR that deletes a mechanism quotes it before and after.
+loc:
+	@total=0; for d in $$(go list -f '{{.Dir}}' ./...); do \
+	  n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'); \
+	  total=$$((total + n)); \
+	  printf '%7d  .%s\n' $$n "$${d#$(CURDIR)}"; \
+	done; printf '%7d  total\n' $$total
 
 clean:
 	rm -rf bin

@@ -601,8 +601,9 @@ func BenchmarkSnapshotIngestHot(b *testing.B) {
 // BenchmarkSnapshotQuery prices the read side of the query plane under
 // load: epoch-state reconstruction (nearest checkpoint plus forward
 // delta replay) from a copy-on-write view of a 1024-port fabric, while
-// a writer goroutine keeps sealing epochs into the same store. The
-// queries/sec metric is the one recorded in BENCH_6.json.
+// a writer goroutine keeps sealing epochs into the same store. It
+// reports queries/sec; cmd/bench's snapshot_storm workload carries the
+// same cost as snapstore.state_query_us.
 func BenchmarkSnapshotQuery(b *testing.B) {
 	units := benchStoreUnits(64, 16)
 	store := snapstore.New(snapstore.Config{Retention: 256, CheckpointEvery: 16})

@@ -178,6 +178,16 @@ type violation struct {
 
 const maxWitness = 16
 
+// Replay audits everything a deployment's journal set holds, seeded
+// with the deployment's protocol parameters: the body of every
+// runtime's Audit(). Nil when journaling is disabled (nil set).
+func Replay(set *journal.Set, maxID uint32, wraparound, channelState bool) *Report {
+	if set == nil {
+		return nil
+	}
+	return Run(set.Events(), Config{MaxID: uint64(maxID), Wraparound: wraparound, ChannelState: channelState})
+}
+
 // Run audits a journal. Events may arrive in any order; they are
 // replayed by sequence number.
 func Run(events []journal.Event, cfg Config) *Report {

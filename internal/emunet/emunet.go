@@ -56,14 +56,6 @@ type Config struct {
 	// the determinism contract. With shards, every switch-to-switch
 	// link crossing a shard boundary must have positive latency.
 	Shards int
-	// Lookahead overrides the parallel engine's conservative lookahead.
-	// Zero derives it from the topology (the minimum latency of any
-	// cross-shard switch-to-switch link); a non-zero value larger than
-	// that minimum is rejected at build time.
-	Lookahead sim.Duration
-	// ShardOf, when set, pins each switch to a shard in [0, Shards).
-	// Nil assigns switches round-robin in topology order.
-	ShardOf func(node topology.NodeID) int
 
 	// Snapshot protocol parameters.
 	MaxID        uint32
@@ -105,18 +97,9 @@ type Config struct {
 	// wakeup + driver). Default: ~2 µs lognormal with a 15 µs p99.
 	InitiationLatency dist.Dist
 	// ObserverLatency is the control-plane-to-observer result delivery
-	// time. Default: 50 µs constant.
+	// time, floored at 1 µs (see observerMinLatency). Default: 50 µs
+	// constant.
 	ObserverLatency dist.Dist
-	// ObserverMinLatency floors sampled observer latencies and doubles
-	// as the conservative lookahead of the switch-to-observer shard
-	// pairs: result deliveries execute in the observer's own domain (so
-	// snapshot assembly, store ingest and invariant evaluation run off
-	// the serialized global domain), and the parallel engine needs a
-	// positive lower bound on their delivery time. Samples below the
-	// floor are raised to it — identically on both engines, keeping
-	// serial and sharded runs byte-equal. Default 1 µs, far under the
-	// 50 µs default delivery time.
-	ObserverMinLatency sim.Duration
 
 	// LinkRateBps is the transmission rate of every link. Default
 	// 25 Gb/s (the testbed's server links).
@@ -174,13 +157,10 @@ type Config struct {
 	// Network.Audit() can mechanically verify the run. Nil disables
 	// journaling at one nil check per potential event.
 	Journal *journal.Set
-	// FlightRecorderSize is how many trailing events an anomaly dump
-	// carries. Zero means 512.
-	FlightRecorderSize int
 	// OnAnomaly, when set, fires when a snapshot finalizes inconsistent
 	// or with exclusions, or when a repeat retry of the same snapshot
-	// shows recovery is not unsticking it —
-	// with the flight-recorder tail at that moment (nil without a
+	// shows recovery is not unsticking it — with the flight-recorder
+	// tail at that moment (the last 512 journal events; nil without a
 	// Journal).
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
@@ -217,9 +197,6 @@ func (c *Config) setDefaults() {
 	if c.ObserverLatency == nil {
 		c.ObserverLatency = dist.Constant{V: 50_000}
 	}
-	if c.ObserverMinLatency <= 0 {
-		c.ObserverMinLatency = sim.Microsecond
-	}
 	if c.LinkRateBps == 0 {
 		c.LinkRateBps = 25e9
 	}
@@ -236,6 +213,16 @@ func (c *Config) setDefaults() {
 		c.ExcludeAfter = 50 * sim.Millisecond
 	}
 }
+
+// observerMinLatency floors sampled observer latencies and is the
+// lookahead of every switch-shard-to-observer-shard pair: result
+// deliveries execute in the observer's own domain (so snapshot assembly,
+// store ingest and invariant evaluation run off the serialized global
+// domain), and the parallel engine needs a positive lower bound on
+// their delivery time. Samples below the floor are raised to it —
+// identically on both engines, keeping serial and sharded runs
+// byte-equal. Far under the 50 µs default delivery time.
+const observerMinLatency = sim.Microsecond
 
 // queuedPkt is one packet waiting in an egress queue.
 type queuedPkt struct {
@@ -492,46 +479,11 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	}
 	shard := make(map[topology.NodeID]int, len(doms))
 	for i, sw := range cfg.Topo.Switches {
-		s := i % cfg.Shards
-		if cfg.ShardOf != nil {
-			s = cfg.ShardOf(sw.ID)
-			if s < 0 || s >= cfg.Shards {
-				return nil, nil, fmt.Errorf("emunet: ShardOf(%d) = %d out of range [0,%d)", sw.ID, s, cfg.Shards)
-			}
-		}
-		shard[sw.ID] = s
+		shard[sw.ID] = i % cfg.Shards
 	}
-	// Conservative lookahead: no cross-shard interaction may undercut
-	// it. The only cross-shard sends the emulation performs are wire
-	// hops, so the bound is the minimum latency of any switch-to-switch
-	// link whose endpoints land on different shards.
-	minCross := sim.Duration(-1)
-	for _, sw := range cfg.Topo.Switches {
-		for _, peer := range sw.Ports {
-			if peer.Kind != topology.PeerSwitch || shard[sw.ID] == shard[peer.Node] {
-				continue
-			}
-			l := sim.Duration(peer.Latency)
-			if l <= 0 {
-				return nil, nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
-			}
-			if minCross < 0 || l < minCross {
-				minCross = l
-			}
-		}
-	}
-	la := cfg.Lookahead
-	switch {
-	case la <= 0:
-		la = minCross
-		if la < 0 {
-			// No link crosses shards; any lookahead is causally safe.
-			la = sim.Millisecond
-		}
-	case minCross >= 0 && la > minCross:
-		return nil, nil, fmt.Errorf("emunet: lookahead %d exceeds minimum cross-shard link latency %d", la, minCross)
-	}
-	p := sim.NewParallel(cfg.Seed, cfg.Shards, la)
+	// SetShardLinks below declares every pair the emulation sends on, so
+	// the engine-wide default lookahead passed here is never consulted.
+	p := sim.NewParallel(cfg.Seed, cfg.Shards, observerMinLatency)
 	for _, sw := range cfg.Topo.Switches {
 		p.Place(doms[sw.ID], shard[sw.ID])
 	}
@@ -544,8 +496,10 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	// Declare the actual cross-shard channel set. Each ordered shard
 	// pair's lookahead is the minimum latency among the switch links
 	// whose sender lands on the pair's source shard and receiver on its
-	// destination shard — wire hops are scheduled with the sending
-	// port's latency, so that bound is exact, not merely conservative.
+	// destination shard — wire hops are the only switch-to-switch sends
+	// and are scheduled with the sending port's latency, so that bound
+	// is exact, not merely conservative. A pair needs positive lookahead,
+	// so a zero-latency link may not cross shards.
 	type shardPair struct{ from, to int }
 	pairMin := make(map[shardPair]sim.Duration)
 	declare := func(from, to int, l sim.Duration) {
@@ -559,16 +513,20 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	}
 	for _, sw := range cfg.Topo.Switches {
 		for _, peer := range sw.Ports {
-			if peer.Kind == topology.PeerSwitch {
-				declare(shard[sw.ID], shard[peer.Node], sim.Duration(peer.Latency))
+			if peer.Kind != topology.PeerSwitch {
+				continue
 			}
+			if peer.Latency <= 0 && shard[sw.ID] != shard[peer.Node] {
+				return nil, nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
+			}
+			declare(shard[sw.ID], shard[peer.Node], sim.Duration(peer.Latency))
 		}
 	}
 	// Every switch shard reports snapshot results to the observer's
-	// shard; those sends are floored at ObserverMinLatency, which is
+	// shard; those sends are floored at observerMinLatency, which is
 	// therefore the pair's lookahead.
 	for _, sw := range cfg.Topo.Switches {
-		declare(shard[sw.ID], obsShard, cfg.ObserverMinLatency)
+		declare(shard[sw.ID], obsShard, observerMinLatency)
 	}
 	links := make([]sim.ShardLink, 0, len(pairMin))
 	for pr, l := range pairMin {
@@ -597,6 +555,9 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("emunet: nil topology")
 	}
 	cfg.setDefaults()
+	if err := checkTxPacking(cfg.Topo); err != nil {
+		return nil, err
+	}
 	eng, doms, err := buildEngine(&cfg)
 	if err != nil {
 		return nil, err
@@ -604,7 +565,7 @@ func New(cfg Config) (*Network, error) {
 	if p, ok := eng.(*sim.Parallel); ok && cfg.Registry != nil {
 		// Publish per-shard barrier wait/work counters. The wall clock
 		// arrives as an injected func so this package stays free of
-		// direct time reads; the profiler observes rounds without
+		// direct time reads; the profiler observes epochs without
 		// perturbing the deterministic schedule.
 		p.EnableBarrierMetrics(cfg.Registry, telemetry.NowNs)
 	}
@@ -835,12 +796,9 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 			// The observer lives in its own domain: results cross the
 			// network as switch-to-observer sends and land serialized in
 			// that domain without touching the coordinator. The sampled
-			// latency is floored at ObserverMinLatency, the declared
+			// latency is floored at observerMinLatency, the declared
 			// lookahead of every switch-shard-to-observer-shard pair.
-			lat := sim.Duration(cfg.ObserverLatency.Sample(es.rng))
-			if lat < cfg.ObserverMinLatency {
-				lat = cfg.ObserverMinLatency
-			}
+			lat := max(sim.Duration(cfg.ObserverLatency.Sample(es.rng)), observerMinLatency)
 			es.proc.Send(n.obsDom, lat, func() {
 				n.obs.OnResult(res, n.obsProc.Now())
 			})
@@ -997,14 +955,7 @@ func (n *Network) BlockedProfile() []epochtrace.ShardBlocking {
 // Audit replays the journal and verifies every snapshot's consistency
 // invariants. Nil when journaling is disabled.
 func (n *Network) Audit() *audit.Report {
-	if n.cfg.Journal == nil {
-		return nil
-	}
-	return audit.Run(n.cfg.Journal.Events(), audit.Config{
-		MaxID:        uint64(n.cfg.MaxID),
-		Wraparound:   n.cfg.WrapAround,
-		ChannelState: n.cfg.ChannelState,
-	})
+	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
 }
 
 // anomaly dumps the flight recorder to the OnAnomaly hook. It runs in
@@ -1017,14 +968,7 @@ func (n *Network) Audit() *audit.Report {
 //
 //speedlight:shard
 func (n *Network) anomaly(reason string, id packet.SeqID) {
-	if n.cfg.OnAnomaly == nil {
-		return
-	}
-	size := n.cfg.FlightRecorderSize
-	if size <= 0 {
-		size = 512
-	}
-	n.cfg.OnAnomaly(reason, id, n.cfg.Journal.Tail(size))
+	n.cfg.Journal.Anomaly(n.cfg.OnAnomaly, reason, id)
 }
 
 // Observer exposes the snapshot observer.
@@ -1168,6 +1112,7 @@ func (n *Network) InjectFromHost(host topology.HostID, pkt *packet.Packet) {
 // the given scheduling handle. p must be either the global proc or the
 // host's own switch proc (HostProc) — i.e. the domain the calling event
 // runs in.
+//
 //speedlight:pool-transfer pkt
 func (n *Network) InjectFrom(p sim.Proc, host topology.HostID, pkt *packet.Packet) {
 	h := n.topo.Host(host)
@@ -1206,6 +1151,7 @@ func (n *Network) NewPacketFor(host topology.HostID) *packet.Packet {
 // arriveCall, txCall, deliverLocalCall, deliverGlobalCall and cpCall
 // are the closure-free event callbacks behind the per-packet schedules
 // (bound once into the *Fn fields at construction).
+//
 //speedlight:pool-transfer b
 //speedlight:shard
 func (n *Network) arriveCall(a, b any, i int64) {
@@ -1274,10 +1220,30 @@ func (n *Network) enqueue(es *EmuSwitch, pkt *packet.Packet, port int) {
 	}
 }
 
+// A transmit event's argument packs gen<<20 | port<<8 | cos (scheduleTx
+// encodes, txCall decodes).
+const (
+	txCoSBits  = 8
+	txPortBits = 12
+)
+
+// checkTxPacking rejects a switch whose transmit events would not
+// round-trip: a port past its field would decode as another queue's.
+// The class field needs no check here — dataplane.New holds NumCoS to
+// the packet header's 4 bits.
+func checkTxPacking(topo *topology.Topology) error {
+	for _, sw := range topo.Switches {
+		if len(sw.Ports) > 1<<txPortBits {
+			return fmt.Errorf("emunet: switch %d has %d ports: the transmit event holds ports below %d", sw.ID, len(sw.Ports), 1<<txPortBits)
+		}
+	}
+	return nil
+}
+
 // scheduleTx arms the transmitter for the current head-of-line packet.
-// The chosen class rides in the event (i = gen<<16 | port<<8 | cos):
-// strict priority is decided when the transmitter is armed, and FIFO
-// order within a class guarantees the class's head at fire time is the
+// The chosen class rides in the event (its low txCoSBits): strict
+// priority is decided when the transmitter is armed, and FIFO order
+// within a class guarantees the class's head at fire time is the
 // same packet that was priced here. The switch generation makes events
 // armed before a churn teardown inert — after a down/up cycle the
 // queues were flushed, so a stale pop would dequeue (or double-price)
@@ -1293,7 +1259,7 @@ func (n *Network) scheduleTx(es *EmuSwitch, port int) {
 	}
 	head := q.perCoS[cos].peek()
 	es.proc.AfterCall(n.serialization(es, port, head.pkt.Size),
-		n.txFn, es, nil, es.gen<<20|int64(port)<<8|int64(cos))
+		n.txFn, es, nil, es.gen<<(txPortBits+txCoSBits)|int64(port)<<txCoSBits|int64(cos))
 }
 
 // txCall fires when the head-of-line packet finishes serializing: pop
@@ -1304,10 +1270,10 @@ func (n *Network) scheduleTx(es *EmuSwitch, port int) {
 //speedlight:shard
 func (n *Network) txCall(a, _ any, i int64) {
 	es := a.(*EmuSwitch)
-	if i>>20 != es.gen {
+	if i>>(txPortBits+txCoSBits) != es.gen {
 		return
 	}
-	port, cos := int(i>>8)&0xfff, int(i&0xff)
+	port, cos := int(i>>txCoSBits)&(1<<txPortBits-1), int(i)&(1<<txCoSBits-1)
 	head := es.queues[port].perCoS[cos].pop()
 	n.setDepthGauge(es, port)
 	n.transmit(es, head.pkt, port)

@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"speedlight/internal/clock"
@@ -799,5 +800,53 @@ func TestLargeFatTreeCampaign(t *testing.T) {
 	}
 	if worst <= 0 || worst > 200*sim.Microsecond {
 		t.Errorf("worst sync %v µs out of range", worst.Micros())
+	}
+}
+
+// twoSwitch builds two switches joined by one link of the given
+// latency, the first with ports0 ports, one host on each.
+func twoSwitch(t *testing.T, ports0 int, linkLatency sim.Duration) *topology.Topology {
+	t.Helper()
+	b := topology.NewBuilder()
+	s0 := b.AddSwitch(ports0)
+	s1 := b.AddSwitch(2)
+	b.AttachHost(s0, 0, sim.Microsecond)
+	b.AttachHost(s1, 0, sim.Microsecond)
+	b.Connect(s0, 1, s1, 1, linkLatency)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// TestNewRejectsUnbuildableFabrics: configurations the emulation cannot
+// represent fail at New with an error naming the cause — a zero-latency
+// link across shards (a shard pair needs positive lookahead; the same
+// link on the serial engine is fine), and a port count or class count
+// past its field of the packed transmit event, which would otherwise
+// transmit from the wrong queue (the class bound is the data plane's
+// tighter one, surfaced through New).
+func TestNewRejectsUnbuildableFabrics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" = New must succeed
+	}{
+		{"zero-latency link across shards", Config{Topo: twoSwitch(t, 2, 0), Shards: 2}, "link 0<->1 crosses shards with zero latency"},
+		{"zero-latency link, serial", Config{Topo: twoSwitch(t, 2, 0)}, ""},
+		{"positive-latency link across shards", Config{Topo: twoSwitch(t, 2, 1), Shards: 2}, ""},
+		{"4096 ports", Config{Topo: twoSwitch(t, 4096, sim.Microsecond)}, ""},
+		{"4097 ports", Config{Topo: twoSwitch(t, 4097, sim.Microsecond)}, "switch 0 has 4097 ports"},
+		{"16 classes", Config{Topo: twoSwitch(t, 2, sim.Microsecond), NumCoS: 16}, ""},
+		{"257 classes", Config{Topo: twoSwitch(t, 2, sim.Microsecond), NumCoS: 257}, "NumCoS 257 exceeds"},
+	} {
+		_, err := New(tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: New failed: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: New error = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

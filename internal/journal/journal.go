@@ -40,6 +40,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"speedlight/internal/packet"
 )
 
 // ObserverNode is the pseudo switch ID under which observer-side
@@ -308,4 +310,15 @@ func (s *Set) Tail(n int) []Event {
 		evs = evs[len(evs)-n:]
 	}
 	return evs
+}
+
+// flightTail is how many trailing events an anomaly dump carries.
+const flightTail = 512
+
+// Anomaly hands a runtime's OnAnomaly hook the flight-recorder tail at
+// this moment (no events on a nil Set). A nil hook is a no-op.
+func (s *Set) Anomaly(hook func(reason string, snapshotID packet.SeqID, dump []Event), reason string, id packet.SeqID) {
+	if hook != nil {
+		hook(reason, id, s.Tail(flightTail))
+	}
 }

@@ -80,12 +80,10 @@ type Config struct {
 	// and safe for the concurrent switch goroutines. Nil disables
 	// journaling at zero hot-path cost.
 	Journal *journal.Set
-	// FlightRecorderSize bounds the tail dumped on anomaly. Default
-	// 512.
-	FlightRecorderSize int
-	// OnAnomaly receives a flight-recorder dump whenever a snapshot
-	// finalizes inconsistent or with excluded devices. Called from the
-	// observer goroutine; must not block.
+	// OnAnomaly receives a flight-recorder dump (the last 512 journal
+	// events) whenever a snapshot finalizes inconsistent or with
+	// excluded devices. Called from the observer goroutine; must not
+	// block.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
 	// Snapstore, when set, ingests every completed global snapshot as a
@@ -437,26 +435,12 @@ func (n *Network) Journal() *journal.Set { return n.cfg.Journal }
 // invariants. Safe to call while the network is running (the rings
 // are dumped atomically). Nil when journaling is disabled.
 func (n *Network) Audit() *audit.Report {
-	if n.cfg.Journal == nil {
-		return nil
-	}
-	return audit.Run(n.cfg.Journal.Events(), audit.Config{
-		MaxID:        uint64(n.cfg.MaxID),
-		Wraparound:   n.cfg.WrapAround,
-		ChannelState: n.cfg.ChannelState,
-	})
+	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
 }
 
 // anomaly dumps the flight recorder to the OnAnomaly hook.
 func (n *Network) anomaly(reason string, id packet.SeqID) {
-	if n.cfg.OnAnomaly == nil {
-		return
-	}
-	size := n.cfg.FlightRecorderSize
-	if size <= 0 {
-		size = 512
-	}
-	n.cfg.OnAnomaly(reason, id, n.cfg.Journal.Tail(size))
+	n.cfg.Journal.Anomaly(n.cfg.OnAnomaly, reason, id)
 }
 
 // Tracer returns the snapshot-lifecycle tracer, or nil when disabled.

@@ -3,10 +3,10 @@ package sim
 import "testing"
 
 // TestParallelSteadyStateAllocs: the sharded engine's schedule/drain
-// cycle — parProc.sendAt into the shard's own queue, one single-shard
-// round processed inline on the coordinator — must not allocate.
+// cycle — parProc.sendAt into the shard's own queue, one solo run
+// drained inline on the coordinator — must not allocate.
 //
-//speedlight:allocgate sim.Parallel.process sim.parProc.sendAt
+//speedlight:allocgate sim.Parallel.processBatch sim.parProc.sendAt
 func TestParallelSteadyStateAllocs(t *testing.T) {
 	p := NewParallel(1, 2, 100)
 	pr := p.Proc(1)

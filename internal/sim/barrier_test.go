@@ -87,3 +87,40 @@ func TestBarrierMetricsPreserveDeterminism(t *testing.T) {
 		t.Fatal("event log diverges from serial when barrier metrics are on")
 	}
 }
+
+// TestBarrierProfileAccountsSoloRuns: with events on one shard only the
+// coordinator drains it inline and never starts a worker, so the solo
+// run's own accounting is all that makes the work visible — on that
+// shard, with no wait booked and nothing on any other shard.
+func TestBarrierProfileAccountsSoloRuns(t *testing.T) {
+	p := NewParallel(3, 3, 100)
+	reg := telemetry.NewRegistry()
+	p.EnableBarrierMetrics(reg, fakeClock())
+	pr := p.Proc(2) // default placement: shard 1
+	var chain func()
+	left := 50
+	chain = func() {
+		if left--; left > 0 {
+			pr.After(250, chain) // steps past the 100-tick solo bound
+		}
+	}
+	pr.Schedule(10, chain)
+	p.Run()
+
+	for _, st := range p.BarrierProfile() {
+		if st.Shard == 1 {
+			if st.WorkNs <= 0 || st.Rounds == 0 || st.WaitNs != 0 {
+				t.Errorf("busy shard: %+v, want work and runs and no wait", st)
+			}
+		} else if st != (BarrierShardStats{Shard: st.Shard}) {
+			t.Errorf("idle shard has accounting: %+v", st)
+		}
+	}
+	for _, s := range reg.Gather() {
+		if name := s.FullName(); strings.HasPrefix(name, "speedlight_sim_") {
+			if want := name == `speedlight_sim_round_work_ns{shard="1"}`; (s.Value > 0) != want {
+				t.Errorf("%s = %v, want >0 only for the busy shard's work counter", name, s.Value)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -45,12 +46,14 @@ import (
 // on per-shard rings the coordinator drains while the epoch runs, and
 // execute at the fence in global key order.
 //
-// Engines with a zero-lookahead pair cannot free-run (a pair clock
-// never gets ahead of its neighbor), so they fall back to the legacy
-// lockstep round: every shard executes below a shared horizon of
-// min-event-time plus the minimum pair lookahead, with a barrier per
-// round. That path exists for compatibility with lookahead-0
-// configurations; real topologies always have positive link latency.
+// When only one shard has work below the fence the coordinator drains
+// it inline (a solo run) up to its minimum outbound lookahead: the same
+// drain without the dispatch.
+//
+// Every pair needs positive lookahead: under a zero-lookahead pair no
+// clock ever gets ahead of its neighbor's, so nothing could free-run.
+// Such a pair is rejected, at SetShardLinks or (default graph) at the
+// first Run*; a link with no propagation delay is not a network link.
 //
 // Determinism. Event order within a shard follows the same
 // (time, src, seq) key as the serial Engine; cross-shard events carry
@@ -75,19 +78,15 @@ import (
 type Parallel struct {
 	lookahead Duration
 	now       Time // driver/global-context clock (low-water mark)
-	horizon   Time // legacy lockstep round bound, valid while roundActive
-	// roundActive marks shard execution in flight (epoch, lockstep
-	// round, or inline solo run). Written by the coordinator strictly
-	// before dispatching and after joining, so worker reads are ordered
-	// by the dispatch channel and the barrier.
+	// roundActive marks shard execution in flight (an epoch or an
+	// inline solo run). Written by the coordinator strictly before
+	// dispatching and after joining, so worker reads are ordered by the
+	// dispatch channel and the barrier.
 	roundActive bool
 	// solo marks an inline single-shard run on the coordinator: no
 	// other shard is executing, so cross-shard sends push straight into
 	// the target queue instead of the rings.
-	solo bool
-	// epochMode selects free-running epochs (every declared pair has
-	// positive lookahead) over legacy lockstep rounds.
-	epochMode bool
+	solo      bool
 	finalized bool
 	domains   []pardom
 	shards    []*pshard
@@ -97,12 +96,9 @@ type Parallel struct {
 	fired     uint64 // events executed in global context
 	wg        sync.WaitGroup
 	workersUp bool
-	active    []*pshard  // per-round scratch
-	staged    [][]*Event // lockstep mid-round ring drains, per target shard
 	links     []ShardLink
-	custom    bool     // SetShardLinks was called: unlisted pairs panic
-	minL      Duration // min declared pair lookahead (lockstep horizon step)
-	ringCap   int      // per-pair ring capacity; settable before the first Run (tests)
+	custom    bool // SetShardLinks was called: unlisted pairs panic
+	ringCap   int  // per-pair ring capacity; settable before the first Run (tests)
 	// wall is the injected wall-clock source for the barrier profiler
 	// (nil = profiling disabled, zero cost). Virtual time cannot measure
 	// synchronization skew — shards at the same fence burn different
@@ -201,11 +197,10 @@ type pshard struct {
 	pub atomic.Int64
 	_   [56]byte
 
-	// Profiling state. roundWorkNs (lockstep/solo) and the epoch*
-	// fields are written by the owning worker during a round or epoch
-	// and read by the coordinator after the barrier; the cumulative
-	// fields and cached counters are coordinator-context only.
-	roundWorkNs int64
+	// Profiling state. The epoch* fields are written by the owning
+	// worker during an epoch and read by the coordinator after the
+	// barrier; the cumulative fields and cached counters are
+	// coordinator-context only.
 	epochWorkNs int64
 	epochWaitNs int64
 	epochActive bool
@@ -240,15 +235,14 @@ func (sh *pshard) nextTime() Time {
 // minimum virtual-time latency of any cross-shard interaction the
 // simulation performs; larger values are detected at run time as
 // causality violations. By default every ordered shard pair is a
-// channel at this lookahead; SetShardLinks narrows the set to the
-// pairs the topology actually wires, with per-pair lookaheads.
-// Randomness derives entirely from seed, exactly as in NewEngine.
+// channel at this lookahead, which must then be positive (checked when
+// the graph is frozen at the first Run*; a 1-shard engine has no pairs
+// and takes any value); SetShardLinks narrows the set to the pairs the
+// topology actually wires, with per-pair lookaheads. Randomness derives
+// entirely from seed, exactly as in NewEngine.
 func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 	if shards < 1 {
 		shards = 1
-	}
-	if lookahead < 0 {
-		lookahead = 0
 	}
 	p := &Parallel{
 		lookahead: lookahead,
@@ -267,16 +261,12 @@ func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 // Shards returns the worker shard count.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
-// Lookahead returns the configured engine-wide lookahead (the default
-// pair lookahead when no explicit link set was declared).
-func (p *Parallel) Lookahead() Duration { return p.lookahead }
-
 // SetShardLinks declares the directed cross-shard channels the
 // simulation will actually use, replacing the default complete pair
 // graph. Each link's lookahead must be a true lower bound on the
-// latency of every send from From to To; a send on a pair not in the
-// set panics. Duplicate pairs keep the smallest lookahead. Must be
-// called before the first Run*.
+// latency of every send from From to To, and positive; a send on a
+// pair not in the set panics. Duplicate pairs keep the smallest
+// lookahead. Must be called before the first Run*.
 func (p *Parallel) SetShardLinks(links []ShardLink) {
 	if p.finalized {
 		panic("sim: SetShardLinks after the first Run")
@@ -289,12 +279,19 @@ func (p *Parallel) SetShardLinks(links []ShardLink) {
 		if l.From == l.To {
 			panic(fmt.Sprintf("sim: self shard link %d->%d", l.From, l.To))
 		}
-		if l.Lookahead < 0 {
-			panic(fmt.Sprintf("sim: negative lookahead on shard link %d->%d", l.From, l.To))
-		}
+		checkLookahead(l)
 	}
 	p.links = append(p.links[:0], links...)
 	p.custom = true
+}
+
+// checkLookahead rejects a pair no shard could free-run under: with
+// zero lookahead a pair clock never gets ahead of its neighbor's.
+func checkLookahead(l ShardLink) {
+	if l.Lookahead <= 0 {
+		panic(fmt.Sprintf("sim: zero or negative lookahead %d on shard link %d->%d: every shard pair needs positive lookahead",
+			l.Lookahead, l.From, l.To))
+	}
 }
 
 // finalize freezes the pair graph and builds the per-pair rings and
@@ -303,11 +300,23 @@ func (p *Parallel) finalize() {
 	if p.finalized {
 		return
 	}
+	n := len(p.shards)
+	links := p.links
+	if !p.custom {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					l := ShardLink{From: i, To: j, Lookahead: p.lookahead}
+					checkLookahead(l)
+					links = append(links, l)
+				}
+			}
+		}
+	}
 	p.finalized = true
 	if p.ringCap <= 0 {
 		p.ringCap = 1024
 	}
-	n := len(p.shards)
 	for _, sh := range p.shards {
 		sh.out = make([]outPair, n)
 		for j := range sh.out {
@@ -315,16 +324,6 @@ func (p *Parallel) finalize() {
 		}
 		sh.gring = newEvRing(p.ringCap)
 		sh.minOutLa = Duration(maxTime)
-	}
-	links := p.links
-	if !p.custom {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					links = append(links, ShardLink{From: i, To: j, Lookahead: p.lookahead})
-				}
-			}
-		}
 	}
 	for _, l := range links {
 		from, to := p.shards[l.From], p.shards[l.To]
@@ -343,31 +342,14 @@ func (p *Parallel) finalize() {
 		from.out[l.To] = outPair{ring: r, la: l.Lookahead}
 		to.in = append(to.in, inPair{src: from, srcIdx: l.From, la: l.Lookahead, ring: r})
 	}
-	p.minL = Duration(maxTime)
-	zero := false
 	for _, sh := range p.shards {
 		sort.Slice(sh.in, func(a, b int) bool { return sh.in[a].srcIdx < sh.in[b].srcIdx })
 		for j := range sh.out {
-			la := sh.out[j].la
-			if la < 0 {
-				continue
-			}
-			if la < sh.minOutLa {
+			if la := sh.out[j].la; la >= 0 && la < sh.minOutLa {
 				sh.minOutLa = la
-			}
-			if la < p.minL {
-				p.minL = la
-			}
-			if la == 0 {
-				zero = true
 			}
 		}
 	}
-	if p.minL == Duration(maxTime) {
-		p.minL = p.lookahead
-	}
-	p.epochMode = !zero
-	p.staged = make([][]*Event, n)
 	p.ensurePairCounters()
 }
 
@@ -387,7 +369,7 @@ func (p *Parallel) Place(domain, shard int) {
 
 func (p *Parallel) ensureDomain(domain int) {
 	if p.roundActive {
-		panic("sim: domain table grown during a round")
+		panic("sim: domain table grown while shards are executing")
 	}
 	for len(p.domains) <= domain {
 		d := len(p.domains)
@@ -423,7 +405,7 @@ func (p *Parallel) NewRand() *rand.Rand {
 // shard-scaling plateaus. Per-pair stall attribution is additionally
 // published as speedlight_sim_blocked_on_shard_ns labeled
 // waiter/holdup, and available through BlockedProfile. Call before the
-// first Run*; not safe during a round.
+// first Run*; not safe while shards are executing.
 func (p *Parallel) EnableBarrierMetrics(reg *telemetry.Registry, nowNs func() int64) {
 	if nowNs == nil {
 		return
@@ -433,7 +415,7 @@ func (p *Parallel) EnableBarrierMetrics(reg *telemetry.Registry, nowNs func() in
 		return
 	}
 	workV := reg.CounterVec("speedlight_sim_round_work_ns",
-		"Wall nanoseconds each shard spent executing events inside epochs and rounds.",
+		"Wall nanoseconds each shard spent executing events inside epochs and solo runs.",
 		"shard")
 	waitV := reg.CounterVec("speedlight_sim_barrier_wait_ns",
 		"Wall nanoseconds each shard spent stalled on pair clocks or idling out epochs.",
@@ -471,7 +453,7 @@ func (p *Parallel) ensurePairCounters() {
 // accounting.
 type BarrierShardStats struct {
 	Shard  int
-	Rounds uint64 // epochs/rounds the shard executed events in
+	Rounds uint64 // epochs and solo runs the shard executed events in
 	WorkNs int64  // wall time spent executing events
 	WaitNs int64  // wall time spent stalled on pair clocks or idling
 }
@@ -612,25 +594,26 @@ func (p *Parallel) RunUntil(t Time) {
 func (p *Parallel) RunFor(d Duration) { p.RunUntil(p.now.Add(d)) }
 
 // run is the coordinator loop: alternate serial global events and
-// shard execution (free-running epochs, inline solo runs, or legacy
-// lockstep rounds) until no event below limit remains.
+// shard execution (free-running epochs, or an inline solo run when a
+// single shard has work) until no event below limit remains.
 func (p *Parallel) run(limit Time) {
 	p.finalize()
 	defer p.stopWorkers()
 	for {
 		p.drainRings()
 		g := p.global.nextTime()
-		s := maxTime
+		fence := min(g, limit)
+		s, busy := maxTime, 0 // earliest shard event; shards with work below the fence
+		var bsh *pshard
 		for _, sh := range p.shards {
-			if t := sh.nextTime(); t < s {
-				s = t
+			t := sh.nextTime()
+			s = min(s, t)
+			if t < fence {
+				busy++
+				bsh = sh
 			}
 		}
-		next := g
-		if s < next {
-			next = s
-		}
-		if next >= limit {
+		if min(g, s) >= limit {
 			return
 		}
 		if g <= s {
@@ -647,34 +630,11 @@ func (p *Parallel) run(limit Time) {
 			p.global.pool.put(ev)
 			continue
 		}
-		fence := g
-		if limit < fence {
-			fence = limit
-		}
-		if !p.epochMode {
-			horizon := s.Add(p.minL)
-			if horizon <= s {
-				horizon = s + 1 // progress under zero lookahead (or overflow)
-			}
-			if fence < horizon {
-				horizon = fence
-			}
-			p.runRound(horizon)
-			continue
-		}
-		busy := 0
-		var bsh *pshard
-		for _, sh := range p.shards {
-			if sh.nextTime() < fence {
-				busy++
-				bsh = sh
-			}
-		}
 		if busy == 1 {
 			p.soloRun(bsh, fence)
-			continue
+		} else {
+			p.runEpoch(fence, s)
 		}
-		p.runEpoch(fence, s)
 	}
 }
 
@@ -688,24 +648,19 @@ func (p *Parallel) soloRun(sh *pshard, fence Time) {
 	lim := head.Add(sh.minOutLa)
 	if lim < head {
 		lim = maxTime // overflow, or no outbound pairs at all
-	} else if lim == head {
-		lim = head + 1
 	}
 	if fence < lim {
 		lim = fence
 	}
-	p.active = append(p.active[:0], sh)
 	p.roundActive, p.solo = true, true
-	if p.wall != nil {
-		t0 := p.wall()
+	if p.wall == nil {
+		p.processBatch(sh, lim, math.MaxInt)
+	} else {
 		t := p.wall()
-		p.process(sh, lim)
-		sh.roundWorkNs = p.wall() - t
-		p.roundActive, p.solo = false, false
-		p.accountRound(p.wall()-t0, p.active)
-		return
+		p.processBatch(sh, lim, math.MaxInt)
+		sh.statRounds++
+		sh.addProfile(p.wall()-t, 0)
 	}
-	p.process(sh, lim)
 	p.roundActive, p.solo = false, false
 }
 
@@ -749,61 +704,6 @@ func (p *Parallel) runEpoch(fence, s Time) {
 	p.raisePanics()
 }
 
-// runRound is the legacy lockstep path for zero-lookahead pair graphs:
-// every shard with events below horizon executes them behind a shared
-// bound, with a barrier per round. Cross-shard sends still travel on
-// the rings; the coordinator drains them mid-round (into a staging
-// area — the target's queue is its worker's to touch) to keep full
-// rings from wedging a producer against a parked consumer.
-func (p *Parallel) runRound(horizon Time) {
-	active := p.active[:0]
-	for _, sh := range p.shards {
-		if sh.nextTime() < horizon {
-			active = append(active, sh)
-		}
-	}
-	p.active = active
-	p.horizon = horizon
-	p.roundActive = true
-	var t0 int64
-	if p.wall != nil {
-		t0 = p.wall()
-	}
-	if len(active) == 1 {
-		// Single busy shard: run inline, skip the barrier round-trip.
-		sh := active[0]
-		p.solo = true
-		if p.wall != nil {
-			t := p.wall()
-			p.process(sh, horizon)
-			sh.roundWorkNs = p.wall() - t
-		} else {
-			p.process(sh, horizon)
-		}
-		p.solo = false
-	} else {
-		p.startWorkers()
-		p.done.Store(0)
-		p.wg.Add(len(active))
-		for _, sh := range active {
-			sh.job <- horizon
-		}
-		n := int32(len(active))
-		for p.done.Load() < n {
-			p.pollRings()
-			runtime.Gosched()
-		}
-		p.wg.Wait()
-	}
-	p.roundActive = false
-	if p.wall != nil {
-		p.accountRound(p.wall()-t0, active)
-	}
-	p.flushStaged()
-	p.drainRings()
-	p.raisePanics()
-}
-
 // raisePanics re-raises worker panics on the coordinator so they reach
 // the Run* caller like a serial panic would. Lowest shard wins for a
 // deterministic message.
@@ -826,58 +726,17 @@ func (p *Parallel) raisePanics() {
 	}
 }
 
-// accountRound folds one lockstep round's (or solo run's) wall-clock
-// duration into each active shard's work/wait split: a shard's wait is
-// the round's wall duration minus the time its own worker spent
-// draining events. Coordinator context, after the barrier — the
-// workers' roundWorkNs writes are ordered by wg.Wait.
-func (p *Parallel) accountRound(roundNs int64, active []*pshard) {
-	if roundNs < 0 {
-		roundNs = 0
-	}
-	for _, sh := range active {
-		work := sh.roundWorkNs
-		sh.roundWorkNs = 0
-		if work < 0 {
-			work = 0
-		}
-		if work > roundNs {
-			work = roundNs // clock skew between reader contexts
-		}
-		wait := roundNs - work
-		sh.statRounds++
-		sh.statWorkNs += work
-		sh.statWaitNs += wait
-		if sh.workC != nil {
-			sh.workC.Add(uint64(work))
-			sh.waitC.Add(uint64(wait))
-		}
-	}
-}
-
 // foldEpoch folds the workers' per-epoch accounting into the
 // cumulative per-shard and per-pair totals. Coordinator context, after
 // the barrier.
 func (p *Parallel) foldEpoch() {
 	for _, sh := range p.shards {
-		work, wait := sh.epochWorkNs, sh.epochWaitNs
-		sh.epochWorkNs, sh.epochWaitNs = 0, 0
-		if work < 0 {
-			work = 0
-		}
-		if wait < 0 {
-			wait = 0
-		}
 		if sh.epochActive {
 			sh.statRounds++
 		}
 		sh.epochActive = false
-		sh.statWorkNs += work
-		sh.statWaitNs += wait
-		if sh.workC != nil {
-			sh.workC.Add(uint64(work))
-			sh.waitC.Add(uint64(wait))
-		}
+		sh.addProfile(sh.epochWorkNs, sh.epochWaitNs)
+		sh.epochWorkNs, sh.epochWaitNs = 0, 0
 		for k := range sh.in {
 			ip := &sh.in[k]
 			if d := ip.epochBlockedNs; d > 0 {
@@ -888,6 +747,24 @@ func (p *Parallel) foldEpoch() {
 				}
 			}
 		}
+	}
+}
+
+// addProfile adds one epoch's or solo run's wall-clock split to the
+// shard's cumulative totals and published counters. Coordinator
+// context.
+func (sh *pshard) addProfile(work, wait int64) {
+	if work < 0 {
+		work = 0 // clock skew between reader contexts
+	}
+	if wait < 0 {
+		wait = 0
+	}
+	sh.statWorkNs += work
+	sh.statWaitNs += wait
+	if sh.workC != nil {
+		sh.workC.Add(uint64(work))
+		sh.waitC.Add(uint64(wait))
 	}
 }
 
@@ -979,7 +856,8 @@ func (p *Parallel) epochLoop(sh *pshard, fence Time) {
 }
 
 // processBatch drains up to max of one shard's events below lim in
-// (time, src, seq) order. Worker context, inside an epoch. Fired and
+// (time, src, seq) order. Runs on the shard's worker inside an epoch,
+// or inline on the coordinator (uncapped) during a solo run. Fired and
 // cancelled events return to this shard's pool — the popping context
 // owns the recycle.
 //
@@ -990,31 +868,6 @@ func (p *Parallel) processBatch(sh *pshard, lim Time, max int) {
 		top := sh.q.peek()
 		if top == nil || top.at >= lim {
 			return
-		}
-		sh.q.pop()
-		if top.canceled {
-			sh.pool.put(top)
-			continue
-		}
-		sh.now = top.at
-		sh.fired++
-		top.fire()
-		sh.pool.put(top)
-	}
-}
-
-// process drains one shard's events below horizon in (time, src, seq)
-// order. Runs on the shard's worker during lockstep rounds, or inline
-// on the coordinator during solo runs. Fired and cancelled events
-// return to this shard's pool — the popping context owns the recycle.
-//
-//speedlight:hotpath
-//speedlight:shard
-func (p *Parallel) process(sh *pshard, horizon Time) {
-	for {
-		top := sh.q.peek()
-		if top == nil || top.at >= horizon {
-			break
 		}
 		sh.q.pop()
 		if top.canceled {
@@ -1083,45 +936,6 @@ func (p *Parallel) drainRings() {
 	p.drainGlobalRings()
 }
 
-// pollRings is the coordinator's mid-lockstep-round drain: cross-shard
-// arrivals go to a per-target staging area (the target queue belongs
-// to its worker until the barrier), global sends straight to the
-// global queue. In lockstep mode the coordinator is every ring's
-// consumer — the workers only produce.
-//
-//speedlight:global-only
-func (p *Parallel) pollRings() {
-	for _, sh := range p.shards {
-		for k := range sh.in {
-			ip := &sh.in[k]
-			for {
-				ev := ip.ring.tryPop()
-				if ev == nil {
-					break
-				}
-				p.staged[sh.idx] = append(p.staged[sh.idx], ev)
-			}
-		}
-	}
-	p.drainGlobalRings()
-}
-
-// flushStaged pushes mid-round staged arrivals into their target
-// queues. Coordinator context, after the barrier.
-//
-//speedlight:global-only
-func (p *Parallel) flushStaged() {
-	for i, st := range p.staged {
-		if len(st) == 0 {
-			continue
-		}
-		for _, ev := range st {
-			p.shards[i].q.push(ev)
-		}
-		p.staged[i] = st[:0]
-	}
-}
-
 // pushRing hands one cross-shard (or shard-to-global) event to its
 // pair ring. The fast path is a single tryPush; the slow path sheds
 // backpressure without deadlock.
@@ -1135,24 +949,21 @@ func (p *Parallel) pushRing(sh *pshard, r *evRing, ev *Event, tgt int) {
 	p.pushRingSlow(sh, r, ev, tgt)
 }
 
-// pushRingSlow spins on a full ring. In epoch mode the producer drains
-// its own inbound rings while it waits — every ring's consumer is
-// always either free-running or in this loop, so every full ring is
+// pushRingSlow spins on a full ring. The producer drains its own
+// inbound rings while it waits — every ring's consumer is always
+// either free-running or in this loop, so every full ring is
 // eventually drained and the wait graph cannot deadlock. If the epoch
 // is torn down mid-spin (another worker panicked), the event is parked
 // in the overflow stash for the coordinator to route after the
-// barrier. In lockstep mode the coordinator is the consumer and is
-// polling concurrently, so a plain yield loop suffices.
+// barrier.
 func (p *Parallel) pushRingSlow(sh *pshard, r *evRing, ev *Event, tgt int) {
 	for {
-		if p.epochMode {
-			for k := range sh.in {
-				p.drainRing(sh, sh.in[k].ring)
-			}
-			if p.epochDone.Load() {
-				sh.overflow = append(sh.overflow, stashedEv{tgt: tgt, ev: ev})
-				return
-			}
+		for k := range sh.in {
+			p.drainRing(sh, sh.in[k].ring)
+		}
+		if p.epochDone.Load() {
+			sh.overflow = append(sh.overflow, stashedEv{tgt: tgt, ev: ev})
+			return
 		}
 		if r.tryPush(ev) {
 			return
@@ -1184,15 +995,7 @@ func (p *Parallel) startWorkers() {
 						p.done.Add(1)
 						p.wg.Done()
 					}()
-					if p.epochMode {
-						p.epochLoop(sh, h)
-					} else if p.wall != nil {
-						t := p.wall()
-						p.process(sh, h)
-						sh.roundWorkNs = p.wall() - t
-					} else {
-						p.process(sh, h)
-					}
+					p.epochLoop(sh, h)
 				}()
 			}
 		}(sh, job)
@@ -1219,9 +1022,9 @@ type parProc struct {
 
 func (pr parProc) Domain() int { return pr.dom }
 
-// Now returns the domain's shard-local clock during rounds and the
-// global clock otherwise (driver context, or a GlobalDomain event
-// executing with workers parked).
+// Now returns the domain's shard-local clock while shards execute (an
+// epoch or a solo run) and the global clock otherwise (driver context,
+// or a GlobalDomain event executing with workers parked).
 //
 //speedlight:shard
 func (pr parProc) Now() Time {
@@ -1287,7 +1090,7 @@ func (pr parProc) SendCall(owner int, d Duration, fn CallFn, a, b any, i int64) 
 
 // sendAt schedules a callback in domain owner at time at, keyed by this
 // domain's schedule counter. The event comes from the scheduling
-// context's free list: the worker's own shard pool during a round
+// context's free list: the worker's own shard pool during an epoch
 // (workers never reach another shard's pool), or — from driver/global
 // context, with every worker parked — the scheduling domain's home
 // pool. Cross-shard events travel the pair's ring (or go straight to
@@ -1337,7 +1140,7 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 		return h
 	}
 	if src < 0 {
-		panic("sim: GlobalDomain proc used inside a shard round")
+		panic("sim: GlobalDomain proc used from a shard event")
 	}
 	sh := p.shards[src]
 	if at < sh.now {
@@ -1363,11 +1166,6 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 			panic(fmt.Sprintf(
 				"sim: causality violation: cross-shard send %d->%d at %d below the pair clock %d (pair lookahead %d exceeds the actual cross-shard latency)",
 				src, tgt, at, sh.now.Add(op.la), op.la))
-		}
-		if !p.epochMode && at < p.horizon {
-			panic(fmt.Sprintf(
-				"sim: causality violation: cross-shard send at %d inside round horizon %d (lookahead %d exceeds the minimum cross-shard latency)",
-				at, p.horizon, p.minL))
 		}
 		if p.solo {
 			p.shards[tgt].q.push(ev)

@@ -165,25 +165,39 @@ func TestParallelExplicitPlacement(t *testing.T) {
 	}
 }
 
-// TestParallelZeroLookahead: degenerate lookahead still terminates and
-// matches the serial order (rounds collapse to single-timestamp width).
-func TestParallelZeroLookahead(t *testing.T) {
+// TestParallelZeroLookaheadRejected: a shard pair needs positive
+// lookahead to free-run, so the default complete graph at lookahead 0
+// is rejected when it is frozen at the first Run*, with a panic naming
+// the pair. A 1-shard engine has no pairs: it takes any value and
+// still matches the serial order.
+func TestParallelZeroLookaheadRejected(t *testing.T) {
 	ref := formatRecords(runScenario(NewEngine(5), 4, 1))
-	got := formatRecords(runScenario(NewParallel(5, 2, 0), 4, 1))
-	if got != ref {
-		t.Error("zero-lookahead run diverges from serial")
+	if got := formatRecords(runScenario(NewParallel(5, 1, 0), 4, 1)); got != ref {
+		t.Error("1-shard zero-lookahead run diverges from serial")
 	}
+
+	p := NewParallel(5, 2, 0)
+	p.Proc(1).Schedule(1, func() {})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, frag := range []string{"lookahead 0", "shard link 0->1"} {
+			if !strings.Contains(msg, frag) {
+				t.Fatalf("first Run of a 2-shard lookahead-0 engine: panic %q does not mention %q", msg, frag)
+			}
+		}
+	}()
+	p.Run()
 }
 
-// TestParallelCausalityPanic: a cross-shard send below the round
-// horizon must panic — it means the configured lookahead overstates the
-// real minimum cross-shard latency.
+// TestParallelCausalityPanic: a cross-shard send below the pair clock
+// must panic — it means the configured lookahead overstates the real
+// minimum cross-shard latency.
 func TestParallelCausalityPanic(t *testing.T) {
 	p := NewParallel(1, 2, 1000)
 	p.Place(1, 0)
 	p.Place(2, 1)
 	pr1, pr2 := p.Proc(1), p.Proc(2)
-	// Both shards have work below the horizon, so the round spans both;
+	// Both shards have work below the fence, so the epoch spans both;
 	// domain 1 then violates the 1000-tick lookahead promise.
 	pr2.Schedule(40, func() {})
 	pr1.Schedule(50, func() {
@@ -192,7 +206,7 @@ func TestParallelCausalityPanic(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("cross-shard send inside the horizon did not panic")
+			t.Fatal("cross-shard send below the pair clock did not panic")
 		}
 		if !strings.Contains(fmt.Sprint(r), "causality violation") {
 			t.Fatalf("unexpected panic: %v", r)
@@ -202,7 +216,7 @@ func TestParallelCausalityPanic(t *testing.T) {
 }
 
 // TestParallelGlobalProcInRoundPanics: using the GlobalDomain proc from
-// inside a shard round is a context violation.
+// a shard event is a context violation.
 func TestParallelGlobalProcInRoundPanics(t *testing.T) {
 	p := NewParallel(1, 2, 10)
 	g := p.Proc(GlobalDomain)

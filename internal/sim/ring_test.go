@@ -189,6 +189,9 @@ func TestSetShardLinksValidation(t *testing.T) {
 	mustPanic("negative", "negative lookahead", func() {
 		p.SetShardLinks([]ShardLink{{From: 0, To: 1, Lookahead: -1}})
 	})
+	mustPanic("zero", "lookahead 0 on shard link 1->0", func() {
+		p.SetShardLinks([]ShardLink{{From: 0, To: 1, Lookahead: 3}, {From: 1, To: 0, Lookahead: 0}})
+	})
 
 	// Duplicates keep the min: a delay-5 send is legal under the
 	// 4-tick duplicate, and would violate the pair clock under the

@@ -48,12 +48,10 @@ type Config struct {
 	// flight-recorder rings. The rings are lock-free and safe for the
 	// deployment's concurrent goroutines. Nil disables journaling.
 	Journal *journal.Set
-	// FlightRecorderSize bounds the tail dumped on anomaly. Default
-	// 512.
-	FlightRecorderSize int
-	// OnAnomaly receives a flight-recorder dump whenever a snapshot
-	// finalizes inconsistent or with excluded devices. Called with
-	// obsMu held; must not call back into the deployment.
+	// OnAnomaly receives a flight-recorder dump (the last 512 journal
+	// events) whenever a snapshot finalizes inconsistent or with
+	// excluded devices. Called with obsMu held; must not call back into
+	// the deployment.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 }
 
@@ -515,26 +513,12 @@ func (d *Deployment) Journal() *journal.Set { return d.cfg.Journal }
 // Audit replays the journal and verifies every snapshot's consistency
 // invariants. Nil when journaling is disabled.
 func (d *Deployment) Audit() *audit.Report {
-	if d.cfg.Journal == nil {
-		return nil
-	}
-	return audit.Run(d.cfg.Journal.Events(), audit.Config{
-		MaxID:        uint64(d.cfg.MaxID),
-		Wraparound:   d.cfg.WrapAround,
-		ChannelState: d.cfg.ChannelState,
-	})
+	return audit.Replay(d.cfg.Journal, d.cfg.MaxID, d.cfg.WrapAround, d.cfg.ChannelState)
 }
 
 // anomaly dumps the flight recorder to the OnAnomaly hook.
 func (d *Deployment) anomaly(reason string, id packet.SeqID) {
-	if d.cfg.OnAnomaly == nil {
-		return
-	}
-	size := d.cfg.FlightRecorderSize
-	if size <= 0 {
-		size = 512
-	}
-	d.cfg.OnAnomaly(reason, id, d.cfg.Journal.Tail(size))
+	d.cfg.Journal.Anomaly(d.cfg.OnAnomaly, reason, id)
 }
 
 // Snapshots returns the snapshots completed so far.
