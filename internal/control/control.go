@@ -18,7 +18,6 @@ package control
 
 import (
 	"fmt"
-	"sort"
 
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
@@ -66,6 +65,7 @@ type Config struct {
 // ctrlSnapID / ctrlLastSeen / lastRead state of Figure 7).
 type unitState struct {
 	id         dataplane.UnitID
+	unit       *core.Unit
 	snapID     packet.SeqID // ctrlSnapID, unwrapped
 	lastSeen   []packet.SeqID
 	lastRead   packet.SeqID
@@ -82,7 +82,8 @@ type Plane struct {
 	maxID        uint32
 	wrap         bool
 
-	units map[dataplane.UnitID]*unitState
+	// units is indexed 2*port+dir, the order of Switch.UnitIDs().
+	units []*unitState
 	// initiated tracks the highest snapshot ID this plane has initiated,
 	// so re-initiations know what to resend.
 	initiated packet.SeqID
@@ -104,15 +105,17 @@ func New(cfg Config) (*Plane, error) {
 		channelState: swCfg.ChannelState,
 		maxID:        swCfg.MaxID,
 		wrap:         swCfg.WrapAround,
-		units:        make(map[dataplane.UnitID]*unitState),
 	}
 	if p.tel == nil {
 		p.tel = nopTelemetry
 	}
-	for _, id := range cfg.Switch.UnitIDs() {
+	ids := cfg.Switch.UnitIDs()
+	p.units = make([]*unitState, len(ids))
+	for i, id := range ids {
 		u := cfg.Switch.Unit(id)
 		st := &unitState{
 			id:         id,
+			unit:       u,
 			lastSeen:   make([]packet.SeqID, u.Config().NumChannels),
 			inconsists: make(map[packet.SeqID]bool),
 		}
@@ -126,9 +129,19 @@ func New(cfg Config) (*Plane, error) {
 				}
 			}
 		}
-		p.units[id] = st
+		p.units[i] = st
 	}
 	return p, nil
+}
+
+// unitOf returns the state of a local unit, or nil when id does not
+// name one.
+func (p *Plane) unitOf(id dataplane.UnitID) *unitState {
+	i := 2*id.Port + int(id.Dir)
+	if i < 0 || i >= len(p.units) || p.units[i].id != id {
+		return nil
+	}
+	return p.units[i]
 }
 
 // Node returns the switch this plane controls.
@@ -180,7 +193,7 @@ func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 		p.jr.Append(journal.Initiate(int64(now), p.Node(), id, re))
 	}
 	sw := p.cfg.Switch
-	var out []Initiation
+	out := make([]Initiation, 0, sw.NumPorts()*sw.NumCoS())
 	for port := 0; port < sw.NumPorts(); port++ {
 		for _, pkt := range sw.InitiateIngress(p.wrapID(id), port, now) {
 			out = append(out, Initiation{Port: port, Pkt: pkt})
@@ -192,15 +205,17 @@ func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 // HandleNotification processes one data-plane notification, following
 // Figure 7. Duplicate notifications (no new information) are dropped
 // here, as the paper requires.
+//
+//speedlight:hotpath
 func (p *Plane) HandleNotification(n dataplane.CPUNotification, now sim.Time) {
-	st, ok := p.units[n.Unit]
-	if !ok {
+	st := p.unitOf(n.Unit)
+	if st == nil {
 		return
 	}
 	p.tel.NotifsServiced.Inc()
 	if p.jr != nil {
 		p.jr.Append(journal.NotifService(int64(now), p.Node(), n.Unit.Port,
-			journalDir(n.Unit.Dir), n.NewSIDU))
+			n.Unit.Dir.Journal(), n.NewSIDU))
 	}
 	if p.channelState {
 		p.onNotifyCS(st, n, now)
@@ -222,39 +237,29 @@ func (p *Plane) onNotifyNoCS(st *unitState, n dataplane.CPUNotification, now sim
 		// controller's view; Poll recovers the lost ground.
 		return
 	}
-	u := p.cfg.Switch.Unit(st.id)
-
-	// Walk downward from current to lastRead+1, inheriting values for
-	// slots that were skipped (uninitialized) or lost to notification
-	// drops.
-	type finished struct {
-		id    packet.SeqID
-		value uint64
-		ok    bool
-	}
-	var batch []finished
-	validValue, validOK := u.RegSnapshot(current)
-	batch = append(batch, finished{current, validValue, validOK})
-	for i := current - 1; i > st.lastRead; i-- {
-		if v, ok := u.RegSnapshot(i); ok {
-			validValue, validOK = v, ok
-			batch = append(batch, finished{i, v, true})
-		} else {
-			batch = append(batch, finished{i, validValue, validOK})
-		}
-	}
+	first := st.lastRead + 1
 	st.lastRead = current
 	st.snapID = current
-	// Ship in ascending snapshot order.
-	sort.Slice(batch, func(a, b int) bool { return batch[a].id < batch[b].id })
-	for _, f := range batch {
-		p.emit(Result{
-			Unit:       st.id,
-			SnapshotID: f.id,
-			Value:      f.value,
-			Consistent: f.ok,
-			ReadAt:     now,
-		})
+	value, ok := st.unit.RegSnapshot(current)
+	res := Result{Unit: st.id, SnapshotID: current, Value: value, Consistent: ok, ReadAt: now}
+	if first == current {
+		p.emit(res)
+		return
+	}
+	// Several IDs finish at once: walk downward from current, inheriting
+	// values for slots that were skipped (uninitialized) or lost to
+	// notification drops, then ship in ascending snapshot order.
+	batch := make([]Result, current-first+1)
+	batch[current-first] = res
+	for i := current - 1; i >= first; i-- {
+		if v, valid := st.unit.RegSnapshot(i); valid {
+			res.Value, res.Consistent = v, true
+		}
+		res.SnapshotID = i
+		batch[i-first] = res
+	}
+	for _, res := range batch {
+		p.emit(res)
 	}
 }
 
@@ -306,7 +311,7 @@ func (p *Plane) readThrough(st *unitState, toRead packet.SeqID, now sim.Time) {
 	if toRead <= st.lastRead {
 		return
 	}
-	u := p.cfg.Switch.Unit(st.id)
+	u := st.unit
 	for i := st.lastRead + 1; i <= toRead; i++ {
 		res := Result{Unit: st.id, SnapshotID: i, ReadAt: now}
 		if !st.inconsists[i] {
@@ -329,17 +334,9 @@ func (p *Plane) emit(res Result) {
 	}
 	if p.jr != nil {
 		p.jr.Append(journal.Result(int64(res.ReadAt), int(res.Unit.Node), res.Unit.Port,
-			journalDir(res.Unit.Dir), res.SnapshotID, res.Value, res.Consistent))
+			res.Unit.Dir.Journal(), res.SnapshotID, res.Value, res.Consistent))
 	}
 	p.cfg.OnResult(res)
-}
-
-// journalDir converts a dataplane direction to its journal form.
-func journalDir(d dataplane.Direction) journal.Dir {
-	if d == dataplane.Ingress {
-		return journal.DirIngress
-	}
-	return journal.DirEgress
 }
 
 // Poll proactively reads every unit's registers and processes the state
@@ -350,9 +347,8 @@ func (p *Plane) Poll(now sim.Time) {
 	if p.jr != nil {
 		p.jr.Append(journal.Poll(int64(now), p.Node()))
 	}
-	for _, id := range p.cfg.Switch.UnitIDs() {
-		st := p.units[id]
-		u := p.cfg.Switch.Unit(id)
+	for _, st := range p.units {
+		id, u := st.id, st.unit
 		if p.channelState {
 			// Synthesize one notification per channel so the last-seen
 			// view catches up alongside the snapshot ID.
@@ -382,7 +378,7 @@ func (p *Plane) Poll(now sim.Time) {
 
 // LastRead returns the unit's latest finalized snapshot ID.
 func (p *Plane) LastRead(id dataplane.UnitID) packet.SeqID {
-	if st, ok := p.units[id]; ok {
+	if st := p.unitOf(id); st != nil {
 		return st.lastRead
 	}
 	return 0

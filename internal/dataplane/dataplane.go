@@ -50,6 +50,14 @@ func (d Direction) String() string {
 	return "egress"
 }
 
+// Journal converts the direction to its journal form.
+func (d Direction) Journal() journal.Dir {
+	if d == Ingress {
+		return journal.DirIngress
+	}
+	return journal.DirEgress
+}
+
 // UnitID names one processing unit in the network.
 type UnitID struct {
 	Node topology.NodeID
@@ -297,14 +305,6 @@ func (s *Switch) UnitIDs() []UnitID {
 	return out
 }
 
-// journalDir converts a dataplane direction to its journal form.
-func journalDir(d Direction) journal.Dir {
-	if d == Ingress {
-		return journal.DirIngress
-	}
-	return journal.DirEgress
-}
-
 // journalUnit records the protocol transitions one OnPacket call
 // produced: the unit advancing its epoch (and any rollover), last-seen
 // movement, and in-flight absorption. Called unconditionally on the
@@ -319,7 +319,7 @@ func (s *Switch) journalUnit(port int, dir Direction, n *core.Notification, now 
 		return
 	}
 	sw := int(s.cfg.Node)
-	d := journalDir(dir)
+	d := dir.Journal()
 	if n.NewSIDU != n.OldSIDU {
 		s.jr.Append(journal.Record(int64(now), sw, port, d, n.Channel, n.OldSIDU, n.NewSIDU, n.WireID))
 		if core.RolledOver(n.OldSID, n.NewSID) {
@@ -349,7 +349,7 @@ func (s *Switch) pushNotif(n CPUNotification) {
 	}
 	s.tel.NotifsGenerated.Inc()
 	if s.jr != nil {
-		s.jr.Append(journal.NotifGenerated(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, journalDir(n.Unit.Dir), n.NewSIDU))
+		s.jr.Append(journal.NotifGenerated(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, n.Unit.Dir.Journal(), n.NewSIDU))
 	}
 	if n.SIDChanged() && core.RolledOver(n.OldSID, n.NewSID) {
 		s.tel.Rollovers.Inc()
@@ -361,7 +361,7 @@ func (s *Switch) pushNotif(n CPUNotification) {
 		s.notifDrops++
 		s.tel.NotifsDropped.Inc()
 		if s.jr != nil {
-			s.jr.Append(journal.NotifDropped(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, journalDir(n.Unit.Dir), n.NewSIDU))
+			s.jr.Append(journal.NotifDropped(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, n.Unit.Dir.Journal(), n.NewSIDU))
 		}
 		return
 	}
@@ -677,7 +677,12 @@ func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packe
 	}
 	out := make([]*packet.Packet, s.cfg.NumCoS)
 	for cos := 0; cos < s.cfg.NumCoS; cos++ {
-		cp := pkt.Clone()
+		// The template itself serves as the last copy: with one class of
+		// service the fan-out clones nothing.
+		cp := pkt
+		if cos < s.cfg.NumCoS-1 {
+			cp = pkt.Clone()
+		}
 		cp.CoS = uint8(cos)
 		cp.Snap.Channel = s.internalChannel(port, uint8(cos))
 		out[cos] = cp

@@ -12,6 +12,7 @@ package observer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"speedlight/internal/control"
@@ -78,11 +79,32 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-// pending tracks an in-progress snapshot.
+// pending is the pooled record of one in-progress snapshot. Its slices
+// run parallel to the observer's unit table as it stood at Begin.
 type pending struct {
-	snap    *GlobalSnapshot
-	missing map[dataplane.UnitID]bool
+	id          packet.SeqID
+	scheduledAt sim.Time
+	// want marks the units still awaited: copied from the active set at
+	// Begin, cleared as results arrive or devices are excluded.
+	want []bool
+	// res[i] belongs to this snapshot iff its SnapshotID equals id — IDs
+	// never repeat, so a recycled record needs no clearing.
+	res     []control.Result
+	left    int // units still awaited
+	got     int // results stored
 	retried bool
+}
+
+// missingDevices returns the devices with awaited units, ascending.
+func (p *pending) missingDevices(units []dataplane.UnitID) []topology.NodeID {
+	var devs []topology.NodeID
+	for i, w := range p.want {
+		if w {
+			devs = append(devs, units[i].Node)
+		}
+	}
+	slices.Sort(devs)
+	return slices.Compact(devs)
 }
 
 // Observer assembles global snapshots. Like the other protocol
@@ -91,10 +113,17 @@ type Observer struct {
 	cfg Config
 	tel *Telemetry
 
-	devices map[topology.NodeID][]dataplane.UnitID
-	nextID  packet.SeqID
-	pend    map[packet.SeqID]*pending
-	minOpen packet.SeqID // lowest incomplete snapshot ID, for no-lapping
+	// The unit table: every unit ever registered gets the next dense
+	// index, which is never reused; active marks the units of currently
+	// registered devices. devices holds each device's indices.
+	index   map[dataplane.UnitID]int32
+	units   []dataplane.UnitID
+	active  []bool
+	devices map[topology.NodeID][]int32
+
+	nextID packet.SeqID
+	pend   map[packet.SeqID]*pending
+	free   []*pending // finalized records awaiting reuse
 }
 
 // New creates an observer.
@@ -112,34 +141,42 @@ func New(cfg Config) (*Observer, error) {
 	return &Observer{
 		cfg:     cfg,
 		tel:     tel,
-		devices: make(map[topology.NodeID][]dataplane.UnitID),
+		index:   make(map[dataplane.UnitID]int32),
+		devices: make(map[topology.NodeID][]int32),
 		pend:    make(map[packet.SeqID]*pending),
 	}, nil
 }
 
 // Register adds a device and its processing units to the observer's
-// active set. New devices must be registered before they are included in
-// the next snapshot (Section 6, node attachment). Registering mid-flight
-// does not change snapshots already in progress.
+// active set, replacing any units the device registered before. New
+// devices must be registered before they are included in the next
+// snapshot (Section 6, node attachment). Registering mid-flight does not
+// change snapshots already in progress.
 func (o *Observer) Register(node topology.NodeID, units []dataplane.UnitID) {
-	o.devices[node] = append([]dataplane.UnitID(nil), units...)
-	if o.cfg.Journal != nil {
-		for _, u := range units {
-			o.cfg.Journal.Append(journal.Register(int(u.Node), u.Port, journalDir(u.Dir)))
+	o.Unregister(node)
+	idxs := make([]int32, len(units))
+	for k, u := range units {
+		i, ok := o.index[u]
+		if !ok {
+			i = int32(len(o.units))
+			o.index[u] = i
+			o.units = append(o.units, u)
+			o.active = append(o.active, false)
+		}
+		o.active[i] = true
+		idxs[k] = i
+		if o.cfg.Journal != nil {
+			o.cfg.Journal.Append(journal.Register(int(u.Node), u.Port, u.Dir.Journal()))
 		}
 	}
-}
-
-// journalDir converts a dataplane direction to its journal form.
-func journalDir(d dataplane.Direction) journal.Dir {
-	if d == dataplane.Ingress {
-		return journal.DirIngress
-	}
-	return journal.DirEgress
+	o.devices[node] = idxs
 }
 
 // Unregister removes a device from the active set.
 func (o *Observer) Unregister(node topology.NodeID) {
+	for _, i := range o.devices[node] {
+		o.active[i] = false
+	}
 	delete(o.devices, node)
 }
 
@@ -190,17 +227,19 @@ func (o *Observer) Begin(now sim.Time) (packet.SeqID, error) {
 	}
 	o.nextID++
 	id := o.nextID
-	p := &pending{
-		snap: &GlobalSnapshot{
-			ID:          id,
-			Results:     make(map[dataplane.UnitID]control.Result),
-			ScheduledAt: now,
-		},
-		missing: make(map[dataplane.UnitID]bool),
+	var p *pending
+	if n := len(o.free); n > 0 {
+		p, o.free = o.free[n-1], o.free[:n-1]
+	} else {
+		p = new(pending)
 	}
-	for _, units := range o.devices {
-		for _, u := range units {
-			p.missing[u] = true
+	*p = pending{id: id, scheduledAt: now, want: append(p.want[:0], o.active...), res: p.res}
+	if len(p.res) < len(p.want) {
+		p.res = append(p.res, make([]control.Result, len(p.want)-len(p.res))...)
+	}
+	for _, w := range p.want {
+		if w {
+			p.left++
 		}
 	}
 	o.pend[id] = p
@@ -220,52 +259,64 @@ func (o *Observer) Pending() int { return len(o.pend) }
 // Results for unknown snapshots (e.g., from a device that attached
 // mid-epoch and jumped forward, Section 6) or already-excluded devices
 // are ignored.
+//
+//speedlight:hotpath
 func (o *Observer) OnResult(res control.Result, now sim.Time) {
 	p, ok := o.pend[res.SnapshotID]
 	if !ok {
 		o.tel.ResultsIgnored.Inc()
 		return
 	}
-	if !p.missing[res.Unit] {
+	i, ok := o.index[res.Unit]
+	if !ok || int(i) >= len(p.want) || !p.want[i] {
 		o.tel.ResultsIgnored.Inc()
-		return // duplicate or spurious
+		return // duplicate, spurious, or registered after Begin
 	}
-	delete(p.missing, res.Unit)
-	p.snap.Results[res.Unit] = res
+	p.want[i] = false
+	p.res[i] = res
+	p.left--
+	p.got++
 	o.cfg.Tracer.UnitResult(uint64(res.SnapshotID), int(res.Unit.Node), int64(now))
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsResult(int64(now), int(res.Unit.Node), res.Unit.Port,
-			journalDir(res.Unit.Dir), res.SnapshotID, res.Consistent))
+			res.Unit.Dir.Journal(), res.SnapshotID, res.Consistent))
 	}
-	if len(p.missing) == 0 {
-		o.finalize(res.SnapshotID, now)
+	if p.left == 0 {
+		o.finalize(p, now, nil)
 	}
 }
 
-// finalize completes a snapshot and delivers it.
-func (o *Observer) finalize(id packet.SeqID, now sim.Time) {
-	p := o.pend[id]
-	delete(o.pend, id)
-	p.snap.CompletedAt = now
-	p.snap.Consistent = true
-	for _, r := range p.snap.Results {
-		if !r.Consistent {
-			p.snap.Consistent = false
-			break
+// finalize completes a snapshot and delivers it. The public Results map
+// is materialized here, once, at its final size; the record goes back
+// to the free list. excluded is ascending and owned by the snapshot.
+func (o *Observer) finalize(p *pending, now sim.Time, excluded []topology.NodeID) {
+	delete(o.pend, p.id)
+	snap := &GlobalSnapshot{
+		ID:          p.id,
+		Results:     make(map[dataplane.UnitID]control.Result, p.got),
+		Excluded:    excluded,
+		Consistent:  true,
+		ScheduledAt: p.scheduledAt,
+		CompletedAt: now,
+	}
+	for i := range p.want {
+		if r := &p.res[i]; r.SnapshotID == p.id {
+			snap.Results[o.units[i]] = *r
+			snap.Consistent = snap.Consistent && r.Consistent
 		}
 	}
-	sort.Slice(p.snap.Excluded, func(i, j int) bool { return p.snap.Excluded[i] < p.snap.Excluded[j] })
+	o.free = append(o.free, p)
 	o.tel.Completed.Inc()
-	if !p.snap.Consistent {
+	if !snap.Consistent {
 		o.tel.Inconsistent.Inc()
 	}
 	o.tel.Pending.Set(int64(len(o.pend)))
-	o.tel.CompletionLatencyUS.Observe(now.Sub(p.snap.ScheduledAt).Micros())
-	o.cfg.Tracer.EndSnapshot(uint64(id), int64(now), p.snap.Consistent)
+	o.tel.CompletionLatencyUS.Observe(now.Sub(snap.ScheduledAt).Micros())
+	o.cfg.Tracer.EndSnapshot(uint64(snap.ID), int64(now), snap.Consistent)
 	if o.cfg.Journal != nil {
-		o.cfg.Journal.Append(journal.ObsComplete(int64(now), id, p.snap.Consistent, len(p.snap.Excluded)))
+		o.cfg.Journal.Append(journal.ObsComplete(int64(now), snap.ID, snap.Consistent, len(snap.Excluded)))
 	}
-	o.cfg.OnComplete(p.snap)
+	o.cfg.OnComplete(snap)
 }
 
 // Action is the observer's requested recovery step for a stalled
@@ -291,38 +342,17 @@ func (o *Observer) CheckTimeouts(now sim.Time) []Action {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		p := o.pend[id]
-		age := now.Sub(p.snap.ScheduledAt)
+		age := now.Sub(p.scheduledAt)
 		var act Action
 		act.SnapshotID = id
 		if o.cfg.ExcludeAfter > 0 && age >= o.cfg.ExcludeAfter {
-			// Exclude every device still missing units.
-			missingDevs := map[topology.NodeID]bool{}
-			for u := range p.missing {
-				missingDevs[u.Node] = true
-			}
-			for dev := range missingDevs {
-				act.Excluded = append(act.Excluded, dev)
-				p.snap.Excluded = append(p.snap.Excluded, dev)
-				for u := range p.missing {
-					if u.Node == dev {
-						delete(p.missing, u)
-					}
-				}
-			}
-			sort.Slice(act.Excluded, func(i, j int) bool { return act.Excluded[i] < act.Excluded[j] })
-			if len(p.missing) == 0 {
-				o.finalize(id, now)
-			}
+			// Exclude every device still missing units; the snapshot
+			// finalizes without them.
+			act.Excluded = p.missingDevices(o.units)
+			o.finalize(p, now, append([]topology.NodeID(nil), act.Excluded...))
 		} else if o.cfg.RetryAfter > 0 && age >= o.cfg.RetryAfter && !p.retried {
 			p.retried = true
-			missingDevs := map[topology.NodeID]bool{}
-			for u := range p.missing {
-				missingDevs[u.Node] = true
-			}
-			for dev := range missingDevs {
-				act.Retry = append(act.Retry, dev)
-			}
-			sort.Slice(act.Retry, func(i, j int) bool { return act.Retry[i] < act.Retry[j] })
+			act.Retry = p.missingDevices(o.units)
 		}
 		o.tel.Retries.Add(uint64(len(act.Retry)))
 		o.tel.Exclusions.Add(uint64(len(act.Excluded)))

@@ -131,6 +131,10 @@ type Store struct {
 	// Writer-owned state (single ingesting goroutine).
 	unitIdx map[dataplane.UnitID]int32
 	units   []dataplane.UnitID
+	// order lists the dense indices in canonical unit order (unitLess).
+	// Ingest walks it, so an epoch's arrival deltas come out in canonical
+	// order without sorting anything per epoch.
+	order []int32
 	// prev is the previous sealed epoch's cut, the reference the next
 	// epoch's deltas are computed against. After Seal it equals the
 	// just-sealed epoch's full state.
@@ -141,7 +145,6 @@ type Store struct {
 	cur       *Epoch
 	curSeq    uint64
 	sinceBase int
-	scratch   []dataplane.UnitID
 
 	view   atomic.Pointer[View]
 	sealed atomic.Uint64
@@ -260,6 +263,13 @@ func (s *Store) Observe(u dataplane.UnitID, value uint64, consistent bool) {
 	if !ok {
 		idx = s.register(u)
 	}
+	s.observe(idx, value, consistent)
+}
+
+// observe is Observe on a dense index.
+//
+//speedlight:hotpath
+func (s *Store) observe(idx int32, value uint64, consistent bool) {
 	if s.seen[idx] == s.curSeq {
 		return
 	}
@@ -272,14 +282,19 @@ func (s *Store) Observe(u dataplane.UnitID, value uint64, consistent bool) {
 	s.prev[idx] = Reg{Value: value, Consistent: consistent, Present: true}
 }
 
-// register adds a unit to the dense table (cold path: each unit
-// registers once, on its first ever observation).
+// register adds a unit to the dense table and to its canonical place
+// in order (cold path: each unit registers once, on its first ever
+// observation).
 func (s *Store) register(u dataplane.UnitID) int32 {
 	idx := int32(len(s.units))
 	s.units = append(s.units, u)
 	s.prev = append(s.prev, Reg{})
 	s.seen = append(s.seen, 0)
 	s.unitIdx[u] = idx
+	at := sort.Search(len(s.order), func(i int) bool { return unitLess(u, s.units[s.order[i]]) })
+	s.order = append(s.order, 0)
+	copy(s.order[at+1:], s.order[at:])
+	s.order[at] = idx
 	return idx
 }
 
@@ -313,7 +328,8 @@ func (s *Store) Seal(completedAt sim.Time, consistent bool, excluded []topology.
 	// every CheckpointEvery-th epoch materializes its full cut (prev is
 	// exactly this epoch's state once the deltas above are applied).
 	if len(old.epochs) == 0 || s.sinceBase+1 >= s.cfg.CheckpointEvery {
-		e.base = append([]Reg(nil), s.prev...)
+		// Non-nil even for an empty cut: IsBase tests for nil.
+		e.base = append(make([]Reg, 0, len(s.prev)), s.prev...)
 		s.sinceBase = 0
 		s.tel.bases.Inc()
 	} else {
@@ -363,21 +379,42 @@ func promote(v *View, i int) *Epoch {
 }
 
 // Ingest records one assembled global snapshot as a sealed epoch:
-// Begin, one Observe per unit result (in deterministic unit order),
-// Seal. sync is the snapshot's measured synchronization spread (zero
-// when unknown). Returns the sealed epoch.
+// Begin, one observation per unit result in canonical unit order, Seal.
+// Only g.Results need be populated. sync is the snapshot's measured
+// synchronization spread (zero when unknown). Returns the sealed epoch.
 func (s *Store) Ingest(g *observer.GlobalSnapshot, sync sim.Duration) *Epoch {
 	s.Begin(g.ID, g.ScheduledAt)
-	s.scratch = s.scratch[:0]
-	for u := range g.Results {
-		s.scratch = append(s.scratch, u)
+	known := 0
+	for _, idx := range s.order {
+		if res, ok := g.Results[s.units[idx]]; ok {
+			s.observe(idx, res.Value, res.Consistent)
+			known++
+		}
 	}
-	sort.Slice(s.scratch, func(a, b int) bool { return unitLess(s.scratch[a], s.scratch[b]) })
-	for _, u := range s.scratch {
-		res := g.Results[u]
-		s.Observe(u, res.Value, res.Consistent)
+	if known < len(g.Results) {
+		s.ingestNew(g)
 	}
 	return s.Seal(g.CompletedAt, g.Consistent, g.Excluded, sync)
+}
+
+// ingestNew registers and observes the units of g the table has not
+// seen (cold path: the first epoch and attachments), in canonical order
+// so dense indices are assigned in it, then restores canonical order
+// across the epoch's deltas.
+func (s *Store) ingestNew(g *observer.GlobalSnapshot) {
+	var fresh []dataplane.UnitID
+	for u := range g.Results {
+		if _, ok := s.unitIdx[u]; !ok {
+			fresh = append(fresh, u)
+		}
+	}
+	sort.Slice(fresh, func(a, b int) bool { return unitLess(fresh[a], fresh[b]) })
+	for _, u := range fresh {
+		res := g.Results[u]
+		s.observe(s.register(u), res.Value, res.Consistent)
+	}
+	d := s.cur.deltas
+	sort.Slice(d, func(a, b int) bool { return unitLess(s.units[d[a].Unit], s.units[d[b].Unit]) })
 }
 
 // unitLess is the canonical unit order (switch, port, direction).
