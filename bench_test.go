@@ -296,7 +296,6 @@ func BenchmarkEmulationThroughputTelemetry(b *testing.B) {
 		Topo:     ls.Topology,
 		Seed:     1,
 		Registry: telemetry.NewRegistry(),
-		Tracer:   telemetry.NewTracer(0),
 	})
 	if err != nil {
 		b.Fatal(err)

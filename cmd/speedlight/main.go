@@ -9,7 +9,7 @@
 //	speedlight -channel-state -workload memcache -verbose
 //	speedlight -journal-out run.jsonl -audit -flight-dir dumps/
 //	speedlight -snapstore-out history.jsonl -invariants-out invariants.csv
-//	speedlight -trace-epochs epochs.jsonl
+//	speedlight -trace-epochs epochs.jsonl -trace-out epochs.chrome.json
 //	speedlight doctor run.jsonl
 //	speedlight doctor http://127.0.0.1:9090
 package main
@@ -72,9 +72,10 @@ func campaign() {
 		csvPath = flag.String("csv", "", "write all snapshot values to this CSV file")
 
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve observability endpoints (/metrics, /debug/vars, /debug/pprof, /trace, /healthz, /journal, /audit) on this address while the campaign runs")
-		traceOut = flag.String("trace-out", "", "write the campaign's Chrome trace_event JSON to this file (load in Perfetto)")
-		summary  = flag.Bool("summary", false, "print an end-of-run telemetry summary table")
+			"serve observability endpoints (/metrics, /debug/vars, /debug/pprof, /healthz, /journal, /audit, /snapshots, /invariants, /trace, /trace/epoch, /trace/critical) on this address while the campaign runs; implies journaling")
+		traceOut = flag.String("trace-out", "",
+			"write the per-epoch causal traces as Chrome trace_event JSON to this file (load in Perfetto); implies journaling")
+		summary = flag.Bool("summary", false, "print an end-of-run telemetry summary table")
 
 		snapstoreOut = flag.String("snapstore-out", "",
 			"retain snapshot history and write it to this file as JSON Lines (one reconstructed epoch per line)")
@@ -90,7 +91,7 @@ func campaign() {
 		flightDir = flag.String("flight-dir", "",
 			"write a flight-recorder tail dump (JSONL) into this directory whenever a snapshot finalizes inconsistent or with exclusions")
 		traceEpochs = flag.String("trace-epochs", "",
-			"write per-epoch causal traces to this file (.chrome.json writes Chrome trace_event format, anything else JSON Lines) and print critical-path attribution; implies journaling")
+			"write per-epoch causal traces to this file as JSON Lines and print critical-path attribution; implies journaling")
 		churnMode = flag.String("churn", "",
 			"run a seeded churn scenario against the reconciliation controller during the campaign: rolling-upgrade, link-flap-storm, partition-heal, provisioning-ramp (implies journaling; classification printed at the end)")
 	)
@@ -106,13 +107,13 @@ func campaign() {
 	// pays nothing. -trace-epochs counts: its critical-path report
 	// includes the sharded engine's per-pair stall attribution, which
 	// needs the barrier profiler (registry + wall clock) enabled.
-	if *metricsAddr != "" || *traceOut != "" || *summary || *traceEpochs != "" {
+	if *metricsAddr != "" || *summary || *traceEpochs != "" {
 		cfg.Registry = telemetry.NewRegistry()
-		cfg.Tracer = telemetry.NewTracer(0)
 	}
-	// Any flight-recorder flag turns journaling on. The metrics server
-	// includes it too, so /journal and /audit have something to serve.
-	if *journalOut != "" || *auditRun || *flightDir != "" || *metricsAddr != "" || *traceEpochs != "" || *churnMode != "" {
+	// Any flight-recorder flag turns journaling on — the epoch traces
+	// are rebuilt from the journal. The metrics server includes it too,
+	// so /journal, /audit and /trace have something to serve.
+	if *journalOut != "" || *auditRun || *flightDir != "" || *metricsAddr != "" || *traceOut != "" || *traceEpochs != "" || *churnMode != "" {
 		cfg.Journal = journal.NewSet(0)
 	}
 	if *flightDir != "" {
@@ -128,7 +129,7 @@ func campaign() {
 				fmt.Fprintf(os.Stderr, "flight recorder: %v\n", err)
 				return
 			}
-			werr := export.JournalJSONL(f, dump)
+			werr := journal.WriteJSONL(f, dump)
 			cerr := f.Close()
 			if werr != nil || cerr != nil {
 				fmt.Fprintf(os.Stderr, "flight recorder: writing %s: %v %v\n", path, werr, cerr)
@@ -192,7 +193,6 @@ func campaign() {
 		health := telemetry.NewHealth()
 		mc := telemetry.MuxConfig{
 			Registry: cfg.Registry,
-			Tracer:   cfg.Tracer,
 			Health:   health,
 			Journal:  journal.HTTPHandler(cfg.Journal.Events),
 			Audit:    audit.HTTPHandler(net.Audit),
@@ -212,7 +212,7 @@ func campaign() {
 			fatalf("metrics server: %v", err)
 		}
 		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /trace (Chrome), /healthz, /journal, /audit, /snapshots, /invariants, /trace/epoch, /trace/critical\n",
+		fmt.Printf("observability: http://%s/metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /healthz, /journal, /audit, /snapshots, /invariants, /trace (Chrome epoch trace), /trace/epoch, /trace/critical\n",
 			srv.Addr())
 	}
 
@@ -275,13 +275,14 @@ func campaign() {
 		if err != nil {
 			fatalf("creating %s: %v", *traceOut, err)
 		}
-		if err := cfg.Tracer.WriteChromeTrace(f); err != nil {
+		traces := net.EpochTraces()
+		if err := epochtrace.WriteChromeTrace(f, traces); err != nil {
 			fatalf("writing trace: %v", err)
 		}
 		if err := f.Close(); err != nil {
 			fatalf("closing trace: %v", err)
 		}
-		fmt.Printf("wrote %s\n", *traceOut)
+		fmt.Printf("wrote %s (%d epochs)\n", *traceOut, len(traces))
 	}
 
 	if cfg.Registry != nil {
@@ -328,9 +329,9 @@ func campaign() {
 		}
 		events := cfg.Journal.Events()
 		if strings.HasSuffix(*journalOut, ".csv") {
-			err = export.JournalCSV(f, events)
+			err = journal.WriteCSV(f, events)
 		} else {
-			err = export.JournalJSONL(f, events)
+			err = journal.WriteJSONL(f, events)
 		}
 		if err != nil {
 			fatalf("writing journal: %v", err)
@@ -347,12 +348,7 @@ func campaign() {
 		if err != nil {
 			fatalf("creating %s: %v", *traceEpochs, err)
 		}
-		if strings.HasSuffix(*traceEpochs, ".chrome.json") {
-			err = export.EpochTraceChromeTrace(f, traces)
-		} else {
-			err = export.EpochTraceJSONL(f, traces)
-		}
-		if err != nil {
+		if err := epochtrace.WriteJSONL(f, traces); err != nil {
 			fatalf("writing epoch traces: %v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -377,7 +373,7 @@ func campaign() {
 	if *auditRun {
 		rep := net.Audit()
 		fmt.Println("\naudit report:")
-		if err := export.AuditText(os.Stdout, rep); err != nil {
+		if err := rep.WriteText(os.Stdout); err != nil {
 			fatalf("writing audit report: %v", err)
 		}
 		_, inconsistent, _ := rep.Counts()
@@ -473,7 +469,7 @@ func doctor(args []string) {
 	if *jsonOut {
 		err = export.AuditJSON(os.Stdout, rep)
 	} else {
-		err = export.AuditText(os.Stdout, rep)
+		err = rep.WriteText(os.Stdout)
 	}
 	if err != nil {
 		fatalf("writing report: %v", err)
@@ -640,15 +636,15 @@ func doctorURL(base string, jsonOut bool) {
 func readJournal(in *os.File, path, format string) ([]journal.Event, error) {
 	switch format {
 	case "jsonl":
-		return export.ReadJournalJSONL(in)
+		return journal.ReadJSONL(in)
 	case "csv":
-		return export.ReadJournalCSV(in)
+		return journal.ReadCSV(in)
 	case "auto":
 		if strings.HasSuffix(path, ".csv") {
-			return export.ReadJournalCSV(in)
+			return journal.ReadCSV(in)
 		}
 		if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
-			return export.ReadJournalJSONL(in)
+			return journal.ReadJSONL(in)
 		}
 		br := bufio.NewReader(in)
 		first, err := br.Peek(1)

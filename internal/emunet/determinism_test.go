@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"speedlight/internal/emunet"
+	"speedlight/internal/epochtrace"
 	"speedlight/internal/export"
 	"speedlight/internal/journal"
 	"speedlight/internal/reconcile"
@@ -139,7 +140,7 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 
 	rep := n.Audit()
 	var jb, ab, sb, eb bytes.Buffer
-	if err := export.JournalJSONL(&jb, set.Events()); err != nil {
+	if err := journal.WriteJSONL(&jb, set.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if err := export.AuditJSON(&ab, rep); err != nil {
@@ -148,7 +149,7 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 	if err := export.SnapshotsJSON(&sb, n.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.EpochTraceJSONL(&eb, n.EpochTraces()); err != nil {
+	if err := epochtrace.WriteJSONL(&eb, n.EpochTraces()); err != nil {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer

@@ -80,9 +80,6 @@ type Config struct {
 	// value defaults to clock.PTP().
 	Clock clock.Config
 
-	// CPNotifLatency is the data-plane-to-CPU delivery latency of a
-	// notification (DMA + kernel). Default: ~10 µs lognormal.
-	CPNotifLatency dist.Dist
 	// CPServiceTime is the control plane's per-notification processing
 	// time — the bottleneck behind the paper's Figure 10. Default:
 	// ~110 µs lognormal (calibrated to ~70 snapshots/s at 64 ports).
@@ -92,14 +89,6 @@ type Config struct {
 	// injection uses it to slow one control plane and check that the
 	// epoch tracer's critical path names the straggler.
 	CPServiceTimeFor func(node topology.NodeID) dist.Dist
-	// InitiationLatency is the delay between a control plane's local
-	// deadline and the initiation reaching the data plane (scheduler
-	// wakeup + driver). Default: ~2 µs lognormal with a 15 µs p99.
-	InitiationLatency dist.Dist
-	// ObserverLatency is the control-plane-to-observer result delivery
-	// time, floored at 1 µs (see observerMinLatency). Default: 50 µs
-	// constant.
-	ObserverLatency dist.Dist
 
 	// LinkRateBps is the transmission rate of every link. Default
 	// 25 Gb/s (the testbed's server links).
@@ -149,8 +138,6 @@ type Config struct {
 	// counters and histograms are registered on it. Nil disables
 	// instrumentation at zero hot-path cost.
 	Registry *telemetry.Registry
-	// Tracer, when set, records snapshot-lifecycle spans.
-	Tracer *telemetry.Tracer
 
 	// Journal, when set, enables the flight recorder: every protocol
 	// layer appends structured events to its per-switch rings, and
@@ -158,10 +145,8 @@ type Config struct {
 	// journaling at one nil check per potential event.
 	Journal *journal.Set
 	// OnAnomaly, when set, fires when a snapshot finalizes inconsistent
-	// or with exclusions, or when a repeat retry of the same snapshot
-	// shows recovery is not unsticking it — with the flight-recorder
-	// tail at that moment (the last 512 journal events; nil without a
-	// Journal).
+	// or with exclusions — with the flight-recorder tail at that moment
+	// (the last 512 journal events; nil without a Journal).
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
 	// Snapstore, when set, ingests every completed global snapshot as a
@@ -185,17 +170,8 @@ func (c *Config) setDefaults() {
 	if c.Clock.ResidualOffset == nil {
 		c.Clock = clock.PTP()
 	}
-	if c.CPNotifLatency == nil {
-		c.CPNotifLatency = dist.LogNormalFromMedianP99(10_000, 40_000)
-	}
 	if c.CPServiceTime == nil {
 		c.CPServiceTime = dist.LogNormalFromMedianP99(110_000, 200_000)
-	}
-	if c.InitiationLatency == nil {
-		c.InitiationLatency = dist.LogNormalFromMedianP99(2_000, 15_000)
-	}
-	if c.ObserverLatency == nil {
-		c.ObserverLatency = dist.Constant{V: 50_000}
 	}
 	if c.LinkRateBps == 0 {
 		c.LinkRateBps = 25e9
@@ -214,15 +190,24 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// observerMinLatency floors sampled observer latencies and is the
-// lookahead of every switch-shard-to-observer-shard pair: result
-// deliveries execute in the observer's own domain (so snapshot assembly,
-// store ingest and invariant evaluation run off the serialized global
-// domain), and the parallel engine needs a positive lower bound on
-// their delivery time. Samples below the floor are raised to it —
-// identically on both engines, keeping serial and sharded runs
-// byte-equal. Far under the 50 µs default delivery time.
-const observerMinLatency = sim.Microsecond
+// Switch-CPU path latencies, sampled per event, in nanoseconds.
+var (
+	// cpNotifLatency is the data-plane-to-CPU delivery latency of a
+	// notification (DMA + kernel): ~10 µs lognormal.
+	cpNotifLatency = dist.LogNormalFromMedianP99(10_000, 40_000)
+	// initiationLatency is the delay between a control plane's local
+	// deadline and the initiation reaching the data plane (scheduler
+	// wakeup + driver): ~2 µs lognormal with a 15 µs p99.
+	initiationLatency = dist.LogNormalFromMedianP99(2_000, 15_000)
+)
+
+// observerLatency is the control-plane-to-observer result delivery time
+// and, being constant, also the lookahead of every
+// switch-shard-to-observer-shard pair: result deliveries execute in the
+// observer's own domain (so snapshot assembly, store ingest and
+// invariant evaluation run off the serialized global domain), and the
+// parallel engine needs a positive lower bound on their delivery time.
+const observerLatency = 50 * sim.Microsecond
 
 // queuedPkt is one packet waiting in an egress queue.
 type queuedPkt struct {
@@ -392,9 +377,6 @@ type Network struct {
 	// completed counts assembled global snapshots (atomic: health
 	// probes read it concurrently with the global domain).
 	completed atomic.Uint64
-	// retried marks snapshots the observer has already retried once;
-	// a repeat retry means recovery is not unsticking them.
-	retried map[packet.SeqID]bool
 	// syncMu guards syncs: notifications record windows from concurrent
 	// shard workers.
 	syncMu sync.Mutex
@@ -483,7 +465,7 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	}
 	// SetShardLinks below declares every pair the emulation sends on, so
 	// the engine-wide default lookahead passed here is never consulted.
-	p := sim.NewParallel(cfg.Seed, cfg.Shards, observerMinLatency)
+	p := sim.NewParallel(cfg.Seed, cfg.Shards, observerLatency)
 	for _, sw := range cfg.Topo.Switches {
 		p.Place(doms[sw.ID], shard[sw.ID])
 	}
@@ -523,10 +505,10 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 		}
 	}
 	// Every switch shard reports snapshot results to the observer's
-	// shard; those sends are floored at observerMinLatency, which is
+	// shard; those sends take exactly observerLatency, which is
 	// therefore the pair's lookahead.
 	for _, sw := range cfg.Topo.Switches {
-		declare(shard[sw.ID], obsShard, observerMinLatency)
+		declare(shard[sw.ID], obsShard, observerLatency)
 	}
 	links := make([]sim.ShardLink, 0, len(pairMin))
 	for pr, l := range pairMin {
@@ -585,7 +567,6 @@ func New(cfg Config) (*Network, error) {
 		fibs:     fibs,
 		utilized: routing.UtilizedPairs(cfg.Topo, fibs),
 		sws:      make(map[topology.NodeID]*EmuSwitch),
-		retried:  make(map[packet.SeqID]bool),
 		syncs:    make(map[packet.SeqID]*syncWindow),
 		gauges:   make(map[dataplane.UnitID]*counters.Gauge),
 		gateSets: make(map[dataplane.UnitID]map[int]bool),
@@ -614,11 +595,9 @@ func New(cfg Config) (*Network, error) {
 		RetryAfter:   nonNeg(cfg.RetryAfter),
 		ExcludeAfter: nonNeg(cfg.ExcludeAfter),
 		Telemetry:    observer.NewTelemetry(cfg.Registry),
-		Tracer:       cfg.Tracer,
 		Journal:      cfg.Journal.Observer(),
 		OnComplete: func(g *observer.GlobalSnapshot) {
 			n.done = append(n.done, g)
-			delete(n.retried, g.ID)
 			n.completed.Add(1)
 			var sync sim.Duration
 			if d, ok := n.SyncSpread(g.ID); ok {
@@ -795,11 +774,8 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 		OnResult: func(res control.Result) {
 			// The observer lives in its own domain: results cross the
 			// network as switch-to-observer sends and land serialized in
-			// that domain without touching the coordinator. The sampled
-			// latency is floored at observerMinLatency, the declared
-			// lookahead of every switch-shard-to-observer-shard pair.
-			lat := max(sim.Duration(cfg.ObserverLatency.Sample(es.rng)), observerMinLatency)
-			es.proc.Send(n.obsDom, lat, func() {
+			// that domain without touching the coordinator.
+			es.proc.Send(n.obsDom, observerLatency, func() {
 				n.obs.OnResult(res, n.obsProc.Now())
 			})
 		},
@@ -977,9 +953,6 @@ func (n *Network) Observer() *observer.Observer { return n.obs }
 // Registry returns the telemetry registry the network was built with,
 // or nil when telemetry is disabled.
 func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }
-
-// Tracer returns the snapshot-lifecycle tracer, or nil when disabled.
-func (n *Network) Tracer() *telemetry.Tracer { return n.cfg.Tracer }
 
 // NotifDropsTotal sums dropped notifications across all switches.
 func (n *Network) NotifDropsTotal() uint64 {
@@ -1404,7 +1377,7 @@ func (n *Network) drainNotifs(es *EmuSwitch) {
 		return
 	}
 	es.cpBusy = true
-	lat := sim.Duration(n.cfg.CPNotifLatency.Sample(es.rng))
+	lat := sim.Duration(cpNotifLatency.Sample(es.rng))
 	es.proc.AfterCall(lat, n.cpFn, es, nil, es.gen)
 }
 
@@ -1457,7 +1430,7 @@ func (n *Network) ScheduleSnapshot(localDeadline sim.Time) (packet.SeqID, error)
 		if trueAt < n.eng.Now() {
 			trueAt = n.eng.Now()
 		}
-		jitter := sim.Duration(n.cfg.InitiationLatency.Sample(es.rng))
+		jitter := sim.Duration(initiationLatency.Sample(es.rng))
 		// The initiation runs in the switch's own domain.
 		n.gproc.SendAt(es.dom, trueAt.Add(jitter), func() { n.initiate(es, id) })
 	}
@@ -1484,7 +1457,7 @@ func (n *Network) ScheduleSnapshotSingle(node topology.NodeID, localDeadline sim
 	if trueAt < n.eng.Now() {
 		trueAt = n.eng.Now()
 	}
-	jitter := sim.Duration(n.cfg.InitiationLatency.Sample(es.rng))
+	jitter := sim.Duration(initiationLatency.Sample(es.rng))
 	n.gproc.SendAt(es.dom, trueAt.Add(jitter), func() { n.initiate(es, id) })
 	return id, nil
 }
@@ -1518,14 +1491,6 @@ func (n *Network) initiate(es *EmuSwitch, id packet.SeqID) {
 func (n *Network) handleTimeouts() {
 	now := n.gproc.Now()
 	for _, act := range n.obs.CheckTimeouts(now) {
-		if len(act.Retry) > 0 {
-			// A single retry is routine §6 liveness (idle channels need
-			// broadcast injection); a repeat means the snapshot is stuck.
-			if n.retried[act.SnapshotID] {
-				n.anomaly(fmt.Sprintf("snapshot %d stalled; retrying %d device(s)", act.SnapshotID, len(act.Retry)), act.SnapshotID)
-			}
-			n.retried[act.SnapshotID] = true
-		}
 		for _, node := range act.Retry {
 			es := n.sws[node]
 			if es.down {

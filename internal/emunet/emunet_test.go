@@ -417,8 +417,7 @@ func TestFlowletBalancerOption(t *testing.T) {
 
 func TestPerfectClockTightSync(t *testing.T) {
 	n := newNet(t, func(c *Config) {
-		c.Clock = clock.Perfect()
-		c.InitiationLatency = nil // default jitter still applies
+		c.Clock = clock.Perfect() // initiation jitter still applies
 	})
 	trafficGen(n, 10*sim.Microsecond)
 	n.RunFor(sim.Millisecond)

@@ -12,7 +12,6 @@ import (
 	"speedlight/internal/dist"
 	"speedlight/internal/emunet"
 	"speedlight/internal/epochtrace"
-	"speedlight/internal/export"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
 )
@@ -47,7 +46,7 @@ func sixtyFourPortCampaign(seed int64, mutate func(*emunet.Config)) campaignConf
 // against the 1% bound.)
 func TestCriticalPathSumMatchesCompletionLatency(t *testing.T) {
 	art := runCampaign(t, sixtyFourPortCampaign(17, nil), 0)
-	traces, err := export.ReadEpochTraceJSONL(strings.NewReader(art.epochs))
+	traces, err := epochtrace.ReadJSONL(strings.NewReader(art.epochs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestCriticalPathAttributesInjectedStraggler(t *testing.T) {
 	})
 	cc.snapshots = 4
 	art := runCampaign(t, cc, 0)
-	traces, err := export.ReadEpochTraceJSONL(strings.NewReader(art.epochs))
+	traces, err := epochtrace.ReadJSONL(strings.NewReader(art.epochs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,6 +238,10 @@ func TestHTTPHandler(t *testing.T) {
 		!strings.HasPrefix(rec.Body.String(), "[") {
 		t.Fatalf("chrome fetch: code %d", rec.Code)
 	}
+	if all, short := get("/trace/epoch?format=chrome"), get("/trace"); short.Code != 200 ||
+		short.Body.String() != all.Body.String() {
+		t.Fatalf("/trace: code %d, body differs from /trace/epoch?format=chrome", short.Code)
+	}
 	if rec := get("/trace/epoch?format=jsonl"); rec.Code != 200 {
 		t.Fatalf("jsonl fetch: code %d", rec.Code)
 	}

@@ -23,8 +23,9 @@ type epochSummary struct {
 }
 
 // HTTPHandler serves epoch traces reconstructed from src. Mounted at
-// both /trace/epoch and /trace/critical:
+// /trace, /trace/epoch and /trace/critical:
 //
+//	/trace                  shorthand for /trace/epoch?format=chrome
 //	/trace/epoch            epoch summaries (JSON array)
 //	/trace/epoch?n=N        epoch N's full span tree
 //	/trace/epoch?n=N&format=chrome   Chrome trace-event JSON for epoch N
@@ -60,6 +61,9 @@ func HTTPHandler(src func() []*EpochTrace, blocking func() []ShardBlocking) http
 			return
 		}
 		format := r.URL.Query().Get("format")
+		if r.URL.Path == "/trace" {
+			format = "chrome"
+		}
 		if ns := r.URL.Query().Get("n"); ns != "" {
 			n, err := strconv.ParseUint(ns, 10, 64)
 			if err != nil {

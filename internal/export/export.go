@@ -12,10 +12,8 @@ import (
 
 	"speedlight/internal/audit"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/epochtrace"
 	"speedlight/internal/experiments"
 	"speedlight/internal/invariant"
-	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/snapstore"
@@ -181,57 +179,6 @@ func TelemetryCSV(w io.Writer, reg *telemetry.Registry) error {
 	return cw.Error()
 }
 
-// SpansCSV writes a tracer's snapshot-lifecycle spans as CSV, one row
-// per snapshot and one per per-device sub-span.
-func SpansCSV(w io.Writer, tr *telemetry.Tracer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"snapshot_id", "device", "begin_ns", "end_ns", "duration_ns", "consistent",
-	}); err != nil {
-		return err
-	}
-	for _, sp := range tr.Spans() {
-		if err := cw.Write([]string{
-			fmt.Sprint(sp.ID), "", fmt.Sprint(sp.BeginNs), fmt.Sprint(sp.EndNs),
-			fmt.Sprint(sp.EndNs - sp.BeginNs), fmt.Sprint(sp.Consistent),
-		}); err != nil {
-			return err
-		}
-		for _, d := range sp.Devices {
-			if err := cw.Write([]string{
-				fmt.Sprint(sp.ID), fmt.Sprint(d.Node), fmt.Sprint(d.FirstNs), fmt.Sprint(d.LastNs),
-				fmt.Sprint(d.LastNs - d.FirstNs), "",
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// JournalJSONL writes flight-recorder events as JSON Lines, one event
-// per line — the journal's native interchange format.
-func JournalJSONL(w io.Writer, events []journal.Event) error {
-	return journal.WriteJSONL(w, events)
-}
-
-// ReadJournalJSONL parses a JSON Lines journal dump.
-func ReadJournalJSONL(r io.Reader) ([]journal.Event, error) {
-	return journal.ReadJSONL(r)
-}
-
-// JournalCSV writes flight-recorder events as CSV with a header row,
-// for spreadsheet and pandas analysis.
-func JournalCSV(w io.Writer, events []journal.Event) error {
-	return journal.WriteCSV(w, events)
-}
-
-// ReadJournalCSV parses a CSV journal dump.
-func ReadJournalCSV(r io.Reader) ([]journal.Event, error) {
-	return journal.ReadCSV(r)
-}
-
 // epochLine is one sealed epoch's reconstructed cut on one JSONL line.
 type epochLine struct {
 	Epoch       uint64     `json:"epoch"`
@@ -290,27 +237,6 @@ func SnapshotsJSONL(w io.Writer, v *snapstore.View) error {
 	return nil
 }
 
-// EpochTraceJSONL writes per-epoch causal traces as JSON Lines, one
-// epoch per line — the tracer's native interchange format. For a
-// deterministic journal the bytes are deterministic, which is what the
-// cross-shard equivalence harness compares.
-func EpochTraceJSONL(w io.Writer, traces []*epochtrace.EpochTrace) error {
-	return epochtrace.WriteJSONL(w, traces)
-}
-
-// ReadEpochTraceJSONL parses a JSONL epoch-trace dump.
-func ReadEpochTraceJSONL(r io.Reader) ([]*epochtrace.EpochTrace, error) {
-	return epochtrace.ReadJSONL(r)
-}
-
-// EpochTraceChromeTrace writes per-epoch causal traces in the Chrome
-// trace-event format (chrome://tracing, Perfetto): one thread per
-// epoch, one span per critical-path segment plus per-switch wavefront
-// spans.
-func EpochTraceChromeTrace(w io.Writer, traces []*epochtrace.EpochTrace) error {
-	return epochtrace.WriteChromeTrace(w, traces)
-}
-
 // InvariantsCSV writes an invariant engine's standing and violation
 // history as CSV: one "status" row per registered invariant followed
 // by one "violation" row per retained violation, oldest first.
@@ -347,9 +273,4 @@ func AuditJSON(w io.Writer, rep *audit.Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// AuditText writes an audit report as a human-readable summary.
-func AuditText(w io.Writer, rep *audit.Report) error {
-	return rep.WriteText(w)
 }

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"reflect"
-
 	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
@@ -143,9 +141,6 @@ func TestEmptyInputs(t *testing.T) {
 	if err := TelemetryCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := SpansCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTelemetryCSV(t *testing.T) {
@@ -183,34 +178,6 @@ func TestTelemetryCSV(t *testing.T) {
 	}
 }
 
-func TestSpansCSV(t *testing.T) {
-	tr := telemetry.NewTracer(0)
-	tr.BeginSnapshot(1, 100)
-	tr.UnitResult(1, 4, 150)
-	tr.UnitResult(1, 4, 180)
-	tr.UnitResult(1, 9, 200)
-	tr.EndSnapshot(1, 250, true)
-
-	var buf bytes.Buffer
-	if err := SpansCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + snapshot row + 2 device rows.
-	if len(records) != 4 {
-		t.Fatalf("records = %d:\n%v", len(records), records)
-	}
-	if records[1][0] != "1" || records[1][1] != "" || records[1][4] != "150" || records[1][5] != "true" {
-		t.Errorf("snapshot row = %v", records[1])
-	}
-	if records[2][1] != "4" || records[2][2] != "150" || records[2][3] != "180" || records[2][4] != "30" {
-		t.Errorf("device row = %v", records[2])
-	}
-}
-
 func sampleJournal() []journal.Event {
 	evs := []journal.Event{
 		journal.Config(256, true, true),
@@ -227,36 +194,6 @@ func sampleJournal() []journal.Event {
 	return evs
 }
 
-func TestJournalJSONLRoundTrip(t *testing.T) {
-	evs := sampleJournal()
-	var buf bytes.Buffer
-	if err := JournalJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJournalJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatalf("JSONL round trip mismatch:\ngot  %+v\nwant %+v", got, evs)
-	}
-}
-
-func TestJournalCSVRoundTrip(t *testing.T) {
-	evs := sampleJournal()
-	var buf bytes.Buffer
-	if err := JournalCSV(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJournalCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatalf("CSV round trip mismatch:\ngot  %+v\nwant %+v", got, evs)
-	}
-}
-
 func TestAuditExports(t *testing.T) {
 	rep := audit.Run(sampleJournal(), audit.Config{})
 	var js bytes.Buffer
@@ -269,12 +206,5 @@ func TestAuditExports(t *testing.T) {
 	}
 	if len(back.Verdicts) != len(rep.Verdicts) {
 		t.Fatalf("verdicts lost in JSON: got %d want %d", len(back.Verdicts), len(rep.Verdicts))
-	}
-	var txt bytes.Buffer
-	if err := AuditText(&txt, rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "snapshot") {
-		t.Fatalf("AuditText output looks empty: %q", txt.String())
 	}
 }

@@ -51,9 +51,6 @@ type Config struct {
 	// packet counters.
 	Metrics func(id dataplane.UnitID) core.Metric
 
-	// InboxDepth bounds each switch's event inbox. Default 4096.
-	InboxDepth int
-
 	// OnDeliver observes packets reaching hosts. Called from switch
 	// goroutines; must be safe for concurrent use.
 	OnDeliver func(pkt *packet.Packet, host topology.HostID)
@@ -65,14 +62,11 @@ type Config struct {
 	// Registry, when set, enables telemetry across every layer of the
 	// deployment. Nil disables instrumentation at zero hot-path cost.
 	Registry *telemetry.Registry
-	// Tracer, when set, records snapshot-lifecycle spans on the
-	// observer goroutine.
-	Tracer *telemetry.Tracer
 	// MetricsAddr, when non-empty, serves the observability endpoints
-	// (Prometheus /metrics, expvar /debug/vars, /debug/pprof, /trace,
-	// /healthz, /readyz, and — when journaling is on — /journal and
-	// /audit) on this address from Start until Stop. A Registry (and
-	// Tracer) is created automatically if none was provided.
+	// (Prometheus /metrics, expvar /debug/vars, /debug/pprof, /healthz,
+	// /readyz, and — when journaling is on — /journal, /audit and
+	// /trace) on this address from Start until Stop. A Registry is
+	// created automatically if none was provided.
 	MetricsAddr string
 
 	// Journal, when set, records every protocol event into per-switch
@@ -102,6 +96,10 @@ type Config struct {
 	// Requires Snapstore.
 	Invariants *invariant.Engine
 }
+
+// inboxDepth bounds each switch's event inbox: the link buffer a full
+// switch drops into (see handleEgress).
+const inboxDepth = 4096
 
 // event is one unit of work for a switch goroutine.
 type event struct {
@@ -212,17 +210,11 @@ func New(cfg Config) (*Network, error) {
 	if cfg.MaxID == 0 {
 		cfg.MaxID = 256
 	}
-	if cfg.InboxDepth == 0 {
-		cfg.InboxDepth = 4096
-	}
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = 20 * time.Millisecond
 	}
 	if cfg.MetricsAddr != "" && cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.MetricsAddr != "" && cfg.Tracer == nil {
-		cfg.Tracer = telemetry.NewTracer(0)
 	}
 	fibs, err := routing.ComputeFIBs(cfg.Topo)
 	if err != nil {
@@ -256,7 +248,6 @@ func New(cfg Config) (*Network, error) {
 		WrapAround: cfg.WrapAround,
 		RetryAfter: durToSim(cfg.RetryEvery),
 		Telemetry:  observer.NewTelemetry(cfg.Registry),
-		Tracer:     cfg.Tracer,
 		Journal:    cfg.Journal.Observer(),
 		OnComplete: n.onComplete,
 	})
@@ -299,7 +290,7 @@ func New(cfg Config) (*Network, error) {
 		ls := &liveSwitch{
 			node:   spec.ID,
 			dp:     dp,
-			inbox:  make(chan event, cfg.InboxDepth),
+			inbox:  make(chan event, inboxDepth),
 			events: swEvents.With(fmt.Sprint(spec.ID)),
 		}
 		cp, err := control.New(control.Config{
@@ -345,7 +336,6 @@ func (n *Network) Start() {
 	if n.cfg.MetricsAddr != "" {
 		mc := telemetry.MuxConfig{
 			Registry: n.cfg.Registry,
-			Tracer:   n.cfg.Tracer,
 			Health:   n.health,
 		}
 		if n.cfg.Journal != nil {
@@ -442,9 +432,6 @@ func (n *Network) Audit() *audit.Report {
 func (n *Network) anomaly(reason string, id packet.SeqID) {
 	n.cfg.Journal.Anomaly(n.cfg.OnAnomaly, reason, id)
 }
-
-// Tracer returns the snapshot-lifecycle tracer, or nil when disabled.
-func (n *Network) Tracer() *telemetry.Tracer { return n.cfg.Tracer }
 
 // MetricsAddr returns the bound observability address, or "" when no
 // metrics server is running (useful with a ":0" MetricsAddr).
@@ -585,10 +572,11 @@ func (n *Network) runObserver() {
 			case obsTick:
 				for _, act := range n.obs.CheckTimeouts(n.now()) {
 					for _, node := range act.Retry {
-						// Non-blocking: if the switch is saturated, the
-						// next tick retries again. Blocking here could
-						// deadlock against a switch blocked on the
-						// observer channel.
+						// Non-blocking: blocking here could deadlock
+						// against a switch blocked on the observer
+						// channel. A retry dropped at a full inbox is
+						// not re-sent: CheckTimeouts asks for a retry
+						// once per snapshot.
 						ls := n.sws[node]
 						select {
 						case ls.inbox <- event{kind: evInitiate, snapshotID: act.SnapshotID,

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,21 +11,40 @@ import (
 	"testing"
 	"time"
 
+	"speedlight/internal/epochtrace"
+	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
 )
 
+// httpGet fetches one observability endpoint of a running network.
+func httpGet(t *testing.T, n *Network, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s%s", n.MetricsAddr(), path))
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 // TestTelemetryUnderLoad runs a full instrumented deployment — metrics
-// server included — with concurrent traffic and snapshots, then checks
-// the counters, spans, and HTTP endpoints agree with what happened.
-// Under -race this also proves the instrumentation is data-race free.
+// server and flight recorder included — with concurrent traffic and
+// snapshots, then checks the counters, epoch traces, and HTTP endpoints
+// agree with what happened. Under -race this also proves the
+// instrumentation is data-race free.
 func TestTelemetryUnderLoad(t *testing.T) {
 	ls := leafSpine(t)
 	var delivered atomic.Int64
 	n, err := New(Config{
 		Topo:        ls.Topology,
 		MetricsAddr: "127.0.0.1:0",
+		Journal:     journal.NewSet(0),
 		OnDeliver:   func(*packet.Packet, topology.HostID) { delivered.Add(1) },
 	})
 	if err != nil {
@@ -33,11 +53,10 @@ func TestTelemetryUnderLoad(t *testing.T) {
 	n.Start()
 	defer n.Stop()
 
-	if n.Registry() == nil || n.Tracer() == nil {
-		t.Fatal("MetricsAddr did not auto-create registry and tracer")
+	if n.Registry() == nil {
+		t.Fatal("MetricsAddr did not auto-create a registry")
 	}
-	addr := n.MetricsAddr()
-	if addr == "" {
+	if n.MetricsAddr() == "" {
 		t.Fatal("metrics server not bound")
 	}
 
@@ -74,19 +93,11 @@ func TestTelemetryUnderLoad(t *testing.T) {
 
 	// Scrape the endpoints while traffic is still flowing.
 	get := func(path string) string {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+		code, body := httpGet(t, n, path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
+		return body
 	}
 
 	prom := get("/metrics")
@@ -105,8 +116,25 @@ func TestTelemetryUnderLoad(t *testing.T) {
 	if vars := get("/debug/vars"); !strings.Contains(vars, "speedlight") {
 		t.Error("/debug/vars missing speedlight map")
 	}
-	if trace := get("/trace"); !strings.Contains(trace, "traceEvents") {
-		t.Error("/trace is not Chrome trace_event JSON")
+	var events []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		Dur  float64 `json:"dur"`
+	}
+	if err := json.Unmarshal([]byte(get("/trace")), &events); err != nil {
+		t.Fatalf("/trace is not Chrome trace_event JSON: %v", err)
+	}
+	epochs := 0
+	for _, ev := range events {
+		if ev.Name == "epoch" && ev.Ph == "X" {
+			epochs++
+			if ev.Dur <= 0 {
+				t.Errorf("/trace epoch span without duration: %+v", ev)
+			}
+		}
+	}
+	if epochs != rounds {
+		t.Errorf("/trace epoch spans = %d, want %d", epochs, rounds)
 	}
 	if pprof := get("/debug/pprof/cmdline"); pprof == "" {
 		t.Error("/debug/pprof/cmdline empty")
@@ -127,22 +155,46 @@ func TestTelemetryUnderLoad(t *testing.T) {
 		t.Errorf("delivered counter %d disagrees with callback count %d", got, saw)
 	}
 
-	spans := n.Tracer().Spans()
-	if len(spans) != rounds {
-		t.Fatalf("spans = %d, want %d", len(spans), rounds)
+	// The wall-clock journal rebuilds into one epoch trace per round.
+	traces := epochtrace.Build(n.Journal().Events())
+	if len(traces) != rounds {
+		t.Fatalf("epoch traces = %d, want %d", len(traces), rounds)
 	}
-	for _, sp := range spans {
-		if !sp.Complete {
-			t.Errorf("span %d incomplete", sp.ID)
+	for _, tr := range traces {
+		if !tr.Consistent || tr.EndNs <= tr.BeginNs {
+			t.Errorf("epoch %d: consistent=%v span [%d, %d]", tr.ID, tr.Consistent, tr.BeginNs, tr.EndNs)
 		}
-		if len(sp.Devices) != 4 {
-			t.Errorf("span %d device spans = %d, want 4", sp.ID, len(sp.Devices))
+		if len(tr.Switches) != 4 {
+			t.Errorf("epoch %d switch traces = %d, want 4", tr.ID, len(tr.Switches))
+		}
+		if tr.CriticalSumNs() != tr.DurationNs() {
+			t.Errorf("epoch %d: critical path sums to %d ns, completion latency is %d ns",
+				tr.ID, tr.CriticalSumNs(), tr.DurationNs())
 		}
 	}
 }
 
+// TestTelemetryWithoutJournal checks the half-wired deployment: a
+// metrics server with no flight recorder serves /metrics and answers
+// /trace with the mux's explicit "not attached".
+func TestTelemetryWithoutJournal(t *testing.T) {
+	ls := leafSpine(t)
+	n, err := New(Config{Topo: ls.Topology, MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	defer n.Stop()
+	if code, _ := httpGet(t, n, "/metrics"); code != http.StatusOK {
+		t.Errorf("/metrics = %d, want 200", code)
+	}
+	if code, body := httpGet(t, n, "/trace"); code != http.StatusServiceUnavailable || !strings.Contains(body, "not attached") {
+		t.Errorf("/trace without a journal = %d %q, want 503 not attached", code, body)
+	}
+}
+
 // TestTelemetryDisabledIsNil checks the disabled state: no registry, no
-// tracer, no metrics server — and the network still works.
+// metrics server — and the network still works.
 func TestTelemetryDisabledIsNil(t *testing.T) {
 	ls := leafSpine(t)
 	n, err := New(Config{Topo: ls.Topology})
@@ -151,7 +203,7 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	}
 	n.Start()
 	defer n.Stop()
-	if n.Registry() != nil || n.Tracer() != nil || n.MetricsAddr() != "" {
+	if n.Registry() != nil || n.MetricsAddr() != "" {
 		t.Error("telemetry objects exist without opt-in")
 	}
 	_, done, err := n.TakeSnapshot(time.Millisecond)

@@ -20,7 +20,6 @@ import (
 	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
-	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
 )
 
@@ -69,9 +68,6 @@ type Config struct {
 	// Telemetry receives the observer's metric updates. Nil disables
 	// instrumentation.
 	Telemetry *Telemetry
-	// Tracer records snapshot-lifecycle spans (initiate → per-device
-	// results → assembled). Nil disables tracing.
-	Tracer *telemetry.Tracer
 	// Journal receives the observer's protocol events (snapshot begin,
 	// accepted results, retries, exclusions, completion) for the flight
 	// recorder — normally a Set's Observer() ring. Nil disables
@@ -245,7 +241,6 @@ func (o *Observer) Begin(now sim.Time) (packet.SeqID, error) {
 	o.pend[id] = p
 	o.tel.Begun.Inc()
 	o.tel.Pending.Set(int64(len(o.pend)))
-	o.cfg.Tracer.BeginSnapshot(uint64(id), int64(now))
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsBegin(int64(now), id))
 	}
@@ -276,7 +271,6 @@ func (o *Observer) OnResult(res control.Result, now sim.Time) {
 	p.res[i] = res
 	p.left--
 	p.got++
-	o.cfg.Tracer.UnitResult(uint64(res.SnapshotID), int(res.Unit.Node), int64(now))
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsResult(int64(now), int(res.Unit.Node), res.Unit.Port,
 			res.Unit.Dir.Journal(), res.SnapshotID, res.Consistent))
@@ -312,7 +306,6 @@ func (o *Observer) finalize(p *pending, now sim.Time, excluded []topology.NodeID
 	}
 	o.tel.Pending.Set(int64(len(o.pend)))
 	o.tel.CompletionLatencyUS.Observe(now.Sub(snap.ScheduledAt).Micros())
-	o.cfg.Tracer.EndSnapshot(uint64(snap.ID), int64(now), snap.Consistent)
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsComplete(int64(now), snap.ID, snap.Consistent, len(snap.Excluded)))
 	}

@@ -4,27 +4,29 @@ import (
 	"testing"
 
 	"speedlight/internal/control"
+	"speedlight/internal/dataplane"
+	"speedlight/internal/epochtrace"
+	"speedlight/internal/journal"
+	"speedlight/internal/sim"
 	"speedlight/internal/telemetry"
 )
 
-// newInstrumentedObs builds an observer with a real registry and tracer
-// attached, returning the telemetry handles for assertion.
-func newInstrumentedObs(t *testing.T, mod func(*Config)) (*Observer, *Telemetry, *telemetry.Tracer, *[]*GlobalSnapshot) {
+// newInstrumentedObs builds an observer with a real registry attached,
+// returning the telemetry handles for assertion.
+func newInstrumentedObs(t *testing.T, mod func(*Config)) (*Observer, *Telemetry, *[]*GlobalSnapshot) {
 	t.Helper()
 	tel := NewTelemetry(telemetry.NewRegistry())
-	tracer := telemetry.NewTracer(0)
 	o, done := newObs(t, func(c *Config) {
 		c.Telemetry = tel
-		c.Tracer = tracer
 		if mod != nil {
 			mod(c)
 		}
 	})
-	return o, tel, tracer, done
+	return o, tel, done
 }
 
 func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
-	o, tel, _, done := newInstrumentedObs(t, func(c *Config) {
+	o, tel, done := newInstrumentedObs(t, func(c *Config) {
 		c.RetryAfter = 100
 		c.ExcludeAfter = 300
 	})
@@ -75,7 +77,7 @@ func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
 }
 
 func TestTelemetryInconsistentAndIgnoredCounters(t *testing.T) {
-	o, tel, _, _ := newInstrumentedObs(t, nil)
+	o, tel, _ := newInstrumentedObs(t, nil)
 	units := unitsOf(1, 1)
 	o.Register(1, units)
 	id, _ := o.Begin(0)
@@ -96,30 +98,46 @@ func TestTelemetryInconsistentAndIgnoredCounters(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsLifecycle pins the observer's half of the epoch
+// trace: its journal stamps are all epochtrace needs to rebuild a
+// snapshot's lifecycle span and each device's last accepted result.
 func TestTracerRecordsLifecycle(t *testing.T) {
-	o, _, tracer, _ := newInstrumentedObs(t, nil)
+	jr := journal.New(64)
+	o, _, _ := newInstrumentedObs(t, func(c *Config) { c.Journal = jr })
 	u1, u2 := unitsOf(1, 1), unitsOf(2, 1)
 	o.Register(1, u1)
 	o.Register(2, u2)
 	id, _ := o.Begin(100)
-	feedAll(o, id, u1, true, 200)
-	feedAll(o, id, u2, true, 300)
+	// Each result is stamped by its control plane on emission, then
+	// accepted by the observer.
+	ship := func(units []dataplane.UnitID, at sim.Time) {
+		for i, u := range units {
+			jr.Append(journal.Result(int64(at), int(u.Node), u.Port, u.Dir.Journal(), id, uint64(i), true))
+		}
+		feedAll(o, id, units, true, at)
+	}
+	ship(u1, 200)
+	ship(u2, 300)
 
-	spans := tracer.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d", len(spans))
+	traces := epochtrace.Build(jr.Events())
+	if len(traces) != 1 {
+		t.Fatalf("traces = %d", len(traces))
 	}
-	sp := spans[0]
-	if sp.ID != uint64(id) || sp.BeginNs != 100 || sp.EndNs != 300 || !sp.Complete || !sp.Consistent {
-		t.Errorf("span = %+v", sp)
+	tr := traces[0]
+	if tr.ID != id || tr.BeginNs != 100 || tr.EndNs != 300 || !tr.Consistent {
+		t.Errorf("trace = %+v", tr)
 	}
-	if len(sp.Devices) != 2 {
-		t.Fatalf("device spans = %d", len(sp.Devices))
+	if len(tr.Switches) != 2 {
+		t.Fatalf("switch traces = %d", len(tr.Switches))
 	}
-	if sp.Devices[0].Node != 1 || sp.Devices[0].Units != 2 || sp.Devices[0].LastNs != 200 {
-		t.Errorf("device 1 span = %+v", sp.Devices[0])
-	}
-	if sp.Devices[1].Node != 2 || sp.Devices[1].FirstNs != 300 {
-		t.Errorf("device 2 span = %+v", sp.Devices[1])
+	for i, want := range []struct {
+		sw      int
+		lastObs int64
+	}{{1, 200}, {2, 300}} {
+		st := tr.Switches[i]
+		if st.Switch != want.sw || st.Results != 2 || st.LastObsNs != want.lastObs {
+			t.Errorf("switch trace %d = %+v, want switch %d, 2 results, last accepted at %d",
+				i, st, want.sw, want.lastObs)
+		}
 	}
 }

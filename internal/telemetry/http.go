@@ -141,7 +141,6 @@ func serveProbe(w http.ResponseWriter, fails []string) {
 // is optional.
 type MuxConfig struct {
 	Registry *Registry
-	Tracer   *Tracer
 	// Health backs /healthz and /readyz. Nil serves both as always
 	// passing (a process answering HTTP is trivially live).
 	Health *Health
@@ -158,9 +157,9 @@ type MuxConfig struct {
 	// Invariants, when set, is mounted at /invariants (invariant status
 	// and violation history; see internal/invariant.HTTPHandler).
 	Invariants http.Handler
-	// EpochTrace, when set, is mounted at /trace/epoch and
-	// /trace/critical (per-epoch causal traces and critical-path
-	// rollups; see internal/epochtrace.HTTPHandler).
+	// EpochTrace, when set, is mounted at /trace, /trace/epoch and
+	// /trace/critical (the journal-derived per-epoch causal traces and
+	// critical-path rollups; see internal/epochtrace.HTTPHandler).
 	EpochTrace http.Handler
 }
 
@@ -183,33 +182,26 @@ func orNotAttached(mux *http.ServeMux, pattern string, h http.Handler, name stri
 	mux.Handle(pattern, h)
 }
 
-// NewMux builds the default observability endpoint set for a registry
-// and tracer. See NewMuxConfig for the full surface.
-func NewMux(r *Registry, tracer *Tracer) *http.ServeMux {
-	return NewMuxConfig(MuxConfig{Registry: r, Tracer: tracer})
-}
-
 // NewMuxConfig builds the observability endpoint set:
 //
 //	/metrics           Prometheus text format
 //	/debug/vars        expvar JSON (registry published as "speedlight")
 //	/debug/pprof/...   net/http/pprof profiles
-//	/trace             Chrome trace_event JSON of snapshot lifecycles
-//	/spans             structured span JSON
 //	/healthz           liveness probe (200 ok / 503 + failing checks)
 //	/readyz            readiness probe (liveness + SetReady gate)
 //	/journal           flight-recorder events
 //	/audit             consistency audit report
 //	/snapshots         snapshot-history query plane
 //	/invariants        invariant status + violations
+//	/trace             Chrome trace_event JSON of every traced epoch
 //	/trace/epoch       per-epoch causal traces
 //	/trace/critical    critical-path rollup
 //
-// Registry and Tracer may be nil, in which case their endpoints serve
-// empty data. The data endpoints (journal, audit, snapshots,
-// invariants, trace) are always mounted; those without a configured
-// handler answer 503 "not attached" rather than 404, so a half-wired
-// process degrades explicitly instead of surprisingly.
+// A nil Registry serves an empty /metrics. The data endpoints (journal,
+// audit, snapshots, invariants, trace) are always mounted; those
+// without a configured handler answer 503 "not attached" rather than
+// 404, so a half-wired process degrades explicitly instead of
+// surprisingly.
 func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
 	PublishExpvar(cfg.Registry)
 	mux := http.NewServeMux()
@@ -220,15 +212,6 @@ func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	tracer := cfg.Tracer
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = tracer.WriteChromeTrace(w)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = tracer.WriteJSON(w)
-	})
 	health := cfg.Health
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		serveProbe(w, health.failures())
@@ -247,6 +230,7 @@ func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
 	orNotAttached(mux, "/snapshots", cfg.Snapshots, "snapshot store")
 	orNotAttached(mux, "/snapshots/", cfg.Snapshots, "snapshot store")
 	orNotAttached(mux, "/invariants", cfg.Invariants, "invariant engine")
+	orNotAttached(mux, "/trace", cfg.EpochTrace, "epoch tracer")
 	orNotAttached(mux, "/trace/epoch", cfg.EpochTrace, "epoch tracer")
 	orNotAttached(mux, "/trace/critical", cfg.EpochTrace, "epoch tracer")
 	return mux
@@ -259,18 +243,13 @@ type Server struct {
 	done chan struct{}
 }
 
-// Serve starts the default observability endpoints on addr (e.g.
-// ":9090"). See ServeConfig for the full surface.
-func Serve(addr string, r *Registry, tracer *Tracer) (*Server, error) {
-	return ServeConfig(addr, MuxConfig{Registry: r, Tracer: tracer})
-}
-
 // ServeConfig starts the observability endpoints described by cfg on
-// addr. It returns once the listener is bound; requests are served in
-// a background goroutine until Close. The server carries connection
-// timeouts so a stalled or malicious client cannot pin goroutines
-// forever; the write timeout is generous because /debug/pprof/profile
-// streams for its full profiling window (30s by default).
+// addr (e.g. ":9090"). It returns once the listener is bound; requests
+// are served in a background goroutine until Close. The server carries
+// connection timeouts so a stalled or malicious client cannot pin
+// goroutines forever; the write timeout is generous because
+// /debug/pprof/profile streams for its full profiling window (30s by
+// default).
 func ServeConfig(addr string, cfg MuxConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,9 +18,9 @@ func probe(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 }
 
 func TestHealthzDefaultMux(t *testing.T) {
-	// NewMux without an explicit Health serves both probes passing: a
+	// A mux without an explicit Health serves both probes passing: a
 	// process answering HTTP is trivially live, and nothing gates it.
-	mux := NewMux(NewRegistry(), nil)
+	mux := NewMuxConfig(MuxConfig{Registry: NewRegistry()})
 	if code, body := probe(t, mux, "/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
 	}
@@ -105,14 +106,14 @@ func TestMuxJournalAuditRoutes(t *testing.T) {
 		t.Fatalf("/audit body = %q", body)
 	}
 	// Absent handlers answer 503 "not attached" rather than 404.
-	bare := NewMux(NewRegistry(), nil)
+	bare := NewMuxConfig(MuxConfig{Registry: NewRegistry()})
 	if code, _ := probe(t, bare, "/journal"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/journal on bare mux = %d, want 503", code)
 	}
 }
 
 func TestServeTimeoutsConfigured(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	srv, err := ServeConfig("127.0.0.1:0", MuxConfig{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +129,46 @@ func TestServeTimeoutsConfigured(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz over the wire = %d, want 200", resp.StatusCode)
+	}
+}
+
+func TestServeEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("up_total", "liveness").Inc()
+	srv, err := ServeConfig("127.0.0.1:0", MuxConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	get := func(path string) string {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+
+	if out := get("/metrics"); !strings.Contains(out, "up_total 1") {
+		t.Fatalf("/metrics missing counter:\n%s", out)
+	}
+	vars := get("/debug/vars")
+	var decoded map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(vars), &decoded); err != nil {
+		t.Fatalf("/debug/vars not JSON: %v", err)
+	}
+	if _, ok := decoded["speedlight"]; !ok {
+		t.Fatalf("/debug/vars missing speedlight var: %s", vars)
+	}
+	if out := get("/debug/pprof/cmdline"); out == "" {
+		t.Fatal("/debug/pprof/cmdline empty")
 	}
 }

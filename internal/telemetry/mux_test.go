@@ -3,7 +3,11 @@ package telemetry
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"speedlight/internal/epochtrace"
+	"speedlight/internal/journal"
 )
 
 // dataEndpoints are the mux paths backed by optional subsystems. The
@@ -12,7 +16,7 @@ import (
 // partial MuxConfig.
 var dataEndpoints = []string{
 	"/journal", "/audit", "/snapshots", "/snapshots/diff",
-	"/invariants", "/trace/epoch", "/trace/critical",
+	"/invariants", "/trace", "/trace/epoch", "/trace/critical",
 }
 
 func muxGet(t *testing.T, mux *http.ServeMux, path string) int {
@@ -28,6 +32,10 @@ func TestMuxDataEndpointsBeforeAttach(t *testing.T) {
 		if code := muxGet(t, mux, path); code != http.StatusServiceUnavailable {
 			t.Errorf("%s before attach = %d, want 503", path, code)
 		}
+	}
+	// Unknown paths stay a plain 404 — /spans is not an endpoint.
+	if code := muxGet(t, mux, "/spans"); code != http.StatusNotFound {
+		t.Errorf("/spans = %d, want 404", code)
 	}
 }
 
@@ -49,7 +57,7 @@ func TestMuxHalfWiredConfigsNeverPanic(t *testing.T) {
 		"audit":      {"/audit"},
 		"snapshots":  {"/snapshots", "/snapshots/diff"},
 		"invariants": {"/invariants"},
-		"epochtrace": {"/trace/epoch", "/trace/critical"},
+		"epochtrace": {"/trace", "/trace/epoch", "/trace/critical"},
 	}
 	for name, cfg := range configs {
 		mux := NewMuxConfig(cfg)
@@ -70,21 +78,38 @@ func TestMuxHalfWiredConfigsNeverPanic(t *testing.T) {
 }
 
 func TestMuxTraceSubpathsDistinctFromLifecycleTrace(t *testing.T) {
-	// /trace (PR 1's snapshot-lifecycle Chrome trace) keeps serving 200
-	// with a nil tracer while the epoch endpoints answer independently.
-	mux := NewMuxConfig(MuxConfig{})
-	if code := muxGet(t, mux, "/trace"); code != http.StatusOK {
-		t.Errorf("/trace = %d, want 200 (lifecycle tracer serves empty)", code)
-	}
-	attached := NewMuxConfig(MuxConfig{
-		EpochTrace: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.WriteHeader(http.StatusOK)
-		}),
+	// One handler backs all three trace paths: /trace is the lifecycle
+	// view — every traced epoch as one Chrome trace, byte-identical to
+	// /trace/epoch?format=chrome — and does not swallow its subpaths,
+	// which keep serving the summary listing and the rollup.
+	traces := epochtrace.Build([]journal.Event{
+		journal.ObsBegin(100, 1),
+		journal.Initiate(110, 0, 1, false),
+		journal.ObsResult(200, 0, 0, journal.DirIngress, 1, true),
+		journal.ObsComplete(300, 1, true, 0),
 	})
-	if code := muxGet(t, attached, "/trace/epoch"); code != http.StatusOK {
-		t.Errorf("/trace/epoch attached = %d, want 200", code)
+	mux := NewMuxConfig(MuxConfig{
+		EpochTrace: epochtrace.HTTPHandler(func() []*epochtrace.EpochTrace { return traces }, nil),
+	})
+	body := func(path string) string {
+		t.Helper()
+		code, out := probe(t, mux, path)
+		if code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", path, code)
+		}
+		return out
 	}
-	if code := muxGet(t, attached, "/trace/critical"); code != http.StatusOK {
-		t.Errorf("/trace/critical attached = %d, want 200", code)
+	trace := body("/trace")
+	if !strings.HasPrefix(trace, "[") || !strings.Contains(trace, `"name":"epoch"`) {
+		t.Errorf("/trace = %s, want a trace_event array with the epoch span", trace)
+	}
+	if chrome := body("/trace/epoch?format=chrome"); chrome != trace {
+		t.Errorf("/trace and /trace/epoch?format=chrome differ:\n%s\n%s", trace, chrome)
+	}
+	if sums := body("/trace/epoch"); sums == trace || !strings.Contains(sums, `"top_stage"`) {
+		t.Errorf("/trace/epoch = %s, want the epoch summary listing", sums)
+	}
+	if roll := body("/trace/critical"); roll == trace || !strings.Contains(roll, `"stages"`) {
+		t.Errorf("/trace/critical = %s, want the critical-path rollup", roll)
 	}
 }

@@ -123,13 +123,11 @@ type Config struct {
 	// emulation (data plane, control plane, observer, network). Nil
 	// disables instrumentation at zero hot-path cost.
 	Registry *telemetry.Registry
-	// Tracer, when set, records snapshot-lifecycle spans (initiate →
-	// per-device results → assembled).
-	Tracer *telemetry.Tracer
 	// Journal, when set, records every protocol event into per-switch
 	// flight-recorder rings; Network.Audit then replays them to verify
-	// the protocol's consistency invariants. Nil disables journaling at
-	// zero hot-path cost.
+	// the protocol's consistency invariants, and Network.EpochTraces
+	// rebuilds each snapshot's lifecycle spans from them. Nil disables
+	// journaling at zero hot-path cost.
 	Journal *journal.Set
 	// OnAnomaly receives a flight-recorder tail dump whenever a
 	// snapshot finalizes inconsistent or with excluded devices.
@@ -214,7 +212,6 @@ func New(cfg Config) (*Network, error) {
 		ChannelState: cfg.ChannelState,
 		NumCoS:       cfg.CoSLevels,
 		Registry:     cfg.Registry,
-		Tracer:       cfg.Tracer,
 		Journal:      cfg.Journal,
 		OnAnomaly:    cfg.OnAnomaly,
 		Snapstore:    cfg.Snapstore,

@@ -1,9 +1,14 @@
 package speedlight
 
 import (
-	"speedlight/internal/packet"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"speedlight/internal/epochtrace"
+	"speedlight/internal/journal"
+	"speedlight/internal/packet"
 )
 
 func TestDefaultsAndHosts(t *testing.T) {
@@ -72,6 +77,58 @@ func TestSnapshotSequence(t *testing.T) {
 			t.Errorf("snapshot IDs not increasing: %d after %d", snap.ID, prev)
 		}
 		prev = snap.ID
+	}
+}
+
+// TestEpochTraceChrome pins what `speedlight -trace-out` writes: the
+// journal-derived epoch traces as one Chrome trace, with a whole-epoch
+// span per snapshot and a wavefront span per switch inside each.
+func TestEpochTraceChrome(t *testing.T) {
+	n, err := New(Config{Seed: 1, Journal: journal.NewSet(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const snapshots = 5
+	for i := 0; i < snapshots; i++ {
+		n.Send(1, 4, 500, uint16(i), 80)
+		n.Run(time.Millisecond)
+		if _, err := n.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := epochtrace.WriteChromeTrace(&buf, n.EpochTraces()); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string `json:"name"`
+		Cat  string `json:"cat"`
+		Ph   string `json:"ph"`
+		TID  int64  `json:"tid"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not a trace_event array: %v", err)
+	}
+	epochs := 0
+	wavefront := map[int64]int{} // per epoch thread
+	for _, ev := range events {
+		if ev.Ph != "X" {
+			continue
+		}
+		switch ev.Cat {
+		case "epoch":
+			epochs++
+		case "wavefront":
+			wavefront[ev.TID]++
+		}
+	}
+	if epochs != snapshots || len(wavefront) != snapshots {
+		t.Fatalf("epoch spans = %d over %d threads, want %d", epochs, len(wavefront), snapshots)
+	}
+	for tid, got := range wavefront {
+		if got != n.NumSwitches() {
+			t.Errorf("epoch %d: wavefront spans = %d, want one per switch (%d)", tid, got, n.NumSwitches())
+		}
 	}
 }
 
