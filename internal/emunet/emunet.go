@@ -27,6 +27,7 @@ import (
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
@@ -35,12 +36,6 @@ import (
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
 )
-
-// BroadcastHost is the destination address of control-plane marker
-// broadcasts. Markers advance snapshot IDs across every channel of the
-// receiving device and are then dropped (single-hop scope), providing
-// the liveness mechanism of Section 6 for traffic-free channels.
-const BroadcastHost = topology.HostID(0xFFFFFFFF)
 
 // Config parameterizes an emulated network.
 type Config struct {
@@ -330,26 +325,12 @@ type EmuSwitch struct {
 // over service classes.
 func (s *EmuSwitch) QueueLen(port int) int { return s.queues[port].length() }
 
-// QueueDrops returns packets dropped at a full egress queue.
-func (s *EmuSwitch) QueueDrops(port int) uint64 { return s.queues[port].drops }
-
 // syncWindow tracks the earliest and latest notification timestamps
 // observed for one snapshot ID (the paper's synchronization metric,
 // Section 8.1).
 type syncWindow struct {
 	min, max sim.Time
 	count    int
-	// first and last identify the earliest and latest contributing
-	// notifications, for diagnosing stragglers.
-	first, last SyncContributor
-}
-
-// SyncContributor identifies one notification that entered a snapshot's
-// synchronization window.
-type SyncContributor struct {
-	Unit    dataplane.UnitID
-	Channel int // -1 for a snapshot ID advance
-	At      sim.Time
 }
 
 // Network is the emulated Speedlight deployment.
@@ -374,9 +355,8 @@ type Network struct {
 	sws      map[topology.NodeID]*EmuSwitch
 	obs      *observer.Observer
 	done     []*observer.GlobalSnapshot
-	// completed counts assembled global snapshots (atomic: health
-	// probes read it concurrently with the global domain).
-	completed atomic.Uint64
+	// sink takes every assembled snapshot, in the observer's domain.
+	sink node.Sink
 	// syncMu guards syncs: notifications record windows from concurrent
 	// shard workers.
 	syncMu sync.Mutex
@@ -574,6 +554,10 @@ func New(cfg Config) (*Network, error) {
 		cpTel:    control.NewTelemetry(cfg.Registry),
 		tel:      newNetTelemetry(cfg.Registry),
 		central:  packet.NewCentral(),
+		sink: node.Sink{
+			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
+			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
+		},
 	}
 	n.obsProc = eng.Proc(n.obsDom)
 	n.dpool = n.central.NewPool()
@@ -598,26 +582,11 @@ func New(cfg Config) (*Network, error) {
 		Journal:      cfg.Journal.Observer(),
 		OnComplete: func(g *observer.GlobalSnapshot) {
 			n.done = append(n.done, g)
-			n.completed.Add(1)
-			var sync sim.Duration
-			if d, ok := n.SyncSpread(g.ID); ok {
-				sync = d
-				n.tel.syncSpreadUS.Observe(d.Micros())
+			sync, ok := n.SyncSpread(g.ID)
+			if ok {
+				n.tel.syncSpreadUS.Observe(sync.Micros())
 			}
-			if !g.Consistent {
-				n.anomaly(fmt.Sprintf("snapshot %d finalized inconsistent", g.ID), g.ID)
-			} else if len(g.Excluded) > 0 {
-				n.anomaly(fmt.Sprintf("snapshot %d finalized with %d device(s) excluded", g.ID, len(g.Excluded)), g.ID)
-			}
-			if st := n.cfg.Snapstore; st != nil {
-				ep := st.Ingest(g, sync)
-				st.RecordLag(n.completed.Load())
-				if eng := n.cfg.Invariants; eng != nil {
-					for _, viol := range eng.Eval(st.View(), ep) {
-						n.anomaly(viol.String(), g.ID)
-					}
-				}
-			}
+			n.sink.Complete(g, sync)
 		},
 	})
 	if err != nil {
@@ -703,12 +672,6 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 	cfg := n.cfg
 	node := spec.ID
 
-	edge := map[int]bool{}
-	for p, peer := range spec.Ports {
-		if peer.Kind == topology.PeerHost {
-			edge[p] = true
-		}
-	}
 	var balancer routing.Balancer = routing.ECMP{}
 	if cfg.NewBalancer != nil {
 		balancer = cfg.NewBalancer(node, n.eng.NewRand())
@@ -739,14 +702,14 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 		OnNotify: func(notif dataplane.CPUNotification) {
 			unit := es.DP.Unit(notif.Unit)
 			if notif.SIDChanged() {
-				n.recordSync(unit.CurrentSID(), notif.Exported, notif.Unit, -1)
+				n.recordSync(unit.CurrentSID(), notif.Exported)
 			} else if notif.LastSeenChanged() && n.gateSets[notif.Unit][notif.Channel] {
-				n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported, notif.Unit, notif.Channel)
+				n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported)
 			}
 		},
 		FIB:              n.fibs[node],
 		Balancer:         balancer,
-		EdgePorts:        edge,
+		EdgePorts:        spec.EdgePorts(),
 		SnapshotDisabled: cfg.SnapshotDisabled[node],
 		Telemetry:        n.dpTel,
 		Journal:          cfg.Journal.For(int(node)),
@@ -881,7 +844,7 @@ func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.done }
 // CompletedEpochs returns how many global snapshots the observer has
 // assembled. Safe from any goroutine; with Snapstore.Sealed it yields
 // the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.completed.Load() }
+func (n *Network) CompletedEpochs() uint64 { return n.sink.CompletedEpochs() }
 
 // Journal returns the flight-recorder set the network was built with,
 // or nil when journaling is disabled.
@@ -934,19 +897,6 @@ func (n *Network) Audit() *audit.Report {
 	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
 }
 
-// anomaly dumps the flight recorder to the OnAnomaly hook. It runs in
-// the observer's domain (snapshot finalization) or the global domain
-// (recovery timeouts). The journal tail it captures is built from
-// per-slot atomic reads and merged deterministically, so reading it
-// beside concurrently appending shards is safe; entries mid-publication
-// on other shards may simply miss the dump, which a flight recorder
-// tolerates.
-//
-//speedlight:shard
-func (n *Network) anomaly(reason string, id packet.SeqID) {
-	n.cfg.Journal.Anomaly(n.cfg.OnAnomaly, reason, id)
-}
-
 // Observer exposes the snapshot observer.
 func (n *Network) Observer() *observer.Observer { return n.obs }
 
@@ -995,68 +945,28 @@ func (n *Network) SyncSpread(id packet.SeqID) (sim.Duration, bool) {
 	return w.max.Sub(w.min), true
 }
 
-// contributorLess is the deterministic tie-break for sync-window
-// endpoints when two notifications carry the same timestamp: unit
-// identity, then channel. Without it, which contributor "wins" a tied
-// endpoint would depend on shard interleaving.
-func contributorLess(a, b SyncContributor) bool {
-	if a.Unit.Node != b.Unit.Node {
-		return a.Unit.Node < b.Unit.Node
-	}
-	if a.Unit.Port != b.Unit.Port {
-		return a.Unit.Port < b.Unit.Port
-	}
-	if a.Unit.Dir != b.Unit.Dir {
-		return a.Unit.Dir < b.Unit.Dir
-	}
-	return a.Channel < b.Channel
-}
-
 // recordSync folds a notification timestamp into the snapshot's
 // synchronization window. Called from switch domains on concurrent
-// shards; everything it records is order-independent (min/max with
-// deterministic tie-breaks, and a count).
-func (n *Network) recordSync(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int) {
-	if debugSync != nil {
-		debugSync(id, at, unit, channel)
-	}
+// shards; everything it records is order-independent (min, max and a
+// count).
+func (n *Network) recordSync(id packet.SeqID, at sim.Time) {
 	if n.cfg.OnProgress != nil {
 		n.cfg.OnProgress(id, at)
 	}
-	c := SyncContributor{Unit: unit, Channel: channel, At: at}
 	n.syncMu.Lock()
 	defer n.syncMu.Unlock()
 	w, ok := n.syncs[id]
 	if !ok {
-		w = &syncWindow{min: at, max: at, first: c, last: c}
+		w = &syncWindow{min: at, max: at}
 		n.syncs[id] = w
-		w.count++
-		return
 	}
-	if at < w.min || (at == w.min && contributorLess(c, w.first)) {
+	if at < w.min {
 		w.min = at
-		w.first = c
 	}
-	if at > w.max || (at == w.max && contributorLess(w.last, c)) {
+	if at > w.max {
 		w.max = at
-		w.last = c
 	}
 	w.count++
-}
-
-// debugSync, when non-nil, observes every sync record (tests only).
-var debugSync func(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int)
-
-// SyncDetail returns the earliest and latest notifications contributing
-// to a snapshot's synchronization window, for diagnosing stragglers.
-func (n *Network) SyncDetail(id packet.SeqID) (first, last SyncContributor, ok bool) {
-	n.syncMu.Lock()
-	defer n.syncMu.Unlock()
-	w, found := n.syncs[id]
-	if !found || w.count == 0 {
-		return SyncContributor{}, SyncContributor{}, false
-	}
-	return w.first, w.last, true
 }
 
 // serialization returns the transmission time of a packet on the link
@@ -1148,7 +1058,7 @@ func (n *Network) arrive(es *EmuSwitch, pkt *packet.Packet, port int) {
 	}
 	now := es.proc.Now()
 	es.pkts.Inc()
-	if topology.HostID(pkt.DstHost) == BroadcastHost {
+	if topology.HostID(pkt.DstHost) == node.BroadcastHost {
 		// Marker broadcast from a neighbor: refresh this port's external
 		// channel, then die. Internal channels are refreshed by this
 		// device's own CP-injected markers, so no re-flood is needed —
@@ -1262,7 +1172,7 @@ func (n *Network) txCall(a, _ any, i int64) {
 //speedlight:pool-transfer pkt
 func (n *Network) transmit(es *EmuSwitch, pkt *packet.Packet, port int) {
 	now := es.proc.Now()
-	isBroadcast := topology.HostID(pkt.DstHost) == BroadcastHost
+	isBroadcast := topology.HostID(pkt.DstHost) == node.BroadcastHost
 	res := es.DP.Egress(pkt, port, now)
 	n.drainNotifs(es)
 	if res.Drop {
@@ -1288,8 +1198,7 @@ func (n *Network) transmit(es *EmuSwitch, pkt *packet.Packet, port int) {
 		n.wireHop(es, pkt, port, peer)
 	case topology.PeerHost:
 		if res.StripHeader {
-			pkt.HasSnap = false
-			pkt.Snap = packet.SnapshotHeader{}
+			pkt.StripSnap()
 		}
 		if n.cfg.OnDeliver != nil {
 			// Serialize hook invocations (and their order) through the
@@ -1426,15 +1335,21 @@ func (n *Network) ScheduleSnapshot(localDeadline sim.Time) (packet.SeqID, error)
 			// snapshot neither initiates here nor waits for it.
 			continue
 		}
-		trueAt := es.Clock.TrueAtLocal(localDeadline)
-		if trueAt < n.eng.Now() {
-			trueAt = n.eng.Now()
-		}
-		jitter := sim.Duration(initiationLatency.Sample(es.rng))
-		// The initiation runs in the switch's own domain.
-		n.gproc.SendAt(es.dom, trueAt.Add(jitter), func() { n.initiate(es, id) })
+		n.initiateAt(es, id, localDeadline)
 	}
 	return id, nil
+}
+
+// initiateAt arms one control plane's initiation of snapshot id for the
+// moment its own clock reads localDeadline, plus scheduling jitter. The
+// initiation runs in the switch's own domain.
+func (n *Network) initiateAt(es *EmuSwitch, id packet.SeqID, localDeadline sim.Time) {
+	trueAt := es.Clock.TrueAtLocal(localDeadline)
+	if trueAt < n.eng.Now() {
+		trueAt = n.eng.Now()
+	}
+	jitter := sim.Duration(initiationLatency.Sample(es.rng))
+	n.gproc.SendAt(es.dom, trueAt.Add(jitter), func() { n.initiate(es, id) })
 }
 
 // ScheduleSnapshotSingle is the single-initiator ablation: only the
@@ -1453,12 +1368,7 @@ func (n *Network) ScheduleSnapshotSingle(node topology.NodeID, localDeadline sim
 	if !ok || n.cfg.SnapshotDisabled[node] || es.down {
 		return 0, fmt.Errorf("emunet: switch %d cannot initiate", node)
 	}
-	trueAt := es.Clock.TrueAtLocal(localDeadline)
-	if trueAt < n.eng.Now() {
-		trueAt = n.eng.Now()
-	}
-	jitter := sim.Duration(initiationLatency.Sample(es.rng))
-	n.gproc.SendAt(es.dom, trueAt.Add(jitter), func() { n.initiate(es, id) })
+	n.initiateAt(es, id, localDeadline)
 	return id, nil
 }
 
@@ -1507,37 +1417,24 @@ func (n *Network) handleTimeouts() {
 	}
 }
 
-// injectMarkers injects one marker broadcast per ingress unit via the
-// CPU pseudo-channel and floods it through the real egress queues: the
-// FIFO queues guarantee any genuinely in-flight packets are seen first,
-// so the marker's ID advance is truthful on every internal channel. Each
-// egress copy then crosses one wire hop, refreshing the neighbors'
-// external channels (Section 6 liveness).
+// injectMarkers runs the Section 6 marker flood through the real egress
+// queues: the FIFO queues guarantee any genuinely in-flight packets are
+// seen first, so the marker's ID advance is truthful on every internal
+// channel. Each egress copy then crosses one wire hop, refreshing the
+// neighbors' external channels.
 func (n *Network) injectMarkers(es *EmuSwitch) {
-	now := es.proc.Now()
-	for port := 0; port < es.DP.NumPorts(); port++ {
-		for cos := 0; cos < es.DP.NumCoS(); cos++ {
-			m := &packet.Packet{DstHost: uint32(BroadcastHost), Size: 64, CoS: uint8(cos)}
-			es.DP.IngressFromCP(m, port, now)
-			n.drainNotifs(es)
-			for e := 0; e < es.DP.NumPorts(); e++ {
-				n.enqueue(es, m.Clone(), e)
-			}
-		}
-	}
+	node.FloodMarkers(es.DP, es.proc.Now(), markerSink{n, es})
 }
+
+// markerSink feeds a flood into one switch's notification path and
+// egress queues.
+type markerSink struct {
+	n  *Network
+	es *EmuSwitch
+}
+
+func (m markerSink) Drain()                              { m.n.drainNotifs(m.es) }
+func (m markerSink) Egress(pkt *packet.Packet, port int) { m.n.enqueue(m.es, pkt, port) }
 
 // RunFor advances the emulation.
 func (n *Network) RunFor(d sim.Duration) { n.eng.RunFor(d) }
-
-// SetDebugSync installs a test-only observer of sync records. The unit
-// argument is passed as a fmt.Stringer to keep the hook signature loose.
-func SetDebugSync(fn func(id packet.SeqID, at sim.Time, unit interface{ String() string }, channel int)) {
-	if fn == nil {
-		debugSync = nil
-		return
-	}
-	debugSync = func(id packet.SeqID, at sim.Time, unit dataplane.UnitID, channel int) {
-		fn(id, at, unit, channel)
-	}
-}

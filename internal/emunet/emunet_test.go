@@ -8,6 +8,7 @@ import (
 	"speedlight/internal/clock"
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
+	"speedlight/internal/node"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
 	"speedlight/internal/sim"
@@ -248,7 +249,7 @@ func TestMarkersNeverReachHosts(t *testing.T) {
 		c.ChannelState = true
 		c.RetryAfter = sim.Millisecond
 		c.OnDeliver = func(p *packet.Packet, h topology.HostID, _ sim.Time) {
-			if topology.HostID(p.DstHost) == BroadcastHost {
+			if topology.HostID(p.DstHost) == node.BroadcastHost {
 				t.Errorf("marker broadcast delivered to host %d", h)
 			}
 		}

@@ -24,7 +24,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detguard",
 	Doc: "flag wall-clock reads, global math/rand use, and unsorted map iteration " +
-		"in the deterministic packages (core, dataplane, sim, emunet, control, observer)",
+		"in the deterministic packages (core, dataplane, sim, emunet, node, control, observer)",
 	Run: run,
 }
 
@@ -34,6 +34,7 @@ var deterministic = map[string]bool{
 	"dataplane": true,
 	"sim":       true,
 	"emunet":    true,
+	"node":      true,
 	"control":   true,
 	"observer":  true,
 }

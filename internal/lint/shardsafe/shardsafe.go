@@ -11,8 +11,9 @@
 //   - writes to package-level mutable state (assignment, ++/--, or
 //     delete on a package-level variable): shard workers run
 //     concurrently, and the repo's single-writer discipline reserves
-//     package state for the global domain (reads are allowed — hooks
-//     like emunet's debugSync are set before Run);
+//     package state for the global domain (reads are allowed — values
+//     like emunet's cpNotifLatency distribution are built at package
+//     initialization and never reassigned);
 //
 //   - calls to functions marked //speedlight:global-only (anomaly
 //     detection, timeout handling — logic that must observe a total

@@ -16,17 +16,16 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/core"
-	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
@@ -76,8 +75,8 @@ type Config struct {
 	Journal *journal.Set
 	// OnAnomaly receives a flight-recorder dump (the last 512 journal
 	// events) whenever a snapshot finalizes inconsistent or with
-	// excluded devices. Called from the observer goroutine; must not
-	// block.
+	// excluded devices. Called with the collector's lock held; must not
+	// call back into the network.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
 	// Snapstore, when set, ingests every completed global snapshot as a
@@ -98,7 +97,7 @@ type Config struct {
 }
 
 // inboxDepth bounds each switch's event inbox: the link buffer a full
-// switch drops into (see handleEgress).
+// switch drops into (see liveSwitch.Forward).
 const inboxDepth = 4096
 
 // event is one unit of work for a switch goroutine.
@@ -124,11 +123,12 @@ const (
 	evPoll
 )
 
-// liveSwitch is one switch goroutine's state.
+// liveSwitch is one switch goroutine's state, and the node.Host of the
+// switch it runs.
 type liveSwitch struct {
-	node  topology.NodeID
-	dp    *dataplane.Switch
-	cp    *control.Plane
+	net   *Network
+	spec  *topology.Switch
+	sw    *node.Switch
 	inbox chan event
 	// events counts this switch goroutine's processed events
 	// (per-switch throughput).
@@ -141,21 +141,17 @@ type Network struct {
 	topo *topology.Topology
 	sws  map[topology.NodeID]*liveSwitch
 
-	obs       *observer.Observer
-	obsEvents chan obsEvent
+	// col assembles snapshots into sink. Results reach it through
+	// obsEvents — the network path from switch CPU to observer host — so
+	// switch goroutines do no observer work.
+	col       *node.Collector
+	sink      node.Sink
+	obsEvents chan control.Result
 
 	started time.Time
 	wg      sync.WaitGroup
 	stop    chan struct{}
 	stopped sync.Once
-
-	mu   sync.Mutex
-	done []*observer.GlobalSnapshot
-	subs map[packet.SeqID]chan *observer.GlobalSnapshot
-
-	// completed counts assembled global snapshots (atomic: the
-	// snapstore lag readiness check reads it from probe handlers).
-	completed atomic.Uint64
 
 	tel    liveTelemetry
 	metSrv *telemetry.Server
@@ -182,26 +178,6 @@ func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 	}
 }
 
-// obsEvent is work for the observer goroutine.
-type obsEvent struct {
-	kind   obsKind
-	result control.Result
-	begin  chan beginReply
-}
-
-type obsKind int
-
-const (
-	obsResult obsKind = iota
-	obsBegin
-	obsTick
-)
-
-type beginReply struct {
-	id  packet.SeqID
-	err error
-}
-
 // New builds a live network. Call Start to launch its goroutines.
 func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
@@ -222,12 +198,17 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	n := &Network{
-		cfg:       cfg,
-		topo:      cfg.Topo,
-		sws:       make(map[topology.NodeID]*liveSwitch),
-		obsEvents: make(chan obsEvent, 1024),
+		cfg:  cfg,
+		topo: cfg.Topo,
+		sws:  make(map[topology.NodeID]*liveSwitch),
+		sink: node.Sink{
+			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
+			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
+		},
+		// Deep enough for every unit's result from a few snapshots in
+		// flight; a full queue blocks the sending switch.
+		obsEvents: make(chan control.Result, 1024),
 		stop:      make(chan struct{}),
-		subs:      make(map[packet.SeqID]chan *observer.GlobalSnapshot),
 		tel:       newLiveTelemetry(cfg.Registry),
 		health:    telemetry.NewHealth(),
 	}
@@ -243,75 +224,50 @@ func New(cfg Config) (*Network, error) {
 		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
 	}
 
-	obs, err := observer.New(observer.Config{
+	n.col, err = node.NewCollector(observer.Config{
 		MaxID:      cfg.MaxID,
 		WrapAround: cfg.WrapAround,
 		RetryAfter: durToSim(cfg.RetryEvery),
 		Telemetry:  observer.NewTelemetry(cfg.Registry),
 		Journal:    cfg.Journal.Observer(),
-		OnComplete: n.onComplete,
-	})
+	}, &n.sink)
 	if err != nil {
 		return nil, err
 	}
-	n.obs = obs
 
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = func(dataplane.UnitID) core.Metric { return &counters.PacketCount{} }
-	}
 	dpTel := dataplane.NewTelemetry(cfg.Registry)
 	cpTel := control.NewTelemetry(cfg.Registry)
 	swEvents := cfg.Registry.CounterVec("speedlight_live_switch_events_total",
 		"events processed per switch goroutine", "switch")
 	for _, spec := range cfg.Topo.Switches {
-		edge := map[int]bool{}
-		for p, peer := range spec.Ports {
-			if peer.Kind == topology.PeerHost {
-				edge[p] = true
-			}
-		}
-		dp, err := dataplane.New(dataplane.Config{
-			Node:         spec.ID,
-			NumPorts:     len(spec.Ports),
-			MaxID:        cfg.MaxID,
-			WrapAround:   cfg.WrapAround,
-			ChannelState: cfg.ChannelState,
-			Metrics:      metrics,
-			FIB:          fibs[spec.ID],
-			Balancer:     routing.ECMP{},
-			EdgePorts:    edge,
-			Telemetry:    dpTel,
-			Journal:      cfg.Journal.For(int(spec.ID)),
-		})
-		if err != nil {
-			return nil, err
-		}
 		ls := &liveSwitch{
-			node:   spec.ID,
-			dp:     dp,
+			net:    n,
+			spec:   spec,
 			inbox:  make(chan event, inboxDepth),
 			events: swEvents.With(fmt.Sprint(spec.ID)),
 		}
-		cp, err := control.New(control.Config{
-			Switch:    dp,
-			Telemetry: cpTel,
-			Journal:   cfg.Journal.For(int(spec.ID)),
+		ls.sw, err = node.New(node.Config{
+			Spec:         spec,
+			FIB:          fibs[spec.ID],
+			MaxID:        cfg.MaxID,
+			WrapAround:   cfg.WrapAround,
+			ChannelState: cfg.ChannelState,
+			Metrics:      cfg.Metrics,
+			DPTelemetry:  dpTel,
+			CPTelemetry:  cpTel,
+			Journal:      cfg.Journal.For(int(spec.ID)),
 			OnResult: func(res control.Result) {
-				// Ship to the observer over its channel — the network
-				// path from switch CPU to observer host.
 				select {
-				case n.obsEvents <- obsEvent{kind: obsResult, result: res}:
+				case n.obsEvents <- res:
 				case <-n.stop:
 				}
 			},
-		})
+		}, ls)
 		if err != nil {
 			return nil, err
 		}
-		ls.cp = cp
 		n.sws[spec.ID] = ls
-		obs.Register(spec.ID, dp.UnitIDs())
+		n.col.Register(ls.sw)
 	}
 	return n, nil
 }
@@ -375,26 +331,6 @@ func (n *Network) Start() {
 		defer n.wg.Done()
 		n.runObserver()
 	}()
-	if n.cfg.RetryEvery > 0 {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			t := time.NewTicker(n.cfg.RetryEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					select {
-					case n.obsEvents <- obsEvent{kind: obsTick}:
-					case <-n.stop:
-						return
-					}
-				case <-n.stop:
-					return
-				}
-			}
-		}()
-	}
 	n.health.SetReady(true)
 }
 
@@ -428,11 +364,6 @@ func (n *Network) Audit() *audit.Report {
 	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
 }
 
-// anomaly dumps the flight recorder to the OnAnomaly hook.
-func (n *Network) anomaly(reason string, id packet.SeqID) {
-	n.cfg.Journal.Anomaly(n.cfg.OnAnomaly, reason, id)
-}
-
 // MetricsAddr returns the bound observability address, or "" when no
 // metrics server is running (useful with a ":0" MetricsAddr).
 func (n *Network) MetricsAddr() string {
@@ -444,7 +375,7 @@ func (n *Network) MetricsAddr() string {
 
 // runSwitch is one switch's event loop: the single goroutine that owns
 // both the data plane and the control plane state of the device, so
-// every unit stays linearizable.
+// every unit stays linearizable and FIFO order is inherent.
 func (n *Network) runSwitch(ls *liveSwitch) {
 	for {
 		select {
@@ -455,21 +386,11 @@ func (n *Network) runSwitch(ls *liveSwitch) {
 			n.tel.events.Inc()
 			switch ev.kind {
 			case evPacket:
-				n.handlePacket(ls, ev.pkt, ev.port)
+				ls.sw.Packet(ev.pkt, ev.port)
 			case evInitiate:
-				inits := ls.cp.Initiate(ev.snapshotID, n.now())
-				for _, init := range inits {
-					// The initiation continues through the egress unit
-					// of the same port, in order with data traffic
-					// (this goroutine is the FIFO).
-					n.handleEgress(ls, init.Pkt, init.Port)
-				}
-				n.drainNotifs(ls)
-				if ev.markers {
-					n.injectMarkers(ls)
-				}
+				ls.sw.Initiate(ev.snapshotID, ev.markers)
 			case evPoll:
-				ls.cp.Poll(n.now())
+				ls.sw.Poll()
 				if ev.done != nil {
 					close(ev.done)
 				}
@@ -478,25 +399,13 @@ func (n *Network) runSwitch(ls *liveSwitch) {
 	}
 }
 
-// handlePacket runs a packet through ingress, forwarding and egress.
-func (n *Network) handlePacket(ls *liveSwitch, pkt *packet.Packet, port int) {
-	res := ls.dp.Ingress(pkt, port, n.now())
-	n.drainNotifs(ls)
-	if res.Drop {
-		return
-	}
-	n.handleEgress(ls, pkt, res.EgressPort)
-}
+// Now returns wall time since Start as protocol time.
+func (ls *liveSwitch) Now() sim.Time { return ls.net.now() }
 
-// handleEgress runs egress processing and delivers to the peer.
-func (n *Network) handleEgress(ls *liveSwitch, pkt *packet.Packet, port int) {
-	res := ls.dp.Egress(pkt, port, n.now())
-	n.drainNotifs(ls)
-	if res.Drop {
-		return
-	}
-	peer := n.topo.Peer(ls.node, port)
-	switch peer.Kind {
+// Forward delivers an egressed packet to the port's peer.
+func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
+	n := ls.net
+	switch peer := ls.spec.Ports[port]; peer.Kind {
 	case topology.PeerSwitch:
 		// Non-blocking: a full inbox is a full link buffer, and the
 		// packet is dropped — blocking here could deadlock a cycle of
@@ -509,10 +418,6 @@ func (n *Network) handleEgress(ls *liveSwitch, pkt *packet.Packet, port int) {
 			n.tel.inboxDrops.Inc()
 		}
 	case topology.PeerHost:
-		if res.StripHeader {
-			pkt.HasSnap = false
-			pkt.Snap = packet.SnapshotHeader{}
-		}
 		n.tel.delivered.Inc()
 		if n.cfg.OnDeliver != nil {
 			n.cfg.OnDeliver(pkt, peer.Host)
@@ -520,107 +425,46 @@ func (n *Network) handleEgress(ls *liveSwitch, pkt *packet.Packet, port int) {
 	}
 }
 
-// injectMarkers floods one marker broadcast per (ingress port, class)
-// through the switch and one wire hop outward, refreshing every FIFO
-// channel's snapshot ID (Section 6 liveness). The switch goroutine is
-// the FIFO, so ordering is inherently preserved.
-func (n *Network) injectMarkers(ls *liveSwitch) {
-	for port := 0; port < ls.dp.NumPorts(); port++ {
-		for cos := 0; cos < ls.dp.NumCoS(); cos++ {
-			m := &packet.Packet{DstHost: uint32(broadcastHost), Size: 64, CoS: uint8(cos)}
-			ls.dp.IngressFromCP(m, port, n.now())
-			n.drainNotifs(ls)
-			for e := 0; e < ls.dp.NumPorts(); e++ {
-				n.handleEgress(ls, m.Clone(), e)
-			}
-		}
-	}
-}
-
-// broadcastHost marks marker broadcasts; they die after one wire hop's
-// ingress processing (the FIB has no route for them).
-const broadcastHost = topology.HostID(0xFFFFFFFF)
-
-// drainNotifs feeds pending data-plane notifications to the local
-// control plane. Data and control plane share the switch goroutine, as
-// they share the switch in hardware.
-func (n *Network) drainNotifs(ls *liveSwitch) {
-	for {
-		notif, ok := ls.dp.PopNotif()
-		if !ok {
-			return
-		}
-		ls.cp.HandleNotification(notif, n.now())
-	}
-}
-
-// runObserver is the observer host's goroutine.
+// runObserver is the observer host's goroutine: it takes results off
+// the queue and runs the recovery timers.
 func (n *Network) runObserver() {
+	var tick <-chan time.Time
+	if n.cfg.RetryEvery > 0 {
+		t := time.NewTicker(n.cfg.RetryEvery)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-n.stop:
 			return
-		case ev := <-n.obsEvents:
-			// +1: the event just dequeued was part of the backlog.
+		case res := <-n.obsEvents:
+			// +1: the result just dequeued was part of the backlog.
 			n.tel.obsHighWater.SetMax(int64(len(n.obsEvents)) + 1)
-			switch ev.kind {
-			case obsResult:
-				n.obs.OnResult(ev.result, n.now())
-			case obsBegin:
-				id, err := n.obs.Begin(n.now())
-				ev.begin <- beginReply{id: id, err: err}
-			case obsTick:
-				for _, act := range n.obs.CheckTimeouts(n.now()) {
-					for _, node := range act.Retry {
-						// Non-blocking: blocking here could deadlock
-						// against a switch blocked on the observer
-						// channel. A retry dropped at a full inbox is
-						// not re-sent: CheckTimeouts asks for a retry
-						// once per snapshot.
-						ls := n.sws[node]
-						select {
-						case ls.inbox <- event{kind: evInitiate, snapshotID: act.SnapshotID,
-							markers: n.cfg.ChannelState}:
-						default:
-							n.tel.inboxDrops.Inc()
-						}
-						select {
-						case ls.inbox <- event{kind: evPoll}:
-						default:
-							n.tel.inboxDrops.Inc()
-						}
+			n.col.Result(res, n.now())
+		case <-tick:
+			for _, act := range n.col.Timeouts(n.now()) {
+				for _, dev := range act.Retry {
+					// Non-blocking: blocking here could deadlock against
+					// a switch blocked on the observer channel. A retry
+					// dropped at a full inbox is not re-sent: the
+					// observer asks for a retry once per snapshot. Only
+					// retries flood markers; first initiations do not.
+					ls := n.sws[dev]
+					select {
+					case ls.inbox <- event{kind: evInitiate, snapshotID: act.SnapshotID,
+						markers: n.cfg.ChannelState}:
+					default:
+						n.tel.inboxDrops.Inc()
+					}
+					select {
+					case ls.inbox <- event{kind: evPoll}:
+					default:
+						n.tel.inboxDrops.Inc()
 					}
 				}
 			}
 		}
-	}
-}
-
-// onComplete runs on the observer goroutine when a snapshot finishes.
-func (n *Network) onComplete(g *observer.GlobalSnapshot) {
-	n.completed.Add(1)
-	if !g.Consistent {
-		n.anomaly(fmt.Sprintf("snapshot %d finalized inconsistent", g.ID), g.ID)
-	} else if len(g.Excluded) > 0 {
-		n.anomaly(fmt.Sprintf("snapshot %d finalized with %d device(s) excluded", g.ID, len(g.Excluded)), g.ID)
-	}
-	if st := n.cfg.Snapstore; st != nil {
-		ep := st.Ingest(g, 0)
-		st.RecordLag(n.completed.Load())
-		if eng := n.cfg.Invariants; eng != nil {
-			for _, viol := range eng.Eval(st.View(), ep) {
-				n.anomaly(viol.String(), g.ID)
-			}
-		}
-	}
-	n.mu.Lock()
-	n.done = append(n.done, g)
-	sub := n.subs[g.ID]
-	delete(n.subs, g.ID)
-	n.mu.Unlock()
-	if sub != nil {
-		sub <- g
-		close(sub)
 	}
 }
 
@@ -645,54 +489,34 @@ func (n *Network) Inject(host topology.HostID, pkt *packet.Packet) error {
 // returns its ID and a channel that yields the assembled global
 // snapshot once complete.
 func (n *Network) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	reply := make(chan beginReply, 1)
 	select {
-	case n.obsEvents <- obsEvent{kind: obsBegin, begin: reply}:
 	case <-n.stop:
 		return 0, nil, fmt.Errorf("live: network stopped")
+	default:
 	}
-	// The events channel is buffered, so the send can succeed even when
-	// the observer goroutine has already exited; the reply wait must
-	// also watch for shutdown.
-	var r beginReply
-	select {
-	case r = <-reply:
-	case <-n.stop:
-		return 0, nil, fmt.Errorf("live: network stopped")
+	id, sub, err := n.col.Begin(n.now())
+	if err != nil {
+		return 0, nil, err
 	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	sub := make(chan *observer.GlobalSnapshot, 1)
-	n.mu.Lock()
-	n.subs[r.id] = sub
-	n.mu.Unlock()
-
 	time.AfterFunc(delay, func() {
 		for _, spec := range n.topo.Switches {
 			ls := n.sws[spec.ID]
 			select {
-			case ls.inbox <- event{kind: evInitiate, snapshotID: r.id}:
+			case ls.inbox <- event{kind: evInitiate, snapshotID: id}:
 			case <-n.stop:
 			}
 		}
 	})
-	return r.id, sub, nil
+	return id, sub, nil
 }
 
 // CompletedEpochs returns how many global snapshots the observer has
 // assembled. Safe from any goroutine; with Snapstore.Sealed it yields
 // the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.completed.Load() }
+func (n *Network) CompletedEpochs() uint64 { return n.sink.CompletedEpochs() }
 
 // Snapshots returns the snapshots completed so far.
-func (n *Network) Snapshots() []*observer.GlobalSnapshot {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*observer.GlobalSnapshot, len(n.done))
-	copy(out, n.done)
-	return out
-}
+func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.col.Snapshots() }
 
 // PollAll synchronously asks every switch control plane to poll its
 // registers (recovery path), returning when all have finished.

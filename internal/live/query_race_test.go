@@ -14,6 +14,7 @@ import (
 	"speedlight/internal/dataplane"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
@@ -253,16 +254,23 @@ func TestSnapstoreLagFlipsReadyz(t *testing.T) {
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz = %d before lag, want 200", code)
 	}
-	// Simulate the observer racing ahead of the store: completed
-	// epochs with nothing sealed.
-	n.completed.Store(5)
+	// Simulate the observer racing ahead of the store: epochs completed
+	// with nothing sealed. (The completed-epoch counter lives in
+	// node.Sink, so the lag is driven through it, not poked.)
+	n.sink.Snapstore = nil
+	for id := packet.SeqID(1); id <= 5; id++ {
+		n.sink.Complete(&observer.GlobalSnapshot{ID: id, Consistent: true}, 0)
+	}
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz = %d with lag 5 > max 2, want 503", code)
 	}
 	if code := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz = %d with failing check, want 503", code)
 	}
-	n.completed.Store(0)
+	// The store catches up.
+	for id := packet.SeqID(1); id <= 5; id++ {
+		store.Ingest(&observer.GlobalSnapshot{ID: id, Consistent: true}, 0)
+	}
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz = %d after lag cleared, want 200", code)
 	}

@@ -149,6 +149,13 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
+// StripSnap removes the snapshot header: what an edge port does before
+// a packet leaves the snapshot-enabled network toward a host.
+func (p *Packet) StripSnap() {
+	p.HasSnap = false
+	p.Snap = SnapshotHeader{}
+}
+
 // Wire format of the snapshot header:
 //
 //	byte 0:   magic (0xA5)

@@ -47,6 +47,18 @@ type Switch struct {
 	Ports []Peer
 }
 
+// EdgePorts returns the set of host-facing ports: where the snapshot
+// header is added on ingress and stripped on egress.
+func (s *Switch) EdgePorts() map[int]bool {
+	edge := map[int]bool{}
+	for p, peer := range s.Ports {
+		if peer.Kind == PeerHost {
+			edge[p] = true
+		}
+	}
+	return edge
+}
+
 // Host is one host and its attachment point.
 type Host struct {
 	ID   HostID

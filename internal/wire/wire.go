@@ -9,9 +9,9 @@ import (
 	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/core"
-	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/journal"
+	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
@@ -50,18 +50,17 @@ type Config struct {
 	Journal *journal.Set
 	// OnAnomaly receives a flight-recorder dump (the last 512 journal
 	// events) whenever a snapshot finalizes inconsistent or with
-	// excluded devices. Called with obsMu held; must not call back into
-	// the deployment.
+	// excluded devices. Called with the collector's lock held; must not
+	// call back into the deployment.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 }
 
-// switchNode is one switch bound to a UDP socket. A single goroutine
-// owns the data plane and control plane, preserving unit
-// linearizability; the socket provides per-sender FIFO on loopback.
+// switchNode is one switch bound to a UDP socket, and the node.Host of
+// that switch. A single goroutine owns the data plane and control
+// plane, preserving unit linearizability; the socket provides
+// per-sender FIFO on loopback.
 type switchNode struct {
-	node topology.NodeID
-	dp   *dataplane.Switch
-	cp   *control.Plane
+	sw   *node.Switch
 	conn *net.UDPConn
 	// peers and peerPort map an egress port to the neighbor switch's
 	// socket and to its ingress port number there.
@@ -81,7 +80,8 @@ type switchNode struct {
 	scratch []byte
 }
 
-func (s *switchNode) now() sim.Time {
+// Now returns wall time since deployment as protocol time.
+func (s *switchNode) Now() sim.Time {
 	return sim.Time(time.Since(s.started).Nanoseconds())
 }
 
@@ -106,85 +106,34 @@ func (s *switchNode) handle(data []byte) {
 	switch typ {
 	case msgData:
 		port, pkt, err := decodeData(data)
-		if err != nil || port < 0 || port >= s.dp.NumPorts() {
+		if err != nil || port < 0 || port >= s.sw.DP.NumPorts() {
 			return
 		}
-		res := s.dp.Ingress(pkt, port, s.now())
-		s.drainNotifs()
-		if res.Drop {
-			return
-		}
-		s.egress(pkt, res.EgressPort)
+		s.sw.Packet(pkt, port)
 	case msgInitiate:
 		id, err := decodeInitiate(data)
 		if err != nil {
 			return
 		}
-		for _, init := range s.cp.Initiate(id, s.now()) {
-			s.egress(init.Pkt, init.Port)
-		}
-		s.drainNotifs()
-		if s.channelState {
-			s.injectMarkers()
-		}
+		// Every initiation floods markers in channel-state mode: UDP
+		// deployments may have idle channels.
+		s.sw.Initiate(id, s.channelState)
 	case msgPoll:
-		s.cp.Poll(s.now())
+		s.sw.Poll()
 	}
 }
 
-// egress runs egress processing and forwards over the wire.
-func (s *switchNode) egress(pkt *packet.Packet, port int) {
-	res := s.dp.Egress(pkt, port, s.now())
-	s.drainNotifs()
-	if res.Drop {
-		return
-	}
+// Forward sends an egressed packet over the wire: to the neighbor
+// switch, or to the host sink.
+func (s *switchNode) Forward(port int, pkt *packet.Packet) {
 	if peer, ok := s.peers[port]; ok {
 		// The neighbor's ingress port is resolved at deployment time
 		// and encoded by the sender.
 		s.scratch = appendData(s.scratch[:0], s.peerPort[port], pkt)
 		s.conn.WriteToUDP(s.scratch, peer)
-		return
-	}
-	if host, ok := s.hosts[port]; ok {
-		if res.StripHeader {
-			pkt.HasSnap = false
-			pkt.Snap = packet.SnapshotHeader{}
-		}
+	} else if host, ok := s.hosts[port]; ok {
 		s.scratch = appendHostDeliver(s.scratch[:0], host, pkt)
 		s.conn.WriteToUDP(s.scratch, s.sink)
-	}
-}
-
-// broadcastHost marks marker broadcasts, which die after one wire
-// hop's ingress processing (no route exists for them).
-const broadcastHost = 0xFFFFFFFF
-
-// injectMarkers floods marker broadcasts across every (port, class)
-// FIFO channel and one hop outward — Section 6's liveness mechanism,
-// run with every initiation in channel-state mode since UDP deployments
-// may have idle channels.
-func (s *switchNode) injectMarkers() {
-	for port := 0; port < s.dp.NumPorts(); port++ {
-		for cos := 0; cos < s.dp.NumCoS(); cos++ {
-			m := &packet.Packet{DstHost: broadcastHost, Size: 64, CoS: uint8(cos)}
-			s.dp.IngressFromCP(m, port, s.now())
-			s.drainNotifs()
-			for e := 0; e < s.dp.NumPorts(); e++ {
-				s.egress(m.Clone(), e)
-			}
-		}
-	}
-}
-
-// drainNotifs feeds data-plane notifications to the control plane.
-func (s *switchNode) drainNotifs() {
-	for {
-		n, ok := s.dp.PopNotif()
-		if !ok {
-			return
-		}
-		s.cp.HandleNotification(n, s.now())
 	}
 }
 
@@ -195,24 +144,25 @@ type Deployment struct {
 	topo     *topology.Topology
 	switches map[topology.NodeID]*switchNode
 
-	obs      *observer.Observer
-	obsMu    sync.Mutex
+	col      *node.Collector
 	obsConn  *net.UDPConn
 	obsAddrs map[topology.NodeID]*net.UDPAddr
-	subs     map[packet.SeqID]chan *observer.GlobalSnapshot
-	done     []*observer.GlobalSnapshot
 
 	sinkConn *net.UDPConn
 	hostConn *net.UDPConn // source socket for host injections
-	hostTo   map[topology.HostID]struct {
-		addr *net.UDPAddr
-		port int
-	}
+	hostTo   map[topology.HostID]attachment
 
 	started time.Time
 	wg      sync.WaitGroup
 	stopped sync.Once
 	closeCh chan struct{}
+}
+
+// attachment is where a host plugs in: its edge switch's socket and the
+// ingress port there.
+type attachment struct {
+	addr *net.UDPAddr
+	port int
 }
 
 // Deploy binds all sockets on loopback and starts the node goroutines.
@@ -230,23 +180,15 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = func(dataplane.UnitID) core.Metric { return &counters.PacketCount{} }
-	}
 
 	d := &Deployment{
 		cfg:      cfg,
 		topo:     cfg.Topo,
 		switches: make(map[topology.NodeID]*switchNode),
 		obsAddrs: make(map[topology.NodeID]*net.UDPAddr),
-		subs:     make(map[packet.SeqID]chan *observer.GlobalSnapshot),
-		hostTo: make(map[topology.HostID]struct {
-			addr *net.UDPAddr
-			port int
-		}),
-		started: time.Now(),
-		closeCh: make(chan struct{}),
+		hostTo:   make(map[topology.HostID]attachment),
+		started:  time.Now(),
+		closeCh:  make(chan struct{}),
 	}
 
 	bind := func() (*net.UDPConn, error) {
@@ -268,29 +210,27 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if cfg.Journal != nil {
 		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
 	}
-	obs, err := observer.New(observer.Config{
+	d.col, err = node.NewCollector(observer.Config{
 		MaxID:      cfg.MaxID,
 		WrapAround: cfg.WrapAround,
 		RetryAfter: sim.Duration(cfg.RetryEvery.Nanoseconds()),
 		Journal:    cfg.Journal.Observer(),
-		OnComplete: d.onComplete,
-	})
+	}, &node.Sink{Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly})
 	if err != nil {
 		d.closeSockets()
 		return nil, err
 	}
-	d.obs = obs
 
 	// Build and bind every switch.
 	for _, spec := range cfg.Topo.Switches {
-		sn, err := d.buildSwitch(spec, fibs[spec.ID], metrics)
+		sn, err := d.buildSwitch(spec, fibs[spec.ID])
 		if err != nil {
 			d.Close()
 			return nil, err
 		}
 		d.switches[spec.ID] = sn
 		d.obsAddrs[spec.ID] = sn.conn.LocalAddr().(*net.UDPAddr)
-		obs.Register(spec.ID, sn.dp.UnitIDs())
+		d.col.Register(sn.sw)
 	}
 	// Resolve neighbor addresses now that everything is bound.
 	for _, spec := range cfg.Topo.Switches {
@@ -302,10 +242,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 				sn.peerPort[p] = peer.Port
 			case topology.PeerHost:
 				sn.hosts[p] = peer.Host
-				d.hostTo[peer.Host] = struct {
-					addr *net.UDPAddr
-					port int
-				}{sn.conn.LocalAddr().(*net.UDPAddr), p}
+				d.hostTo[peer.Host] = attachment{sn.conn.LocalAddr().(*net.UDPAddr), p}
 			}
 		}
 	}
@@ -323,37 +260,13 @@ func Deploy(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB,
-	metrics func(dataplane.UnitID) core.Metric) (*switchNode, error) {
-	edge := map[int]bool{}
-	for p, peer := range spec.Ports {
-		if peer.Kind == topology.PeerHost {
-			edge[p] = true
-		}
-	}
-	dp, err := dataplane.New(dataplane.Config{
-		Node:         spec.ID,
-		NumPorts:     len(spec.Ports),
-		MaxID:        d.cfg.MaxID,
-		WrapAround:   d.cfg.WrapAround,
-		ChannelState: d.cfg.ChannelState,
-		Metrics:      metrics,
-		FIB:          fib,
-		Balancer:     routing.ECMP{},
-		EdgePorts:    edge,
-		Journal:      d.cfg.Journal.For(int(spec.ID)),
-	})
-	if err != nil {
-		return nil, err
-	}
+func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB) (*switchNode, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, err
 	}
 	sn := &switchNode{
-		node:         spec.ID,
 		channelState: d.cfg.ChannelState,
-		dp:           dp,
 		conn:         conn,
 		peers:        make(map[int]*net.UDPAddr),
 		peerPort:     make(map[int]int),
@@ -363,21 +276,25 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB,
 		started:      d.started,
 		scratch:      make([]byte, 0, maxMsgLen),
 	}
-	cp, err := control.New(control.Config{
-		Switch:  dp,
-		Journal: d.cfg.Journal.For(int(spec.ID)),
+	sn.sw, err = node.New(node.Config{
+		Spec:         spec,
+		FIB:          fib,
+		MaxID:        d.cfg.MaxID,
+		WrapAround:   d.cfg.WrapAround,
+		ChannelState: d.cfg.ChannelState,
+		Metrics:      d.cfg.Metrics,
+		Journal:      d.cfg.Journal.For(int(spec.ID)),
 		OnResult: func(res control.Result) {
 			// Ship over the wire to the observer. Runs on the switch
 			// goroutine (inside handle), so the scratch is free.
 			sn.scratch = appendResult(sn.scratch[:0], res)
 			sn.conn.WriteToUDP(sn.scratch, sn.obs)
 		},
-	})
+	}, sn)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	sn.cp = cp
 	return sn, nil
 }
 
@@ -398,9 +315,7 @@ func (d *Deployment) runObserver() {
 		if err != nil {
 			continue
 		}
-		d.obsMu.Lock()
-		d.obs.OnResult(res, d.now())
-		d.obsMu.Unlock()
+		d.col.Result(res, d.now())
 	}
 }
 
@@ -438,12 +353,9 @@ func (d *Deployment) runRetries() {
 		case <-d.closeCh:
 			return
 		case <-t.C:
-			d.obsMu.Lock()
-			acts := d.obs.CheckTimeouts(d.now())
-			d.obsMu.Unlock()
-			for _, act := range acts {
-				for _, node := range act.Retry {
-					addr := d.obsAddrs[node]
+			for _, act := range d.col.Timeouts(d.now()) {
+				for _, dev := range act.Retry {
+					addr := d.obsAddrs[dev]
 					scratch = appendInitiate(scratch[:0], act.SnapshotID)
 					d.obsConn.WriteToUDP(scratch, addr)
 					d.obsConn.WriteToUDP(pollMsg[:], addr)
@@ -455,21 +367,6 @@ func (d *Deployment) runRetries() {
 
 func (d *Deployment) now() sim.Time {
 	return sim.Time(time.Since(d.started).Nanoseconds())
-}
-
-// onComplete runs under obsMu.
-func (d *Deployment) onComplete(g *observer.GlobalSnapshot) {
-	if !g.Consistent {
-		d.anomaly(fmt.Sprintf("snapshot %d finalized inconsistent", g.ID), g.ID)
-	} else if len(g.Excluded) > 0 {
-		d.anomaly(fmt.Sprintf("snapshot %d finalized with %d device(s) excluded", g.ID, len(g.Excluded)), g.ID)
-	}
-	d.done = append(d.done, g)
-	if sub, ok := d.subs[g.ID]; ok {
-		delete(d.subs, g.ID)
-		sub <- g
-		close(sub)
-	}
 }
 
 // Inject sends a packet from a host into its edge switch, over UDP.
@@ -489,16 +386,10 @@ func (d *Deployment) Inject(host topology.HostID, pkt *packet.Packet) error {
 // TakeSnapshot begins a snapshot, broadcasts initiations over UDP, and
 // returns a channel yielding the assembled global snapshot.
 func (d *Deployment) TakeSnapshot() (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	d.obsMu.Lock()
-	id, err := d.obs.Begin(d.now())
+	id, sub, err := d.col.Begin(d.now())
 	if err != nil {
-		d.obsMu.Unlock()
 		return 0, nil, err
 	}
-	sub := make(chan *observer.GlobalSnapshot, 1)
-	d.subs[id] = sub
-	d.obsMu.Unlock()
-
 	msg := appendInitiate(make([]byte, 0, maxMsgLen), id)
 	for _, addr := range d.obsAddrs {
 		d.obsConn.WriteToUDP(msg, addr)
@@ -516,19 +407,8 @@ func (d *Deployment) Audit() *audit.Report {
 	return audit.Replay(d.cfg.Journal, d.cfg.MaxID, d.cfg.WrapAround, d.cfg.ChannelState)
 }
 
-// anomaly dumps the flight recorder to the OnAnomaly hook.
-func (d *Deployment) anomaly(reason string, id packet.SeqID) {
-	d.cfg.Journal.Anomaly(d.cfg.OnAnomaly, reason, id)
-}
-
 // Snapshots returns the snapshots completed so far.
-func (d *Deployment) Snapshots() []*observer.GlobalSnapshot {
-	d.obsMu.Lock()
-	defer d.obsMu.Unlock()
-	out := make([]*observer.GlobalSnapshot, len(d.done))
-	copy(out, d.done)
-	return out
-}
+func (d *Deployment) Snapshots() []*observer.GlobalSnapshot { return d.col.Snapshots() }
 
 func (d *Deployment) closeSockets() {
 	d.obsConn.Close()
