@@ -35,9 +35,8 @@ race:
 	go test -race ./...
 
 # lint builds the protocol-invariant analyzer suite and runs it over
-# every package through the go vet driver. Standalone invocation
-# (`bin/speedlightvet ./...`) covers the same set including _test.go
-# files and adds -format=github|sarif for CI annotation output.
+# every package, _test.go files included, through go vet — the one way
+# to run it (given package patterns, the binary prints this line).
 lint: $(SLVET)
 	@start=$$(date +%s%N); status=0; \
 	go vet -vettool=$(SLVET) ./... || status=$$?; \

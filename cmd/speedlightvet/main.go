@@ -1,13 +1,11 @@
 // Command speedlightvet runs Speedlight's protocol-invariant analyzers.
 //
-// It speaks the go vet tool protocol, so the usual way to run it is:
+// It speaks the go vet tool protocol, so the way to run it is:
 //
 //	go build -o /tmp/speedlightvet ./cmd/speedlightvet
 //	go vet -vettool=/tmp/speedlightvet ./...
 //
-// It also accepts package patterns directly for standalone use:
-//
-//	speedlightvet ./...
+// (`make lint`). Given package patterns directly, it prints that line.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package analysis turns sequences of assembled global snapshots into
 // the whole-network answers the paper's Section 2.2 motivates: load
-// imbalance across port groups, correlation of per-port behavior,
-// concurrency of load, and rates derived from cumulative counters.
+// imbalance across port groups, aligned per-port series to correlate,
+// and concurrency of load.
 //
 // Everything operates on observer.GlobalSnapshot values, so the same
 // analyses run over the simulator, the live goroutine runtime, and the
@@ -56,18 +56,12 @@ func UnitSeries(snaps []*observer.GlobalSnapshot, units []dataplane.UnitID) [][]
 	return series
 }
 
-// Imbalance computes, for every snapshot and every group of units, the
-// population standard deviation of the group's values scaled by scale
-// (e.g. 1e-3 for ns -> µs), and returns the distribution — the
-// Section 8.3 load-balance analysis. Groups with any missing value at
-// an instant are skipped at that instant.
-func Imbalance(snaps []*observer.GlobalSnapshot, groups [][]dataplane.UnitID, scale float64) *stats.CDF {
-	return stats.NewCDF(ImbalanceSamples(snaps, groups, scale))
-}
-
-// ImbalanceSamples returns the raw per-instant, per-group standard
-// deviations, for callers that pool samples across runs before building
-// a distribution.
+// ImbalanceSamples computes, for every snapshot and every group of
+// units, the population standard deviation of the group's values scaled
+// by scale (e.g. 1e-3 for ns -> µs) — the Section 8.3 load-balance
+// analysis. Groups with any missing value at an instant are skipped at
+// that instant. Callers pool the samples across runs before building a
+// distribution.
 func ImbalanceSamples(snaps []*observer.GlobalSnapshot, groups [][]dataplane.UnitID, scale float64) []float64 {
 	var out []float64
 	for _, g := range bySchedule(snaps) {
@@ -88,12 +82,6 @@ func ImbalanceSamples(snaps []*observer.GlobalSnapshot, groups [][]dataplane.Uni
 	return out
 }
 
-// Correlate builds per-unit series from the snapshots and returns their
-// pairwise Spearman correlation matrix — the Section 8.4 analysis.
-func Correlate(snaps []*observer.GlobalSnapshot, units []dataplane.UnitID) (*stats.CorrMatrix, error) {
-	return stats.NewCorrMatrix(UnitSeries(snaps, units))
-}
-
 // ConcurrentLoad returns, per snapshot, how many of the given units
 // were at or above the threshold in the same instant — the "how much of
 // my network is concurrently loaded?" question of Section 1.
@@ -109,61 +97,4 @@ func ConcurrentLoad(snaps []*observer.GlobalSnapshot, units []dataplane.UnitID, 
 		out = append(out, float64(loaded))
 	}
 	return stats.NewCDF(out)
-}
-
-// RatePoint is a derived rate over one inter-snapshot interval.
-type RatePoint struct {
-	// At is the midpoint of the interval, in virtual nanoseconds.
-	At int64
-	// PerSecond is the counter delta divided by the interval.
-	PerSecond float64
-}
-
-// Rates converts a cumulative counter's snapshot sequence into rates:
-// consecutive consistent values divided by the time between the
-// snapshots' schedules. Because the cuts are causally consistent, the
-// deltas are exact event counts for the intervals — something
-// asynchronous polling cannot provide.
-func Rates(snaps []*observer.GlobalSnapshot, unit dataplane.UnitID) []RatePoint {
-	ordered := bySchedule(snaps)
-	var out []RatePoint
-	var prevVal uint64
-	var prevAt int64
-	have := false
-	for _, g := range ordered {
-		v, ok := g.Value(unit)
-		if !ok {
-			continue
-		}
-		at := int64(g.ScheduledAt)
-		if have && at > prevAt {
-			dt := float64(at-prevAt) / 1e9
-			out = append(out, RatePoint{
-				At:        (at + prevAt) / 2,
-				PerSecond: float64(v-prevVal) / dt,
-			})
-		}
-		prevVal, prevAt, have = v, at, true
-	}
-	return out
-}
-
-// Conserved checks a two-unit conservation claim over a snapshot
-// sequence: every consistent snapshot's value at a must be at least the
-// value at b (a is upstream of b on every path), and both must be
-// monotone. It returns the first violating snapshot ID, or 0.
-func Conserved(snaps []*observer.GlobalSnapshot, a, b dataplane.UnitID) dataplane.SeqID {
-	var lastA, lastB uint64
-	for _, g := range bySchedule(snaps) {
-		va, okA := g.Value(a)
-		vb, okB := g.Value(b)
-		if !okA || !okB {
-			continue
-		}
-		if va < vb || va < lastA || vb < lastB {
-			return g.ID
-		}
-		lastA, lastB = va, vb
-	}
-	return 0
 }

@@ -9,6 +9,7 @@ import (
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
+	"speedlight/internal/stats"
 )
 
 func unit(port int) dataplane.UnitID {
@@ -62,7 +63,7 @@ func TestImbalance(t *testing.T) {
 		snap(2, 200, map[int]uint64{0: 2000, 1: 1000}), // |diff|/2 = 500
 	}
 	groups := [][]dataplane.UnitID{{unit(0), unit(1)}}
-	cdf := Imbalance(snaps, groups, 0.001) // ns -> µs
+	cdf := stats.NewCDF(ImbalanceSamples(snaps, groups, 0.001)) // ns -> µs
 	if cdf.N() != 2 {
 		t.Fatalf("samples = %d", cdf.N())
 	}
@@ -78,7 +79,7 @@ func TestImbalanceSkipsIncompleteGroups(t *testing.T) {
 	snaps := []*observer.GlobalSnapshot{
 		snap(1, 100, map[int]uint64{0: 5}), // unit 1 missing
 	}
-	cdf := Imbalance(snaps, [][]dataplane.UnitID{{unit(0), unit(1)}}, 1)
+	cdf := stats.NewCDF(ImbalanceSamples(snaps, [][]dataplane.UnitID{{unit(0), unit(1)}}, 1))
 	if cdf.N() != 0 {
 		t.Errorf("samples = %d, want 0", cdf.N())
 	}
@@ -93,7 +94,7 @@ func TestCorrelate(t *testing.T) {
 			2: 1000 - uint64(i)*10,        // falling: anti-correlated
 		}))
 	}
-	m, err := Correlate(snaps, []dataplane.UnitID{unit(0), unit(1), unit(2)})
+	m, err := stats.NewCorrMatrix(UnitSeries(snaps, []dataplane.UnitID{unit(0), unit(1), unit(2)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,65 +117,5 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 	if cdf.MaxValue() != 2 || cdf.MinValue() != 0 {
 		t.Errorf("range = [%v, %v]", cdf.MinValue(), cdf.MaxValue())
-	}
-}
-
-func TestRates(t *testing.T) {
-	snaps := []*observer.GlobalSnapshot{
-		snap(1, sim.Time(0), map[int]uint64{0: 100}),
-		snap(2, sim.Time(sim.Second), map[int]uint64{0: 600}),
-		snap(3, sim.Time(3*sim.Second), map[int]uint64{0: 1600}),
-	}
-	rates := Rates(snaps, unit(0))
-	if len(rates) != 2 {
-		t.Fatalf("rates = %d", len(rates))
-	}
-	if math.Abs(rates[0].PerSecond-500) > 1e-9 {
-		t.Errorf("rate[0] = %v, want 500/s", rates[0].PerSecond)
-	}
-	if math.Abs(rates[1].PerSecond-500) > 1e-9 {
-		t.Errorf("rate[1] = %v, want 500/s", rates[1].PerSecond)
-	}
-	if rates[0].At != int64(sim.Second)/2 {
-		t.Errorf("midpoint = %d", rates[0].At)
-	}
-}
-
-func TestRatesSkipsMissing(t *testing.T) {
-	snaps := []*observer.GlobalSnapshot{
-		snap(1, sim.Time(0), map[int]uint64{0: 100}),
-		snap(2, sim.Time(sim.Second), map[int]uint64{1: 5}), // unit 0 absent
-		snap(3, sim.Time(2*sim.Second), map[int]uint64{0: 300}),
-	}
-	rates := Rates(snaps, unit(0))
-	if len(rates) != 1 {
-		t.Fatalf("rates = %d", len(rates))
-	}
-	if math.Abs(rates[0].PerSecond-100) > 1e-9 {
-		t.Errorf("rate = %v, want 100/s over 2s", rates[0].PerSecond)
-	}
-}
-
-func TestConserved(t *testing.T) {
-	ok := []*observer.GlobalSnapshot{
-		snap(1, 100, map[int]uint64{0: 10, 1: 8}),
-		snap(2, 200, map[int]uint64{0: 20, 1: 20}),
-	}
-	if got := Conserved(ok, unit(0), unit(1)); got != 0 {
-		t.Errorf("violation reported at %d", got)
-	}
-	bad := []*observer.GlobalSnapshot{
-		snap(1, 100, map[int]uint64{0: 10, 1: 8}),
-		snap(2, 200, map[int]uint64{0: 15, 1: 16}), // downstream ahead of upstream
-	}
-	if got := Conserved(bad, unit(0), unit(1)); got != 2 {
-		t.Errorf("violation at %d, want 2", got)
-	}
-	regress := []*observer.GlobalSnapshot{
-		snap(1, 100, map[int]uint64{0: 10, 1: 8}),
-		snap(2, 200, map[int]uint64{0: 9, 1: 8}), // upstream regressed
-	}
-	if got := Conserved(regress, unit(0), unit(1)); got != 2 {
-		t.Errorf("regression at %d, want 2", got)
 	}
 }

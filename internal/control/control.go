@@ -18,6 +18,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
@@ -162,6 +163,14 @@ func (p *Plane) wrapID(id packet.SeqID) packet.WireID {
 // within half the space.
 func (p *Plane) unwrapID(wire packet.WireID, ref packet.SeqID) packet.SeqID {
 	return core.Unwrap(wire, ref, p.maxID, p.wrap)
+}
+
+// Gates reports whether channel ch of a local unit gates the unit's
+// snapshot completion in the channel-state variant (see
+// Config.CompletionChannels).
+func (p *Plane) Gates(id dataplane.UnitID, ch int) bool {
+	st := p.unitOf(id)
+	return st != nil && slices.Contains(st.gateChans, ch)
 }
 
 // Initiated returns the highest snapshot ID this plane has initiated.

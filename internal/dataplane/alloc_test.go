@@ -13,9 +13,10 @@ import (
 // dataplane half of the zero-allocation contract; the per-unit state
 // machine is gated separately in core.
 //
-//speedlight:allocgate dataplane.Switch.Ingress dataplane.Switch.forwardOnly dataplane.Switch.Egress
-//speedlight:allocgate dataplane.Switch.Recirculate dataplane.Switch.IngressOnly dataplane.Switch.IngressFromCP
-//speedlight:allocgate dataplane.Switch.StampCPEgress dataplane.Switch.journalUnit dataplane.Switch.pushNotif dataplane.Switch.PopNotif
+//speedlight:allocgate dataplane.Switch.Ingress dataplane.Switch.Egress dataplane.Switch.Recirculate
+//speedlight:allocgate dataplane.Switch.IngressOnly dataplane.Switch.IngressFromCP
+//speedlight:allocgate dataplane.Switch.step dataplane.Switch.addHeader dataplane.Switch.route dataplane.Switch.forward
+//speedlight:allocgate dataplane.Switch.journalUnit dataplane.Switch.pushNotif dataplane.Switch.PopNotif
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	s := testSwitch(t, func(cfg *Config) { cfg.Recirculation = true })
 	pkt := &packet.Packet{DstHost: 10, Size: 100}
@@ -32,7 +33,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		}
 		s.IngressOnly(pkt, 1, 0)
 		s.IngressFromCP(pkt, 0, 0)
-		s.StampCPEgress(pkt, 0)
 		for {
 			if _, ok := s.PopNotif(); !ok {
 				break

@@ -64,23 +64,6 @@ func TestIngressFromCPUsesCPChannel(t *testing.T) {
 	}
 }
 
-func TestStampCPEgress(t *testing.T) {
-	s := testSwitch(t, nil)
-	pkt := &packet.Packet{DstHost: 0xFFFFFFFF, Size: 64}
-	s.StampCPEgress(pkt, 1)
-	if !pkt.HasSnap {
-		t.Fatal("header not added")
-	}
-	if int(pkt.Snap.Channel) != s.NumPorts()*s.NumCoS() {
-		t.Errorf("channel = %d, want CPU pseudo-channel %d", pkt.Snap.Channel, s.NumPorts()*s.NumCoS())
-	}
-	// The egress unit accepts it on the CPU channel without advancing.
-	res := s.Egress(pkt, 1, 0)
-	if res.Drop {
-		t.Error("CPU-injected data packet dropped")
-	}
-}
-
 func TestSnapshotDisabledForwarding(t *testing.T) {
 	s, err := New(Config{
 		Node: 7, NumPorts: 3, MaxID: 16,

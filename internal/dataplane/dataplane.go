@@ -307,17 +307,14 @@ func (s *Switch) UnitIDs() []UnitID {
 
 // journalUnit records the protocol transitions one OnPacket call
 // produced: the unit advancing its epoch (and any rollover), last-seen
-// movement, and in-flight absorption. Called unconditionally on the
-// hot path; with no journal attached it is a single nil check. Note
-// absorbs can occur without a notification-worthy change (a second
-// in-flight packet on an already-seen channel), which is why this does
-// not piggyback on pushNotif.
+// movement, and in-flight absorption. step calls it for every packet
+// when a journal is attached. Note absorbs can occur without a
+// notification-worthy change (a second in-flight packet on an
+// already-seen channel), which is why this does not piggyback on
+// pushNotif.
 //
 //speedlight:hotpath
 func (s *Switch) journalUnit(port int, dir Direction, n *core.Notification, now sim.Time) {
-	if s.jr == nil {
-		return
-	}
 	sw := int(s.cfg.Node)
 	d := dir.Journal()
 	if n.NewSIDU != n.OldSIDU {
@@ -404,61 +401,74 @@ type IngressResult struct {
 	Drop bool
 }
 
-// Ingress processes a packet arriving from the wire (or from a host, on
-// an edge port) at the given port and selects its egress port. The
-// packet's snapshot header is added if absent and its Channel field is
-// rewritten to the ingress port number — the upstream neighbor
-// identifier the egress unit will use (Section 5.1).
+// marker says whether step journals its packet as a Section 6 marker
+// broadcast, and which way it is going.
+type marker uint8
+
+const (
+	notMarker marker = iota
+	// markerIn is a neighbour's broadcast arriving from the wire.
+	markerIn
+	// markerOut is the local control plane's injection.
+	markerOut
+)
+
+// step runs one packet through the unit (port, dir) on channel ch: the
+// unit's state machine, then the journal, then a notification when
+// anything changed. It returns the packet's unwrapped snapshot ID.
+// Every entry point below is this step plus what it does to the header
+// before and after.
 //
 //speedlight:hotpath
-func (s *Switch) Ingress(pkt *packet.Packet, port int, now sim.Time) IngressResult {
-	s.tel.PacketsIngress.Inc()
-	if s.cfg.SnapshotDisabled {
-		return s.forwardOnly(pkt, now)
+func (s *Switch) step(pkt *packet.Packet, port int, dir Direction, ch int, mark marker, now sim.Time) SeqID {
+	var notif core.Notification
+	var changed bool
+	if dir == Ingress {
+		notif, changed = s.ports[port].IngressUnit.OnPacket(pkt, ch)
+	} else {
+		notif, changed = s.ports[port].EgressUnit.OnPacket(pkt, ch)
 	}
+	if s.jr != nil {
+		switch mark {
+		case markerIn:
+			s.jr.Append(journal.MarkerReceived(int64(now), int(s.cfg.Node), port, ch, notif.PacketSID))
+		case markerOut:
+			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, notif.PacketSID, int(pkt.CoS)))
+		}
+		s.journalUnit(port, dir, &notif, now)
+	}
+	if changed {
+		s.pushNotif(CPUNotification{
+			Unit:         UnitID{s.cfg.Node, port, dir},
+			Notification: notif,
+			Exported:     now,
+		})
+	}
+	return notif.PacketSID
+}
+
+// addHeader gives a packet that has no snapshot header one carrying the
+// port's current ingress epoch — this is the first snapshot-enabled
+// device on its path — so that it neither initiates nor appears
+// in-flight.
+//
+//speedlight:hotpath
+func (s *Switch) addHeader(pkt *packet.Packet, port int) {
 	if !pkt.HasSnap {
-		// First snapshot-enabled device on the path: add the header,
-		// carrying this unit's current epoch so that edge traffic
-		// neither initiates nor appears in-flight.
 		pkt.HasSnap = true
 		pkt.Snap = packet.SnapshotHeader{
 			Type: packet.TypeData,
 			ID:   s.ports[port].IngressUnit.RegCurrentSID(),
 		}
 	}
-	ch := s.ingressChannel(pkt.CoS)
-	pkt.Snap.Channel = uint16(ch)
-	notif, changed := s.ports[port].IngressUnit.OnPacket(pkt, ch)
-	s.journalUnit(port, Ingress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Ingress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
-
-	// Forwarding lookup.
-	if s.cfg.FIB == nil || s.cfg.Balancer == nil {
-		return IngressResult{Drop: true}
-	}
-	group := s.cfg.FIB.Ports(topology.HostID(pkt.DstHost))
-	if len(group) == 0 {
-		return IngressResult{Drop: true}
-	}
-	out := s.cfg.Balancer.Pick(pkt, group, now)
-
-	// Tag the packet with its upstream (ingress port, class) channel
-	// for the egress unit's last-seen array.
-	pkt.Snap.Channel = s.internalChannel(port, pkt.CoS)
-	return IngressResult{EgressPort: out}
 }
 
-// forwardOnly routes a packet without snapshot processing (partial
-// deployment).
+// route is the forwarding lookup: the balancer's pick among the FIB's
+// ports toward the packet's destination, or a drop when there is no
+// route (or nothing to look one up in).
 //
 //speedlight:hotpath
-func (s *Switch) forwardOnly(pkt *packet.Packet, now sim.Time) IngressResult {
+func (s *Switch) route(pkt *packet.Packet, now sim.Time) IngressResult {
 	if s.cfg.FIB == nil || s.cfg.Balancer == nil {
 		return IngressResult{Drop: true}
 	}
@@ -467,6 +477,38 @@ func (s *Switch) forwardOnly(pkt *packet.Packet, now sim.Time) IngressResult {
 		return IngressResult{Drop: true}
 	}
 	return IngressResult{EgressPort: s.cfg.Balancer.Pick(pkt, group, now)}
+}
+
+// forward runs a packet through a port's ingress unit on channel ch and
+// routes it. A routed packet leaves tagged with its upstream (ingress
+// port, class) channel for the egress unit's last-seen array.
+//
+//speedlight:hotpath
+func (s *Switch) forward(pkt *packet.Packet, port, ch int, now sim.Time) IngressResult {
+	pkt.Snap.Channel = uint16(ch)
+	s.step(pkt, port, Ingress, ch, notMarker, now)
+	res := s.route(pkt, now)
+	if !res.Drop {
+		pkt.Snap.Channel = s.internalChannel(port, pkt.CoS)
+	}
+	return res
+}
+
+// Ingress processes a packet arriving from the wire (or from a host, on
+// an edge port) at the given port and selects its egress port. The
+// packet's snapshot header is added if absent and its Channel field is
+// rewritten to the ingress port number — the upstream neighbor
+// identifier the egress unit will use (Section 5.1). A
+// snapshot-disabled switch only routes (partial deployment).
+//
+//speedlight:hotpath
+func (s *Switch) Ingress(pkt *packet.Packet, port int, now sim.Time) IngressResult {
+	s.tel.PacketsIngress.Inc()
+	if s.cfg.SnapshotDisabled {
+		return s.route(pkt, now)
+	}
+	s.addHeader(pkt, port)
+	return s.forward(pkt, port, s.ingressChannel(pkt.CoS), now)
 }
 
 // EgressResult is the outcome of egress processing.
@@ -495,15 +537,7 @@ func (s *Switch) Egress(pkt *packet.Packet, port int, now sim.Time) EgressResult
 	if channel < 0 || channel > s.cfg.NumPorts*s.cfg.NumCoS {
 		panic(fmt.Sprintf("dataplane: egress channel %d out of range on switch %d", channel, s.cfg.Node))
 	}
-	notif, changed := s.ports[port].EgressUnit.OnPacket(pkt, channel)
-	s.journalUnit(port, Egress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Egress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
+	s.step(pkt, port, Egress, channel, notMarker, now)
 	if pkt.Snap.Type == packet.TypeInitiation {
 		// Initiations travel CPU→ingress→egress and are then dropped.
 		return EgressResult{Drop: true}
@@ -534,29 +568,9 @@ func (s *Switch) Recirculate(pkt *packet.Packet, port int, now sim.Time) Ingress
 	s.tel.Recirculations.Inc()
 	s.tel.PacketsIngress.Inc()
 	if s.cfg.SnapshotDisabled {
-		return s.forwardOnly(pkt, now)
+		return s.route(pkt, now)
 	}
-	ch := s.ingressRecircChannel()
-	pkt.Snap.Channel = uint16(ch)
-	notif, changed := s.ports[port].IngressUnit.OnPacket(pkt, ch)
-	s.journalUnit(port, Ingress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Ingress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
-	if s.cfg.FIB == nil || s.cfg.Balancer == nil {
-		return IngressResult{Drop: true}
-	}
-	group := s.cfg.FIB.Ports(topology.HostID(pkt.DstHost))
-	if len(group) == 0 {
-		return IngressResult{Drop: true}
-	}
-	out := s.cfg.Balancer.Pick(pkt, group, now)
-	pkt.Snap.Channel = s.internalChannel(port, pkt.CoS)
-	return IngressResult{EgressPort: out}
+	return s.forward(pkt, port, s.ingressRecircChannel(), now)
 }
 
 // InitiationPacket builds the control plane's initiation message for a
@@ -579,27 +593,10 @@ func InitiationPacket(wireID WireID) *packet.Packet {
 func (s *Switch) IngressOnly(pkt *packet.Packet, port int, now sim.Time) {
 	s.tel.Markers.Inc()
 	s.tel.PacketsIngress.Inc()
-	if !pkt.HasSnap {
-		pkt.HasSnap = true
-		pkt.Snap = packet.SnapshotHeader{
-			Type: packet.TypeData,
-			ID:   s.ports[port].IngressUnit.RegCurrentSID(),
-		}
-	}
+	s.addHeader(pkt, port)
 	ch := s.ingressChannel(pkt.CoS)
 	pkt.Snap.Channel = uint16(ch)
-	notif, changed := s.ports[port].IngressUnit.OnPacket(pkt, ch)
-	if s.jr != nil {
-		s.jr.Append(journal.MarkerReceived(int64(now), int(s.cfg.Node), port, ch, notif.PacketSID))
-	}
-	s.journalUnit(port, Ingress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Ingress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
+	s.step(pkt, port, Ingress, ch, markerIn, now)
 	pkt.Snap.Channel = s.internalChannel(port, pkt.CoS)
 }
 
@@ -616,43 +613,9 @@ func (s *Switch) IngressOnly(pkt *packet.Packet, port int, now sim.Time) {
 func (s *Switch) IngressFromCP(pkt *packet.Packet, port int, now sim.Time) {
 	s.tel.Markers.Inc()
 	s.tel.PacketsIngress.Inc()
-	if !pkt.HasSnap {
-		pkt.HasSnap = true
-		pkt.Snap = packet.SnapshotHeader{
-			Type: packet.TypeData,
-			ID:   s.ports[port].IngressUnit.RegCurrentSID(),
-		}
-	}
-	notif, changed := s.ports[port].IngressUnit.OnPacket(pkt, s.ingressCPChannel())
-	if s.jr != nil {
-		s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, notif.PacketSID, int(pkt.CoS)))
-	}
-	s.journalUnit(port, Ingress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Ingress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
+	s.addHeader(pkt, port)
+	s.step(pkt, port, Ingress, s.ingressCPChannel(), markerOut, now)
 	pkt.Snap.Channel = s.internalChannel(port, pkt.CoS)
-}
-
-// StampCPEgress prepares a control-plane-injected packet for the CPU
-// egress path ("not shown" in the paper's Figure 5): the packet will
-// enter the egress unit on the CPU pseudo-channel, carrying the current
-// snapshot ID so it neither initiates nor appears in flight.
-//
-//speedlight:hotpath
-func (s *Switch) StampCPEgress(pkt *packet.Packet, port int) {
-	if !pkt.HasSnap {
-		pkt.HasSnap = true
-		pkt.Snap = packet.SnapshotHeader{
-			Type: packet.TypeData,
-			ID:   s.ports[port].EgressUnit.RegCurrentSID(),
-		}
-	}
-	pkt.Snap.Channel = uint16(s.cfg.NumPorts * s.cfg.NumCoS)
 }
 
 // InitiateIngress runs a control-plane initiation message through a
@@ -666,15 +629,7 @@ func (s *Switch) StampCPEgress(pkt *packet.Packet, port int) {
 func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packet.Packet {
 	s.tel.Initiations.Inc()
 	pkt := InitiationPacket(wireID)
-	notif, changed := s.ports[port].IngressUnit.OnPacket(pkt, s.ingressCPChannel())
-	s.journalUnit(port, Ingress, &notif, now)
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, Ingress},
-			Notification: notif,
-			Exported:     now,
-		})
-	}
+	psid := s.step(pkt, port, Ingress, s.ingressCPChannel(), notMarker, now)
 	out := make([]*packet.Packet, s.cfg.NumCoS)
 	for cos := 0; cos < s.cfg.NumCoS; cos++ {
 		// The template itself serves as the last copy: with one class of
@@ -690,7 +645,7 @@ func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packe
 			// One initiation marker per CoS FIFO channel heads for the
 			// egress path — exactly the per-channel marker the snapshot
 			// algorithm requires (Section 4.1).
-			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, notif.PacketSID, cos))
+			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, psid, cos))
 		}
 	}
 	return out

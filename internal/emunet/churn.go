@@ -85,8 +85,7 @@ func (n *Network) SetSwitchUp(node topology.NodeID) error {
 	if !es.down {
 		return nil
 	}
-	spec := n.switchSpec(node)
-	if err := n.provisionPlanes(es, spec); err != nil {
+	if err := n.provisionPlanes(es, n.topo.Switch(node)); err != nil {
 		return fmt.Errorf("emunet: re-provisioning switch %d: %w", node, err)
 	}
 	es.down = false
@@ -205,23 +204,13 @@ func (n *Network) flushQueues(es *EmuSwitch) {
 		for cos := range q.perCoS {
 			f := &q.perCoS[cos]
 			for f.len() > 0 {
-				es.ppool.Put(f.pop().pkt)
+				es.ppool.Put(f.pop())
 				n.churnDrops.Add(1)
 			}
 		}
 		q.txScheduled = false
 		n.setDepthGauge(es, port)
 	}
-}
-
-// switchSpec returns the topology spec of a switch.
-func (n *Network) switchSpec(node topology.NodeID) *topology.Switch {
-	for _, sw := range n.topo.Switches {
-		if sw.ID == node {
-			return sw
-		}
-	}
-	panic(fmt.Sprintf("emunet: no topology spec for switch %d", node))
 }
 
 // journalChurn appends a churn event to the observer's ring at the

@@ -204,50 +204,40 @@ var (
 // parallel engine needs a positive lower bound on their delivery time.
 const observerLatency = 50 * sim.Microsecond
 
-// queuedPkt is one packet waiting in an egress queue.
-type queuedPkt struct {
-	pkt *packet.Packet
-}
-
 // pktFIFO is a head-indexed FIFO: pops advance a cursor instead of
 // re-slicing the front (which strands the backing array's prefix and
 // forces append to keep growing fresh arrays), and the buffer compacts
 // once the dead prefix dominates. Steady state pushes and pops without
 // allocating.
 type pktFIFO struct {
-	items []queuedPkt
+	items []*packet.Packet
 	head  int
 }
 
 func (f *pktFIFO) len() int { return len(f.items) - f.head }
 
 //speedlight:hotpath
-func (f *pktFIFO) push(q queuedPkt) { f.items = append(f.items, q) }
+//speedlight:pool-transfer pkt
+func (f *pktFIFO) push(pkt *packet.Packet) { f.items = append(f.items, pkt) }
 
 //speedlight:hotpath
-func (f *pktFIFO) peek() queuedPkt { return f.items[f.head] }
+func (f *pktFIFO) peek() *packet.Packet { return f.items[f.head] }
 
 //speedlight:hotpath
-func (f *pktFIFO) pop() queuedPkt {
-	q := f.items[f.head]
-	f.items[f.head].pkt = nil // unpin
+func (f *pktFIFO) pop() *packet.Packet {
+	pkt := f.items[f.head]
+	f.items[f.head] = nil // unpin
 	f.head++
 	if f.head == len(f.items) {
 		f.items = f.items[:0]
 		f.head = 0
 	} else if f.head >= 64 && f.head*2 >= len(f.items) {
 		n := copy(f.items, f.items[f.head:])
-		clearTail(f.items[n:])
+		clear(f.items[n:])
 		f.items = f.items[:n]
 		f.head = 0
 	}
-	return q
-}
-
-func clearTail(s []queuedPkt) {
-	for i := range s {
-		s[i].pkt = nil
-	}
+	return pkt
 }
 
 // portQueue is one egress port's set of per-class FIFO queues with a
@@ -280,12 +270,12 @@ func (q *portQueue) head() int {
 	return -1
 }
 
-// EmuSwitch is one emulated switch: data plane, control plane, clock,
+// EmuSwitch is one emulated switch: the switch proper (data plane DP
+// and control plane CP, rebuilt by every re-provisioning), its clock,
 // and per-port egress queues.
 type EmuSwitch struct {
+	*node.Switch
 	Node   topology.NodeID
-	DP     *dataplane.Switch
-	CP     *control.Plane
 	Clock  *clock.Clock
 	queues []*portQueue
 
@@ -369,11 +359,6 @@ type Network struct {
 	// switch, and transmissions onto a drained link (atomic, as
 	// wireDrops).
 	churnDrops atomic.Uint64
-	// gateSets mirrors each unit's completion-gating channels, used to
-	// filter synchronization recording to progress-relevant
-	// notifications.
-	gateSets map[dataplane.UnitID]map[int]bool
-
 	// Telemetry handles; all nil (no-op) when cfg.Registry is nil.
 	dpTel *dataplane.Telemetry
 	cpTel *control.Telemetry
@@ -549,7 +534,6 @@ func New(cfg Config) (*Network, error) {
 		sws:      make(map[topology.NodeID]*EmuSwitch),
 		syncs:    make(map[packet.SeqID]*syncWindow),
 		gauges:   make(map[dataplane.UnitID]*counters.Gauge),
-		gateSets: make(map[dataplane.UnitID]map[int]bool),
 		dpTel:    dataplane.NewTelemetry(cfg.Registry),
 		cpTel:    control.NewTelemetry(cfg.Registry),
 		tel:      newNetTelemetry(cfg.Registry),
@@ -670,70 +654,45 @@ func (n *Network) buildSwitch(spec *topology.Switch) error {
 // total order, preserving serial-vs-sharded equivalence.
 func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 	cfg := n.cfg
-	node := spec.ID
-
-	var balancer routing.Balancer = routing.ECMP{}
+	var balancer routing.Balancer
 	if cfg.NewBalancer != nil {
-		balancer = cfg.NewBalancer(node, n.eng.NewRand())
+		balancer = cfg.NewBalancer(spec.ID, n.eng.NewRand())
 	}
-	metrics := func(id dataplane.UnitID) core.Metric {
-		if cfg.Metrics != nil {
-			if m := cfg.Metrics(n, id); m != nil {
-				return m
-			}
-		}
-		return &counters.PacketCount{}
+	var metrics dataplane.MetricFactory
+	if cfg.Metrics != nil {
+		metrics = func(id dataplane.UnitID) core.Metric { return cfg.Metrics(n, id) }
 	}
-	dp, err := dataplane.New(dataplane.Config{
-		Node:          node,
-		NumPorts:      len(spec.Ports),
-		MaxID:         cfg.MaxID,
-		WrapAround:    cfg.WrapAround,
-		ChannelState:  cfg.ChannelState,
-		NumCoS:        cfg.NumCoS,
-		Metrics:       metrics,
-		NotifCapacity: cfg.NotifCapacity,
-		// Record synchronization windows at export time, while the
-		// unit's unwrapped state still matches the notification. Only
-		// progress-relevant notifications count: snapshot ID advances,
-		// and last-seen advances on channels that gate completion
-		// (structurally idle channels only ever advance via recovery
-		// markers, long after the snapshot instant).
-		OnNotify: func(notif dataplane.CPUNotification) {
-			unit := es.DP.Unit(notif.Unit)
-			if notif.SIDChanged() {
-				n.recordSync(unit.CurrentSID(), notif.Exported)
-			} else if notif.LastSeenChanged() && n.gateSets[notif.Unit][notif.Channel] {
-				n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported)
-			}
+	sw, err := node.New(node.Config{
+		Spec: spec,
+		DP: dataplane.Config{
+			MaxID:         cfg.MaxID,
+			WrapAround:    cfg.WrapAround,
+			ChannelState:  cfg.ChannelState,
+			NumCoS:        cfg.NumCoS,
+			Metrics:       metrics,
+			NotifCapacity: cfg.NotifCapacity,
+			// Record synchronization windows at export time, while the
+			// unit's unwrapped state still matches the notification. Only
+			// progress-relevant notifications count: snapshot ID advances,
+			// and last-seen advances on channels that gate completion
+			// (structurally idle channels only ever advance via recovery
+			// markers, long after the snapshot instant).
+			OnNotify: func(notif dataplane.CPUNotification) {
+				unit := es.DP.Unit(notif.Unit)
+				if notif.SIDChanged() {
+					n.recordSync(unit.CurrentSID(), notif.Exported)
+				} else if notif.LastSeenChanged() && es.CP.Gates(notif.Unit, notif.Channel) {
+					n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported)
+				}
+			},
+			FIB:              n.fibs[spec.ID],
+			Balancer:         balancer,
+			SnapshotDisabled: cfg.SnapshotDisabled[spec.ID],
+			Telemetry:        n.dpTel,
+			Journal:          cfg.Journal.For(int(spec.ID)),
 		},
-		FIB:              n.fibs[node],
-		Balancer:         balancer,
-		EdgePorts:        spec.EdgePorts(),
-		SnapshotDisabled: cfg.SnapshotDisabled[node],
-		Telemetry:        n.dpTel,
-		Journal:          cfg.Journal.For(int(node)),
-	})
-	if err != nil {
-		return err
-	}
-	es.DP = dp
-
-	baseGates := n.completionChannels(spec)
-	recordingGates := func(id dataplane.UnitID) []int {
-		chans := baseGates(id)
-		set := make(map[int]bool, len(chans))
-		for _, ch := range chans {
-			set[ch] = true
-		}
-		n.gateSets[id] = set
-		return chans
-	}
-	cp, err := control.New(control.Config{
-		Switch:             dp,
-		CompletionChannels: recordingGates,
-		Telemetry:          n.cpTel,
-		Journal:            cfg.Journal.For(int(node)),
+		Utilized:    n.utilized[spec.ID],
+		CPTelemetry: n.cpTel,
 		OnResult: func(res control.Result) {
 			// The observer lives in its own domain: results cross the
 			// network as switch-to-observer sends and land serialized in
@@ -742,48 +701,12 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 				n.obs.OnResult(res, n.obsProc.Now())
 			})
 		},
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
-	es.CP = cp
+	es.Switch = sw
 	return nil
-}
-
-// completionChannels decides which upstream channels gate snapshot
-// completion (channel-state variant), implementing the paper's
-// Section 6 "removal of non-utilized upstream neighbors": switch-facing
-// ingress units gate on their external channel; host-facing ingress
-// units gate on nothing (hosts cannot carry markers); egress units gate
-// on the internal channels some forwarding path actually uses (exact,
-// from FIB path enumeration) plus their own port, which the initiation
-// path refreshes every epoch.
-func (n *Network) completionChannels(spec *topology.Switch) func(dataplane.UnitID) []int {
-	numCoS := n.cfg.NumCoS
-	return func(id dataplane.UnitID) []int {
-		if id.Dir == dataplane.Ingress {
-			if spec.Ports[id.Port].Kind == topology.PeerSwitch {
-				chans := make([]int, numCoS)
-				for c := range chans {
-					chans[c] = c
-				}
-				return chans
-			}
-			return []int{}
-		}
-		used := n.utilized[spec.ID]
-		var chans []int
-		for p := range spec.Ports {
-			if p != id.Port && !used[[2]int{p, id.Port}] {
-				continue
-			}
-			for c := 0; c < numCoS; c++ {
-				chans = append(chans, p*numCoS+c)
-			}
-		}
-		sort.Ints(chans)
-		return chans
-	}
 }
 
 // Engine exposes the simulation engine for workload drivers and tests.
@@ -1056,25 +979,14 @@ func (n *Network) arrive(es *EmuSwitch, pkt *packet.Packet, port int) {
 		es.ppool.Put(pkt)
 		return
 	}
-	now := es.proc.Now()
 	es.pkts.Inc()
-	if topology.HostID(pkt.DstHost) == node.BroadcastHost {
-		// Marker broadcast from a neighbor: refresh this port's external
-		// channel, then die. Internal channels are refreshed by this
-		// device's own CP-injected markers, so no re-flood is needed —
-		// which also rules out flooding loops.
-		es.DP.IngressOnly(pkt, port, now)
-		es.ppool.Put(pkt)
-		n.drainNotifs(es)
-		return
-	}
-	res := es.DP.Ingress(pkt, port, now)
+	out, ok := es.Ingress(pkt, port, es.proc.Now())
 	n.drainNotifs(es)
-	if res.Drop {
+	if !ok {
 		es.ppool.Put(pkt)
 		return
 	}
-	n.enqueue(es, pkt, res.EgressPort)
+	n.enqueue(es, pkt, out)
 }
 
 // enqueue places a packet into an egress queue, dropping at capacity,
@@ -1094,7 +1006,7 @@ func (n *Network) enqueue(es *EmuSwitch, pkt *packet.Packet, port int) {
 	if cos >= len(q.perCoS) {
 		cos = len(q.perCoS) - 1
 	}
-	q.perCoS[cos].push(queuedPkt{pkt: pkt})
+	q.perCoS[cos].push(pkt)
 	n.tel.queueHighWater.SetMax(int64(q.length()))
 	n.setDepthGauge(es, port)
 	if !q.txScheduled {
@@ -1141,7 +1053,7 @@ func (n *Network) scheduleTx(es *EmuSwitch, port int) {
 		return
 	}
 	head := q.perCoS[cos].peek()
-	es.proc.AfterCall(n.serialization(es, port, head.pkt.Size),
+	es.proc.AfterCall(n.serialization(es, port, head.Size),
 		n.txFn, es, nil, es.gen<<(txPortBits+txCoSBits)|int64(port)<<txCoSBits|int64(cos))
 }
 
@@ -1159,7 +1071,7 @@ func (n *Network) txCall(a, _ any, i int64) {
 	port, cos := int(i>>txCoSBits)&(1<<txPortBits-1), int(i)&(1<<txCoSBits-1)
 	head := es.queues[port].perCoS[cos].pop()
 	n.setDepthGauge(es, port)
-	n.transmit(es, head.pkt, port)
+	n.transmit(es, head, port)
 	n.scheduleTx(es, port)
 }
 
@@ -1171,35 +1083,19 @@ func (n *Network) txCall(a, _ any, i int64) {
 //speedlight:hotpath
 //speedlight:pool-transfer pkt
 func (n *Network) transmit(es *EmuSwitch, pkt *packet.Packet, port int) {
-	now := es.proc.Now()
-	isBroadcast := topology.HostID(pkt.DstHost) == node.BroadcastHost
-	res := es.DP.Egress(pkt, port, now)
+	ok := es.Egress(pkt, port, es.proc.Now())
 	n.drainNotifs(es)
-	if res.Drop {
+	if !ok {
 		es.ppool.Put(pkt)
-		return
-	}
-	if isBroadcast {
-		// Locally injected markers cross one wire hop to refresh the
-		// neighbor's external channel; they are pointless toward hosts.
-		// Like data, they are subject to injected wire loss — the next
-		// recovery round resends them.
-		peer := n.topo.Peer(es.Node, port)
-		if peer.Kind != topology.PeerSwitch {
-			es.ppool.Put(pkt)
-			return
-		}
-		n.wireHop(es, pkt, port, peer)
 		return
 	}
 	peer := n.topo.Peer(es.Node, port)
 	switch peer.Kind {
 	case topology.PeerSwitch:
+		// Markers ride the wire like data, subject to the same injected
+		// loss — the next recovery round resends them.
 		n.wireHop(es, pkt, port, peer)
 	case topology.PeerHost:
-		if res.StripHeader {
-			pkt.StripSnap()
-		}
 		if n.cfg.OnDeliver != nil {
 			// Serialize hook invocations (and their order) through the
 			// global domain; the packet's pooled life ends in driver

@@ -17,7 +17,6 @@ import (
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/snapstore"
-	"speedlight/internal/telemetry"
 )
 
 // SnapshotRow is one unit's value in one snapshot, flattened for
@@ -129,50 +128,6 @@ func TableCSV(w io.Writer, t *experiments.Table) error {
 	for _, row := range t.Rows {
 		if err := cw.Write(row); err != nil {
 			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// TelemetryCSV writes a registry's series as long-form CSV. Counters
-// and gauges produce one row each; histograms produce one row per
-// statistic (count, sum, max, p50, p90, p99) so downstream tooling
-// never has to parse bucket structure.
-func TelemetryCSV(w io.Writer, reg *telemetry.Registry) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "stat", "value"}); err != nil {
-		return err
-	}
-	for _, s := range reg.Gather() {
-		name := s.FullName()
-		switch s.Kind {
-		case telemetry.KindCounter:
-			if err := cw.Write([]string{name, "value", fmt.Sprint(s.Value)}); err != nil {
-				return err
-			}
-		case telemetry.KindGauge:
-			if err := cw.Write([]string{name, "value", fmt.Sprint(s.GaugeValue)}); err != nil {
-				return err
-			}
-		case telemetry.KindHistogram:
-			h := s.Hist
-			stats := []struct {
-				stat  string
-				value float64
-			}{
-				{"count", float64(h.Count())},
-				{"sum", h.Sum()},
-				{"max", h.Max()},
-				{"p50", h.Quantile(0.50)},
-				{"p90", h.Quantile(0.90)},
-				{"p99", h.Quantile(0.99)},
-			}
-			for _, st := range stats {
-				if err := cw.Write([]string{name, st.stat, fmt.Sprintf("%g", st.value)}); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	cw.Flush()

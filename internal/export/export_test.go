@@ -13,7 +13,6 @@ import (
 	"speedlight/internal/experiments"
 	"speedlight/internal/journal"
 	"speedlight/internal/observer"
-	"speedlight/internal/telemetry"
 )
 
 func sampleSnaps() []*observer.GlobalSnapshot {
@@ -137,44 +136,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if err := FigureCSV(&buf, &experiments.Figure{}); err != nil {
 		t.Fatal(err)
-	}
-	if err := TelemetryCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTelemetryCSV(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("pkts_total", "packets").Add(42)
-	reg.Gauge("depth", "queue depth").Set(-3)
-	h := reg.Histogram("lat_us", "latency", []float64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-
-	var buf bytes.Buffer
-	if err := TelemetryCSV(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + counter + gauge + 6 histogram stats.
-	if len(records) != 9 {
-		t.Fatalf("records = %d:\n%v", len(records), records)
-	}
-	got := map[string]string{}
-	for _, r := range records[1:] {
-		got[r[0]+"/"+r[1]] = r[2]
-	}
-	if got["pkts_total/value"] != "42" {
-		t.Errorf("counter = %q", got["pkts_total/value"])
-	}
-	if got["depth/value"] != "-3" {
-		t.Errorf("gauge = %q", got["depth/value"])
-	}
-	if got["lat_us/count"] != "2" || got["lat_us/sum"] != "55" || got["lat_us/max"] != "50" {
-		t.Errorf("histogram stats = %v", got)
 	}
 }
 

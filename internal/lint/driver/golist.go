@@ -14,21 +14,12 @@ import (
 	"path/filepath"
 )
 
-// ListedPackage is the subset of `go list -json` output the driver
-// consumes.
+// ListedPackage is the subset of `go list -json` output the analyzer
+// test harness consumes.
 type ListedPackage struct {
 	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	CgoFiles   []string
-	Standard   bool
-	DepOnly    bool
-	ForTest    string
 	Export     string
-	Imports    []string
 	ImportMap  map[string]string
-	Error      *struct{ Err string }
 }
 
 // GoList runs `go list -export -deps -json` over the patterns and

@@ -75,6 +75,8 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	printDiagnostics(fset, diags)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
+	}
 	return len(diags), nil
 }

@@ -293,7 +293,7 @@ func splitPatterns(s string) ([]string, error) {
 
 // checkExpectations matches diagnostics against wants and reports both
 // kinds of mismatch.
-func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, findings []driver.Finding) {
+func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, findings []analysis.Diagnostic) {
 	t.Helper()
 	wants, err := collectWants(fset, files)
 	if err != nil {

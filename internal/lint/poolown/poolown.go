@@ -538,7 +538,7 @@ func (fa *fnAnalysis) expr(env flow.Env, e ast.Expr) flow.Env {
 		return fa.expr(env, e.Value)
 	case *ast.CompositeLit:
 		// Embedding a pooled value in a literal hands it to whatever
-		// owns the literal (queuedPkt{pkt: pkt}, Handle{ev: ev}).
+		// owns the literal (Handle{ev: ev}).
 		for _, el := range e.Elts {
 			v := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {

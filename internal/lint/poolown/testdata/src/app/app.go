@@ -117,7 +117,7 @@ func (n *node) escapeStore(b *box) {
 }
 
 // escapeLiteral embeds the value in a composite literal the caller
-// owns (the queuedPkt pattern).
+// owns.
 func (n *node) escapeLiteral() box {
 	pkt := n.pool.Get()
 	return box{pkt: pkt}

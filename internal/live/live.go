@@ -196,6 +196,7 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	utilized := routing.UtilizedPairs(cfg.Topo, fibs)
 
 	n := &Network{
 		cfg:  cfg,
@@ -247,15 +248,18 @@ func New(cfg Config) (*Network, error) {
 			events: swEvents.With(fmt.Sprint(spec.ID)),
 		}
 		ls.sw, err = node.New(node.Config{
-			Spec:         spec,
-			FIB:          fibs[spec.ID],
-			MaxID:        cfg.MaxID,
-			WrapAround:   cfg.WrapAround,
-			ChannelState: cfg.ChannelState,
-			Metrics:      cfg.Metrics,
-			DPTelemetry:  dpTel,
-			CPTelemetry:  cpTel,
-			Journal:      cfg.Journal.For(int(spec.ID)),
+			Spec: spec,
+			DP: dataplane.Config{
+				MaxID:        cfg.MaxID,
+				WrapAround:   cfg.WrapAround,
+				ChannelState: cfg.ChannelState,
+				Metrics:      cfg.Metrics,
+				FIB:          fibs[spec.ID],
+				Telemetry:    dpTel,
+				Journal:      cfg.Journal.For(int(spec.ID)),
+			},
+			Utilized:    utilized[spec.ID],
+			CPTelemetry: cpTel,
 			OnResult: func(res control.Result) {
 				select {
 				case n.obsEvents <- res:
@@ -345,6 +349,10 @@ func (n *Network) Stop() {
 		n.metSrv = nil
 	}
 }
+
+// Switch returns one switch, for inspection: its goroutine owns
+// everything about it that changes after New.
+func (n *Network) Switch(id topology.NodeID) *node.Switch { return n.sws[id].sw }
 
 // Registry returns the telemetry registry, or nil when disabled.
 func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }

@@ -18,11 +18,9 @@ import (
 
 // trickle has every host send one small packet a millisecond to its
 // neighbour on the same leaf until the returned stop function is
-// called. Without it a channel-state snapshot never completes here: a
-// host-facing ingress unit gates on its host's channel, which only the
-// host's own traffic refreshes (markers go out of a switch, never in
-// from a host). Nothing crosses the fabric, so every switch-to-switch
-// channel stays idle and only a neighbour's marker can advance it.
+// called, so that hosts have deliveries to inspect. Nothing crosses the
+// fabric: every switch-to-switch channel stays idle and only a
+// neighbour's marker can advance it.
 func trickle(n *Network, topo *topology.Topology) (stop func()) {
 	var wg sync.WaitGroup
 	quit := make(chan struct{})

@@ -93,13 +93,10 @@ func (e *emu) snapshot() *observer.GlobalSnapshot {
 // realtime runs live or wire: behind what they share and the two calls
 // they spell differently, this test cannot tell them apart.
 type realtime struct {
-	t            *testing.T
-	h            *hosts
-	topo         *topology.Topology
-	channelState bool
-	net          interface {
+	t   *testing.T
+	h   *hosts
+	net interface {
 		Inject(topology.HostID, *packet.Packet) error
-		Journal() *journal.Set
 		Audit() *audit.Report
 	}
 	take func() (packet.SeqID, <-chan *observer.GlobalSnapshot, error)
@@ -117,7 +114,7 @@ func newLive(t *testing.T, topo *topology.Topology, channelState bool, h *hosts)
 	n.Start()
 	t.Cleanup(n.Stop)
 	take := func() (packet.SeqID, <-chan *observer.GlobalSnapshot, error) { return n.TakeSnapshot(0) }
-	return &realtime{t, h, topo, channelState, n, take, n.Stop}
+	return &realtime{t, h, n, take, n.Stop}
 }
 
 func newWire(t *testing.T, topo *topology.Topology, channelState bool, h *hosts) runtime {
@@ -129,7 +126,7 @@ func newWire(t *testing.T, topo *topology.Topology, channelState bool, h *hosts)
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	return &realtime{t, h, topo, channelState, d, d.TakeSnapshot, d.Close}
+	return &realtime{t, h, d, d.TakeSnapshot, d.Close}
 }
 
 func (r *realtime) inject(src topology.HostID, pkt *packet.Packet) {
@@ -147,31 +144,10 @@ func (r *realtime) audit() *audit.Report {
 	return r.net.Audit()
 }
 
-// snapshot on a drained network needs one thing the emulator does not.
-// In channel-state mode live and wire gate a host-facing ingress unit
-// on its host's channel, which no marker refreshes (the emulator leaves
-// that channel out of the gate), so every host sends one more packet —
-// after every switch has initiated, where it is on the far side of the
-// cut at every unit and the counts below stay exact.
 func (r *realtime) snapshot() *observer.GlobalSnapshot {
-	id, done, err := r.take()
+	_, done, err := r.take()
 	if err != nil {
 		r.t.Fatal(err)
-	}
-	if r.channelState {
-		await(r.t, "every switch to initiate", func() bool {
-			initiated := 0
-			for _, ev := range r.net.Journal().Events() {
-				if ev.Kind == journal.KindInitiate && ev.SnapshotID == id && !ev.Flag {
-					initiated++
-				}
-			}
-			return initiated == len(r.topo.Switches)
-		})
-		for i, h := range r.topo.Hosts {
-			next := r.topo.Hosts[(i+1)%len(r.topo.Hosts)]
-			r.inject(h.ID, &packet.Packet{DstHost: uint32(next.ID), Size: 64})
-		}
 	}
 	select {
 	case g := <-done:

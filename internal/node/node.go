@@ -1,15 +1,20 @@
-// Package node is the one copy of what every Speedlight runtime does
-// around a switch: the per-packet step (ingress → notification drain →
-// egress → drain → strip → forward), initiation, the Section 6 marker
-// flood, and the collection of finished snapshots at the observer.
+// Package node is the one place a Speedlight switch is built, gated and
+// stepped, and the one copy of what every runtime does around it: the
+// per-packet step (ingress → notification drain → egress → drain →
+// strip → forward), initiation, the Section 6 marker flood, and the
+// collection of finished snapshots at the observer.
 //
 // Nothing here starts a goroutine, arms a timer or reads a clock: the
 // runtime that hosts a switch supplies time and the wire through Host
 // and decides which goroutine (or simulation domain) calls in. live
-// hosts a Switch per goroutine over channels, wire over UDP sockets;
-// emunet keeps its own packet path — it models a bounded queue and a
-// control-plane service time between ingress and egress — and shares
-// FloodMarkers and Sink.
+// hosts a Switch per goroutine over channels, wire over UDP sockets,
+// and both drive it through Packet, Initiate and Poll. emunet models
+// what sits between the two halves of the step — bounded per-class
+// egress queues and a control plane that serves one notification per
+// service time — so it calls the halves (Ingress, Egress) and
+// FloodMarkers around its own queues, CP loop, packet pools, churn
+// generations and wire. It builds no planes, decides no gates and does
+// not know what a marker is.
 package node
 
 import (
@@ -17,7 +22,6 @@ import (
 	"speedlight/internal/core"
 	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
 	"speedlight/internal/sim"
@@ -43,18 +47,17 @@ type Host interface {
 // Config describes one switch to New.
 type Config struct {
 	Spec *topology.Switch
-	FIB  *routing.FIB
+	// DP configures the data plane, in the data plane's own terms: the
+	// snapshot parameters, FIB, classes of service, notification queue,
+	// telemetry and journal (which the control plane shares). New fills
+	// Node, NumPorts and EdgePorts from Spec. A nil Balancer means ECMP;
+	// a nil Metrics, or a nil metric from it, means a packet counter.
+	DP dataplane.Config
+	// Utilized is the switch's entry of routing.UtilizedPairs, from
+	// which its completion gates derive (see completionChannels).
+	Utilized map[[2]int]bool
 
-	MaxID        uint32
-	WrapAround   bool
-	ChannelState bool
-	// Metrics builds each unit's snapshot target; nil means packet
-	// counters.
-	Metrics func(id dataplane.UnitID) core.Metric
-
-	DPTelemetry *dataplane.Telemetry
 	CPTelemetry *control.Telemetry
-	Journal     *journal.Journal
 	// OnResult ships a finished per-unit snapshot toward the observer.
 	// It runs on the goroutine that called into the switch.
 	OnResult func(control.Result)
@@ -70,33 +73,33 @@ type Switch struct {
 	host Host
 }
 
-// New builds a switch with ECMP forwarding over cfg.FIB.
+// New builds a switch. host may be nil for a runtime that drives the
+// halves of the step itself and never calls Packet, Initiate or Poll.
 func New(cfg Config, host Host) (*Switch, error) {
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = func(dataplane.UnitID) core.Metric { return &counters.PacketCount{} }
+	dpc := cfg.DP
+	dpc.Node, dpc.NumPorts, dpc.EdgePorts = cfg.Spec.ID, len(cfg.Spec.Ports), cfg.Spec.EdgePorts()
+	if dpc.Balancer == nil {
+		dpc.Balancer = routing.ECMP{}
 	}
-	dp, err := dataplane.New(dataplane.Config{
-		Node:         cfg.Spec.ID,
-		NumPorts:     len(cfg.Spec.Ports),
-		MaxID:        cfg.MaxID,
-		WrapAround:   cfg.WrapAround,
-		ChannelState: cfg.ChannelState,
-		Metrics:      metrics,
-		FIB:          cfg.FIB,
-		Balancer:     routing.ECMP{},
-		EdgePorts:    cfg.Spec.EdgePorts(),
-		Telemetry:    cfg.DPTelemetry,
-		Journal:      cfg.Journal,
-	})
+	metrics := cfg.DP.Metrics
+	dpc.Metrics = func(id dataplane.UnitID) core.Metric {
+		if metrics != nil {
+			if m := metrics(id); m != nil {
+				return m
+			}
+		}
+		return &counters.PacketCount{}
+	}
+	dp, err := dataplane.New(dpc)
 	if err != nil {
 		return nil, err
 	}
 	cp, err := control.New(control.Config{
-		Switch:    dp,
-		Telemetry: cfg.CPTelemetry,
-		Journal:   cfg.Journal,
-		OnResult:  cfg.OnResult,
+		Switch:             dp,
+		CompletionChannels: completionChannels(cfg.Spec, cfg.Utilized, dp.NumCoS()),
+		Telemetry:          cfg.CPTelemetry,
+		Journal:            dpc.Journal,
+		OnResult:           cfg.OnResult,
 	})
 	if err != nil {
 		return nil, err
@@ -104,44 +107,101 @@ func New(cfg Config, host Host) (*Switch, error) {
 	return &Switch{DP: dp, CP: cp, spec: cfg.Spec, host: host}, nil
 }
 
-// Packet runs one packet that arrived on port through the switch. A
-// neighbour's marker refreshes the port's external channel and dies
-// (this device's own flood covers its internal channels, which also
-// rules out flooding loops); anything else is forwarded or dropped.
-//
-//speedlight:hotpath
-func (s *Switch) Packet(pkt *packet.Packet, port int) {
-	now := s.host.Now()
-	if topology.HostID(pkt.DstHost) == BroadcastHost {
-		s.DP.IngressOnly(pkt, port, now)
-		s.drain(now)
-		return
-	}
-	res := s.DP.Ingress(pkt, port, now)
-	s.drain(now)
-	if !res.Drop {
-		s.egress(pkt, res.EgressPort, now)
+// completionChannels decides which upstream channels gate a unit's
+// snapshot completion (channel-state variant), implementing the paper's
+// Section 6 "removal of non-utilized upstream neighbors": a
+// switch-facing ingress unit gates on its external class channels; a
+// host-facing ingress unit gates on nothing (hosts cannot carry
+// markers); an egress unit gates on the internal channels some
+// forwarding path actually uses (used: exact, from FIB path
+// enumeration) plus its own port, which the initiation path refreshes
+// every epoch. A channel no route uses is not an incident channel of
+// the unit: nothing will ever arrive on it to wait for. Channels come
+// out ascending.
+func completionChannels(spec *topology.Switch, used map[[2]int]bool, numCoS int) func(dataplane.UnitID) []int {
+	return func(id dataplane.UnitID) []int {
+		if id.Dir == dataplane.Ingress {
+			if spec.Ports[id.Port].Kind == topology.PeerSwitch {
+				chans := make([]int, numCoS)
+				for c := range chans {
+					chans[c] = c
+				}
+				return chans
+			}
+			return []int{}
+		}
+		var chans []int
+		for p := range spec.Ports {
+			if p != id.Port && !used[[2]int{p, id.Port}] {
+				continue
+			}
+			for c := 0; c < numCoS; c++ {
+				chans = append(chans, p*numCoS+c)
+			}
+		}
+		return chans
 	}
 }
 
-// egress runs the egress unit and hands the packet to the host.
-// Initiations are consumed by the unit; markers cross one switch link
-// and are pointless toward anything else.
+// Ingress is the ingress half of the step, for a packet that arrived on
+// port: a neighbour's marker refreshes the port's external channel and
+// dies (this device's own flood covers its internal channels, which
+// also rules out flooding loops); anything else is routed. ok is false
+// when the packet ends here. The caller drains notifications next.
 //
 //speedlight:hotpath
-func (s *Switch) egress(pkt *packet.Packet, port int, now sim.Time) {
+func (s *Switch) Ingress(pkt *packet.Packet, port int, now sim.Time) (egress int, ok bool) {
+	if topology.HostID(pkt.DstHost) == BroadcastHost {
+		s.DP.IngressOnly(pkt, port, now)
+		return 0, false
+	}
+	res := s.DP.Ingress(pkt, port, now)
+	return res.EgressPort, !res.Drop
+}
+
+// Egress is the egress half of the step, after any queueing: it runs
+// port's egress unit and reports whether the packet goes on the wire
+// behind port. Initiations are consumed by the unit; markers cross one
+// switch link and are pointless toward anything else; the snapshot
+// header comes off at the edge. The caller drains notifications next.
+//
+//speedlight:hotpath
+func (s *Switch) Egress(pkt *packet.Packet, port int, now sim.Time) bool {
 	res := s.DP.Egress(pkt, port, now)
-	s.drain(now)
 	if res.Drop {
-		return
+		return false
 	}
 	if topology.HostID(pkt.DstHost) == BroadcastHost && s.spec.Ports[port].Kind != topology.PeerSwitch {
-		return
+		return false
 	}
 	if res.StripHeader {
 		pkt.StripSnap()
 	}
-	s.host.Forward(port, pkt)
+	return true
+}
+
+// Packet runs one packet that arrived on port through the switch: both
+// halves of the step at one instant, forwarded or dropped.
+//
+//speedlight:hotpath
+func (s *Switch) Packet(pkt *packet.Packet, port int) {
+	now := s.host.Now()
+	out, ok := s.Ingress(pkt, port, now)
+	s.drain(now)
+	if ok {
+		s.send(pkt, out, now)
+	}
+}
+
+// send runs the egress half and hands the packet to the host.
+//
+//speedlight:hotpath
+func (s *Switch) send(pkt *packet.Packet, port int, now sim.Time) {
+	ok := s.Egress(pkt, port, now)
+	s.drain(now)
+	if ok {
+		s.host.Forward(port, pkt)
+	}
 }
 
 // drain feeds pending data-plane notifications to the control plane.
@@ -164,7 +224,7 @@ func (s *Switch) drain(now sim.Time) {
 func (s *Switch) Initiate(id packet.SeqID, markers bool) {
 	now := s.host.Now()
 	for _, init := range s.CP.Initiate(id, now) {
-		s.egress(init.Pkt, init.Port, now)
+		s.send(init.Pkt, init.Port, now)
 	}
 	s.drain(now)
 	if markers {
@@ -183,7 +243,7 @@ type step struct {
 }
 
 func (st step) Drain()                              { st.s.drain(st.now) }
-func (st step) Egress(pkt *packet.Packet, port int) { st.s.egress(pkt, port, st.now) }
+func (st step) Egress(pkt *packet.Packet, port int) { st.s.send(pkt, port, st.now) }
 
 // MarkerSink is where FloodMarkers sends its work.
 type MarkerSink interface {

@@ -73,15 +73,18 @@ func testSwitches(t testing.TB, channelState bool, jr *journal.Journal) (sws [2]
 	if err != nil {
 		t.Fatal(err)
 	}
+	utilized := routing.UtilizedPairs(topo, fibs)
 	for i, spec := range topo.Switches {
 		if i > 0 {
 			jr = nil
 		}
 		hosts[i] = &fakeHost{}
 		sws[i], err = New(Config{
-			Spec: spec, FIB: fibs[spec.ID],
-			MaxID: 16, WrapAround: true, ChannelState: channelState,
-			Journal: jr, OnResult: hosts[i].onResult,
+			Spec: spec,
+			DP: dataplane.Config{
+				FIB: fibs[spec.ID], MaxID: 16, WrapAround: true, ChannelState: channelState, Journal: jr,
+			},
+			Utilized: utilized[spec.ID], OnResult: hosts[i].onResult,
 		}, hosts[i])
 		if err != nil {
 			t.Fatal(err)
@@ -257,7 +260,7 @@ func TestFloodShape(t *testing.T) {
 // TestPacketStepAllocs: the realtime per-packet path — ingress, drain,
 // egress, strip, forward — does not allocate in steady state.
 //
-//speedlight:allocgate node.Switch.Packet node.Switch.egress node.Switch.drain
+//speedlight:allocgate node.Switch.Packet node.Switch.Ingress node.Switch.Egress node.Switch.send node.Switch.drain
 func TestPacketStepAllocs(t *testing.T) {
 	sw, h := testSwitch(t, false, nil)
 	h.quiet = true

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -126,13 +125,6 @@ func (r *Registry) JSONValue() map[string]any {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders the registry as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.JSONValue())
 }
 
 // WriteSummary renders a human-readable end-of-run table: counters and

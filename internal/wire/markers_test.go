@@ -15,8 +15,7 @@ import (
 // every port in channel-state mode; the copies bound for host-facing
 // ports must die at the switch, not cross the sink socket to OnDeliver.
 // Each host trickles one packet a millisecond to a neighbour on its
-// leaf: a host-facing ingress unit gates on its host's channel, which
-// only the host's own traffic refreshes.
+// leaf, so that hosts have deliveries to inspect.
 func TestMarkersNeverReachHosts(t *testing.T) {
 	ls := leafSpine(t)
 	var markers, delivered atomic.Int64

@@ -180,6 +180,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
+	utilized := routing.UtilizedPairs(cfg.Topo, fibs)
 
 	d := &Deployment{
 		cfg:      cfg,
@@ -223,7 +224,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 
 	// Build and bind every switch.
 	for _, spec := range cfg.Topo.Switches {
-		sn, err := d.buildSwitch(spec, fibs[spec.ID])
+		sn, err := d.buildSwitch(spec, fibs[spec.ID], utilized[spec.ID])
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -260,7 +261,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB) (*switchNode, error) {
+func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utilized map[[2]int]bool) (*switchNode, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, err
@@ -277,13 +278,16 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB) (*swit
 		scratch:      make([]byte, 0, maxMsgLen),
 	}
 	sn.sw, err = node.New(node.Config{
-		Spec:         spec,
-		FIB:          fib,
-		MaxID:        d.cfg.MaxID,
-		WrapAround:   d.cfg.WrapAround,
-		ChannelState: d.cfg.ChannelState,
-		Metrics:      d.cfg.Metrics,
-		Journal:      d.cfg.Journal.For(int(spec.ID)),
+		Spec: spec,
+		DP: dataplane.Config{
+			MaxID:        d.cfg.MaxID,
+			WrapAround:   d.cfg.WrapAround,
+			ChannelState: d.cfg.ChannelState,
+			Metrics:      d.cfg.Metrics,
+			FIB:          fib,
+			Journal:      d.cfg.Journal.For(int(spec.ID)),
+		},
+		Utilized: utilized,
 		OnResult: func(res control.Result) {
 			// Ship over the wire to the observer. Runs on the switch
 			// goroutine (inside handle), so the scratch is free.
@@ -396,6 +400,10 @@ func (d *Deployment) TakeSnapshot() (packet.SeqID, <-chan *observer.GlobalSnapsh
 	}
 	return id, sub, nil
 }
+
+// Switch returns one switch, for inspection: its goroutine owns
+// everything about it that changes after Deploy.
+func (d *Deployment) Switch(id topology.NodeID) *node.Switch { return d.switches[id].sw }
 
 // Journal returns the flight-recorder set, or nil when journaling is
 // disabled.
