@@ -3,7 +3,7 @@
 
 SLVET := $(CURDIR)/bin/speedlightvet
 
-.PHONY: all help build test race lint hotgate vet bench-shards churn loc clean
+.PHONY: all help build test race lint hotgate vet bench-shards churn figures loc clean
 
 all: build lint hotgate test
 
@@ -21,6 +21,9 @@ help:
 	@echo "  churn        seeded churn scenario suite under -race with"
 	@echo "               shuffled order, then all four CLI scenarios at"
 	@echo "               shards 1/4/8 (CI churn-scenarios gate)"
+	@echo "  figures      regenerate every table and figure of the paper's"
+	@echo "               evaluation and diff it against the committed"
+	@echo "               experiments_output.txt (CI figures gate, ~1 min)"
 	@echo "  loc          non-test Go lines per package (non-blank,"
 	@echo "               non-comment), the tracked size metric"
 	@echo "  clean        remove bin/"
@@ -79,6 +82,17 @@ churn:
 	    echo "$$out" | grep "churn scenario" || exit 1; \
 	  done; \
 	done
+
+# figures is the output-identity gate for the evaluation harnesses:
+# experiments_output.txt is what `cmd/experiments -run all` prints with
+# its "(… took …)" wall-clock lines dropped — the only bytes of it that
+# are not a function of the seed — so any difference is a behaviour
+# change in a figure. After an intended one, regenerate the file with
+# the same pipeline and commit it with the change.
+figures:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	go run ./cmd/experiments -run all | grep -v ' took ' > "$$tmp" && \
+	diff experiments_output.txt "$$tmp" && echo "figures: experiments_output.txt is what the tree prints"
 
 # loc prints non-blank, non-comment lines of non-test Go per package
 # and in total (blank lines and // comment lines dropped; the tree has

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"speedlight/internal/experiments"
-	"speedlight/internal/export"
 	"speedlight/internal/sim"
 )
 
@@ -75,7 +74,7 @@ func main() {
 		timed("table1", func() {
 			tbl := experiments.Table1(*ports)
 			tbl.Fprint(out)
-			writeCSV("table1", func(w io.Writer) error { return export.TableCSV(w, tbl) })
+			writeCSV("table1", tbl.WriteCSV)
 		})
 	}
 	if all || want["fig9"] {
@@ -87,7 +86,7 @@ func main() {
 			fig := experiments.Fig9(cfg).Figure()
 			fig.Fprint(out)
 			fig.FprintPlot(out, 72, 18)
-			writeCSV("fig9", func(w io.Writer) error { return export.FigureCSV(w, fig) })
+			writeCSV("fig9", fig.WriteCSV)
 		})
 	}
 	if all || want["fig10"] {
@@ -99,7 +98,7 @@ func main() {
 			}
 			fig := experiments.Fig10(cfg).Figure()
 			fig.Fprint(out)
-			writeCSV("fig10", func(w io.Writer) error { return export.FigureCSV(w, fig) })
+			writeCSV("fig10", fig.WriteCSV)
 		})
 	}
 	if all || want["fig11"] {
@@ -112,7 +111,7 @@ func main() {
 			fig := experiments.Fig11(cfg).Figure()
 			fig.Fprint(out)
 			fig.FprintPlot(out, 72, 14)
-			writeCSV("fig11", func(w io.Writer) error { return export.FigureCSV(w, fig) })
+			writeCSV("fig11", fig.WriteCSV)
 		})
 	}
 	if all || want["fig12"] {
@@ -123,10 +122,7 @@ func main() {
 			}
 			for i, f := range experiments.Fig12(cfg).Figures() {
 				f.Fprint(out)
-				f := f
-				writeCSV(fmt.Sprintf("fig12-%c", 'a'+i), func(w io.Writer) error {
-					return export.FigureCSV(w, f)
-				})
+				writeCSV(fmt.Sprintf("fig12-%c", 'a'+i), f.WriteCSV)
 			}
 		})
 	}
@@ -150,7 +146,7 @@ func main() {
 			}
 			tbl := experiments.Fig13(cfg).Table()
 			tbl.Fprint(out)
-			writeCSV("fig13", func(w io.Writer) error { return export.TableCSV(w, tbl) })
+			writeCSV("fig13", tbl.WriteCSV)
 		})
 	}
 

@@ -124,15 +124,8 @@ func campaign() {
 		cfg.OnAnomaly = func(reason string, snapshotID packet.SeqID, dump []journal.Event) {
 			dumps++
 			path := filepath.Join(*flightDir, fmt.Sprintf("snapshot-%d-dump-%d.jsonl", snapshotID, dumps))
-			f, err := os.Create(path)
-			if err != nil {
+			if err := writeFile(path, func(w io.Writer) error { return journal.WriteJSONL(w, dump) }); err != nil {
 				fmt.Fprintf(os.Stderr, "flight recorder: %v\n", err)
-				return
-			}
-			werr := journal.WriteJSONL(f, dump)
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				fmt.Fprintf(os.Stderr, "flight recorder: writing %s: %v %v\n", path, werr, cerr)
 				return
 			}
 			fmt.Printf("flight recorder: %s -> %s (%d events)\n", reason, path, len(dump))
@@ -227,7 +220,7 @@ func campaign() {
 		ctrl.Start()
 	}
 
-	if app := buildWorkload(*wl, *tracePath, net); app != nil {
+	if app := campaignWorkload(*wl, *tracePath, net.Inner()); app != nil {
 		app.Start()
 		defer app.Stop()
 	}
@@ -257,35 +250,19 @@ func campaign() {
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatalf("creating %s: %v", *csvPath, err)
-		}
-		if err := export.SnapshotsCSV(f, net.Inner().Snapshots()); err != nil {
-			fatalf("writing csv: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing csv: %v", err)
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
+		artifact(*csvPath, "", func(w io.Writer) error {
+			return export.SnapshotsCSV(w, net.Inner().Snapshots())
+		})
 	}
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("creating %s: %v", *traceOut, err)
-		}
 		traces := net.EpochTraces()
-		if err := epochtrace.WriteChromeTrace(f, traces); err != nil {
-			fatalf("writing trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing trace: %v", err)
-		}
-		fmt.Printf("wrote %s (%d epochs)\n", *traceOut, len(traces))
+		artifact(*traceOut, fmt.Sprintf("%d epochs", len(traces)), func(w io.Writer) error {
+			return epochtrace.WriteChromeTrace(w, traces)
+		})
 	}
 
-	if cfg.Registry != nil {
+	if *summary {
 		fmt.Println("\ntelemetry summary:")
 		if err := cfg.Registry.WriteSummary(os.Stdout); err != nil {
 			fatalf("writing summary: %v", err)
@@ -293,68 +270,31 @@ func campaign() {
 	}
 
 	if *snapstoreOut != "" {
-		f, err := os.Create(*snapstoreOut)
-		if err != nil {
-			fatalf("creating %s: %v", *snapstoreOut, err)
-		}
 		v := cfg.Snapstore.View()
-		if err := export.SnapshotsJSONL(f, v); err != nil {
-			fatalf("writing snapshot history: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing snapshot history: %v", err)
-		}
-		fmt.Printf("wrote %s (%d epochs)\n", *snapstoreOut, v.Len())
+		artifact(*snapstoreOut, fmt.Sprintf("%d epochs", v.Len()), v.WriteJSONL)
 	}
 
 	if *invariantsOut != "" {
-		f, err := os.Create(*invariantsOut)
-		if err != nil {
-			fatalf("creating %s: %v", *invariantsOut, err)
-		}
-		if err := export.InvariantsCSV(f, cfg.Invariants); err != nil {
-			fatalf("writing invariants: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing invariants: %v", err)
-		}
-		fmt.Printf("wrote %s (%d invariants, %d violations)\n",
-			*invariantsOut, len(cfg.Invariants.Status()), len(cfg.Invariants.Violations()))
+		artifact(*invariantsOut,
+			fmt.Sprintf("%d invariants, %d violations", len(cfg.Invariants.Status()), len(cfg.Invariants.Violations())),
+			func(w io.Writer) error { return export.InvariantsCSV(w, cfg.Invariants) })
 	}
 
 	if *journalOut != "" {
-		f, err := os.Create(*journalOut)
-		if err != nil {
-			fatalf("creating %s: %v", *journalOut, err)
-		}
 		events := cfg.Journal.Events()
-		if strings.HasSuffix(*journalOut, ".csv") {
-			err = journal.WriteCSV(f, events)
-		} else {
-			err = journal.WriteJSONL(f, events)
-		}
-		if err != nil {
-			fatalf("writing journal: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing journal: %v", err)
-		}
-		fmt.Printf("wrote %s (%d events)\n", *journalOut, len(events))
+		artifact(*journalOut, fmt.Sprintf("%d events", len(events)), func(w io.Writer) error {
+			if strings.HasSuffix(*journalOut, ".csv") {
+				return journal.WriteCSV(w, events)
+			}
+			return journal.WriteJSONL(w, events)
+		})
 	}
 
 	if *traceEpochs != "" {
 		traces := net.EpochTraces()
-		f, err := os.Create(*traceEpochs)
-		if err != nil {
-			fatalf("creating %s: %v", *traceEpochs, err)
-		}
-		if err := epochtrace.WriteJSONL(f, traces); err != nil {
-			fatalf("writing epoch traces: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing epoch traces: %v", err)
-		}
-		fmt.Printf("wrote %s (%d epochs)\n", *traceEpochs, len(traces))
+		artifact(*traceEpochs, fmt.Sprintf("%d epochs", len(traces)), func(w io.Writer) error {
+			return epochtrace.WriteJSONL(w, traces)
+		})
 		roll := epochtrace.NewRollup(traces)
 		roll.Blocking = net.BlockedProfile()
 		printCritical(os.Stdout, roll)
@@ -467,7 +407,7 @@ func doctor(args []string) {
 		ChannelState: *chanState,
 	})
 	if *jsonOut {
-		err = export.AuditJSON(os.Stdout, rep)
+		err = rep.WriteJSON(os.Stdout)
 	} else {
 		err = rep.WriteText(os.Stdout)
 	}
@@ -531,35 +471,13 @@ func doctorURL(base string, jsonOut bool) {
 			jsonOrNull(snapsRaw), jsonOrNull(invsRaw), jsonOrNull(critRaw))
 	}
 
-	var snaps struct {
-		Retained int `json:"retained"`
-		Epochs   []struct {
-			Epoch      uint64 `json:"epoch"`
-			SyncNS     int64  `json:"sync_ns"`
-			Consistent bool   `json:"consistent"`
-			Deltas     int    `json:"deltas"`
-			Base       bool   `json:"base"`
-		} `json:"epochs"`
-	}
+	var snaps snapstore.ListJSON
 	if snapsRaw != nil {
 		if err := json.Unmarshal(snapsRaw, &snaps); err != nil {
 			fatalf("parsing /snapshots: %v", err)
 		}
 	}
-	var invs struct {
-		Invariants []struct {
-			Name       string `json:"name"`
-			Evals      uint64 `json:"evals"`
-			Violations uint64 `json:"violations"`
-			OK         bool   `json:"ok"`
-			Detail     string `json:"detail"`
-		} `json:"invariants"`
-		History []struct {
-			Invariant string `json:"invariant"`
-			Epoch     uint64 `json:"epoch"`
-			Detail    string `json:"detail"`
-		} `json:"history"`
-	}
+	var invs invariant.ReportJSON
 	if invsRaw != nil {
 		if err := json.Unmarshal(invsRaw, &invs); err != nil {
 			fatalf("parsing /invariants: %v", err)
@@ -660,24 +578,13 @@ func readJournal(in *os.File, path, format string) ([]journal.Event, error) {
 	}
 }
 
-// buildWorkload wires a traffic generator to the facade's inner
-// emulation via the shared host ID space.
-func buildWorkload(name, tracePath string, net *speedlight.Network) workload.App {
-	inner, hosts := innerOf(net)
-	if inner == nil {
-		return nil
-	}
+// campaignWorkload wires a traffic generator to the facade's inner
+// emulation: the paper's workloads by name, plus the CLI's own "none"
+// and "trace" (a recorded CSV replayed on a 2 ms loop).
+func campaignWorkload(name, tracePath string, net *emunet.Network) workload.App {
 	switch name {
 	case "none":
 		return nil
-	case "uniform":
-		return &workload.Uniform{Net: inner, Hosts: hosts}
-	case "hadoop":
-		return &workload.Terasort{Net: inner, Mappers: hosts, Reducers: hosts}
-	case "graphx":
-		return &workload.PageRank{Net: inner, Workers: hosts[1:]}
-	case "memcache":
-		return &workload.Memcache{Net: inner, Clients: hosts[:1], Servers: hosts[1:]}
 	case "trace":
 		if tracePath == "" {
 			fatalf("-workload trace requires -trace <file>")
@@ -691,21 +598,41 @@ func buildWorkload(name, tracePath string, net *speedlight.Network) workload.App
 		if err != nil {
 			fatalf("parsing trace: %v", err)
 		}
-		return &workload.Replay{Net: inner, Events: events, Loop: 2 * sim.Millisecond}
-	default:
-		fatalf("unknown workload %q", name)
-		return nil
+		return &workload.Replay{Net: net, Events: events, Loop: 2 * sim.Millisecond}
 	}
+	app, err := workload.ByName(name, net)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return app
 }
 
-// innerOf exposes the facade's emulation for workload attachment.
-func innerOf(net *speedlight.Network) (*emunet.Network, []topology.HostID) {
-	inner := net.Inner()
-	var hosts []topology.HostID
-	for _, h := range inner.Topo().Hosts {
-		hosts = append(hosts, h.ID)
+// writeFile creates path, hands the file to write and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating %s: %w", path, err)
 	}
-	return inner, hosts
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", path, err)
+	}
+	return nil
+}
+
+// artifact writes one of the campaign's output files and reports it,
+// with detail (when there is any) in parentheses; a failure is fatal.
+func artifact(path, detail string, write func(io.Writer) error) {
+	if err := writeFile(path, write); err != nil {
+		fatalf("%v", err)
+	}
+	if detail != "" {
+		detail = " (" + detail + ")"
+	}
+	fmt.Printf("wrote %s%s\n", path, detail)
 }
 
 func fatalf(format string, args ...any) {

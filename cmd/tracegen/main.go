@@ -63,22 +63,9 @@ func main() {
 		fatalf("network: %v", err)
 	}
 
-	var hosts []topology.HostID
-	for _, h := range ls.Hosts {
-		hosts = append(hosts, h.ID)
-	}
-	var app workload.App
-	switch *wl {
-	case "uniform":
-		app = &workload.Uniform{Net: net, Hosts: hosts}
-	case "hadoop":
-		app = &workload.Terasort{Net: net, Mappers: hosts, Reducers: hosts}
-	case "graphx":
-		app = &workload.PageRank{Net: net, Workers: hosts[1:]}
-	case "memcache":
-		app = &workload.Memcache{Net: net, Clients: hosts[:1], Servers: hosts[1:]}
-	default:
-		fatalf("unknown workload %q", *wl)
+	app, err := workload.ByName(*wl, net)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	app.Start()
 	net.RunFor(sim.Duration(duration.Nanoseconds()))

@@ -22,6 +22,7 @@ import (
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
+	"speedlight/internal/packet"
 	"speedlight/internal/polling"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
@@ -58,10 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var hosts []topology.HostID
-	for _, h := range ls.Hosts {
-		hosts = append(hosts, h.ID)
-	}
+	hosts := ls.HostIDs()
 	// Host 0 is the memcache client; everyone else serves. Responses
 	// from 5 servers converge on host 0's access link: incast.
 	mc := &workload.Memcache{
@@ -78,11 +76,9 @@ func main() {
 
 	// Series per egress port, sampled by snapshots and by polling.
 	var units []dataplane.UnitID
-	for _, sw := range ls.Switches {
-		for _, id := range net.Switch(sw.ID).DP.UnitIDs() {
-			if id.Dir == dataplane.Egress {
-				units = append(units, id)
-			}
+	for _, id := range net.Units() {
+		if id.Dir == dataplane.Egress {
+			units = append(units, id)
 		}
 	}
 	idx := map[dataplane.UnitID]int{}
@@ -93,18 +89,15 @@ func main() {
 	poller := polling.New(net, polling.Config{})
 
 	const rounds = 120
-	for i := 0; i < rounds; i++ {
-		net.Engine().After(237*sim.Microsecond, func() {
-			net.ScheduleSnapshot(net.Engine().Now().Add(100 * sim.Microsecond))
-			poller.PollAll(units, func(s []polling.Sample) {
-				for _, smp := range s {
-					pollSeries[idx[smp.Unit]] = append(pollSeries[idx[smp.Unit]], float64(smp.Value))
-				}
-			})
+	net.SnapshotSeries(rounds, 237*sim.Microsecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+		id, err := net.ScheduleSnapshot(now.Add(100 * sim.Microsecond))
+		poller.PollAll(units, func(s []polling.Sample) {
+			for _, smp := range s {
+				pollSeries[idx[smp.Unit]] = append(pollSeries[idx[smp.Unit]], float64(smp.Value))
+			}
 		})
-		net.RunFor(237 * sim.Microsecond)
-	}
-	net.RunFor(50 * sim.Millisecond)
+		return id, err
+	})
 
 	snapSeries := analysis.UnitSeries(net.Snapshots(), units)
 	equalize(pollSeries)

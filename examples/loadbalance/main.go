@@ -13,10 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"speedlight/internal/core"
-	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
 	"speedlight/internal/invariant"
@@ -58,14 +55,9 @@ func measure(balancer string) (snapCDF, pollCDF *stats.CDF, skewEvals, skewViols
 	}
 
 	// The uplink egress units of each leaf.
-	var groups [][]dataplane.UnitID
+	groups := emunet.UplinkUnits(ls)
 	var flat []dataplane.UnitID
-	for _, leaf := range ls.Leaves {
-		var g []dataplane.UnitID
-		for _, port := range ls.UplinkPorts(leaf) {
-			g = append(g, dataplane.UnitID{Node: leaf, Port: port, Dir: dataplane.Egress})
-		}
-		groups = append(groups, g)
+	for _, g := range groups {
 		flat = append(flat, g...)
 	}
 
@@ -84,62 +76,42 @@ func measure(balancer string) (snapCDF, pollCDF *stats.CDF, skewEvals, skewViols
 		Topo:  ls.Topology,
 		Seed:  7,
 		MaxID: 256, WrapAround: true,
-		Metrics: func(net *emunet.Network, id dataplane.UnitID) core.Metric {
-			if id.Dir == dataplane.Egress {
-				eng := net.Engine()
-				return counters.NewEWMAInterarrival(func() int64 { return int64(eng.Now()) })
-			}
-			return &counters.PacketCount{}
-		},
+		Metrics:    emunet.EWMAMetrics,
 		Snapstore:  store,
 		Invariants: inv,
 	}
 	if balancer == "flowlet" {
-		cfg.NewBalancer = func(_ topology.NodeID, r *rand.Rand) routing.Balancer {
-			return routing.NewFlowlet(100*sim.Microsecond, r)
-		}
+		cfg.NewBalancer = routing.PaperFlowlet
 	}
 	net, err := emunet.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var hosts []topology.HostID
-	for _, h := range ls.Hosts {
-		hosts = append(hosts, h.ID)
+	shuffle, err := workload.ByName("hadoop", net)
+	if err != nil {
+		log.Fatal(err)
 	}
-	shuffle := &workload.Terasort{Net: net, Mappers: hosts, Reducers: hosts}
 	shuffle.Start()
 	defer shuffle.Stop()
 	net.RunFor(5 * sim.Millisecond)
 
 	poller := polling.New(net, polling.Config{})
 	var snapStd, pollStd []float64
-	var ids []packet.SeqID
 	const rounds = 100
-	for i := 0; i < rounds; i++ {
-		net.Engine().After(sim.Millisecond, func() {
-			if id, err := net.ScheduleSnapshot(net.Engine().Now().Add(200 * sim.Microsecond)); err == nil {
-				ids = append(ids, id)
+	ids := net.SnapshotSeries(rounds, sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
+		poller.PollAll(flat, func(s []polling.Sample) {
+			byUnit := map[dataplane.UnitID]float64{}
+			for _, smp := range s {
+				byUnit[smp.Unit] = float64(smp.Value) / 1000
 			}
-			poller.PollAll(flat, func(s []polling.Sample) {
-				byUnit := map[dataplane.UnitID]float64{}
-				for _, smp := range s {
-					byUnit[smp.Unit] = float64(smp.Value) / 1000
-				}
-				pollStd = append(pollStd, groupStddev(groups, byUnit)...)
-			})
+			pollStd = append(pollStd, groupStddev(groups, byUnit)...)
 		})
-		net.RunFor(sim.Millisecond)
-	}
-	net.RunFor(50 * sim.Millisecond)
+		return id, err
+	})
 
-	byID := map[packet.SeqID]bool{}
-	for _, g := range net.Snapshots() {
-		if byID[g.ID] {
-			continue
-		}
-		byID[g.ID] = true
+	for _, g := range net.Completed(ids) {
 		byUnit := map[dataplane.UnitID]float64{}
 		for _, u := range flat {
 			if v, ok := g.Value(u); ok {

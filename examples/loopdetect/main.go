@@ -106,11 +106,7 @@ func runTrial(seed int64) (si, st, pi, pt int, evals, viols uint64) {
 	net.Gauge(leaf1).Set(1)
 
 	// Background traffic keeps the snapshot protocol advancing.
-	var hosts []topology.HostID
-	for _, h := range ls.Hosts {
-		hosts = append(hosts, h.ID)
-	}
-	bg := &workload.Uniform{Net: net, Hosts: hosts, Interval: 2 * sim.Microsecond}
+	bg := &workload.Uniform{Net: net, Hosts: ls.HostIDs(), Interval: 2 * sim.Microsecond}
 	bg.Start()
 	defer bg.Stop()
 	net.RunFor(sim.Millisecond)
@@ -137,11 +133,7 @@ func runTrial(seed int64) (si, st, pi, pt int, evals, viols uint64) {
 	net.Engine().After(phase, func() {
 		// Sweep everything, as a real polling framework would; extract
 		// the two version registers.
-		var sweep []dataplane.UnitID
-		for _, sw := range ls.Switches {
-			sweep = append(sweep, net.Switch(sw.ID).DP.UnitIDs()...)
-		}
-		poller.PollAll(sweep, func(s []polling.Sample) {
+		poller.PollAll(net.Units(), func(s []polling.Sample) {
 			for _, smp := range s {
 				switch smp.Unit {
 				case leaf0:

@@ -66,10 +66,8 @@ func run(scenario string) (*stats.CDF, float64, uint64, uint64) {
 	}
 	// The uplink egress units whose queue depths the snapshots capture.
 	var unitList []dataplane.UnitID
-	for _, leaf := range ls.Leaves {
-		for _, port := range ls.UplinkPorts(leaf) {
-			unitList = append(unitList, dataplane.UnitID{Node: leaf, Port: port, Dir: dataplane.Egress})
-		}
+	for _, g := range emunet.UplinkUnits(ls) {
+		unitList = append(unitList, g...)
 	}
 
 	// Every sealed epoch streams through a provisioning-headroom
@@ -134,17 +132,11 @@ func run(scenario string) (*stats.CDF, float64, uint64, uint64) {
 	net.RunFor(3 * sim.Millisecond)
 
 	// Snapshot queue depth at random phases of the burst cycle.
-	var ids []packet.SeqID
-	stride := burstPeriod + 137*sim.Microsecond // sweeps the phase
-	for i := 0; i < rounds; i++ {
-		eng.After(stride, func() {
-			if id, err := net.ScheduleSnapshot(eng.Now().Add(100 * sim.Microsecond)); err == nil {
-				ids = append(ids, id)
-			}
-		})
-		net.RunFor(stride)
-	}
-	elapsed := eng.Now()
+	const stride = burstPeriod + 137*sim.Microsecond // sweeps the phase
+	net.SnapshotSeries(rounds, stride, 0, func(now sim.Time) (packet.SeqID, error) {
+		return net.ScheduleSnapshot(now.Add(100 * sim.Microsecond))
+	})
+	elapsed := eng.Now() // the measured window ends before the drain
 	net.RunFor(50 * sim.Millisecond)
 
 	loaded := analysis.ConcurrentLoad(net.Snapshots(), unitList, 2)

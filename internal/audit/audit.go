@@ -624,6 +624,15 @@ func (r *Report) WriteText(w io.Writer) error {
 	return nil
 }
 
+// WriteJSON writes the report as indented JSON — shared by `speedlight
+// doctor -json`, the /audit endpoint and the determinism harness, whose
+// canonical audit bytes these are.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
 // HTTPHandler serves the report produced by run as JSON, or the human
 // rendering with ?format=text — the /audit endpoint on the telemetry
 // mux.
@@ -642,9 +651,7 @@ func HTTPHandler(run func() *Report) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := rep.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -367,3 +367,32 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("nil report should 503, got %d", rec.Code)
 	}
 }
+
+func TestAuditExports(t *testing.T) {
+	rep := Run(seq(
+		journal.Config(256, true, true),
+		journal.Register(0, 1, journal.DirIngress),
+		journal.ObsBegin(1000, 1),
+		journal.Record(1500, 0, 1, journal.DirIngress, 4, 0, 1, 1),
+		journal.Absorb(1600, 0, 1, journal.DirIngress, 4, 0, 1),
+		journal.NotifDropped(1700, 0, 1, journal.DirIngress, 1),
+		journal.ObsComplete(2000, 1, true, 0),
+	), Config{})
+	var js bytes.Buffer
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+		t.Fatalf("WriteJSON output does not parse: %v", err)
+	}
+	if len(back.Verdicts) != len(rep.Verdicts) {
+		t.Fatalf("verdicts lost in JSON: got %d want %d", len(back.Verdicts), len(rep.Verdicts))
+	}
+	// The /audit endpoint serves the same bytes.
+	rec := httptest.NewRecorder()
+	HTTPHandler(func() *Report { return rep }).ServeHTTP(rec, httptest.NewRequest("GET", "/audit", nil))
+	if !bytes.Equal(rec.Body.Bytes(), js.Bytes()) {
+		t.Fatalf("/audit differs from WriteJSON:\n%s\nvs\n%s", rec.Body.Bytes(), js.Bytes())
+	}
+}

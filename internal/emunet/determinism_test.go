@@ -143,7 +143,7 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 	if err := journal.WriteJSONL(&jb, set.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.AuditJSON(&ab, rep); err != nil {
+	if err := rep.WriteJSON(&ab); err != nil {
 		t.Fatal(err)
 	}
 	if err := export.SnapshotsJSON(&sb, n.Snapshots()); err != nil {

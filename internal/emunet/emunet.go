@@ -761,6 +761,42 @@ func (n *Network) Gauge(id dataplane.UnitID) *counters.Gauge {
 	return g
 }
 
+// EWMAMetrics is a Config.Metrics factory: an EWMA of packet
+// interarrival time (Section 8's primary counter) on every egress unit
+// and a packet counter on every ingress unit.
+func EWMAMetrics(net *Network, id dataplane.UnitID) core.Metric {
+	if id.Dir != dataplane.Egress {
+		return &counters.PacketCount{}
+	}
+	// Clock from the unit's own domain: under shards the engine-wide
+	// clock lags shard-local virtual time.
+	proc := net.Proc(id.Node)
+	return counters.NewEWMAInterarrival(func() int64 { return int64(proc.Now()) })
+}
+
+// Units lists every processing unit in the network, in topology order:
+// the sweep of a polling framework that reads every counter.
+func (n *Network) Units() []dataplane.UnitID {
+	var out []dataplane.UnitID
+	for _, sw := range n.topo.Switches {
+		out = append(out, n.sws[sw.ID].DP.UnitIDs()...)
+	}
+	return out
+}
+
+// UplinkUnits returns, per leaf, the egress units of its uplink ports:
+// the groups the load-balancing analyses compare (Section 8.3 compares
+// uplinks only with other uplinks of the same switch).
+func UplinkUnits(ls *topology.LeafSpine) [][]dataplane.UnitID {
+	groups := make([][]dataplane.UnitID, len(ls.Leaves))
+	for i, leaf := range ls.Leaves {
+		for _, port := range ls.UplinkPorts(leaf) {
+			groups[i] = append(groups[i], dataplane.UnitID{Node: leaf, Port: port, Dir: dataplane.Egress})
+		}
+	}
+	return groups
+}
+
 // Snapshots returns the global snapshots completed so far.
 func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.done }
 
@@ -1234,6 +1270,58 @@ func (n *Network) ScheduleSnapshot(localDeadline sim.Time) (packet.SeqID, error)
 		n.initiateAt(es, id, localDeadline)
 	}
 	return id, nil
+}
+
+// SnapshotSeries is the campaign loop behind every measured figure of
+// Section 8: count times it arms fire one gap ahead and runs that gap,
+// then runs drain so stragglers finish, and returns the IDs fire
+// scheduled, in order. fire gets the global clock at its instant; it
+// schedules the snapshot (ScheduleSnapshot a lead ahead, typically) and
+// starts whatever shares the instant, such as a poll sweep. A snapshot
+// the observer's no-lapping window refuses is skipped.
+//
+// The arm-then-run order is load-bearing: event sequence numbers and
+// RNG draws, hence every reproduced digit, depend on it.
+func (n *Network) SnapshotSeries(count int, gap, drain sim.Duration, fire func(now sim.Time) (packet.SeqID, error)) []packet.SeqID {
+	ids := make([]packet.SeqID, 0, count)
+	for i := 0; i < count; i++ {
+		n.eng.After(gap, func() {
+			if id, err := fire(n.eng.Now()); err == nil {
+				ids = append(ids, id)
+			}
+		})
+		n.eng.RunFor(gap)
+	}
+	n.eng.RunFor(drain)
+	return ids
+}
+
+// Completed returns the snapshots among ids that have completed, in
+// the order of ids.
+func (n *Network) Completed(ids []packet.SeqID) []*observer.GlobalSnapshot {
+	byID := make(map[packet.SeqID]*observer.GlobalSnapshot, len(n.done))
+	for _, g := range n.done {
+		byID[g.ID] = g
+	}
+	out := make([]*observer.GlobalSnapshot, 0, len(ids))
+	for _, id := range ids {
+		if g, ok := byID[id]; ok {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// SyncSpreadsMicros returns the SyncSpread, in microseconds, of every
+// snapshot among ids that has one, in the order of ids.
+func (n *Network) SyncSpreadsMicros(ids []packet.SeqID) []float64 {
+	var out []float64
+	for _, id := range ids {
+		if d, ok := n.SyncSpread(id); ok {
+			out = append(out, d.Micros())
+		}
+	}
+	return out
 }
 
 // initiateAt arms one control plane's initiation of snapshot id for the

@@ -56,35 +56,16 @@ func AblationInitiators(cfg AblationConfig) *InitiatorsResult {
 	cfg.defaults()
 	run := func(single bool) *stats.CDF {
 		n, ls := testbedNet(cfg.Seed, cfg.Shards, false, nil)
-		bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: 2 * sim.Microsecond}
+		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
 		bg.Start()
 		n.RunFor(2 * sim.Millisecond)
-		var ids []packet.SeqID
-		const gap = 2 * sim.Millisecond
-		for i := 0; i < cfg.Snapshots; i++ {
-			n.Engine().After(gap, func() {
-				deadline := n.Engine().Now().Add(sim.Millisecond)
-				var id packet.SeqID
-				var err error
-				if single {
-					id, err = n.ScheduleSnapshotSingle(ls.Leaves[0], deadline)
-				} else {
-					id, err = n.ScheduleSnapshot(deadline)
-				}
-				if err == nil {
-					ids = append(ids, id)
-				}
-			})
-			n.RunFor(gap)
-		}
-		n.RunFor(50 * sim.Millisecond)
-		var spreads []float64
-		for _, id := range ids {
-			if d, ok := n.SyncSpread(id); ok {
-				spreads = append(spreads, d.Micros())
+		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+			if single {
+				return n.ScheduleSnapshotSingle(ls.Leaves[0], now.Add(sim.Millisecond))
 			}
-		}
-		return stats.NewCDF(spreads)
+			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
+		})
+		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 	return &InitiatorsResult{Multi: run(false), Single: run(true)}
 }
@@ -121,29 +102,15 @@ func AblationClocks(cfg AblationConfig) *ClocksResult {
 	cfg.defaults()
 	run := func(cc clock.Config) *stats.CDF {
 		n, _ := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) { c.Clock = cc })
-		bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: 2 * sim.Microsecond}
+		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
 		bg.Start()
 		n.RunFor(2 * sim.Millisecond)
-		var ids []packet.SeqID
-		const gap = 2 * sim.Millisecond
-		for i := 0; i < cfg.Snapshots; i++ {
-			n.Engine().After(gap, func() {
-				// NTP-scale offsets need a deadline far enough out that
-				// no clock has already passed it.
-				if id, err := n.ScheduleSnapshot(n.Engine().Now().Add(5 * sim.Millisecond)); err == nil {
-					ids = append(ids, id)
-				}
-			})
-			n.RunFor(gap)
-		}
-		n.RunFor(100 * sim.Millisecond)
-		var spreads []float64
-		for _, id := range ids {
-			if d, ok := n.SyncSpread(id); ok {
-				spreads = append(spreads, d.Micros())
-			}
-		}
-		return stats.NewCDF(spreads)
+		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 100*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+			// NTP-scale offsets need a deadline far enough out that
+			// no clock has already passed it.
+			return n.ScheduleSnapshot(now.Add(5 * sim.Millisecond))
+		})
+		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 	return &ClocksResult{
 		Perfect: run(clock.Perfect()),
@@ -265,34 +232,19 @@ func AblationPartialDeployment(cfg AblationConfig) *PartialResult {
 	cfg.defaults()
 	res := &PartialResult{}
 	for disabled := 0; disabled <= 2; disabled++ {
-		n, ls := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+		n, _ := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
 			c.SnapshotDisabled = map[topology.NodeID]bool{}
 			for i := 0; i < disabled; i++ {
 				c.SnapshotDisabled[topology.NodeID(2+i)] = true // spines are nodes 2,3
 			}
 		})
-		_ = ls
-		bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: 2 * sim.Microsecond}
+		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
 		bg.Start()
 		n.RunFor(2 * sim.Millisecond)
-		var ids []packet.SeqID
-		const gap = 2 * sim.Millisecond
-		for i := 0; i < cfg.Snapshots; i++ {
-			n.Engine().After(gap, func() {
-				if id, err := n.ScheduleSnapshot(n.Engine().Now().Add(sim.Millisecond)); err == nil {
-					ids = append(ids, id)
-				}
-			})
-			n.RunFor(gap)
-		}
-		n.RunFor(50 * sim.Millisecond)
-
-		var spreads []float64
-		for _, id := range ids {
-			if d, ok := n.SyncSpread(id); ok {
-				spreads = append(spreads, d.Micros())
-			}
-		}
+		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
+		})
+		spreads := n.SyncSpreadsMicros(ids)
 		pt := PartialPoint{Disabled: disabled, Total: len(ids)}
 		for _, g := range n.Snapshots() {
 			if pt.Units == 0 {

@@ -14,9 +14,9 @@
 //	            GraphX, snapshots vs. polling
 //
 // Each experiment is a plain function returning a printable result;
-// cmd/experiments and the repository benchmarks drive them. Absolute
-// numbers depend on the calibrated delay distributions, but the shapes
-// the paper reports are reproduced: the microsecond-vs-millisecond gap
+// cmd/experiments prints them and this package's tests assert their
+// shapes. Absolute numbers depend on the calibrated delay
+// distributions, but the shapes the paper reports are reproduced: the microsecond-vs-millisecond gap
 // between snapshots and polling, the channel-state variant's longer
 // tail, snapshot rate falling inversely with port count, sub-RTT
 // synchronization even for 10,000 routers, flowlet switching's better
@@ -25,6 +25,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -68,6 +69,11 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
+// WriteCSV writes the table as CSV: the header row, then the rows.
+func (t *Table) WriteCSV(w io.Writer) error {
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Header}, t.Rows...))
+}
+
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
@@ -108,4 +114,15 @@ func (f *Figure) Fprint(w io.Writer) {
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
+}
+
+// WriteCSV writes the figure's series as long-form CSV (series, x, y).
+func (f *Figure) WriteCSV(w io.Writer) error {
+	rows := [][]string{{"series", f.XLabel, f.YLabel}}
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			rows = append(rows, []string{s.Name, fmt.Sprintf("%g", p.X), fmt.Sprintf("%g", p.Y)})
+		}
+	}
+	return csv.NewWriter(w).WriteAll(rows)
 }

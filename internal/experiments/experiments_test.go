@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -255,5 +256,46 @@ func TestFprintPlot(t *testing.T) {
 	flat.FprintPlot(&buf, 30, 8)
 	if !strings.Contains(buf.String(), "== f ==") {
 		t.Error("flat figure handling")
+	}
+}
+
+func TestFigureCSV(t *testing.T) {
+	f := &Figure{
+		XLabel: "x", YLabel: "y",
+		Series: []Series{
+			{Name: "a", Points: []Point{{X: 1, Y: 2}, {X: 3, Y: 4}}},
+			{Name: "b", Points: []Point{{X: 5, Y: 6}}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := f.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"series,x,y", "a,1,2", "a,3,4", "b,5,6"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if err := (&Figure{}).WriteCSV(&buf); err != nil {
+		t.Fatalf("empty figure: %v", err)
+	}
+}
+
+func TestTableCSV(t *testing.T) {
+	tb := &Table{
+		Header: []string{"k", "v"},
+		Rows:   [][]string{{"a", "1"}, {"b", "2"}},
+	}
+	var buf bytes.Buffer
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 3 || records[1][1] != "1" {
+		t.Errorf("records = %v", records)
 	}
 }

@@ -136,21 +136,18 @@ func collectTestbedOffsets(cfg Fig11Config) []float64 {
 			recsMu.Unlock()
 		}
 	})
-	bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: 2 * sim.Microsecond}
+	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
 	bg.Start()
 	n.RunFor(2 * sim.Millisecond)
 
-	const gap = 2 * sim.Millisecond
-	for i := 0; i < cfg.CalibrationSnapshots; i++ {
-		n.Engine().After(gap, func() {
-			deadline := n.Engine().Now().Add(sim.Millisecond)
-			if id, err := n.ScheduleSnapshot(deadline); err == nil {
-				deadlines[id] = deadline
-			}
-		})
-		n.RunFor(gap)
-	}
-	n.RunFor(20 * sim.Millisecond)
+	n.SnapshotSeries(cfg.CalibrationSnapshots, 2*sim.Millisecond, 20*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+		deadline := now.Add(sim.Millisecond)
+		id, err := n.ScheduleSnapshot(deadline)
+		if err == nil {
+			deadlines[id] = deadline
+		}
+		return id, err
+	})
 
 	// Under shards, OnProgress arrival order depends on goroutine
 	// interleaving; sorting by (id, at) restores a deterministic

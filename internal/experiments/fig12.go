@@ -6,12 +6,11 @@ import (
 	"speedlight/internal/analysis"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
-	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/polling"
+	"speedlight/internal/routing"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
-	"speedlight/internal/topology"
 	"speedlight/internal/workload"
 )
 
@@ -99,93 +98,39 @@ func Fig12(cfg Fig12Config) *Fig12Result {
 // methods over the same run, returning per-instant uplink standard
 // deviations in microseconds.
 func fig12Run(app, balancer string, cfg Fig12Config) (snapStd, pollStd []float64) {
-	var net *emunet.Network
-	var ls *topology.LeafSpine
-	mod := func(c *emunet.Config) {
-		c.Metrics = ewmaMetrics
+	net, ls := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+		c.Metrics = emunet.EWMAMetrics
 		if balancer == "flowlet" {
-			c.NewBalancer = flowletFactory(100 * sim.Microsecond)
+			c.NewBalancer = routing.PaperFlowlet
 		}
-	}
-	net, ls = testbedNet(cfg.Seed, cfg.Shards, false, mod)
-
-	hosts := hostIDs(net)
-	var wl workload.App
-	switch app {
-	case "hadoop":
-		// The paper runs 10 mappers and 8 reducers across 6 servers:
-		// every host both maps and reduces, so shuffle fetches cross
-		// the fabric in both directions.
-		wl = &workload.Terasort{Net: net, Mappers: hosts, Reducers: hosts}
-	case "graphx":
-		wl = &workload.PageRank{Net: net, Workers: hosts[1:]} // host 0 is the master
-	case "memcache":
-		wl = &workload.Memcache{Net: net, Clients: hosts[:1], Servers: hosts[1:]}
-	default:
-		panic("unknown workload " + app)
+	})
+	wl, err := workload.ByName(app, net)
+	if err != nil {
+		panic(err)
 	}
 	wl.Start()
 	net.RunFor(5 * sim.Millisecond) // warm up EWMAs
 
 	// The units under study: uplink egress units, grouped per leaf.
-	groups := uplinkGroups(net, ls)
-	var flat []dataplane.UnitID
-	for _, g := range groups {
-		flat = append(flat, g...)
-	}
-
+	groups := emunet.UplinkUnits(ls)
 	poller := polling.New(net, polling.Config{})
 	// A real polling framework sweeps every counter in the network; the
 	// uplink readings land at whatever instants the sweep reaches them
 	// (the full-sequence spread the paper measures at 2.6 ms median).
-	sweep := allUnits(net)
-	completed := map[packet.SeqID]*observer.GlobalSnapshot{}
-	before := len(net.Snapshots())
-
-	const gap = sim.Millisecond
-	var ids []packet.SeqID
-	for i := 0; i < cfg.Samples; i++ {
-		// One snapshot and one poll sweep per instant, over the same
-		// live traffic.
-		net.Engine().After(gap, func() {
-			if id, err := net.ScheduleSnapshot(net.Engine().Now().Add(200 * sim.Microsecond)); err == nil {
-				ids = append(ids, id)
-			}
-			poller.PollAll(sweep, func(s []polling.Sample) {
-				pollStd = append(pollStd, groupStddevs(groups, samplesByUnit(s))...)
-			})
+	sweep := net.Units()
+	// One snapshot and one poll sweep per instant, over the same live
+	// traffic.
+	ids := net.SnapshotSeries(cfg.Samples, sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
+		poller.PollAll(sweep, func(s []polling.Sample) {
+			pollStd = append(pollStd, groupStddevs(groups, samplesByUnit(s))...)
 		})
-		net.RunFor(gap)
-	}
-	net.RunFor(50 * sim.Millisecond)
+		return id, err
+	})
 	wl.Stop()
 
-	for _, g := range net.Snapshots()[before:] {
-		if _, seen := completed[g.ID]; !seen {
-			completed[g.ID] = g
-		}
-	}
-	var done []*observer.GlobalSnapshot
-	for _, id := range ids {
-		if g, ok := completed[id]; ok {
-			done = append(done, g)
-		}
-	}
-	snapStd = analysis.ImbalanceSamples(done, groups, 0.001) // ns -> µs
+	snapStd = analysis.ImbalanceSamples(net.Completed(ids), groups, 0.001) // ns -> µs
 	return snapStd, pollStd
-}
-
-// uplinkGroups returns, per leaf, its uplink egress units.
-func uplinkGroups(net *emunet.Network, ls *topology.LeafSpine) [][]dataplane.UnitID {
-	var groups [][]dataplane.UnitID
-	for _, leaf := range ls.Leaves {
-		var g []dataplane.UnitID
-		for _, port := range ls.UplinkPorts(leaf) {
-			g = append(g, dataplane.UnitID{Node: leaf, Port: port, Dir: dataplane.Egress})
-		}
-		groups = append(groups, g)
-	}
-	return groups
 }
 
 // samplesByUnit converts poll samples to a per-unit value map in

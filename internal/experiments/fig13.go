@@ -78,9 +78,9 @@ type Fig13Result struct {
 func Fig13(cfg Fig13Config) *Fig13Result {
 	cfg.defaults()
 	net, ls := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
-		c.Metrics = ewmaMetrics
+		c.Metrics = emunet.EWMAMetrics
 	})
-	hosts := hostIDs(net)
+	hosts := net.Topo().HostIDs()
 	// Host 0 is the master and does not participate (ground truth 1).
 	// Long supersteps give the on/off common mode that correlates the
 	// two ECMP next-hop uplinks of each leaf (ground truth 2).
@@ -94,35 +94,28 @@ func Fig13(cfg Fig13Config) *Fig13Result {
 	for i, u := range units {
 		idx[u] = i
 	}
-	var snapSeries [][]float64
 	pollSeries := make([][]float64, len(units))
 
 	poller := polling.New(net, polling.Config{})
-	sweep := allUnits(net)
-	var ids []packet.SeqID
-	const gap = sim.Millisecond // supersteps are 1 ms; sample across phases
-	sampleGap := gap + 137*sim.Microsecond
-	for i := 0; i < cfg.Snapshots; i++ {
-		net.Engine().After(sampleGap, func() {
-			if id, err := net.ScheduleSnapshot(net.Engine().Now().Add(200 * sim.Microsecond)); err == nil {
-				ids = append(ids, id)
-			}
-			// The polling framework sweeps every counter; only the
-			// egress units' readings feed the correlation series.
-			poller.PollAll(sweep, func(s []polling.Sample) {
-				for _, smp := range s {
-					if i, ok := idx[smp.Unit]; ok {
-						pollSeries[i] = append(pollSeries[i], float64(smp.Value))
-					}
+	sweep := net.Units()
+	// Supersteps are 1 ms; the extra 137 µs samples across their phases.
+	const gap = sim.Millisecond + 137*sim.Microsecond
+	net.SnapshotSeries(cfg.Snapshots, gap, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
+		// The polling framework sweeps every counter; only the
+		// egress units' readings feed the correlation series.
+		poller.PollAll(sweep, func(s []polling.Sample) {
+			for _, smp := range s {
+				if i, ok := idx[smp.Unit]; ok {
+					pollSeries[i] = append(pollSeries[i], float64(smp.Value))
 				}
-			})
+			}
 		})
-		net.RunFor(sampleGap)
-	}
-	net.RunFor(50 * sim.Millisecond)
+		return id, err
+	})
 	wl.Stop()
 
-	snapSeries = analysis.UnitSeries(net.Snapshots(), units)
+	snapSeries := analysis.UnitSeries(net.Snapshots(), units)
 
 	// Equalize polling series lengths (a sweep cut off by the end of
 	// the run would desynchronize the matrix).
@@ -137,11 +130,9 @@ func Fig13(cfg Fig13Config) *Fig13Result {
 // egressUnits lists every egress unit in the network.
 func egressUnits(net *emunet.Network) []dataplane.UnitID {
 	var out []dataplane.UnitID
-	for _, sw := range net.Topo().Switches {
-		for _, id := range net.Switch(sw.ID).DP.UnitIDs() {
-			if id.Dir == dataplane.Egress {
-				out = append(out, id)
-			}
+	for _, id := range net.Units() {
+		if id.Dir == dataplane.Egress {
+			out = append(out, id)
 		}
 	}
 	return out

@@ -7,7 +7,6 @@ import (
 	"speedlight/internal/polling"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
-	"speedlight/internal/topology"
 	"speedlight/internal/workload"
 )
 
@@ -53,28 +52,15 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 		// Heavy background load: the testbed measured synchronization
 		// under running application workloads, so every utilized
 		// channel sees fresh-epoch traffic within microseconds.
-		bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: sim.Microsecond, PacketSize: 500}
+		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: sim.Microsecond, PacketSize: 500}
 		bg.Start()
 		n.RunFor(2 * sim.Millisecond) // warm up
 
-		var ids []packet.SeqID
-		const gap = 2 * sim.Millisecond
-		for i := 0; i < cfg.Snapshots; i++ {
-			n.Engine().After(gap, func() {
-				if id, err := n.ScheduleSnapshot(n.Engine().Now().Add(sim.Millisecond)); err == nil {
-					ids = append(ids, id)
-				}
-			})
-			n.RunFor(gap)
-		}
-		n.RunFor(50 * sim.Millisecond) // let stragglers finish
-		var spreads []float64
-		for _, id := range ids {
-			if d, ok := n.SyncSpread(id); ok {
-				spreads = append(spreads, d.Micros())
-			}
-		}
-		return stats.NewCDF(spreads)
+		// The 50 ms drain lets stragglers finish.
+		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
+		})
+		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 
 	res.SwitchState = snapshotRun(false)
@@ -82,11 +68,11 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 
 	// Polling baseline: sequential sweeps over every unit.
 	n, _ := testbedNet(cfg.Seed+1, cfg.Shards, false, nil)
-	bg := &workload.Uniform{Net: n, Hosts: hostIDs(n), Interval: 5 * sim.Microsecond}
+	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 5 * sim.Microsecond}
 	bg.Start()
 	n.RunFor(2 * sim.Millisecond)
 	poller := polling.New(n, polling.Config{})
-	units := allUnits(n)
+	units := n.Units()
 	var spreads []float64
 	for i := 0; i < cfg.Snapshots; i++ {
 		done := false
@@ -130,15 +116,4 @@ func (r *Fig9Result) Figure() *Figure {
 		fmt.Sprintf("max sync: switch state %.1f us, +channel state %.1f us (paper: 22 us / 27 us)",
 			r.SwitchState.MaxValue(), r.SwitchChannelState.MaxValue()))
 	return f
-}
-
-// hostIDs lists every host in the network.
-func hostIDs(n interface {
-	Topo() *topology.Topology
-}) []topology.HostID {
-	var out []topology.HostID
-	for _, h := range n.Topo().Hosts {
-		out = append(out, h.ID)
-	}
-	return out
 }

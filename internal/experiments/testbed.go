@@ -1,13 +1,7 @@
 package experiments
 
 import (
-	"math/rand"
-
-	"speedlight/internal/core"
-	"speedlight/internal/counters"
-	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
-	"speedlight/internal/routing"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
 )
@@ -51,34 +45,4 @@ func testbedNet(seed int64, shards int, channelState bool, mod func(*emunet.Conf
 		panic(err)
 	}
 	return n, ls
-}
-
-// ewmaMetrics is a metric factory that attaches an EWMA interarrival
-// counter (Section 8's primary counter) to every egress unit and a
-// packet counter to every ingress unit.
-func ewmaMetrics(net *emunet.Network, id dataplane.UnitID) core.Metric {
-	if id.Dir == dataplane.Egress {
-		// Clock from the unit's own domain: under shards the engine-wide
-		// clock lags shard-local virtual time.
-		proc := net.Proc(id.Node)
-		return counters.NewEWMAInterarrival(func() int64 { return int64(proc.Now()) })
-	}
-	return &counters.PacketCount{}
-}
-
-// flowletFactory builds flowlet balancers with the paper's typical gap.
-func flowletFactory(gap sim.Duration) func(topology.NodeID, *rand.Rand) routing.Balancer {
-	return func(_ topology.NodeID, r *rand.Rand) routing.Balancer {
-		return routing.NewFlowlet(gap, r)
-	}
-}
-
-// allUnits lists every processing unit in the network, in topology
-// order.
-func allUnits(n *emunet.Network) []dataplane.UnitID {
-	var out []dataplane.UnitID
-	for _, sw := range n.Topo().Switches {
-		out = append(out, n.Switch(sw.ID).DP.UnitIDs()...)
-	}
-	return out
 }

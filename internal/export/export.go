@@ -1,6 +1,9 @@
-// Package export serializes snapshot campaign results and experiment
-// figures to CSV and JSON, for analysis outside the repository
-// (spreadsheets, gnuplot, pandas).
+// Package export flattens snapshot campaign results — global snapshots
+// and invariant standings — to CSV and JSON rows, for analysis outside
+// the repository (spreadsheets, gnuplot, pandas). Artifacts with a
+// schema of their own are written by the package that owns it: the
+// snapshot history by snapstore, the audit report by audit, figures and
+// tables by experiments.
 package export
 
 import (
@@ -10,13 +13,10 @@ import (
 	"io"
 	"sort"
 
-	"speedlight/internal/audit"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/experiments"
 	"speedlight/internal/invariant"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
-	"speedlight/internal/snapstore"
 )
 
 // SnapshotRow is one unit's value in one snapshot, flattened for
@@ -97,101 +97,6 @@ func SnapshotsJSON(w io.Writer, snaps []*observer.GlobalSnapshot) error {
 	return enc.Encode(Rows(snaps))
 }
 
-// FigureCSV writes an experiment figure's series as long-form CSV
-// (series, x, y).
-func FigureCSV(w io.Writer, f *experiments.Figure) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", f.XLabel, f.YLabel}); err != nil {
-		return err
-	}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if err := cw.Write([]string{
-				s.Name,
-				fmt.Sprintf("%g", p.X),
-				fmt.Sprintf("%g", p.Y),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// TableCSV writes an experiment table as CSV.
-func TableCSV(w io.Writer, t *experiments.Table) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// epochLine is one sealed epoch's reconstructed cut on one JSONL line.
-type epochLine struct {
-	Epoch       uint64     `json:"epoch"`
-	Seq         uint64     `json:"seq"`
-	ScheduledNs int64      `json:"scheduled_ns"`
-	CompletedNs int64      `json:"completed_ns"`
-	SyncNs      int64      `json:"sync_ns"`
-	Consistent  bool       `json:"consistent"`
-	Base        bool       `json:"base"`
-	Deltas      int        `json:"deltas"`
-	Units       []unitLine `json:"units"`
-}
-
-type unitLine struct {
-	Unit       string `json:"unit"`
-	Value      uint64 `json:"value"`
-	Consistent bool   `json:"consistent"`
-}
-
-// SnapshotsJSONL writes a snapshot-history view as JSON Lines: one
-// line per retained epoch, each carrying its fully reconstructed cut
-// in dense unit order. The view is immutable, so the export is a
-// consistent point-in-time dump even while the store keeps sealing.
-func SnapshotsJSONL(w io.Writer, v *snapstore.View) error {
-	enc := json.NewEncoder(w)
-	for _, e := range v.Epochs() {
-		st, err := v.State(e.ID)
-		if err != nil {
-			return err
-		}
-		line := epochLine{
-			Epoch:       uint64(e.ID),
-			Seq:         e.Seq,
-			ScheduledNs: int64(e.ScheduledAt),
-			CompletedNs: int64(e.CompletedAt),
-			SyncNs:      int64(e.Sync),
-			Consistent:  e.Consistent,
-			Base:        e.IsBase(),
-			Deltas:      e.DeltaCount(),
-			Units:       []unitLine{},
-		}
-		for i, r := range st.Regs {
-			if !r.Present {
-				continue
-			}
-			line.Units = append(line.Units, unitLine{
-				Unit:       st.Units[i].String(),
-				Value:      r.Value,
-				Consistent: r.Consistent,
-			})
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // InvariantsCSV writes an invariant engine's standing and violation
 // history as CSV: one "status" row per registered invariant followed
 // by one "violation" row per retained violation, oldest first.
@@ -221,11 +126,4 @@ func InvariantsCSV(w io.Writer, eng *invariant.Engine) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// AuditJSON writes an audit report as indented JSON.
-func AuditJSON(w io.Writer, rep *audit.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

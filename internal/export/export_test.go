@@ -4,14 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 
-	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/experiments"
-	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 )
 
@@ -88,44 +84,6 @@ func TestSnapshotsJSON(t *testing.T) {
 	}
 }
 
-func TestFigureCSV(t *testing.T) {
-	f := &experiments.Figure{
-		XLabel: "x", YLabel: "y",
-		Series: []experiments.Series{
-			{Name: "a", Points: []experiments.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}},
-			{Name: "b", Points: []experiments.Point{{X: 5, Y: 6}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := FigureCSV(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"series,x,y", "a,1,2", "a,3,4", "b,5,6"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := &experiments.Table{
-		Header: []string{"k", "v"},
-		Rows:   [][]string{{"a", "1"}, {"b", "2"}},
-	}
-	var buf bytes.Buffer
-	if err := TableCSV(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 || records[1][1] != "1" {
-		t.Errorf("records = %v", records)
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SnapshotsCSV(&buf, nil); err != nil {
@@ -133,39 +91,5 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if err := SnapshotsJSON(&buf, nil); err != nil {
 		t.Fatal(err)
-	}
-	if err := FigureCSV(&buf, &experiments.Figure{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sampleJournal() []journal.Event {
-	evs := []journal.Event{
-		journal.Config(256, true, true),
-		journal.Register(0, 1, journal.DirIngress),
-		journal.ObsBegin(1000, 1),
-		journal.Record(1500, 0, 1, journal.DirIngress, 4, 0, 1, 1),
-		journal.Absorb(1600, 0, 1, journal.DirIngress, 4, 0, 1),
-		journal.NotifDropped(1700, 0, 1, journal.DirIngress, 1),
-		journal.ObsComplete(2000, 1, true, 0),
-	}
-	for i := range evs {
-		evs[i].Seq = uint64(i + 1)
-	}
-	return evs
-}
-
-func TestAuditExports(t *testing.T) {
-	rep := audit.Run(sampleJournal(), audit.Config{})
-	var js bytes.Buffer
-	if err := AuditJSON(&js, rep); err != nil {
-		t.Fatal(err)
-	}
-	var back audit.Report
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatalf("AuditJSON output does not parse: %v", err)
-	}
-	if len(back.Verdicts) != len(rep.Verdicts) {
-		t.Fatalf("verdicts lost in JSON: got %d want %d", len(back.Verdicts), len(rep.Verdicts))
 	}
 }

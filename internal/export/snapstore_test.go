@@ -3,66 +3,12 @@ package export
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"speedlight/internal/dataplane"
 	"speedlight/internal/invariant"
 	"speedlight/internal/snapstore"
 )
-
-func TestSnapshotsJSONL(t *testing.T) {
-	s := snapstore.New(snapstore.Config{})
-	snaps := sampleSnaps()
-	s.Ingest(snaps[0], 0)
-	second := *snaps[0]
-	second.ID = 8
-	second.Consistent = true
-	s.Ingest(&second, 0)
-
-	var buf bytes.Buffer
-	if err := SnapshotsJSONL(&buf, s.View()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), buf.String())
-	}
-	var first struct {
-		Epoch uint64 `json:"epoch"`
-		Base  bool   `json:"base"`
-		Units []struct {
-			Unit  string `json:"unit"`
-			Value uint64 `json:"value"`
-		} `json:"units"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("line 1: %v", err)
-	}
-	if first.Epoch != 7 || !first.Base {
-		t.Fatalf("line 1 = %+v, want epoch 7 base", first)
-	}
-	if len(first.Units) != 3 {
-		t.Fatalf("line 1 has %d units, want 3", len(first.Units))
-	}
-	// Dense unit order is the store's canonical (switch, port, dir)
-	// order from Ingest.
-	if first.Units[0].Unit != "sw0/p1/ingress" || first.Units[0].Value != 5 {
-		t.Fatalf("first unit = %+v", first.Units[0])
-	}
-}
-
-func TestSnapshotsJSONLEmptyView(t *testing.T) {
-	s := snapstore.New(snapstore.Config{})
-	var buf bytes.Buffer
-	if err := SnapshotsJSONL(&buf, s.View()); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty view wrote %q", buf.String())
-	}
-}
 
 func TestInvariantsCSV(t *testing.T) {
 	s := snapstore.New(snapstore.Config{})

@@ -5,8 +5,18 @@ import (
 	"net/http"
 )
 
-// statusJSON is one invariant's standing on the wire.
-type statusJSON struct {
+// The exported *JSON types are the wire schema of GET /invariants,
+// declared once: the handler encodes them and clients (speedlight
+// doctor) decode with them.
+
+// ReportJSON is the GET /invariants response.
+type ReportJSON struct {
+	Invariants []StatusJSON    `json:"invariants"`
+	History    []ViolationJSON `json:"history"`
+}
+
+// StatusJSON is one invariant's standing on the wire.
+type StatusJSON struct {
 	Name       string `json:"name"`
 	Evals      uint64 `json:"evals"`
 	Violations uint64 `json:"violations"`
@@ -15,8 +25,8 @@ type statusJSON struct {
 	Detail     string `json:"detail,omitempty"`
 }
 
-// violationJSON is one logged violation on the wire.
-type violationJSON struct {
+// ViolationJSON is one logged violation on the wire.
+type ViolationJSON struct {
 	Invariant string `json:"invariant"`
 	Epoch     uint64 `json:"epoch"`
 	Seq       uint64 `json:"seq"`
@@ -32,12 +42,9 @@ func HTTPHandler(e *Engine) http.Handler {
 			http.Error(w, "no invariant engine attached", http.StatusServiceUnavailable)
 			return
 		}
-		out := struct {
-			Invariants []statusJSON    `json:"invariants"`
-			History    []violationJSON `json:"history"`
-		}{Invariants: []statusJSON{}, History: []violationJSON{}}
+		out := ReportJSON{Invariants: []StatusJSON{}, History: []ViolationJSON{}}
 		for _, st := range e.Status() {
-			out.Invariants = append(out.Invariants, statusJSON{
+			out.Invariants = append(out.Invariants, StatusJSON{
 				Name:       st.Name,
 				Evals:      st.Evals,
 				Violations: st.Violations,
@@ -47,7 +54,7 @@ func HTTPHandler(e *Engine) http.Handler {
 			})
 		}
 		for _, v := range e.Violations() {
-			out.History = append(out.History, violationJSON{
+			out.History = append(out.History, ViolationJSON{
 				Invariant: v.Invariant,
 				Epoch:     uint64(v.Epoch),
 				Seq:       v.Seq,

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -199,6 +200,27 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if len(body.History) != 1 || body.History[0]["epoch"].(float64) != 1 {
 		t.Fatalf("history = %v", body.History)
+	}
+
+	// The exported wire types are the whole schema: decoding rejects a
+	// field they do not declare, and re-encoding gives the same bytes.
+	var wire invariant.ReportJSON
+	dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		t.Fatalf("decoding into ReportJSON: %v", err)
+	}
+	var again bytes.Buffer
+	enc := json.NewEncoder(&again)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), rec.Body.Bytes()) {
+		t.Fatalf("ReportJSON does not re-encode to the response:\n%s\nvs\n%s", again.Bytes(), rec.Body.Bytes())
+	}
+	if wire.Invariants[0].Evals != 1 || wire.Invariants[0].Violations != 1 || wire.History[0].Invariant != "hot" {
+		t.Fatalf("wire = %+v", wire)
 	}
 
 	rec = httptest.NewRecorder()

@@ -205,6 +205,13 @@ func NewFlowlet(gap sim.Duration, r *rand.Rand) *Flowlet {
 	return &Flowlet{Gap: gap, R: r, entries: make(map[uint64]*flowletEntry)}
 }
 
+// PaperFlowlet builds a switch's flowlet balancer with the paper's
+// 100 µs gap; it has the shape of the emulation's per-switch balancer
+// factory.
+func PaperFlowlet(_ topology.NodeID, r *rand.Rand) Balancer {
+	return NewFlowlet(100*sim.Microsecond, r)
+}
+
 // Pick implements Balancer.
 func (f *Flowlet) Pick(pkt *packet.Packet, ports []int, now sim.Time) int {
 	key := pkt.FlowHash()

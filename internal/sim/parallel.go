@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"speedlight/internal/telemetry"
@@ -94,7 +93,6 @@ type Parallel struct {
 	rng       *rand.Rand
 	seedSrc   *rand.Rand
 	fired     uint64 // events executed in global context
-	wg        sync.WaitGroup
 	workersUp bool
 	links     []ShardLink
 	custom    bool // SetShardLinks was called: unlisted pairs panic
@@ -110,7 +108,10 @@ type Parallel struct {
 
 	// Epoch coordination. quiet counts shards whose published clock
 	// reached the fence; done counts workers that finished the
-	// dispatched job; epochDone releases quiesced workers from their
+	// dispatched job — each worker's last act, so the coordinator's
+	// load of the full count orders every shard's epoch writes (panic
+	// value, profile accounting) before its reads: the one worker
+	// join; epochDone releases quiesced workers from their
 	// ring-draining duty; panics flags captured worker panics so the
 	// coordinator stops waiting for quiescence.
 	epochDone atomic.Bool
@@ -679,7 +680,6 @@ func (p *Parallel) runEpoch(fence, s Time) {
 	p.roundActive = true
 	p.startWorkers()
 	n := int32(len(p.shards))
-	p.wg.Add(len(p.shards))
 	for _, sh := range p.shards {
 		sh.job <- fence
 	}
@@ -695,7 +695,6 @@ func (p *Parallel) runEpoch(fence, s Time) {
 		p.drainGlobalRings()
 		runtime.Gosched()
 	}
-	p.wg.Wait()
 	p.roundActive = false
 	if p.wall != nil {
 		p.foldEpoch()
@@ -993,7 +992,6 @@ func (p *Parallel) startWorkers() {
 							p.panics.Add(1)
 						}
 						p.done.Add(1)
-						p.wg.Done()
 					}()
 					p.epochLoop(sh, h)
 				}()

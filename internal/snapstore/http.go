@@ -2,6 +2,7 @@ package snapstore
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -9,8 +10,18 @@ import (
 	"speedlight/internal/packet"
 )
 
-// epochJSON is the list-endpoint DTO: one sealed epoch's metadata.
-type epochJSON struct {
+// The exported *JSON types are the wire schema of the query plane and of
+// the JSONL history dump, declared once: the handlers below encode them
+// and clients (speedlight doctor) decode with them.
+
+// ListJSON is the GET /snapshots response: retained epochs, newest last.
+type ListJSON struct {
+	Retained int         `json:"retained"`
+	Epochs   []EpochJSON `json:"epochs"`
+}
+
+// EpochJSON is one sealed epoch's metadata.
+type EpochJSON struct {
 	Epoch       uint64  `json:"epoch"`
 	Seq         uint64  `json:"seq"`
 	ScheduledNS int64   `json:"scheduled_ns"`
@@ -22,8 +33,8 @@ type epochJSON struct {
 	Base        bool    `json:"base"`
 }
 
-func epochToJSON(e *Epoch) epochJSON {
-	j := epochJSON{
+func epochToJSON(e *Epoch) EpochJSON {
+	j := EpochJSON{
 		Epoch:       uint64(e.ID),
 		Seq:         e.Seq,
 		ScheduledNS: int64(e.ScheduledAt),
@@ -39,17 +50,47 @@ func epochToJSON(e *Epoch) epochJSON {
 	return j
 }
 
-// regJSON is one unit's register in a reconstructed cut.
-type regJSON struct {
+// RegJSON is one unit's register in a reconstructed cut.
+type RegJSON struct {
 	Unit       string `json:"unit"`
 	Value      uint64 `json:"value"`
 	Consistent bool   `json:"consistent"`
 }
 
-// stateJSON is the ?epoch=N DTO: metadata plus the reconstructed cut.
-type stateJSON struct {
-	epochJSON
-	Units []regJSON `json:"units"`
+// StateJSON is the GET /snapshots?epoch=N response and one line of the
+// JSONL history dump: metadata plus the reconstructed cut, present
+// units only, in dense unit order.
+type StateJSON struct {
+	EpochJSON
+	Units []RegJSON `json:"units"`
+}
+
+func stateToJSON(st *State) StateJSON {
+	out := StateJSON{EpochJSON: epochToJSON(st.Epoch), Units: []RegJSON{}}
+	for i, reg := range st.Regs {
+		if !reg.Present {
+			continue
+		}
+		out.Units = append(out.Units, RegJSON{
+			Unit:       st.Units[i].String(),
+			Value:      reg.Value,
+			Consistent: reg.Consistent,
+		})
+	}
+	return out
+}
+
+// WriteJSONL writes the view as JSON Lines: one StateJSON per retained
+// epoch, oldest first. The view is immutable, so the dump is a
+// consistent point-in-time history even while the store keeps sealing.
+func (v *View) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for i := range v.epochs {
+		if err := enc.Encode(stateToJSON(v.stateAt(i))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // diffJSON is the /snapshots/diff DTO.
@@ -107,10 +148,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func serveList(w http.ResponseWriter, v *View) {
-	out := struct {
-		Retained int         `json:"retained"`
-		Epochs   []epochJSON `json:"epochs"`
-	}{Retained: v.Len(), Epochs: []epochJSON{}}
+	out := ListJSON{Retained: v.Len(), Epochs: []EpochJSON{}}
 	for _, e := range v.Epochs() {
 		out.Epochs = append(out.Epochs, epochToJSON(e))
 	}
@@ -128,18 +166,7 @@ func serveState(w http.ResponseWriter, r *http.Request, v *View, es string) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	out := stateJSON{epochJSON: epochToJSON(st.Epoch), Units: []regJSON{}}
-	for i, reg := range st.Regs {
-		if !reg.Present {
-			continue
-		}
-		out.Units = append(out.Units, regJSON{
-			Unit:       st.Units[i].String(),
-			Value:      reg.Value,
-			Consistent: reg.Consistent,
-		})
-	}
-	writeJSON(w, out)
+	writeJSON(w, stateToJSON(st))
 }
 
 func serveDiff(w http.ResponseWriter, r *http.Request, v *View) {

@@ -1,15 +1,41 @@
 package snapstore_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
+	"speedlight/internal/observer"
 	"speedlight/internal/snapstore"
+	"speedlight/internal/topology"
 )
+
+// roundTrip decodes a handler response through the exported wire type v
+// points to, rejecting any field the type does not declare, and checks
+// that re-encoding it the handler's way gives back the same bytes: a
+// field added on one side only fails one way or the other.
+func roundTrip(t *testing.T, body []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("decoding into %T: %v\n%s", v, err, body)
+	}
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), body) {
+		t.Fatalf("%T does not re-encode to the response:\n%s\nvs\n%s", v, out.Bytes(), body)
+	}
+}
 
 func get(t *testing.T, h http.Handler, target string) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
@@ -77,6 +103,25 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("diff values = %v", c)
 	}
 
+	// The exported wire types are the whole schema, "excluded" included.
+	s.Ingest(&observer.GlobalSnapshot{
+		ID:       7,
+		Results:  map[dataplane.UnitID]control.Result{u0: {Unit: u0, SnapshotID: 7, Value: 11, Consistent: true}},
+		Excluded: []topology.NodeID{1},
+	}, 42)
+	rec, _ = get(t, h, "/snapshots")
+	var list snapstore.ListJSON
+	roundTrip(t, rec.Body.Bytes(), &list)
+	if len(list.Epochs) != 3 || list.Epochs[2].SyncNS != 42 || len(list.Epochs[2].Excluded) != 1 {
+		t.Fatalf("list = %+v", list)
+	}
+	rec, _ = get(t, h, "/snapshots?epoch=7")
+	var state snapstore.StateJSON
+	roundTrip(t, rec.Body.Bytes(), &state)
+	if state.Epoch != 7 || len(state.Units) != 1 || state.Units[0].Value != 11 {
+		t.Fatalf("state = %+v", state)
+	}
+
 	// Errors.
 	if rec, _ := get(t, h, "/snapshots?epoch=99"); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown epoch: %d, want 404", rec.Code)
@@ -100,5 +145,61 @@ func TestHTTPHandlerNilSource(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "no snapshot store") {
 		t.Fatalf("nil source body: %q", rec.Body.String())
+	}
+}
+
+func TestSnapshotsJSONL(t *testing.T) {
+	s := snapstore.New(snapstore.Config{})
+	first := &observer.GlobalSnapshot{
+		ID: 7,
+		Results: map[dataplane.UnitID]control.Result{
+			unit(1, 0, dataplane.Egress):  {Value: 20, Consistent: true},
+			unit(0, 2, dataplane.Ingress): {Value: 10, Consistent: true},
+			unit(0, 1, dataplane.Ingress): {Value: 5, Consistent: false},
+		},
+		ScheduledAt: 1000,
+		CompletedAt: 2000,
+	}
+	s.Ingest(first, 0)
+	second := *first
+	second.ID = 8
+	second.Consistent = true
+	s.Ingest(&second, 0)
+
+	var buf bytes.Buffer
+	if err := s.View().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), buf.String())
+	}
+	// A line is the ?epoch=N response, compact: same type, same keys.
+	var line snapstore.StateJSON
+	dec := json.NewDecoder(strings.NewReader(lines[0]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&line); err != nil {
+		t.Fatalf("line 1: %v", err)
+	}
+	if line.Epoch != 7 || !line.Base {
+		t.Fatalf("line 1 = %+v, want epoch 7 base", line)
+	}
+	if len(line.Units) != 3 {
+		t.Fatalf("line 1 has %d units, want 3", len(line.Units))
+	}
+	// Dense unit order is the store's canonical (switch, port, dir)
+	// order from Ingest.
+	if line.Units[0].Unit != "sw0/p1/ingress" || line.Units[0].Value != 5 {
+		t.Fatalf("first unit = %+v", line.Units[0])
+	}
+}
+
+func TestSnapshotsJSONLEmptyView(t *testing.T) {
+	var buf bytes.Buffer
+	if err := snapstore.New(snapstore.Config{}).View().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("empty view wrote %q", buf.String())
 	}
 }

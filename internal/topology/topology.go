@@ -175,6 +175,15 @@ func (t *Topology) Switch(id NodeID) *Switch {
 // Host returns the host with the given ID, or nil.
 func (t *Topology) Host(id HostID) *Host { return t.hostIdx[id] }
 
+// HostIDs lists every host's ID, in attachment order.
+func (t *Topology) HostIDs() []HostID {
+	out := make([]HostID, len(t.Hosts))
+	for i, h := range t.Hosts {
+		out[i] = h.ID
+	}
+	return out
+}
+
 // Peer returns the far side of a switch port.
 func (t *Topology) Peer(node NodeID, port int) Peer {
 	sw := t.Switch(node)

@@ -21,6 +21,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 
 	"speedlight/internal/emunet"
@@ -36,6 +37,28 @@ type App interface {
 	Start()
 	// Stop halts further injection (already scheduled packets drain).
 	Stop()
+}
+
+// ByName builds one of the paper's workloads over all of net's hosts
+// with the role split of Section 8: "uniform" is background traffic
+// among every host; in "hadoop" every host both maps and reduces (the
+// paper runs 10 mappers and 8 reducers across 6 servers, so shuffle
+// fetches cross the fabric in both directions); in "graphx" host 0 is
+// the idle master and the rest are workers; in "memcache" host 0 is the
+// client and the rest serve.
+func ByName(name string, net *emunet.Network) (App, error) {
+	hosts := net.Topo().HostIDs()
+	switch name {
+	case "uniform":
+		return &Uniform{Net: net, Hosts: hosts}, nil
+	case "hadoop":
+		return &Terasort{Net: net, Mappers: hosts, Reducers: hosts}, nil
+	case "graphx":
+		return &PageRank{Net: net, Workers: hosts[1:]}, nil
+	case "memcache":
+		return &Memcache{Net: net, Clients: hosts[:1], Servers: hosts[1:]}, nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (want uniform, hadoop, graphx or memcache)", name)
 }
 
 // SendFlow injects count packets of the given size from src to dst with

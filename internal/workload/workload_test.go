@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"speedlight/internal/emunet"
@@ -219,5 +220,29 @@ func TestAppNames(t *testing.T) {
 		if a.Name() != want[i] {
 			t.Errorf("name %d = %s", i, a.Name())
 		}
+	}
+
+	// The by-name table over the 2x2x3 testbed: every workload runs on
+	// the network's own hosts, host 0 being GraphX's idle master and
+	// memcache's client.
+	n := testNet(t, &capture{})
+	all := hosts(0, 1, 2, 3, 4, 5)
+	for name, want := range map[string]App{
+		"uniform":  &Uniform{Net: n, Hosts: all},
+		"hadoop":   &Terasort{Net: n, Mappers: all, Reducers: all},
+		"graphx":   &PageRank{Net: n, Workers: all[1:]},
+		"memcache": &Memcache{Net: n, Clients: all[:1], Servers: all[1:]},
+	} {
+		got, err := ByName(name, n)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, want %+v", name, got, want)
+		}
+	}
+	_, err := ByName("trace", n)
+	if err == nil || err.Error() != `unknown workload "trace" (want uniform, hadoop, graphx or memcache)` {
+		t.Errorf("unknown name: err = %v", err)
 	}
 }

@@ -39,7 +39,6 @@ package speedlight
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -222,13 +221,7 @@ func New(cfg Config) (*Network, error) {
 		case ByteCount:
 			return &counters.ByteCount{}
 		case EWMAInterarrival:
-			if id.Dir == dataplane.Egress {
-				// The clock source must be the unit's own domain: under
-				// shards, the engine-wide clock lags the shard-local one.
-				proc := net.Proc(id.Node)
-				return counters.NewEWMAInterarrival(func() int64 { return int64(proc.Now()) })
-			}
-			return &counters.PacketCount{}
+			return emunet.EWMAMetrics(net, id)
 		case QueueDepth:
 			if id.Dir == dataplane.Egress {
 				return net.Gauge(id)
@@ -239,9 +232,7 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	if cfg.Balancer == Flowlet {
-		ecfg.NewBalancer = func(_ topology.NodeID, r *rand.Rand) routing.Balancer {
-			return routing.NewFlowlet(100*sim.Microsecond, r)
-		}
+		ecfg.NewBalancer = routing.PaperFlowlet
 	}
 	n, err := emunet.New(ecfg)
 	if err != nil {
