@@ -99,7 +99,7 @@ figures:
 # no block comments to speak of). ROADMAP tracks this number per
 # package; a PR that deletes a mechanism quotes it before and after.
 loc:
-	@total=0; for d in $$(go list -f '{{.Dir}}' ./...); do \
+	@total=0; for d in $$(go list -f '{{if .GoFiles}}{{.Dir}}{{end}}' ./...); do \
 	  n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'); \
 	  total=$$((total + n)); \
 	  printf '%7d  .%s\n' $$n "$${d#$(CURDIR)}"; \

@@ -8,11 +8,6 @@
 // (`make lint`). Given package patterns directly, it prints that line.
 package main
 
-import (
-	"speedlight/internal/lint"
-	"speedlight/internal/lint/driver"
-)
+import "speedlight/internal/lint"
 
-func main() {
-	driver.Main(lint.Analyzers()...)
-}
+func main() { lint.Main() }

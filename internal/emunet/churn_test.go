@@ -38,7 +38,7 @@ func churnCampaign(seed int64) (campaignConfig, *topology.LeafSpine) {
 	}
 	return campaignConfig{
 		topo:       ls.Topology,
-		hosts:      hostIDsOf(ls.Topology),
+		hosts:      ls.Topology.HostIDs(),
 		seed:       seed,
 		interval:   3 * sim.Microsecond,
 		snapshots:  4,

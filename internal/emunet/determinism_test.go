@@ -225,7 +225,7 @@ func testbedCampaign(seed int64) campaignConfig {
 	}
 	return campaignConfig{
 		topo:      ls.Topology,
-		hosts:     hostIDsOf(ls.Topology),
+		hosts:     ls.Topology.HostIDs(),
 		seed:      seed,
 		interval:  3 * sim.Microsecond,
 		snapshots: 4,
@@ -234,14 +234,6 @@ func testbedCampaign(seed int64) campaignConfig {
 			c.LinkLossProb = 0.02
 		},
 	}
-}
-
-func hostIDsOf(topo *topology.Topology) []topology.HostID {
-	var out []topology.HostID
-	for _, h := range topo.Hosts {
-		out = append(out, h.ID)
-	}
-	return out
 }
 
 // TestDeterminismEquivalence proves the tentpole contract: one seed
@@ -286,7 +278,7 @@ func TestDeterminismEquivalenceFatTree(t *testing.T) {
 	}
 	cc := campaignConfig{
 		topo:      ft.Topology,
-		hosts:     hostIDsOf(ft.Topology),
+		hosts:     ft.Topology.HostIDs(),
 		seed:      7,
 		interval:  2 * sim.Microsecond,
 		snapshots: 3,
@@ -355,7 +347,7 @@ func TestPropertyRandomizedEquivalence(t *testing.T) {
 		}
 		cc := campaignConfig{
 			topo:      topo,
-			hosts:     hostIDsOf(topo),
+			hosts:     topo.HostIDs(),
 			seed:      r.Int63(),
 			interval:  sim.Duration(2+r.Intn(8)) * sim.Microsecond,
 			snapshots: 3,

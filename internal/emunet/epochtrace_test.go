@@ -30,7 +30,7 @@ func sixtyFourPortCampaign(seed int64, mutate func(*emunet.Config)) campaignConf
 	}
 	return campaignConfig{
 		topo:      ls.Topology,
-		hosts:     hostIDsOf(ls.Topology),
+		hosts:     ls.Topology.HostIDs(),
 		seed:      seed,
 		interval:  3 * sim.Microsecond,
 		snapshots: 6,

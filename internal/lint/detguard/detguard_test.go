@@ -3,10 +3,7 @@ package detguard_test
 import (
 	"testing"
 
-	"speedlight/internal/lint/detguard"
 	"speedlight/internal/lint/linttest"
 )
 
-func TestDetGuard(t *testing.T) {
-	linttest.Run(t, detguard.Analyzer, "core", "app")
-}
+func TestDetGuard(t *testing.T) { linttest.Golden(t, "detguard") }

@@ -2,6 +2,8 @@ package flow
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 )
@@ -79,9 +81,50 @@ func Forward(c *CFG, lat Lattice, entry Fact, tr Transfer) (*Flow, error) {
 			}
 		}
 	}
-	// Exit fact: join of terminator outs (computed lazily by clients
-	// that need it; most check per-terminator instead).
 	return f, nil
+}
+
+// Solve is the fixpoint-then-report scaffold of a path-sensitive
+// analyzer. step interprets one CFG node over a fact; Solve runs it to
+// a fixpoint with report false (it runs many times per node there),
+// then once per node of every reachable block on the converged facts
+// with report true, and finally hands atReturn the fact at each normal
+// return (panic paths owe nothing) with the position to report at: the
+// return statement, or the closing brace for an implicit one. A
+// lattice that does not converge leaves the function unreported rather
+// than guessed at.
+func (c *CFG) Solve(lat Lattice, entry Fact, step func(f Fact, n ast.Node, report bool) Fact, atReturn func(f Fact, pos token.Pos)) {
+	run := func(report bool) Transfer {
+		return func(b *Block, f Fact) Fact {
+			for _, n := range b.Nodes {
+				f = step(f, n, report)
+			}
+			return f
+		}
+	}
+	res, err := Forward(c, lat, entry, run(false))
+	if err != nil {
+		return
+	}
+	for _, b := range c.Blocks {
+		if in, ok := res.In[b]; ok && in != nil {
+			run(true)(b, in)
+		}
+	}
+	for _, t := range c.Terminators() {
+		out, ok := res.Out[t]
+		if !ok {
+			continue
+		}
+		pos := c.End
+		for i := len(t.Nodes) - 1; i >= 0; i-- {
+			if r, ok := t.Nodes[i].(*ast.ReturnStmt); ok {
+				pos = r.Pos()
+				break
+			}
+		}
+		atReturn(out, pos)
+	}
 }
 
 // ---- May-analysis environment: object -> state bitset ----

@@ -3,10 +3,7 @@ package hotalloc_test
 import (
 	"testing"
 
-	"speedlight/internal/lint/hotalloc"
 	"speedlight/internal/lint/linttest"
 )
 
-func TestHotAlloc(t *testing.T) {
-	linttest.Run(t, hotalloc.Analyzer, "hot")
-}
+func TestHotAlloc(t *testing.T) { linttest.Golden(t, "hotalloc") }

@@ -3,10 +3,7 @@ package journalctor_test
 import (
 	"testing"
 
-	"speedlight/internal/lint/journalctor"
 	"speedlight/internal/lint/linttest"
 )
 
-func TestJournalCtor(t *testing.T) {
-	linttest.Run(t, journalctor.Analyzer, "app", "journal")
-}
+func TestJournalCtor(t *testing.T) { linttest.Golden(t, "journalctor") }

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"speedlight/internal/lint/linttest"
-	"speedlight/internal/lint/lockorder"
 )
 
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, lockorder.Analyzer, "dataplane")
-}
+func TestLockOrder(t *testing.T) { linttest.Golden(t, "lockorder") }

@@ -1,17 +1,14 @@
-// Package dataplane seeds lockorder's golden violations: a missing
-// unlock on an early-return path, a guaranteed self-deadlock, and a
-// lock-order cycle seen both directly and through a call summary —
-// plus the blessed shapes (defer, branch-unlock, conditional pairs)
-// that must stay quiet.
+// Package dataplane seeds lockorder's golden violations of the
+// unlock-on-every-path and self-deadlock rules — a missing unlock on an
+// early-return path, a guaranteed self-deadlock — plus the blessed
+// shapes (defer, branch-unlock, conditional pairs, nested distinct
+// locks) that must stay quiet. The blocking-under-lock goldens are
+// ../../../../locksend's.
 package dataplane
 
 import "sync"
 
 type A struct{ mu sync.Mutex }
-
-type B struct{ mu sync.Mutex }
-
-type C struct{ mu sync.Mutex }
 
 type D struct{ mu sync.Mutex }
 
@@ -36,43 +33,6 @@ func relock(d *D) {
 	d.mu.Lock() // want `Lock of d.mu while it is already held: guaranteed self-deadlock`
 	d.mu.Unlock()
 	d.mu.Unlock()
-}
-
-// lockAB and lockBA together close a two-class cycle: each inner
-// acquisition is an edge, and each edge sees the reverse path.
-func lockAB(a *A, b *B) {
-	a.mu.Lock()
-	b.mu.Lock() // want `lock order cycle: dataplane.B.mu acquired while dataplane.A.mu is held, but the reverse order also exists`
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func lockBA(a *A, b *B) {
-	b.mu.Lock()
-	a.mu.Lock() // want `lock order cycle: dataplane.A.mu acquired while dataplane.B.mu is held, but the reverse order also exists`
-	a.mu.Unlock()
-	b.mu.Unlock()
-}
-
-// lockDthenC orders D before C inline; lockCthenCallD orders C before
-// D through helperLockD's acquire summary. The cycle is reported at
-// both the inline edge and the call site that carries the summary.
-func lockDthenC(c *C, d *D) {
-	d.mu.Lock()
-	c.mu.Lock() // want `lock order cycle: dataplane.C.mu acquired while dataplane.D.mu is held, but the reverse order also exists`
-	c.mu.Unlock()
-	d.mu.Unlock()
-}
-
-func helperLockD(d *D) {
-	d.mu.Lock()
-	d.mu.Unlock()
-}
-
-func lockCthenCallD(c *C, d *D) {
-	c.mu.Lock()
-	helperLockD(d) // want `lock order cycle: dataplane.D.mu acquired while dataplane.C.mu is held \(through call to helperLockD\)`
-	c.mu.Unlock()
 }
 
 // ---- blessed paths: no findings ----
@@ -128,8 +88,8 @@ func goroutineFresh(d *D) {
 	d.mu.Unlock()
 }
 
-// consistentOrder repeats the A-then-B order elsewhere: edges without a
-// reverse path are not cycles.
+// consistentOrder nests two distinct mutexes: holding a.mu while taking
+// b.mu is no re-acquisition (and there is no acquisition-order rule).
 func consistentOrder(a *A, b *B2) {
 	a.mu.Lock()
 	b.mu.Lock()

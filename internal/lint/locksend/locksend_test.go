@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"speedlight/internal/lint/linttest"
-	"speedlight/internal/lint/locksend"
 )
 
-func TestLockSend(t *testing.T) {
-	linttest.Run(t, locksend.Analyzer, "dataplane")
-}
+func TestLockSend(t *testing.T) { linttest.Golden(t, "lockorder") }

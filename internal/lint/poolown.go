@@ -1,4 +1,15 @@
-// Package poolown proves the linear-ownership discipline of pooled
+package lint
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+
+	"speedlight/internal/lint/flow"
+)
+
+// poolown proves the linear-ownership discipline of pooled
 // values (DESIGN.md §9) path-sensitively at compile time.
 //
 // PR 5 replaced GC-managed packet and event lifetimes with explicit
@@ -51,26 +62,37 @@
 // tracked value (p := pkt) stops tracking both; a deferred Put
 // discharges the leak obligation but is not checked against a second
 // explicit Put; panic-terminated paths owe nothing.
-package poolown
-
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-	"strings"
-
-	"speedlight/internal/lint/analysis"
-	"speedlight/internal/lint/flow"
-)
-
-var Analyzer = &analysis.Analyzer{
-	Name: "poolown",
-	Doc: "prove linear ownership of pooled packet/event values: every Get reaches " +
-		"exactly one Put, blessed handoff, or escape on every path; flag " +
-		"use-after-Put, double-Put, and leak-on-early-return",
-	Run: run,
-}
+var poolown = &analyzer{name: "poolown", run: func(p *pass) {
+	c := &poolChecker{pass: p, transfer: map[*types.Func][]int{}}
+	// Pass 1: collect //speedlight:pool-transfer (and the ring-cell
+	// variant) signatures so call sites anywhere in the package consume
+	// the right argument slots.
+	p.eachFunc(func(fd *ast.FuncDecl) {
+		args, ok := flow.Directive(fd.Doc, "pool-transfer")
+		if !ok {
+			args, ok = flow.Directive(fd.Doc, "pool-transfer-cell")
+		}
+		if fn, _ := p.info.Defs[fd.Name].(*types.Func); ok && fn != nil {
+			c.transfer[fn] = transferIndexes(fn, strings.Fields(args))
+		}
+	})
+	// Pass 2: analyze every function body (and every function literal
+	// as its own context; captured pooled values are treated as escaped
+	// at the capture site).
+	p.eachFunc(func(fd *ast.FuncDecl) {
+		if _, unchecked := flow.Directive(fd.Doc, "pool-unchecked"); unchecked {
+			return
+		}
+		var owned []types.Object
+		if args, ok := flow.Directive(fd.Doc, "pool-transfer"); ok {
+			owned = paramObjects(p, fd, strings.Fields(args))
+		}
+		c.analyze(fd.Body, owned)
+		for _, lit := range funcLits(fd.Body) {
+			c.analyze(lit.Body, nil)
+		}
+	})
+}}
 
 // Abstract states (a may-bitset: a value can be Owned on one inbound
 // path and Released on another).
@@ -95,58 +117,6 @@ var blessedConsumers = map[string]map[string]bool{
 	"emunet": {"InjectFrom": true, "InjectFromHost": true},
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	c := &checker{
-		pass:     pass,
-		transfer: map[*types.Func][]int{},
-	}
-	// Pass 1: collect //speedlight:pool-transfer (and the ring-cell
-	// variant) signatures so call sites anywhere in the package consume
-	// the right argument slots.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			args, ok := flow.Directive(fd.Doc, "pool-transfer")
-			if !ok {
-				args, ok = flow.Directive(fd.Doc, "pool-transfer-cell")
-			}
-			if !ok {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			c.transfer[fn] = transferIndexes(fn, strings.Fields(args))
-		}
-	}
-	// Pass 2: analyze every function body (and every function literal
-	// as its own context).
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if _, unchecked := flow.Directive(fd.Doc, "pool-unchecked"); unchecked {
-				continue
-			}
-			var owned []types.Object
-			if args, ok := flow.Directive(fd.Doc, "pool-transfer"); ok {
-				owned = paramObjects(pass, fd, strings.Fields(args))
-			}
-			c.analyze(fd.Body, owned)
-			for _, lit := range funcLits(fd.Body) {
-				c.analyze(lit.Body, nil)
-			}
-		}
-	}
-	return nil, nil
-}
-
 // transferIndexes maps the directive's parameter names to their
 // positions in the signature.
 func transferIndexes(fn *types.Func, names []string) []int {
@@ -167,13 +137,13 @@ func transferIndexes(fn *types.Func, names []string) []int {
 
 // paramObjects resolves the directive's parameter names to their
 // types.Objects so the callee body starts with them Owned.
-func paramObjects(pass *analysis.Pass, fd *ast.FuncDecl, names []string) []types.Object {
+func paramObjects(p *pass, fd *ast.FuncDecl, names []string) []types.Object {
 	var out []types.Object
 	for _, field := range fd.Type.Params.List {
 		for _, id := range field.Names {
 			for _, name := range names {
 				if id.Name == name {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
+					if obj := p.info.Defs[id]; obj != nil {
 						out = append(out, obj)
 					}
 				}
@@ -183,44 +153,23 @@ func paramObjects(pass *analysis.Pass, fd *ast.FuncDecl, names []string) []types
 	return out
 }
 
-// funcLits collects every function literal under body, including nested
-// ones (each is analyzed as an independent context; captured pooled
-// values are treated as escaped at the capture site).
-func funcLits(body *ast.BlockStmt) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-		}
-		return true
-	})
-	return lits
-}
-
-type checker struct {
-	pass     *analysis.Pass
+type poolChecker struct {
+	*pass
 	transfer map[*types.Func][]int // pool-transfer param positions
 }
 
 // fnAnalysis is the per-function state of one dataflow run.
 type fnAnalysis struct {
-	c         *checker
-	cfg       *flow.CFG
-	deferPut  map[types.Object]bool
-	reporting bool
-	seen      map[token.Pos]map[string]bool
+	c        *poolChecker
+	deferPut map[types.Object]bool
 }
 
-func (c *checker) analyze(body *ast.BlockStmt, ownedParams []types.Object) {
-	fa := &fnAnalysis{
-		c:        c,
-		cfg:      flow.Build(body),
-		deferPut: map[types.Object]bool{},
-		seen:     map[token.Pos]map[string]bool{},
-	}
+func (c *poolChecker) analyze(body *ast.BlockStmt, ownedParams []types.Object) {
+	fa := &fnAnalysis{c: c, deferPut: map[types.Object]bool{}}
+	cfg := flow.Build(body)
 	// Deferred Puts discharge the leak obligation at every exit.
-	for _, d := range fa.cfg.Defers {
-		if fn := c.calleeFunc(d.Call); c.isRelease(fn) && len(d.Call.Args) == 1 {
+	for _, d := range cfg.Defers {
+		if isRelease(calleeFunc(c.info, d.Call)) && len(d.Call.Args) == 1 {
 			if obj := identObj(c.pass, d.Call.Args[0]); obj != nil {
 				fa.deferPut[obj] = true
 			}
@@ -230,86 +179,19 @@ func (c *checker) analyze(body *ast.BlockStmt, ownedParams []types.Object) {
 	for _, obj := range ownedParams {
 		entry = entry.Set(obj, stOwned)
 	}
-	tr := func(b *flow.Block, in flow.Fact) flow.Fact {
-		env, _ := in.(flow.Env)
-		for _, n := range b.Nodes {
-			env = fa.node(env, n)
-		}
-		return env
-	}
-	res, err := flow.Forward(fa.cfg, flow.EnvLattice, entry, tr)
-	if err != nil {
-		return // non-convergence: stay silent rather than guess
-	}
-	// Reporting pass over the converged facts: each block once, then
-	// the leak check at every non-panic exit.
-	fa.reporting = true
-	for _, b := range fa.cfg.Blocks {
-		in, ok := res.In[b]
-		if !ok && b != fa.cfg.Entry {
-			continue // unreachable
-		}
-		if b == fa.cfg.Entry {
-			in = entry
-		}
-		env, _ := in.(flow.Env)
-		for _, n := range b.Nodes {
-			env = fa.node(env, n)
-		}
-	}
-	for _, t := range fa.cfg.Terminators() {
-		out, ok := res.Out[t]
-		if !ok {
-			continue
-		}
-		env, _ := out.(flow.Env)
-		fa.leakCheck(env, t)
-	}
+	cfg.Solve(flow.EnvLattice, entry, func(f flow.Fact, n ast.Node, report bool) flow.Fact {
+		c.muted = !report
+		return fa.node(f.(flow.Env), n)
+	}, fa.leakCheck)
 }
 
 // leakCheck reports every value still (possibly) Owned at a return.
-func (fa *fnAnalysis) leakCheck(env flow.Env, t *flow.Block) {
-	pos := fa.cfg.End
-	for i := len(t.Nodes) - 1; i >= 0; i-- {
-		if r, ok := t.Nodes[i].(*ast.ReturnStmt); ok {
-			pos = r.Pos()
-			break
-		}
-	}
-	type leak struct {
-		name string
-		pos  token.Pos
-	}
-	var leaks []leak
-	for obj, st := range env {
+func (fa *fnAnalysis) leakCheck(f flow.Fact, pos token.Pos) {
+	for obj, st := range f.(flow.Env) {
 		if st&stOwned != 0 && !fa.deferPut[obj] {
-			leaks = append(leaks, leak{obj.Name(), pos})
+			fa.c.reportf(pos, "pooled value %s may leak on this return path: no Put, blessed handoff, or escape", obj.Name())
 		}
 	}
-	sort.Slice(leaks, func(i, j int) bool { return leaks[i].name < leaks[j].name })
-	for _, l := range leaks {
-		fa.report(l.pos, "pooled value %s may leak on this return path: no Put, blessed handoff, or escape", l.name)
-	}
-}
-
-// report emits a diagnostic once per (position, message) pair; the
-// transfer function runs many times during the fixpoint but only the
-// reporting pass calls through here.
-func (fa *fnAnalysis) report(pos token.Pos, format string, args ...interface{}) {
-	if !fa.reporting {
-		return
-	}
-	msgs := fa.seen[pos]
-	if msgs == nil {
-		msgs = map[string]bool{}
-		fa.seen[pos] = msgs
-	}
-	key := format
-	if msgs[key] {
-		return
-	}
-	msgs[key] = true
-	fa.c.pass.Reportf(pos, format, args...)
 }
 
 // ---- transfer function ----
@@ -328,8 +210,8 @@ func (fa *fnAnalysis) node(env flow.Env, n ast.Node) flow.Env {
 		return env
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-			if fn := fa.c.calleeFunc(call); fa.c.isOrigin(fn) {
-				fa.report(call.Pos(), "result of pooled %s discarded: the value leaks immediately", fn.Name())
+			if fn := calleeFunc(fa.c.info, call); isOrigin(fn) {
+				fa.c.reportf(call.Pos(), "result of pooled %s discarded: the value leaks immediately", fn.Name())
 			}
 		}
 		return fa.expr(env, n.X)
@@ -414,14 +296,14 @@ func (fa *fnAnalysis) assignOne(env flow.Env, lhs, rhs ast.Expr) flow.Env {
 	}
 	// pkt := pool.Get(...)
 	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-		if fn := fa.c.calleeFunc(call); fa.c.isOrigin(fn) {
+		if fn := calleeFunc(fa.c.info, call); isOrigin(fn) {
 			env = fa.call(env, call)
 			if obj := defOrUse(fa.c.pass, lid); isLocalVar(fa.c.pass, obj) {
 				// A := in a loop body rebinds a fresh variable each
 				// iteration (the back edge carries the old state);
 				// only a plain = assignment can overwrite a live one.
-				if _, isDef := fa.c.pass.TypesInfo.Defs[lid]; !isDef && env.Get(obj)&stOwned != 0 {
-					fa.report(lhs.Pos(), "pooled value %s overwritten while still owned: the previous value leaks", lid.Name)
+				if _, isDef := fa.c.info.Defs[lid]; !isDef && env.Get(obj)&stOwned != 0 {
+					fa.c.reportf(lhs.Pos(), "pooled value %s overwritten while still owned: the previous value leaks", lid.Name)
 				}
 				return env.Set(obj, stOwned)
 			}
@@ -576,7 +458,7 @@ func (fa *fnAnalysis) call(env flow.Env, call *ast.CallExpr) flow.Env {
 	// append(dst, pkt) moves the value into the destination slice —
 	// the evq/mailbox push pattern; other builtins only borrow.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := fa.c.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+		if b, ok := fa.c.info.Uses[id].(*types.Builtin); ok {
 			for i, arg := range call.Args {
 				if b.Name() == "append" && i > 0 {
 					env = fa.escapeOrWalk(env, arg)
@@ -588,12 +470,12 @@ func (fa *fnAnalysis) call(env flow.Env, call *ast.CallExpr) flow.Env {
 		}
 	}
 
-	fn := fa.c.calleeFunc(call)
+	fn := calleeFunc(fa.c.info, call)
 
-	if fa.c.isRelease(fn) && len(call.Args) == 1 {
+	if isRelease(fn) && len(call.Args) == 1 {
 		if obj, id := trackedIn(fa.c.pass, env, call.Args[0]); obj != nil {
 			if env.Get(obj)&stReleased != 0 {
-				fa.report(call.Pos(), "double Put of pooled value %s: already returned to the pool on a path reaching here", id.Name)
+				fa.c.reportf(call.Pos(), "double Put of pooled value %s: already returned to the pool on a path reaching here", id.Name)
 			}
 			return env.Set(obj, stReleased)
 		}
@@ -617,58 +499,43 @@ func (fa *fnAnalysis) call(env flow.Env, call *ast.CallExpr) flow.Env {
 // useCheck flags a read of a value that may already be back in the
 // pool — the compile-time form of the generation-check panic.
 func (fa *fnAnalysis) useCheck(env flow.Env, id *ast.Ident) {
-	obj := fa.c.pass.TypesInfo.Uses[id]
+	obj := fa.c.info.Uses[id]
 	if obj == nil {
 		return
 	}
 	if env.Get(obj)&stReleased != 0 {
-		fa.report(id.Pos(), "use of pooled value %s after Put: the pool may have recycled it (use after free)", id.Name)
+		fa.c.reportf(id.Pos(), "use of pooled value %s after Put: the pool may have recycled it (use after free)", id.Name)
 	}
 }
 
 // ---- callee classification ----
 
-// calleeFunc resolves the function or method a call statically invokes.
-func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.TypesInfo.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.TypesInfo.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // isOrigin reports whether fn mints a pooled value the caller owns.
-func (c *checker) isOrigin(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+func isOrigin(fn *types.Func) bool {
+	if fn == nil {
 		return false
 	}
-	scope, recv := analysis.PkgScope(fn.Pkg().Path()), recvTypeName(fn)
-	switch scope {
-	case "packet":
-		return recv == "Pool" && fn.Name() == "Get"
-	case "sim":
-		return recv == "eventPool" && fn.Name() == "get"
-	case "emunet":
-		return recv == "Network" && (fn.Name() == "NewPacket" || fn.Name() == "NewPacketFor")
+	switch fn.Name() {
+	case "Get":
+		return recvIs(fn, "packet", "Pool")
+	case "get":
+		return recvIs(fn, "sim", "eventPool")
+	case "NewPacket", "NewPacketFor":
+		return recvIs(fn, "emunet", "Network")
 	}
 	return false
 }
 
 // isRelease reports whether fn returns its argument to a pool.
-func (c *checker) isRelease(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+func isRelease(fn *types.Func) bool {
+	if fn == nil {
 		return false
 	}
-	scope, recv := analysis.PkgScope(fn.Pkg().Path()), recvTypeName(fn)
-	switch scope {
-	case "packet":
-		return recv == "Pool" && fn.Name() == "Put"
-	case "sim":
-		return recv == "eventPool" && fn.Name() == "put"
+	switch fn.Name() {
+	case "Put":
+		return recvIs(fn, "packet", "Pool")
+	case "put":
+		return recvIs(fn, "sim", "eventPool")
 	}
 	return false
 }
@@ -676,7 +543,7 @@ func (c *checker) isRelease(fn *types.Func) bool {
 // consumedArgs returns which argument positions fn takes ownership of:
 // every position for a blessed cross-package consumer, the directive's
 // named positions for a //speedlight:pool-transfer callee.
-func (c *checker) consumedArgs(fn *types.Func, nargs int) map[int]bool {
+func (c *poolChecker) consumedArgs(fn *types.Func, nargs int) map[int]bool {
 	if fn == nil {
 		return nil
 	}
@@ -694,7 +561,7 @@ func (c *checker) consumedArgs(fn *types.Func, nargs int) map[int]bool {
 		return out
 	}
 	if fn.Pkg() != nil {
-		scope := analysis.PkgScope(fn.Pkg().Path())
+		scope := pkgScope(fn.Pkg().Path())
 		if blessedConsumers[scope][fn.Name()] {
 			for i := 0; i < nargs; i++ {
 				out[i] = true
@@ -705,26 +572,11 @@ func (c *checker) consumedArgs(fn *types.Func, nargs int) map[int]bool {
 	return nil
 }
 
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 // ---- environment lookups ----
 
 // identObj resolves an argument expression (through parens and type
 // assertions) to the object of a plain identifier, if it is one.
-func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
+func identObj(p *pass, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -732,7 +584,7 @@ func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
 		case *ast.TypeAssertExpr:
 			e = x.X
 		case *ast.Ident:
-			return pass.TypesInfo.Uses[x]
+			return p.info.Uses[x]
 		default:
 			return nil
 		}
@@ -741,7 +593,7 @@ func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
 
 // trackedIn resolves e to a tracked identifier, unwrapping parens and
 // type assertions (pool.Put(b.(*packet.Packet)) releases b).
-func trackedIn(pass *analysis.Pass, env flow.Env, e ast.Expr) (types.Object, *ast.Ident) {
+func trackedIn(p *pass, env flow.Env, e ast.Expr) (types.Object, *ast.Ident) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -749,7 +601,7 @@ func trackedIn(pass *analysis.Pass, env flow.Env, e ast.Expr) (types.Object, *as
 		case *ast.TypeAssertExpr:
 			e = x.X
 		case *ast.Ident:
-			if obj := pass.TypesInfo.Uses[x]; obj != nil && env.Get(obj) != 0 {
+			if obj := p.info.Uses[x]; obj != nil && env.Get(obj) != 0 {
 				return obj, x
 			}
 			return nil, nil
@@ -760,8 +612,8 @@ func trackedIn(pass *analysis.Pass, env flow.Env, e ast.Expr) (types.Object, *as
 }
 
 // lookupTracked returns the tracked object a use-identifier refers to.
-func lookupTracked(pass *analysis.Pass, env flow.Env, id *ast.Ident) types.Object {
-	obj := pass.TypesInfo.Uses[id]
+func lookupTracked(p *pass, env flow.Env, id *ast.Ident) types.Object {
+	obj := p.info.Uses[id]
 	if obj != nil && env.Get(obj) != 0 {
 		return obj
 	}
@@ -770,20 +622,20 @@ func lookupTracked(pass *analysis.Pass, env flow.Env, id *ast.Ident) types.Objec
 
 // defOrUse resolves an identifier in either defining (:=) or assigning
 // (=) position.
-func defOrUse(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
+func defOrUse(p *pass, id *ast.Ident) types.Object {
+	if obj := p.info.Defs[id]; obj != nil {
 		return obj
 	}
-	return pass.TypesInfo.Uses[id]
+	return p.info.Uses[id]
 }
 
 // isLocalVar reports whether obj is a function-local variable — the
 // only kind poolown tracks (package-level pooled state is owned by a
 // subsystem, not a path).
-func isLocalVar(pass *analysis.Pass, obj types.Object) bool {
+func isLocalVar(p *pass, obj types.Object) bool {
 	v, ok := obj.(*types.Var)
 	if !ok || v.IsField() {
 		return false
 	}
-	return obj.Parent() != pass.Pkg.Scope()
+	return obj.Parent() != p.pkg.Scope()
 }

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"speedlight/internal/lint/linttest"
-	"speedlight/internal/lint/poolown"
 )
 
-func TestPoolOwn(t *testing.T) {
-	linttest.Run(t, poolown.Analyzer, "app", "sim")
-}
+func TestPoolOwn(t *testing.T) { linttest.Golden(t, "poolown") }

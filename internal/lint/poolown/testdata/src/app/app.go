@@ -54,6 +54,18 @@ func (n *node) leakOnEarlyReturn(limit int) {
 	n.pool.Put(pkt)
 }
 
+// twoLeaksOneReturn owns two packets at one early return: each is its
+// own finding, though both come from one report site and position.
+func (n *node) twoLeaksOneReturn(skip bool) {
+	a := n.pool.Get()
+	b := n.pool.Get()
+	if skip {
+		return // want `pooled value a may leak on this return path` `pooled value b may leak on this return path`
+	}
+	n.pool.Put(a)
+	n.pool.Put(b)
+}
+
 // leakInLoop leaks one packet per skipped iteration.
 func (n *node) leakInLoop(k int) {
 	for i := 0; i < k; i++ {

@@ -1,4 +1,13 @@
-// Package shardsafe is the compile-time twin of sim.Parallel's runtime
+package lint
+
+import (
+	"go/ast"
+	"go/types"
+
+	"speedlight/internal/lint/flow"
+)
+
+// shardsafe is the compile-time twin of sim.Parallel's runtime
 // causality panics: code reachable from a shard worker entry point must
 // not touch state or APIs that only the serialized GlobalDomain may.
 //
@@ -41,32 +50,16 @@
 // //speedlight:shard marks pin down). Each finding names the entry
 // point that makes the function shard-reachable so the path is
 // auditable.
-package shardsafe
-
-import (
-	"go/ast"
-	"go/types"
-	"sort"
-
-	"speedlight/internal/lint/analysis"
-	"speedlight/internal/lint/flow"
-)
-
-var Analyzer = &analysis.Analyzer{
-	Name: "shardsafe",
-	Doc: "prove code reachable from //speedlight:shard worker entry points " +
-		"does not write package-level state, call //speedlight:global-only " +
-		"functions, or use the engine API outside the blessed Proc send path",
-	Run: run,
-}
+var shardsafe = &analyzer{name: "shardsafe", run: runShardSafe}
 
 // handoffFields are the sim.Parallel fields only the coordinator (or a
 // //speedlight:shard-handoff function) may touch from shard-reachable
 // code: the shard table and the global domain's queue state.
 var handoffFields = map[string]bool{"shards": true, "global": true}
 
-// globalOnlyAPI are the sim engine methods reserved for the global
-// domain / driver; Proc's methods (Send, SendCall, SendAt, Schedule,
+// globalOnlyAPI are the methods of the sim engine (receiver Sim, Engine
+// or Parallel in package sim) reserved for the global domain / driver;
+// Proc's methods (Send, SendCall, SendAt, Schedule,
 // After, Cancel, NewTicker on the Proc interface) are the blessed
 // worker-side path and are never flagged.
 var globalOnlyAPI = map[string]bool{
@@ -76,12 +69,7 @@ var globalOnlyAPI = map[string]bool{
 	"Fired": true, "Pending": true,
 }
 
-// engineRecv are the sim receiver types whose methods form the
-// global-side engine API.
-var engineRecv = map[string]bool{"Sim": true, "Engine": true, "Parallel": true}
-
 type fnNode struct {
-	fn      *types.Func
 	decl    *ast.FuncDecl
 	name    string
 	shard   bool // //speedlight:shard
@@ -89,31 +77,26 @@ type fnNode struct {
 	handoff bool // //speedlight:shard-handoff
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func runShardSafe(p *pass) {
 	nodes := map[*types.Func]*fnNode{}
-	var order []*fnNode
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			name := fd.Name.Name
-			if fd.Recv != nil {
-				name = recvName(fd) + "." + name
-			}
-			n := &fnNode{fn: fn, decl: fd, name: name}
-			_, n.shard = flow.Directive(fd.Doc, "shard")
-			_, n.global = flow.Directive(fd.Doc, "global-only")
-			_, n.handoff = flow.Directive(fd.Doc, "shard-handoff")
-			nodes[fn] = n
-			order = append(order, n)
+	var order []*fnNode // declaration order: deterministic findings
+	p.eachFunc(func(fd *ast.FuncDecl) {
+		fn, _ := p.info.Defs[fd.Name].(*types.Func)
+		if fn == nil {
+			return
 		}
-	}
+		n := &fnNode{decl: fd, name: fd.Name.Name}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if named, ok := deref(recv.Type()).(*types.Named); ok {
+				n.name = named.Obj().Name() + "." + n.name
+			}
+		}
+		_, n.shard = flow.Directive(fd.Doc, "shard")
+		_, n.global = flow.Directive(fd.Doc, "global-only")
+		_, n.handoff = flow.Directive(fd.Doc, "shard-handoff")
+		nodes[fn] = n
+		order = append(order, n)
+	})
 
 	// Same-package call graph: a reference to a function (called or
 	// taken as a value) makes it reachable.
@@ -125,7 +108,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			fn, ok := p.info.Uses[id].(*types.Func)
 			if !ok {
 				return true
 			}
@@ -158,66 +141,55 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	// Deterministic order: declaration order of reachable functions.
-	var reachable []*fnNode
 	for _, n := range order {
-		if _, ok := entryFor[n]; ok {
-			reachable = append(reachable, n)
+		if entry, ok := entryFor[n]; ok {
+			checkShardReachable(p, nodes, n, entry)
 		}
 	}
-	sort.SliceStable(reachable, func(i, j int) bool {
-		return reachable[i].decl.Pos() < reachable[j].decl.Pos()
-	})
-
-	for _, n := range reachable {
-		check(pass, nodes, n, entryFor[n])
-	}
-	return nil, nil
 }
 
-// check flags the three violation classes inside one shard-reachable
-// function.
-func check(pass *analysis.Pass, nodes map[*types.Func]*fnNode, n *fnNode, entry string) {
-	via := ""
+// checkShardReachable flags the violation classes inside one
+// shard-reachable function.
+func checkShardReachable(p *pass, nodes map[*types.Func]*fnNode, n *fnNode, entry string) {
+	via := " (//speedlight:shard entry point)"
 	if n.name != entry {
 		via = " (reachable from //speedlight:shard entry " + entry + ")"
-	} else {
-		via = " (//speedlight:shard entry point)"
+	}
+	// write flags a mutation (assignment, ++/--, delete) of target when
+	// it is rooted at a package-level variable.
+	write := func(at ast.Node, target ast.Expr) {
+		if v := pkgLevelTarget(p, target); v != nil {
+			p.reportf(at.Pos(), "shard-reachable %s writes package-level %s%s: shard workers run concurrently; route mutations through a GlobalDomain event", n.name, v.Name(), via)
+		}
 	}
 	ast.Inspect(n.decl.Body, func(sub ast.Node) bool {
 		switch s := sub.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
-				if v := pkgLevelTarget(pass, lhs); v != nil {
-					pass.Reportf(lhs.Pos(), "shard-reachable %s writes package-level %s%s: shard workers run concurrently; route mutations through a GlobalDomain event", n.name, v.Name(), via)
-				}
+				write(lhs, lhs)
 			}
 		case *ast.IncDecStmt:
-			if v := pkgLevelTarget(pass, s.X); v != nil {
-				pass.Reportf(s.Pos(), "shard-reachable %s writes package-level %s%s: shard workers run concurrently; route mutations through a GlobalDomain event", n.name, v.Name(), via)
-			}
+			write(s, s.X)
 		case *ast.CallExpr:
-			if id, ok := builtinIdent(pass, s); ok && id == "delete" && len(s.Args) > 0 {
-				if v := pkgLevelTarget(pass, s.Args[0]); v != nil {
-					pass.Reportf(s.Pos(), "shard-reachable %s writes package-level %s%s: shard workers run concurrently; route mutations through a GlobalDomain event", n.name, v.Name(), via)
-				}
+			if builtinName(p.info, s) == "delete" && len(s.Args) > 0 {
+				write(s, s.Args[0])
 			}
-			fn := calleeFunc(pass.TypesInfo, s)
+			fn := calleeFunc(p.info, s)
 			if fn == nil {
 				return true
 			}
 			if callee, ok := nodes[fn]; ok && callee.global {
-				pass.Reportf(s.Pos(), "shard-reachable %s calls //speedlight:global-only %s%s: this logic needs the total event order of the global domain", n.name, callee.name, via)
+				p.reportf(s.Pos(), "shard-reachable %s calls //speedlight:global-only %s%s: this logic needs the total event order of the global domain", n.name, callee.name, via)
 			}
-			if isEngineAPI(fn) {
-				pass.Reportf(s.Pos(), "shard-reachable %s calls sim engine API %s%s: worker code must use its Proc (Send/SendCall/SendAt) so the runtime can route across shards", n.name, fn.Name(), via)
+			if globalOnlyAPI[fn.Name()] && (recvIs(fn, "sim", "Sim") || recvIs(fn, "sim", "Engine") || recvIs(fn, "sim", "Parallel")) {
+				p.reportf(s.Pos(), "shard-reachable %s calls sim engine API %s%s: worker code must use its Proc (Send/SendCall/SendAt) so the runtime can route across shards", n.name, fn.Name(), via)
 			}
 		case *ast.SelectorExpr:
 			if n.handoff {
 				return true
 			}
-			if f := handoffField(pass, s); f != "" {
-				pass.Reportf(s.Pos(), "shard-reachable %s touches Parallel.%s directly%s: cross-shard events must travel the pair ring handoff (pushRing), not another shard's queue; blessed implementations declare //speedlight:shard-handoff", n.name, f, via)
+			if f := handoffField(p, s); f != "" {
+				p.reportf(s.Pos(), "shard-reachable %s touches Parallel.%s directly%s: cross-shard events must travel the pair ring handoff (pushRing), not another shard's queue; blessed implementations declare //speedlight:shard-handoff", n.name, f, via)
 			}
 		}
 		return true
@@ -227,15 +199,15 @@ func check(pass *analysis.Pass, nodes map[*types.Func]*fnNode, n *fnNode, entry 
 // handoffField reports whether sel reads one of sim.Parallel's
 // coordinator-owned fields (the shard table or the global shard),
 // returning the field name when it does.
-func handoffField(pass *analysis.Pass, sel *ast.SelectorExpr) string {
+func handoffField(p *pass, sel *ast.SelectorExpr) string {
 	if !handoffFields[sel.Sel.Name] {
 		return ""
 	}
-	v, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+	v, ok := p.info.Uses[sel.Sel].(*types.Var)
 	if !ok || !v.IsField() || v.Pkg() == nil {
 		return ""
 	}
-	if analysis.PkgScope(v.Pkg().Path()) != "sim" {
+	if pkgScope(v.Pkg().Path()) != "sim" {
 		return ""
 	}
 	return v.Name()
@@ -245,7 +217,7 @@ func handoffField(pass *analysis.Pass, sel *ast.SelectorExpr) string {
 // variable it mutates, if any: a bare package var, or an index/field/
 // deref rooted at one (writing p.X or m[k] mutates the shared object
 // the package var names).
-func pkgLevelTarget(pass *analysis.Pass, e ast.Expr) *types.Var {
+func pkgLevelTarget(p *pass, e ast.Expr) *types.Var {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -260,11 +232,11 @@ func pkgLevelTarget(pass *analysis.Pass, e ast.Expr) *types.Var {
 			// (es.sw.state) is the local's object graph, not ours.
 			e = x.X
 		case *ast.Ident:
-			v, ok := pass.TypesInfo.Uses[x].(*types.Var)
+			v, ok := p.info.Uses[x].(*types.Var)
 			if !ok || v.IsField() {
 				return nil
 			}
-			if v.Parent() == pass.Pkg.Scope() {
+			if v.Parent() == p.pkg.Scope() {
 				return v
 			}
 			return nil
@@ -272,65 +244,4 @@ func pkgLevelTarget(pass *analysis.Pass, e ast.Expr) *types.Var {
 			return nil
 		}
 	}
-}
-
-// isEngineAPI reports whether fn is a global-side method of the sim
-// engine (receiver Sim/Engine/Parallel in package sim).
-func isEngineAPI(fn *types.Func) bool {
-	if fn.Pkg() == nil || analysis.PkgScope(fn.Pkg().Path()) != "sim" {
-		return false
-	}
-	if !globalOnlyAPI[fn.Name()] {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return engineRecv[n.Obj().Name()]
-	}
-	return false
-}
-
-func builtinIdent(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	if !ok {
-		return "", false
-	}
-	return b.Name(), true
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func recvName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if s, ok := t.(*ast.StarExpr); ok {
-		t = s.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }

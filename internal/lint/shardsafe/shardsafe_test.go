@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"speedlight/internal/lint/linttest"
-	"speedlight/internal/lint/shardsafe"
 )
 
-func TestShardSafe(t *testing.T) {
-	linttest.Run(t, shardsafe.Analyzer, "app", "sim")
-}
+func TestShardSafe(t *testing.T) { linttest.Golden(t, "shardsafe") }

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"speedlight/internal/lint/linttest"
-	"speedlight/internal/lint/wrappedcmp"
 )
 
-func TestWrappedCmp(t *testing.T) {
-	linttest.Run(t, wrappedcmp.Analyzer, "app", "core", "packet")
-}
+func TestWrappedCmp(t *testing.T) { linttest.Golden(t, "wrappedcmp") }
