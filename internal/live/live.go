@@ -1,14 +1,16 @@
 // Package live runs a Speedlight deployment as real concurrent Go:
 // every switch is a goroutine owning its data plane and control plane,
-// links are channels between switch goroutines, and the snapshot
-// observer runs in its own goroutine with wall-clock initiation timers.
+// a link is a put into the neighbour's mailbox — a bounded,
+// mutex-guarded inbox its goroutine empties a burst at a time — and the
+// snapshot observer runs in its own goroutine with wall-clock
+// initiation timers.
 //
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
 // internal/observer); this runtime demonstrates it under genuine
-// asynchrony — goroutine scheduling, real queueing in channels, and
-// wall-clock time — the way a deployment across real switch CPUs would
-// run it. Experiments use the simulator for reproducibility; this
+// asynchrony — goroutine scheduling, real queueing in the mailboxes,
+// and wall-clock time — the way a deployment across real switch CPUs
+// would run it. Experiments use the simulator for reproducibility; this
 // package is the "production shaped" engine.
 package live
 
@@ -96,11 +98,12 @@ type Config struct {
 	Invariants *invariant.Engine
 }
 
-// inboxDepth bounds each switch's event inbox: the link buffer a full
-// switch drops into (see liveSwitch.Forward).
+// inboxDepth bounds the packets waiting in each switch's mailbox: the
+// link buffer a full switch drops into (see liveSwitch.Forward).
 const inboxDepth = 4096
 
-// event is one unit of work for a switch goroutine.
+// event is one unit of work for a switch goroutine, queued in its
+// mailbox.
 type event struct {
 	kind eventKind
 	pkt  *packet.Packet
@@ -123,23 +126,97 @@ const (
 	evPoll
 )
 
+// mailbox is a switch's inbox: many producers, one consumer. Producers
+// append under mu; the switch goroutine takes the whole backlog in one
+// swap, so it pays one lock per burst and none per event, and no two
+// switches share a lock — which a receive that also selects on the
+// network-wide stop channel would take, per event, on every switch.
+type mailbox struct {
+	mu sync.Mutex
+	q  []event
+	// wake holds a token whenever q went from empty to not: what the
+	// consumer parks on. A stale token costs it one empty take.
+	wake chan struct{}
+	// room gets a token when a full backlog is taken: what an Inject
+	// refused by put parks on.
+	room chan struct{}
+}
+
+func newMailbox() *mailbox {
+	return &mailbox{wake: make(chan struct{}, 1), room: make(chan struct{}, 1)}
+}
+
+// put queues ev and returns the depth it reached, or 0 for a packet
+// refused because inboxDepth events already wait. Control events are
+// always admitted: the observer's no-lapping ID window bounds them, and
+// it asks for a retry only once. The wake token goes out after Unlock:
+// nothing blocks, or is sent, under mu.
+//
+//speedlight:hotpath
+func (m *mailbox) put(ev event) int {
+	m.mu.Lock()
+	depth := len(m.q)
+	if ev.kind == evPacket && depth >= inboxDepth {
+		m.mu.Unlock()
+		return 0
+	}
+	m.q = append(m.q, ev)
+	m.mu.Unlock()
+	if depth == 0 {
+		signal(m.wake)
+	}
+	return depth + 1
+}
+
+// take returns everything queued, in put order, and leaves spare (the
+// previous burst, now processed) as the queue's storage.
+//
+//speedlight:hotpath
+func (m *mailbox) take(spare []event) []event {
+	clear(spare) // drop the packets it still points to
+	m.mu.Lock()
+	burst := m.q
+	m.q = spare[:0]
+	m.mu.Unlock()
+	if len(burst) >= inboxDepth {
+		signal(m.room)
+	}
+	return burst
+}
+
+// signal leaves a token in a 1-buffered channel unless one is there.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
 // liveSwitch is one switch goroutine's state, and the node.Host of the
 // switch it runs.
 type liveSwitch struct {
 	net   *Network
 	spec  *topology.Switch
 	sw    *node.Switch
-	inbox chan event
+	inbox *mailbox
 	// events counts this switch goroutine's processed events
 	// (per-switch throughput).
 	events *telemetry.Counter
+}
+
+// put queues ev for the switch and books the depth the mailbox
+// reached; false means a full mailbox refused the packet.
+func (ls *liveSwitch) put(ev event) bool {
+	depth := ls.inbox.put(ev)
+	ls.net.tel.inboxHighWater.SetMax(int64(depth))
+	return depth > 0
 }
 
 // Network is a running live deployment.
 type Network struct {
 	cfg  Config
 	topo *topology.Topology
-	sws  map[topology.NodeID]*liveSwitch
+	sws  []*liveSwitch // by NodeID
 
 	// col assembles snapshots into sink. Results reach it through
 	// obsEvents — the network path from switch CPU to observer host — so
@@ -201,7 +278,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:  cfg,
 		topo: cfg.Topo,
-		sws:  make(map[topology.NodeID]*liveSwitch),
+		sws:  make([]*liveSwitch, len(cfg.Topo.Switches)),
 		sink: node.Sink{
 			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
 			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
@@ -244,7 +321,7 @@ func New(cfg Config) (*Network, error) {
 		ls := &liveSwitch{
 			net:    n,
 			spec:   spec,
-			inbox:  make(chan event, inboxDepth),
+			inbox:  newMailbox(),
 			events: swEvents.With(fmt.Sprint(spec.ID)),
 		}
 		ls.sw, err = node.New(node.Config{
@@ -323,7 +400,6 @@ func (n *Network) Start() {
 	}
 	n.started = time.Now()
 	for _, ls := range n.sws {
-		ls := ls
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -383,16 +459,25 @@ func (n *Network) MetricsAddr() string {
 
 // runSwitch is one switch's event loop: the single goroutine that owns
 // both the data plane and the control plane state of the device, so
-// every unit stays linearizable and FIFO order is inherent.
+// every unit stays linearizable and FIFO order is inherent. It takes
+// its mailbox a burst at a time, looks at stop once per burst, and
+// parks only on an empty mailbox.
 func (n *Network) runSwitch(ls *liveSwitch) {
+	var burst []event
 	for {
-		select {
-		case <-n.stop:
-			return
-		case ev := <-ls.inbox:
-			ls.events.Inc()
-			n.tel.events.Inc()
-			switch ev.kind {
+		burst = ls.inbox.take(burst)
+		if len(burst) == 0 {
+			select {
+			case <-n.stop:
+				return
+			case <-ls.inbox.wake:
+				continue
+			}
+		}
+		ls.events.Add(uint64(len(burst)))
+		n.tel.events.Add(uint64(len(burst)))
+		for i := range burst {
+			switch ev := &burst[i]; ev.kind {
 			case evPacket:
 				ls.sw.Packet(ev.pkt, ev.port)
 			case evInitiate:
@@ -403,6 +488,11 @@ func (n *Network) runSwitch(ls *liveSwitch) {
 					close(ev.done)
 				}
 			}
+		}
+		select {
+		case <-n.stop:
+			return
+		default:
 		}
 	}
 }
@@ -415,14 +505,10 @@ func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
 	n := ls.net
 	switch peer := ls.spec.Ports[port]; peer.Kind {
 	case topology.PeerSwitch:
-		// Non-blocking: a full inbox is a full link buffer, and the
+		// Non-blocking: a full mailbox is a full link buffer, and the
 		// packet is dropped — blocking here could deadlock a cycle of
 		// mutually full switches.
-		next := n.sws[peer.Node]
-		select {
-		case next.inbox <- event{kind: evPacket, pkt: pkt, port: peer.Port}:
-			n.tel.inboxHighWater.SetMax(int64(len(next.inbox)))
-		default:
+		if !n.sws[peer.Node].put(event{kind: evPacket, pkt: pkt, port: peer.Port}) {
 			n.tel.inboxDrops.Inc()
 		}
 	case topology.PeerHost:
@@ -453,23 +539,15 @@ func (n *Network) runObserver() {
 		case <-tick:
 			for _, act := range n.col.Timeouts(n.now()) {
 				for _, dev := range act.Retry {
-					// Non-blocking: blocking here could deadlock against
-					// a switch blocked on the observer channel. A retry
-					// dropped at a full inbox is not re-sent: the
-					// observer asks for a retry once per snapshot. Only
-					// retries flood markers; first initiations do not.
+					// Control events are admitted whatever the depth, so
+					// this neither blocks (it could deadlock against a
+					// switch blocked on the observer channel) nor loses
+					// the retry, which the observer asks for only once
+					// per snapshot. Only retries flood markers; first
+					// initiations do not.
 					ls := n.sws[dev]
-					select {
-					case ls.inbox <- event{kind: evInitiate, snapshotID: act.SnapshotID,
-						markers: n.cfg.ChannelState}:
-					default:
-						n.tel.inboxDrops.Inc()
-					}
-					select {
-					case ls.inbox <- event{kind: evPoll}:
-					default:
-						n.tel.inboxDrops.Inc()
-					}
+					ls.put(event{kind: evInitiate, snapshotID: act.SnapshotID, markers: n.cfg.ChannelState})
+					ls.put(event{kind: evPoll})
 				}
 			}
 		}
@@ -478,19 +556,26 @@ func (n *Network) runObserver() {
 
 // Inject sends a packet from a host into the network.
 func (n *Network) Inject(host topology.HostID, pkt *packet.Packet) error {
-	h := n.topo.Host(host)
-	if h == nil {
+	if int(host) >= len(n.topo.Hosts) {
 		return fmt.Errorf("live: unknown host %d", host)
 	}
+	h := n.topo.Hosts[host]
 	pkt.SrcHost = uint32(host)
-	ls := n.sws[h.Node]
-	select {
-	case ls.inbox <- event{kind: evPacket, pkt: pkt, port: h.Port}:
-		n.tel.inboxHighWater.SetMax(int64(len(ls.inbox)))
+	ls, ev := n.sws[h.Node], event{kind: evPacket, pkt: pkt, port: h.Port}
+	if ls.put(ev) {
 		return nil
-	case <-n.stop:
-		return fmt.Errorf("live: network stopped")
 	}
+	// A full mailbox makes the host wait until the switch takes it, or
+	// for Stop; whoever gets in passes the token to the next one waiting.
+	for ok := false; !ok; ok = ls.put(ev) {
+		select {
+		case <-ls.inbox.room:
+		case <-n.stop:
+			return fmt.Errorf("live: network stopped")
+		}
+	}
+	signal(ls.inbox.room)
+	return nil
 }
 
 // TakeSnapshot begins a network-wide snapshot after the given delay and
@@ -506,16 +591,21 @@ func (n *Network) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *obser
 	if err != nil {
 		return 0, nil, err
 	}
-	time.AfterFunc(delay, func() {
-		for _, spec := range n.topo.Switches {
-			ls := n.sws[spec.ID]
-			select {
-			case ls.inbox <- event{kind: evInitiate, snapshotID: id}:
-			case <-n.stop:
-			}
-		}
-	})
+	// Control events never block, so without a delay the caller's
+	// goroutine initiates: no timer, closure or goroutine to wait no time.
+	if delay <= 0 {
+		n.initiate(id)
+	} else {
+		time.AfterFunc(delay, func() { n.initiate(id) })
+	}
 	return id, sub, nil
+}
+
+// initiate asks every switch to start snapshot id.
+func (n *Network) initiate(id packet.SeqID) {
+	for _, ls := range n.sws {
+		ls.put(event{kind: evInitiate, snapshotID: id})
+	}
 }
 
 // CompletedEpochs returns how many global snapshots the observer has
@@ -529,15 +619,10 @@ func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.col.Snapshot
 // PollAll synchronously asks every switch control plane to poll its
 // registers (recovery path), returning when all have finished.
 func (n *Network) PollAll() {
-	var dones []chan struct{}
-	for _, spec := range n.topo.Switches {
-		done := make(chan struct{})
-		select {
-		case n.sws[spec.ID].inbox <- event{kind: evPoll, done: done}:
-			dones = append(dones, done)
-		case <-n.stop:
-			return
-		}
+	dones := make([]chan struct{}, len(n.sws))
+	for i, ls := range n.sws {
+		dones[i] = make(chan struct{})
+		ls.put(event{kind: evPoll, done: dones[i]})
 	}
 	for _, d := range dones {
 		select {

@@ -1,0 +1,369 @@
+package live
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"speedlight/internal/packet"
+	"speedlight/internal/telemetry"
+	"speedlight/internal/topology"
+)
+
+// deadline bounds every wait below: a lost wake-up fails the test
+// instead of hanging it.
+const deadline = 20 * time.Second
+
+// within fails the test unless c delivers before the deadline.
+func within[T any](t *testing.T, c <-chan T, what string) (v T) {
+	t.Helper()
+	select {
+	case v = <-c:
+	case <-time.After(deadline):
+		t.Fatalf("%s: nothing after %v", what, deadline)
+	}
+	return v
+}
+
+// eventually polls cond until it holds or the deadline passes.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for end := time.Now().Add(deadline); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%s: not after %v", what, deadline)
+		}
+	}
+}
+
+// pkt is a data event from producer p carrying sequence number seq.
+func pkt(p int, seq uint64) event {
+	return event{kind: evPacket, port: p, snapshotID: packet.SeqID(seq)}
+}
+
+// consume is runSwitch's way with a mailbox — take a burst, park on wake
+// only after an empty take — until it has seen total events.
+func consume(m *mailbox, total int, each func(event)) <-chan bool {
+	done := make(chan bool, 1)
+	go func() {
+		var burst []event
+		for seen := 0; seen < total; {
+			if burst = m.take(burst); len(burst) == 0 {
+				select {
+				case <-m.wake:
+				case <-time.After(deadline):
+					done <- false
+					return
+				}
+			}
+			for _, ev := range burst {
+				each(ev)
+			}
+			seen += len(burst)
+		}
+		done <- true
+	}()
+	return done
+}
+
+// TestMailboxFIFOPerProducer: whatever the interleaving of eight
+// producers, the consumer sees each one's events in the order put.
+func TestMailboxFIFOPerProducer(t *testing.T) {
+	const producers, each = 8, 5000
+	m := newMailbox()
+	var next [producers]uint64
+	var disorder atomic.Int64
+	done := consume(m, producers*each, func(ev event) {
+		if uint64(ev.snapshotID) != next[ev.port] {
+			disorder.Add(1)
+		}
+		next[ev.port]++
+	})
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			for seq := uint64(0); seq < each; {
+				if m.put(pkt(p, seq)) > 0 {
+					seq++
+				} else {
+					runtime.Gosched() // full: the consumer is behind
+				}
+			}
+		}(p)
+	}
+	if !within(t, done, "consumer") {
+		t.Fatal("consumer parked with events still to come: lost wake-up")
+	}
+	if d := disorder.Load(); d != 0 {
+		t.Errorf("%d events out of their producer's order", d)
+	}
+}
+
+// TestMailboxNoLostWakeup hammers the one race the wake token exists
+// for: a put landing between the consumer's empty take and its park. A
+// lone producer that yields after every put keeps the consumer at that
+// edge for 100 k events; it must see them all.
+func TestMailboxNoLostWakeup(t *testing.T) {
+	const total = 100_000
+	m := newMailbox()
+	var sum uint64
+	done := consume(m, total, func(ev event) { sum += uint64(ev.snapshotID) })
+	go func() {
+		for seq := uint64(1); seq <= total; seq++ {
+			for m.put(pkt(0, seq)) == 0 {
+				runtime.Gosched()
+			}
+			if seq%3 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	if !within(t, done, "consumer") {
+		t.Fatal("consumer parked with events still to come: lost wake-up")
+	}
+	if want := uint64(total) * (total + 1) / 2; sum != want {
+		t.Errorf("events summed to %d, want %d", sum, want)
+	}
+}
+
+// TestMailboxBound: inboxDepth packets are admitted and no more, control
+// events are admitted on top of a full mailbox, and take returns the lot
+// in order.
+func TestMailboxBound(t *testing.T) {
+	m := newMailbox()
+	admitted := 0
+	for i := 0; i < inboxDepth+100; i++ {
+		if depth := m.put(pkt(0, uint64(i))); depth > 0 {
+			if admitted++; depth != admitted {
+				t.Fatalf("put %d reported depth %d", i, depth)
+			}
+		}
+	}
+	if admitted != inboxDepth {
+		t.Fatalf("admitted %d packets, want inboxDepth = %d", admitted, inboxDepth)
+	}
+	if d := m.put(event{kind: evInitiate, snapshotID: 7}); d != inboxDepth+1 {
+		t.Errorf("initiation at a full mailbox: depth %d, want %d", d, inboxDepth+1)
+	}
+	if d := m.put(event{kind: evPoll}); d != inboxDepth+2 {
+		t.Errorf("poll at a full mailbox: depth %d, want %d", d, inboxDepth+2)
+	}
+	burst := m.take(nil)
+	if len(burst) != inboxDepth+2 {
+		t.Fatalf("took %d events, want %d", len(burst), inboxDepth+2)
+	}
+	for i, ev := range burst[:inboxDepth] {
+		if ev.kind != evPacket || int(ev.snapshotID) != i {
+			t.Fatalf("event %d is %+v", i, ev)
+		}
+	}
+	if burst[inboxDepth].kind != evInitiate || burst[inboxDepth+1].kind != evPoll {
+		t.Error("control events out of order")
+	}
+	if m.put(pkt(0, 0)) != 1 {
+		t.Error("no room after take")
+	}
+}
+
+// TestForwardDropsAndCountsAtFullMailbox: the refused packets of a full
+// link buffer are the inbox-drop counter, and the high-water gauge is the
+// bound. The network is built and never started, so nothing drains.
+func TestForwardDropsAndCountsAtFullMailbox(t *testing.T) {
+	ls := leafSpine(t)
+	n, err := New(Config{Topo: ls.Topology, Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := n.sws[ls.Leaves[0]]
+	uplink := ls.UplinkPorts(leaf.spec.ID)[0]
+	for i := 0; i < inboxDepth+100; i++ {
+		leaf.Forward(uplink, &packet.Packet{})
+	}
+	if got := n.tel.inboxDrops.Value(); got != 100 {
+		t.Errorf("inbox drops = %d, want 100", got)
+	}
+	if got := n.tel.inboxHighWater.Value(); got != inboxDepth {
+		t.Errorf("inbox high water = %d, want %d", got, inboxDepth)
+	}
+	if got := len(n.sws[leaf.spec.Ports[uplink].Node].inbox.take(nil)); got != inboxDepth {
+		t.Errorf("the spine's mailbox holds %d, want %d", got, inboxDepth)
+	}
+}
+
+// fillFromHost injects packets from host 0 until its leaf's mailbox is
+// full, then starts hosts more Injects, which must block; it returns
+// the channel their results arrive on.
+func fillFromHost(t *testing.T, n *Network, hosts int) <-chan error {
+	t.Helper()
+	for i := 0; i < inboxDepth; i++ {
+		if err := n.Inject(0, &packet.Packet{DstHost: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, hosts)
+	for i := 0; i < hosts; i++ {
+		go func() { errs <- n.Inject(0, &packet.Packet{DstHost: 1}) }()
+	}
+	// That they block is a negative: the wait can only miss a bug, never
+	// report one that is not there.
+	select {
+	case err := <-errs:
+		t.Fatalf("Inject into a full mailbox returned (%v) instead of waiting", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return errs
+}
+
+// TestBlockedInjectReleasedByTake: one take of the full mailbox lets
+// every waiting host in, not only the first.
+func TestBlockedInjectReleasedByTake(t *testing.T) {
+	n, err := New(Config{Topo: leafSpine(t).Topology})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hosts = 3
+	errs := fillFromHost(t, n, hosts)
+	inbox := n.sws[n.topo.Hosts[0].Node].inbox
+	if got := len(inbox.take(nil)); got != inboxDepth {
+		t.Fatalf("took %d, want %d", got, inboxDepth)
+	}
+	for i := 0; i < hosts; i++ {
+		if err := within(t, errs, "blocked Inject after take"); err != nil {
+			t.Errorf("released Inject: %v", err)
+		}
+	}
+	if got := len(inbox.take(nil)); got != hosts {
+		t.Errorf("the released hosts queued %d packets, want %d", got, hosts)
+	}
+}
+
+// TestBlockedInjectReleasedByStop: Stop releases waiting hosts with an
+// error, and returns although the mailbox is full.
+func TestBlockedInjectReleasedByStop(t *testing.T) {
+	n, err := New(Config{Topo: leafSpine(t).Topology})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := fillFromHost(t, n, 2)
+	n.Stop()
+	for i := 0; i < 2; i++ {
+		if err := within(t, errs, "blocked Inject after Stop"); err == nil {
+			t.Error("Inject released by Stop reported success")
+		}
+	}
+}
+
+// wedged starts a network whose deliveries all block until release is
+// called, and wedges host 0's leaf in one: from then on that switch's
+// mailbox only fills. The test's end releases and stops it, so a failed
+// assertion is a failure and not a hang.
+func wedged(t *testing.T, cfg Config) (n *Network, release func()) {
+	t.Helper()
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	cfg.Topo = leafSpine(t).Topology
+	cfg.OnDeliver = func(*packet.Packet, topology.HostID) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	t.Cleanup(func() { release(); n.Stop() })
+	if err := n.Inject(0, &packet.Packet{DstHost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	within(t, entered, "first delivery")
+	return n, release
+}
+
+// TestStopWithNonEmptyMailbox: a switch looks at stop after every burst,
+// so Stop returns with events still queued behind the one in progress.
+func TestStopWithNonEmptyMailbox(t *testing.T) {
+	n, release := wedged(t, Config{})
+	for i := 0; i < 1000; i++ {
+		if err := n.Inject(0, &packet.Packet{DstHost: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopped := make(chan struct{})
+	go func() { n.Stop(); close(stopped) }()
+	<-n.stop
+	release()
+	within(t, stopped, "Stop")
+	if got := len(n.sws[n.topo.Hosts[0].Node].inbox.take(nil)); got != 1000 {
+		t.Errorf("mailbox holds %d events after Stop, want the 1000 queued behind the wedged one", got)
+	}
+}
+
+// TestRetryAdmittedAtFullMailbox is the inbox-drop retry hole: the
+// observer asks for a retry once per snapshot, so a retry refused by a
+// full inbox was lost for good (and counted as two dropped packets).
+// Control events are admitted whatever the depth: with a switch wedged
+// and its mailbox full of packets, the initiation, the retry's
+// re-initiation and its poll all queue behind them, nothing is dropped,
+// and the snapshot completes once the switch moves again.
+func TestRetryAdmittedAtFullMailbox(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	n, release := wedged(t, Config{RetryEvery: 5 * time.Millisecond, Registry: reg})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the last of these waits for room
+		defer wg.Done()
+		for i := 0; i < inboxDepth+1; i++ {
+			n.Inject(0, &packet.Packet{DstHost: 1})
+		}
+	}()
+	eventually(t, "mailbox full", func() bool { return n.tel.inboxHighWater.Value() >= inboxDepth })
+
+	_, done, err := n.TakeSnapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "initiation, re-initiation and poll queued on top of the full mailbox",
+		func() bool { return n.tel.inboxHighWater.Value() >= inboxDepth+3 })
+	if got := reg.Counter("speedlight_obs_retries_total", "").Value(); got != 1 {
+		t.Errorf("observer asked %d devices to retry, want the wedged one", got)
+	}
+	if got := n.tel.inboxDrops.Value(); got != 0 {
+		t.Errorf("speedlight_live_inbox_drops_total = %d, want 0", got)
+	}
+
+	release()
+	if g := within(t, done, "snapshot after un-wedging"); !g.Consistent || len(g.Results) != 28 {
+		t.Errorf("snapshot consistent=%v with %d of 28 results", g.Consistent, len(g.Results))
+	}
+	wg.Wait()
+	if got := n.tel.inboxDrops.Value(); got != 0 {
+		t.Errorf("speedlight_live_inbox_drops_total = %d after draining, want 0", got)
+	}
+}
+
+// TestMailboxSteadyStateAllocs: once both slices have grown to the
+// burst size, puts and the swapping take allocate nothing.
+//
+//speedlight:allocgate live.mailbox.put live.mailbox.take
+func TestMailboxSteadyStateAllocs(t *testing.T) {
+	m := newMailbox()
+	var burst []event
+	round := func() {
+		for i := 0; i < 64; i++ {
+			m.put(pkt(0, uint64(i)))
+		}
+		if burst = m.take(burst); len(burst) != 64 {
+			t.Fatalf("took %d of 64", len(burst))
+		}
+	}
+	round()
+	round() // the spare has grown too
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Fatalf("steady-state put/take allocates %v per 64-event burst, want 0", n)
+	}
+}

@@ -50,12 +50,13 @@ func FuzzWireMessages(f *testing.F) {
 		}
 		switch typ {
 		case msgData:
-			port, p, err := decodeData(data)
+			p, p2 := &packet.Packet{}, &packet.Packet{Seq: 1, HasSnap: true} // reused: decodeData zeroes
+			port, err := decodeData(data, p)
 			if err != nil {
 				return
 			}
 			enc := appendData(nil, port, p)
-			port2, p2, err := decodeData(enc)
+			port2, err := decodeData(enc, p2)
 			if err != nil {
 				t.Fatalf("re-encoded data message does not decode: %v", err)
 			}

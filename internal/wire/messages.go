@@ -66,17 +66,16 @@ func appendData(dst []byte, port int, p *packet.Packet) []byte {
 	return p.AppendBinary(dst)
 }
 
-// decodeData parses a msgData payload (after the type byte check).
-func decodeData(data []byte) (port int, p *packet.Packet, err error) {
+// decodeData parses a msgData payload (after the type byte check) into
+// p, zeroed first so that a reused packet carries nothing over.
+//
+//speedlight:hotpath
+func decodeData(data []byte, p *packet.Packet) (port int, err error) {
 	if len(data) < 3 {
-		return 0, nil, ErrMsgShort
+		return 0, ErrMsgShort
 	}
-	port = int(binary.BigEndian.Uint16(data[1:3]))
-	p = &packet.Packet{}
-	if err := p.UnmarshalBinary(data[3:]); err != nil {
-		return 0, nil, err
-	}
-	return port, p, nil
+	*p = packet.Packet{}
+	return int(binary.BigEndian.Uint16(data[1:3])), p.UnmarshalBinary(data[3:])
 }
 
 // appendHostDeliver appends a framed packet delivered to a host.

@@ -61,14 +61,13 @@ type Config struct {
 // per-sender FIFO on loopback.
 type switchNode struct {
 	sw   *node.Switch
+	spec *topology.Switch
 	conn *net.UDPConn
-	// peers and peerPort map an egress port to the neighbor switch's
-	// socket and to its ingress port number there.
-	peers    map[int]*net.UDPAddr
-	peerPort map[int]int
-	hosts    map[int]topology.HostID
-	sink     *net.UDPAddr // host deliveries
-	obs      *net.UDPAddr
+	// addrs is the socket behind each egress port, resolved at
+	// deployment time: the neighbor switch's, the host sink's for a
+	// host port, nil for an unwired one.
+	addrs []*net.UDPAddr
+	obs   *net.UDPAddr
 
 	channelState bool
 	started      time.Time
@@ -78,6 +77,10 @@ type switchNode struct {
 	// encoded frame is written out before the next encode, so one
 	// buffer per node suffices and steady-state sends allocate nothing.
 	scratch []byte
+	// pkt is the one packet data frames decode into: the step encodes
+	// and sends it (or drops it) before the goroutine reads the next
+	// datagram, and nothing downstream of a switch keeps a packet.
+	pkt packet.Packet
 }
 
 // Now returns wall time since deployment as protocol time.
@@ -90,7 +93,7 @@ func (s *switchNode) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := s.conn.ReadFromUDP(buf)
+		n, _, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed: shutdown
 		}
@@ -98,6 +101,10 @@ func (s *switchNode) run(wg *sync.WaitGroup) {
 	}
 }
 
+// handle runs one datagram through the switch. A data frame allocates
+// nothing on the way.
+//
+//speedlight:hotpath
 func (s *switchNode) handle(data []byte) {
 	typ, err := msgTypeOf(data)
 	if err != nil {
@@ -105,11 +112,11 @@ func (s *switchNode) handle(data []byte) {
 	}
 	switch typ {
 	case msgData:
-		port, pkt, err := decodeData(data)
-		if err != nil || port < 0 || port >= s.sw.DP.NumPorts() {
+		port, err := decodeData(data, &s.pkt)
+		if err != nil || port >= len(s.addrs) {
 			return
 		}
-		s.sw.Packet(pkt, port)
+		s.sw.Packet(&s.pkt, port)
 	case msgInitiate:
 		id, err := decodeInitiate(data)
 		if err != nil {
@@ -125,16 +132,19 @@ func (s *switchNode) handle(data []byte) {
 
 // Forward sends an egressed packet over the wire: to the neighbor
 // switch, or to the host sink.
+//
+//speedlight:hotpath
 func (s *switchNode) Forward(port int, pkt *packet.Packet) {
-	if peer, ok := s.peers[port]; ok {
-		// The neighbor's ingress port is resolved at deployment time
-		// and encoded by the sender.
-		s.scratch = appendData(s.scratch[:0], s.peerPort[port], pkt)
-		s.conn.WriteToUDP(s.scratch, peer)
-	} else if host, ok := s.hosts[port]; ok {
-		s.scratch = appendHostDeliver(s.scratch[:0], host, pkt)
-		s.conn.WriteToUDP(s.scratch, s.sink)
+	switch peer := s.spec.Ports[port]; peer.Kind {
+	case topology.PeerSwitch:
+		// The sender encodes the neighbor's ingress port.
+		s.scratch = appendData(s.scratch[:0], peer.Port, pkt)
+	case topology.PeerHost:
+		s.scratch = appendHostDeliver(s.scratch[:0], peer.Host, pkt)
+	default:
+		return
 	}
+	s.conn.WriteToUDP(s.scratch, s.addrs[port])
 }
 
 // Deployment is a running UDP deployment: one socket per switch, one
@@ -239,11 +249,10 @@ func Deploy(cfg Config) (*Deployment, error) {
 		for p, peer := range spec.Ports {
 			switch peer.Kind {
 			case topology.PeerSwitch:
-				sn.peers[p] = d.switches[peer.Node].conn.LocalAddr().(*net.UDPAddr)
-				sn.peerPort[p] = peer.Port
+				sn.addrs[p] = d.obsAddrs[peer.Node]
 			case topology.PeerHost:
-				sn.hosts[p] = peer.Host
-				d.hostTo[peer.Host] = attachment{sn.conn.LocalAddr().(*net.UDPAddr), p}
+				sn.addrs[p] = d.sinkConn.LocalAddr().(*net.UDPAddr)
+				d.hostTo[peer.Host] = attachment{d.obsAddrs[spec.ID], p}
 			}
 		}
 	}
@@ -268,11 +277,9 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utiliz
 	}
 	sn := &switchNode{
 		channelState: d.cfg.ChannelState,
+		spec:         spec,
 		conn:         conn,
-		peers:        make(map[int]*net.UDPAddr),
-		peerPort:     make(map[int]int),
-		hosts:        make(map[int]topology.HostID),
-		sink:         d.sinkConn.LocalAddr().(*net.UDPAddr),
+		addrs:        make([]*net.UDPAddr, len(spec.Ports)),
 		obs:          d.obsConn.LocalAddr().(*net.UDPAddr),
 		started:      d.started,
 		scratch:      make([]byte, 0, maxMsgLen),

@@ -34,7 +34,8 @@ func TestMessageCodecs(t *testing.T) {
 	if typ, _ := msgTypeOf(data); typ != msgData {
 		t.Fatal("data type byte")
 	}
-	port, got, err := decodeData(data)
+	got := &packet.Packet{Seq: 9, CoS: 3} // a reused packet carries nothing over
+	port, err := decodeData(data, got)
 	if err != nil || port != 12 || *got != *p {
 		t.Fatalf("data round trip: %v %d %+v", err, port, got)
 	}
@@ -94,7 +95,7 @@ func TestMessageCodecErrors(t *testing.T) {
 	if _, err := msgTypeOf([]byte{0xEE}); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if _, _, err := decodeData([]byte{msgData, 0}); err == nil {
+	if _, err := decodeData([]byte{msgData, 0}, &packet.Packet{}); err == nil {
 		t.Error("short data accepted")
 	}
 	if _, _, err := decodeHostDeliver([]byte{msgHostDeliver}); err == nil {
