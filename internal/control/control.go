@@ -88,6 +88,8 @@ type Plane struct {
 	// initiated tracks the highest snapshot ID this plane has initiated,
 	// so re-initiations know what to resend.
 	initiated packet.SeqID
+	// inits is the slice Initiate returns, reused by the next call.
+	inits []Initiation
 }
 
 // New builds a control plane for a switch.
@@ -189,7 +191,8 @@ type Initiation struct {
 // FIFO channel — which the caller must deliver to the corresponding
 // egress unit through the same queues as data traffic. Duplicate or
 // stale initiations are harmless: the data plane ignores them
-// (Section 6).
+// (Section 6). The returned slice is valid until the next call; the
+// packets are the caller's.
 func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 	re := id <= p.initiated
 	if !re {
@@ -202,12 +205,13 @@ func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 		p.jr.Append(journal.Initiate(int64(now), p.Node(), id, re))
 	}
 	sw := p.cfg.Switch
-	out := make([]Initiation, 0, sw.NumPorts()*sw.NumCoS())
+	out := p.inits[:0]
 	for port := 0; port < sw.NumPorts(); port++ {
 		for _, pkt := range sw.InitiateIngress(p.wrapID(id), port, now) {
 			out = append(out, Initiation{Port: port, Pkt: pkt})
 		}
 	}
+	p.inits = out
 	return out
 }
 

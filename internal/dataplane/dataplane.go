@@ -170,6 +170,9 @@ type Switch struct {
 	notifHead  int
 	notifDrops uint64
 	notifCap   int
+
+	// inits is the slice InitiateIngress returns, reused by the next call.
+	inits []*packet.Packet
 }
 
 // New builds a switch data plane.
@@ -625,12 +628,13 @@ func (s *Switch) IngressFromCP(pkt *packet.Packet, port int, now sim.Time) {
 // queues as data traffic, or the egress unit could see an initiation
 // ahead of older in-flight packets. One marker per FIFO channel is
 // exactly what the snapshot algorithm requires (Section 4.1's CoS
-// sub-channels are independent FIFO channels).
+// sub-channels are independent FIFO channels). The returned slice is
+// valid until the next call; the packets are fresh and the caller's.
 func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packet.Packet {
 	s.tel.Initiations.Inc()
 	pkt := InitiationPacket(wireID)
 	psid := s.step(pkt, port, Ingress, s.ingressCPChannel(), notMarker, now)
-	out := make([]*packet.Packet, s.cfg.NumCoS)
+	out := s.inits[:0]
 	for cos := 0; cos < s.cfg.NumCoS; cos++ {
 		// The template itself serves as the last copy: with one class of
 		// service the fan-out clones nothing.
@@ -640,7 +644,7 @@ func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packe
 		}
 		cp.CoS = uint8(cos)
 		cp.Snap.Channel = s.internalChannel(port, uint8(cos))
-		out[cos] = cp
+		out = append(out, cp)
 		if s.jr != nil {
 			// One initiation marker per CoS FIFO channel heads for the
 			// egress path — exactly the per-channel marker the snapshot
@@ -648,5 +652,6 @@ func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packe
 			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, psid, cos))
 		}
 	}
+	s.inits = out
 	return out
 }

@@ -36,6 +36,7 @@ var mutants = []mutant{
 	{"detguard", "map iteration order feeds %s", "internal/observer/observer.go", "\tsort.Slice(out, func(i, j int) bool { return out[i] < out[j] })\n", "", `feeds out`},
 
 	{"hotalloc", "make in", "internal/node/node.go", "(egress int, ok bool) {\n", "(egress int, ok bool) {\n\t_ = make([]int, 1)\n", ``},
+	{"hotalloc", "make in", "internal/wire/wire.go", "handle(data []byte) {\n", "handle(data []byte) {\n\tdata = append(make([]byte, 0, len(data)), data...)\n", ``},
 	{"hotalloc", "new in", "internal/node/node.go", "\tres := s.DP.Egress(pkt, port, now)\n", "\tres := s.DP.Egress(pkt, port, now)\n\t_ = new(int)\n", ``},
 	{"hotalloc", "fmt.%s in", "internal/node/node.go", "Packet(pkt *packet.Packet, port int) {\n", "Packet(pkt *packet.Packet, port int) {\n\t_ = fmt.Sprint(port)\n", `fmt\.Sprint`},
 	{"hotalloc", "sync.Pool %s in", "internal/node/node.go", "\tok := s.Egress(pkt, port, now)\n", "\tvar kp sync.Pool\n\tkp.Put(port)\n\tok := s.Egress(pkt, port, now)\n", `sync\.Pool Put`},

@@ -84,6 +84,11 @@ type SnapshotHeader struct {
 // The addressing model is deliberately simple: hosts are identified by
 // integer IDs and flows by the classic 5-tuple. Size is the full frame
 // size in bytes and drives byte counters and serialization delays.
+//
+// The one-byte fields sit together beside Proto and Seq comes last so
+// that the struct packs into 40 bytes (the 48-byte allocation class):
+// every runtime that decodes packets off a wire allocates one per
+// delivery.
 type Packet struct {
 	// 5-tuple.
 	SrcHost uint32
@@ -92,25 +97,24 @@ type Packet struct {
 	DstPort uint16
 	Proto   uint8
 
-	// Size is the frame size in bytes.
-	Size uint32
-	// Seq is a per-flow sequence number assigned by the generator.
-	Seq uint64
 	// CoS is the packet's class of service (0 = best effort; higher
 	// classes get strict priority). Each class is its own FIFO logical
 	// channel in the snapshot model (Section 4.1): classes may
 	// interleave with each other, but within a class order holds.
 	CoS uint8
-
-	// HasSnap reports whether the snapshot header is present. Packets
-	// from hosts arrive without one; the first snapshot-enabled device
-	// adds it (partial deployment, Section 10).
+	// HasSnap reports whether the snapshot header (Snap) is present.
+	// Packets from hosts arrive without one; the first snapshot-enabled
+	// device adds it (partial deployment, Section 10).
 	HasSnap bool
-	Snap    SnapshotHeader
-
 	// pstate is the pool lifecycle state (see pool.go). Zero for
 	// packets built directly by callers, which pools never manage.
 	pstate uint8
+
+	// Size is the frame size in bytes.
+	Size uint32
+	Snap SnapshotHeader
+	// Seq is a per-flow sequence number assigned by the generator.
+	Seq uint64
 }
 
 // FlowHash returns a stable hash of the packet's 5-tuple, used by ECMP

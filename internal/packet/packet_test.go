@@ -4,7 +4,17 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPacketFitsThe48ByteClass pins the field order: every runtime that
+// decodes packets off a wire allocates one per delivery, and a Packet
+// over 48 bytes rounds up to the 64-byte class.
+func TestPacketFitsThe48ByteClass(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 40 {
+		t.Errorf("Packet is %d bytes, want <= 40: keep the one-byte fields together and Seq last", n)
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	if TypeData.String() != "data" {

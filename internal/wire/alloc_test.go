@@ -9,6 +9,7 @@ import (
 	"speedlight/internal/dataplane"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
+	"speedlight/internal/topology"
 )
 
 // TestAppendCodecAllocs pins the wire hot path: encoding into a reused
@@ -47,15 +48,13 @@ func TestAppendCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestHandleDataFrameAllocs pins the switch receive path: a data frame
-// through handle — decode into the node's own packet, the step, encode
-// into the node's scratch, sendto — allocates nothing. The switch is
-// built as Deploy builds it but never run, so the test goroutine is its
-// only driver; its one wired port leads to a socket nobody reads (a full
-// loopback buffer drops silently).
-//
-//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData
-func TestHandleDataFrameAllocs(t *testing.T) {
+// bareSwitch builds the leaf under the testbed's first two hosts as
+// Deploy builds it, but never runs it: the calling goroutine is its only
+// driver. Its host ports lead to the returned sink socket, which nobody
+// else reads (a full loopback buffer drops silently); its fabric ports
+// stay unwired.
+func bareSwitch(t *testing.T) (sn *switchNode, sink *net.UDPConn, src, dst *topology.Host) {
+	t.Helper()
 	topo := leafSpine(t).Topology
 	fibs, err := routing.ComputeFIBs(topo)
 	if err != nil {
@@ -71,27 +70,72 @@ func TestHandleDataFrameAllocs(t *testing.T) {
 	}
 	d := &Deployment{cfg: Config{Topo: topo, MaxID: 256, WrapAround: true}, started: time.Now(),
 		obsConn: bind(), sinkConn: bind()}
-	src, dst := topo.Hosts[0], topo.Hosts[1] // same leaf: in at src's port, out at dst's
+	src, dst = topo.Hosts[0], topo.Hosts[1] // same leaf: in at src's port, out at dst's
 	spec := topo.Switches[src.Node]
-	sn, err := d.buildSwitch(spec, fibs[spec.ID], routing.UtilizedPairs(topo, fibs)[spec.ID])
+	sn, err = d.buildSwitch(spec, fibs[spec.ID], routing.UtilizedPairs(topo, fibs)[spec.ID])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.conn.Close()
-	sn.addrs[dst.Port] = d.sinkConn.LocalAddr().(*net.UDPAddr)
+	t.Cleanup(func() { sn.conn.Close() })
+	sn.ports[dst.Port] = sn.stagingFor(d.sinkConn.LocalAddr().(*net.UDPAddr))
+	return sn, d.sinkConn, src, dst
+}
 
-	frame := appendData(nil, src.Port, &packet.Packet{SrcHost: uint32(src.ID), DstHost: uint32(dst.ID), Size: 100, Proto: 6})
-	if n := testing.AllocsPerRun(1000, func() { sn.handle(frame) }); n != 0 {
-		t.Fatalf("a data frame through handle allocates %v, want 0", n)
+// dataTrain lays n data frames from src to dst back to back, Seq 0..n-1.
+func dataTrain(n int, src, dst *topology.Host) []byte {
+	var train []byte
+	for i := 0; i < n; i++ {
+		train = appendData(train, src.Port, &packet.Packet{
+			SrcHost: uint32(src.ID), DstHost: uint32(dst.ID), Size: 100, Proto: 6, Seq: uint64(i)})
 	}
-	// The frames did take the whole path: the sink holds deliveries to dst.
-	buf := make([]byte, maxDatagram)
-	d.sinkConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err := d.sinkConn.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatalf("nothing reached the sink: %v", err)
+	return train
+}
+
+// readDeliveries reads datagrams off sink until it has seen want
+// host-deliver frames, and returns their packets in arrival order and
+// the size of each datagram.
+func readDeliveries(t *testing.T, sink *net.UDPConn, want int) (pkts []packet.Packet, sizes []int) {
+	t.Helper()
+	buf := make([]byte, 1<<16)
+	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(pkts) < want {
+		n, _, err := sink.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("sink has %d of %d deliveries: %v", len(pkts), want, err)
+		}
+		sizes = append(sizes, n)
+		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
+			var p packet.Packet
+			if _, err := decodeHostDeliver(frame, &p); err != nil {
+				t.Fatalf("sink got a frame that is no delivery: %v", err)
+			}
+			pkts = append(pkts, p)
+		}
 	}
-	if host, pkt, err := decodeHostDeliver(buf[:n]); err != nil || host != dst.ID || pkt.SrcHost != uint32(src.ID) {
-		t.Fatalf("sink got host %d, packet %+v, err %v", host, pkt, err)
+	return pkts, sizes
+}
+
+// TestHandleDataFrameAllocs pins the switch's burst path: a 16-frame
+// train through handle — the walk, decode into the node's own packet,
+// the step, encode into the destination's staging buffer — and the flush
+// that writes the answering train allocate nothing.
+//
+//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.flush
+func TestHandleDataFrameAllocs(t *testing.T) {
+	sn, sink, src, dst := bareSwitch(t)
+	train := dataTrain(16, src, dst)
+	if n := testing.AllocsPerRun(1000, func() { sn.handle(train); sn.flush() }); n != 0 {
+		t.Fatalf("a 16-frame train through handle and flush allocates %v, want 0", n)
+	}
+	// The frames did take the whole path: the sink holds one train of 16
+	// deliveries to dst per run.
+	pkts, sizes := readDeliveries(t, sink, 16)
+	if len(pkts) != 16 || len(sizes) != 1 {
+		t.Fatalf("sink got %d deliveries in %d datagrams, want 16 in 1", len(pkts), len(sizes))
+	}
+	for i, p := range pkts {
+		if p.SrcHost != uint32(src.ID) || p.DstHost != uint32(dst.ID) || p.Seq != uint64(i) {
+			t.Fatalf("delivery %d: %+v", i, p)
+		}
 	}
 }

@@ -73,6 +73,10 @@ func TestMarkersNeverReachHosts(t *testing.T) {
 			t.Fatalf("channel-state snapshot %d never completed", round)
 		}
 	}
+	// Three snapshots can finish before the first trickled packet lands.
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := markers.Load(); got != 0 {
 		t.Errorf("%d of %d deliveries to hosts were marker broadcasts", got, delivered.Load())
 	}

@@ -5,6 +5,13 @@
 // an actual deployment, with the same protocol state machines the
 // simulator drives.
 //
+// A datagram is a train: one or more frames laid back to back. A switch
+// takes its socket's backlog a burst at a time and answers with one
+// datagram per neighbour socket, so a loaded network pays a kernel round
+// trip per burst, not per frame, and an idle one sends trains of one —
+// byte for byte the single-message datagrams hosts and the observer
+// send (see switchNode.run).
+//
 // The package exists for two reasons: it exercises the binary codecs
 // end-to-end through the kernel's loopback, and it demonstrates that
 // nothing in the protocol implementation depends on the simulator. UDP
@@ -16,7 +23,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
@@ -47,16 +53,72 @@ var (
 )
 
 // The encoders are append-into-caller-buffer APIs: each appends one
-// framed message to dst and returns the extended slice, so a caller
-// that reuses a scratch buffer (appendX(scratch[:0], ...)) encodes
-// without allocating. Every send context in this package owns its
-// scratch exclusively: a switch node's goroutine is the only writer of
-// its connection (results included — OnResult fires on the switch
-// goroutine), and the retry loop keeps its own.
+// frame to dst and returns the extended slice, so appending to a buffer
+// that already holds frames extends the train, and a caller that reuses
+// its buffer encodes without allocating. Every send context in this
+// package owns its buffers exclusively: a switch node's goroutine is
+// the only writer of its staging buffers (results included — OnResult
+// fires on the switch goroutine), and the retry loop keeps its own.
+//
+// Frames carry no length prefix: a frame's length follows from its own
+// first bytes — the type byte, and for the two packet-carrying types
+// the packet's snapshot-header flag — so a train of one frame is the
+// datagram this package always sent, and nothing on the wire says
+// "train".
 
-// maxMsgLen bounds every framed message this package produces, sizing
-// scratch buffers so steady state never grows them.
+// maxMsgLen bounds every frame this package produces: a staging buffer
+// with this much room takes whatever comes next.
 const maxMsgLen = 5 + packet.PacketMaxLen
+
+// frameLen returns the length of the frame at the head of data, which
+// must hold all of it: a short, unknown or overrunning head is an
+// error, and what a truncated datagram means.
+//
+//speedlight:hotpath
+func frameLen(data []byte) (int, error) {
+	if len(data) == 0 {
+		return 0, ErrMsgShort
+	}
+	n, pkt := 0, 0 // the fixed part's length; where the frame's packet starts, if it carries one
+	switch data[0] {
+	case msgData:
+		n, pkt = 3+packet.PacketBaseLen, 3
+	case msgHostDeliver:
+		n, pkt = 5+packet.PacketBaseLen, 5
+	case msgInitiate:
+		n = 9
+	case msgResult:
+		n = resultLen
+	case msgPoll:
+		n = 1
+	default:
+		return 0, ErrMsgUnknown
+	}
+	// Byte 2 of an encoded packet is its flags, bit 0 of them the
+	// snapshot header's presence (internal/packet/codec.go).
+	if pkt > 0 && len(data) >= n && data[pkt+2]&1 != 0 {
+		n += packet.HeaderLen
+	}
+	if len(data) < n {
+		return 0, ErrMsgShort
+	}
+	return n, nil
+}
+
+// next splits the frame at the head of a train from the rest of it:
+// the one walker of datagrams, for the switch, the observer and the
+// sink alike. A nil frame ends the walk — at the end of the train, or
+// at a head frameLen refuses, with the frames before it already
+// handled.
+//
+//speedlight:hotpath
+func next(train []byte) (frame, rest []byte) {
+	n, err := frameLen(train)
+	if err != nil {
+		return nil, nil
+	}
+	return train[:n], train[n:]
+}
 
 // appendData appends a framed packet arriving at a switch ingress port.
 //
@@ -66,8 +128,8 @@ func appendData(dst []byte, port int, p *packet.Packet) []byte {
 	return p.AppendBinary(dst)
 }
 
-// decodeData parses a msgData payload (after the type byte check) into
-// p, zeroed first so that a reused packet carries nothing over.
+// decodeData parses a msgData frame into p, zeroed first so that a
+// reused packet carries nothing over.
 //
 //speedlight:hotpath
 func decodeData(data []byte, p *packet.Packet) (port int, err error) {
@@ -87,16 +149,14 @@ func appendHostDeliver(dst []byte, host topology.HostID, p *packet.Packet) []byt
 	return p.AppendBinary(dst)
 }
 
-func decodeHostDeliver(data []byte) (topology.HostID, *packet.Packet, error) {
+// decodeHostDeliver parses a msgHostDeliver frame into p, as decodeData
+// does.
+func decodeHostDeliver(data []byte, p *packet.Packet) (topology.HostID, error) {
 	if len(data) < 5 {
-		return 0, nil, ErrMsgShort
+		return 0, ErrMsgShort
 	}
-	host := topology.HostID(binary.BigEndian.Uint32(data[1:5]))
-	p := &packet.Packet{}
-	if err := p.UnmarshalBinary(data[5:]); err != nil {
-		return 0, nil, err
-	}
-	return host, p, nil
+	*p = packet.Packet{}
+	return topology.HostID(binary.BigEndian.Uint32(data[1:5])), p.UnmarshalBinary(data[5:])
 }
 
 // appendInitiate appends a framed snapshot initiation command.
@@ -168,17 +228,4 @@ func decodeResult(data []byte) (control.Result, error) {
 		Consistent: data[24] == 1,
 		ReadAt:     sim.Time(binary.BigEndian.Uint64(data[25:33])),
 	}, nil
-}
-
-// msgTypeOf returns the message type byte, validating length.
-func msgTypeOf(data []byte) (byte, error) {
-	if len(data) < 1 {
-		return 0, ErrMsgShort
-	}
-	switch data[0] {
-	case msgData, msgHostDeliver, msgInitiate, msgResult, msgPoll:
-		return data[0], nil
-	default:
-		return 0, fmt.Errorf("%w: 0x%02x", ErrMsgUnknown, data[0])
-	}
 }

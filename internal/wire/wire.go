@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"speedlight/internal/audit"
@@ -19,8 +20,14 @@ import (
 	"speedlight/internal/topology"
 )
 
-// maxDatagram bounds received message size.
-const maxDatagram = 512
+// maxDatagram bounds a datagram, sent or received: under loopback's and
+// Ethernet's MTU, so a train is never fragmented.
+const maxDatagram = 1400
+
+// burstCap is how many datagrams a switch takes from its socket before
+// it flushes what they made it stage. It bounds how long a staged frame
+// waits behind a socket that never runs dry; nothing else holds a frame.
+const burstCap = 32
 
 // Config parameterizes a UDP deployment.
 type Config struct {
@@ -55,6 +62,12 @@ type Config struct {
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 }
 
+// staging is the train a switch is building for one destination socket.
+type staging struct {
+	addr *net.UDPAddr
+	buf  []byte // capacity maxDatagram, never grown
+}
+
 // switchNode is one switch bound to a UDP socket, and the node.Host of
 // that switch. A single goroutine owns the data plane and control
 // plane, preserving unit linearizability; the socket provides
@@ -63,23 +76,25 @@ type switchNode struct {
 	sw   *node.Switch
 	spec *topology.Switch
 	conn *net.UDPConn
-	// addrs is the socket behind each egress port, resolved at
-	// deployment time: the neighbor switch's, the host sink's for a
-	// host port, nil for an unwired one.
-	addrs []*net.UDPAddr
-	obs   *net.UDPAddr
+	// outs holds one staging buffer per socket this switch sends to,
+	// resolved at deployment time: each neighbor switch's, the host
+	// sink's, the observer's. Only the switch goroutine touches them
+	// (results included: OnResult fires inside its handle loop), so
+	// steady-state sends allocate nothing. Everything bound for one
+	// socket goes through its one buffer and buffers are written out
+	// whole, in order, so every channel stays FIFO.
+	outs []*staging
+	// ports is the staging buffer behind each egress port (a leaf's
+	// host ports share the sink's; nil for an unwired port).
+	ports []*staging
+	obs   *staging
 
 	channelState bool
 	started      time.Time
-	// scratch is the node's reusable encode buffer. The switch
-	// goroutine is the only sender on this connection (results
-	// included: OnResult fires inside its handle loop), and every
-	// encoded frame is written out before the next encode, so one
-	// buffer per node suffices and steady-state sends allocate nothing.
-	scratch []byte
 	// pkt is the one packet data frames decode into: the step encodes
-	// and sends it (or drops it) before the goroutine reads the next
-	// datagram, and nothing downstream of a switch keeps a packet.
+	// it into a staging buffer (or drops it) before the goroutine
+	// decodes the next frame, and nothing downstream of a switch keeps
+	// a packet.
 	pkt packet.Packet
 }
 
@@ -88,63 +103,127 @@ func (s *switchNode) Now() sim.Time {
 	return sim.Time(time.Since(s.started).Nanoseconds())
 }
 
-// run is the switch's receive loop.
+// run is the switch's receive loop. Each wake-up takes the socket's
+// backlog — up to burstCap datagrams, read without blocking — through
+// the switch, then writes out every train that made it stage. So a
+// frame waits for nothing but the datagrams already queued at this
+// socket: the goroutine parks only with every staging buffer empty,
+// an idle network sees bursts of one datagram and trains of one frame,
+// and a loaded one coalesces in proportion to its backlog.
 func (s *switchNode) run(wg *sync.WaitGroup) {
 	defer wg.Done()
+	rc, err := s.conn.SyscallConn()
+	if err != nil {
+		return
+	}
 	buf := make([]byte, maxDatagram)
+	var took int
+	burst := func(fd uintptr) bool {
+		for took < burstCap {
+			n, err := syscall.Read(int(fd), buf)
+			if err == syscall.EINTR {
+				continue
+			}
+			if err != nil {
+				break // EAGAIN: the backlog is taken
+			}
+			s.handle(buf[:n])
+			took++
+		}
+		return took > 0 // false parks in the netpoller until the socket is readable
+	}
 	for {
-		n, _, err := s.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
+		took = 0
+		if rc.Read(burst) != nil {
 			return // socket closed: shutdown
 		}
-		s.handle(buf[:n])
+		s.flush()
 	}
 }
 
-// handle runs one datagram through the switch. A data frame allocates
-// nothing on the way.
+// handle runs one datagram's frames through the switch, in order. A
+// data frame allocates nothing on the way; a frame the switch cannot
+// use is skipped (a real device would count and drop).
 //
 //speedlight:hotpath
 func (s *switchNode) handle(data []byte) {
-	typ, err := msgTypeOf(data)
-	if err != nil {
-		return // garbage datagram; a real device would count and drop
-	}
-	switch typ {
-	case msgData:
-		port, err := decodeData(data, &s.pkt)
-		if err != nil || port >= len(s.addrs) {
-			return
+	for frame, rest := next(data); frame != nil; frame, rest = next(rest) {
+		switch frame[0] {
+		case msgData:
+			port, err := decodeData(frame, &s.pkt)
+			if err == nil && port < len(s.ports) {
+				s.sw.Packet(&s.pkt, port)
+			}
+		case msgInitiate:
+			// Every initiation floods markers in channel-state mode: UDP
+			// deployments may have idle channels.
+			if id, err := decodeInitiate(frame); err == nil {
+				s.sw.Initiate(id, s.channelState)
+			}
+		case msgPoll:
+			s.sw.Poll()
 		}
-		s.sw.Packet(&s.pkt, port)
-	case msgInitiate:
-		id, err := decodeInitiate(data)
-		if err != nil {
-			return
-		}
-		// Every initiation floods markers in channel-state mode: UDP
-		// deployments may have idle channels.
-		s.sw.Initiate(id, s.channelState)
-	case msgPoll:
-		s.sw.Poll()
 	}
 }
 
-// Forward sends an egressed packet over the wire: to the neighbor
-// switch, or to the host sink.
+// Forward stages an egressed packet for the wire: toward the neighbor
+// switch, or the host sink.
 //
 //speedlight:hotpath
 func (s *switchNode) Forward(port int, pkt *packet.Packet) {
+	to := s.ports[port]
 	switch peer := s.spec.Ports[port]; peer.Kind {
 	case topology.PeerSwitch:
 		// The sender encodes the neighbor's ingress port.
-		s.scratch = appendData(s.scratch[:0], peer.Port, pkt)
+		to.buf = appendData(s.room(to), peer.Port, pkt)
 	case topology.PeerHost:
-		s.scratch = appendHostDeliver(s.scratch[:0], peer.Host, pkt)
-	default:
-		return
+		to.buf = appendHostDeliver(s.room(to), peer.Host, pkt)
 	}
-	s.conn.WriteToUDP(s.scratch, s.addrs[port])
+}
+
+// room returns to's buffer with space for any one frame, writing the
+// train out first if the next frame might not fit in the datagram.
+//
+//speedlight:hotpath
+func (s *switchNode) room(to *staging) []byte {
+	if len(to.buf)+maxMsgLen > maxDatagram {
+		s.emit(to)
+	}
+	return to.buf
+}
+
+// emit writes to's train out as one datagram. A send error loses the
+// train as a full socket buffer would; recovery is the protocol's.
+//
+//speedlight:hotpath
+func (s *switchNode) emit(to *staging) {
+	if len(to.buf) > 0 {
+		s.conn.WriteToUDP(to.buf, to.addr)
+		to.buf = to.buf[:0]
+	}
+}
+
+// flush writes out every staged train.
+//
+//speedlight:hotpath
+func (s *switchNode) flush() {
+	for _, to := range s.outs {
+		s.emit(to)
+	}
+}
+
+// stagingFor returns the staging buffer for the socket at addr, made on
+// first request: deployment-time only. Sockets are told apart by the
+// one *net.UDPAddr Deploy resolves for each.
+func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
+	for _, to := range s.outs {
+		if to.addr == addr {
+			return to
+		}
+	}
+	to := &staging{addr: addr, buf: make([]byte, 0, maxDatagram)}
+	s.outs = append(s.outs, to)
+	return to
 }
 
 // Deployment is a running UDP deployment: one socket per switch, one
@@ -152,15 +231,15 @@ func (s *switchNode) Forward(port int, pkt *packet.Packet) {
 type Deployment struct {
 	cfg      Config
 	topo     *topology.Topology
-	switches map[topology.NodeID]*switchNode
+	switches []*switchNode // by NodeID
 
 	col      *node.Collector
 	obsConn  *net.UDPConn
-	obsAddrs map[topology.NodeID]*net.UDPAddr
+	obsAddrs []*net.UDPAddr // each switch's socket, by NodeID
 
 	sinkConn *net.UDPConn
 	hostConn *net.UDPConn // source socket for host injections
-	hostTo   map[topology.HostID]attachment
+	hostTo   []attachment // by HostID
 
 	started time.Time
 	wg      sync.WaitGroup
@@ -195,9 +274,8 @@ func Deploy(cfg Config) (*Deployment, error) {
 	d := &Deployment{
 		cfg:      cfg,
 		topo:     cfg.Topo,
-		switches: make(map[topology.NodeID]*switchNode),
-		obsAddrs: make(map[topology.NodeID]*net.UDPAddr),
-		hostTo:   make(map[topology.HostID]attachment),
+		obsAddrs: make([]*net.UDPAddr, len(cfg.Topo.Switches)),
+		hostTo:   make([]attachment, len(cfg.Topo.Hosts)),
 		started:  time.Now(),
 		closeCh:  make(chan struct{}),
 	}
@@ -232,27 +310,27 @@ func Deploy(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 
-	// Build and bind every switch.
+	// Build and bind every switch (topology IDs are dense, in order).
 	for _, spec := range cfg.Topo.Switches {
 		sn, err := d.buildSwitch(spec, fibs[spec.ID], utilized[spec.ID])
 		if err != nil {
 			d.Close()
 			return nil, err
 		}
-		d.switches[spec.ID] = sn
+		d.switches = append(d.switches, sn)
 		d.obsAddrs[spec.ID] = sn.conn.LocalAddr().(*net.UDPAddr)
 		d.col.Register(sn.sw)
 	}
-	// Resolve neighbor addresses now that everything is bound.
-	for _, spec := range cfg.Topo.Switches {
-		sn := d.switches[spec.ID]
-		for p, peer := range spec.Ports {
+	// Resolve each port's destination socket now that everything is bound.
+	sink := d.sinkConn.LocalAddr().(*net.UDPAddr)
+	for _, sn := range d.switches {
+		for p, peer := range sn.spec.Ports {
 			switch peer.Kind {
 			case topology.PeerSwitch:
-				sn.addrs[p] = d.obsAddrs[peer.Node]
+				sn.ports[p] = sn.stagingFor(d.obsAddrs[peer.Node])
 			case topology.PeerHost:
-				sn.addrs[p] = d.sinkConn.LocalAddr().(*net.UDPAddr)
-				d.hostTo[peer.Host] = attachment{d.obsAddrs[spec.ID], p}
+				sn.ports[p] = sn.stagingFor(sink)
+				d.hostTo[peer.Host] = attachment{d.obsAddrs[sn.spec.ID], p}
 			}
 		}
 	}
@@ -279,11 +357,10 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utiliz
 		channelState: d.cfg.ChannelState,
 		spec:         spec,
 		conn:         conn,
-		addrs:        make([]*net.UDPAddr, len(spec.Ports)),
-		obs:          d.obsConn.LocalAddr().(*net.UDPAddr),
+		ports:        make([]*staging, len(spec.Ports)),
 		started:      d.started,
-		scratch:      make([]byte, 0, maxMsgLen),
 	}
+	sn.obs = sn.stagingFor(d.obsConn.LocalAddr().(*net.UDPAddr))
 	sn.sw, err = node.New(node.Config{
 		Spec: spec,
 		DP: dataplane.Config{
@@ -297,9 +374,8 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utiliz
 		Utilized: utilized,
 		OnResult: func(res control.Result) {
 			// Ship over the wire to the observer. Runs on the switch
-			// goroutine (inside handle), so the scratch is free.
-			sn.scratch = appendResult(sn.scratch[:0], res)
-			sn.conn.WriteToUDP(sn.scratch, sn.obs)
+			// goroutine (inside handle), which owns the staging.
+			sn.obs.buf = appendResult(sn.room(sn.obs), res)
 		},
 	}, sn)
 	if err != nil {
@@ -314,19 +390,18 @@ func (d *Deployment) runObserver() {
 	defer d.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := d.obsConn.ReadFromUDP(buf)
+		n, _, err := d.obsConn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		typ, err := msgTypeOf(buf[:n])
-		if err != nil || typ != msgResult {
-			continue
+		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
+			if frame[0] != msgResult {
+				continue
+			}
+			if res, err := decodeResult(frame); err == nil {
+				d.col.Result(res, d.now())
+			}
 		}
-		res, err := decodeResult(buf[:n])
-		if err != nil {
-			continue
-		}
-		d.col.Result(res, d.now())
 	}
 }
 
@@ -335,20 +410,27 @@ func (d *Deployment) runSink() {
 	defer d.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := d.sinkConn.ReadFromUDP(buf)
+		n, _, err := d.sinkConn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		typ, err := msgTypeOf(buf[:n])
-		if err != nil || typ != msgHostDeliver {
+		if d.cfg.OnDeliver == nil {
 			continue
 		}
-		host, pkt, err := decodeHostDeliver(buf[:n])
-		if err != nil {
-			continue
-		}
-		if d.cfg.OnDeliver != nil {
-			d.cfg.OnDeliver(pkt, host)
+		// One allocation per train: OnDeliver may keep its packet, so
+		// each delivery gets its own element. The edge strips the
+		// snapshot header, so the count is exact, and it is never short:
+		// no host-deliver frame is smaller than this divisor.
+		pkts := make([]packet.Packet, n/(5+packet.PacketBaseLen))
+		k := 0
+		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
+			if frame[0] != msgHostDeliver {
+				continue
+			}
+			if host, err := decodeHostDeliver(frame, &pkts[k]); err == nil {
+				d.cfg.OnDeliver(&pkts[k], host)
+				k++
+			}
 		}
 	}
 }
@@ -365,11 +447,11 @@ func (d *Deployment) runRetries() {
 			return
 		case <-t.C:
 			for _, act := range d.col.Timeouts(d.now()) {
+				// One train: the poll arrives behind the initiation, or
+				// both are lost.
+				scratch = append(appendInitiate(scratch[:0], act.SnapshotID), pollMsg[:]...)
 				for _, dev := range act.Retry {
-					addr := d.obsAddrs[dev]
-					scratch = appendInitiate(scratch[:0], act.SnapshotID)
-					d.obsConn.WriteToUDP(scratch, addr)
-					d.obsConn.WriteToUDP(pollMsg[:], addr)
+					d.obsConn.WriteToUDP(scratch, d.obsAddrs[dev])
 				}
 			}
 		}
@@ -382,10 +464,10 @@ func (d *Deployment) now() sim.Time {
 
 // Inject sends a packet from a host into its edge switch, over UDP.
 func (d *Deployment) Inject(host topology.HostID, pkt *packet.Packet) error {
-	dst, ok := d.hostTo[host]
-	if !ok {
+	if int(host) >= len(d.hostTo) {
 		return fmt.Errorf("wire: unknown host %d", host)
 	}
+	dst := d.hostTo[host]
 	pkt.SrcHost = uint32(host)
 	// Inject is public API reachable from any goroutine, so it encodes
 	// into a fresh buffer rather than sharing a scratch.

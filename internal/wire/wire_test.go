@@ -31,8 +31,8 @@ func TestMessageCodecs(t *testing.T) {
 	p := &packet.Packet{SrcHost: 1, DstHost: 2, Size: 100, HasSnap: true,
 		Snap: packet.SnapshotHeader{Type: packet.TypeData, ID: 7, Channel: 3}}
 	data := appendData(nil, 12, p)
-	if typ, _ := msgTypeOf(data); typ != msgData {
-		t.Fatal("data type byte")
+	if n, err := frameLen(data); err != nil || n != len(data) || data[0] != msgData {
+		t.Fatalf("data frame: type 0x%02x, frameLen %d (%v) of %d", data[0], n, err, len(data))
 	}
 	got := &packet.Packet{Seq: 9, CoS: 3} // a reused packet carries nothing over
 	port, err := decodeData(data, got)
@@ -42,7 +42,8 @@ func TestMessageCodecs(t *testing.T) {
 
 	// Host deliver.
 	hd := appendHostDeliver(nil, 42, p)
-	host, got2, err := decodeHostDeliver(hd)
+	got2 := &packet.Packet{Seq: 9, CoS: 3}
+	host, err := decodeHostDeliver(hd, got2)
 	if err != nil || host != 42 || *got2 != *p {
 		t.Fatalf("host round trip: %v %d", err, host)
 	}
@@ -64,8 +65,8 @@ func TestMessageCodecs(t *testing.T) {
 	}
 
 	// Poll.
-	if typ, _ := msgTypeOf(pollMsg[:]); typ != msgPoll {
-		t.Fatal("poll type byte")
+	if n, err := frameLen(pollMsg[:]); err != nil || n != 1 || pollMsg[0] != msgPoll {
+		t.Fatal("poll frame")
 	}
 }
 
@@ -89,16 +90,16 @@ func TestResultCodecProperty(t *testing.T) {
 }
 
 func TestMessageCodecErrors(t *testing.T) {
-	if _, err := msgTypeOf(nil); err == nil {
-		t.Error("empty message accepted")
+	if _, err := frameLen(nil); err != ErrMsgShort {
+		t.Errorf("empty message: %v", err)
 	}
-	if _, err := msgTypeOf([]byte{0xEE}); err == nil {
-		t.Error("unknown type accepted")
+	if _, err := frameLen([]byte{0xEE}); err != ErrMsgUnknown {
+		t.Errorf("unknown type: %v", err)
 	}
 	if _, err := decodeData([]byte{msgData, 0}, &packet.Packet{}); err == nil {
 		t.Error("short data accepted")
 	}
-	if _, _, err := decodeHostDeliver([]byte{msgHostDeliver}); err == nil {
+	if _, err := decodeHostDeliver([]byte{msgHostDeliver}, &packet.Packet{}); err == nil {
 		t.Error("short host deliver accepted")
 	}
 	if _, err := decodeInitiate([]byte{msgInitiate}); err == nil {
