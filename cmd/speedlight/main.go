@@ -34,6 +34,7 @@ import (
 	"speedlight/internal/export"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/node"
 	"speedlight/internal/reconcile"
 	"speedlight/internal/sim"
 	"speedlight/internal/snapstore"
@@ -184,21 +185,10 @@ func campaign() {
 
 	if *metricsAddr != "" {
 		health := telemetry.NewHealth()
-		mc := telemetry.MuxConfig{
-			Registry: cfg.Registry,
-			Health:   health,
-			Journal:  journal.HTTPHandler(cfg.Journal.Events),
-			Audit:    audit.HTTPHandler(net.Audit),
-		}
-		if cfg.Snapstore != nil {
-			mc.Snapshots = snapstore.HTTPHandler(cfg.Snapstore.View)
-			health.AddCheck("snapstore-lag",
-				snapstore.HealthCheck(cfg.Snapstore, net.Inner().CompletedEpochs, 8))
-		}
-		if cfg.Invariants != nil {
-			mc.Invariants = invariant.HTTPHandler(cfg.Invariants)
-		}
-		mc.EpochTrace = epochtrace.HTTPHandler(net.EpochTraces, net.BlockedProfile)
+		// The emulation completes into a sink of its own; this one only
+		// names the same three objects to the endpoint assembler.
+		sink := node.Sink{Journal: cfg.Journal, Snapstore: cfg.Snapstore, Invariants: cfg.Invariants}
+		mc := sink.Endpoints(cfg.Registry, health, net.Inner().CompletedEpochs, net.Audit, net.BlockedProfile)
 		health.SetReady(true)
 		srv, err := telemetry.ServeConfig(*metricsAddr, mc)
 		if err != nil {

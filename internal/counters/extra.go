@@ -1,8 +1,6 @@
 package counters
 
 import (
-	"math"
-
 	"speedlight/internal/core"
 	"speedlight/internal/packet"
 )
@@ -45,60 +43,3 @@ func (h *HighWater) Update(*packet.Packet) {}
 // Absorb implements core.Metric: a maximum has no meaningful channel
 // state.
 func (h *HighWater) Absorb(snapVal uint64, _ *packet.Packet) uint64 { return snapVal }
-
-// FlowCount estimates the number of distinct flows seen, using linear
-// counting over a flow-hash bitmap — the kind of structure a match-
-// action data plane implements with a register array and one stateful
-// update per packet. The snapshotted register value is the number of
-// set bits; Estimate converts it to a distinct-flow estimate.
-type FlowCount struct {
-	bits    []uint64
-	setBits uint64
-}
-
-var _ core.Metric = (*FlowCount)(nil)
-
-// NewFlowCount creates a counter with an m-bit bitmap (rounded up to a
-// multiple of 64; default 4096 when m <= 0). Estimates are reliable
-// while the flow count stays below roughly m·ln(m).
-func NewFlowCount(m int) *FlowCount {
-	if m <= 0 {
-		m = 4096
-	}
-	words := (m + 63) / 64
-	return &FlowCount{bits: make([]uint64, words)}
-}
-
-// Bits returns the bitmap size in bits.
-func (f *FlowCount) Bits() int { return len(f.bits) * 64 }
-
-// Read implements core.Metric: the register value is the set-bit count.
-func (f *FlowCount) Read() uint64 { return f.setBits }
-
-// Update implements core.Metric.
-func (f *FlowCount) Update(p *packet.Packet) {
-	h := p.FlowHash() % uint64(f.Bits())
-	word, bit := h/64, h%64
-	if f.bits[word]&(1<<bit) == 0 {
-		f.bits[word] |= 1 << bit
-		f.setBits++
-	}
-}
-
-// Absorb implements core.Metric. An in-flight packet's flow was already
-// registered when it passed this unit — in-flight packets here arrive
-// on OTHER channels and were counted at their own passage — so the
-// recorded value is returned unchanged: distinct-count union cannot be
-// maintained additively in a single register value.
-func (f *FlowCount) Absorb(snapVal uint64, _ *packet.Packet) uint64 { return snapVal }
-
-// Estimate converts a snapshotted set-bit register value into a
-// distinct-flow estimate via linear counting: n ≈ -m · ln(1 - v/m).
-func (f *FlowCount) Estimate(setBits uint64) float64 {
-	m := float64(f.Bits())
-	v := float64(setBits)
-	if v >= m {
-		return math.Inf(1)
-	}
-	return -m * math.Log(1-v/m)
-}

@@ -1,7 +1,6 @@
 package counters
 
 import (
-	"math"
 	"testing"
 
 	"speedlight/internal/packet"
@@ -28,66 +27,5 @@ func TestHighWater(t *testing.T) {
 	}
 	if h.Absorb(7, &packet.Packet{}) != 7 {
 		t.Error("Absorb should be identity")
-	}
-}
-
-func TestFlowCountDistinct(t *testing.T) {
-	f := NewFlowCount(4096)
-	// 100 distinct flows, each sending 50 packets.
-	for flow := 0; flow < 100; flow++ {
-		for pkt := 0; pkt < 50; pkt++ {
-			f.Update(&packet.Packet{SrcHost: uint32(flow), DstHost: 1, SrcPort: uint16(flow), DstPort: 80, Proto: 6})
-		}
-	}
-	set := f.Read()
-	if set == 0 || set > 100 {
-		t.Fatalf("set bits = %d, want (0,100]", set)
-	}
-	est := f.Estimate(set)
-	if math.Abs(est-100) > 10 {
-		t.Errorf("estimate = %.1f, want ~100", est)
-	}
-}
-
-func TestFlowCountRepeatPacketsDoNotGrow(t *testing.T) {
-	f := NewFlowCount(256)
-	p := &packet.Packet{SrcHost: 1, DstHost: 2, SrcPort: 3, DstPort: 4, Proto: 6}
-	f.Update(p)
-	before := f.Read()
-	for i := 0; i < 1000; i++ {
-		f.Update(p)
-	}
-	if f.Read() != before {
-		t.Error("repeated packets of one flow grew the count")
-	}
-}
-
-func TestFlowCountEstimateAccuracy(t *testing.T) {
-	// Linear counting stays within ~15% for loads below m.
-	f := NewFlowCount(2048)
-	const flows = 1500
-	for i := 0; i < flows; i++ {
-		f.Update(&packet.Packet{SrcHost: uint32(i), DstHost: uint32(i * 7), SrcPort: uint16(i), DstPort: 80, Proto: 6})
-	}
-	est := f.Estimate(f.Read())
-	if math.Abs(est-flows)/flows > 0.15 {
-		t.Errorf("estimate %.0f for %d flows (err %.1f%%)", est, flows, 100*math.Abs(est-flows)/flows)
-	}
-}
-
-func TestFlowCountDefaults(t *testing.T) {
-	f := NewFlowCount(0)
-	if f.Bits() != 4096 {
-		t.Errorf("default bits = %d", f.Bits())
-	}
-	if !math.IsInf(f.Estimate(uint64(f.Bits())), 1) {
-		t.Error("saturated bitmap should estimate +Inf")
-	}
-	if f.Absorb(5, &packet.Packet{}) != 5 {
-		t.Error("Absorb should be identity")
-	}
-	// Rounding up to whole words.
-	if NewFlowCount(65).Bits() != 128 {
-		t.Error("bit rounding")
 	}
 }

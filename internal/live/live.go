@@ -5,6 +5,12 @@
 // snapshot observer runs in its own goroutine with wall-clock
 // initiation timers.
 //
+// The deployment itself — routes, completion gates, one node.Switch per
+// topology node, the snapshot collector and the recovery relay — is a
+// node.Fabric, the same one package wire builds. What is written here is
+// what a goroutine transport adds: the mailboxes, the switch and
+// observer goroutines, and Inject's back-pressure.
+//
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
 // internal/observer); this runtime demonstrates it under genuine
@@ -20,17 +26,14 @@ import (
 	"sync"
 	"time"
 
-	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
-	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
 	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
-	"speedlight/internal/routing"
 	"speedlight/internal/sim"
 	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
@@ -85,11 +88,9 @@ type Config struct {
 	// sealed delta-encoded epoch (internal/snapstore). Ingestion runs on
 	// the observer goroutine; with MetricsAddr set the query plane is
 	// served at /snapshots, and a readiness check flips /readyz when
-	// ingestion lags the observer by more than SnapstoreLagMax epochs.
+	// ingestion lags the observer by more than node.SnapstoreLagMax
+	// epochs.
 	Snapstore *snapstore.Store
-	// SnapstoreLagMax is the ingestion-lag readiness threshold in
-	// epochs. Zero means 8.
-	SnapstoreLagMax uint64
 	// Invariants, when set, streams every epoch sealed into Snapstore
 	// through the registered invariants (internal/invariant); each
 	// violation fires OnAnomaly with a flight-recorder dump, and with
@@ -218,10 +219,12 @@ type Network struct {
 	topo *topology.Topology
 	sws  []*liveSwitch // by NodeID
 
-	// col assembles snapshots into sink. Results reach it through
-	// obsEvents — the network path from switch CPU to observer host — so
-	// switch goroutines do no observer work.
-	col       *node.Collector
+	// Fabric is the deployment itself: the switches the goroutines drive
+	// and the collector that assembles their snapshots into sink. It
+	// brings Switch, Journal, Audit, Snapshots and CompletedEpochs.
+	// Results reach it through obsEvents — the network path from switch
+	// CPU to observer host — so switch goroutines do no observer work.
+	*node.Fabric
 	sink      node.Sink
 	obsEvents chan control.Result
 
@@ -230,9 +233,11 @@ type Network struct {
 	stop    chan struct{}
 	stopped sync.Once
 
-	tel    liveTelemetry
-	metSrv *telemetry.Server
-	health *telemetry.Health
+	tel liveTelemetry
+	// endpoints is what Start serves on MetricsAddr.
+	endpoints telemetry.MuxConfig
+	metSrv    *telemetry.Server
+	health    *telemetry.Health
 }
 
 // liveTelemetry is the runtime's own metric set: the queueing and
@@ -257,28 +262,15 @@ func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 
 // New builds a live network. Call Start to launch its goroutines.
 func New(cfg Config) (*Network, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("live: nil topology")
-	}
-	if cfg.MaxID == 0 {
-		cfg.MaxID = 256
-	}
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = 20 * time.Millisecond
 	}
 	if cfg.MetricsAddr != "" && cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	fibs, err := routing.ComputeFIBs(cfg.Topo)
-	if err != nil {
-		return nil, err
-	}
-	utilized := routing.UtilizedPairs(cfg.Topo, fibs)
-
 	n := &Network{
 		cfg:  cfg,
 		topo: cfg.Topo,
-		sws:  make([]*liveSwitch, len(cfg.Topo.Switches)),
 		sink: node.Sink{
 			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
 			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
@@ -290,74 +282,40 @@ func New(cfg Config) (*Network, error) {
 		tel:       newLiveTelemetry(cfg.Registry),
 		health:    telemetry.NewHealth(),
 	}
-	if cfg.Snapstore != nil {
-		lagMax := cfg.SnapstoreLagMax
-		if lagMax == 0 {
-			lagMax = 8
-		}
-		n.health.AddCheck("snapstore-lag",
-			snapstore.HealthCheck(cfg.Snapstore, n.CompletedEpochs, lagMax))
-	}
-	if cfg.Journal != nil {
-		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
-	}
-
-	n.col, err = node.NewCollector(observer.Config{
-		MaxID:      cfg.MaxID,
-		WrapAround: cfg.WrapAround,
-		RetryAfter: durToSim(cfg.RetryEvery),
-		Telemetry:  observer.NewTelemetry(cfg.Registry),
-		Journal:    cfg.Journal.Observer(),
-	}, &n.sink)
+	swEvents := cfg.Registry.CounterVec("speedlight_live_switch_events_total",
+		"events processed per switch goroutine", "switch")
+	var err error
+	// A negative RetryEvery disables retries: zero never asks for one.
+	retryAfter := sim.Duration(max(0, cfg.RetryEvery).Nanoseconds())
+	n.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
+		MaxID:        cfg.MaxID,
+		WrapAround:   cfg.WrapAround,
+		ChannelState: cfg.ChannelState,
+		Metrics:      cfg.Metrics,
+	}, retryAfter, &n.sink, cfg.Registry, func(spec *topology.Switch) (node.Host, func(control.Result), error) {
+		ls := &liveSwitch{net: n, spec: spec, inbox: newMailbox(), events: swEvents.With(fmt.Sprint(spec.ID))}
+		n.sws = append(n.sws, ls)
+		return ls, n.toObserver, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	dpTel := dataplane.NewTelemetry(cfg.Registry)
-	cpTel := control.NewTelemetry(cfg.Registry)
-	swEvents := cfg.Registry.CounterVec("speedlight_live_switch_events_total",
-		"events processed per switch goroutine", "switch")
-	for _, spec := range cfg.Topo.Switches {
-		ls := &liveSwitch{
-			net:    n,
-			spec:   spec,
-			inbox:  newMailbox(),
-			events: swEvents.With(fmt.Sprint(spec.ID)),
-		}
-		ls.sw, err = node.New(node.Config{
-			Spec: spec,
-			DP: dataplane.Config{
-				MaxID:        cfg.MaxID,
-				WrapAround:   cfg.WrapAround,
-				ChannelState: cfg.ChannelState,
-				Metrics:      cfg.Metrics,
-				FIB:          fibs[spec.ID],
-				Telemetry:    dpTel,
-				Journal:      cfg.Journal.For(int(spec.ID)),
-			},
-			Utilized:    utilized[spec.ID],
-			CPTelemetry: cpTel,
-			OnResult: func(res control.Result) {
-				select {
-				case n.obsEvents <- res:
-				case <-n.stop:
-				}
-			},
-		}, ls)
-		if err != nil {
-			return nil, err
-		}
-		n.sws[spec.ID] = ls
-		n.col.Register(ls.sw)
+	for id, ls := range n.sws {
+		ls.sw = n.Switch(topology.NodeID(id))
 	}
+	// No blocking source: live switches are real goroutines, there is no
+	// sharded simulation engine to attribute.
+	n.endpoints = n.sink.Endpoints(cfg.Registry, n.health, n.CompletedEpochs, n.Audit, nil)
 	return n, nil
 }
 
-func durToSim(d time.Duration) sim.Duration {
-	if d < 0 {
-		return 0
+// toObserver is every switch's OnResult: the network path to the
+// observer's goroutine.
+func (n *Network) toObserver(res control.Result) {
+	select {
+	case n.obsEvents <- res:
+	case <-n.stop:
 	}
-	return sim.Duration(d.Nanoseconds())
 }
 
 // now returns wall time since Start as protocol time.
@@ -371,27 +329,7 @@ func (n *Network) now() sim.Time {
 // the network.
 func (n *Network) Start() {
 	if n.cfg.MetricsAddr != "" {
-		mc := telemetry.MuxConfig{
-			Registry: n.cfg.Registry,
-			Health:   n.health,
-		}
-		if n.cfg.Journal != nil {
-			mc.Journal = journal.HTTPHandler(n.cfg.Journal.Events)
-			mc.Audit = audit.HTTPHandler(n.Audit)
-			jr := n.cfg.Journal
-			// No blocking source: live switches are real goroutines,
-			// there is no sharded simulation engine to attribute.
-			mc.EpochTrace = epochtrace.HTTPHandler(func() []*epochtrace.EpochTrace {
-				return epochtrace.Build(jr.Events())
-			}, nil)
-		}
-		if n.cfg.Snapstore != nil {
-			mc.Snapshots = snapstore.HTTPHandler(n.cfg.Snapstore.View)
-		}
-		if n.cfg.Invariants != nil {
-			mc.Invariants = invariant.HTTPHandler(n.cfg.Invariants)
-		}
-		srv, err := telemetry.ServeConfig(n.cfg.MetricsAddr, mc)
+		srv, err := telemetry.ServeConfig(n.cfg.MetricsAddr, n.endpoints)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "live: metrics server: %v\n", err)
 		} else {
@@ -426,27 +364,12 @@ func (n *Network) Stop() {
 	}
 }
 
-// Switch returns one switch, for inspection: its goroutine owns
-// everything about it that changes after New.
-func (n *Network) Switch(id topology.NodeID) *node.Switch { return n.sws[id].sw }
-
 // Registry returns the telemetry registry, or nil when disabled.
 func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }
 
 // Health returns the runtime's health state: ready between Start and
 // Stop. It backs the /healthz and /readyz probes.
 func (n *Network) Health() *telemetry.Health { return n.health }
-
-// Journal returns the flight-recorder set, or nil when journaling is
-// disabled.
-func (n *Network) Journal() *journal.Set { return n.cfg.Journal }
-
-// Audit replays the journal and verifies every snapshot's consistency
-// invariants. Safe to call while the network is running (the rings
-// are dumped atomically). Nil when journaling is disabled.
-func (n *Network) Audit() *audit.Report {
-	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
-}
 
 // MetricsAddr returns the bound observability address, or "" when no
 // metrics server is running (useful with a ":0" MetricsAddr).
@@ -528,6 +451,16 @@ func (n *Network) runObserver() {
 		defer t.Stop()
 		tick = t.C
 	}
+	// Control events are admitted whatever the depth, so the relay
+	// neither blocks (it could deadlock against a switch blocked on the
+	// observer channel) nor loses the retry, which the observer asks for
+	// only once per snapshot. Only retries flood markers; first
+	// initiations do not.
+	relay := func(dev topology.NodeID, id packet.SeqID) {
+		ls := n.sws[dev]
+		ls.put(event{kind: evInitiate, snapshotID: id, markers: n.cfg.ChannelState})
+		ls.put(event{kind: evPoll})
+	}
 	for {
 		select {
 		case <-n.stop:
@@ -535,21 +468,9 @@ func (n *Network) runObserver() {
 		case res := <-n.obsEvents:
 			// +1: the result just dequeued was part of the backlog.
 			n.tel.obsHighWater.SetMax(int64(len(n.obsEvents)) + 1)
-			n.col.Result(res, n.now())
+			n.Result(res, n.now())
 		case <-tick:
-			for _, act := range n.col.Timeouts(n.now()) {
-				for _, dev := range act.Retry {
-					// Control events are admitted whatever the depth, so
-					// this neither blocks (it could deadlock against a
-					// switch blocked on the observer channel) nor loses
-					// the retry, which the observer asks for only once
-					// per snapshot. Only retries flood markers; first
-					// initiations do not.
-					ls := n.sws[dev]
-					ls.put(event{kind: evInitiate, snapshotID: act.SnapshotID, markers: n.cfg.ChannelState})
-					ls.put(event{kind: evPoll})
-				}
-			}
+			n.Retries(n.now(), relay)
 		}
 	}
 }
@@ -587,7 +508,7 @@ func (n *Network) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *obser
 		return 0, nil, fmt.Errorf("live: network stopped")
 	default:
 	}
-	id, sub, err := n.col.Begin(n.now())
+	id, sub, err := n.Begin(n.now())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -607,14 +528,6 @@ func (n *Network) initiate(id packet.SeqID) {
 		ls.put(event{kind: evInitiate, snapshotID: id})
 	}
 }
-
-// CompletedEpochs returns how many global snapshots the observer has
-// assembled. Safe from any goroutine; with Snapstore.Sealed it yields
-// the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.sink.CompletedEpochs() }
-
-// Snapshots returns the snapshots completed so far.
-func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.col.Snapshots() }
 
 // PollAll synchronously asks every switch control plane to poll its
 // registers (recovery path), returning when all have finished.

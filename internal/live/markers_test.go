@@ -93,6 +93,10 @@ func TestMarkersNeverReachHosts(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		takeCS(t, n)
 	}
+	// Three snapshots can finish before the first trickled packet lands.
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := markers.Load(); got != 0 {
 		t.Errorf("%d of %d deliveries to hosts were marker broadcasts", got, delivered.Load())
 	}

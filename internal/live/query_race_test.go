@@ -14,6 +14,7 @@ import (
 	"speedlight/internal/dataplane"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
+	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/snapstore"
@@ -230,10 +231,9 @@ func TestSnapstoreLagFlipsReadyz(t *testing.T) {
 	ls := leafSpine(t)
 	store := snapstore.New(snapstore.Config{})
 	n, err := New(Config{
-		Topo:            ls.Topology,
-		MetricsAddr:     "127.0.0.1:0",
-		Snapstore:       store,
-		SnapstoreLagMax: 2,
+		Topo:        ls.Topology,
+		MetricsAddr: "127.0.0.1:0",
+		Snapstore:   store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,17 +258,22 @@ func TestSnapstoreLagFlipsReadyz(t *testing.T) {
 	// with nothing sealed. (The completed-epoch counter lives in
 	// node.Sink, so the lag is driven through it, not poked.)
 	n.sink.Snapstore = nil
-	for id := packet.SeqID(1); id <= 5; id++ {
+	const lag = node.SnapstoreLagMax + 1
+	for id := packet.SeqID(1); id <= lag; id++ {
 		n.sink.Complete(&observer.GlobalSnapshot{ID: id, Consistent: true}, 0)
-	}
-	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz = %d with lag 5 > max 2, want 503", code)
+		want := http.StatusOK // ready up to the threshold, not one past it
+		if id == lag {
+			want = http.StatusServiceUnavailable
+		}
+		if code := get("/readyz"); code != want {
+			t.Fatalf("/readyz = %d with lag %d (max %d), want %d", code, id, node.SnapstoreLagMax, want)
+		}
 	}
 	if code := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz = %d with failing check, want 503", code)
 	}
 	// The store catches up.
-	for id := packet.SeqID(1); id <= 5; id++ {
+	for id := packet.SeqID(1); id <= lag; id++ {
 		store.Ingest(&observer.GlobalSnapshot{ID: id, Consistent: true}, 0)
 	}
 	if code := get("/readyz"); code != http.StatusOK {

@@ -170,9 +170,6 @@ type Config struct {
 	Proc sim.Proc
 	// Interval is the watch period. Zero defaults to 500 µs.
 	Interval sim.Duration
-	// AutoReroute reconverges forwarding at the end of every pass that
-	// applied at least one membership change. On by default via New.
-	AutoReroute bool
 }
 
 // Controller drives desired state into the fabric.
@@ -186,9 +183,9 @@ type Controller struct {
 	ticker    *sim.Ticker
 }
 
-// New builds a controller with AutoReroute on. The fabric is adopted
-// as-is: actual state becomes desired state, so a freshly built
-// controller converges with zero operations.
+// New builds a controller. The fabric is adopted as-is: actual state
+// becomes desired state, so a freshly built controller converges with
+// zero operations.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Fabric == nil {
 		return nil, fmt.Errorf("reconcile: nil fabric")
@@ -196,7 +193,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * sim.Microsecond
 	}
-	cfg.AutoReroute = true
 	c := &Controller{
 		cfg:       cfg,
 		links:     Links(cfg.Fabric.Topo()),
@@ -301,7 +297,9 @@ func (c *Controller) Reconcile() int {
 		}
 	}
 
-	if membership > 0 && c.cfg.AutoReroute {
+	// Forwarding reconverges at the end of every pass that applied at
+	// least one membership change.
+	if membership > 0 {
 		f.Reroute()
 		c.log = append(c.log, Op{At: now, Kind: OpReroute, Node: -1, Port: -1})
 		moved++

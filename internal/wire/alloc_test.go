@@ -8,7 +8,6 @@ import (
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/packet"
-	"speedlight/internal/routing"
 	"speedlight/internal/topology"
 )
 
@@ -48,37 +47,29 @@ func TestAppendCodecAllocs(t *testing.T) {
 	}
 }
 
-// bareSwitch builds the leaf under the testbed's first two hosts as
-// Deploy builds it, but never runs it: the calling goroutine is its only
-// driver. Its host ports lead to the returned sink socket, which nobody
-// else reads (a full loopback buffer drops silently); its fabric ports
-// stay unwired.
+// bareSwitch builds the testbed as Deploy builds it, but runs none of
+// it, and returns the leaf under its first two hosts: the calling
+// goroutine is that switch's only driver. Its host ports lead to the
+// returned sink socket, which nobody else reads (a full loopback buffer
+// drops silently), and nobody reads the sockets behind its fabric ports.
 func bareSwitch(t *testing.T) (sn *switchNode, sink *net.UDPConn, src, dst *topology.Host) {
 	t.Helper()
 	topo := leafSpine(t).Topology
-	fibs, err := routing.ComputeFIBs(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bind := func() *net.UDPConn {
-		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	socket := func() *net.UDPConn {
+		c, err := bind()
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() })
 		return c
 	}
 	d := &Deployment{cfg: Config{Topo: topo, MaxID: 256, WrapAround: true}, started: time.Now(),
-		obsConn: bind(), sinkConn: bind()}
-	src, dst = topo.Hosts[0], topo.Hosts[1] // same leaf: in at src's port, out at dst's
-	spec := topo.Switches[src.Node]
-	sn, err = d.buildSwitch(spec, fibs[spec.ID], routing.UtilizedPairs(topo, fibs)[spec.ID])
-	if err != nil {
+		obsConn: socket(), sinkConn: socket(), hostConn: socket()}
+	t.Cleanup(d.closeSockets)
+	if err := d.build(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sn.conn.Close() })
-	sn.ports[dst.Port] = sn.stagingFor(d.sinkConn.LocalAddr().(*net.UDPAddr))
-	return sn, d.sinkConn, src, dst
+	src, dst = topo.Hosts[0], topo.Hosts[1] // same leaf: in at src's port, out at dst's
+	return d.switches[src.Node], d.sinkConn, src, dst
 }
 
 // dataTrain lays n data frames from src to dst back to back, Seq 0..n-1.

@@ -12,6 +12,12 @@
 // byte for byte the single-message datagrams hosts and the observer
 // send (see switchNode.run).
 //
+// The deployment itself — routes, completion gates, one node.Switch per
+// topology node, the snapshot collector and the recovery relay — is a
+// node.Fabric, the same one package live builds. What is written here is
+// what a UDP transport adds: the sockets, the frame codec, the trains
+// and the host-sink socket.
+//
 // The package exists for two reasons: it exercises the binary codecs
 // end-to-end through the kernel's loopback, and it demonstrates that
 // nothing in the protocol implementation depends on the simulator. UDP

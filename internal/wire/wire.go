@@ -7,7 +7,6 @@ import (
 	"syscall"
 	"time"
 
-	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
@@ -15,7 +14,6 @@ import (
 	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
-	"speedlight/internal/routing"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
 )
@@ -230,10 +228,12 @@ func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
 // observer socket, and one host-sink socket.
 type Deployment struct {
 	cfg      Config
-	topo     *topology.Topology
 	switches []*switchNode // by NodeID
 
-	col      *node.Collector
+	// Fabric is the deployment itself: the switches the sockets feed and
+	// the collector the observer socket reports to. It brings Switch,
+	// Journal, Audit, Snapshots and CompletedEpochs.
+	*node.Fabric
 	obsConn  *net.UDPConn
 	obsAddrs []*net.UDPAddr // each switch's socket, by NodeID
 
@@ -254,35 +254,18 @@ type attachment struct {
 	port int
 }
 
+// bind opens one loopback socket on a port of the kernel's choosing.
+func bind() (*net.UDPConn, error) {
+	return net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+}
+
 // Deploy binds all sockets on loopback and starts the node goroutines.
 func Deploy(cfg Config) (*Deployment, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("wire: nil topology")
-	}
-	if cfg.MaxID == 0 {
-		cfg.MaxID = 256
-	}
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = 50 * time.Millisecond
 	}
-	fibs, err := routing.ComputeFIBs(cfg.Topo)
-	if err != nil {
-		return nil, err
-	}
-	utilized := routing.UtilizedPairs(cfg.Topo, fibs)
-
-	d := &Deployment{
-		cfg:      cfg,
-		topo:     cfg.Topo,
-		obsAddrs: make([]*net.UDPAddr, len(cfg.Topo.Switches)),
-		hostTo:   make([]attachment, len(cfg.Topo.Hosts)),
-		started:  time.Now(),
-		closeCh:  make(chan struct{}),
-	}
-
-	bind := func() (*net.UDPConn, error) {
-		return net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	}
+	d := &Deployment{cfg: cfg, started: time.Now(), closeCh: make(chan struct{})}
+	var err error
 	if d.obsConn, err = bind(); err != nil {
 		return nil, err
 	}
@@ -295,44 +278,9 @@ func Deploy(cfg Config) (*Deployment, error) {
 		d.sinkConn.Close()
 		return nil, err
 	}
-
-	if cfg.Journal != nil {
-		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
-	}
-	d.col, err = node.NewCollector(observer.Config{
-		MaxID:      cfg.MaxID,
-		WrapAround: cfg.WrapAround,
-		RetryAfter: sim.Duration(cfg.RetryEvery.Nanoseconds()),
-		Journal:    cfg.Journal.Observer(),
-	}, &node.Sink{Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly})
-	if err != nil {
-		d.closeSockets()
+	if err = d.build(); err != nil {
+		d.Close()
 		return nil, err
-	}
-
-	// Build and bind every switch (topology IDs are dense, in order).
-	for _, spec := range cfg.Topo.Switches {
-		sn, err := d.buildSwitch(spec, fibs[spec.ID], utilized[spec.ID])
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.switches = append(d.switches, sn)
-		d.obsAddrs[spec.ID] = sn.conn.LocalAddr().(*net.UDPAddr)
-		d.col.Register(sn.sw)
-	}
-	// Resolve each port's destination socket now that everything is bound.
-	sink := d.sinkConn.LocalAddr().(*net.UDPAddr)
-	for _, sn := range d.switches {
-		for p, peer := range sn.spec.Ports {
-			switch peer.Kind {
-			case topology.PeerSwitch:
-				sn.ports[p] = sn.stagingFor(d.obsAddrs[peer.Node])
-			case topology.PeerHost:
-				sn.ports[p] = sn.stagingFor(sink)
-				d.hostTo[peer.Host] = attachment{d.obsAddrs[sn.spec.ID], p}
-			}
-		}
 	}
 
 	// Launch goroutines.
@@ -340,18 +288,52 @@ func Deploy(cfg Config) (*Deployment, error) {
 		d.wg.Add(1)
 		go sn.run(&d.wg)
 	}
-	d.wg.Add(2)
+	d.wg.Add(3)
 	go d.runObserver()
 	go d.runSink()
-	d.wg.Add(1)
 	go d.runRetries()
 	return d, nil
 }
 
-func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utilized map[[2]int]bool) (*switchNode, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+// build makes the fabric — a bound socket under every switch — and then,
+// with everything bound, resolves each port's destination socket. It
+// needs the observer's and the sink's sockets and starts nothing.
+func (d *Deployment) build() (err error) {
+	cfg := d.cfg
+	sink := &node.Sink{Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly}
+	// The nil is the telemetry registry: wire.Config takes none.
+	d.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
+		MaxID:        cfg.MaxID,
+		WrapAround:   cfg.WrapAround,
+		ChannelState: cfg.ChannelState,
+		Metrics:      cfg.Metrics,
+	}, sim.Duration(cfg.RetryEvery.Nanoseconds()), sink, nil, d.attach)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	d.hostTo = make([]attachment, len(cfg.Topo.Hosts))
+	toHosts := d.sinkConn.LocalAddr().(*net.UDPAddr)
+	for id, sn := range d.switches {
+		sn.sw = d.Switch(topology.NodeID(id))
+		for p, peer := range sn.spec.Ports {
+			switch peer.Kind {
+			case topology.PeerSwitch:
+				sn.ports[p] = sn.stagingFor(d.obsAddrs[peer.Node])
+			case topology.PeerHost:
+				sn.ports[p] = sn.stagingFor(toHosts)
+				d.hostTo[peer.Host] = attachment{d.obsAddrs[id], p}
+			}
+		}
+	}
+	return nil
+}
+
+// attach binds spec's socket (topology IDs are dense, in order) and
+// returns the switch's host and its results' way to the observer.
+func (d *Deployment) attach(spec *topology.Switch) (node.Host, func(control.Result), error) {
+	conn, err := bind()
+	if err != nil {
+		return nil, nil, err
 	}
 	sn := &switchNode{
 		channelState: d.cfg.ChannelState,
@@ -361,28 +343,11 @@ func (d *Deployment) buildSwitch(spec *topology.Switch, fib *routing.FIB, utiliz
 		started:      d.started,
 	}
 	sn.obs = sn.stagingFor(d.obsConn.LocalAddr().(*net.UDPAddr))
-	sn.sw, err = node.New(node.Config{
-		Spec: spec,
-		DP: dataplane.Config{
-			MaxID:        d.cfg.MaxID,
-			WrapAround:   d.cfg.WrapAround,
-			ChannelState: d.cfg.ChannelState,
-			Metrics:      d.cfg.Metrics,
-			FIB:          fib,
-			Journal:      d.cfg.Journal.For(int(spec.ID)),
-		},
-		Utilized: utilized,
-		OnResult: func(res control.Result) {
-			// Ship over the wire to the observer. Runs on the switch
-			// goroutine (inside handle), which owns the staging.
-			sn.obs.buf = appendResult(sn.room(sn.obs), res)
-		},
-	}, sn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return sn, nil
+	d.switches = append(d.switches, sn)
+	d.obsAddrs = append(d.obsAddrs, conn.LocalAddr().(*net.UDPAddr))
+	// Ship over the wire to the observer. Runs on the switch goroutine
+	// (inside handle), which owns the staging.
+	return sn, func(res control.Result) { sn.obs.buf = appendResult(sn.room(sn.obs), res) }, nil
 }
 
 // runObserver receives results on the observer socket.
@@ -399,7 +364,7 @@ func (d *Deployment) runObserver() {
 				continue
 			}
 			if res, err := decodeResult(frame); err == nil {
-				d.col.Result(res, d.now())
+				d.Result(res, d.now())
 			}
 		}
 	}
@@ -441,19 +406,18 @@ func (d *Deployment) runRetries() {
 	t := time.NewTicker(d.cfg.RetryEvery)
 	defer t.Stop()
 	scratch := make([]byte, 0, maxMsgLen) // goroutine-local encode buffer
+	relay := func(dev topology.NodeID, id packet.SeqID) {
+		// One train: the poll arrives behind the initiation, or both
+		// are lost.
+		scratch = append(appendInitiate(scratch[:0], id), pollMsg[:]...)
+		d.obsConn.WriteToUDP(scratch, d.obsAddrs[dev])
+	}
 	for {
 		select {
 		case <-d.closeCh:
 			return
 		case <-t.C:
-			for _, act := range d.col.Timeouts(d.now()) {
-				// One train: the poll arrives behind the initiation, or
-				// both are lost.
-				scratch = append(appendInitiate(scratch[:0], act.SnapshotID), pollMsg[:]...)
-				for _, dev := range act.Retry {
-					d.obsConn.WriteToUDP(scratch, d.obsAddrs[dev])
-				}
-			}
+			d.Retries(d.now(), relay)
 		}
 	}
 }
@@ -479,7 +443,7 @@ func (d *Deployment) Inject(host topology.HostID, pkt *packet.Packet) error {
 // TakeSnapshot begins a snapshot, broadcasts initiations over UDP, and
 // returns a channel yielding the assembled global snapshot.
 func (d *Deployment) TakeSnapshot() (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	id, sub, err := d.col.Begin(d.now())
+	id, sub, err := d.Begin(d.now())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -489,23 +453,6 @@ func (d *Deployment) TakeSnapshot() (packet.SeqID, <-chan *observer.GlobalSnapsh
 	}
 	return id, sub, nil
 }
-
-// Switch returns one switch, for inspection: its goroutine owns
-// everything about it that changes after Deploy.
-func (d *Deployment) Switch(id topology.NodeID) *node.Switch { return d.switches[id].sw }
-
-// Journal returns the flight-recorder set, or nil when journaling is
-// disabled.
-func (d *Deployment) Journal() *journal.Set { return d.cfg.Journal }
-
-// Audit replays the journal and verifies every snapshot's consistency
-// invariants. Nil when journaling is disabled.
-func (d *Deployment) Audit() *audit.Report {
-	return audit.Replay(d.cfg.Journal, d.cfg.MaxID, d.cfg.WrapAround, d.cfg.ChannelState)
-}
-
-// Snapshots returns the snapshots completed so far.
-func (d *Deployment) Snapshots() []*observer.GlobalSnapshot { return d.col.Snapshots() }
 
 func (d *Deployment) closeSockets() {
 	d.obsConn.Close()
