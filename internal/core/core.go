@@ -36,7 +36,10 @@ import (
 // machinery is agnostic to the measured data (Section 3): anything that
 // can be read as a register value at line rate can be snapshotted.
 //
-// Read must return the current state encoded into a register value.
+// Read must return the current state encoded into a register value,
+// and must be side-effect-free: a unit reads its metric only on packets
+// that may advance its snapshot ID, never on a steady-state packet (see
+// Unit.OnPacket), so how often Read runs is not part of the contract.
 // Update applies a data packet to the state and is orthogonal to the
 // snapshot logic. Absorb folds an in-flight packet into a previously
 // recorded snapshot value (channel state); metrics for which channel
@@ -57,7 +60,10 @@ type Config struct {
 	// WrapAround enables snapshot ID rollover to 0 after MaxID-1
 	// (Section 5.3). Without it, IDs live in the full uint32 space and
 	// the deployment must stop snapshotting before exhausting them;
-	// register slots are still reused modulo MaxID.
+	// register slots are still reused modulo MaxID. A unit's unwrapped
+	// ID then never exceeds 2³²-1 (it only ever takes a wire value), so
+	// wrapping is the identity and the steady-state comparison of
+	// OnPacket is exact.
 	WrapAround bool
 	// ChannelState enables in-flight packet recording and the last-seen
 	// machinery needed for it (the items marked "-" in Sections 4.2,
@@ -148,6 +154,7 @@ type Unit struct {
 	metric Metric
 
 	sid      packet.SeqID   // current snapshot ID, unwrapped
+	wsid     packet.WireID  // sid wrapped: the current-ID register
 	lastSeen []packet.SeqID // per-channel last seen ID, unwrapped
 	snaps    []slot         // register array, indexed by sid mod MaxID
 }
@@ -248,6 +255,11 @@ func (u *Unit) slotOf(id packet.SeqID) *slot {
 // The packet must carry a snapshot header; adding headers at the
 // snapshot-enabled edge is the data plane wiring's job (Section 5.1).
 //
+// A packet carrying the unit's own epoch on a channel that has already
+// seen it is the steady state: nothing can advance, so it costs one
+// register compare, the metric update and a notification copied from
+// the cached registers — no unwrap, no slot, no Metric.Read.
+//
 //speedlight:hotpath
 func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 	if !pkt.HasSnap {
@@ -257,6 +269,19 @@ func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 		panic(fmt.Sprintf("core: channel %d out of range [0,%d)", channel, u.cfg.NumChannels))
 	}
 	hdr := &pkt.Snap
+
+	if hdr.ID == u.wsid && u.lastSeen[channel] == u.sid {
+		if hdr.Type == packet.TypeData {
+			u.metric.Update(pkt)
+		}
+		return Notification{
+			Channel: channel,
+			OldSID:  u.wsid, NewSID: u.wsid, OldLastSeen: u.wsid, NewLastSeen: u.wsid,
+			OldSIDU: u.sid, NewSIDU: u.sid, OldSeenU: u.sid, NewSeenU: u.sid,
+			PacketSID: u.sid,
+			WireID:    u.wsid,
+		}, false
+	}
 
 	// Read the target state before applying this packet: a snapshot
 	// triggered by this packet must not include its effects (Figure 3
@@ -287,6 +312,7 @@ func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 		s.valid = true
 		s.value = preState
 		u.sid = psid
+		u.wsid = u.wrap(psid)
 	case psid < u.sid && u.cfg.ChannelState && hdr.Type == packet.TypeData:
 		// In-flight packet: absorb into the *current* snapshot's
 		// channel state. Ideally every epoch in (psid, sid] would

@@ -160,8 +160,10 @@ type Port struct {
 type Switch struct {
 	cfg   Config
 	ports []*Port
-	tel   *Telemetry
-	jr    *journal.Journal
+	// edge is cfg.EdgePorts by port number.
+	edge []bool
+	tel  *Telemetry
+	jr   *journal.Journal
 
 	// notifs is a head-indexed FIFO (pops advance notifHead instead of
 	// re-slicing, so steady state queues without allocating; the buffer
@@ -193,7 +195,7 @@ func New(cfg Config) (*Switch, error) {
 	if cfg.NumCoS > 16 {
 		return nil, fmt.Errorf("dataplane: NumCoS %d exceeds the header's 4-bit class space", cfg.NumCoS)
 	}
-	s := &Switch{cfg: cfg, notifCap: cap, tel: cfg.Telemetry, jr: cfg.Journal}
+	s := &Switch{cfg: cfg, edge: make([]bool, cfg.NumPorts), notifCap: cap, tel: cfg.Telemetry, jr: cfg.Journal}
 	if s.tel == nil {
 		s.tel = nopTelemetry
 	}
@@ -231,6 +233,7 @@ func New(cfg Config) (*Switch, error) {
 			return nil, err
 		}
 		s.ports = append(s.ports, &Port{IngressUnit: ing, EgressUnit: egr})
+		s.edge[p] = cfg.EdgePorts[p]
 	}
 	return s, nil
 }
@@ -549,7 +552,7 @@ func (s *Switch) Egress(pkt *packet.Packet, port int, now sim.Time) EgressResult
 	// derives its channel from the packet's class; the field itself is
 	// cleared.
 	pkt.Snap.Channel = 0
-	if s.cfg.EdgePorts[port] {
+	if s.edge[port] {
 		return EgressResult{StripHeader: true}
 	}
 	return EgressResult{}

@@ -31,15 +31,15 @@ import (
 // SwitchIsDown reports whether a switch is currently out of the
 // fabric. Global-domain or driver context.
 func (n *Network) SwitchIsDown(node topology.NodeID) bool {
-	es, ok := n.sws[node]
-	return ok && es.down
+	es := n.Switch(node)
+	return es != nil && es.down
 }
 
 // LinkIsDown reports whether the link behind a switch port is
 // administratively drained. Global-domain or driver context.
 func (n *Network) LinkIsDown(node topology.NodeID, port int) bool {
-	es, ok := n.sws[node]
-	return ok && port >= 0 && port < len(es.linkDown) && es.linkDown[port]
+	es := n.Switch(node)
+	return es != nil && port >= 0 && port < len(es.linkDown) && es.linkDown[port]
 }
 
 // SetSwitchDown removes a switch from the fabric: its egress queues
@@ -52,8 +52,8 @@ func (n *Network) LinkIsDown(node topology.NodeID, port int) bool {
 //
 //speedlight:global-only
 func (n *Network) SetSwitchDown(node topology.NodeID) error {
-	es, ok := n.sws[node]
-	if !ok {
+	es := n.Switch(node)
+	if es == nil {
 		return fmt.Errorf("emunet: unknown switch %d", node)
 	}
 	if es.down {
@@ -78,8 +78,8 @@ func (n *Network) SetSwitchDown(node topology.NodeID) error {
 //
 //speedlight:global-only
 func (n *Network) SetSwitchUp(node topology.NodeID) error {
-	es, ok := n.sws[node]
-	if !ok {
+	es := n.Switch(node)
+	if es == nil {
 		return fmt.Errorf("emunet: unknown switch %d", node)
 	}
 	if !es.down {
@@ -117,8 +117,8 @@ func (n *Network) SetLinkUp(node topology.NodeID, port int) error {
 }
 
 func (n *Network) setLink(node topology.NodeID, port int, down bool) error {
-	es, ok := n.sws[node]
-	if !ok {
+	es := n.Switch(node)
+	if es == nil {
 		return fmt.Errorf("emunet: unknown switch %d", node)
 	}
 	if port < 0 || port >= len(es.linkDown) {
@@ -153,8 +153,8 @@ func (n *Network) setLink(node topology.NodeID, port int, down bool) error {
 //
 //speedlight:global-only
 func (n *Network) PushConfig(node topology.NodeID) error {
-	es, ok := n.sws[node]
-	if !ok {
+	es := n.Switch(node)
+	if es == nil {
 		return fmt.Errorf("emunet: unknown switch %d", node)
 	}
 	if es.down {
@@ -200,7 +200,7 @@ func (n *Network) churnFilter() routing.Filter {
 // transmit events already armed against those queues are neutralized
 // by the generation bump that follows.
 func (n *Network) flushQueues(es *EmuSwitch) {
-	for port, q := range es.queues {
+	for _, q := range es.queues {
 		for cos := range q.perCoS {
 			f := &q.perCoS[cos]
 			for f.len() > 0 {
@@ -209,7 +209,7 @@ func (n *Network) flushQueues(es *EmuSwitch) {
 			}
 		}
 		q.txScheduled = false
-		n.setDepthGauge(es, port)
+		q.setDepth()
 	}
 }
 

@@ -248,6 +248,11 @@ type portQueue struct {
 	perCoS      []pktFIFO
 	txScheduled bool
 	drops       uint64
+	// depth is the egress unit's registered depth gauge (Network.Gauge),
+	// or nil.
+	depth *counters.Gauge
+	// rate is the link's transmission rate in bits per second.
+	rate float64
 }
 
 func (q *portQueue) length() int {
@@ -256,6 +261,26 @@ func (q *portQueue) length() int {
 		n += q.perCoS[i].len()
 	}
 	return n
+}
+
+// setDepth mirrors the queue's occupancy into its depth gauge, if any.
+//
+//speedlight:hotpath
+func (q *portQueue) setDepth() {
+	if q.depth != nil {
+		q.depth.Set(uint64(q.length()))
+	}
+}
+
+// serialization returns the transmission time of a packet of the given
+// size on the port's link.
+//
+//speedlight:hotpath
+func (q *portQueue) serialization(size uint32) sim.Duration {
+	if size == 0 {
+		size = 64
+	}
+	return sim.DurationOfSeconds(float64(size) * 8 / q.rate)
 }
 
 // head returns the highest-priority non-empty class, or -1.
@@ -327,11 +352,6 @@ type syncWindow struct {
 type Network struct {
 	cfg Config
 	eng sim.Sim
-	// doms maps each switch to its scheduling domain (topology order,
-	// starting at 1). The observer runs in its own domain right after
-	// the switches; sim.GlobalDomain keeps only drivers, recovery
-	// timers, and churn.
-	doms map[topology.NodeID]int
 	// gproc is the global domain's scheduling handle.
 	gproc sim.Proc
 	// obsDom/obsProc address the observer's domain: snapshot results,
@@ -342,9 +362,10 @@ type Network struct {
 	topo     *topology.Topology
 	fibs     map[topology.NodeID]*routing.FIB
 	utilized map[topology.NodeID]map[[2]int]bool
-	sws      map[topology.NodeID]*EmuSwitch
-	obs      *observer.Observer
-	done     []*observer.GlobalSnapshot
+	// sws holds every switch by NodeID (topology order).
+	sws  []*EmuSwitch
+	obs  *observer.Observer
+	done []*observer.GlobalSnapshot
 	// sink takes every assembled snapshot, in the observer's domain.
 	sink node.Sink
 	// syncMu guards syncs: notifications record windows from concurrent
@@ -407,24 +428,21 @@ func newNetTelemetry(reg *telemetry.Registry) netTelemetry {
 	}
 }
 
-// buildEngine picks the serial or sharded engine and assigns scheduling
-// domains: switch i of the topology is domain i+1, and the observer
-// runs in its own domain right after the switches (see observerDomain).
+// buildEngine picks the serial or sharded engine and places scheduling
+// domains: switch i of the topology is domain i+1 (see switchDomain),
+// and the observer runs in its own domain right after the switches (see
+// observerDomain).
 // sim.GlobalDomain keeps only what truly serializes: drivers, recovery
 // timers, and churn. On the sharded engine the cross-shard channel set
 // is declared per pair — each ordered shard pair gets the minimum
 // latency of the switch links that actually cross it as its lookahead —
 // so shards synchronize against their real neighbors instead of a
 // fleet-wide horizon.
-func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
-	doms := make(map[topology.NodeID]int, len(cfg.Topo.Switches))
-	for i, sw := range cfg.Topo.Switches {
-		doms[sw.ID] = i + 1
-	}
+func buildEngine(cfg *Config) (sim.Sim, error) {
 	if cfg.Shards <= 1 {
-		return sim.NewEngine(cfg.Seed), doms, nil
+		return sim.NewEngine(cfg.Seed), nil
 	}
-	shard := make(map[topology.NodeID]int, len(doms))
+	shard := make(map[topology.NodeID]int, len(cfg.Topo.Switches))
 	for i, sw := range cfg.Topo.Switches {
 		shard[sw.ID] = i % cfg.Shards
 	}
@@ -432,7 +450,7 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 	// the engine-wide default lookahead passed here is never consulted.
 	p := sim.NewParallel(cfg.Seed, cfg.Shards, observerLatency)
 	for _, sw := range cfg.Topo.Switches {
-		p.Place(doms[sw.ID], shard[sw.ID])
+		p.Place(switchDomain(sw.ID), shard[sw.ID])
 	}
 	// The observer domain follows the same modulo placement rule as the
 	// switches (it is "domain len(switches)+1"), so its shard assignment
@@ -464,7 +482,7 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 				continue
 			}
 			if peer.Latency <= 0 && shard[sw.ID] != shard[peer.Node] {
-				return nil, nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
+				return nil, fmt.Errorf("emunet: link %d<->%d crosses shards with zero latency; sharded simulation needs positive cross-shard link latency", sw.ID, peer.Node)
 			}
 			declare(shard[sw.ID], shard[peer.Node], sim.Duration(peer.Latency))
 		}
@@ -486,8 +504,12 @@ func buildEngine(cfg *Config) (sim.Sim, map[topology.NodeID]int, error) {
 		return links[a].To < links[b].To
 	})
 	p.SetShardLinks(links)
-	return p, doms, nil
+	return p, nil
 }
+
+// switchDomain returns a switch's scheduling domain: the topology's
+// node IDs are its switch indices, and domain 0 is sim.GlobalDomain.
+func switchDomain(node topology.NodeID) int { return int(node) + 1 }
 
 // observerDomain returns the scheduling domain that hosts the snapshot
 // observer: the slot right after the last switch domain. Keeping the
@@ -505,7 +527,7 @@ func New(cfg Config) (*Network, error) {
 	if err := checkTxPacking(cfg.Topo); err != nil {
 		return nil, err
 	}
-	eng, doms, err := buildEngine(&cfg)
+	eng, err := buildEngine(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -525,13 +547,12 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:      cfg,
 		eng:      eng,
-		doms:     doms,
 		gproc:    eng.Proc(sim.GlobalDomain),
 		obsDom:   observerDomain(cfg.Topo),
 		topo:     cfg.Topo,
 		fibs:     fibs,
 		utilized: routing.UtilizedPairs(cfg.Topo, fibs),
-		sws:      make(map[topology.NodeID]*EmuSwitch),
+		sws:      make([]*EmuSwitch, len(cfg.Topo.Switches)),
 		syncs:    make(map[packet.SeqID]*syncWindow),
 		gauges:   make(map[dataplane.UnitID]*counters.Gauge),
 		dpTel:    dataplane.NewTelemetry(cfg.Registry),
@@ -617,8 +638,20 @@ func nonNeg(d sim.Duration) sim.Duration {
 func (n *Network) buildSwitch(spec *topology.Switch) error {
 	cfg := n.cfg
 	node := spec.ID
-	es := &EmuSwitch{Node: node, dom: n.doms[node], rng: n.eng.NewRand()}
+	es := &EmuSwitch{Node: node, dom: switchDomain(node), rng: n.eng.NewRand()}
 	es.proc = n.eng.Proc(es.dom)
+	// Registered and queued before the planes are provisioned: metric
+	// factories ask for the switch's Proc and its queues' depth gauges.
+	n.sws[node] = es
+	es.queues = make([]*portQueue, len(spec.Ports))
+	for i, peer := range spec.Ports {
+		q := &portQueue{perCoS: make([]pktFIFO, cfg.NumCoS), rate: cfg.LinkRateBps}
+		if peer.RateBps > 0 {
+			q.rate = peer.RateBps
+		}
+		q.depth = n.gauges[dataplane.UnitID{Node: node, Port: i, Dir: dataplane.Egress}]
+		es.queues[i] = q
+	}
 	es.cpService = cfg.CPServiceTime
 	if cfg.CPServiceTimeFor != nil {
 		if d := cfg.CPServiceTimeFor(node); d != nil {
@@ -633,14 +666,8 @@ func (n *Network) buildSwitch(spec *topology.Switch) error {
 		return err
 	}
 	es.Clock = clock.New(cfg.Clock, n.eng.NewRand())
-
-	es.queues = make([]*portQueue, len(spec.Ports))
-	for i := range es.queues {
-		es.queues[i] = &portQueue{perCoS: make([]pktFIFO, cfg.NumCoS)}
-	}
 	es.linkDown = make([]bool, len(spec.Ports))
 	es.ppool = n.central.NewPool()
-	n.sws[node] = es
 	return nil
 }
 
@@ -720,11 +747,11 @@ func (n *Network) Engine() sim.Sim { return n.eng }
 // that must scale with shards (a driver on Engine() serializes), and
 // as the clock source of metrics attached to the switch's units.
 func (n *Network) Proc(node topology.NodeID) sim.Proc {
-	dom, ok := n.doms[node]
-	if !ok {
+	es := n.Switch(node)
+	if es == nil {
 		panic(fmt.Sprintf("emunet: unknown switch %d", node))
 	}
-	return n.eng.Proc(dom)
+	return es.proc
 }
 
 // HostProc returns the scheduling handle of the switch a host hangs
@@ -741,8 +768,14 @@ func (n *Network) HostProc(host topology.HostID) sim.Proc {
 // Topo returns the network topology.
 func (n *Network) Topo() *topology.Topology { return n.topo }
 
-// Switch returns one emulated switch.
-func (n *Network) Switch(node topology.NodeID) *EmuSwitch { return n.sws[node] }
+// Switch returns one emulated switch, or nil for an unknown node. sws
+// parallels topo.Switches, so the topology's lookup is the bounds check.
+func (n *Network) Switch(node topology.NodeID) *EmuSwitch {
+	if n.topo.Switch(node) == nil {
+		return nil
+	}
+	return n.sws[node]
+}
 
 // Unit returns a processing unit anywhere in the network.
 func (n *Network) Unit(id dataplane.UnitID) *core.Unit {
@@ -751,12 +784,16 @@ func (n *Network) Unit(id dataplane.UnitID) *core.Unit {
 
 // Gauge returns the queue-depth gauge registered for a unit, creating
 // it on first use. Metric factories use this to wire egress queue depth
-// into snapshots.
+// into snapshots: an egress unit's gauge follows its port's queue. An
+// ingress unit's gauge is the caller's to set.
 func (n *Network) Gauge(id dataplane.UnitID) *counters.Gauge {
 	g, ok := n.gauges[id]
 	if !ok {
 		g = &counters.Gauge{}
 		n.gauges[id] = g
+		if es := n.Switch(id.Node); es != nil && id.Dir == dataplane.Egress && id.Port >= 0 && id.Port < len(es.queues) {
+			es.queues[id.Port].depth = g
+		}
 	}
 	return g
 }
@@ -928,20 +965,6 @@ func (n *Network) recordSync(id packet.SeqID, at sim.Time) {
 	w.count++
 }
 
-// serialization returns the transmission time of a packet on the link
-// behind one of a switch's egress ports (per-link rates override the
-// network default).
-func (n *Network) serialization(es *EmuSwitch, port int, size uint32) sim.Duration {
-	if size == 0 {
-		size = 64
-	}
-	rate := n.cfg.LinkRateBps
-	if peer := n.topo.Peer(es.Node, port); peer.RateBps > 0 {
-		rate = peer.RateBps
-	}
-	return sim.DurationOfSeconds(float64(size) * 8 / rate)
-}
-
 // InjectFromHost delivers a packet from a host into its leaf switch at
 // the current virtual time plus the host link latency. Call it from
 // driver or global-domain context; per-host traffic sources that should
@@ -1044,7 +1067,7 @@ func (n *Network) enqueue(es *EmuSwitch, pkt *packet.Packet, port int) {
 	}
 	q.perCoS[cos].push(pkt)
 	n.tel.queueHighWater.SetMax(int64(q.length()))
-	n.setDepthGauge(es, port)
+	q.setDepth()
 	if !q.txScheduled {
 		q.txScheduled = true
 		n.scheduleTx(es, port)
@@ -1089,7 +1112,7 @@ func (n *Network) scheduleTx(es *EmuSwitch, port int) {
 		return
 	}
 	head := q.perCoS[cos].peek()
-	es.proc.AfterCall(n.serialization(es, port, head.Size),
+	es.proc.AfterCall(q.serialization(head.Size),
 		n.txFn, es, nil, es.gen<<(txPortBits+txCoSBits)|int64(port)<<txCoSBits|int64(cos))
 }
 
@@ -1105,8 +1128,9 @@ func (n *Network) txCall(a, _ any, i int64) {
 		return
 	}
 	port, cos := int(i>>txCoSBits)&(1<<txPortBits-1), int(i)&(1<<txCoSBits-1)
-	head := es.queues[port].perCoS[cos].pop()
-	n.setDepthGauge(es, port)
+	q := es.queues[port]
+	head := q.perCoS[cos].pop()
+	q.setDepth()
 	n.transmit(es, head, port)
 	n.scheduleTx(es, port)
 }
@@ -1195,15 +1219,6 @@ func (n *Network) wireHop(es *EmuSwitch, pkt *packet.Packet, port int, peer topo
 	next := n.sws[peer.Node]
 	es.proc.SendCall(next.dom, sim.Duration(peer.Latency),
 		n.arriveFn, next, pkt, int64(peer.Port))
-}
-
-// setDepthGauge mirrors an egress queue's occupancy into the registered
-// gauge, if any.
-func (n *Network) setDepthGauge(es *EmuSwitch, port int) {
-	id := dataplane.UnitID{Node: es.Node, Port: port, Dir: dataplane.Egress}
-	if g, ok := n.gauges[id]; ok {
-		g.Set(uint64(es.queues[port].length()))
-	}
 }
 
 // drainNotifs moves data-plane notifications toward the switch CPU: if
@@ -1348,8 +1363,8 @@ func (n *Network) ScheduleSnapshotSingle(node topology.NodeID, localDeadline sim
 	if err != nil {
 		return 0, err
 	}
-	es, ok := n.sws[node]
-	if !ok || n.cfg.SnapshotDisabled[node] || es.down {
+	es := n.Switch(node)
+	if es == nil || n.cfg.SnapshotDisabled[node] || es.down {
 		return 0, fmt.Errorf("emunet: switch %d cannot initiate", node)
 	}
 	n.initiateAt(es, id, localDeadline)

@@ -71,9 +71,9 @@ type Host struct {
 // Topology is an immutable description of a network.
 type Topology struct {
 	Switches []*Switch
-	Hosts    []*Host
-
-	hostIdx map[HostID]*Host
+	// Hosts is indexed by HostID: the builder numbers hosts in
+	// attachment order.
+	Hosts []*Host
 }
 
 // Builder incrementally assembles a topology.
@@ -84,7 +84,7 @@ type Builder struct {
 
 // NewBuilder returns an empty topology builder.
 func NewBuilder() *Builder {
-	return &Builder{t: &Topology{hostIdx: make(map[HostID]*Host)}}
+	return &Builder{t: &Topology{}}
 }
 
 // AddSwitch adds a switch with the given number of ports and returns its
@@ -114,9 +114,7 @@ func (b *Builder) AttachHostRated(node NodeID, port int, latency sim.Duration, r
 		b.errs = append(b.errs, err)
 		return id
 	}
-	h := &Host{ID: id, Node: node, Port: port, Latency: latency}
-	b.t.Hosts = append(b.t.Hosts, h)
-	b.t.hostIdx[id] = h
+	b.t.Hosts = append(b.t.Hosts, &Host{ID: id, Node: node, Port: port, Latency: latency})
 	b.t.Switches[node].Ports[port] = Peer{Kind: PeerHost, Host: id, Latency: latency, RateBps: rateBps}
 	return id
 }
@@ -165,15 +163,19 @@ func (b *Builder) Build() (*Topology, error) {
 }
 
 // Switch returns the switch with the given ID, or nil.
-func (t *Topology) Switch(id NodeID) *Switch {
-	if int(id) < 0 || int(id) >= len(t.Switches) {
-		return nil
-	}
-	return t.Switches[id]
-}
+func (t *Topology) Switch(id NodeID) *Switch { return at(t.Switches, int(id)) }
 
 // Host returns the host with the given ID, or nil.
-func (t *Topology) Host(id HostID) *Host { return t.hostIdx[id] }
+func (t *Topology) Host(id HostID) *Host { return at(t.Hosts, int(id)) }
+
+// at returns s[i], or nil when i is out of range: IDs index their
+// tables directly.
+func at[T any](s []*T, i int) *T {
+	if i < 0 || i >= len(s) {
+		return nil
+	}
+	return s[i]
+}
 
 // HostIDs lists every host's ID, in attachment order.
 func (t *Topology) HostIDs() []HostID {
