@@ -33,7 +33,7 @@ import (
 // apply below it) and discharges obligation 1; a defer registered
 // conditionally still discharges it. Function literals run on their
 // own schedule with nothing held. There is no acquisition-order rule:
-// each scoped package declares at most one mutex (node.Collector.mu,
+// each scoped package declares at most one mutex (node.Fabric.mu,
 // packet.Central.mu, emunet.Network.syncMu, live.mailbox.mu), so the
 // tree has no order to get wrong (TestProtocolTable fails when one
 // gains a second).

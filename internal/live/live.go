@@ -5,11 +5,14 @@
 // snapshot observer runs in its own goroutine with wall-clock
 // initiation timers.
 //
-// The deployment itself — routes, completion gates, one node.Switch per
-// topology node, the snapshot collector and the recovery relay — is a
-// node.Fabric, the same one package wire builds. What is written here is
-// what a goroutine transport adds: the mailboxes, the switch and
-// observer goroutines, and Inject's back-pressure.
+// It is also the one wall-clock host loop (Runtime): a node.Fabric — the
+// routes, completion gates, one node.Switch per topology node, the
+// snapshot collector and the recovery relay — plus a Device per switch
+// that moves its bytes, driven by one goroutine loop per switch, one
+// retry loop, one TakeSnapshot and one clock. Package wire is a Runtime
+// over UDP sockets; Network is one over mailboxes, and what is written
+// for it here is what a goroutine transport adds: the mailboxes, the
+// observer goroutine and Inject's back-pressure.
 //
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
@@ -21,6 +24,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -80,7 +84,7 @@ type Config struct {
 	Journal *journal.Set
 	// OnAnomaly receives a flight-recorder dump (the last 512 journal
 	// events) whenever a snapshot finalizes inconsistent or with
-	// excluded devices. Called with the collector's lock held; must not
+	// excluded devices. Called with the fabric's lock held; must not
 	// call back into the network.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
@@ -99,33 +103,225 @@ type Config struct {
 	Invariants *invariant.Engine
 }
 
+// retryDefault is the recovery period of a runtime whose RetryEvery is
+// zero.
+const retryDefault = 20 * time.Millisecond
+
+var errStopped = errors.New("live: network stopped")
+
+// Runtime is a wall-clock deployment: a node.Fabric whose switches run on
+// a transport's Devices, one goroutine per switch, and the observer
+// host's recovery loop. A Network is a Runtime over in-process mailboxes,
+// a wire.Deployment one over UDP sockets; what is written here, they
+// share.
+type Runtime struct {
+	// The fields every switch and host reads, step after step, come
+	// first: nothing writes them after Start.
+	*node.Fabric
+	Clock
+	devs []Device // by NodeID
+	stop chan struct{}
+	cfg  Config
+
+	sink    node.Sink // the Fabric's
+	wg      sync.WaitGroup
+	stopped sync.Once
+}
+
+// Device is one switch's side of a transport: the node.Host the switch
+// runs on, and what the Runtime drives it through.
+type Device interface {
+	node.Host
+	// Burst takes the switch's next burst of input and Steps each event
+	// of it, parking while there is none. False means shutdown.
+	Burst() bool
+	// Flush writes out what the burst staged.
+	Flush()
+	// Control hands the switch an initiation of snapshot id (flooding
+	// markers if asked) and then, if asked, a poll. A full queue must not
+	// drop them: the observer asks for a retry once.
+	Control(id packet.SeqID, markers, poll bool)
+	// Inject takes a host's packet in at port.
+	Inject(port int, pkt *packet.Packet) error
+}
+
+// Clock is a runtime's wall clock: the time since Start as protocol
+// time. Every Device of a Runtime embeds a pointer to the Runtime's one
+// Clock, and with it node.Host's Now.
+type Clock struct{ started time.Time }
+
+// Now returns wall time since Start as protocol time.
+func (c *Clock) Now() sim.Time { return sim.Time(time.Since(c.started).Nanoseconds()) }
+
+// NewRuntime builds the deployment cfg describes — fabric, sink and
+// recovery period — with each switch on the Device attach makes on the
+// runtime's clock. MetricsAddr and OnDeliver are the transport's to
+// honour. A zero RetryEvery means 20 ms, a negative one no recovery.
+func NewRuntime(cfg Config, attach func(*topology.Switch, *Clock) (Device, func(control.Result), error)) (*Runtime, error) {
+	if cfg.RetryEvery == 0 {
+		cfg.RetryEvery = retryDefault
+	}
+	r := &Runtime{cfg: cfg, stop: make(chan struct{}), sink: node.Sink{
+		Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
+		Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
+	}}
+	var err error
+	// A negative RetryEvery asks the observer for no retries: zero never does.
+	r.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
+		MaxID:        cfg.MaxID,
+		WrapAround:   cfg.WrapAround,
+		ChannelState: cfg.ChannelState,
+		Metrics:      cfg.Metrics,
+	}, sim.Duration(max(0, cfg.RetryEvery).Nanoseconds()), &r.sink, cfg.Registry,
+		func(spec *topology.Switch) (node.Host, func(control.Result), error) {
+			dev, onResult, err := attach(spec, &r.Clock)
+			r.devs = append(r.devs, dev)
+			return dev, onResult, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Event is one step of a switch: a packet arriving on Port, an
+// initiation of snapshot ID (flooding markers if Markers says so), or a
+// register poll.
+type Event struct {
+	Kind    EventKind
+	Markers bool
+	Port    int
+	Pkt     *packet.Packet
+	ID      packet.SeqID
+}
+
+// EventKind says which of the three steps an Event is.
+type EventKind uint8
+
+const (
+	EvPacket EventKind = iota
+	EvInitiate
+	EvPoll
+)
+
+// Step runs ev through sw: the one place a wall-clock runtime calls into
+// a switch.
+//
+//speedlight:hotpath
+func (ev *Event) Step(sw *node.Switch) {
+	switch ev.Kind {
+	case EvPacket:
+		sw.Packet(ev.Pkt, ev.Port)
+	case EvInitiate:
+		sw.Initiate(ev.ID, ev.Markers)
+	case EvPoll:
+		sw.Poll()
+	}
+}
+
+// Start starts the clock and launches a goroutine per switch, the
+// recovery loop, and one per host: the transport's own goroutines (its
+// observer host, say), which must return once Stop is called.
+func (r *Runtime) Start(hosts ...func()) {
+	r.started = time.Now()
+	for _, dev := range r.devs {
+		hosts = append(hosts, func() { r.run(dev) })
+	}
+	if r.cfg.RetryEvery > 0 {
+		hosts = append(hosts, r.retry)
+	}
+	r.wg.Add(len(hosts))
+	for _, f := range hosts {
+		go func() {
+			defer r.wg.Done()
+			f()
+		}()
+	}
+}
+
+// Stop shuts the runtime down and waits for its goroutines. It is
+// idempotent. A transport whose devices park anywhere but on the stop
+// channel wakes them first (wire closes its sockets).
+func (r *Runtime) Stop() {
+	r.stopped.Do(func() { close(r.stop) })
+	r.wg.Wait()
+}
+
+// run is one switch's goroutine: the single owner of both its data plane
+// and its control plane, so every unit stays linearizable and FIFO order
+// is inherent. It takes its input a burst at a time, writes out what each
+// burst staged, and looks at stop once per burst.
+func (r *Runtime) run(dev Device) {
+	for dev.Burst() {
+		dev.Flush()
+		select {
+		case <-r.stop:
+			return
+		default:
+		}
+	}
+}
+
+// retry is the observer host's recovery loop. A retried device gets a
+// re-initiation, which floods markers in channel-state mode (first
+// initiations do not), and a poll.
+func (r *Runtime) retry() {
+	t := time.NewTicker(r.cfg.RetryEvery)
+	defer t.Stop()
+	relay := func(dev topology.NodeID, id packet.SeqID) { r.devs[dev].Control(id, r.cfg.ChannelState, true) }
+	for {
+		select {
+		case <-r.stop:
+			return
+		case <-t.C:
+			r.Retries(r.Now(), relay)
+		}
+	}
+}
+
+// Inject sends a packet from a host into its edge switch.
+func (r *Runtime) Inject(host topology.HostID, pkt *packet.Packet) error {
+	if int(host) >= len(r.cfg.Topo.Hosts) {
+		return fmt.Errorf("live: unknown host %d", host)
+	}
+	h := r.cfg.Topo.Hosts[host]
+	pkt.SrcHost = uint32(host)
+	return r.devs[h.Node].Inject(h.Port, pkt)
+}
+
+// TakeSnapshot begins a network-wide snapshot after the given delay and
+// returns its ID and a channel that yields the assembled global
+// snapshot once complete.
+func (r *Runtime) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
+	select {
+	case <-r.stop:
+		return 0, nil, errStopped
+	default:
+	}
+	id, sub, err := r.Begin(r.Now())
+	if err != nil {
+		return 0, nil, err
+	}
+	// Control never blocks, so without a delay the caller's goroutine
+	// initiates: no timer, closure or goroutine to wait no time.
+	if delay <= 0 {
+		r.initiate(id)
+	} else {
+		time.AfterFunc(delay, func() { r.initiate(id) })
+	}
+	return id, sub, nil
+}
+
+// initiate asks every switch to start snapshot id.
+func (r *Runtime) initiate(id packet.SeqID) {
+	for _, dev := range r.devs {
+		dev.Control(id, false, false)
+	}
+}
+
 // inboxDepth bounds the packets waiting in each switch's mailbox: the
 // link buffer a full switch drops into (see liveSwitch.Forward).
 const inboxDepth = 4096
-
-// event is one unit of work for a switch goroutine, queued in its
-// mailbox.
-type event struct {
-	kind eventKind
-	pkt  *packet.Packet
-	port int
-	// initiation
-	snapshotID packet.SeqID
-	// markers asks the initiation to also inject marker broadcasts, the
-	// Section 6 liveness mechanism for traffic-free channels (used on
-	// recovery retries in channel-state mode).
-	markers bool
-	// poll request
-	done chan struct{}
-}
-
-type eventKind int
-
-const (
-	evPacket eventKind = iota
-	evInitiate
-	evPoll
-)
 
 // mailbox is a switch's inbox: many producers, one consumer. Producers
 // append under mu; the switch goroutine takes the whole backlog in one
@@ -134,7 +330,10 @@ const (
 // network-wide stop channel would take, per event, on every switch.
 type mailbox struct {
 	mu sync.Mutex
-	q  []event
+	q  []Event
+	// spare is the burst take returned last: the consumer's alone, and
+	// the queue's storage once it is processed.
+	spare []Event
 	// wake holds a token whenever q went from empty to not: what the
 	// consumer parks on. A stale token costs it one empty take.
 	wake chan struct{}
@@ -154,10 +353,10 @@ func newMailbox() *mailbox {
 // nothing blocks, or is sent, under mu.
 //
 //speedlight:hotpath
-func (m *mailbox) put(ev event) int {
+func (m *mailbox) put(ev Event) int {
 	m.mu.Lock()
 	depth := len(m.q)
-	if ev.kind == evPacket && depth >= inboxDepth {
+	if ev.Kind == EvPacket && depth >= inboxDepth {
 		m.mu.Unlock()
 		return 0
 	}
@@ -169,16 +368,17 @@ func (m *mailbox) put(ev event) int {
 	return depth + 1
 }
 
-// take returns everything queued, in put order, and leaves spare (the
-// previous burst, now processed) as the queue's storage.
+// take returns everything queued, in put order, and leaves the previous
+// burst, now processed, as the queue's storage.
 //
 //speedlight:hotpath
-func (m *mailbox) take(spare []event) []event {
-	clear(spare) // drop the packets it still points to
+func (m *mailbox) take() []Event {
+	clear(m.spare) // drop the packets it still points to
 	m.mu.Lock()
 	burst := m.q
-	m.q = spare[:0]
+	m.q = m.spare[:0]
 	m.mu.Unlock()
+	m.spare = burst
 	if len(burst) >= inboxDepth {
 		signal(m.room)
 	}
@@ -193,12 +393,14 @@ func signal(c chan struct{}) {
 	}
 }
 
-// liveSwitch is one switch goroutine's state, and the node.Host of the
-// switch it runs.
+// liveSwitch is one switch goroutine's state: the Device, and so the
+// node.Host, of the switch it runs. Other goroutines read it (to put
+// into its mailbox) and nothing writes it after New.
 type liveSwitch struct {
+	*Clock
 	net   *Network
-	spec  *topology.Switch
 	sw    *node.Switch
+	spec  *topology.Switch
 	inbox *mailbox
 	// events counts this switch goroutine's processed events
 	// (per-switch throughput).
@@ -207,7 +409,7 @@ type liveSwitch struct {
 
 // put queues ev for the switch and books the depth the mailbox
 // reached; false means a full mailbox refused the packet.
-func (ls *liveSwitch) put(ev event) bool {
+func (ls *liveSwitch) put(ev Event) bool {
 	depth := ls.inbox.put(ev)
 	ls.net.tel.inboxHighWater.SetMax(int64(depth))
 	return depth > 0
@@ -215,23 +417,15 @@ func (ls *liveSwitch) put(ev event) bool {
 
 // Network is a running live deployment.
 type Network struct {
-	cfg  Config
-	topo *topology.Topology
-	sws  []*liveSwitch // by NodeID
-
-	// Fabric is the deployment itself: the switches the goroutines drive
-	// and the collector that assembles their snapshots into sink. It
-	// brings Switch, Journal, Audit, Snapshots and CompletedEpochs.
-	// Results reach it through obsEvents — the network path from switch
-	// CPU to observer host — so switch goroutines do no observer work.
-	*node.Fabric
-	sink      node.Sink
+	// Runtime is the deployment and its goroutines: the switches the
+	// mailboxes feed and the collector that assembles their snapshots
+	// into sink. It brings Switch, Journal, Audit, Snapshots,
+	// CompletedEpochs, Inject and TakeSnapshot. Results reach it through
+	// obsEvents — the network path from switch CPU to observer host — so
+	// switch goroutines do no observer work.
+	*Runtime
+	sws       []*liveSwitch // by NodeID
 	obsEvents chan control.Result
-
-	started time.Time
-	wg      sync.WaitGroup
-	stop    chan struct{}
-	stopped sync.Once
 
 	tel liveTelemetry
 	// endpoints is what Start serves on MetricsAddr.
@@ -262,38 +456,21 @@ func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 
 // New builds a live network. Call Start to launch its goroutines.
 func New(cfg Config) (*Network, error) {
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 20 * time.Millisecond
-	}
 	if cfg.MetricsAddr != "" && cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	n := &Network{
-		cfg:  cfg,
-		topo: cfg.Topo,
-		sink: node.Sink{
-			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
-			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
-		},
 		// Deep enough for every unit's result from a few snapshots in
 		// flight; a full queue blocks the sending switch.
 		obsEvents: make(chan control.Result, 1024),
-		stop:      make(chan struct{}),
 		tel:       newLiveTelemetry(cfg.Registry),
 		health:    telemetry.NewHealth(),
 	}
 	swEvents := cfg.Registry.CounterVec("speedlight_live_switch_events_total",
 		"events processed per switch goroutine", "switch")
 	var err error
-	// A negative RetryEvery disables retries: zero never asks for one.
-	retryAfter := sim.Duration(max(0, cfg.RetryEvery).Nanoseconds())
-	n.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
-		MaxID:        cfg.MaxID,
-		WrapAround:   cfg.WrapAround,
-		ChannelState: cfg.ChannelState,
-		Metrics:      cfg.Metrics,
-	}, retryAfter, &n.sink, cfg.Registry, func(spec *topology.Switch) (node.Host, func(control.Result), error) {
-		ls := &liveSwitch{net: n, spec: spec, inbox: newMailbox(), events: swEvents.With(fmt.Sprint(spec.ID))}
+	n.Runtime, err = NewRuntime(cfg, func(spec *topology.Switch, clock *Clock) (Device, func(control.Result), error) {
+		ls := &liveSwitch{Clock: clock, net: n, spec: spec, inbox: newMailbox(), events: swEvents.With(fmt.Sprint(spec.ID))}
 		n.sws = append(n.sws, ls)
 		return ls, n.toObserver, nil
 	})
@@ -318,11 +495,6 @@ func (n *Network) toObserver(res control.Result) {
 	}
 }
 
-// now returns wall time since Start as protocol time.
-func (n *Network) now() sim.Time {
-	return sim.Time(time.Since(n.started).Nanoseconds())
-}
-
 // Start launches the switch and observer goroutines, and the
 // observability HTTP server when MetricsAddr is configured. A metrics
 // server that fails to bind is reported on stderr but does not stop
@@ -336,19 +508,7 @@ func (n *Network) Start() {
 			n.metSrv = srv
 		}
 	}
-	n.started = time.Now()
-	for _, ls := range n.sws {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.runSwitch(ls)
-		}()
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.runObserver()
-	}()
+	n.Runtime.Start(n.runObserver)
 	n.health.SetReady(true)
 }
 
@@ -356,8 +516,7 @@ func (n *Network) Start() {
 // idempotent.
 func (n *Network) Stop() {
 	n.health.SetReady(false)
-	n.stopped.Do(func() { close(n.stop) })
-	n.wg.Wait()
+	n.Runtime.Stop()
 	if n.metSrv != nil {
 		_ = n.metSrv.Close()
 		n.metSrv = nil
@@ -380,48 +539,58 @@ func (n *Network) MetricsAddr() string {
 	return n.metSrv.Addr()
 }
 
-// runSwitch is one switch's event loop: the single goroutine that owns
-// both the data plane and the control plane state of the device, so
-// every unit stays linearizable and FIFO order is inherent. It takes
-// its mailbox a burst at a time, looks at stop once per burst, and
-// parks only on an empty mailbox.
-func (n *Network) runSwitch(ls *liveSwitch) {
-	var burst []event
-	for {
-		burst = ls.inbox.take(burst)
-		if len(burst) == 0 {
-			select {
-			case <-n.stop:
-				return
-			case <-ls.inbox.wake:
-				continue
-			}
-		}
-		ls.events.Add(uint64(len(burst)))
-		n.tel.events.Add(uint64(len(burst)))
-		for i := range burst {
-			switch ev := &burst[i]; ev.kind {
-			case evPacket:
-				ls.sw.Packet(ev.pkt, ev.port)
-			case evInitiate:
-				ls.sw.Initiate(ev.snapshotID, ev.markers)
-			case evPoll:
-				ls.sw.Poll()
-				if ev.done != nil {
-					close(ev.done)
-				}
-			}
-		}
+// Burst takes the mailbox's backlog and steps it, parking on an empty
+// mailbox until a put or Stop.
+func (ls *liveSwitch) Burst() bool {
+	burst := ls.inbox.take()
+	for ; len(burst) == 0; burst = ls.inbox.take() {
 		select {
-		case <-n.stop:
-			return
-		default:
+		case <-ls.net.stop:
+			return false
+		case <-ls.inbox.wake:
 		}
+	}
+	ls.events.Add(uint64(len(burst)))
+	ls.net.tel.events.Add(uint64(len(burst)))
+	for i := range burst {
+		burst[i].Step(ls.sw)
+	}
+	return true
+}
+
+// Flush has nothing to write out: Forward puts every packet in the
+// neighbour's mailbox at once.
+func (ls *liveSwitch) Flush() {}
+
+// Control queues the initiation and the poll behind whatever waits:
+// control events are admitted whatever the depth, so the relay neither
+// blocks (it could deadlock against a switch blocked on the observer
+// channel) nor loses the retry.
+func (ls *liveSwitch) Control(id packet.SeqID, markers, poll bool) {
+	ls.put(Event{Kind: EvInitiate, ID: id, Markers: markers})
+	if poll {
+		ls.put(Event{Kind: EvPoll})
 	}
 }
 
-// Now returns wall time since Start as protocol time.
-func (ls *liveSwitch) Now() sim.Time { return ls.net.now() }
+// Inject queues a host's packet. A full mailbox makes the host wait
+// until the switch takes it, or for Stop; whoever gets in passes the
+// token to the next one waiting.
+func (ls *liveSwitch) Inject(port int, pkt *packet.Packet) error {
+	ev := Event{Kind: EvPacket, Pkt: pkt, Port: port}
+	if ls.put(ev) {
+		return nil
+	}
+	for ok := false; !ok; ok = ls.put(ev) {
+		select {
+		case <-ls.inbox.room:
+		case <-ls.net.stop:
+			return errStopped
+		}
+	}
+	signal(ls.inbox.room)
+	return nil
+}
 
 // Forward delivers an egressed packet to the port's peer.
 func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
@@ -431,7 +600,7 @@ func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
 		// Non-blocking: a full mailbox is a full link buffer, and the
 		// packet is dropped — blocking here could deadlock a cycle of
 		// mutually full switches.
-		if !n.sws[peer.Node].put(event{kind: evPacket, pkt: pkt, port: peer.Port}) {
+		if !n.sws[peer.Node].put(Event{Kind: EvPacket, Pkt: pkt, Port: peer.Port}) {
 			n.tel.inboxDrops.Inc()
 		}
 	case topology.PeerHost:
@@ -443,24 +612,8 @@ func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
 }
 
 // runObserver is the observer host's goroutine: it takes results off
-// the queue and runs the recovery timers.
+// the queue.
 func (n *Network) runObserver() {
-	var tick <-chan time.Time
-	if n.cfg.RetryEvery > 0 {
-		t := time.NewTicker(n.cfg.RetryEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	// Control events are admitted whatever the depth, so the relay
-	// neither blocks (it could deadlock against a switch blocked on the
-	// observer channel) nor loses the retry, which the observer asks for
-	// only once per snapshot. Only retries flood markers; first
-	// initiations do not.
-	relay := func(dev topology.NodeID, id packet.SeqID) {
-		ls := n.sws[dev]
-		ls.put(event{kind: evInitiate, snapshotID: id, markers: n.cfg.ChannelState})
-		ls.put(event{kind: evPoll})
-	}
 	for {
 		select {
 		case <-n.stop:
@@ -468,80 +621,7 @@ func (n *Network) runObserver() {
 		case res := <-n.obsEvents:
 			// +1: the result just dequeued was part of the backlog.
 			n.tel.obsHighWater.SetMax(int64(len(n.obsEvents)) + 1)
-			n.Result(res, n.now())
-		case <-tick:
-			n.Retries(n.now(), relay)
-		}
-	}
-}
-
-// Inject sends a packet from a host into the network.
-func (n *Network) Inject(host topology.HostID, pkt *packet.Packet) error {
-	if int(host) >= len(n.topo.Hosts) {
-		return fmt.Errorf("live: unknown host %d", host)
-	}
-	h := n.topo.Hosts[host]
-	pkt.SrcHost = uint32(host)
-	ls, ev := n.sws[h.Node], event{kind: evPacket, pkt: pkt, port: h.Port}
-	if ls.put(ev) {
-		return nil
-	}
-	// A full mailbox makes the host wait until the switch takes it, or
-	// for Stop; whoever gets in passes the token to the next one waiting.
-	for ok := false; !ok; ok = ls.put(ev) {
-		select {
-		case <-ls.inbox.room:
-		case <-n.stop:
-			return fmt.Errorf("live: network stopped")
-		}
-	}
-	signal(ls.inbox.room)
-	return nil
-}
-
-// TakeSnapshot begins a network-wide snapshot after the given delay and
-// returns its ID and a channel that yields the assembled global
-// snapshot once complete.
-func (n *Network) TakeSnapshot(delay time.Duration) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	select {
-	case <-n.stop:
-		return 0, nil, fmt.Errorf("live: network stopped")
-	default:
-	}
-	id, sub, err := n.Begin(n.now())
-	if err != nil {
-		return 0, nil, err
-	}
-	// Control events never block, so without a delay the caller's
-	// goroutine initiates: no timer, closure or goroutine to wait no time.
-	if delay <= 0 {
-		n.initiate(id)
-	} else {
-		time.AfterFunc(delay, func() { n.initiate(id) })
-	}
-	return id, sub, nil
-}
-
-// initiate asks every switch to start snapshot id.
-func (n *Network) initiate(id packet.SeqID) {
-	for _, ls := range n.sws {
-		ls.put(event{kind: evInitiate, snapshotID: id})
-	}
-}
-
-// PollAll synchronously asks every switch control plane to poll its
-// registers (recovery path), returning when all have finished.
-func (n *Network) PollAll() {
-	dones := make([]chan struct{}, len(n.sws))
-	for i, ls := range n.sws {
-		dones[i] = make(chan struct{})
-		ls.put(event{kind: evPoll, done: dones[i]})
-	}
-	for _, d := range dones {
-		select {
-		case <-d:
-		case <-n.stop:
-			return
+			n.Result(res, n.Now())
 		}
 	}
 }

@@ -262,26 +262,6 @@ func TestStopIdempotentAndInjectAfterStop(t *testing.T) {
 	}
 }
 
-func TestPollAll(t *testing.T) {
-	ls := leafSpine(t)
-	n, err := New(Config{Topo: ls.Topology})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
-	donech := make(chan struct{})
-	go func() {
-		n.PollAll()
-		close(donech)
-	}()
-	select {
-	case <-donech:
-	case <-time.After(5 * time.Second):
-		t.Fatal("PollAll hung")
-	}
-}
-
 func TestChannelStateSnapshotLive(t *testing.T) {
 	// Channel-state snapshots under the concurrent runtime: completion
 	// needs every FIFO channel to advance, driven by traffic plus the

@@ -38,18 +38,18 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // pkt is a data event from producer p carrying sequence number seq.
-func pkt(p int, seq uint64) event {
-	return event{kind: evPacket, port: p, snapshotID: packet.SeqID(seq)}
+func pkt(p int, seq uint64) Event {
+	return Event{Kind: EvPacket, Port: p, ID: packet.SeqID(seq)}
 }
 
-// consume is runSwitch's way with a mailbox — take a burst, park on wake
-// only after an empty take — until it has seen total events.
-func consume(m *mailbox, total int, each func(event)) <-chan bool {
+// consume is liveSwitch.Burst's way with a mailbox — take a burst, park
+// on wake only after an empty take — until it has seen total events.
+func consume(m *mailbox, total int, each func(Event)) <-chan bool {
 	done := make(chan bool, 1)
 	go func() {
-		var burst []event
 		for seen := 0; seen < total; {
-			if burst = m.take(burst); len(burst) == 0 {
+			burst := m.take()
+			if len(burst) == 0 {
 				select {
 				case <-m.wake:
 				case <-time.After(deadline):
@@ -74,11 +74,11 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 	m := newMailbox()
 	var next [producers]uint64
 	var disorder atomic.Int64
-	done := consume(m, producers*each, func(ev event) {
-		if uint64(ev.snapshotID) != next[ev.port] {
+	done := consume(m, producers*each, func(ev Event) {
+		if uint64(ev.ID) != next[ev.Port] {
 			disorder.Add(1)
 		}
-		next[ev.port]++
+		next[ev.Port]++
 	})
 	for p := 0; p < producers; p++ {
 		go func(p int) {
@@ -107,7 +107,7 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 	const total = 100_000
 	m := newMailbox()
 	var sum uint64
-	done := consume(m, total, func(ev event) { sum += uint64(ev.snapshotID) })
+	done := consume(m, total, func(ev Event) { sum += uint64(ev.ID) })
 	go func() {
 		for seq := uint64(1); seq <= total; seq++ {
 			for m.put(pkt(0, seq)) == 0 {
@@ -142,22 +142,22 @@ func TestMailboxBound(t *testing.T) {
 	if admitted != inboxDepth {
 		t.Fatalf("admitted %d packets, want inboxDepth = %d", admitted, inboxDepth)
 	}
-	if d := m.put(event{kind: evInitiate, snapshotID: 7}); d != inboxDepth+1 {
+	if d := m.put(Event{Kind: EvInitiate, ID: 7}); d != inboxDepth+1 {
 		t.Errorf("initiation at a full mailbox: depth %d, want %d", d, inboxDepth+1)
 	}
-	if d := m.put(event{kind: evPoll}); d != inboxDepth+2 {
+	if d := m.put(Event{Kind: EvPoll}); d != inboxDepth+2 {
 		t.Errorf("poll at a full mailbox: depth %d, want %d", d, inboxDepth+2)
 	}
-	burst := m.take(nil)
+	burst := m.take()
 	if len(burst) != inboxDepth+2 {
 		t.Fatalf("took %d events, want %d", len(burst), inboxDepth+2)
 	}
 	for i, ev := range burst[:inboxDepth] {
-		if ev.kind != evPacket || int(ev.snapshotID) != i {
+		if ev.Kind != EvPacket || int(ev.ID) != i {
 			t.Fatalf("event %d is %+v", i, ev)
 		}
 	}
-	if burst[inboxDepth].kind != evInitiate || burst[inboxDepth+1].kind != evPoll {
+	if burst[inboxDepth].Kind != EvInitiate || burst[inboxDepth+1].Kind != EvPoll {
 		t.Error("control events out of order")
 	}
 	if m.put(pkt(0, 0)) != 1 {
@@ -185,7 +185,7 @@ func TestForwardDropsAndCountsAtFullMailbox(t *testing.T) {
 	if got := n.tel.inboxHighWater.Value(); got != inboxDepth {
 		t.Errorf("inbox high water = %d, want %d", got, inboxDepth)
 	}
-	if got := len(n.sws[leaf.spec.Ports[uplink].Node].inbox.take(nil)); got != inboxDepth {
+	if got := len(n.sws[leaf.spec.Ports[uplink].Node].inbox.take()); got != inboxDepth {
 		t.Errorf("the spine's mailbox holds %d, want %d", got, inboxDepth)
 	}
 }
@@ -223,8 +223,8 @@ func TestBlockedInjectReleasedByTake(t *testing.T) {
 	}
 	const hosts = 3
 	errs := fillFromHost(t, n, hosts)
-	inbox := n.sws[n.topo.Hosts[0].Node].inbox
-	if got := len(inbox.take(nil)); got != inboxDepth {
+	inbox := n.sws[n.cfg.Topo.Hosts[0].Node].inbox
+	if got := len(inbox.take()); got != inboxDepth {
 		t.Fatalf("took %d, want %d", got, inboxDepth)
 	}
 	for i := 0; i < hosts; i++ {
@@ -232,7 +232,7 @@ func TestBlockedInjectReleasedByTake(t *testing.T) {
 			t.Errorf("released Inject: %v", err)
 		}
 	}
-	if got := len(inbox.take(nil)); got != hosts {
+	if got := len(inbox.take()); got != hosts {
 		t.Errorf("the released hosts queued %d packets, want %d", got, hosts)
 	}
 }
@@ -297,7 +297,7 @@ func TestStopWithNonEmptyMailbox(t *testing.T) {
 	<-n.stop
 	release()
 	within(t, stopped, "Stop")
-	if got := len(n.sws[n.topo.Hosts[0].Node].inbox.take(nil)); got != 1000 {
+	if got := len(n.sws[n.cfg.Topo.Hosts[0].Node].inbox.take()); got != 1000 {
 		t.Errorf("mailbox holds %d events after Stop, want the 1000 queued behind the wedged one", got)
 	}
 }
@@ -352,12 +352,11 @@ func TestRetryAdmittedAtFullMailbox(t *testing.T) {
 //speedlight:allocgate live.mailbox.put live.mailbox.take
 func TestMailboxSteadyStateAllocs(t *testing.T) {
 	m := newMailbox()
-	var burst []event
 	round := func() {
 		for i := 0; i < 64; i++ {
 			m.put(pkt(0, uint64(i)))
 		}
-		if burst = m.take(burst); len(burst) != 64 {
+		if burst := m.take(); len(burst) != 64 {
 			t.Fatalf("took %d of 64", len(burst))
 		}
 	}

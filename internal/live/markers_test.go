@@ -2,14 +2,12 @@ package live
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"speedlight/internal/audit"
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/journal"
-	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/telemetry"
@@ -64,44 +62,6 @@ func takeCS(t *testing.T, n *Network) *observer.GlobalSnapshot {
 	case <-time.After(10 * time.Second):
 		t.Fatal("channel-state snapshot never completed")
 		return nil
-	}
-}
-
-// TestMarkersNeverReachHosts: a marker flood egresses every port of a
-// switch, host-facing ones included, and must die there — hosts see
-// data packets only.
-func TestMarkersNeverReachHosts(t *testing.T) {
-	ls := leafSpine(t)
-	var markers, delivered atomic.Int64
-	n, err := New(Config{
-		Topo:         ls.Topology,
-		ChannelState: true,
-		RetryEvery:   5 * time.Millisecond,
-		OnDeliver: func(p *packet.Packet, _ topology.HostID) {
-			delivered.Add(1)
-			if topology.HostID(p.DstHost) == node.BroadcastHost {
-				markers.Add(1)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
-	defer trickle(n, ls.Topology)()
-	for round := 0; round < 3; round++ {
-		takeCS(t, n)
-	}
-	// Three snapshots can finish before the first trickled packet lands.
-	for deadline := time.Now().Add(5 * time.Second); delivered.Load() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if got := markers.Load(); got != 0 {
-		t.Errorf("%d of %d deliveries to hosts were marker broadcasts", got, delivered.Load())
-	}
-	if delivered.Load() == 0 {
-		t.Error("no data packet delivered: the check saw nothing")
 	}
 }
 

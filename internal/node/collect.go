@@ -2,11 +2,9 @@ package node
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"speedlight/internal/audit"
-	"speedlight/internal/control"
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
@@ -96,87 +94,4 @@ func (s *Sink) Endpoints(reg *telemetry.Registry, health *telemetry.Health, comp
 		mc.Invariants = invariant.HTTPHandler(s.Invariants)
 	}
 	return mc
-}
-
-// Collector is the observer of a runtime whose callers are concurrent:
-// one mutex around the observer state machine, the completed list and
-// the per-snapshot subscriptions. Snapshots complete into the Sink with
-// the lock held, so Sink.OnAnomaly must not call back into the
-// Collector.
-type Collector struct {
-	mu   sync.Mutex
-	obs  *observer.Observer
-	sink *Sink
-	subs map[packet.SeqID]chan *observer.GlobalSnapshot
-	done []*observer.GlobalSnapshot
-}
-
-// NewCollector builds an observer from cfg (its OnComplete is the
-// Collector's) that completes into sink.
-func NewCollector(cfg observer.Config, sink *Sink) (*Collector, error) {
-	c := &Collector{sink: sink, subs: make(map[packet.SeqID]chan *observer.GlobalSnapshot)}
-	cfg.OnComplete = c.complete
-	obs, err := observer.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.obs = obs
-	return c, nil
-}
-
-// Register adds a switch's units to the snapshots begun from now on.
-func (c *Collector) Register(sw *Switch) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs.Register(sw.DP.Node(), sw.DP.UnitIDs())
-}
-
-// Begin allocates the next snapshot ID; the channel yields the
-// assembled snapshot once, then closes. The caller tells every switch
-// to initiate the ID.
-func (c *Collector) Begin(now sim.Time) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, err := c.obs.Begin(now)
-	if err != nil {
-		return 0, nil, err
-	}
-	sub := make(chan *observer.GlobalSnapshot, 1)
-	c.subs[id] = sub
-	return id, sub, nil
-}
-
-// Result ingests one per-unit result from a switch control plane.
-func (c *Collector) Result(res control.Result, now sim.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs.OnResult(res, now)
-}
-
-// Timeouts runs the observer's retry and exclusion timers; the caller
-// relays the retries it returns.
-func (c *Collector) Timeouts(now sim.Time) []observer.Action {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.obs.CheckTimeouts(now)
-}
-
-// Snapshots returns a copy of the snapshots completed so far.
-func (c *Collector) Snapshots() []*observer.GlobalSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*observer.GlobalSnapshot(nil), c.done...)
-}
-
-// complete is the observer's OnComplete: it runs inside Result or
-// Timeouts, with mu held. The send cannot block — sub has room for the
-// one snapshot it ever carries.
-func (c *Collector) complete(g *observer.GlobalSnapshot) {
-	c.sink.Complete(g, 0)
-	c.done = append(c.done, g)
-	if sub, ok := c.subs[g.ID]; ok {
-		delete(c.subs, g.ID)
-		sub <- g
-		close(sub)
-	}
 }

@@ -1,14 +1,18 @@
 package node
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"speedlight/internal/control"
+	"speedlight/internal/dataplane"
 	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
+	"speedlight/internal/topology"
 )
 
 type anomaly struct {
@@ -16,53 +20,53 @@ type anomaly struct {
 	id     packet.SeqID
 }
 
-// testCollector registers both test switches with a collector whose
-// sink records anomalies.
-func testCollector(t *testing.T, cfg observer.Config) (*Collector, [2]*Switch, *[]anomaly) {
+// testFabric builds a Fabric over the two test switches' topology whose
+// sink records anomalies. Nobody drives the switches: the tests hand
+// the Fabric their results themselves.
+func testFabric(t *testing.T, retryAfter sim.Duration) (*Fabric, [2]*Switch, *[]anomaly) {
 	t.Helper()
-	sws, _ := testSwitches(t, false, nil)
 	var got []anomaly
 	sink := &Sink{OnAnomaly: func(reason string, id packet.SeqID, _ []journal.Event) {
 		got = append(got, anomaly{reason, id})
 	}}
-	cfg.MaxID, cfg.WrapAround = 16, true
-	c, err := NewCollector(cfg, sink)
+	f, err := NewFabric(testTopo(t), dataplane.Config{MaxID: 16, WrapAround: true}, retryAfter, sink, nil,
+		func(*topology.Switch) (Host, func(control.Result), error) {
+			h := &fakeHost{quiet: true}
+			return h, h.onResult, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sw := range sws {
-		c.Register(sw)
-	}
-	return c, sws, &got
+	return f, [2]*Switch{f.Switch(0), f.Switch(1)}, &got
 }
 
 // report ships one result per unit of sw for snapshot id.
-func report(c *Collector, sw *Switch, id packet.SeqID, consistent bool, now sim.Time) {
+func report(f *Fabric, sw *Switch, id packet.SeqID, consistent bool, now sim.Time) {
 	for _, u := range sw.DP.UnitIDs() {
-		c.Result(control.Result{Unit: u, SnapshotID: id, Consistent: consistent}, now)
+		f.Result(control.Result{Unit: u, SnapshotID: id, Consistent: consistent}, now)
 	}
 }
 
 func TestCollectorYieldsEachSnapshotOnce(t *testing.T) {
-	c, sws, anomalies := testCollector(t, observer.Config{})
-	id1, ch1, err := c.Begin(1)
+	f, sws, anomalies := testFabric(t, 0)
+	id1, ch1, err := f.Begin(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, ch2, err := c.Begin(2)
+	id2, ch2, err := f.Begin(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The later snapshot finishes first; each channel gets its own.
 	for _, id := range []packet.SeqID{id2, id1} {
-		report(c, sws[0], id, true, 3)
+		report(f, sws[0], id, true, 3)
 		select {
 		case g := <-ch1:
 			t.Fatalf("snapshot %d delivered with a device outstanding", g.ID)
 		default:
 		}
-		report(c, sws[1], id, true, 4)
-		report(c, sws[1], id, true, 5) // duplicates are the observer's to ignore
+		report(f, sws[1], id, true, 4)
+		report(f, sws[1], id, true, 5) // duplicates are the observer's to ignore
 	}
 	for _, sub := range []struct {
 		id packet.SeqID
@@ -77,16 +81,16 @@ func TestCollectorYieldsEachSnapshotOnce(t *testing.T) {
 		}
 	}
 
-	snaps := c.Snapshots()
+	snaps := f.Snapshots()
 	if len(snaps) != 2 || snaps[0].ID != id2 || snaps[1].ID != id1 {
 		t.Fatalf("Snapshots() = %v, want completion order [%d %d]", snaps, id2, id1)
 	}
 	snaps[0] = nil // the caller's copy
-	if again := c.Snapshots(); again[0] == nil || again[0].ID != id2 {
-		t.Error("Snapshots() handed out the collector's own slice")
+	if again := f.Snapshots(); again[0] == nil || again[0].ID != id2 {
+		t.Error("Snapshots() handed out the fabric's own slice")
 	}
-	if c.sink.CompletedEpochs() != 2 {
-		t.Errorf("CompletedEpochs() = %d, want 2", c.sink.CompletedEpochs())
+	if f.CompletedEpochs() != 2 {
+		t.Errorf("CompletedEpochs() = %d, want 2", f.CompletedEpochs())
 	}
 	if len(*anomalies) != 0 {
 		t.Errorf("clean snapshots fired %v", *anomalies)
@@ -94,28 +98,37 @@ func TestCollectorYieldsEachSnapshotOnce(t *testing.T) {
 }
 
 // TestCollectorAnomalies holds the two finalization reasons to the
-// bytes every runtime used to format for itself.
+// bytes every runtime used to format for itself, and the retry to once
+// per device. A Fabric never excludes a device (a wall-clock snapshot
+// waits for its retry), so the exclusion reason is the sink's alone.
 func TestCollectorAnomalies(t *testing.T) {
-	c, sws, anomalies := testCollector(t, observer.Config{RetryAfter: 10, ExcludeAfter: 100})
+	f, sws, anomalies := testFabric(t, 10)
 
-	id1, ch1, _ := c.Begin(0)
-	report(c, sws[0], id1, true, 1)
-	report(c, sws[1], id1, false, 2)
+	id1, ch1, _ := f.Begin(0)
+	report(f, sws[0], id1, true, 1)
+	report(f, sws[1], id1, false, 2)
 	if g := <-ch1; g.Consistent {
 		t.Error("snapshot 1 assembled consistent from inconsistent results")
 	}
 
-	id2, ch2, _ := c.Begin(1000)
-	report(c, sws[0], id2, true, 1001)
-	if acts := c.Timeouts(1010); len(acts) != 1 || len(acts[0].Retry) != 1 || acts[0].Retry[0] != sws[1].DP.Node() {
-		t.Errorf("Timeouts at the retry age = %+v, want one retry of switch %d", acts, sws[1].DP.Node())
+	id2, ch2, _ := f.Begin(1000)
+	report(f, sws[0], id2, true, 1001)
+	var relayed []string
+	relay := func(dev topology.NodeID, id packet.SeqID) {
+		relayed = append(relayed, fmt.Sprintf("sw%d id%d", dev, id))
 	}
-	if acts := c.Timeouts(1100); len(acts) != 1 || len(acts[0].Excluded) != 1 {
-		t.Errorf("Timeouts at the exclusion age = %+v, want one exclusion", acts)
+	for _, now := range []sim.Time{1009, 1010, 1100, 1 << 40} {
+		f.Retries(now, relay)
 	}
-	if g := <-ch2; len(g.Excluded) != 1 || len(g.Results) != 8 {
-		t.Errorf("snapshot 2: excluded %v with %d results, want switch 1 out and 8 results", g.Excluded, len(g.Results))
+	if want := []string{fmt.Sprintf("sw%d id%d", sws[1].DP.Node(), id2)}; !reflect.DeepEqual(relayed, want) {
+		t.Errorf("Retries relayed %v, want %v: at the retry age, once", relayed, want)
 	}
+	select {
+	case g := <-ch2:
+		t.Errorf("snapshot 2 finalized without switch 1: excluded %v", g.Excluded)
+	default:
+	}
+	f.sink.Complete(&observer.GlobalSnapshot{ID: id2, Consistent: true, Excluded: []topology.NodeID{sws[1].DP.Node()}}, 0)
 
 	want := []anomaly{
 		{"snapshot 1 finalized inconsistent", id1},
@@ -129,7 +142,7 @@ func TestCollectorAnomalies(t *testing.T) {
 // TestCollectorConcurrent drives the four entry points from four
 // goroutines, as live and wire do; run under -race.
 func TestCollectorConcurrent(t *testing.T) {
-	c, sws, anomalies := testCollector(t, observer.Config{RetryAfter: 1})
+	f, sws, anomalies := testFabric(t, 1)
 	const snapshots = 200
 	type sub struct {
 		id packet.SeqID
@@ -144,7 +157,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		defer wg.Done()
 		defer close(begun)
 		for i := 0; i < snapshots; i++ {
-			id, ch, err := c.Begin(sim.Time(i))
+			id, ch, err := f.Begin(sim.Time(i))
 			if err != nil {
 				t.Errorf("Begin %d: %v", i, err)
 				return
@@ -155,8 +168,8 @@ func TestCollectorConcurrent(t *testing.T) {
 	go func() { // the result path
 		defer wg.Done()
 		for s := range begun {
-			report(c, sws[0], s.id, true, sim.Time(s.id))
-			report(c, sws[1], s.id, true, sim.Time(s.id))
+			report(f, sws[0], s.id, true, sim.Time(s.id))
+			report(f, sws[1], s.id, true, sim.Time(s.id))
 			if g := <-s.ch; g.ID != s.id {
 				t.Errorf("subscription %d yielded snapshot %d", s.id, g.ID)
 			}
@@ -170,7 +183,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Timeouts(now)
+				f.Retries(now, func(topology.NodeID, packet.SeqID) {})
 			}
 		}
 	}()
@@ -183,7 +196,7 @@ func TestCollectorConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			if n := len(c.Snapshots()); n < last {
+			if n := len(f.Snapshots()); n < last {
 				t.Errorf("Snapshots() shrank from %d to %d", last, n)
 			} else {
 				last = n
@@ -194,7 +207,7 @@ func TestCollectorConcurrent(t *testing.T) {
 	close(stop)
 	pollers.Wait()
 
-	if got := len(c.Snapshots()); got != snapshots {
+	if got := len(f.Snapshots()); got != snapshots {
 		t.Errorf("%d snapshots completed, want %d", got, snapshots)
 	}
 	if len(*anomalies) != 0 {

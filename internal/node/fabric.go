@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"sync"
 
 	"speedlight/internal/audit"
 	"speedlight/internal/control"
@@ -17,15 +18,24 @@ import (
 
 // Fabric is everything a wall-clock runtime builds that is not its
 // transport: one switch per topology node, routed and gated, and the
-// Collector they report to. The runtime decides what a link, a clock
-// and a goroutine are — it hands NewFabric each switch's Host and the
-// path its results take toward Result, and passes the time in — so a
-// Fabric over a recording Host is a whole deployment a test can step.
+// observer they report to. The runtime decides what a link, a clock and
+// a goroutine are — it hands NewFabric each switch's Host and the path
+// its results take toward Result, and passes the time in — so a Fabric
+// over a recording Host is a whole deployment a test can step.
+//
+// Its callers are concurrent: one mutex guards the observer state
+// machine, the completed list and the per-snapshot subscriptions.
+// Snapshots complete into the Sink with the lock held, so Sink.OnAnomaly
+// must not call back into the Fabric.
 type Fabric struct {
 	dp   dataplane.Config // the snapshot parameters, as every switch has them
 	sink *Sink
-	col  *Collector
 	sws  []*Switch // by NodeID
+
+	mu   sync.Mutex
+	obs  *observer.Observer
+	subs map[packet.SeqID]chan *observer.GlobalSnapshot
+	done []*observer.GlobalSnapshot
 }
 
 // NewFabric builds the deployment over topo. dp is every switch's data
@@ -55,14 +65,15 @@ func NewFabric(topo *topology.Topology, dp dataplane.Config, retryAfter sim.Dura
 	utilized := routing.UtilizedPairs(topo, fibs)
 	jr := sink.Journal // nil journals nothing, at every level
 	jr.Observer().Append(journal.Config(uint64(dp.MaxID), dp.WrapAround, dp.ChannelState))
-	f := &Fabric{dp: dp, sink: sink}
-	f.col, err = NewCollector(observer.Config{
+	f := &Fabric{dp: dp, sink: sink, subs: make(map[packet.SeqID]chan *observer.GlobalSnapshot)}
+	f.obs, err = observer.New(observer.Config{
 		MaxID:      dp.MaxID,
 		WrapAround: dp.WrapAround,
 		RetryAfter: retryAfter,
 		Telemetry:  observer.NewTelemetry(reg),
 		Journal:    jr.Observer(),
-	}, sink)
+		OnComplete: f.complete,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +96,7 @@ func NewFabric(topo *topology.Topology, dp dataplane.Config, retryAfter sim.Dura
 			return nil, err
 		}
 		f.sws = append(f.sws, sw)
-		f.col.Register(sw)
+		f.obs.Register(sw.DP.Node(), sw.DP.UnitIDs())
 	}
 	return f, nil
 }
@@ -109,27 +120,60 @@ func (f *Fabric) Audit() *audit.Report {
 // assembled. Safe from any goroutine.
 func (f *Fabric) CompletedEpochs() uint64 { return f.sink.CompletedEpochs() }
 
-// Snapshots returns the snapshots completed so far.
-func (f *Fabric) Snapshots() []*observer.GlobalSnapshot { return f.col.Snapshots() }
+// Snapshots returns a copy of the snapshots completed so far.
+func (f *Fabric) Snapshots() []*observer.GlobalSnapshot {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*observer.GlobalSnapshot(nil), f.done...)
+}
 
 // Begin allocates the next snapshot ID; the channel yields the
 // assembled snapshot once, then closes. The runtime tells every switch
 // to initiate the ID.
 func (f *Fabric) Begin(now sim.Time) (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	return f.col.Begin(now)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	id, err := f.obs.Begin(now)
+	if err != nil {
+		return 0, nil, err
+	}
+	sub := make(chan *observer.GlobalSnapshot, 1)
+	f.subs[id] = sub
+	return id, sub, nil
 }
 
 // Result ingests one per-unit result: the far end of attach's path.
-func (f *Fabric) Result(res control.Result, now sim.Time) { f.col.Result(res, now) }
+func (f *Fabric) Result(res control.Result, now sim.Time) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.obs.OnResult(res, now)
+}
 
-// Retries runs the observer's recovery timers at now and hands relay
-// every (device, snapshot) that is due a re-initiation and a poll — the
-// observer asks once per snapshot, so relay must not lose it. Whether
-// the re-initiation floods markers is the runtime's liveness policy.
+// Retries runs the observer's retry and exclusion timers at now and
+// hands relay every (device, snapshot) that is due a re-initiation and a
+// poll — the observer asks once per snapshot, so relay must not lose it.
+// relay runs without the lock. Whether the re-initiation floods markers
+// is the runtime's liveness policy.
 func (f *Fabric) Retries(now sim.Time, relay func(dev topology.NodeID, id packet.SeqID)) {
-	for _, act := range f.col.Timeouts(now) {
+	f.mu.Lock()
+	acts := f.obs.CheckTimeouts(now)
+	f.mu.Unlock()
+	for _, act := range acts {
 		for _, dev := range act.Retry {
 			relay(dev, act.SnapshotID)
 		}
+	}
+}
+
+// complete is the observer's OnComplete: it runs inside Result or
+// Retries, with mu held. The send cannot block — sub has room for the
+// one snapshot it ever carries.
+func (f *Fabric) complete(g *observer.GlobalSnapshot) {
+	f.sink.Complete(g, 0)
+	f.done = append(f.done, g)
+	if sub, ok := f.subs[g.ID]; ok {
+		delete(f.subs, g.ID)
+		sub <- g
+		close(sub)
 	}
 }

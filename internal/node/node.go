@@ -4,16 +4,17 @@
 // strip → forward), initiation, the Section 6 marker flood, and the
 // collection of finished snapshots at the observer. Fabric is the one
 // copy of what the two wall-clock runtimes build around that: routes,
-// every switch, the collector and the recovery relay (NewFabric,
-// Fabric.Retries), and Sink.Endpoints the one assembly of the
-// observability endpoint set.
+// every switch, the observer behind one mutex and the recovery relay
+// (NewFabric, Fabric.Retries), and Sink.Endpoints the one assembly of
+// the observability endpoint set.
 //
 // Nothing here starts a goroutine, arms a timer or reads a clock: the
 // runtime that hosts a switch supplies time and the wire through Host
 // (and, to a Fabric, as an argument) and decides which goroutine (or
-// simulation domain) calls in. live hosts a Switch per goroutine over
-// mailboxes, wire over UDP sockets; both are a Fabric plus a transport,
-// and both drive a Switch through Packet, Initiate and Poll. emunet models
+// simulation domain) calls in. The wall-clock host loop that does so is
+// live.Runtime: a Fabric plus a transport — mailboxes in live, UDP
+// sockets in wire — that drives each Switch through Packet, Initiate
+// and Poll from one goroutine per switch. emunet models
 // what sits between the two halves of the step — bounded per-class
 // egress queues and a control plane that serves one notification per
 // service time — so it calls the halves (Ingress, Egress) and

@@ -55,9 +55,8 @@ const (
 	fabricPort   = 2
 )
 
-// testSwitches builds both switches of that topology, each on a fake
-// host of its own; jr journals the first.
-func testSwitches(t testing.TB, channelState bool, jr *journal.Journal) (sws [2]*Switch, hosts [2]*fakeHost) {
+// testTopo builds that topology.
+func testTopo(t testing.TB) *topology.Topology {
 	t.Helper()
 	b := topology.NewBuilder()
 	a, far := b.AddSwitch(4), b.AddSwitch(2)
@@ -69,6 +68,14 @@ func testSwitches(t testing.TB, channelState bool, jr *journal.Journal) (sws [2]
 	if err != nil {
 		t.Fatal(err)
 	}
+	return topo
+}
+
+// testSwitches builds both switches of that topology, each on a fake
+// host of its own; jr journals the first.
+func testSwitches(t testing.TB, channelState bool, jr *journal.Journal) (sws [2]*Switch, hosts [2]*fakeHost) {
+	t.Helper()
+	topo := testTopo(t)
 	fibs, err := routing.ComputeFIBs(topo)
 	if err != nil {
 		t.Fatal(err)

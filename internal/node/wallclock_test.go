@@ -1,0 +1,184 @@
+package node_test
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"speedlight/internal/journal"
+	"speedlight/internal/live"
+	"speedlight/internal/observer"
+	"speedlight/internal/packet"
+	"speedlight/internal/sim"
+	"speedlight/internal/topology"
+	"speedlight/internal/wire"
+)
+
+// wallClocks are the two wall-clock runtimes. deploy builds one from the
+// options both take, starts it, and returns its Runtime and the stop that
+// ends it (run again at the test's end).
+var wallClocks = []struct {
+	name   string
+	deploy func(t *testing.T, cfg live.Config) (*live.Runtime, func())
+}{
+	{"live", func(t *testing.T, cfg live.Config) (*live.Runtime, func()) {
+		n, err := live.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		t.Cleanup(n.Stop)
+		return n.Runtime, n.Stop
+	}},
+	{"wire", func(t *testing.T, cfg live.Config) (*live.Runtime, func()) {
+		d, err := wire.Deploy(wire.Config{
+			Topo: cfg.Topo, ChannelState: cfg.ChannelState, RetryEvery: cfg.RetryEvery,
+			OnDeliver: cfg.OnDeliver, Journal: cfg.Journal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		return d.Runtime, d.Close
+	}},
+}
+
+// testbed is the 2x2x3 leaf-spine.
+func testbed(t *testing.T) *topology.LeafSpine {
+	t.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		HostLinkLatency: sim.Microsecond, FabricLinkLatency: sim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// trickle has every host send one small packet a millisecond to its
+// neighbour on the same leaf until the returned stop function is
+// called. Nothing crosses the fabric: every switch-to-switch channel
+// stays idle and only a neighbour's marker can advance it.
+func trickle(rt *live.Runtime, topo *topology.Topology) (stop func()) {
+	var wg sync.WaitGroup
+	quit := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			for _, sw := range topo.Switches {
+				hosts := topo.HostsOn(sw.ID)
+				for k, h := range hosts {
+					rt.Inject(h.ID, &packet.Packet{
+						DstHost: uint32(hosts[(k+1)%len(hosts)].ID), SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 100,
+					})
+				}
+			}
+			select {
+			case <-quit:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	return func() { close(quit); wg.Wait() }
+}
+
+// TestMarkersNeverReachHosts: a marker flood egresses every port of a
+// switch, host-facing ones included, and must die there — hosts see
+// data packets only. live floods on its retries, wire on every
+// channel-state initiation; a trickle of same-leaf traffic gives the
+// hosts deliveries to inspect.
+func TestMarkersNeverReachHosts(t *testing.T) {
+	for _, wc := range wallClocks {
+		t.Run(wc.name, func(t *testing.T) {
+			ls := testbed(t)
+			h := &hosts{}
+			rt, _ := wc.deploy(t, live.Config{
+				Topo: ls.Topology, ChannelState: true, RetryEvery: 5 * time.Millisecond, OnDeliver: h.deliver,
+			})
+			defer trickle(rt, ls.Topology)()
+			for round := 0; round < 3; round++ {
+				_, done, err := rt.TakeSnapshot(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case g := <-done:
+					if !g.Consistent || len(g.Excluded) != 0 || len(g.Results) != 28 {
+						t.Errorf("snapshot %d: consistent=%v excluded=%v results=%d",
+							g.ID, g.Consistent, g.Excluded, len(g.Results))
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("channel-state snapshot %d never completed", round)
+				}
+			}
+			// Three snapshots can finish before the first trickled packet lands.
+			for deadline := time.Now().Add(5 * time.Second); h.delivered.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if got := h.markers.Load(); got != 0 {
+				t.Errorf("%d of %d deliveries to hosts were marker broadcasts", got, h.delivered.Load())
+			}
+			if h.delivered.Load() == 0 {
+				t.Error("no data packet delivered: the check saw nothing")
+			}
+		})
+	}
+}
+
+// TestRetryEvery holds both runtimes to one rule: a zero RetryEvery is
+// the default period, 20 ms, and a negative one disables recovery. One
+// channel-state snapshot of the idle testbed shows what a retry does.
+// live's first initiations flood no markers, so its snapshot completes
+// on a retry's flood, never sooner than the default period after it
+// began, and with retries off not at all; wire's initiations flood, so
+// it completes either way.
+func TestRetryEvery(t *testing.T) {
+	const retryDefault = 20 * time.Millisecond
+	for _, wc := range wallClocks {
+		for _, every := range []time.Duration{0, -1} {
+			t.Run(fmt.Sprintf("%s/%v", wc.name, every), func(t *testing.T) {
+				jr := journal.NewSet(0)
+				rt, stop := wc.deploy(t, live.Config{Topo: testbed(t).Topology, ChannelState: true, RetryEvery: every, Journal: jr})
+				_, done, err := rt.TakeSnapshot(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				completes := wc.name == "wire" || every == 0
+				wait := 10 * time.Second
+				if !completes {
+					wait = 5 * retryDefault
+				}
+				var g *observer.GlobalSnapshot
+				select {
+				case g = <-done:
+				case <-time.After(wait):
+				}
+				stop() // the rings are quiet from here on
+				if (g != nil) != completes {
+					t.Errorf("snapshot completed: %v, want %v", g != nil, completes)
+				}
+
+				var begun int64
+				var retried []time.Duration // after Begin
+				for _, ev := range jr.Events() {
+					switch ev.Kind {
+					case journal.KindObsBegin:
+						begun = ev.AtNs
+					case journal.KindObsRetry:
+						retried = append(retried, time.Duration(ev.AtNs-begun))
+					}
+				}
+				switch {
+				case every < 0 && len(retried) > 0:
+					t.Errorf("retries disabled, yet %d journaled", len(retried))
+				case wc.name == "live" && every == 0 && (len(retried) == 0 || retried[0] < retryDefault):
+					t.Errorf("retries %v after Begin, want the first at %v or later", retried, retryDefault)
+				}
+			})
+		}
+	}
+}

@@ -55,15 +55,7 @@ func TestAppendCodecAllocs(t *testing.T) {
 func bareSwitch(t *testing.T) (sn *switchNode, sink *net.UDPConn, src, dst *topology.Host) {
 	t.Helper()
 	topo := leafSpine(t).Topology
-	socket := func() *net.UDPConn {
-		c, err := bind()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	d := &Deployment{cfg: Config{Topo: topo, MaxID: 256, WrapAround: true}, started: time.Now(),
-		obsConn: socket(), sinkConn: socket(), hostConn: socket()}
+	d := &Deployment{cfg: Config{Topo: topo, MaxID: 256, WrapAround: true}}
 	t.Cleanup(d.closeSockets)
 	if err := d.build(); err != nil {
 		t.Fatal(err)
@@ -108,15 +100,15 @@ func readDeliveries(t *testing.T, sink *net.UDPConn, want int) (pkts []packet.Pa
 
 // TestHandleDataFrameAllocs pins the switch's burst path: a 16-frame
 // train through handle — the walk, decode into the node's own packet,
-// the step, encode into the destination's staging buffer — and the flush
+// the step, encode into the destination's staging buffer — and the Flush
 // that writes the answering train allocate nothing.
 //
-//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.flush
+//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.Flush live.Event.Step
 func TestHandleDataFrameAllocs(t *testing.T) {
 	sn, sink, src, dst := bareSwitch(t)
 	train := dataTrain(16, src, dst)
-	if n := testing.AllocsPerRun(1000, func() { sn.handle(train); sn.flush() }); n != 0 {
-		t.Fatalf("a 16-frame train through handle and flush allocates %v, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { sn.handle(train); sn.Flush() }); n != 0 {
+		t.Fatalf("a 16-frame train through handle and Flush allocates %v, want 0", n)
 	}
 	// The frames did take the whole path: the sink holds one train of 16
 	// deliveries to dst per run.

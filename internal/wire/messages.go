@@ -10,13 +10,14 @@
 // datagram per neighbour socket, so a loaded network pays a kernel round
 // trip per burst, not per frame, and an idle one sends trains of one —
 // byte for byte the single-message datagrams hosts and the observer
-// send (see switchNode.run).
+// send (see switchNode.Burst).
 //
-// The deployment itself — routes, completion gates, one node.Switch per
-// topology node, the snapshot collector and the recovery relay — is a
-// node.Fabric, the same one package live builds. What is written here is
-// what a UDP transport adds: the sockets, the frame codec, the trains
-// and the host-sink socket.
+// The deployment and its host loop — routes, completion gates, one
+// node.Switch per topology node, the snapshot collector, the switch
+// goroutines, the recovery relay, TakeSnapshot and the clock — are a
+// live.Runtime, the same one package live runs over mailboxes. What is
+// written here is what a UDP transport adds: the sockets, the frame
+// codec, the trains and the observer's and host sink's sockets.
 //
 // The package exists for two reasons: it exercises the binary codecs
 // end-to-end through the kernel's loopback, and it demonstrates that
@@ -64,7 +65,8 @@ var (
 // its buffer encodes without allocating. Every send context in this
 // package owns its buffers exclusively: a switch node's goroutine is
 // the only writer of its staging buffers (results included — OnResult
-// fires on the switch goroutine), and the retry loop keeps its own.
+// fires on the switch goroutine), and a control or host send encodes
+// into a buffer of its own.
 //
 // Frames carry no length prefix: a frame's length follows from its own
 // first bytes — the type byte, and for the two packet-carrying types

@@ -101,7 +101,7 @@ func TestStagingNeverExceedsDatagram(t *testing.T) {
 	sn, sink, src, dst := bareSwitch(t)
 	const frames = 200
 	sn.handle(dataTrain(frames, src, dst))
-	sn.flush()
+	sn.Flush()
 	pkts, sizes := readDeliveries(t, sink, frames)
 	if len(pkts) != frames {
 		t.Fatalf("%d deliveries, want %d", len(pkts), frames)
@@ -121,7 +121,7 @@ func TestStagingNeverExceedsDatagram(t *testing.T) {
 	}
 	for _, to := range sn.outs {
 		if len(to.buf) != 0 {
-			t.Errorf("%d bytes still staged for %v after flush", len(to.buf), to.addr)
+			t.Errorf("%d bytes still staged for %v after Flush", len(to.buf), to.addr)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestStagingNeverExceedsDatagram(t *testing.T) {
 func TestGarbageTailDeliversTheFramesBeforeIt(t *testing.T) {
 	sn, sink, src, dst := bareSwitch(t)
 	sn.handle(append(dataTrain(3, src, dst), 0xEE, msgData, 0x00))
-	sn.flush()
+	sn.Flush()
 	if pkts, _ := readDeliveries(t, sink, 3); len(pkts) != 3 || pkts[2].Seq != 2 {
 		t.Fatalf("deliveries: %+v", pkts)
 	}

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"fmt"
 	"net"
-	"sync"
 	"syscall"
 	"time"
 
@@ -11,10 +9,10 @@ import (
 	"speedlight/internal/core"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/journal"
+	"speedlight/internal/live"
 	"speedlight/internal/node"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
-	"speedlight/internal/sim"
 	"speedlight/internal/topology"
 )
 
@@ -42,7 +40,8 @@ type Config struct {
 	// packet counters.
 	Metrics func(id dataplane.UnitID) core.Metric
 
-	// RetryEvery drives the observer's recovery loop. Default 50 ms.
+	// RetryEvery drives the observer's recovery loop. Default 20 ms;
+	// negative disables.
 	RetryEvery time.Duration
 
 	// OnDeliver observes packets delivered to hosts. Called from the
@@ -55,7 +54,7 @@ type Config struct {
 	Journal *journal.Set
 	// OnAnomaly receives a flight-recorder dump (the last 512 journal
 	// events) whenever a snapshot finalizes inconsistent or with
-	// excluded devices. Called with the collector's lock held; must not
+	// excluded devices. Called with the fabric's lock held; must not
 	// call back into the deployment.
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 }
@@ -66,14 +65,17 @@ type staging struct {
 	buf  []byte // capacity maxDatagram, never grown
 }
 
-// switchNode is one switch bound to a UDP socket, and the node.Host of
-// that switch. A single goroutine owns the data plane and control
-// plane, preserving unit linearizability; the socket provides
-// per-sender FIFO on loopback.
+// switchNode is one switch bound to a UDP socket: the live.Device, and
+// so the node.Host, of that switch. A single goroutine owns the data
+// plane and control plane, preserving unit linearizability; the socket
+// provides per-sender FIFO on loopback.
 type switchNode struct {
+	*live.Clock
+	d    *Deployment
 	sw   *node.Switch
 	spec *topology.Switch
 	conn *net.UDPConn
+	addr *net.UDPAddr // conn's: where the switch's frames go
 	// outs holds one staging buffer per socket this switch sends to,
 	// resolved at deployment time: each neighbor switch's, the host
 	// sink's, the observer's. Only the switch goroutine touches them
@@ -87,80 +89,82 @@ type switchNode struct {
 	ports []*staging
 	obs   *staging
 
-	channelState bool
-	started      time.Time
+	// rc, read and buf are Burst's: the socket's raw connection, the
+	// callback it runs (made once, so a burst allocates nothing) and the
+	// datagram buffer.
+	rc   syscall.RawConn
+	read func(fd uintptr) bool
+	buf  []byte
 	// pkt is the one packet data frames decode into: the step encodes
 	// it into a staging buffer (or drops it) before the goroutine
 	// decodes the next frame, and nothing downstream of a switch keeps
-	// a packet.
+	// a packet. It is the only field written after Deploy, and the pad
+	// keeps it off the cache line of whatever switchNode follows in
+	// memory, whose head Inject and Control read from other goroutines
+	// (sharing that line cost wire_udp 4-8 % of ops_per_s on a 2-CPU box).
 	pkt packet.Packet
+	_   [64]byte
 }
 
-// Now returns wall time since deployment as protocol time.
-func (s *switchNode) Now() sim.Time {
-	return sim.Time(time.Since(s.started).Nanoseconds())
+// Burst takes the socket's backlog — up to burstCap datagrams, read
+// without blocking — through the switch; the runtime then Flushes every
+// train that made it stage. So a frame waits for nothing but the
+// datagrams already queued at this socket: the goroutine parks, in the
+// netpoller, only with every staging buffer empty, an idle network sees
+// bursts of one datagram and trains of one frame, and a loaded one
+// coalesces in proportion to its backlog. A closed socket is shutdown.
+func (s *switchNode) Burst() bool {
+	return s.rc.Read(s.read) == nil
 }
 
-// run is the switch's receive loop. Each wake-up takes the socket's
-// backlog — up to burstCap datagrams, read without blocking — through
-// the switch, then writes out every train that made it stage. So a
-// frame waits for nothing but the datagrams already queued at this
-// socket: the goroutine parks only with every staging buffer empty,
-// an idle network sees bursts of one datagram and trains of one frame,
-// and a loaded one coalesces in proportion to its backlog.
-func (s *switchNode) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	rc, err := s.conn.SyscallConn()
-	if err != nil {
-		return
-	}
-	buf := make([]byte, maxDatagram)
-	var took int
-	burst := func(fd uintptr) bool {
-		for took < burstCap {
-			n, err := syscall.Read(int(fd), buf)
-			if err == syscall.EINTR {
-				continue
-			}
-			if err != nil {
-				break // EAGAIN: the backlog is taken
-			}
-			s.handle(buf[:n])
-			took++
+// readBurst is the read Burst hands the raw connection; false (nothing
+// read) parks until the socket is readable.
+func (s *switchNode) readBurst(fd uintptr) bool {
+	took := 0
+	for took < burstCap {
+		n, err := syscall.Read(int(fd), s.buf)
+		if err == syscall.EINTR {
+			continue
 		}
-		return took > 0 // false parks in the netpoller until the socket is readable
-	}
-	for {
-		took = 0
-		if rc.Read(burst) != nil {
-			return // socket closed: shutdown
+		if err != nil {
+			break // EAGAIN: the backlog is taken
 		}
-		s.flush()
+		s.handle(s.buf[:n])
+		took++
 	}
+	return took > 0
 }
 
-// handle runs one datagram's frames through the switch, in order. A
+// handle steps one datagram's frames through the switch, in order. A
 // data frame allocates nothing on the way; a frame the switch cannot
 // use is skipped (a real device would count and drop).
 //
 //speedlight:hotpath
 func (s *switchNode) handle(data []byte) {
 	for frame, rest := next(data); frame != nil; frame, rest = next(rest) {
+		var ev live.Event
 		switch frame[0] {
 		case msgData:
 			port, err := decodeData(frame, &s.pkt)
-			if err == nil && port < len(s.ports) {
-				s.sw.Packet(&s.pkt, port)
+			if err != nil || port >= len(s.ports) {
+				continue
 			}
+			ev = live.Event{Kind: live.EvPacket, Pkt: &s.pkt, Port: port}
 		case msgInitiate:
 			// Every initiation floods markers in channel-state mode: UDP
-			// deployments may have idle channels.
-			if id, err := decodeInitiate(frame); err == nil {
-				s.sw.Initiate(id, s.channelState)
+			// deployments may have idle channels. (The runtime asks for a
+			// flood on retries only; the frame does not carry the ask.)
+			id, err := decodeInitiate(frame)
+			if err != nil {
+				continue
 			}
+			ev = live.Event{Kind: live.EvInitiate, ID: id, Markers: s.d.cfg.ChannelState}
 		case msgPoll:
-			s.sw.Poll()
+			ev.Kind = live.EvPoll
+		default:
+			continue
 		}
+		ev.Step(s.sw)
 	}
 }
 
@@ -201,13 +205,32 @@ func (s *switchNode) emit(to *staging) {
 	}
 }
 
-// flush writes out every staged train.
+// Flush writes out every staged train.
 //
 //speedlight:hotpath
-func (s *switchNode) flush() {
+func (s *switchNode) Flush() {
 	for _, to := range s.outs {
 		s.emit(to)
 	}
+}
+
+// Control sends the switch an initiation from the observer's socket, and
+// a poll behind it in the same train: both arrive, in order, or neither
+// does. The frame carries no flood request (see handle).
+func (s *switchNode) Control(id packet.SeqID, _, poll bool) {
+	msg := appendInitiate(make([]byte, 0, 10), id)
+	if poll {
+		msg = append(msg, pollMsg[:]...)
+	}
+	s.d.obsConn.WriteToUDP(msg, s.addr)
+}
+
+// Inject sends a host's packet to port from the hosts' socket. Inject is
+// public API reachable from any goroutine, so it encodes into a fresh
+// buffer rather than sharing a scratch.
+func (s *switchNode) Inject(port int, pkt *packet.Packet) error {
+	_, err := s.d.hostConn.WriteToUDP(appendData(make([]byte, 0, maxMsgLen), port, pkt), s.addr)
+	return err
 }
 
 // stagingFor returns the staging buffer for the socket at addr, made on
@@ -225,33 +248,18 @@ func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
 }
 
 // Deployment is a running UDP deployment: one socket per switch, one
-// observer socket, and one host-sink socket.
+// observer socket, one host-sink socket, and the one the hosts send
+// from.
 type Deployment struct {
+	// Runtime is the deployment and its goroutines: the switches the
+	// sockets feed and the collector the observer socket reports to. It
+	// brings Switch, Journal, Audit, Snapshots, CompletedEpochs and
+	// Inject.
+	*live.Runtime
 	cfg      Config
 	switches []*switchNode // by NodeID
 
-	// Fabric is the deployment itself: the switches the sockets feed and
-	// the collector the observer socket reports to. It brings Switch,
-	// Journal, Audit, Snapshots and CompletedEpochs.
-	*node.Fabric
-	obsConn  *net.UDPConn
-	obsAddrs []*net.UDPAddr // each switch's socket, by NodeID
-
-	sinkConn *net.UDPConn
-	hostConn *net.UDPConn // source socket for host injections
-	hostTo   []attachment // by HostID
-
-	started time.Time
-	wg      sync.WaitGroup
-	stopped sync.Once
-	closeCh chan struct{}
-}
-
-// attachment is where a host plugs in: its edge switch's socket and the
-// ingress port there.
-type attachment struct {
-	addr *net.UDPAddr
-	port int
+	obsConn, sinkConn, hostConn *net.UDPConn
 }
 
 // bind opens one loopback socket on a port of the kernel's choosing.
@@ -261,67 +269,42 @@ func bind() (*net.UDPConn, error) {
 
 // Deploy binds all sockets on loopback and starts the node goroutines.
 func Deploy(cfg Config) (*Deployment, error) {
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 50 * time.Millisecond
-	}
-	d := &Deployment{cfg: cfg, started: time.Now(), closeCh: make(chan struct{})}
-	var err error
-	if d.obsConn, err = bind(); err != nil {
+	d := &Deployment{cfg: cfg}
+	if err := d.build(); err != nil {
+		d.closeSockets()
 		return nil, err
 	}
-	if d.sinkConn, err = bind(); err != nil {
-		d.obsConn.Close()
-		return nil, err
-	}
-	if d.hostConn, err = bind(); err != nil {
-		d.obsConn.Close()
-		d.sinkConn.Close()
-		return nil, err
-	}
-	if err = d.build(); err != nil {
-		d.Close()
-		return nil, err
-	}
-
-	// Launch goroutines.
-	for _, sn := range d.switches {
-		d.wg.Add(1)
-		go sn.run(&d.wg)
-	}
-	d.wg.Add(3)
-	go d.runObserver()
-	go d.runSink()
-	go d.runRetries()
+	d.Start(d.runObserver, d.runSink)
 	return d, nil
 }
 
-// build makes the fabric — a bound socket under every switch — and then,
-// with everything bound, resolves each port's destination socket. It
-// needs the observer's and the sink's sockets and starts nothing.
+// build binds the observer's, the sink's and the hosts' sockets, makes
+// the runtime — a bound socket under every switch — and then, with
+// everything bound, resolves each port's destination socket. It starts
+// nothing.
 func (d *Deployment) build() (err error) {
+	for _, c := range []**net.UDPConn{&d.obsConn, &d.sinkConn, &d.hostConn} {
+		if *c, err = bind(); err != nil {
+			return err
+		}
+	}
 	cfg := d.cfg
-	sink := &node.Sink{Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly}
-	// The nil is the telemetry registry: wire.Config takes none.
-	d.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
-		MaxID:        cfg.MaxID,
-		WrapAround:   cfg.WrapAround,
-		ChannelState: cfg.ChannelState,
-		Metrics:      cfg.Metrics,
-	}, sim.Duration(cfg.RetryEvery.Nanoseconds()), sink, nil, d.attach)
+	d.Runtime, err = live.NewRuntime(live.Config{
+		Topo: cfg.Topo, MaxID: cfg.MaxID, WrapAround: cfg.WrapAround, ChannelState: cfg.ChannelState,
+		Metrics: cfg.Metrics, RetryEvery: cfg.RetryEvery, Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
+	}, d.attach)
 	if err != nil {
 		return err
 	}
-	d.hostTo = make([]attachment, len(cfg.Topo.Hosts))
 	toHosts := d.sinkConn.LocalAddr().(*net.UDPAddr)
 	for id, sn := range d.switches {
 		sn.sw = d.Switch(topology.NodeID(id))
 		for p, peer := range sn.spec.Ports {
 			switch peer.Kind {
 			case topology.PeerSwitch:
-				sn.ports[p] = sn.stagingFor(d.obsAddrs[peer.Node])
+				sn.ports[p] = sn.stagingFor(d.switches[peer.Node].addr)
 			case topology.PeerHost:
 				sn.ports[p] = sn.stagingFor(toHosts)
-				d.hostTo[peer.Host] = attachment{d.obsAddrs[id], p}
 			}
 		}
 	}
@@ -329,22 +312,25 @@ func (d *Deployment) build() (err error) {
 }
 
 // attach binds spec's socket (topology IDs are dense, in order) and
-// returns the switch's host and its results' way to the observer.
-func (d *Deployment) attach(spec *topology.Switch) (node.Host, func(control.Result), error) {
+// returns the switch's device and its results' way to the observer.
+func (d *Deployment) attach(spec *topology.Switch, clock *live.Clock) (live.Device, func(control.Result), error) {
 	conn, err := bind()
 	if err != nil {
 		return nil, nil, err
 	}
 	sn := &switchNode{
-		channelState: d.cfg.ChannelState,
-		spec:         spec,
-		conn:         conn,
-		ports:        make([]*staging, len(spec.Ports)),
-		started:      d.started,
+		Clock: clock,
+		d:     d,
+		spec:  spec,
+		conn:  conn,
+		addr:  conn.LocalAddr().(*net.UDPAddr),
+		ports: make([]*staging, len(spec.Ports)),
+		buf:   make([]byte, maxDatagram),
 	}
+	sn.rc, _ = conn.SyscallConn() // fails on a closed conn only
+	sn.read = sn.readBurst
 	sn.obs = sn.stagingFor(d.obsConn.LocalAddr().(*net.UDPAddr))
 	d.switches = append(d.switches, sn)
-	d.obsAddrs = append(d.obsAddrs, conn.LocalAddr().(*net.UDPAddr))
 	// Ship over the wire to the observer. Runs on the switch goroutine
 	// (inside handle), which owns the staging.
 	return sn, func(res control.Result) { sn.obs.buf = appendResult(sn.room(sn.obs), res) }, nil
@@ -352,7 +338,6 @@ func (d *Deployment) attach(spec *topology.Switch) (node.Host, func(control.Resu
 
 // runObserver receives results on the observer socket.
 func (d *Deployment) runObserver() {
-	defer d.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
 		n, _, err := d.obsConn.ReadFromUDPAddrPort(buf)
@@ -364,7 +349,7 @@ func (d *Deployment) runObserver() {
 				continue
 			}
 			if res, err := decodeResult(frame); err == nil {
-				d.Result(res, d.now())
+				d.Result(res, d.Now())
 			}
 		}
 	}
@@ -372,7 +357,6 @@ func (d *Deployment) runObserver() {
 
 // runSink receives host deliveries.
 func (d *Deployment) runSink() {
-	defer d.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
 		n, _, err := d.sinkConn.ReadFromUDPAddrPort(buf)
@@ -400,60 +384,14 @@ func (d *Deployment) runSink() {
 	}
 }
 
-// runRetries drives the observer's recovery loop.
-func (d *Deployment) runRetries() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.cfg.RetryEvery)
-	defer t.Stop()
-	scratch := make([]byte, 0, maxMsgLen) // goroutine-local encode buffer
-	relay := func(dev topology.NodeID, id packet.SeqID) {
-		// One train: the poll arrives behind the initiation, or both
-		// are lost.
-		scratch = append(appendInitiate(scratch[:0], id), pollMsg[:]...)
-		d.obsConn.WriteToUDP(scratch, d.obsAddrs[dev])
-	}
-	for {
-		select {
-		case <-d.closeCh:
-			return
-		case <-t.C:
-			d.Retries(d.now(), relay)
-		}
-	}
-}
-
-func (d *Deployment) now() sim.Time {
-	return sim.Time(time.Since(d.started).Nanoseconds())
-}
-
-// Inject sends a packet from a host into its edge switch, over UDP.
-func (d *Deployment) Inject(host topology.HostID, pkt *packet.Packet) error {
-	if int(host) >= len(d.hostTo) {
-		return fmt.Errorf("wire: unknown host %d", host)
-	}
-	dst := d.hostTo[host]
-	pkt.SrcHost = uint32(host)
-	// Inject is public API reachable from any goroutine, so it encodes
-	// into a fresh buffer rather than sharing a scratch.
-	data := appendData(make([]byte, 0, maxMsgLen), dst.port, pkt)
-	_, err := d.hostConn.WriteToUDP(data, dst.addr)
-	return err
-}
-
-// TakeSnapshot begins a snapshot, broadcasts initiations over UDP, and
+// TakeSnapshot begins a snapshot, sends every switch its initiation, and
 // returns a channel yielding the assembled global snapshot.
 func (d *Deployment) TakeSnapshot() (packet.SeqID, <-chan *observer.GlobalSnapshot, error) {
-	id, sub, err := d.Begin(d.now())
-	if err != nil {
-		return 0, nil, err
-	}
-	msg := appendInitiate(make([]byte, 0, maxMsgLen), id)
-	for _, addr := range d.obsAddrs {
-		d.obsConn.WriteToUDP(msg, addr)
-	}
-	return id, sub, nil
+	return d.Runtime.TakeSnapshot(0)
 }
 
+// closeSockets closes every socket bound so far (closing a nil or closed
+// one is a no-op error): what wakes each goroutine to its end.
 func (d *Deployment) closeSockets() {
 	d.obsConn.Close()
 	d.sinkConn.Close()
@@ -463,11 +401,9 @@ func (d *Deployment) closeSockets() {
 	}
 }
 
-// Close shuts the deployment down and waits for its goroutines.
+// Close shuts the deployment down and waits for its goroutines. It is
+// idempotent.
 func (d *Deployment) Close() {
-	d.stopped.Do(func() {
-		close(d.closeCh)
-		d.closeSockets()
-	})
-	d.wg.Wait()
+	d.closeSockets()
+	d.Stop()
 }

@@ -241,6 +241,9 @@ func TestUDPCloseIdempotent(t *testing.T) {
 	}
 	d.Close()
 	d.Close() // must not panic or hang
+	if _, _, err := d.TakeSnapshot(); err == nil {
+		t.Error("TakeSnapshot after Close should fail")
+	}
 }
 
 func TestUDPChannelStateSnapshot(t *testing.T) {
