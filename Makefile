@@ -25,7 +25,8 @@ help:
 	@echo "               evaluation and diff it against the committed"
 	@echo "               experiments_output.txt (CI figures gate, ~1 min)"
 	@echo "  loc          non-test Go lines per package (non-blank,"
-	@echo "               non-comment), the tracked size metric"
+	@echo "               non-comment), the tracked size metric;"
+	@echo "               BASE=<rev> adds each package's count at <rev>"
 	@echo "  clean        remove bin/"
 
 build:
@@ -97,13 +98,28 @@ figures:
 # loc prints non-blank, non-comment lines of non-test Go per package
 # and in total (blank lines and // comment lines dropped; the tree has
 # no block comments to speak of). ROADMAP tracks this number per
-# package; a PR that deletes a mechanism quotes it before and after.
+# package; a PR that deletes a mechanism quotes it before and after:
+# `make loc BASE=<rev>` prints each package's count at <rev> (from a
+# temporary export of that tree) beside the current tree's, with the
+# difference.
 loc:
-	@total=0; for d in $$(go list -f '{{if .GoFiles}}{{.Dir}}{{end}}' ./...); do \
-	  n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'); \
-	  total=$$((total + n)); \
-	  printf '%7d  .%s\n' $$n "$${d#$(CURDIR)}"; \
-	done; printf '%7d  total\n' $$total
+	@count() { for d in $$(go list -f '{{if .GoFiles}}{{.Dir}}{{end}}' ./...); do \
+	  echo "$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)') .$${d#$$PWD}"; \
+	done; }; \
+	if [ -z "$(BASE)" ]; then \
+	  count | awk '{ t += $$1; printf "%7d  %s\n", $$1, $$2 } END { printf "%7d  total\n", t }'; \
+	else \
+	  tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	  git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
+	  (cd "$$tmp" && count) > "$$tmp/loc.base" || exit 1; \
+	  count | awk -v base="$(BASE)" ' \
+	    NR == FNR { b[$$2] = $$1; order[++n] = $$2; next } \
+	    { c[$$2] = $$1; if (!($$2 in b)) order[++n] = $$2 } \
+	    END { printf "%7s  %7s  %6s  %s\n", substr(base, 1, 7), "tree", "delta", "package"; \
+	      for (i = 1; i <= n; i++) { p = order[i]; tb += b[p]; tc += c[p]; \
+	        printf "%7s  %7s  %+6d  %s\n", (p in b) ? b[p] : "-", (p in c) ? c[p] : "-", c[p] - b[p], p } \
+	      printf "%7d  %7d  %+6d  total\n", tb, tc, tc - tb }' "$$tmp/loc.base" -; \
+	fi
 
 clean:
 	rm -rf bin

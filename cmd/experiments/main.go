@@ -6,7 +6,7 @@
 //	experiments -run all
 //	experiments -run table1 -ports 64
 //	experiments -run fig9,fig13 -seed 7
-//	experiments -run all -quick      # reduced sample counts
+//	experiments -run all -quick      # the scale the shape tests assert
 //
 // Output is printed as aligned data series and tables; every figure
 // carries notes comparing the measured shape against the paper's
@@ -14,145 +14,116 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"speedlight/internal/experiments"
-	"speedlight/internal/sim"
 )
 
-func main() {
+// result is a printable table or figure.
+type result interface {
+	Fprint(io.Writer)
+	WriteCSV(io.Writer) error
+}
+
+// part is one printed result, the CSV file it goes to under -csvdir
+// ("" for none), and the height of its ASCII plot (0 for none).
+type part struct {
+	res   result
+	csv   string
+	plotH int
+}
+
+// catalog lists the experiments in the order -run all prints them.
+var catalog = []struct {
+	name string
+	run  func(o experiments.Options, ports int) []part
+}{
+	{"table1", func(_ experiments.Options, ports int) []part { return []part{{experiments.Table1(ports), "table1", 0}} }},
+	{"fig9", func(o experiments.Options, _ int) []part { return []part{{experiments.Fig9(o).Figure(), "fig9", 18}} }},
+	{"fig10", func(o experiments.Options, _ int) []part { return []part{{experiments.Fig10(o).Figure(), "fig10", 0}} }},
+	{"fig11", func(o experiments.Options, _ int) []part { return []part{{experiments.Fig11(o).Figure(), "fig11", 14}} }},
+	{"fig12", func(o experiments.Options, _ int) (parts []part) {
+		for i, f := range experiments.Fig12(o).Figures() {
+			parts = append(parts, part{f, fmt.Sprintf("fig12-%c", 'a'+i), 0})
+		}
+		return parts
+	}},
+	{"ablations", func(o experiments.Options, _ int) []part {
+		return []part{{experiments.AblationInitiators(o).Table(), "", 0}, {experiments.AblationClocks(o).Table(), "", 0},
+			{experiments.AblationNotifBuffers(o).Table(), "", 0}, {experiments.AblationPartialDeployment(o).Table(), "", 0}}
+	}},
+	{"fig13", func(o experiments.Options, _ int) []part { return []part{{experiments.Fig13(o).Table(), "fig13", 0}} }},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams; it returns the
+// exit status.
+func run(args []string, out, errOut io.Writer) int {
+	names := []string{"all"}
+	for _, e := range catalog {
+		names = append(names, e.name)
+	}
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
-		run    = flag.String("run", "all", "comma-separated: all,table1,fig9,fig10,fig11,fig12,fig13,ablations")
-		seed   = flag.Int64("seed", 1, "randomness seed (runs are reproducible)")
-		shards = flag.Int("shards", 0,
+		sel    = fs.String("run", "all", "comma-separated: "+strings.Join(names, ","))
+		seed   = fs.Int64("seed", 1, "randomness seed (runs are reproducible)")
+		shards = fs.Int("shards", 0,
 			"simulation shards: 0 or 1 runs the serial engine, >=2 the parallel one (results are identical)")
-		ports  = flag.Int("ports", 64, "port count for table1")
-		quick  = flag.Bool("quick", false, "reduced sample counts for a fast pass")
-		csvDir = flag.String("csvdir", "", "also write each figure/table as CSV into this directory")
+		ports  = fs.Int("ports", 64, "port count for table1")
+		quick  = fs.Bool("quick", false, "run at the scale the shape tests assert, for a fast pass")
+		csvDir = fs.String("csvdir", "", "also write each figure/table as CSV into this directory")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
+	for _, name := range strings.Split(*sel, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(names, name) {
+			fmt.Fprintf(errOut, "unknown experiment %q; valid names: %s\n", name, strings.Join(names, ","))
+			return 2
+		}
+		want[name] = true
 	}
-	all := want["all"]
-	ran := 0
-	out := os.Stdout
 
-	timed := func(name string, fn func()) {
+	o := experiments.Options{Seed: *seed, Shards: *shards, Quick: *quick}
+	for _, e := range catalog {
+		if !want["all"] && !want[e.name] {
+			continue
+		}
 		start := time.Now()
-		fmt.Fprintf(out, "\n### %s ###\n", name)
-		fn()
-		fmt.Fprintf(out, "(%s took %v)\n", name, time.Since(start).Round(time.Millisecond))
-		ran++
-	}
-
-	writeCSV := func(name string, write func(io.Writer) error) {
-		if *csvDir == "" {
-			return
+		fmt.Fprintf(out, "\n### %s ###\n", e.name)
+		for _, p := range e.run(o, *ports) {
+			p.res.Fprint(out)
+			if p.plotH > 0 {
+				p.res.(*experiments.Figure).FprintPlot(out, 72, p.plotH)
+			}
+			if path := filepath.Join(*csvDir, p.csv+".csv"); *csvDir != "" && p.csv != "" {
+				if err := writeCSV(path, p.res); err != nil {
+					fmt.Fprintf(errOut, "csv %s: %v\n", path, err)
+				}
+			}
 		}
-		path := filepath.Join(*csvDir, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "csv %s: %v\n", path, err)
-			return
-		}
-		if err := write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "csv %s: %v\n", path, err)
-		}
-		f.Close()
+		fmt.Fprintf(out, "(%s took %v)\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
+}
 
-	if all || want["table1"] {
-		timed("table1", func() {
-			tbl := experiments.Table1(*ports)
-			tbl.Fprint(out)
-			writeCSV("table1", tbl.WriteCSV)
-		})
+// writeCSV writes res to path as CSV.
+func writeCSV(path string, res result) error {
+	var buf bytes.Buffer
+	if err := res.WriteCSV(&buf); err != nil {
+		return err
 	}
-	if all || want["fig9"] {
-		timed("fig9", func() {
-			cfg := experiments.Fig9Config{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.Snapshots = 50
-			}
-			fig := experiments.Fig9(cfg).Figure()
-			fig.Fprint(out)
-			fig.FprintPlot(out, 72, 18)
-			writeCSV("fig9", fig.WriteCSV)
-		})
-	}
-	if all || want["fig10"] {
-		timed("fig10", func() {
-			cfg := experiments.Fig10Config{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.PortCounts = []int{4, 16, 64}
-				cfg.TrialDuration = 100 * sim.Millisecond
-			}
-			fig := experiments.Fig10(cfg).Figure()
-			fig.Fprint(out)
-			writeCSV("fig10", fig.WriteCSV)
-		})
-	}
-	if all || want["fig11"] {
-		timed("fig11", func() {
-			cfg := experiments.Fig11Config{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.Trials = 20
-				cfg.CalibrationSnapshots = 60
-			}
-			fig := experiments.Fig11(cfg).Figure()
-			fig.Fprint(out)
-			fig.FprintPlot(out, 72, 14)
-			writeCSV("fig11", fig.WriteCSV)
-		})
-	}
-	if all || want["fig12"] {
-		timed("fig12", func() {
-			cfg := experiments.Fig12Config{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.Samples = 60
-			}
-			for i, f := range experiments.Fig12(cfg).Figures() {
-				f.Fprint(out)
-				writeCSV(fmt.Sprintf("fig12-%c", 'a'+i), f.WriteCSV)
-			}
-		})
-	}
-	if all || want["ablations"] {
-		timed("ablations", func() {
-			cfg := experiments.AblationConfig{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.Snapshots = 30
-			}
-			experiments.AblationInitiators(cfg).Table().Fprint(out)
-			experiments.AblationClocks(cfg).Table().Fprint(out)
-			experiments.AblationNotifBuffers(cfg).Table().Fprint(out)
-			experiments.AblationPartialDeployment(cfg).Table().Fprint(out)
-		})
-	}
-	if all || want["fig13"] {
-		timed("fig13", func() {
-			cfg := experiments.Fig13Config{Seed: *seed, Shards: *shards}
-			if *quick {
-				cfg.Snapshots = 60
-			}
-			tbl := experiments.Fig13(cfg).Table()
-			tbl.Fprint(out)
-			writeCSV("fig13", tbl.WriteCSV)
-		})
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment selection %q\n", *run)
-		flag.Usage()
-		os.Exit(2)
-	}
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }

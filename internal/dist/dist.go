@@ -1,18 +1,14 @@
 // Package dist provides the random-variate distributions used by the
-// Speedlight simulations: latencies, clock jitter, scheduling delays and
-// traffic inter-arrival processes.
+// Speedlight simulations: link latencies, clock jitter and control-plane
+// scheduling delays.
 //
 // All distributions draw from an explicit *rand.Rand so that every
-// simulation run is reproducible from a seed. Empirical distributions can
-// be built from measured samples, mirroring how the paper's Figure 11
-// simulation was driven by distributions collected on the hardware
-// testbed.
+// simulation run is reproducible from a seed.
 package dist
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Dist is a distribution over float64 values.
@@ -32,20 +28,9 @@ func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 // Mean implements Dist.
 func (c Constant) Mean() float64 { return c.V }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *rand.Rand) float64 {
-	return u.Lo + (u.Hi-u.Lo)*r.Float64()
-}
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // Normal is the Gaussian distribution with the given mean and standard
-// deviation. Samples may be negative; wrap with Truncate when modelling a
-// non-negative quantity such as a latency.
+// deviation. Samples may be negative, as the clock offsets and drift
+// rates it models are.
 type Normal struct{ Mu, Sigma float64 }
 
 // Sample implements Dist.
@@ -69,7 +54,7 @@ func (l LogNormal) Sample(r *rand.Rand) float64 {
 // Mean implements Dist.
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
-// LogNormalFromMeanP99 constructs a LogNormal whose median is roughly
+// LogNormalFromMedianP99 constructs a LogNormal whose median is roughly
 // median and whose 99th percentile is roughly p99. This matches how the
 // paper characterizes delays by typical and tail values.
 func LogNormalFromMedianP99(median, p99 float64) LogNormal {
@@ -81,146 +66,4 @@ func LogNormalFromMedianP99(median, p99 float64) LogNormal {
 	mu := math.Log(median)
 	sigma := (math.Log(p99) - mu) / z99
 	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
-// Exponential is the exponential distribution with the given rate
-// (events per unit). Mean is 1/Rate.
-type Exponential struct{ Rate float64 }
-
-// Sample implements Dist.
-func (e Exponential) Sample(r *rand.Rand) float64 {
-	return r.ExpFloat64() / e.Rate
-}
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Pareto is the (type I) Pareto distribution with scale Xm and shape
-// Alpha. Heavy-tailed flow sizes in datacenter traffic models are
-// commonly Pareto.
-type Pareto struct {
-	Xm    float64
-	Alpha float64
-}
-
-// Sample implements Dist.
-func (p Pareto) Sample(r *rand.Rand) float64 {
-	return p.Xm / math.Pow(1-r.Float64(), 1/p.Alpha)
-}
-
-// Mean implements Dist. For Alpha <= 1 the mean diverges and +Inf is
-// returned.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// Truncated wraps another distribution and clamps samples to [Lo, Hi].
-type Truncated struct {
-	D      Dist
-	Lo, Hi float64
-}
-
-// Sample implements Dist.
-func (t Truncated) Sample(r *rand.Rand) float64 {
-	v := t.D.Sample(r)
-	if v < t.Lo {
-		return t.Lo
-	}
-	if v > t.Hi {
-		return t.Hi
-	}
-	return v
-}
-
-// Mean implements Dist. It returns the mean of the underlying
-// distribution clamped to the bounds, which is exact only when little
-// mass lies outside [Lo, Hi]; it is intended for sanity checks, not
-// precise analysis.
-func (t Truncated) Mean() float64 {
-	m := t.D.Mean()
-	if m < t.Lo {
-		return t.Lo
-	}
-	if m > t.Hi {
-		return t.Hi
-	}
-	return m
-}
-
-// Shifted adds Offset to every sample of D.
-type Shifted struct {
-	D      Dist
-	Offset float64
-}
-
-// Sample implements Dist.
-func (s Shifted) Sample(r *rand.Rand) float64 { return s.D.Sample(r) + s.Offset }
-
-// Mean implements Dist.
-func (s Shifted) Mean() float64 { return s.D.Mean() + s.Offset }
-
-// Empirical samples uniformly (with interpolation) from the quantile
-// function of a set of observed samples. It reproduces an arbitrary
-// observed distribution, the way the paper's scale simulation replayed
-// distributions measured on the testbed.
-type Empirical struct {
-	sorted []float64
-}
-
-// NewEmpirical builds an empirical distribution from observed samples.
-// It panics if samples is empty. The input is copied.
-func NewEmpirical(samples []float64) *Empirical {
-	if len(samples) == 0 {
-		panic("dist: NewEmpirical with no samples")
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &Empirical{sorted: s}
-}
-
-// Sample implements Dist by inverse-transform sampling with linear
-// interpolation between order statistics.
-func (e *Empirical) Sample(r *rand.Rand) float64 {
-	n := len(e.sorted)
-	if n == 1 {
-		return e.sorted[0]
-	}
-	pos := r.Float64() * float64(n-1)
-	lo := int(pos)
-	if lo >= n-1 {
-		return e.sorted[n-1]
-	}
-	frac := pos - float64(lo)
-	return e.sorted[lo]*(1-frac) + e.sorted[lo+1]*frac
-}
-
-// Mean implements Dist.
-func (e *Empirical) Mean() float64 {
-	var sum float64
-	for _, v := range e.sorted {
-		sum += v
-	}
-	return sum / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th quantile of the underlying samples.
-func (e *Empirical) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo >= n-1 {
-		return e.sorted[n-1]
-	}
-	return e.sorted[lo]*(1-frac) + e.sorted[lo+1]*frac
 }

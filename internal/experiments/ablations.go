@@ -9,7 +9,6 @@ import (
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
 	"speedlight/internal/topology"
-	"speedlight/internal/workload"
 )
 
 // The ablations quantify the design choices DESIGN.md calls out:
@@ -23,25 +22,6 @@ import (
 //     sustained rate survive "given a sufficiently large socket
 //     receive buffer").
 
-// AblationConfig parameterizes the ablation runs.
-type AblationConfig struct {
-	// Snapshots per measurement series.
-	Snapshots int
-	Seed      int64
-	// Shards selects the simulation engine (0/1 serial, >=2 parallel).
-	// Results are identical either way.
-	Shards int
-}
-
-func (c *AblationConfig) defaults() {
-	if c.Snapshots == 0 {
-		c.Snapshots = 80
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // InitiatorsResult compares multi-initiator and single-initiator
 // synchronization.
 type InitiatorsResult struct {
@@ -52,19 +32,14 @@ type InitiatorsResult struct {
 // AblationInitiators measures snapshot synchronization with the paper's
 // multi-initiator design against a single-initiator run where the epoch
 // must propagate through the network on piggybacked traffic.
-func AblationInitiators(cfg AblationConfig) *InitiatorsResult {
-	cfg.defaults()
+func AblationInitiators(o Options) *InitiatorsResult {
 	run := func(single bool) *stats.CDF {
-		n, ls := testbedNet(cfg.Seed, cfg.Shards, false, nil)
-		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
-		bg.Start()
-		n.RunFor(2 * sim.Millisecond)
-		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
-			if single {
-				return n.ScheduleSnapshotSingle(ls.Leaves[0], now.Add(sim.Millisecond))
-			}
-			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
-		})
+		n, ls := testbedNet(o.Seed, o.Shards, false, nil)
+		fire := n.ScheduleSnapshot
+		if single {
+			fire = func(at sim.Time) (packet.SeqID, error) { return n.ScheduleSnapshotSingle(ls.Leaves[0], at) }
+		}
+		ids := syncSeries(n, 2*sim.Microsecond, 0, scale(o, 80, 30), sim.Millisecond, 50*sim.Millisecond, fire)
 		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 	return &InitiatorsResult{Multi: run(false), Single: run(true)}
@@ -98,18 +73,12 @@ type ClocksResult struct {
 
 // AblationClocks measures snapshot synchronization under perfect
 // clocks, PTP discipline (the paper's choice), and LAN NTP.
-func AblationClocks(cfg AblationConfig) *ClocksResult {
-	cfg.defaults()
+func AblationClocks(o Options) *ClocksResult {
 	run := func(cc clock.Config) *stats.CDF {
-		n, _ := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) { c.Clock = cc })
-		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
-		bg.Start()
-		n.RunFor(2 * sim.Millisecond)
-		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 100*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
-			// NTP-scale offsets need a deadline far enough out that
-			// no clock has already passed it.
-			return n.ScheduleSnapshot(now.Add(5 * sim.Millisecond))
-		})
+		n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) { c.Clock = cc })
+		// NTP-scale offsets need a deadline far enough out that no
+		// clock has already passed it.
+		ids := syncSeries(n, 2*sim.Microsecond, 0, scale(o, 80, 30), 5*sim.Millisecond, 100*sim.Millisecond, n.ScheduleSnapshot)
 		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 	return &ClocksResult{
@@ -157,24 +126,12 @@ type BuffersResult struct {
 // socket buffer: a sufficiently large buffer absorbs the burst with no
 // loss (Section 8.2), while small buffers drop notifications and lean
 // on recovery.
-func AblationNotifBuffers(cfg AblationConfig) *BuffersResult {
-	cfg.defaults()
+func AblationNotifBuffers(o Options) *BuffersResult {
 	const ports = 16
 	const burst = 50
 	res := &BuffersResult{BurstRateHz: 5000, BurstLen: burst}
 	for _, capacity := range []int{8, 64, 512, 4096} {
-		n, err := emunet.New(emunet.Config{
-			Topo:          starTopo(ports),
-			Seed:          cfg.Seed,
-			MaxID:         1 << 20,
-			WrapAround:    false,
-			NotifCapacity: capacity,
-			RetryAfter:    -1,
-			ExcludeAfter:  -1,
-		})
-		if err != nil {
-			panic(err)
-		}
+		n := starNet(ports, o.Seed, 0, capacity)
 		period := sim.DurationOfSeconds(1 / res.BurstRateHz)
 		for i := 0; i < burst; i++ {
 			n.Engine().After(period, func() { n.ScheduleSnapshot(n.Engine().Now()) })
@@ -228,22 +185,16 @@ type PartialResult struct {
 // crosses the disabled devices — their pipelines forward the header
 // untouched — and the snapshot remains consistent and microsecond-
 // synchronous over the participating devices.
-func AblationPartialDeployment(cfg AblationConfig) *PartialResult {
-	cfg.defaults()
+func AblationPartialDeployment(o Options) *PartialResult {
 	res := &PartialResult{}
 	for disabled := 0; disabled <= 2; disabled++ {
-		n, _ := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+		n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
 			c.SnapshotDisabled = map[topology.NodeID]bool{}
 			for i := 0; i < disabled; i++ {
 				c.SnapshotDisabled[topology.NodeID(2+i)] = true // spines are nodes 2,3
 			}
 		})
-		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
-		bg.Start()
-		n.RunFor(2 * sim.Millisecond)
-		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
-			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
-		})
+		ids := syncSeries(n, 2*sim.Microsecond, 0, scale(o, 80, 20), sim.Millisecond, 50*sim.Millisecond, n.ScheduleSnapshot)
 		spreads := n.SyncSpreadsMicros(ids)
 		pt := PartialPoint{Disabled: disabled, Total: len(ids)}
 		for _, g := range n.Snapshots() {

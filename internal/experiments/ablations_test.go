@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationInitiators(t *testing.T) {
-	r := AblationInitiators(AblationConfig{Snapshots: 30, Seed: 4})
+	r := AblationInitiators(Options{Seed: 4, Quick: true})
 	t.Logf("multi: median=%.1f max=%.1f | single: median=%.1f max=%.1f",
 		r.Multi.Median(), r.Multi.MaxValue(), r.Single.Median(), r.Single.MaxValue())
 	if r.Multi.N() == 0 || r.Single.N() == 0 {
@@ -28,7 +28,7 @@ func TestAblationInitiators(t *testing.T) {
 }
 
 func TestAblationClocks(t *testing.T) {
-	r := AblationClocks(AblationConfig{Snapshots: 30, Seed: 4})
+	r := AblationClocks(Options{Seed: 4, Quick: true})
 	t.Logf("perfect=%.1f ptp=%.1f ntp=%.1f (medians, us)",
 		r.Perfect.Median(), r.PTP.Median(), r.NTP.Median())
 	// Ordering: perfect <= PTP << NTP.
@@ -53,7 +53,7 @@ func TestAblationClocks(t *testing.T) {
 }
 
 func TestAblationNotifBuffers(t *testing.T) {
-	r := AblationNotifBuffers(AblationConfig{Seed: 4})
+	r := AblationNotifBuffers(Options{Seed: 4, Quick: true})
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -86,7 +86,7 @@ func TestAblationNotifBuffers(t *testing.T) {
 }
 
 func TestAblationPartialDeployment(t *testing.T) {
-	r := AblationPartialDeployment(AblationConfig{Snapshots: 20, Seed: 4})
+	r := AblationPartialDeployment(Options{Seed: 4, Quick: true})
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -109,5 +109,22 @@ func TestAblationPartialDeployment(t *testing.T) {
 	r.Table().Fprint(&buf)
 	if !strings.Contains(buf.String(), "partial deployment") {
 		t.Error("table rendering")
+	}
+}
+
+// TestShardsRenderIdentically checks the Options.Shards promise on the
+// two harnesses that run the shared sync campaign: the parallel engine
+// prints exactly what the serial one does.
+func TestShardsRenderIdentically(t *testing.T) {
+	render := func(shards int) string {
+		o := Options{Seed: 3, Shards: shards, Quick: true}
+		var buf bytes.Buffer
+		Fig9(o).Figure().Fprint(&buf)
+		AblationPartialDeployment(o).Table().Fprint(&buf)
+		return buf.String()
+	}
+	serial, sharded := render(0), render(2)
+	if serial != sharded {
+		t.Errorf("Shards 2 output differs from serial:\n--- serial\n%s\n--- shards 2\n%s", serial, sharded)
 	}
 }

@@ -31,6 +31,25 @@ import (
 	"strings"
 )
 
+// Options is what every harness takes. Seed drives all randomness;
+// Shards selects the simulation engine (0/1 serial, >=2 parallel), and
+// results are byte-identical either way. Each harness runs at one of two
+// scales fixed in its own body: the paper's full sample counts, or with
+// Quick exactly the scale this package's shape tests assert.
+type Options struct {
+	Seed   int64
+	Shards int
+	Quick  bool
+}
+
+// scale returns full, or quick under o.Quick.
+func scale[T any](o Options, full, quick T) T {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
 // Table is a printable table of results.
 type Table struct {
 	Title  string

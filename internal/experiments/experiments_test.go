@@ -5,8 +5,6 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
-
-	"speedlight/internal/sim"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -26,7 +24,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r := Fig9(Fig9Config{Snapshots: 40, Seed: 3})
+	r := Fig9(Options{Seed: 3, Quick: true})
 	t.Logf("switch state: median=%.2f max=%.2f", r.SwitchState.Median(), r.SwitchState.MaxValue())
 	t.Logf("chnl  state: median=%.2f max=%.2f", r.SwitchChannelState.Median(), r.SwitchChannelState.MaxValue())
 	t.Logf("polling    : median=%.2f", r.Polling.Median())
@@ -69,7 +67,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rate search is slow")
 	}
-	r := Fig10(Fig10Config{PortCounts: []int{8, 64}, TrialDuration: 80 * sim.Millisecond, Seed: 2})
+	r := Fig10(Options{Seed: 2, Quick: true})
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -93,8 +91,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r := Fig11(Fig11Config{RouterCounts: []int{10, 100, 1000, 10000},
-		Trials: 30, CalibrationSnapshots: 60, Seed: 2})
+	r := Fig11(Options{Seed: 2, Quick: true})
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -128,7 +125,7 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep is slow")
 	}
-	r := Fig12(Fig12Config{Samples: 50, Seed: 2})
+	r := Fig12(Options{Seed: 2, Quick: true})
 	if len(r.Workloads) != 3 {
 		t.Fatalf("workloads = %d", len(r.Workloads))
 	}
@@ -170,7 +167,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	r := Fig13(Fig13Config{Snapshots: 100, Seed: 1})
+	r := Fig13(Options{Seed: 1, Quick: true})
 	t.Logf("snapshots: sig=%d ecmp +%d -%d; polling: sig=%d ecmp +%d -%d",
 		r.Snapshot.Significant, r.Snapshot.ECMPPairsPositive, r.Snapshot.ECMPPairsNegative,
 		r.Polling.Significant, r.Polling.ECMPPairsPositive, r.Polling.ECMPPairsNegative)

@@ -4,35 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"speedlight/internal/emunet"
 	"speedlight/internal/sim"
-	"speedlight/internal/topology"
 )
-
-// Fig10Config parameterizes the snapshot-rate experiment.
-type Fig10Config struct {
-	// PortCounts are the router sizes to sweep (paper: 4..64).
-	PortCounts []int
-	// TrialDuration is how long each candidate rate is sustained.
-	TrialDuration sim.Duration
-	Seed          int64
-	// Shards selects the simulation engine (0/1 serial, >=2 parallel).
-	// A single-switch star cannot exploit parallelism, but the results
-	// are identical either way.
-	Shards int
-}
-
-func (c *Fig10Config) defaults() {
-	if len(c.PortCounts) == 0 {
-		c.PortCounts = []int{4, 8, 16, 32, 64}
-	}
-	if c.TrialDuration == 0 {
-		c.TrialDuration = 500 * sim.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
 
 // Fig10Point is one measurement: the maximum sustained snapshot rate
 // for a router with the given port count.
@@ -52,48 +25,25 @@ type Fig10Result struct {
 // control plane's per-notification processing latency: each snapshot
 // produces two notifications per port (ingress and egress snapshot ID
 // advances), so the sustainable rate falls inversely with port count.
-func Fig10(cfg Fig10Config) *Fig10Result {
-	cfg.defaults()
+//
+// The sweep covers the paper's 4..64 ports; each candidate rate is
+// sustained for one trial. A single-switch star cannot exploit shards,
+// but honours them.
+func Fig10(o Options) *Fig10Result {
+	trial := scale(o, 500*sim.Millisecond, 80*sim.Millisecond)
 	res := &Fig10Result{}
-	for _, ports := range cfg.PortCounts {
-		rate := maxSustainedRate(ports, cfg)
+	for _, ports := range scale(o, []int{4, 8, 16, 32, 64}, []int{8, 64}) {
+		rate := maxSustainedRate(ports, trial, o)
 		res.Points = append(res.Points, Fig10Point{Ports: ports, MaxRateHz: rate})
 	}
 	return res
 }
 
-// starTopo builds one switch with a host on every port.
-func starTopo(ports int) *topology.Topology {
-	b := topology.NewBuilder()
-	sw := b.AddSwitch(ports)
-	for p := 0; p < ports; p++ {
-		b.AttachHost(sw, p, sim.Microsecond)
-	}
-	t, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // sustains reports whether a switch with the given port count can take
-// snapshots at rateHz without notification loss or queue buildup.
-func sustains(ports int, rateHz float64, cfg Fig10Config) bool {
-	n, err := emunet.New(emunet.Config{
-		Topo:   starTopo(ports),
-		Seed:   cfg.Seed,
-		Shards: cfg.Shards,
-		// Unbounded ID space isolates the CP bottleneck from the
-		// observer's rollover window.
-		MaxID:        1 << 20,
-		WrapAround:   false,
-		ChannelState: false,
-		RetryAfter:   -1,
-		ExcludeAfter: -1,
-	})
-	if err != nil {
-		panic(err)
-	}
+// snapshots at rateHz for trial without notification loss or queue
+// buildup.
+func sustains(ports int, rateHz float64, trial sim.Duration, o Options) bool {
+	n := starNet(ports, o.Seed, o.Shards, 0)
 	period := sim.DurationOfSeconds(1 / rateHz)
 	tick := n.Engine().NewTicker(period, func() {
 		// Errors cannot occur without the wraparound window.
@@ -101,7 +51,7 @@ func sustains(ports int, rateHz float64, cfg Fig10Config) bool {
 			panic(err)
 		}
 	})
-	n.RunFor(cfg.TrialDuration)
+	n.RunFor(trial)
 	tick.Stop()
 	if n.NotifDropsTotal() > 0 {
 		return false
@@ -113,14 +63,14 @@ func sustains(ports int, rateHz float64, cfg Fig10Config) bool {
 }
 
 // maxSustainedRate binary-searches the highest sustainable rate to ~5%.
-func maxSustainedRate(ports int, cfg Fig10Config) float64 {
+func maxSustainedRate(ports int, trial sim.Duration, o Options) float64 {
 	lo, hi := 1.0, 50_000.0
-	if !sustains(ports, lo, cfg) {
+	if !sustains(ports, lo, trial, o) {
 		return 0
 	}
 	for hi/lo > 1.05 {
 		mid := math.Sqrt(lo * hi) // geometric midpoint: the sweep is log-scale
-		if sustains(ports, mid, cfg) {
+		if sustains(ports, mid, trial, o) {
 			lo = mid
 		} else {
 			hi = mid

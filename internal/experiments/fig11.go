@@ -11,44 +11,10 @@ import (
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
-	"speedlight/internal/workload"
 )
 
-// Fig11Config parameterizes the scale experiment.
-type Fig11Config struct {
-	// RouterCounts are the simulated network sizes (paper: 10..10000,
-	// log-spaced).
-	RouterCounts []int
-	// PortsPerRouter matches the paper's 64-port routers.
-	PortsPerRouter int
-	// Trials per network size.
-	Trials int
-	// CalibrationSnapshots sets how many snapshots the testbed run uses
-	// to collect the offset distribution.
-	CalibrationSnapshots int
-	Seed                 int64
-	// Shards selects the simulation engine for the calibration run
-	// (0/1 serial, >=2 parallel). Results are identical either way.
-	Shards int
-}
-
-func (c *Fig11Config) defaults() {
-	if len(c.RouterCounts) == 0 {
-		c.RouterCounts = []int{10, 32, 100, 316, 1000, 3162, 10000}
-	}
-	if c.PortsPerRouter == 0 {
-		c.PortsPerRouter = 64
-	}
-	if c.Trials == 0 {
-		c.Trials = 50
-	}
-	if c.CalibrationSnapshots == 0 {
-		c.CalibrationSnapshots = 150
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// portsPerRouter matches the paper's 64-port routers.
+const portsPerRouter = 64
 
 // Fig11Point is the average synchronization at one network size.
 type Fig11Point struct {
@@ -76,27 +42,31 @@ type Fig11Result struct {
 // clip. The max/min of k i.i.d. draws is then sampled exactly through
 // the inverse CDF (max = Q(U^(1/k))), so 10,000-router networks cost
 // the same as 10-router ones.
-func Fig11(cfg Fig11Config) *Fig11Result {
-	cfg.defaults()
-	offsets := collectTestbedOffsets(cfg)
+//
+// The sizes are the paper's 10..10000 routers, log-spaced; the
+// calibration run takes enough snapshots to fit the offset tail.
+func Fig11(o Options) *Fig11Result {
+	routerCounts := scale(o, []int{10, 32, 100, 316, 1000, 3162, 10000}, []int{10, 100, 1000, 10000})
+	trials := scale(o, 50, 30)
+	offsets := collectTestbedOffsets(o, scale(o, 150, 60))
 	shift, mu, sigma := fitShiftedLogNormal(offsets)
 	quantile := func(q float64) float64 {
 		return shift + math.Exp(mu+sigma*stats.QNorm(q))
 	}
-	r := rand.New(rand.NewSource(cfg.Seed + 7))
+	r := rand.New(rand.NewSource(o.Seed + 7))
 
 	res := &Fig11Result{}
-	for _, routers := range cfg.RouterCounts {
-		k := float64(routers * cfg.PortsPerRouter * 2) // ingress+egress units
+	for _, routers := range routerCounts {
+		k := float64(routers * portsPerRouter * 2) // ingress+egress units
 		var sum float64
-		for t := 0; t < cfg.Trials; t++ {
+		for t := 0; t < trials; t++ {
 			hi := quantile(math.Pow(r.Float64(), 1/k))
 			lo := quantile(1 - math.Pow(r.Float64(), 1/k))
 			sum += (hi - lo) / 1000 // ns -> us
 		}
 		res.Points = append(res.Points, Fig11Point{
 			Routers:   routers,
-			AvgSyncUs: sum / float64(cfg.Trials),
+			AvgSyncUs: sum / float64(trials),
 		})
 	}
 	return res
@@ -119,7 +89,7 @@ func fitShiftedLogNormal(samples []float64) (shift, mu, sigma float64) {
 // collectTestbedOffsets runs snapshots on the emulated testbed and
 // returns, for every progress notification, its offset in nanoseconds
 // from the snapshot's scheduled initiation deadline.
-func collectTestbedOffsets(cfg Fig11Config) []float64 {
+func collectTestbedOffsets(o Options, snapshots int) []float64 {
 	deadlines := map[packet.SeqID]sim.Time{}
 	type rec struct {
 		id packet.SeqID
@@ -129,19 +99,14 @@ func collectTestbedOffsets(cfg Fig11Config) []float64 {
 		recsMu sync.Mutex // OnProgress fires concurrently under shards
 		recs   []rec
 	)
-	n, _ := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+	n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
 		c.OnProgress = func(id packet.SeqID, at sim.Time) {
 			recsMu.Lock()
 			recs = append(recs, rec{id, at})
 			recsMu.Unlock()
 		}
 	})
-	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 2 * sim.Microsecond}
-	bg.Start()
-	n.RunFor(2 * sim.Millisecond)
-
-	n.SnapshotSeries(cfg.CalibrationSnapshots, 2*sim.Millisecond, 20*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
-		deadline := now.Add(sim.Millisecond)
+	syncSeries(n, 2*sim.Microsecond, 0, snapshots, sim.Millisecond, 20*sim.Millisecond, func(deadline sim.Time) (packet.SeqID, error) {
 		id, err := n.ScheduleSnapshot(deadline)
 		if err == nil {
 			deadlines[id] = deadline

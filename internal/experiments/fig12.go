@@ -14,34 +14,11 @@ import (
 	"speedlight/internal/workload"
 )
 
-// Fig12Config parameterizes the load-balancing experiment.
-type Fig12Config struct {
-	// Samples is the number of snapshots (and poll sweeps) per job
-	// execution.
-	Samples int
-	// Runs is the number of independent job executions pooled per
-	// combination. ECMP's imbalance depends on how the jobs' flow
-	// tuples happen to hash, so a campaign observes several executions
-	// (the paper's workloads likewise ran repeatedly during
-	// measurement).
-	Runs int
-	Seed int64
-	// Shards selects the simulation engine (0/1 serial, >=2 parallel).
-	// Results are identical either way.
-	Shards int
-}
-
-func (c *Fig12Config) defaults() {
-	if c.Samples == 0 {
-		c.Samples = 60
-	}
-	if c.Runs == 0 {
-		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// fig12Runs is the number of independent job executions pooled per
+// combination. ECMP's imbalance depends on how the jobs' flow tuples
+// happen to hash, so a campaign observes several executions (the
+// paper's workloads likewise ran repeatedly during measurement).
+const fig12Runs = 3
 
 // Fig12Series names one (balancer, method) combination's distribution
 // of uplink-load standard deviations.
@@ -69,18 +46,16 @@ type Fig12Result struct {
 // (uplinks are compared only to other uplinks of the same switch), and
 // plots the CDF of those deviations — alongside the same analysis done
 // with asynchronous polling.
-func Fig12(cfg Fig12Config) *Fig12Result {
-	cfg.defaults()
+func Fig12(o Options) *Fig12Result {
+	samples := scale(o, 60, 50) // snapshots (and poll sweeps) per execution
 	res := &Fig12Result{}
 	apps := []string{"hadoop", "graphx", "memcache"}
 	for _, app := range apps {
 		wl := Fig12Workload{Workload: app}
 		for _, balancer := range []string{"ecmp", "flowlet"} {
 			var snapStd, pollStd []float64
-			for run := 0; run < cfg.Runs; run++ {
-				runCfg := cfg
-				runCfg.Seed = cfg.Seed + int64(run)*101
-				s, p := fig12Run(app, balancer, runCfg)
+			for run := 0; run < fig12Runs; run++ {
+				s, p := fig12Run(app, balancer, o.Seed+int64(run)*101, o.Shards, samples)
 				snapStd = append(snapStd, s...)
 				pollStd = append(pollStd, p...)
 			}
@@ -97,8 +72,8 @@ func Fig12(cfg Fig12Config) *Fig12Result {
 // fig12Run measures one (workload, balancer) combination with both
 // methods over the same run, returning per-instant uplink standard
 // deviations in microseconds.
-func fig12Run(app, balancer string, cfg Fig12Config) (snapStd, pollStd []float64) {
-	net, ls := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+func fig12Run(app, balancer string, seed int64, shards, samples int) (snapStd, pollStd []float64) {
+	net, ls := testbedNet(seed, shards, false, func(c *emunet.Config) {
 		c.Metrics = emunet.EWMAMetrics
 		if balancer == "flowlet" {
 			c.NewBalancer = routing.PaperFlowlet
@@ -120,7 +95,7 @@ func fig12Run(app, balancer string, cfg Fig12Config) (snapStd, pollStd []float64
 	sweep := net.Units()
 	// One snapshot and one poll sweep per instant, over the same live
 	// traffic.
-	ids := net.SnapshotSeries(cfg.Samples, sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+	ids := net.SnapshotSeries(samples, sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
 		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
 		poller.PollAll(sweep, func(s []polling.Sample) {
 			pollStd = append(pollStd, groupStddevs(groups, samplesByUnit(s))...)

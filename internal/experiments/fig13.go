@@ -14,29 +14,13 @@ import (
 	"speedlight/internal/workload"
 )
 
-// Fig13Config parameterizes the correlation experiment.
-type Fig13Config struct {
-	// Snapshots is the series length (the paper takes 100).
-	Snapshots int
-	// Alpha is the significance cutoff (the paper uses p < 0.1).
-	Alpha float64
-	Seed  int64
-	// Shards selects the simulation engine (0/1 serial, >=2 parallel).
-	// Results are identical either way.
-	Shards int
-}
-
-func (c *Fig13Config) defaults() {
-	if c.Snapshots == 0 {
-		c.Snapshots = 100
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// Fig13's series length and significance cutoff are the paper's: 100
+// snapshots, p < 0.1. Its shape test asserts that same scale, so Quick
+// leaves Fig13 unchanged.
+const (
+	fig13Snapshots = 100
+	fig13Alpha     = 0.1
+)
 
 // Fig13Method holds one measurement method's correlation analysis.
 type Fig13Method struct {
@@ -75,9 +59,8 @@ type Fig13Result struct {
 // significant ones are compared against two ground truths — the idle
 // master's port must be uncorrelated, and same-leaf uplink pairs
 // (ECMP next-hops) must be positively correlated.
-func Fig13(cfg Fig13Config) *Fig13Result {
-	cfg.defaults()
-	net, ls := testbedNet(cfg.Seed, cfg.Shards, false, func(c *emunet.Config) {
+func Fig13(o Options) *Fig13Result {
+	net, ls := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
 		c.Metrics = emunet.EWMAMetrics
 	})
 	hosts := net.Topo().HostIDs()
@@ -100,7 +83,7 @@ func Fig13(cfg Fig13Config) *Fig13Result {
 	sweep := net.Units()
 	// Supersteps are 1 ms; the extra 137 µs samples across their phases.
 	const gap = sim.Millisecond + 137*sim.Microsecond
-	net.SnapshotSeries(cfg.Snapshots, gap, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
+	net.SnapshotSeries(fig13Snapshots, gap, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
 		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
 		// The polling framework sweeps every counter; only the
 		// egress units' readings feed the correlation series.
@@ -121,9 +104,9 @@ func Fig13(cfg Fig13Config) *Fig13Result {
 	// the run would desynchronize the matrix).
 	trim(pollSeries)
 
-	res := &Fig13Result{Alpha: cfg.Alpha}
-	res.Snapshot = analyzeFig13("snapshots", snapSeries, units, ls, net, cfg.Alpha)
-	res.Polling = analyzeFig13("polling", pollSeries, units, ls, net, cfg.Alpha)
+	res := &Fig13Result{Alpha: fig13Alpha}
+	res.Snapshot = analyzeFig13("snapshots", snapSeries, units, ls, net, fig13Alpha)
+	res.Polling = analyzeFig13("polling", pollSeries, units, ls, net, fig13Alpha)
 	return res
 }
 

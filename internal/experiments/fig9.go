@@ -3,32 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"speedlight/internal/packet"
 	"speedlight/internal/polling"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
 	"speedlight/internal/workload"
 )
-
-// Fig9Config parameterizes the synchronization experiment.
-type Fig9Config struct {
-	// Snapshots is the number of snapshots (and poll sweeps) measured.
-	// The paper plots a full CDF; 200 gives a smooth one.
-	Snapshots int
-	Seed      int64
-	// Shards selects the simulation engine (0/1 serial, >=2 parallel).
-	// Results are identical either way.
-	Shards int
-}
-
-func (c *Fig9Config) defaults() {
-	if c.Snapshots == 0 {
-		c.Snapshots = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
 
 // Fig9Result holds the three synchronization distributions of Figure 9,
 // in microseconds.
@@ -43,23 +22,17 @@ type Fig9Result struct {
 // snapshot is the difference between the earliest and latest data-plane
 // notification timestamps carrying its ID; for polling it is the spread
 // between the first and last poll of a sweep.
-func Fig9(cfg Fig9Config) *Fig9Result {
-	cfg.defaults()
+func Fig9(o Options) *Fig9Result {
+	// The paper plots a full CDF; 200 snapshots give a smooth one.
+	snapshots := scale(o, 200, 40)
 	res := &Fig9Result{}
 
 	snapshotRun := func(channelState bool) *stats.CDF {
-		n, _ := testbedNet(cfg.Seed, cfg.Shards, channelState, nil)
+		n, _ := testbedNet(o.Seed, o.Shards, channelState, nil)
 		// Heavy background load: the testbed measured synchronization
 		// under running application workloads, so every utilized
 		// channel sees fresh-epoch traffic within microseconds.
-		bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: sim.Microsecond, PacketSize: 500}
-		bg.Start()
-		n.RunFor(2 * sim.Millisecond) // warm up
-
-		// The 50 ms drain lets stragglers finish.
-		ids := n.SnapshotSeries(cfg.Snapshots, 2*sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
-			return n.ScheduleSnapshot(now.Add(sim.Millisecond))
-		})
+		ids := syncSeries(n, sim.Microsecond, 500, snapshots, sim.Millisecond, 50*sim.Millisecond, n.ScheduleSnapshot)
 		return stats.NewCDF(n.SyncSpreadsMicros(ids))
 	}
 
@@ -67,14 +40,14 @@ func Fig9(cfg Fig9Config) *Fig9Result {
 	res.SwitchChannelState = snapshotRun(true)
 
 	// Polling baseline: sequential sweeps over every unit.
-	n, _ := testbedNet(cfg.Seed+1, cfg.Shards, false, nil)
+	n, _ := testbedNet(o.Seed+1, o.Shards, false, nil)
 	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 5 * sim.Microsecond}
 	bg.Start()
 	n.RunFor(2 * sim.Millisecond)
 	poller := polling.New(n, polling.Config{})
 	units := n.Units()
 	var spreads []float64
-	for i := 0; i < cfg.Snapshots; i++ {
+	for i := 0; i < snapshots; i++ {
 		done := false
 		poller.PollAll(units, func(s []polling.Sample) {
 			spreads = append(spreads, polling.Spread(s).Micros())

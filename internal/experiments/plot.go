@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -29,8 +30,8 @@ func (f *Figure) FprintPlot(w io.Writer, width, height int) {
 		fmt.Fprintf(w, "== %s == (no data)\n", f.Title)
 		return
 	}
-	xmin, xmax := minmax(xs)
-	ymin, ymax := minmax(ys)
+	xmin, xmax := slices.Min(xs), slices.Max(xs)
+	ymin, ymax := slices.Min(ys), slices.Max(ys)
 	logX := xmin > 0 && xmax/xmin > 100
 	tx := func(x float64) float64 {
 		if logX {
@@ -82,24 +83,4 @@ func (f *Figure) FprintPlot(w io.Writer, width, height int) {
 	for si, s := range f.Series {
 		fmt.Fprintf(w, "    %c = %s\n", glyphs[si%len(glyphs)], s.Name)
 	}
-}
-
-func minmax(xs []float64) (float64, float64) {
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

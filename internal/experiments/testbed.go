@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"speedlight/internal/emunet"
+	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
+	"speedlight/internal/workload"
 )
 
 // testbedTopo builds the paper's testbed fabric (Figure 8): two leaves
@@ -45,4 +47,48 @@ func testbedNet(seed int64, shards int, channelState bool, mod func(*emunet.Conf
 		panic(err)
 	}
 	return n, ls
+}
+
+// syncSeries is the sync campaign the testbed measurements share: it
+// starts all-to-all background traffic on n (one size-byte packet per
+// host every interval; 0 picks the workload default), warms up 2 ms,
+// then takes count snapshots 2 ms apart, each fired for lead after its
+// slot, and runs drain longer so stragglers finish.
+func syncSeries(n *emunet.Network, interval sim.Duration, size uint32, count int, lead, drain sim.Duration,
+	fire func(at sim.Time) (packet.SeqID, error)) []packet.SeqID {
+	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: interval, PacketSize: size}
+	bg.Start()
+	n.RunFor(2 * sim.Millisecond)
+	return n.SnapshotSeries(count, 2*sim.Millisecond, drain, func(now sim.Time) (packet.SeqID, error) {
+		return fire(now.Add(lead))
+	})
+}
+
+// starNet builds one switch with a host on every port. The unbounded ID
+// space isolates the control plane from the observer's rollover window,
+// and recovery is off, so a lost notification stays lost. notifCapacity
+// 0 keeps the default notification buffer.
+func starNet(ports int, seed int64, shards, notifCapacity int) *emunet.Network {
+	b := topology.NewBuilder()
+	sw := b.AddSwitch(ports)
+	for p := 0; p < ports; p++ {
+		b.AttachHost(sw, p, sim.Microsecond)
+	}
+	t, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	n, err := emunet.New(emunet.Config{
+		Topo:          t,
+		Seed:          seed,
+		Shards:        shards,
+		MaxID:         1 << 20,
+		NotifCapacity: notifCapacity,
+		RetryAfter:    -1,
+		ExcludeAfter:  -1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
