@@ -191,8 +191,11 @@ type Initiation struct {
 // FIFO channel — which the caller must deliver to the corresponding
 // egress unit through the same queues as data traffic. Duplicate or
 // stale initiations are harmless: the data plane ignores them
-// (Section 6). The returned slice is valid until the next call; the
-// packets are the caller's.
+// (Section 6). The returned slice is valid until the next call, and so
+// are the packets: they are the data plane's (InitiateIngress), one set
+// per port, so one call's packets for every port stand side by side.
+//
+//speedlight:hotpath
 func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 	re := id <= p.initiated
 	if !re {

@@ -111,6 +111,37 @@ func TestCoSInitiationsPerClass(t *testing.T) {
 	}
 }
 
+// TestInitiationPacketsOwnedPerPort: InitiateIngress hands out the
+// switch's own packets, NumCoS per port. An initiation on another port
+// leaves a port's packets as they were — what control.Plane.Initiate's
+// all-ports result stands on — and the port's next one rewrites the same
+// storage.
+func TestInitiationPacketsOwnedPerPort(t *testing.T) {
+	s := cosSwitch(t, 3)
+	first := s.InitiateIngress(1, 2, 0)
+	kept := make([]packet.Packet, len(first))
+	for i, pkt := range first {
+		kept[i] = *pkt
+	}
+	for _, q := range []int{0, 1, 3} {
+		s.InitiateIngress(5, q, 0)
+	}
+	for i, pkt := range first {
+		if *pkt != kept[i] {
+			t.Errorf("port 2 class %d after initiations on the other ports: %+v, want %+v", i, *pkt, kept[i])
+		}
+	}
+	again := s.InitiateIngress(2, 2, 0)
+	for i, pkt := range again {
+		if pkt != first[i] {
+			t.Errorf("class %d: the port's second initiation returned other storage", i)
+		}
+		if pkt.Snap.ID != 2 || pkt.CoS != uint8(i) || pkt.Snap.Channel != uint16(2*3+i) {
+			t.Errorf("class %d rewritten as %+v", i, *pkt)
+		}
+	}
+}
+
 // TestCoSClassesAreIndependentFIFOChannels verifies the Section 4.1
 // model: a lower class's in-flight packet interleaving behind a higher
 // class's epoch advance is accounted exactly, per channel.

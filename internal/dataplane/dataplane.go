@@ -173,7 +173,8 @@ type Switch struct {
 	notifDrops uint64
 	notifCap   int
 
-	// inits is the slice InitiateIngress returns, reused by the next call.
+	// inits holds the initiation packets InitiateIngress returns, NumCoS
+	// per port from port*NumCoS: the switch's own, made at New.
 	inits []*packet.Packet
 }
 
@@ -198,6 +199,9 @@ func New(cfg Config) (*Switch, error) {
 	s := &Switch{cfg: cfg, edge: make([]bool, cfg.NumPorts), notifCap: cap, tel: cfg.Telemetry, jr: cfg.Journal}
 	if s.tel == nil {
 		s.tel = nopTelemetry
+	}
+	for range cfg.NumPorts * cfg.NumCoS {
+		s.inits = append(s.inits, new(packet.Packet))
 	}
 	for p := 0; p < cfg.NumPorts; p++ {
 		// An ingress unit's upstream channels are the external
@@ -631,23 +635,27 @@ func (s *Switch) IngressFromCP(pkt *packet.Packet, port int, now sim.Time) {
 // queues as data traffic, or the egress unit could see an initiation
 // ahead of older in-flight packets. One marker per FIFO channel is
 // exactly what the snapshot algorithm requires (Section 4.1's CoS
-// sub-channels are independent FIFO channels). The returned slice is
-// valid until the next call; the packets are fresh and the caller's.
+// sub-channels are independent FIFO channels). The packets and the slice
+// are the switch's, made at New, and valid until the next initiation on
+// this port; one on another port leaves them alone. A caller that keeps
+// a packet past that keeps a Clone.
+//
+//speedlight:hotpath
 func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packet.Packet {
 	s.tel.Initiations.Inc()
-	pkt := InitiationPacket(wireID)
+	n := s.cfg.NumCoS
+	out := s.inits[port*n : (port+1)*n : (port+1)*n]
+	// The last class's packet is the one the ingress unit steps; the
+	// others are copies of it.
+	pkt := out[n-1]
+	*pkt = *InitiationPacket(wireID)
 	psid := s.step(pkt, port, Ingress, s.ingressCPChannel(), notMarker, now)
-	out := s.inits[:0]
-	for cos := 0; cos < s.cfg.NumCoS; cos++ {
-		// The template itself serves as the last copy: with one class of
-		// service the fan-out clones nothing.
-		cp := pkt
-		if cos < s.cfg.NumCoS-1 {
-			cp = pkt.Clone()
+	for cos, cp := range out {
+		if cp != pkt {
+			*cp = *pkt
 		}
 		cp.CoS = uint8(cos)
 		cp.Snap.Channel = s.internalChannel(port, uint8(cos))
-		out = append(out, cp)
 		if s.jr != nil {
 			// One initiation marker per CoS FIFO channel heads for the
 			// egress path — exactly the per-channel marker the snapshot
@@ -655,6 +663,5 @@ func (s *Switch) InitiateIngress(wireID WireID, port int, now sim.Time) []*packe
 			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, psid, cos))
 		}
 	}
-	s.inits = out
 	return out
 }

@@ -1387,7 +1387,9 @@ func (n *Network) initiate(es *EmuSwitch, id packet.SeqID) {
 	inits := es.CP.Initiate(id, es.proc.Now())
 	n.drainNotifs(es)
 	for _, init := range inits {
-		n.enqueue(es, init.Pkt, init.Port)
+		// The packet is the data plane's until its port's next
+		// initiation; the queue keeps a copy.
+		n.enqueue(es, init.Pkt.Clone(), init.Port)
 	}
 }
 

@@ -51,7 +51,7 @@ var mutants = []mutant{
 	{"lockorder", "is still held on this return path", "internal/node/fabric.go", "\tdefer f.mu.Unlock()\n\tf.obs.OnResult(res, now)\n", "\tf.obs.OnResult(res, now)\n", `lock f\.mu`},
 	{"lockorder", "while it is already held", "internal/node/fabric.go", "\tacts := f.obs.CheckTimeouts(now)\n", "\tf.mu.Lock()\n\tacts := f.obs.CheckTimeouts(now)\n", `Lock of f\.mu`},
 	{"lockorder", "channel send while holding", "internal/node/fabric.go", "\tf.subs[id] = sub\n", "\tf.subs[id] = sub\n\tsub <- nil\n", ``},
-	{"lockorder", "channel send while holding", "internal/live/live.go", "\tm.q = append(m.q, ev)\n\tm.mu.Unlock()\n", "\tm.q = append(m.q, ev)\n\tm.wake <- struct{}{}\n\tm.mu.Unlock()\n", ``},
+	{"lockorder", "channel send while holding", "internal/live/live.go", "\tdepth := len(m.q)\n\tm.mu.Unlock()\n", "\tdepth := len(m.q)\n\tm.wake <- struct{}{}\n\tm.mu.Unlock()\n", ``},
 	{"lockorder", "select without default while holding", "internal/node/fabric.go", "\treturn append([]*observer.GlobalSnapshot(nil), f.done...)\n", "\tselect {\n\tcase <-f.subs[0]:\n\t}\n\treturn append([]*observer.GlobalSnapshot(nil), f.done...)\n", ``},
 	{"lockorder", "net %s while holding", "internal/emunet/emunet.go", "\tw, ok := n.syncs[id]\n\tif !ok || w.count == 0 {\n", "\tvar kc net.Conn\n\tkc.Write(nil)\n\tw, ok := n.syncs[id]\n\tif !ok || w.count == 0 {\n", `net Write`},
 	{"lockorder", "time.Sleep while holding", "internal/packet/pool.go", "\t\t\tc.allocated += poolBatch\n", "\t\t\tc.allocated += poolBatch\n\t\t\ttime.Sleep(1)\n", ``},

@@ -71,7 +71,7 @@ func consume(m *mailbox, total int, each func(Event)) <-chan bool {
 // producers, the consumer sees each one's events in the order put.
 func TestMailboxFIFOPerProducer(t *testing.T) {
 	const producers, each = 8, 5000
-	m := newMailbox()
+	m := newMailbox(nil)
 	var next [producers]uint64
 	var disorder atomic.Int64
 	done := consume(m, producers*each, func(ev Event) {
@@ -83,7 +83,7 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		go func(p int) {
 			for seq := uint64(0); seq < each; {
-				if m.put(pkt(p, seq)) > 0 {
+				if m.put([]Event{pkt(p, seq)}) == 0 {
 					seq++
 				} else {
 					runtime.Gosched() // full: the consumer is behind
@@ -105,12 +105,12 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 // edge for 100 k events; it must see them all.
 func TestMailboxNoLostWakeup(t *testing.T) {
 	const total = 100_000
-	m := newMailbox()
+	m := newMailbox(nil)
 	var sum uint64
 	done := consume(m, total, func(ev Event) { sum += uint64(ev.ID) })
 	go func() {
 		for seq := uint64(1); seq <= total; seq++ {
-			for m.put(pkt(0, seq)) == 0 {
+			for m.put([]Event{pkt(0, seq)}) > 0 {
 				runtime.Gosched()
 			}
 			if seq%3 == 0 {
@@ -126,27 +126,20 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestMailboxBound: inboxDepth packets are admitted and no more, control
-// events are admitted on top of a full mailbox, and take returns the lot
-// in order.
+// TestMailboxBound: of a train of inboxDepth+100 packets the first
+// inboxDepth are admitted and the tail refused, control events are
+// admitted on top of a full mailbox, and take returns the lot in order.
 func TestMailboxBound(t *testing.T) {
-	m := newMailbox()
-	admitted := 0
-	for i := 0; i < inboxDepth+100; i++ {
-		if depth := m.put(pkt(0, uint64(i))); depth > 0 {
-			if admitted++; depth != admitted {
-				t.Fatalf("put %d reported depth %d", i, depth)
-			}
-		}
+	m := newMailbox(nil)
+	train := make([]Event, inboxDepth+100)
+	for i := range train {
+		train[i] = pkt(0, uint64(i))
 	}
-	if admitted != inboxDepth {
-		t.Fatalf("admitted %d packets, want inboxDepth = %d", admitted, inboxDepth)
+	if refused := m.put(train); len(m.q) != inboxDepth || refused != 100 {
+		t.Fatalf("train of %d: depth %d, %d refused; want %d, 100", len(train), len(m.q), refused, inboxDepth)
 	}
-	if d := m.put(Event{Kind: EvInitiate, ID: 7}); d != inboxDepth+1 {
-		t.Errorf("initiation at a full mailbox: depth %d, want %d", d, inboxDepth+1)
-	}
-	if d := m.put(Event{Kind: EvPoll}); d != inboxDepth+2 {
-		t.Errorf("poll at a full mailbox: depth %d, want %d", d, inboxDepth+2)
+	if refused := m.put([]Event{{Kind: EvInitiate, ID: 7}, {Kind: EvPoll}}); len(m.q) != inboxDepth+2 || refused != 0 {
+		t.Errorf("initiation and poll at a full mailbox: depth %d, %d refused; want %d, 0", len(m.q), refused, inboxDepth+2)
 	}
 	burst := m.take()
 	if len(burst) != inboxDepth+2 {
@@ -160,33 +153,78 @@ func TestMailboxBound(t *testing.T) {
 	if burst[inboxDepth].Kind != EvInitiate || burst[inboxDepth+1].Kind != EvPoll {
 		t.Error("control events out of order")
 	}
-	if m.put(pkt(0, 0)) != 1 {
+	if refused := m.put(train[:1]); len(m.q) != 1 || refused != 0 {
 		t.Error("no room after take")
 	}
 }
 
-// TestForwardDropsAndCountsAtFullMailbox: the refused packets of a full
-// link buffer are the inbox-drop counter, and the high-water gauge is the
-// bound. The network is built and never started, so nothing drains.
-func TestForwardDropsAndCountsAtFullMailbox(t *testing.T) {
+// uplinked builds the testbed's network, never started, so nothing
+// drains, and returns a leaf, one of its uplinks and the spine behind it.
+func uplinked(t *testing.T, cfg Config) (n *Network, leaf *liveSwitch, uplink int, spine *liveSwitch) {
+	t.Helper()
 	ls := leafSpine(t)
-	n, err := New(Config{Topo: ls.Topology, Registry: telemetry.NewRegistry()})
+	cfg.Topo = ls.Topology
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf := n.sws[ls.Leaves[0]]
-	uplink := ls.UplinkPorts(leaf.spec.ID)[0]
+	leaf = n.sws[ls.Leaves[0]]
+	uplink = ls.UplinkPorts(leaf.spec.ID)[0]
+	return n, leaf, uplink, n.sws[leaf.spec.Ports[uplink].Node]
+}
+
+// TestForwardDropsAndCountsAtFullMailbox: Forward stages, and the one
+// Flush after the burst puts the train; its tail refused by a full link
+// buffer is the inbox-drop counter, and the high-water gauge is the
+// bound.
+func TestForwardDropsAndCountsAtFullMailbox(t *testing.T) {
+	n, leaf, uplink, spine := uplinked(t, Config{Registry: telemetry.NewRegistry()})
 	for i := 0; i < inboxDepth+100; i++ {
-		leaf.Forward(uplink, &packet.Packet{})
+		leaf.Forward(uplink, &packet.Packet{Seq: uint64(i)})
 	}
+	if got := len(spine.inbox.q); got != 0 {
+		t.Fatalf("the spine's mailbox holds %d before Flush, want 0", got)
+	}
+	leaf.Flush()
 	if got := n.tel.inboxDrops.Value(); got != 100 {
 		t.Errorf("inbox drops = %d, want 100", got)
 	}
 	if got := n.tel.inboxHighWater.Value(); got != inboxDepth {
 		t.Errorf("inbox high water = %d, want %d", got, inboxDepth)
 	}
-	if got := len(n.sws[leaf.spec.Ports[uplink].Node].inbox.take()); got != inboxDepth {
-		t.Errorf("the spine's mailbox holds %d, want %d", got, inboxDepth)
+	burst := spine.inbox.take()
+	if len(burst) != inboxDepth || burst[inboxDepth-1].Pkt.Seq != inboxDepth-1 {
+		t.Errorf("the spine's mailbox holds %d, want the train's first %d", len(burst), inboxDepth)
+	}
+	if got := len(leaf.ports[uplink].evs); got != 0 {
+		t.Errorf("%d events still staged after Flush", got)
+	}
+}
+
+// TestTrainTailDroppedBehindControlEvents: a train that lands on a
+// mailbox whose control events already stand above the packet bound
+// loses its packets, and the control events keep their place.
+func TestTrainTailDroppedBehindControlEvents(t *testing.T) {
+	n, leaf, uplink, spine := uplinked(t, Config{Registry: telemetry.NewRegistry()})
+	full := make([]Event, inboxDepth)
+	for i := range full {
+		full[i] = pkt(0, uint64(i))
+	}
+	spine.inbox.put(full)
+	spine.Control(7, false, true)
+	for i := 0; i < 10; i++ {
+		leaf.Forward(uplink, &packet.Packet{})
+	}
+	leaf.Flush()
+	if got := n.tel.inboxDrops.Value(); got != 10 {
+		t.Errorf("inbox drops = %d, want the train's 10", got)
+	}
+	burst := spine.inbox.take()
+	if len(burst) != inboxDepth+2 {
+		t.Fatalf("the spine's mailbox holds %d, want %d", len(burst), inboxDepth+2)
+	}
+	if ev := burst[inboxDepth]; ev.Kind != EvInitiate || ev.ID != 7 || burst[inboxDepth+1].Kind != EvPoll {
+		t.Errorf("the mailbox ends %+v, %+v; want the initiation and the poll", ev, burst[inboxDepth+1])
 	}
 }
 
@@ -346,17 +384,20 @@ func TestRetryAdmittedAtFullMailbox(t *testing.T) {
 	}
 }
 
-// TestMailboxSteadyStateAllocs: once both slices have grown to the
-// burst size, puts and the swapping take allocate nothing.
+// TestMailboxSteadyStateAllocs: once the train and both mailbox slices
+// have grown to the burst size, staging with Forward, the Flush that
+// puts the train and the swapping take allocate nothing.
 //
-//speedlight:allocgate live.mailbox.put live.mailbox.take
+//speedlight:allocgate live.mailbox.put live.mailbox.take live.liveSwitch.Forward live.liveSwitch.Flush
 func TestMailboxSteadyStateAllocs(t *testing.T) {
-	m := newMailbox()
+	_, leaf, uplink, spine := uplinked(t, Config{})
+	p := &packet.Packet{}
 	round := func() {
 		for i := 0; i < 64; i++ {
-			m.put(pkt(0, uint64(i)))
+			leaf.Forward(uplink, p)
 		}
-		if burst := m.take(); len(burst) != 64 {
+		leaf.Flush()
+		if burst := spine.inbox.take(); len(burst) != 64 {
 			t.Fatalf("took %d of 64", len(burst))
 		}
 	}

@@ -226,7 +226,12 @@ func (s *Switch) drain(now sim.Time) {
 // Initiate starts (or re-initiates) snapshot id: each initiation
 // continues through the egress unit of its port, in order with the data
 // traffic the caller serializes, and markers then floods every channel.
-// Which initiations flood is the runtime's liveness policy.
+// Which initiations flood is the runtime's liveness policy. The
+// initiation packets are the data plane's and are consumed in place:
+// Egress drops them, so none reaches Host.Forward. Without markers the
+// step allocates nothing; a flood makes its marker copies.
+//
+//speedlight:hotpath
 func (s *Switch) Initiate(id packet.SeqID, markers bool) {
 	now := s.host.Now()
 	for _, init := range s.CP.Initiate(id, now) {

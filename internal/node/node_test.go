@@ -264,6 +264,30 @@ func TestFloodShape(t *testing.T) {
 	}
 }
 
+// TestInitiateAllocs: an initiation without markers — the control
+// plane's, through every port's ingress and egress unit, and the results
+// it finishes — allocates nothing: the initiation packets are the data
+// plane's own.
+//
+//speedlight:allocgate node.Switch.Initiate control.Plane.Initiate dataplane.Switch.InitiateIngress
+func TestInitiateAllocs(t *testing.T) {
+	sw, h := testSwitch(t, false, nil)
+	h.quiet = true
+	id := packet.SeqID(0)
+	initiate := func() {
+		id++
+		sw.Initiate(id, false)
+	}
+	initiate()
+	if n := testing.AllocsPerRun(500, initiate); n != 0 {
+		t.Fatalf("initiation allocates %v allocs/op, want 0", n)
+	}
+	// AllocsPerRun runs it once more to warm up.
+	if h.fwds != 0 || h.results != 8*502 {
+		t.Errorf("%d forwards and %d results in 502 initiations, want none and 8 per initiation", h.fwds, h.results)
+	}
+}
+
 // TestPacketStepAllocs: the realtime per-packet path — ingress, drain,
 // egress, strip, forward — does not allocate in steady state.
 //

@@ -3,6 +3,7 @@ package node_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +127,104 @@ func TestMarkersNeverReachHosts(t *testing.T) {
 				t.Error("no data packet delivered: the check saw nothing")
 			}
 		})
+	}
+}
+
+// TestTrainKeepsChannelFIFO: a flow injected faster than its leaf drains
+// (a closed loop with a window of packets in the network, so the leaf's
+// input backs up and trains form) arrives complete and in Seq order, on
+// a same-leaf path and across a spine.
+func TestTrainKeepsChannelFIFO(t *testing.T) {
+	for _, wc := range wallClocks {
+		for _, tc := range []struct {
+			name string
+			dst  uint32
+		}{{"same leaf", 1}, {"cross spine", 4}} {
+			t.Run(wc.name+"/"+tc.name, func(t *testing.T) {
+				const total, window = 2000, 128
+				var delivered atomic.Uint64
+				var firstBad atomic.Pointer[string]
+				rt, _ := wc.deploy(t, live.Config{
+					Topo: testbed(t).Topology,
+					OnDeliver: func(p *packet.Packet, _ topology.HostID) { // one flow, one delivering goroutine
+						if want := delivered.Load(); p.Seq != want {
+							msg := fmt.Sprintf("delivery %d carries Seq %d", want, p.Seq)
+							firstBad.CompareAndSwap(nil, &msg)
+						}
+						delivered.Add(1)
+					},
+				})
+				deadline := time.Now().Add(20 * time.Second)
+				for sent := uint64(0); sent < total; {
+					if sent-delivered.Load() >= window {
+						if time.Now().After(deadline) {
+							t.Fatalf("stalled: %d sent, %d delivered", sent, delivered.Load())
+						}
+						time.Sleep(50 * time.Microsecond)
+						continue
+					}
+					if err := rt.Inject(0, &packet.Packet{DstHost: tc.dst, SrcPort: 7, DstPort: 80, Proto: 6, Size: 100, Seq: sent}); err != nil {
+						t.Fatal(err)
+					}
+					sent++
+				}
+				for delivered.Load() < total && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if got := delivered.Load(); got != total {
+					t.Errorf("delivered %d of %d", got, total)
+				}
+				if bad := firstBad.Load(); bad != nil {
+					t.Errorf("FIFO broken: %s", *bad)
+				}
+			})
+		}
+	}
+}
+
+// TestLonePacketIsNotHeld: nothing stays staged while the network is
+// idle. One packet into it is delivered, and one snapshot then
+// completes, with no further traffic and no retry (the retry period is
+// an hour) to push anything along. live floods markers on retries only
+// (TestRetryEvery), so its channel-state snapshot of an idle network
+// waits for one: there the delivery is the check.
+func TestLonePacketIsNotHeld(t *testing.T) {
+	for _, wc := range wallClocks {
+		for _, cs := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cs=%v", wc.name, cs), func(t *testing.T) {
+				delivered := make(chan uint64, 1)
+				rt, _ := wc.deploy(t, live.Config{
+					Topo: testbed(t).Topology, ChannelState: cs, RetryEvery: time.Hour,
+					OnDeliver: func(p *packet.Packet, _ topology.HostID) { delivered <- p.Seq },
+				})
+				if err := rt.Inject(0, &packet.Packet{DstHost: 4, SrcPort: 7, DstPort: 80, Proto: 6, Size: 100, Seq: 77}); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case seq := <-delivered:
+					if seq != 77 {
+						t.Errorf("delivered Seq %d, want 77", seq)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a lone packet was held: not delivered with the network idle")
+				}
+				if cs && wc.name == "live" {
+					return
+				}
+				_, done, err := rt.TakeSnapshot(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case g := <-done:
+					if !g.Consistent || len(g.Results) != 28 || len(g.Excluded) != 0 {
+						t.Errorf("snapshot: consistent=%v results=%d excluded=%v", g.Consistent, len(g.Results), g.Excluded)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a result or marker was held: the snapshot did not complete with the network idle")
+				}
+			})
+		}
 	}
 }
 

@@ -137,103 +137,6 @@ func TestGarbageTailDeliversTheFramesBeforeIt(t *testing.T) {
 	}
 }
 
-// TestTrainKeepsChannelFIFO: a flow injected faster than its leaf drains
-// (a closed loop with a window of packets in the network, so the leaf's
-// socket holds a backlog and trains form) arrives complete and in Seq
-// order, on a same-leaf path and across a spine.
-func TestTrainKeepsChannelFIFO(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		dst  uint32
-	}{{"same leaf", 1}, {"cross spine", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const total, window = 2000, 128
-			var delivered atomic.Uint64
-			var firstBad atomic.Pointer[string]
-			d, err := Deploy(Config{
-				Topo: leafSpine(t).Topology,
-				OnDeliver: func(p *packet.Packet, _ topology.HostID) { // the sink goroutine: one at a time
-					if want := delivered.Load(); p.Seq != want {
-						msg := fmt.Sprintf("delivery %d carries Seq %d", want, p.Seq)
-						firstBad.CompareAndSwap(nil, &msg)
-					}
-					delivered.Add(1)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			deadline := time.Now().Add(20 * time.Second)
-			for sent := uint64(0); sent < total; {
-				if sent-delivered.Load() >= window {
-					if time.Now().After(deadline) {
-						t.Fatalf("stalled: %d sent, %d delivered", sent, delivered.Load())
-					}
-					time.Sleep(50 * time.Microsecond)
-					continue
-				}
-				if err := d.Inject(0, &packet.Packet{DstHost: tc.dst, SrcPort: 7, DstPort: 80, Proto: 6, Size: 100, Seq: sent}); err != nil {
-					t.Fatal(err)
-				}
-				sent++
-			}
-			for delivered.Load() < total && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := delivered.Load(); got != total {
-				t.Errorf("delivered %d of %d", got, total)
-			}
-			if bad := firstBad.Load(); bad != nil {
-				t.Errorf("FIFO broken: %s", *bad)
-			}
-		})
-	}
-}
-
-// TestLonePacketIsNotHeld: nothing stays staged while a socket is
-// empty. One packet into an idle deployment is delivered, and one
-// snapshot then completes, with no further traffic and no retry (the
-// retry period is an hour) to push anything along.
-func TestLonePacketIsNotHeld(t *testing.T) {
-	for _, cs := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cs=%v", cs), func(t *testing.T) {
-			delivered := make(chan uint64, 1)
-			d, err := Deploy(Config{
-				Topo: leafSpine(t).Topology, ChannelState: cs, RetryEvery: time.Hour,
-				OnDeliver: func(p *packet.Packet, _ topology.HostID) { delivered <- p.Seq },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			if err := d.Inject(0, &packet.Packet{DstHost: 4, SrcPort: 7, DstPort: 80, Proto: 6, Size: 100, Seq: 77}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case seq := <-delivered:
-				if seq != 77 {
-					t.Errorf("delivered Seq %d, want 77", seq)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("a lone packet was held: not delivered with the network idle")
-			}
-			_, done, err := d.TakeSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case g := <-done:
-				if !g.Consistent || len(g.Results) != 28 || len(g.Excluded) != 0 {
-					t.Errorf("snapshot: consistent=%v results=%d excluded=%v", g.Consistent, len(g.Results), g.Excluded)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("a result or marker was held: the snapshot did not complete with the network idle")
-			}
-		})
-	}
-}
-
 // TestEpochTracePartitionOnWireJournal: trains move where a burst's
 // journal stamps fall; the journal must still tell one story. Every
 // epoch of a journaled deployment under load rebuilds into a trace whose
