@@ -204,6 +204,32 @@ var (
 // parallel engine needs a positive lower bound on their delivery time.
 const observerLatency = 50 * sim.Microsecond
 
+// resultChunk is a block of results on their way from one switch to the
+// observer domain.
+type resultChunk [64]control.Result
+
+// outbox is a switch's result handoff to the observer domain. The
+// switch's domain writes each result into the next slot of cur, then
+// sends the delivery event that names the slot, so the engine's handoff
+// orders the write before the read; a slot is never rewritten in flight.
+// Every delivery from one switch takes observerLatency, so the observer
+// domain reads the slots in the order they were written, and the read of
+// a chunk's last slot hands the chunk back through spare. A chunk handed
+// back while spare is full is left to the collector.
+type outbox struct {
+	cur   *resultChunk
+	next  int
+	spare atomic.Pointer[resultChunk]
+}
+
+// refill gives the outbox an empty chunk: the one the observer handed
+// back, or a new one.
+func (ob *outbox) refill() {
+	if ob.cur, ob.next = ob.spare.Swap(nil), 0; ob.cur == nil {
+		ob.cur = new(resultChunk)
+	}
+}
+
 // pktFIFO is a head-indexed FIFO: pops advance a cursor instead of
 // re-slicing the front (which strands the backing array's prefix and
 // forces append to keep growing fresh arrays), and the buffer compacts
@@ -334,6 +360,8 @@ type EmuSwitch struct {
 	// balanced against other switches through the network's central
 	// exchange.
 	ppool packet.Pool
+	// out carries the switch's finished results to the observer domain.
+	out outbox
 }
 
 // QueueLen returns the occupancy of an egress queue in packets, summed
@@ -394,12 +422,14 @@ type Network struct {
 	// Cached closure-free callbacks (method values evaluate to a fresh
 	// allocation each time, so they are bound once here). These carry
 	// the hottest per-packet schedules: wire arrival, head-of-line
-	// transmit, host delivery, and the CP notification loop.
+	// transmit, host delivery, the CP notification loop, and result
+	// delivery to the observer.
 	arriveFn        sim.CallFn
 	txFn            sim.CallFn
 	deliverLocalFn  sim.CallFn
 	deliverGlobalFn sim.CallFn
 	cpFn            sim.CallFn
+	resultFn        sim.CallFn
 }
 
 // netTelemetry is the emulation harness's own metric set, covering the
@@ -571,6 +601,7 @@ func New(cfg Config) (*Network, error) {
 	n.deliverLocalFn = n.deliverLocalCall
 	n.deliverGlobalFn = n.deliverGlobalCall
 	n.cpFn = n.cpCall
+	n.resultFn = n.resultCall
 
 	// Stamp the deployment parameters into the journal so offline
 	// audits (doctor) recover them without side-channel configuration.
@@ -720,14 +751,7 @@ func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
 		},
 		Utilized:    n.utilized[spec.ID],
 		CPTelemetry: n.cpTel,
-		OnResult: func(res control.Result) {
-			// The observer lives in its own domain: results cross the
-			// network as switch-to-observer sends and land serialized in
-			// that domain without touching the coordinator.
-			es.proc.Send(n.obsDom, observerLatency, func() {
-				n.obs.OnResult(res, n.obsProc.Now())
-			})
-		},
+		OnResult:    func(res control.Result) { n.toObserver(es, res) },
 	}, nil)
 	if err != nil {
 		return err
@@ -1263,6 +1287,35 @@ func (n *Network) cpProcessOne(es *EmuSwitch) {
 	es.proc.AfterCall(svc, n.cpFn, es, nil, es.gen)
 }
 
+// toObserver is every switch's OnResult: the result takes the next slot
+// of the switch's outbox and crosses to the observer's domain as one
+// closure-free send, landing serialized there without touching the
+// coordinator. A Poll from the global domain sends through the same
+// proc, so its results keep the switch's order.
+//
+//speedlight:hotpath
+func (n *Network) toObserver(es *EmuSwitch, res control.Result) {
+	if es.out.cur == nil || es.out.next == len(es.out.cur) {
+		es.out.refill()
+	}
+	es.out.cur[es.out.next] = res
+	es.proc.SendCall(n.obsDom, observerLatency, n.resultFn, es.out.cur, es, int64(es.out.next))
+	es.out.next++
+}
+
+// resultCall delivers the result in slot i of chunk a to the observer;
+// reading a chunk's last slot hands the chunk back to switch b.
+//
+//speedlight:hotpath
+//speedlight:shard
+func (n *Network) resultCall(a, b any, i int64) {
+	c := a.(*resultChunk)
+	n.obs.OnResult(c[i], n.obsProc.Now())
+	if i == int64(len(c)-1) {
+		b.(*EmuSwitch).out.spare.Store(c)
+	}
+}
+
 // ScheduleSnapshot asks the observer to start a snapshot at the given
 // local-clock deadline on every control plane. Each control plane fires
 // when its own clock reads the deadline — clock error plus scheduling
@@ -1377,6 +1430,7 @@ func (n *Network) ScheduleSnapshotSingle(node topology.NodeID, localDeadline sim
 // Section 6). Runs in es's domain, or in the global domain during
 // recovery (workers parked, so touching es is safe either way).
 //
+//speedlight:hotpath
 //speedlight:shard
 func (n *Network) initiate(es *EmuSwitch, id packet.SeqID) {
 	if es.down {
@@ -1388,8 +1442,9 @@ func (n *Network) initiate(es *EmuSwitch, id packet.SeqID) {
 	n.drainNotifs(es)
 	for _, init := range inits {
 		// The packet is the data plane's until its port's next
-		// initiation; the queue keeps a copy.
-		n.enqueue(es, init.Pkt.Clone(), init.Port)
+		// initiation; the queue keeps a copy from the switch's pool,
+		// which the egress drop (or a queue flush) returns.
+		n.enqueue(es, es.ppool.Clone(init.Pkt), init.Port)
 	}
 }
 

@@ -111,8 +111,11 @@ type Observer struct {
 
 	// The unit table: every unit ever registered gets the next dense
 	// index, which is never reused; active marks the units of currently
-	// registered devices. devices holds each device's indices.
-	index   map[dataplane.UnitID]int32
+	// registered devices. devices holds each device's indices. slot is
+	// the way back from a unit to its index, laid out like the switch's
+	// own unit array: slot[node][2*port+dir] holds the index plus one,
+	// zero where no unit was ever registered.
+	slot    [][]int32
 	units   []dataplane.UnitID
 	active  []bool
 	devices map[topology.NodeID][]int32
@@ -137,7 +140,6 @@ func New(cfg Config) (*Observer, error) {
 	return &Observer{
 		cfg:     cfg,
 		tel:     tel,
-		index:   make(map[dataplane.UnitID]int32),
 		devices: make(map[topology.NodeID][]int32),
 		pend:    make(map[packet.SeqID]*pending),
 	}, nil
@@ -152,12 +154,22 @@ func (o *Observer) Register(node topology.NodeID, units []dataplane.UnitID) {
 	o.Unregister(node)
 	idxs := make([]int32, len(units))
 	for k, u := range units {
-		i, ok := o.index[u]
+		i, ok := o.lookup(u)
 		if !ok {
+			s := 2*u.Port + int(u.Dir)
+			if u.Node < 0 || uint(u.Dir) > 1 || s < 0 {
+				panic(fmt.Sprintf("observer: unit %v has no slot", u))
+			}
 			i = int32(len(o.units))
-			o.index[u] = i
 			o.units = append(o.units, u)
 			o.active = append(o.active, false)
+			if len(o.slot) <= int(u.Node) {
+				o.slot = append(o.slot, make([][]int32, int(u.Node)+1-len(o.slot))...)
+			}
+			if row := o.slot[u.Node]; len(row) <= s {
+				o.slot[u.Node] = append(row, make([]int32, s+1-len(row))...)
+			}
+			o.slot[u.Node][s] = i + 1
 		}
 		o.active[i] = true
 		idxs[k] = i
@@ -166,6 +178,19 @@ func (o *Observer) Register(node topology.NodeID, units []dataplane.UnitID) {
 		}
 	}
 	o.devices[node] = idxs
+}
+
+// lookup returns a unit's dense index: two slice loads, no hashing. A
+// unit outside the table — unknown node, port or direction — has none.
+//
+//speedlight:hotpath
+func (o *Observer) lookup(u dataplane.UnitID) (int32, bool) {
+	if uint(u.Node) < uint(len(o.slot)) && uint(u.Dir) <= 1 {
+		if row, s := o.slot[u.Node], uint(2*u.Port+int(u.Dir)); s < uint(len(row)) {
+			return row[s] - 1, row[s] != 0
+		}
+	}
+	return 0, false
 }
 
 // Unregister removes a device from the active set.
@@ -262,7 +287,7 @@ func (o *Observer) OnResult(res control.Result, now sim.Time) {
 		o.tel.ResultsIgnored.Inc()
 		return
 	}
-	i, ok := o.index[res.Unit]
+	i, ok := o.lookup(res.Unit)
 	if !ok || int(i) >= len(p.want) || !p.want[i] {
 		o.tel.ResultsIgnored.Inc()
 		return // duplicate, spurious, or registered after Begin

@@ -59,6 +59,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsSlotlessUnit: a unit the dense table cannot hold
+// (negative node or port, a direction other than ingress or egress) is
+// a caller bug, refused at Register rather than aliased onto a slot.
+func TestRegisterRejectsSlotlessUnit(t *testing.T) {
+	for _, u := range []dataplane.UnitID{{Node: -1}, {Node: 1, Port: -1}, {Node: 1, Dir: 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register accepted %v", u)
+				}
+			}()
+			o, _ := newObs(t, nil)
+			o.Register(u.Node, []dataplane.UnitID{u})
+		}()
+	}
+}
+
 func TestBasicAssembly(t *testing.T) {
 	o, done := newObs(t, nil)
 	units := unitsOf(1, 2)

@@ -170,16 +170,26 @@ func TestUnitTableMembership(t *testing.T) {
 			h.wantIgnored(1)
 			h.o.OnResult(control.Result{Unit: dataplane.UnitID{Node: 9}, SnapshotID: a, Value: 99}, 0) // unknown unit
 			h.wantIgnored(2)
+			// Outside the slot table, and never aliased onto a slot in it:
+			// no such port, no such direction (Dir 2 of port 0 is not
+			// port 1's ingress), a negative node or port.
+			for _, u := range []dataplane.UnitID{
+				{Node: 1, Port: 2}, {Node: 1, Port: 0, Dir: 2}, {Node: 1, Port: -1, Dir: dataplane.Egress},
+				{Node: -1}, {Node: 0},
+			} {
+				h.o.OnResult(control.Result{Unit: u, SnapshotID: a, Value: 99}, 0)
+			}
+			h.wantIgnored(7)
 			h.o.Register(2, dev2)
 			h.o.OnResult(control.Result{Unit: dev2[0], SnapshotID: a, Value: 99}, 0) // registered after a began
-			h.wantIgnored(3)
+			h.wantIgnored(8)
 			h.feed(a, dev1[1:])
 			h.wantResults(a, dev1)
 			if v, _ := h.snapshot(a).Value(dev1[0]); v != 1 {
 				h.t.Errorf("duplicate overwrote the stored value: %d", v)
 			}
 			h.o.OnResult(control.Result{Unit: dev1[0], SnapshotID: a, Value: 99}, 0) // finalized ID
-			h.wantIgnored(4)
+			h.wantIgnored(9)
 			if got := len(h.snapshot(a).Results); got != len(dev1) {
 				h.t.Errorf("finalized snapshot grew to %d results", got)
 			}
@@ -269,7 +279,7 @@ func TestPooledRecordsDoNotLeakAcrossEpochs(t *testing.T) {
 // TestOnResultAllocs gates the per-result path: storing a result that
 // does not finalize its snapshot allocates nothing.
 //
-//speedlight:allocgate observer.Observer.OnResult
+//speedlight:allocgate observer.Observer.OnResult observer.Observer.lookup
 func TestOnResultAllocs(t *testing.T) {
 	o, _ := newObs(t, func(c *Config) { c.WrapAround = false })
 	units := unitsOf(1, 600)

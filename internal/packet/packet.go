@@ -146,7 +146,8 @@ func (p *Packet) FlowHash() uint64 {
 // Clone returns a copy of the packet. Data plane hops mutate the
 // snapshot header, so emulations that fan a packet out to multiple
 // queues must clone it per copy. A clone is always external (never
-// pool-managed), whatever the original's lifecycle.
+// pool-managed), whatever the original's lifecycle; Pool.Clone is the
+// pooled form.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.pstate = pkExternal

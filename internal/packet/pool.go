@@ -96,6 +96,16 @@ func (p *Pool) Put(pkt *Packet) {
 	}
 }
 
+// Clone returns a pool-owned copy of pkt, whatever pkt's own lifecycle:
+// the copy the caller owns until it is handed off or Put.
+//
+//speedlight:hotpath
+func (p *Pool) Clone(pkt *Packet) *Packet {
+	q := p.Get()
+	*q, q.pstate = *pkt, pkLive
+	return q
+}
+
 // refill is Get's cold path: take a batch from the Central, or allocate
 // one when the exchange is dry. Kept out of the hot path so hotalloc
 // can bless Get.

@@ -76,6 +76,40 @@ func TestPoolCloneIsExternal(t *testing.T) {
 	p.Put(clone)
 }
 
+// TestPoolCloneIsLive: Pool.Clone copies every field of any packet,
+// external or pooled, into a packet the pool owns, and the copy obeys
+// the pool's rules — a Put recycles it, a second Put panics.
+//
+//speedlight:pool-unchecked
+func TestPoolCloneIsLive(t *testing.T) {
+	c := NewCentral()
+	p := c.NewPool()
+	ext := &Packet{SrcHost: 3, DstHost: 4, Size: 64, HasSnap: true,
+		Snap: SnapshotHeader{Type: TypeInitiation, ID: 9, Channel: 2}}
+	cp := p.Clone(ext)
+	if cp == ext || cp.pstate != pkLive {
+		t.Fatalf("Clone of an external packet: same pointer %v, pstate %d; want a live copy", cp == ext, cp.pstate)
+	}
+	got := *cp
+	got.pstate = pkExternal
+	if got != *ext {
+		t.Fatalf("Clone copied %+v, want %+v", got, *ext)
+	}
+	if ext.pstate != pkExternal {
+		t.Fatalf("Clone changed the original's pstate to %d", ext.pstate)
+	}
+	if live := int(c.Allocated()) - c.FreeLen() - p.FreeLen(); live != 1 {
+		t.Fatalf("accounting sees %d live packets after one Clone, want 1", live)
+	}
+	p.Put(cp)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("double Put of a Clone did not panic")
+		}
+	}()
+	p.Put(cp)
+}
+
 func TestPoolSpillAndRefillBalance(t *testing.T) {
 	c := NewCentral()
 	src := c.NewPool()
@@ -115,7 +149,7 @@ func TestPoolSpillAndRefillBalance(t *testing.T) {
 	src.Put(got)
 }
 
-//speedlight:allocgate packet.Pool.Get packet.Pool.Put
+//speedlight:allocgate packet.Pool.Get packet.Pool.Put packet.Pool.Clone
 func TestPoolSteadyStateAllocs(t *testing.T) {
 	c := NewCentral()
 	p := c.NewPool()
@@ -127,10 +161,13 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	for _, pkt := range warm {
 		p.Put(pkt)
 	}
+	orig := &Packet{Size: 64}
 	if n := testing.AllocsPerRun(1000, func() {
 		pkt := p.Get()
 		pkt.Seq++
 		p.Put(pkt)
+		cp := p.Clone(orig)
+		p.Put(cp)
 	}); n != 0 {
 		t.Fatalf("steady-state Get/Put allocates %v per run, want 0", n)
 	}

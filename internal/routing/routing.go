@@ -172,8 +172,13 @@ type Balancer interface {
 // flow never changes paths but large flows can collide.
 type ECMP struct{}
 
-// Pick implements Balancer.
+// Pick implements Balancer. A one-port group (every spine-to-leaf and
+// leaf-to-host hop of a leaf-spine) is its own answer: the hash would
+// pick the same port.
 func (ECMP) Pick(pkt *packet.Packet, ports []int, _ sim.Time) int {
+	if len(ports) == 1 {
+		return ports[0]
+	}
 	return ports[pkt.FlowHash()%uint64(len(ports))]
 }
 

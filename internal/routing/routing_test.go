@@ -104,6 +104,19 @@ func TestECMPSpreadsFlows(t *testing.T) {
 	}
 }
 
+// TestECMPSingleCandidate: a one-port group answers without hashing,
+// and the answer is the port the hash would have picked.
+func TestECMPSingleCandidate(t *testing.T) {
+	var e ECMP
+	for i := 0; i < 100; i++ {
+		p := &packet.Packet{SrcHost: uint32(i), DstHost: 2, SrcPort: uint16(7 * i), DstPort: 80, Proto: 6}
+		ports := []int{i % 5}
+		if got, hashed := e.Pick(p, ports, 0), ports[p.FlowHash()%1]; got != hashed {
+			t.Fatalf("flow %d: Pick = %d, hash picks %d", i, got, hashed)
+		}
+	}
+}
+
 func TestFlowletStickyWithinGap(t *testing.T) {
 	f := NewFlowlet(100*sim.Microsecond, rand.New(rand.NewSource(1)))
 	ports := []int{0, 1, 2, 3}
