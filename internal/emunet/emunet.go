@@ -95,7 +95,11 @@ type Config struct {
 	NotifCapacity int
 
 	// RetryAfter / ExcludeAfter configure the observer's recovery
-	// timers (zero keeps the defaults: 5 ms / 50 ms). Negative disables.
+	// timers, counted from the snapshot's Begin. Zero derives them from
+	// the widest control plane's drain (its 2 × ports units times its
+	// mean service time): RetryAfter = max(5 ms, 2 × drain), ExcludeAfter
+	// = max(50 ms, 2 × RetryAfter), so a retry fires only when something
+	// was lost. Negative disables.
 	RetryAfter   sim.Duration
 	ExcludeAfter sim.Duration
 
@@ -178,11 +182,32 @@ func (c *Config) setDefaults() {
 		c.NotifCapacity = 4096
 	}
 	if c.RetryAfter == 0 {
-		c.RetryAfter = 5 * sim.Millisecond
+		c.RetryAfter = max(5*sim.Millisecond, 2*c.drain())
 	}
 	if c.ExcludeAfter == 0 {
-		c.ExcludeAfter = 50 * sim.Millisecond
+		c.ExcludeAfter = max(50*sim.Millisecond, 2*c.RetryAfter)
 	}
+}
+
+// serviceTime returns a switch's per-notification service time.
+func (c *Config) serviceTime(node topology.NodeID) dist.Dist {
+	if c.CPServiceTimeFor != nil {
+		if d := c.CPServiceTimeFor(node); d != nil {
+			return d
+		}
+	}
+	return c.CPServiceTime
+}
+
+// drain is the widest control plane's expected notification backlog
+// for one loss-free epoch: one notification per unit (two per port),
+// serviced one at a time.
+func (c *Config) drain() sim.Duration {
+	var worst float64
+	for _, sw := range c.Topo.Switches {
+		worst = max(worst, float64(2*len(sw.Ports))*c.serviceTime(sw.ID).Mean())
+	}
+	return sim.Duration(worst)
 }
 
 // Switch-CPU path latencies, sampled per event, in nanoseconds.
@@ -683,12 +708,7 @@ func (n *Network) buildSwitch(spec *topology.Switch) error {
 		q.depth = n.gauges[dataplane.UnitID{Node: node, Port: i, Dir: dataplane.Egress}]
 		es.queues[i] = q
 	}
-	es.cpService = cfg.CPServiceTime
-	if cfg.CPServiceTimeFor != nil {
-		if d := cfg.CPServiceTimeFor(node); d != nil {
-			es.cpService = d
-		}
-	}
+	es.cpService = cfg.serviceTime(node)
 	if n.tel.switchPkts != nil {
 		es.pkts = n.tel.switchPkts.With(fmt.Sprint(node))
 	}

@@ -323,11 +323,19 @@ func (s *Store) Seal(completedAt sim.Time, consistent bool, excluded []topology.
 	}
 	e.nUnits = len(s.units)
 
+	// The successor view is the retained epochs plus e, compacted to the
+	// retention bound: the oldest cut epochs go.
 	old := s.View()
-	// Checkpoint cadence: the first epoch is always a base; afterwards
-	// every CheckpointEvery-th epoch materializes its full cut (prev is
-	// exactly this epoch's state once the deltas above are applied).
-	if len(old.epochs) == 0 || s.sinceBase+1 >= s.cfg.CheckpointEvery {
+	n := len(old.epochs) + 1
+	cut := 0
+	if n > s.cfg.Retention {
+		cut = n - s.cfg.Retention
+	}
+	// Checkpoint cadence: an epoch that heads the view (the first one,
+	// or any under Retention 1) is a base; otherwise every
+	// CheckpointEvery-th epoch materializes its full cut (prev is exactly
+	// this epoch's state once the deltas above are applied).
+	if cut >= len(old.epochs) || s.sinceBase+1 >= s.cfg.CheckpointEvery {
 		// Non-nil even for an empty cut: IsBase tests for nil.
 		e.base = append(make([]Reg, 0, len(s.prev)), s.prev...)
 		s.sinceBase = 0
@@ -336,14 +344,8 @@ func (s *Store) Seal(completedAt sim.Time, consistent bool, excluded []topology.
 		s.sinceBase++
 	}
 
-	// Build the successor view: retained epochs plus e, compacted to
-	// the retention bound, with the surviving head promoted to a base
-	// if compaction cut the chain in front of it.
-	n := len(old.epochs) + 1
-	cut := 0
-	if n > s.cfg.Retention {
-		cut = n - s.cfg.Retention
-	}
+	// The surviving head is promoted to a base if compaction cut the
+	// chain in front of it.
 	epochs := make([]*Epoch, 0, n-cut)
 	if cut > 0 {
 		s.tel.evicted.Add(uint64(cut))

@@ -2,6 +2,7 @@ package snapstore_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"speedlight/internal/control"
@@ -194,6 +195,100 @@ func TestViewDiff(t *testing.T) {
 	}
 	if diffs[1].Unit != u2 || diffs[1].From.Present || diffs[1].To.Value != 7 {
 		t.Fatalf("diff[1] = %+v, want u2 absent->7", diffs[1])
+	}
+	if cap(diffs) != len(diffs) {
+		t.Fatalf("diff allocated cap %d for %d entries, want exactly its size", cap(diffs), len(diffs))
+	}
+
+	seal(s, 3, map[dataplane.UnitID]uint64{u0: 1, u1: 5, u2: 7}) // nothing changed
+	for _, pair := range [][2]packet.SeqID{{2, 3}, {3, 2}, {3, 3}} {
+		diffs, err := s.View().Diff(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs != nil {
+			t.Fatalf("Diff(%d, %d) = %+v, want nil", pair[0], pair[1], diffs)
+		}
+	}
+}
+
+// FuzzViewDiff drives a store through a seal sequence decoded from the
+// input — values, departures, units registering late, checkpoints and
+// retention eviction — and checks that Diff of every retained pair is
+// the register-wise comparison of the two reconstructed cuts: the same
+// entries in dense unit order, allocated at exactly their size, nil
+// when the cuts agree.
+func FuzzViewDiff(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{3, 1, 0, 0, 0, 9, 9, 9, 1, 1, 1, 1, 1, 1, 7, 0, 7, 0, 7, 0})
+	f.Add([]byte{1, 7, 5, 10, 15, 20, 25, 30, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0})
+	// Retention 1 with a checkpoint every second epoch: the second seal
+	// evicts the only base, so the new head must carry its own.
+	f.Add([]byte{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	const nUnits = 6
+	units := make([]dataplane.UnitID, nUnits)
+	for i := range units {
+		units[i] = unit(i/2, i/2, dataplane.Direction(i%2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		s := snapstore.New(snapstore.Config{Retention: 1 + int(data[0]%8), CheckpointEvery: 1 + int(data[1]%8)})
+		data = data[2:]
+		for id := packet.SeqID(1); len(data) >= nUnits && id <= 64; id++ {
+			// A byte per unit: a multiple of five leaves the unit out of
+			// the cut (a departure, or a registration still to come),
+			// anything else records a value from a small range so
+			// unchanged registers are common.
+			cut := map[dataplane.UnitID]uint64{}
+			for i, b := range data[:nUnits] {
+				if b%5 != 0 {
+					cut[units[i]] = uint64(b % 3)
+				}
+			}
+			data = data[nUnits:]
+			seal(s, id, cut)
+
+			v := s.View()
+			for _, ea := range v.Epochs() {
+				for _, eb := range v.Epochs() {
+					checkDiff(t, v, ea.ID, eb.ID)
+				}
+			}
+		}
+	})
+}
+
+// checkDiff compares Diff(a, b) with the register-wise comparison of
+// State(a) and State(b) over the view's unit table.
+func checkDiff(t *testing.T, v *snapstore.View, a, b packet.SeqID) {
+	t.Helper()
+	sa, err := v.State(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := v.State(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []snapstore.RegDiff
+	for _, u := range v.Units() {
+		ra, _ := sa.Value(u)
+		rb, _ := sb.Value(u)
+		if ra != rb {
+			want = append(want, snapstore.RegDiff{Unit: u, From: ra, To: rb})
+		}
+	}
+	got, err := v.Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != cap(got) {
+		t.Fatalf("Diff(%d, %d): len %d, cap %d", a, b, len(got), cap(got))
+	}
+	if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		t.Fatalf("Diff(%d, %d) = %+v, want %+v", a, b, got, want)
 	}
 }
 

@@ -133,9 +133,19 @@ type RegDiff struct {
 	From, To Reg
 }
 
+// reg returns the cut's register at dense index i; an index past the
+// epoch's registration horizon reads absent.
+func (s *State) reg(i int) Reg {
+	if i < len(s.Regs) {
+		return s.Regs[i]
+	}
+	return Reg{}
+}
+
 // Diff reconstructs both cuts and returns the registers that differ,
-// in dense unit order. from and to may be in either order and need not
-// be adjacent.
+// in dense unit order, or nil when none do. from and to may be in
+// either order and need not be adjacent. The result is allocated once,
+// at its final size: the differing registers are counted first.
 func (v *View) Diff(from, to packet.SeqID) ([]RegDiff, error) {
 	a, err := v.State(from)
 	if err != nil {
@@ -145,20 +155,19 @@ func (v *View) Diff(from, to packet.SeqID) ([]RegDiff, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(a.Regs)
-	if len(b.Regs) > n {
-		n = len(b.Regs)
-	}
-	var out []RegDiff
+	n := max(len(a.Regs), len(b.Regs))
+	count := 0
 	for i := 0; i < n; i++ {
-		var ra, rb Reg
-		if i < len(a.Regs) {
-			ra = a.Regs[i]
+		if a.reg(i) != b.reg(i) {
+			count++
 		}
-		if i < len(b.Regs) {
-			rb = b.Regs[i]
-		}
-		if ra != rb {
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]RegDiff, 0, count)
+	for i := 0; i < n; i++ {
+		if ra, rb := a.reg(i), b.reg(i); ra != rb {
 			out = append(out, RegDiff{Unit: v.units[i], From: ra, To: rb})
 		}
 	}
