@@ -22,11 +22,11 @@ func quietNet(t *testing.T, mod func(*Config)) *Network {
 
 // TestResultHandoffAllocs gates a result's trip from a switch to the
 // observer — its outbox slot, the closure-free send, the delivery in the
-// observer's domain and the observer's store — over several chunk
-// hand-backs: a steady stream of non-finalizing results allocates
-// nothing.
+// observer's domain, the Fabric's lock and the observer's store — over
+// several chunk hand-backs: a steady stream of non-finalizing results
+// allocates nothing.
 //
-//speedlight:allocgate emunet.Network.toObserver emunet.Network.resultCall
+//speedlight:allocgate emunet.Network.toObserver emunet.Network.resultCall node.Fabric.Result
 func TestResultHandoffAllocs(t *testing.T) {
 	n := quietNet(t, func(c *Config) {
 		ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
@@ -43,7 +43,7 @@ func TestResultHandoffAllocs(t *testing.T) {
 	if len(units) <= runs+1 {
 		t.Fatalf("%d units: too few for %d non-finalizing results", len(units), runs+1)
 	}
-	id, err := n.Observer().Begin(n.Engine().Now())
+	id, _, err := n.Begin(n.Engine().Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestResultHandoffAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a result's trip to the observer allocates %.1f/op, want 0", allocs)
 	}
-	if n.Observer().Pending() != 1 || len(n.Snapshots()) != 0 {
+	if len(n.Snapshots()) != 0 {
 		t.Fatal("snapshot finalized: the gate measured the wrong path")
 	}
 }

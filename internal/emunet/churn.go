@@ -63,7 +63,7 @@ func (n *Network) SetSwitchDown(node topology.NodeID) error {
 	es.down = true
 	es.gen++
 	es.cpBusy = false
-	n.obs.Unregister(node)
+	n.Remove(node)
 	n.journalChurn(int(node), -1, journal.ChurnSwitchDown)
 	return nil
 }
@@ -85,14 +85,12 @@ func (n *Network) SetSwitchUp(node topology.NodeID) error {
 	if !es.down {
 		return nil
 	}
-	if err := n.provisionPlanes(es, n.topo.Switch(node)); err != nil {
+	if err := n.Reprovision(node); err != nil {
 		return fmt.Errorf("emunet: re-provisioning switch %d: %w", node, err)
 	}
+	es.Switch = n.Fabric.Switch(node)
 	es.down = false
 	es.gen++
-	if !n.cfg.SnapshotDisabled[node] {
-		n.obs.Register(node, es.DP.UnitIDs())
-	}
 	n.journalChurn(int(node), -1, journal.ChurnSwitchUp)
 	return nil
 }
@@ -124,7 +122,7 @@ func (n *Network) setLink(node topology.NodeID, port int, down bool) error {
 	if port < 0 || port >= len(es.linkDown) {
 		return fmt.Errorf("emunet: switch %d has no port %d", node, port)
 	}
-	peer := n.topo.Peer(node, port)
+	peer := n.cfg.Topo.Peer(node, port)
 	if peer.Kind != topology.PeerSwitch {
 		return fmt.Errorf("emunet: port %d of switch %d is not a fabric link", port, node)
 	}
@@ -160,10 +158,7 @@ func (n *Network) PushConfig(node topology.NodeID) error {
 	if es.down {
 		return fmt.Errorf("emunet: switch %d is down", node)
 	}
-	fresh := routing.ComputeFIBsFiltered(n.topo, n.churnFilter())
-	fib := n.fibs[node]
-	fib.NextHops = fresh[node].NextHops
-	fib.Version++
+	n.PushFIB(node, n.churnFilter())
 	n.journalChurn(int(node), -1, journal.ChurnReconfig)
 	return nil
 }
@@ -177,13 +172,7 @@ func (n *Network) PushConfig(node topology.NodeID) error {
 //
 //speedlight:global-only
 func (n *Network) Reroute() {
-	fresh := routing.ComputeFIBsFiltered(n.topo, n.churnFilter())
-	for _, sw := range n.topo.Switches {
-		fib := n.fibs[sw.ID]
-		fib.NextHops = fresh[sw.ID].NextHops
-		fib.Version++
-	}
-	n.utilized = routing.UtilizedPairs(n.topo, n.fibs)
+	n.RouteAround(n.churnFilter())
 	n.journalChurn(journal.ObserverNode, -1, journal.ChurnReroute)
 }
 
@@ -222,25 +211,18 @@ func (n *Network) journalChurn(sw, port int, op uint64) {
 	n.cfg.Journal.Observer().Append(journal.Churn(int64(n.gproc.Now()), sw, port, op))
 }
 
-// PooledInFlight returns the number of pool-owned packets currently
-// live anywhere in the emulation: allocated by any pool of the
-// network's central exchange and not sitting in a free list. Driver
-// context only (it reads every switch's pool).
-func (n *Network) PooledInFlight() int {
-	free := n.central.FreeLen() + n.dpool.FreeLen()
-	for _, sw := range n.topo.Switches {
-		free += n.sws[sw.ID].ppool.FreeLen()
-	}
-	return int(n.central.Allocated()) - free
-}
-
 // LeakCheck verifies pooled-packet leak-freedom: after traffic stops
-// and the network drains, every pooled packet must be back in a free
-// list. A nonzero residue means some teardown or drop path lost a
-// packet. Driver context only, after a quiesced drain — packets still
-// legitimately in flight count as leaks here.
+// and the network drains, every pooled packet — allocated by any pool of
+// the network's central exchange — must be back in a free list. A
+// nonzero residue means some teardown or drop path lost a packet. Driver
+// context only (it reads every switch's pool), after a quiesced drain —
+// packets still legitimately in flight count as leaks here.
 func (n *Network) LeakCheck() error {
-	if live := n.PooledInFlight(); live != 0 {
+	free := n.central.FreeLen() + n.dpool.FreeLen()
+	for _, es := range n.sws {
+		free += es.ppool.FreeLen()
+	}
+	if live := int(n.central.Allocated()) - free; live != 0 {
 		return fmt.Errorf("emunet: %d pooled packet(s) still in flight after drain", live)
 	}
 	return nil

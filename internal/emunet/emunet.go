@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"speedlight/internal/audit"
 	"speedlight/internal/clock"
 	"speedlight/internal/control"
 	"speedlight/internal/core"
@@ -95,11 +94,11 @@ type Config struct {
 	NotifCapacity int
 
 	// RetryAfter / ExcludeAfter configure the observer's recovery
-	// timers, counted from the snapshot's Begin. Zero derives them from
-	// the widest control plane's drain (its 2 × ports units times its
-	// mean service time): RetryAfter = max(5 ms, 2 × drain), ExcludeAfter
-	// = max(50 ms, 2 × RetryAfter), so a retry fires only when something
-	// was lost. Negative disables.
+	// timers, counted from the snapshot's Begin. Zero derives them by
+	// node.RecoveryTimers from the widest control plane's drain (its
+	// 2 × ports units times its mean service time): RetryAfter =
+	// max(5 ms, 2 × drain), ExcludeAfter = max(50 ms, 2 × RetryAfter), so
+	// a retry fires only when something was lost. Negative disables.
 	RetryAfter   sim.Duration
 	ExcludeAfter sim.Duration
 
@@ -145,7 +144,9 @@ type Config struct {
 	Journal *journal.Set
 	// OnAnomaly, when set, fires when a snapshot finalizes inconsistent
 	// or with exclusions — with the flight-recorder tail at that moment
-	// (the last 512 journal events; nil without a Journal).
+	// (the last 512 journal events; nil without a Journal). It runs with
+	// the node.Fabric's lock held, so it must not call back into the
+	// network (Snapshots or ScheduleSnapshot would deadlock).
 	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
 
 	// Snapstore, when set, ingests every completed global snapshot as a
@@ -181,12 +182,7 @@ func (c *Config) setDefaults() {
 	if c.NotifCapacity == 0 {
 		c.NotifCapacity = 4096
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = max(5*sim.Millisecond, 2*c.drain())
-	}
-	if c.ExcludeAfter == 0 {
-		c.ExcludeAfter = max(50*sim.Millisecond, 2*c.RetryAfter)
-	}
+	c.RetryAfter, c.ExcludeAfter = node.RecoveryTimers(c.RetryAfter, c.ExcludeAfter, c.drain())
 }
 
 // serviceTime returns a switch's per-notification service time.
@@ -401,8 +397,14 @@ type syncWindow struct {
 	count    int
 }
 
-// Network is the emulated Speedlight deployment.
+// Network is the emulated Speedlight deployment: a node.Fabric — routes,
+// switches, the observer and its recovery timers — whose switches run on
+// the engine's domains behind modelled queues, wires and control planes.
+// The Fabric brings Journal, Audit, Snapshots, CompletedEpochs and Begin;
+// its Result runs in the observer's domain, its Retries in the global
+// one, so its mutex is never contended.
 type Network struct {
+	*node.Fabric
 	cfg Config
 	eng sim.Sim
 	// gproc is the global domain's scheduling handle.
@@ -410,17 +412,10 @@ type Network struct {
 	// obsDom/obsProc address the observer's domain: snapshot results,
 	// snapstore ingest, invariant evaluation, and epoch-trace stamping
 	// all execute there, off the coordinator's critical path.
-	obsDom   int
-	obsProc  sim.Proc
-	topo     *topology.Topology
-	fibs     map[topology.NodeID]*routing.FIB
-	utilized map[topology.NodeID]map[[2]int]bool
+	obsDom  int
+	obsProc sim.Proc
 	// sws holds every switch by NodeID (topology order).
-	sws  []*EmuSwitch
-	obs  *observer.Observer
-	done []*observer.GlobalSnapshot
-	// sink takes every assembled snapshot, in the observer's domain.
-	sink node.Sink
+	sws []*EmuSwitch
 	// syncMu guards syncs: notifications record windows from concurrent
 	// shard workers.
 	syncMu sync.Mutex
@@ -433,10 +428,8 @@ type Network struct {
 	// switch, and transmissions onto a drained link (atomic, as
 	// wireDrops).
 	churnDrops atomic.Uint64
-	// Telemetry handles; all nil (no-op) when cfg.Registry is nil.
-	dpTel *dataplane.Telemetry
-	cpTel *control.Telemetry
-	tel   netTelemetry
+	// tel's handles are all nil (no-op) when cfg.Registry is nil.
+	tel netTelemetry
 
 	// Packet pooling: central is the exchange behind every switch's
 	// free list; dpool is the driver/global-context pool (NewPacket,
@@ -594,30 +587,16 @@ func New(cfg Config) (*Network, error) {
 		p.EnableBarrierMetrics(cfg.Registry, telemetry.NowNs)
 	}
 
-	fibs, err := routing.ComputeFIBs(cfg.Topo)
-	if err != nil {
-		return nil, err
-	}
-
 	n := &Network{
-		cfg:      cfg,
-		eng:      eng,
-		gproc:    eng.Proc(sim.GlobalDomain),
-		obsDom:   observerDomain(cfg.Topo),
-		topo:     cfg.Topo,
-		fibs:     fibs,
-		utilized: routing.UtilizedPairs(cfg.Topo, fibs),
-		sws:      make([]*EmuSwitch, len(cfg.Topo.Switches)),
-		syncs:    make(map[packet.SeqID]*syncWindow),
-		gauges:   make(map[dataplane.UnitID]*counters.Gauge),
-		dpTel:    dataplane.NewTelemetry(cfg.Registry),
-		cpTel:    control.NewTelemetry(cfg.Registry),
-		tel:      newNetTelemetry(cfg.Registry),
-		central:  packet.NewCentral(),
-		sink: node.Sink{
-			Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
-			Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
-		},
+		cfg:     cfg,
+		eng:     eng,
+		gproc:   eng.Proc(sim.GlobalDomain),
+		obsDom:  observerDomain(cfg.Topo),
+		sws:     make([]*EmuSwitch, len(cfg.Topo.Switches)),
+		syncs:   make(map[packet.SeqID]*syncWindow),
+		gauges:  make(map[dataplane.UnitID]*counters.Gauge),
+		tel:     newNetTelemetry(cfg.Registry),
+		central: packet.NewCentral(),
 	}
 	n.obsProc = eng.Proc(n.obsDom)
 	n.dpool = n.central.NewPool()
@@ -628,156 +607,110 @@ func New(cfg Config) (*Network, error) {
 	n.cpFn = n.cpCall
 	n.resultFn = n.resultCall
 
-	// Stamp the deployment parameters into the journal so offline
-	// audits (doctor) recover them without side-channel configuration.
-	if cfg.Journal != nil {
-		cfg.Journal.Observer().Append(journal.Config(uint64(cfg.MaxID), cfg.WrapAround, cfg.ChannelState))
+	var metrics dataplane.MetricFactory
+	if cfg.Metrics != nil {
+		metrics = func(id dataplane.UnitID) core.Metric { return cfg.Metrics(n, id) }
 	}
-
-	obs, err := observer.New(observer.Config{
-		MaxID:        cfg.MaxID,
-		WrapAround:   cfg.WrapAround,
-		RetryAfter:   nonNeg(cfg.RetryAfter),
-		ExcludeAfter: nonNeg(cfg.ExcludeAfter),
-		Telemetry:    observer.NewTelemetry(cfg.Registry),
-		Journal:      cfg.Journal.Observer(),
-		OnComplete: func(g *observer.GlobalSnapshot) {
-			n.done = append(n.done, g)
-			sync, ok := n.SyncSpread(g.ID)
-			if ok {
-				n.tel.syncSpreadUS.Observe(sync.Micros())
-			}
-			n.sink.Complete(g, sync)
-		},
+	// Every assembled snapshot completes into the sink in the observer's
+	// domain.
+	n.Fabric, err = node.NewFabric(node.FabricConfig{
+		Topo: cfg.Topo, Registry: cfg.Registry, RetryAfter: cfg.RetryAfter, ExcludeAfter: cfg.ExcludeAfter,
+		Sink: &node.Sink{Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly, Snapstore: cfg.Snapstore, Invariants: cfg.Invariants},
+		DP: dataplane.Config{MaxID: cfg.MaxID, WrapAround: cfg.WrapAround, ChannelState: cfg.ChannelState,
+			NumCoS: cfg.NumCoS, Metrics: metrics, NotifCapacity: cfg.NotifCapacity},
+		Spread: n.spread,
+		Attach: n.attach,
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.obs = obs
 
-	for _, swSpec := range cfg.Topo.Switches {
-		if err := n.buildSwitch(swSpec); err != nil {
-			return nil, err
-		}
-	}
-
-	// Register snapshot-enabled switches with the observer and start
-	// their clock discipline tickers, in topology order for
+	// Start the clock discipline tickers, in topology order for
 	// deterministic event sequencing. Each clock ticks in its own
 	// switch's domain: the clock is switch state.
-	for _, swSpec := range cfg.Topo.Switches {
-		es := n.sws[swSpec.ID]
-		if !cfg.SnapshotDisabled[swSpec.ID] {
-			n.obs.Register(swSpec.ID, es.DP.UnitIDs())
-		}
-		es.proc.NewTicker(sim.Duration(es.Clock.SyncInterval()), func() {
-			es.Clock.Sync(es.proc.Now())
-		})
+	for id, es := range n.sws {
+		es.Switch = n.Fabric.Switch(topology.NodeID(id))
+		es.proc.NewTicker(sim.Duration(es.Clock.SyncInterval()), func() { es.Clock.Sync(es.proc.Now()) })
 	}
 
-	// Observer recovery ticker: global-domain, so it may touch any
+	// Observer recovery ticker: global-domain, so relay may touch any
 	// switch's state (workers are parked while it runs).
 	if cfg.RetryAfter > 0 || cfg.ExcludeAfter > 0 {
-		n.gproc.NewTicker(sim.Millisecond, func() { n.handleTimeouts() })
+		relay := n.relay
+		n.gproc.NewTicker(sim.Millisecond, func() { n.Retries(n.gproc.Now(), relay) })
 	}
-
 	return n, nil
 }
 
-func nonNeg(d sim.Duration) sim.Duration {
-	if d < 0 {
-		return 0
+// attach is the Fabric's Attach, run before each build of a switch's
+// planes. The first build makes the EmuSwitch — registered and queued
+// before its planes exist, since metric factories ask for the switch's
+// Proc and its queues' depth gauges — and every build, a reboot's too,
+// draws the switch's balancer and fills its per-switch data-plane
+// fields. The engine's RNG draws (the switch's own, the balancer's, the
+// clock's, in that order) land in the global total order: initial
+// construction runs in the driver, SetSwitchUp in a global-domain event.
+func (n *Network) attach(spec *topology.Switch, dp *dataplane.Config) (node.Host, func(control.Result), error) {
+	cfg := &n.cfg
+	es := n.sws[spec.ID]
+	if es == nil {
+		es = n.newSwitch(spec)
 	}
-	return d
+	if cfg.NewBalancer != nil {
+		dp.Balancer = cfg.NewBalancer(spec.ID, n.eng.NewRand())
+	}
+	if es.Clock == nil { // the first build's
+		es.Clock = clock.New(cfg.Clock, n.eng.NewRand())
+	}
+	dp.SnapshotDisabled = cfg.SnapshotDisabled[spec.ID]
+	// Record synchronization windows at export time, while the unit's
+	// unwrapped state still matches the notification. Only
+	// progress-relevant notifications count: snapshot ID advances, and
+	// last-seen advances on channels that gate completion (structurally
+	// idle channels only ever advance via recovery markers, long after
+	// the snapshot instant).
+	dp.OnNotify = func(notif dataplane.CPUNotification) {
+		unit := es.DP.Unit(notif.Unit)
+		if notif.SIDChanged() {
+			n.recordSync(unit.CurrentSID(), notif.Exported)
+		} else if notif.LastSeenChanged() && es.CP.Gates(notif.Unit, notif.Channel) {
+			n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported)
+		}
+	}
+	// The switch drives its halves of the step itself: no Host.
+	return nil, func(res control.Result) { n.toObserver(es, res) }, nil
 }
 
-func (n *Network) buildSwitch(spec *topology.Switch) error {
-	cfg := n.cfg
-	node := spec.ID
-	es := &EmuSwitch{Node: node, dom: switchDomain(node), rng: n.eng.NewRand()}
+// newSwitch makes and registers the EmuSwitch around spec's planes.
+func (n *Network) newSwitch(spec *topology.Switch) *EmuSwitch {
+	cfg, id := &n.cfg, spec.ID
+	es := &EmuSwitch{Node: id, dom: switchDomain(id), rng: n.eng.NewRand()}
 	es.proc = n.eng.Proc(es.dom)
-	// Registered and queued before the planes are provisioned: metric
-	// factories ask for the switch's Proc and its queues' depth gauges.
-	n.sws[node] = es
+	n.sws[id] = es
 	es.queues = make([]*portQueue, len(spec.Ports))
 	for i, peer := range spec.Ports {
 		q := &portQueue{perCoS: make([]pktFIFO, cfg.NumCoS), rate: cfg.LinkRateBps}
 		if peer.RateBps > 0 {
 			q.rate = peer.RateBps
 		}
-		q.depth = n.gauges[dataplane.UnitID{Node: node, Port: i, Dir: dataplane.Egress}]
+		q.depth = n.gauges[dataplane.UnitID{Node: id, Port: i, Dir: dataplane.Egress}]
 		es.queues[i] = q
 	}
-	es.cpService = cfg.serviceTime(node)
-	if n.tel.switchPkts != nil {
-		es.pkts = n.tel.switchPkts.With(fmt.Sprint(node))
-	}
-
-	if err := n.provisionPlanes(es, spec); err != nil {
-		return err
-	}
-	es.Clock = clock.New(cfg.Clock, n.eng.NewRand())
+	es.cpService = cfg.serviceTime(id)
+	es.pkts = n.tel.switchPkts.With(fmt.Sprint(id))
 	es.linkDown = make([]bool, len(spec.Ports))
 	es.ppool = n.central.NewPool()
-	return nil
+	return es
 }
 
-// provisionPlanes builds (or rebuilds) a switch's data and control
-// planes: dataplane registers start zeroed, the forwarding config is
-// pushed from the network's current FIBs, and completion gating is
-// derived from the current utilized-pair map. Initial construction
-// calls it from the driver; SetSwitchUp calls it from a global-domain
-// event to model a reboot re-provisioning the device — in both
-// contexts the engine's deterministic RNG draws land in the global
-// total order, preserving serial-vs-sharded equivalence.
-func (n *Network) provisionPlanes(es *EmuSwitch, spec *topology.Switch) error {
-	cfg := n.cfg
-	var balancer routing.Balancer
-	if cfg.NewBalancer != nil {
-		balancer = cfg.NewBalancer(spec.ID, n.eng.NewRand())
+// spread is the Fabric's Spread: a snapshot's SyncSpread, recorded in
+// the sync-spread histogram when it has one.
+func (n *Network) spread(id packet.SeqID) sim.Duration {
+	sync, ok := n.SyncSpread(id)
+	if ok {
+		n.tel.syncSpreadUS.Observe(sync.Micros())
 	}
-	var metrics dataplane.MetricFactory
-	if cfg.Metrics != nil {
-		metrics = func(id dataplane.UnitID) core.Metric { return cfg.Metrics(n, id) }
-	}
-	sw, err := node.New(node.Config{
-		Spec: spec,
-		DP: dataplane.Config{
-			MaxID:         cfg.MaxID,
-			WrapAround:    cfg.WrapAround,
-			ChannelState:  cfg.ChannelState,
-			NumCoS:        cfg.NumCoS,
-			Metrics:       metrics,
-			NotifCapacity: cfg.NotifCapacity,
-			// Record synchronization windows at export time, while the
-			// unit's unwrapped state still matches the notification. Only
-			// progress-relevant notifications count: snapshot ID advances,
-			// and last-seen advances on channels that gate completion
-			// (structurally idle channels only ever advance via recovery
-			// markers, long after the snapshot instant).
-			OnNotify: func(notif dataplane.CPUNotification) {
-				unit := es.DP.Unit(notif.Unit)
-				if notif.SIDChanged() {
-					n.recordSync(unit.CurrentSID(), notif.Exported)
-				} else if notif.LastSeenChanged() && es.CP.Gates(notif.Unit, notif.Channel) {
-					n.recordSync(unit.LastSeenUnwrapped(notif.Channel), notif.Exported)
-				}
-			},
-			FIB:              n.fibs[spec.ID],
-			Balancer:         balancer,
-			SnapshotDisabled: cfg.SnapshotDisabled[spec.ID],
-			Telemetry:        n.dpTel,
-			Journal:          cfg.Journal.For(int(spec.ID)),
-		},
-		Utilized:    n.utilized[spec.ID],
-		CPTelemetry: n.cpTel,
-		OnResult:    func(res control.Result) { n.toObserver(es, res) },
-	}, nil)
-	if err != nil {
-		return err
-	}
-	es.Switch = sw
-	return nil
+	return sync
 }
 
 // Engine exposes the simulation engine for workload drivers and tests.
@@ -802,7 +735,7 @@ func (n *Network) Proc(node topology.NodeID) sim.Proc {
 // off — the domain an independent per-host traffic source should run
 // in (see InjectFrom).
 func (n *Network) HostProc(host topology.HostID) sim.Proc {
-	h := n.topo.Host(host)
+	h := n.cfg.Topo.Host(host)
 	if h == nil {
 		panic(fmt.Sprintf("emunet: unknown host %d", host))
 	}
@@ -810,12 +743,12 @@ func (n *Network) HostProc(host topology.HostID) sim.Proc {
 }
 
 // Topo returns the network topology.
-func (n *Network) Topo() *topology.Topology { return n.topo }
+func (n *Network) Topo() *topology.Topology { return n.cfg.Topo }
 
 // Switch returns one emulated switch, or nil for an unknown node. sws
 // parallels topo.Switches, so the topology's lookup is the bounds check.
 func (n *Network) Switch(node topology.NodeID) *EmuSwitch {
-	if n.topo.Switch(node) == nil {
+	if n.cfg.Topo.Switch(node) == nil {
 		return nil
 	}
 	return n.sws[node]
@@ -859,7 +792,7 @@ func EWMAMetrics(net *Network, id dataplane.UnitID) core.Metric {
 // the sweep of a polling framework that reads every counter.
 func (n *Network) Units() []dataplane.UnitID {
 	var out []dataplane.UnitID
-	for _, sw := range n.topo.Switches {
+	for _, sw := range n.cfg.Topo.Switches {
 		out = append(out, n.sws[sw.ID].DP.UnitIDs()...)
 	}
 	return out
@@ -877,18 +810,6 @@ func UplinkUnits(ls *topology.LeafSpine) [][]dataplane.UnitID {
 	}
 	return groups
 }
-
-// Snapshots returns the global snapshots completed so far.
-func (n *Network) Snapshots() []*observer.GlobalSnapshot { return n.done }
-
-// CompletedEpochs returns how many global snapshots the observer has
-// assembled. Safe from any goroutine; with Snapstore.Sealed it yields
-// the store's ingestion lag for readiness probes.
-func (n *Network) CompletedEpochs() uint64 { return n.sink.CompletedEpochs() }
-
-// Journal returns the flight-recorder set the network was built with,
-// or nil when journaling is disabled.
-func (n *Network) Journal() *journal.Set { return n.cfg.Journal }
 
 // EpochTraces reconstructs per-epoch causal traces (wavefront, span
 // tree, critical path) from the journal. Nil when journaling is
@@ -930,15 +851,6 @@ func (n *Network) BlockedProfile() []epochtrace.ShardBlocking {
 	}
 	return out
 }
-
-// Audit replays the journal and verifies every snapshot's consistency
-// invariants. Nil when journaling is disabled.
-func (n *Network) Audit() *audit.Report {
-	return audit.Replay(n.cfg.Journal, n.cfg.MaxID, n.cfg.WrapAround, n.cfg.ChannelState)
-}
-
-// Observer exposes the snapshot observer.
-func (n *Network) Observer() *observer.Observer { return n.obs }
 
 // Registry returns the telemetry registry the network was built with,
 // or nil when telemetry is disabled.
@@ -1024,7 +936,7 @@ func (n *Network) InjectFromHost(host topology.HostID, pkt *packet.Packet) {
 //
 //speedlight:pool-transfer pkt
 func (n *Network) InjectFrom(p sim.Proc, host topology.HostID, pkt *packet.Packet) {
-	h := n.topo.Host(host)
+	h := n.cfg.Topo.Host(host)
 	if h == nil {
 		panic(fmt.Sprintf("emunet: unknown host %d", host))
 	}
@@ -1050,7 +962,7 @@ func (n *Network) NewPacket() *packet.Packet { return n.dpool.Get() }
 // the host's own switch domain (InjectFrom with HostProc): the packet
 // comes from that switch's pool, which the calling context owns.
 func (n *Network) NewPacketFor(host topology.HostID) *packet.Packet {
-	h := n.topo.Host(host)
+	h := n.cfg.Topo.Host(host)
 	if h == nil {
 		panic(fmt.Sprintf("emunet: unknown host %d", host))
 	}
@@ -1193,7 +1105,7 @@ func (n *Network) transmit(es *EmuSwitch, pkt *packet.Packet, port int) {
 		es.ppool.Put(pkt)
 		return
 	}
-	peer := n.topo.Peer(es.Node, port)
+	peer := n.cfg.Topo.Peer(es.Node, port)
 	switch peer.Kind {
 	case topology.PeerSwitch:
 		// Markers ride the wire like data, subject to the same injected
@@ -1330,7 +1242,7 @@ func (n *Network) toObserver(es *EmuSwitch, res control.Result) {
 //speedlight:shard
 func (n *Network) resultCall(a, b any, i int64) {
 	c := a.(*resultChunk)
-	n.obs.OnResult(c[i], n.obsProc.Now())
+	n.Result(c[i], n.obsProc.Now())
 	if i == int64(len(c)-1) {
 		b.(*EmuSwitch).out.spare.Store(c)
 	}
@@ -1341,21 +1253,17 @@ func (n *Network) resultCall(a, b any, i int64) {
 // when its own clock reads the deadline — clock error plus scheduling
 // jitter is exactly what the synchronization experiments measure.
 func (n *Network) ScheduleSnapshot(localDeadline sim.Time) (packet.SeqID, error) {
-	id, err := n.obs.Begin(n.eng.Now())
+	id, _, err := n.Begin(n.eng.Now())
 	if err != nil {
 		return 0, err
 	}
-	for _, swSpec := range n.topo.Switches {
-		if n.cfg.SnapshotDisabled[swSpec.ID] {
-			continue
+	for _, es := range n.sws {
+		// A switch out of the fabric is out of the observer's snapshot
+		// set too, so the snapshot neither initiates there nor waits for
+		// it.
+		if !n.cfg.SnapshotDisabled[es.Node] && !es.down {
+			n.initiateAt(es, id, localDeadline)
 		}
-		es := n.sws[swSpec.ID]
-		if es.down {
-			// Out of the fabric: unregistered from the observer, so the
-			// snapshot neither initiates here nor waits for it.
-			continue
-		}
-		n.initiateAt(es, id, localDeadline)
 	}
 	return id, nil
 }
@@ -1387,8 +1295,9 @@ func (n *Network) SnapshotSeries(count int, gap, drain sim.Duration, fire func(n
 // Completed returns the snapshots among ids that have completed, in
 // the order of ids.
 func (n *Network) Completed(ids []packet.SeqID) []*observer.GlobalSnapshot {
-	byID := make(map[packet.SeqID]*observer.GlobalSnapshot, len(n.done))
-	for _, g := range n.done {
+	done := n.Snapshots()
+	byID := make(map[packet.SeqID]*observer.GlobalSnapshot, len(done))
+	for _, g := range done {
 		byID[g.ID] = g
 	}
 	out := make([]*observer.GlobalSnapshot, 0, len(ids))
@@ -1432,7 +1341,7 @@ func (n *Network) initiateAt(es *EmuSwitch, id packet.SeqID, localDeadline sim.T
 // propagation time of the epoch through the network — the comparison
 // that motivates the paper's multi-initiator design.
 func (n *Network) ScheduleSnapshotSingle(node topology.NodeID, localDeadline sim.Time) (packet.SeqID, error) {
-	id, err := n.obs.Begin(n.eng.Now())
+	id, _, err := n.Begin(n.eng.Now())
 	if err != nil {
 		return 0, err
 	}
@@ -1468,42 +1377,31 @@ func (n *Network) initiate(es *EmuSwitch, id packet.SeqID) {
 	}
 }
 
-// handleTimeouts drives the observer's retry/exclusion logic and relays
-// recovery actions: re-initiation, a register poll to recover dropped
+// relay is the recovery relay the global-domain ticker hands
+// Fabric.Retries: re-initiation, a register poll to recover dropped
 // notifications, and (in the channel-state variant) a marker broadcast
-// to force ID propagation on idle channels.
+// to force ID propagation on idle channels. A down switch is
+// unreachable; the exclusion timer keeps running and will cut it out.
 //
 //speedlight:global-only
-func (n *Network) handleTimeouts() {
-	now := n.gproc.Now()
-	for _, act := range n.obs.CheckTimeouts(now) {
-		for _, node := range act.Retry {
-			es := n.sws[node]
-			if es.down {
-				// Unreachable for re-initiation; the exclusion timer
-				// keeps running and will eventually cut it out.
-				continue
-			}
-			n.initiate(es, act.SnapshotID)
-			es.CP.Poll(now)
-			if n.cfg.ChannelState {
-				n.injectMarkers(es)
-			}
-		}
+func (n *Network) relay(dev topology.NodeID, id packet.SeqID) {
+	es := n.sws[dev]
+	if es.down {
+		return
+	}
+	n.initiate(es, id)
+	es.CP.Poll(n.gproc.Now())
+	if n.cfg.ChannelState {
+		node.FloodMarkers(es.DP, es.proc.Now(), markerSink{n, es})
 	}
 }
 
-// injectMarkers runs the Section 6 marker flood through the real egress
-// queues: the FIFO queues guarantee any genuinely in-flight packets are
-// seen first, so the marker's ID advance is truthful on every internal
-// channel. Each egress copy then crosses one wire hop, refreshing the
-// neighbors' external channels.
-func (n *Network) injectMarkers(es *EmuSwitch) {
-	node.FloodMarkers(es.DP, es.proc.Now(), markerSink{n, es})
-}
-
-// markerSink feeds a flood into one switch's notification path and
-// egress queues.
+// markerSink feeds the Section 6 marker flood into one switch's
+// notification path and its real egress queues: the FIFO queues
+// guarantee any genuinely in-flight packets are seen first, so the
+// marker's ID advance is truthful on every internal channel. Each egress
+// copy then crosses one wire hop, refreshing the neighbors' external
+// channels.
 type markerSink struct {
 	n  *Network
 	es *EmuSwitch

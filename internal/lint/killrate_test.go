@@ -67,7 +67,7 @@ var mutants = []mutant{
 
 	{"shardsafe", "writes package-level", "internal/emunet/emunet.go", "\tout, ok := es.Ingress(pkt, port, es.proc.Now())\n", "\tinitiationLatency = cpNotifLatency\n\tout, ok := es.Ingress(pkt, port, es.proc.Now())\n", `Network\.arrive writes package-level initiationLatency \(reachable from //speedlight:shard entry Network\.arriveCall\)`},
 	{"shardsafe", "writes package-level", "internal/emunet/emunet.go", "\tok := es.Egress(pkt, port, es.proc.Now())\n", "\tinitiationLatency.Mu++\n\tok := es.Egress(pkt, port, es.proc.Now())\n", `Network\.transmit writes`},
-	{"shardsafe", "calls //speedlight:global-only", "internal/emunet/emunet.go", "\tn.tel.delivered.Inc()\n\ta.(*EmuSwitch)", "\tn.tel.delivered.Inc()\n\tn.handleTimeouts()\n\ta.(*EmuSwitch)", `Network\.handleTimeouts \(//speedlight:shard entry point\)`},
+	{"shardsafe", "calls //speedlight:global-only", "internal/emunet/emunet.go", "\tn.tel.delivered.Inc()\n\ta.(*EmuSwitch)", "\tn.tel.delivered.Inc()\n\tn.relay(0, 0)\n\ta.(*EmuSwitch)", `Network\.relay \(//speedlight:shard entry point\)`},
 	{"shardsafe", "calls sim engine API", "internal/emunet/emunet.go", "\tes.CP.HandleNotification(notif, es.proc.Now())\n", "\tes.CP.HandleNotification(notif, n.eng.Now())\n", `API Now`},
 	{"shardsafe", "touches Parallel.%s directly", "internal/sim/parallel.go", "\t\t\treturn\n\t\t}\n\t\tsh.q.push(ev)\n", "\t\t\treturn\n\t\t}\n\t\tp.shards[0].q.push(ev)\n", `drainRing touches Parallel\.shards`},
 

@@ -7,12 +7,13 @@
 //
 // It is also the one wall-clock host loop (Runtime): a node.Fabric — the
 // routes, completion gates, one node.Switch per topology node, the
-// snapshot collector and the recovery relay — plus a Device per switch
-// that moves its bytes, driven by one goroutine loop per switch, one
-// retry loop, one TakeSnapshot and one clock. Package wire is a Runtime
-// over UDP sockets; Network is one over mailboxes, and what is written
-// for it here is what a goroutine transport adds: the mailboxes and the
-// trains into them, the observer goroutine and Inject's back-pressure.
+// observer with its retry and exclusion timers, and the recovery relay —
+// plus a Device per switch that moves its bytes, driven by one goroutine
+// loop per switch, one retry loop, one TakeSnapshot and one clock.
+// Package wire is a Runtime over UDP sockets; Network is one over
+// mailboxes, and what is written for it here is what a goroutine
+// transport adds: the mailboxes and the trains into them, the observer
+// goroutine and Inject's back-pressure.
 //
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
@@ -63,8 +64,11 @@ type Config struct {
 	// goroutines; must be safe for concurrent use.
 	OnDeliver func(pkt *packet.Packet, host topology.HostID)
 
-	// RetryEvery re-initiates incomplete snapshots (liveness). Default
-	// 20ms; negative disables.
+	// RetryEvery is the recovery period: a snapshot incomplete for it is
+	// re-initiated once where units are missing, and one incomplete for
+	// max(50 ms, 2 × RetryEvery) — 50 ms by default — finalizes with the
+	// silent switches excluded, checked every RetryEvery. Default 20 ms;
+	// negative disables both.
 	RetryEvery time.Duration
 
 	// Registry, when set, enables telemetry across every layer of the
@@ -166,18 +170,17 @@ func NewRuntime(cfg Config, attach func(*topology.Switch, *Clock) (Device, func(
 		Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
 	}}
 	var err error
-	// A negative RetryEvery asks the observer for no retries: zero never does.
-	r.Fabric, err = node.NewFabric(cfg.Topo, dataplane.Config{
-		MaxID:        cfg.MaxID,
-		WrapAround:   cfg.WrapAround,
-		ChannelState: cfg.ChannelState,
-		Metrics:      cfg.Metrics,
-	}, sim.Duration(max(0, cfg.RetryEvery).Nanoseconds()), &r.sink, cfg.Registry,
-		func(spec *topology.Switch) (node.Host, func(control.Result), error) {
+	// The retry period is the observer's RetryAfter (a negative one asks
+	// for no retries), and its exclusion takes RecoveryTimers' default.
+	r.Fabric, err = node.NewFabric(node.FabricConfig{
+		Topo: cfg.Topo, Sink: &r.sink, Registry: cfg.Registry, RetryAfter: sim.Duration(cfg.RetryEvery.Nanoseconds()),
+		DP: dataplane.Config{MaxID: cfg.MaxID, WrapAround: cfg.WrapAround, ChannelState: cfg.ChannelState, Metrics: cfg.Metrics},
+		Attach: func(spec *topology.Switch, _ *dataplane.Config) (node.Host, func(control.Result), error) {
 			dev, onResult, err := attach(spec, &r.Clock)
 			r.devs = append(r.devs, dev)
 			return dev, onResult, err
-		})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -429,8 +432,8 @@ type train struct {
 // Network is a running live deployment.
 type Network struct {
 	// Runtime is the deployment and its goroutines: the switches the
-	// mailboxes feed and the collector that assembles their snapshots
-	// into sink. It brings Switch, Journal, Audit, Snapshots,
+	// mailboxes feed and the Fabric that assembles their snapshots into
+	// sink. It brings Switch, Journal, Audit, Snapshots,
 	// CompletedEpochs, Inject and TakeSnapshot. Results reach it through
 	// obsEvents — the network path from switch CPU to observer host — so
 	// switch goroutines do no observer work.

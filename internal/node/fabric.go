@@ -16,21 +16,24 @@ import (
 	"speedlight/internal/topology"
 )
 
-// Fabric is everything a wall-clock runtime builds that is not its
-// transport: one switch per topology node, routed and gated, and the
-// observer they report to. The runtime decides what a link, a clock and
-// a goroutine are — it hands NewFabric each switch's Host and the path
-// its results take toward Result, and passes the time in — so a Fabric
-// over a recording Host is a whole deployment a test can step.
+// Fabric is everything a runtime builds that is not its transport: one
+// switch per topology node, routed and gated, and the observer they
+// report to, with its retry and exclusion timers. The runtime decides
+// what a link, a clock and a goroutine (or a simulation domain) are — it
+// hands NewFabric each switch's Host and the path its results take
+// toward Result, and passes the time in — so a Fabric over a recording
+// Host is a whole deployment a test can step.
 //
-// Its callers are concurrent: one mutex guards the observer state
+// Its callers may be concurrent: one mutex guards the observer state
 // machine, the completed list and the per-snapshot subscriptions.
 // Snapshots complete into the Sink with the lock held, so Sink.OnAnomaly
-// must not call back into the Fabric.
+// (and Spread) must not call back into the Fabric.
 type Fabric struct {
-	dp   dataplane.Config // the snapshot parameters, as every switch has them
-	sink *Sink
-	sws  []*Switch // by NodeID
+	cfg      FabricConfig // DP as every switch starts from it
+	cpTel    *control.Telemetry
+	fibs     map[topology.NodeID]*routing.FIB
+	utilized map[topology.NodeID]map[[2]int]bool
+	sws      []*Switch // by NodeID
 
 	mu   sync.Mutex
 	obs  *observer.Observer
@@ -38,67 +41,105 @@ type Fabric struct {
 	done []*observer.GlobalSnapshot
 }
 
-// NewFabric builds the deployment over topo. dp is every switch's data
-// plane less what NewFabric fills in per switch (FIB, Telemetry,
-// Journal): the snapshot parameters — a zero MaxID means 256 — and
-// Metrics. A snapshot incomplete for retryAfter has Retries name its
-// missing devices; zero never does. sink takes the assembled snapshots,
-// and its Journal is the deployment's: the per-switch rings, the
-// observer's, and Audit's. A nil reg disables telemetry in every layer.
-//
-// attach is called once per switch, in NodeID order, before that switch
-// exists: it returns the Host the switch will run on and the function
-// that ships its per-unit results toward the observer (and so,
-// eventually, into Result).
-func NewFabric(topo *topology.Topology, dp dataplane.Config, retryAfter sim.Duration, sink *Sink, reg *telemetry.Registry,
-	attach func(*topology.Switch) (Host, func(control.Result), error)) (*Fabric, error) {
-	if topo == nil {
+// FabricConfig describes a deployment to NewFabric.
+type FabricConfig struct {
+	Topo *topology.Topology
+	// DP is every switch's data plane less what NewFabric fills in per
+	// switch (FIB, Telemetry, Journal) and what Attach does: the snapshot
+	// parameters — a zero MaxID means 256 — and Metrics.
+	DP dataplane.Config
+	// RetryAfter and ExcludeAfter are the observer's recovery timers,
+	// defaulted by RecoveryTimers for a drain of zero: a snapshot
+	// incomplete for RetryAfter has Retries name its missing devices
+	// once, and one incomplete for ExcludeAfter finalizes without them.
+	RetryAfter, ExcludeAfter sim.Duration
+	// Sink takes the assembled snapshots, and its Journal is the
+	// deployment's: the per-switch rings, the observer's, and Audit's.
+	Sink *Sink
+	// Spread, when set, gives Sink.Complete a snapshot's synchronization
+	// spread.
+	Spread func(packet.SeqID) sim.Duration
+	// Registry, when set, enables telemetry in every layer.
+	Registry *telemetry.Registry
+	// Attach is called once per switch, in NodeID order, before that
+	// switch exists, and again whenever Reprovision rebuilds it. It may
+	// fill dp's per-switch fields (Balancer, OnNotify, SnapshotDisabled:
+	// a disabled switch never joins the observer's snapshot set), and
+	// returns the Host the switch will run on and the function that ships
+	// its per-unit results toward the observer (and so, eventually, into
+	// Result).
+	Attach func(spec *topology.Switch, dp *dataplane.Config) (Host, func(control.Result), error)
+}
+
+// RecoveryTimers is the one rule for a deployment's recovery timers,
+// counted from Begin. drain is the widest control plane's expected
+// notification backlog for one loss-free epoch. A zero retryAfter is
+// max(5 ms, 2 × drain), so a retry fires only when something was lost;
+// a zero excludeAfter is max(50 ms, 2 × retryAfter). Explicit values,
+// and negative ones (disabled), are kept.
+func RecoveryTimers(retryAfter, excludeAfter, drain sim.Duration) (sim.Duration, sim.Duration) {
+	if retryAfter == 0 {
+		retryAfter = max(5*sim.Millisecond, 2*drain)
+	}
+	if excludeAfter == 0 {
+		excludeAfter = max(50*sim.Millisecond, 2*retryAfter)
+	}
+	return retryAfter, excludeAfter
+}
+
+// NewFabric builds the deployment cfg describes.
+func NewFabric(cfg FabricConfig) (*Fabric, error) {
+	if cfg.Topo == nil {
 		return nil, errors.New("node: nil topology")
 	}
-	if dp.MaxID == 0 {
-		dp.MaxID = 256
+	if cfg.DP.MaxID == 0 {
+		cfg.DP.MaxID = 256
 	}
-	fibs, err := routing.ComputeFIBs(topo)
+	cfg.RetryAfter, cfg.ExcludeAfter = RecoveryTimers(cfg.RetryAfter, cfg.ExcludeAfter, 0)
+	fibs, err := routing.ComputeFIBs(cfg.Topo)
 	if err != nil {
 		return nil, err
 	}
-	utilized := routing.UtilizedPairs(topo, fibs)
-	jr := sink.Journal // nil journals nothing, at every level
-	jr.Observer().Append(journal.Config(uint64(dp.MaxID), dp.WrapAround, dp.ChannelState))
-	f := &Fabric{dp: dp, sink: sink, subs: make(map[packet.SeqID]chan *observer.GlobalSnapshot)}
-	f.obs, err = observer.New(observer.Config{
-		MaxID:      dp.MaxID,
-		WrapAround: dp.WrapAround,
-		RetryAfter: retryAfter,
-		Telemetry:  observer.NewTelemetry(reg),
-		Journal:    jr.Observer(),
-		OnComplete: f.complete,
-	})
+	jr := cfg.Sink.Journal // nil journals nothing, at every level
+	jr.Observer().Append(journal.Config(uint64(cfg.DP.MaxID), cfg.DP.WrapAround, cfg.DP.ChannelState))
+	cfg.DP.Telemetry = dataplane.NewTelemetry(cfg.Registry)
+	f := &Fabric{cfg: cfg, cpTel: control.NewTelemetry(cfg.Registry), fibs: fibs, utilized: routing.UtilizedPairs(cfg.Topo, fibs),
+		sws: make([]*Switch, len(cfg.Topo.Switches)), subs: make(map[packet.SeqID]chan *observer.GlobalSnapshot)}
+	f.obs, err = observer.New(observer.Config{MaxID: cfg.DP.MaxID, WrapAround: cfg.DP.WrapAround,
+		RetryAfter: max(0, cfg.RetryAfter), ExcludeAfter: max(0, cfg.ExcludeAfter),
+		Telemetry: observer.NewTelemetry(cfg.Registry), Journal: jr.Observer(), OnComplete: f.complete})
 	if err != nil {
 		return nil, err
 	}
-	dp.Telemetry = dataplane.NewTelemetry(reg)
-	cpTel := control.NewTelemetry(reg)
-	for _, spec := range topo.Switches {
-		host, onResult, err := attach(spec)
-		if err != nil {
+	for _, spec := range cfg.Topo.Switches {
+		if err := f.build(spec); err != nil {
 			return nil, err
 		}
-		dp.FIB, dp.Journal = fibs[spec.ID], jr.For(int(spec.ID))
-		sw, err := New(Config{
-			Spec:        spec,
-			DP:          dp,
-			Utilized:    utilized[spec.ID],
-			CPTelemetry: cpTel,
-			OnResult:    onResult,
-		}, host)
-		if err != nil {
-			return nil, err
-		}
-		f.sws = append(f.sws, sw)
-		f.obs.Register(sw.DP.Node(), sw.DP.UnitIDs())
 	}
 	return f, nil
+}
+
+// build makes spec's switch on what Attach gives it, from its FIB and
+// gates as they stand, puts it in its slot and adds it to the snapshot
+// set unless Attach disabled it.
+func (f *Fabric) build(spec *topology.Switch) error {
+	dp := f.cfg.DP
+	dp.FIB, dp.Journal = f.fibs[spec.ID], f.cfg.Sink.Journal.For(int(spec.ID))
+	host, onResult, err := f.cfg.Attach(spec, &dp)
+	if err != nil {
+		return err
+	}
+	sw, err := New(Config{Spec: spec, DP: dp, Utilized: f.utilized[spec.ID], CPTelemetry: f.cpTel, OnResult: onResult}, host)
+	if err != nil {
+		return err
+	}
+	f.sws[spec.ID] = sw
+	if !dp.SnapshotDisabled {
+		f.mu.Lock()
+		f.obs.Register(spec.ID, sw.DP.UnitIDs())
+		f.mu.Unlock()
+	}
+	return nil
 }
 
 // Switch returns one switch, for inspection: whoever the runtime has
@@ -107,18 +148,18 @@ func (f *Fabric) Switch(id topology.NodeID) *Switch { return f.sws[id] }
 
 // Journal returns the flight-recorder set, or nil when journaling is
 // disabled.
-func (f *Fabric) Journal() *journal.Set { return f.sink.Journal }
+func (f *Fabric) Journal() *journal.Set { return f.cfg.Sink.Journal }
 
 // Audit replays the journal and verifies every snapshot's consistency
 // invariants. Safe while the deployment runs (the rings are dumped
 // atomically). Nil when journaling is disabled.
 func (f *Fabric) Audit() *audit.Report {
-	return audit.Replay(f.sink.Journal, f.dp.MaxID, f.dp.WrapAround, f.dp.ChannelState)
+	return audit.Replay(f.cfg.Sink.Journal, f.cfg.DP.MaxID, f.cfg.DP.WrapAround, f.cfg.DP.ChannelState)
 }
 
 // CompletedEpochs returns how many global snapshots the observer has
 // assembled. Safe from any goroutine.
-func (f *Fabric) CompletedEpochs() uint64 { return f.sink.CompletedEpochs() }
+func (f *Fabric) CompletedEpochs() uint64 { return f.cfg.Sink.CompletedEpochs() }
 
 // Snapshots returns a copy of the snapshots completed so far.
 func (f *Fabric) Snapshots() []*observer.GlobalSnapshot {
@@ -142,7 +183,9 @@ func (f *Fabric) Begin(now sim.Time) (packet.SeqID, <-chan *observer.GlobalSnaps
 	return id, sub, nil
 }
 
-// Result ingests one per-unit result: the far end of attach's path.
+// Result ingests one per-unit result: the far end of Attach's path.
+//
+//speedlight:hotpath
 func (f *Fabric) Result(res control.Result, now sim.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -165,11 +208,52 @@ func (f *Fabric) Retries(now sim.Time, relay func(dev topology.NodeID, id packet
 	}
 }
 
+// Remove takes switch id out of the snapshot set, as when it leaves the
+// fabric: snapshots begun from now on neither wait for it nor include
+// it, and those in flight recover by retry and exclusion.
+func (f *Fabric) Remove(id topology.NodeID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.obs.Unregister(id)
+}
+
+// Reprovision rebuilds switch id from scratch, as a reboot does: zeroed
+// registers, its FIB and gates as they stand, Attach run again. The new
+// switch takes the old one's place in Switch and rejoins the snapshot
+// set unless Attach disabled it; whoever drove the old one discards it
+// and its work in flight.
+func (f *Fabric) Reprovision(id topology.NodeID) error { return f.build(f.cfg.Topo.Switch(id)) }
+
+// RouteAround recomputes forwarding around what filter takes out, in
+// place: every switch's FIB gets its new next hops and a version bump,
+// and the gates of the next Reprovision derive from the new paths.
+// Destinations the filter severs lose their entries.
+func (f *Fabric) RouteAround(filter routing.Filter) {
+	fresh := routing.ComputeFIBsFiltered(f.cfg.Topo, filter)
+	for id, fib := range f.fibs {
+		fib.NextHops = fresh[id].NextHops
+		fib.Version++
+	}
+	f.utilized = routing.UtilizedPairs(f.cfg.Topo, f.fibs)
+}
+
+// PushFIB rewrites switch id's FIB alone around what filter takes out,
+// bumping its version, as a controller re-pushing drifted config does.
+func (f *Fabric) PushFIB(id topology.NodeID, filter routing.Filter) {
+	fib := f.fibs[id]
+	fib.NextHops = routing.ComputeFIBsFiltered(f.cfg.Topo, filter)[id].NextHops
+	fib.Version++
+}
+
 // complete is the observer's OnComplete: it runs inside Result or
 // Retries, with mu held. The send cannot block — sub has room for the
 // one snapshot it ever carries.
 func (f *Fabric) complete(g *observer.GlobalSnapshot) {
-	f.sink.Complete(g, 0)
+	var spread sim.Duration
+	if f.cfg.Spread != nil {
+		spread = f.cfg.Spread(g.ID)
+	}
+	f.cfg.Sink.Complete(g, spread)
 	f.done = append(f.done, g)
 	if sub, ok := f.subs[g.ID]; ok {
 		delete(f.subs, g.ID)

@@ -58,6 +58,40 @@ func (n *stepNet) pump() {
 	}
 }
 
+// newStepNet builds the 2x2x3 testbed as a stepped Fabric with the given
+// recovery timers: every result reaches Result at once, on the net's
+// clock.
+func newStepNet(t *testing.T, channelState bool, retryAfter, excludeAfter sim.Duration) (*stepNet, *topology.LeafSpine) {
+	t.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		HostLinkLatency: sim.Microsecond, FabricLinkLatency: sim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &stepNet{}
+	attached := 0
+	net.fab, err = NewFabric(FabricConfig{
+		Topo: ls.Topology, DP: dataplane.Config{WrapAround: true, ChannelState: channelState},
+		RetryAfter: retryAfter, ExcludeAfter: excludeAfter, Sink: &Sink{Journal: journal.NewSet(0)},
+		Attach: func(spec *topology.Switch, _ *dataplane.Config) (Host, func(control.Result), error) {
+			if int(spec.ID) != attached {
+				t.Errorf("attach call %d is for switch %d", attached, spec.ID)
+			}
+			attached++
+			return stepHost{net, spec}, func(res control.Result) { net.fab.Result(res, net.now) }, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attached != 4 {
+		t.Fatalf("attach ran %d times, want once per switch", attached)
+	}
+	return net, ls
+}
+
 // TestFabricRecoversLostInitiation steps the recovery path every
 // wall-clock runtime runs, with no goroutine and no sleep: one switch
 // never hears the initiation, the snapshot stays open until the retry
@@ -67,31 +101,7 @@ func TestFabricRecoversLostInitiation(t *testing.T) {
 	const retryAfter = 20 * sim.Millisecond
 	for _, channelState := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cs=%v", channelState), func(t *testing.T) {
-			ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
-				Leaves: 2, Spines: 2, HostsPerLeaf: 3,
-				HostLinkLatency: sim.Microsecond, FabricLinkLatency: sim.Microsecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := &stepNet{}
-			attached := 0
-			dp := dataplane.Config{WrapAround: true, ChannelState: channelState}
-			sink := &Sink{Journal: journal.NewSet(0)}
-			net.fab, err = NewFabric(ls.Topology, dp, retryAfter, sink, nil, func(spec *topology.Switch) (Host, func(control.Result), error) {
-				if int(spec.ID) != attached {
-					t.Errorf("attach call %d is for switch %d", attached, spec.ID)
-				}
-				attached++
-				return stepHost{net, spec}, func(res control.Result) { net.fab.Result(res, net.now) }, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if attached != 4 {
-				t.Fatalf("attach ran %d times, want once per switch", attached)
-			}
-
+			net, ls := newStepNet(t, channelState, retryAfter, 0)
 			net.now = sim.Time(sim.Millisecond)
 			id, sub, err := net.fab.Begin(net.now)
 			if err != nil {
@@ -169,5 +179,85 @@ func TestFabricRecoversLostInitiation(t *testing.T) {
 				t.Errorf("%d packet(s) left an edge port of an idle network", net.toHosts)
 			}
 		})
+	}
+}
+
+// TestFabricExcludesSilentSwitch steps what a switch that stops answering
+// does to a deployment, on the Fabric every runtime builds: it ignores
+// initiations and the retry's relay alike, so each snapshot finalizes at
+// ExcludeAfter with exactly that switch excluded, and its subscription
+// yields it. Without the exclusion timer every snapshot would stay
+// pending, and with MaxID 256 the 129th Begin would find the window full.
+func TestFabricExcludesSilentSwitch(t *testing.T) {
+	const retryAfter, excludeAfter = 20 * sim.Millisecond, 50 * sim.Millisecond
+	net, ls := newStepNet(t, false, retryAfter, 0)
+	silent := ls.Leaves[1]
+	relay := func(dev topology.NodeID, id packet.SeqID) {
+		if dev != silent {
+			t.Errorf("Retries relayed snapshot %d to switch %d, which answered", id, dev)
+		}
+	}
+	// epoch begins a snapshot, initiates it everywhere but on the silent
+	// switch, and runs the network dry.
+	epoch := func() (packet.SeqID, <-chan *observer.GlobalSnapshot) {
+		t.Helper()
+		id, sub, err := net.fab.Begin(net.now)
+		if err != nil {
+			t.Fatalf("Begin at %v: %v", net.now, err)
+		}
+		for _, spec := range ls.Switches {
+			if spec.ID != silent {
+				net.fab.Switch(spec.ID).Initiate(id, false)
+			}
+		}
+		net.pump()
+		return id, sub
+	}
+	excluded := func(g *observer.GlobalSnapshot, id packet.SeqID, begun sim.Time) {
+		t.Helper()
+		if g.ID != id || !reflect.DeepEqual(g.Excluded, []topology.NodeID{silent}) || len(g.Results) != 28-10 ||
+			!g.Consistent || g.CompletedAt != begun.Add(excludeAfter) {
+			t.Fatalf("snapshot %d: id=%d excluded=%v results=%d consistent=%v completed at +%v; want switch %d excluded, 18 results, consistent, at +%v",
+				id, g.ID, g.Excluded, len(g.Results), g.Consistent, g.CompletedAt.Sub(begun), silent, excludeAfter)
+		}
+	}
+
+	net.now = sim.Time(sim.Millisecond)
+	begun := net.now
+	id, sub := epoch()
+	net.now = begun.Add(retryAfter)
+	net.fab.Retries(net.now, relay)
+	net.now = begun.Add(excludeAfter) - 1
+	if net.fab.Retries(net.now, relay); len(sub) != 0 {
+		t.Fatal("the snapshot finalized before ExcludeAfter")
+	}
+	net.now++
+	net.fab.Retries(net.now, relay)
+	select {
+	case g := <-sub:
+		excluded(g, id, begun)
+	default:
+		t.Fatal("the snapshot is still pending at ExcludeAfter")
+	}
+
+	for i := 0; i < 300; i++ {
+		begun = net.now
+		id, sub = epoch()
+		net.now = begun.Add(excludeAfter)
+		net.fab.Retries(net.now, relay)
+		g, ok := <-sub
+		if !ok {
+			t.Fatalf("cycle %d: the subscription closed empty", i)
+		}
+		excluded(g, id, begun)
+	}
+	if got := net.fab.obs.Pending(); got != 0 {
+		t.Errorf("%d snapshots still pending, want 0", got)
+	}
+	if got := net.fab.CompletedEpochs(); got != 301 {
+		t.Errorf("CompletedEpochs() = %d, want 301", got)
+	}
+	if d := net.fab.Audit().Disagreements; d != 0 {
+		t.Errorf("audit: %d disagreement(s) with the observer", d)
 	}
 }

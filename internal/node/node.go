@@ -3,10 +3,12 @@
 // per-packet step (ingress → notification drain → egress → drain →
 // strip → forward), initiation, the Section 6 marker flood, and the
 // collection of finished snapshots at the observer. Fabric is the one
-// copy of what the two wall-clock runtimes build around that: routes,
-// every switch, the observer behind one mutex and the recovery relay
-// (NewFabric, Fabric.Retries), and Sink.Endpoints the one assembly of
-// the observability endpoint set.
+// copy of what all three runtimes build around that: routes, every
+// switch, the observer behind one mutex with its retry and exclusion
+// timers (RecoveryTimers is their one defaulting rule), the recovery
+// relay (NewFabric, Fabric.Retries), the snapshot set churn edits
+// (Remove, Reprovision, RouteAround), and Sink.Endpoints the one
+// assembly of the observability endpoint set.
 //
 // Nothing here starts a goroutine, arms a timer or reads a clock: the
 // runtime that hosts a switch supplies time and the wire through Host
@@ -14,13 +16,14 @@
 // simulation domain) calls in. The wall-clock host loop that does so is
 // live.Runtime: a Fabric plus a transport — mailboxes in live, UDP
 // sockets in wire — that drives each Switch through Packet, Initiate
-// and Poll from one goroutine per switch. emunet models
-// what sits between the two halves of the step — bounded per-class
-// egress queues and a control plane that serves one notification per
-// service time — so it calls the halves (Ingress, Egress) and
-// FloodMarkers around its own queues, CP loop, packet pools, churn
-// generations and wire. It builds no planes, decides no gates and does
-// not know what a marker is.
+// and Poll from one goroutine per switch. emunet's Network is a Fabric
+// too, but it models what sits between the two halves of the step —
+// bounded per-class egress queues and a control plane that serves one
+// notification per service time — so it calls the halves (Ingress,
+// Egress) and FloodMarkers around its own queues, CP loop, packet
+// pools, churn generations and wire, and relays the Fabric's retries
+// through them. It builds no planes, decides no gates, keeps no routes
+// or observer and does not know what a marker is.
 package node
 
 import (

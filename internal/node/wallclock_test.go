@@ -2,11 +2,15 @@ package node_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"speedlight/internal/core"
+	"speedlight/internal/counters"
+	"speedlight/internal/dataplane"
 	"speedlight/internal/journal"
 	"speedlight/internal/live"
 	"speedlight/internal/observer"
@@ -17,22 +21,27 @@ import (
 )
 
 // wallClocks are the two wall-clock runtimes. deploy builds one from the
-// options both take, starts it, and returns its Runtime and the stop that
-// ends it (run again at the test's end).
+// options both take, starts it, and returns its Runtime, the stop that
+// ends it (run again at the test's end) and silence, which makes one
+// switch stop answering for good: live's stops stepping (see hang),
+// wire's loses its socket.
 var wallClocks = []struct {
 	name   string
-	deploy func(t *testing.T, cfg live.Config) (*live.Runtime, func())
+	deploy func(t *testing.T, cfg live.Config) (rt *live.Runtime, stop func(), silence func(topology.NodeID))
 }{
-	{"live", func(t *testing.T, cfg live.Config) (*live.Runtime, func()) {
+	{"live", func(t *testing.T, cfg live.Config) (*live.Runtime, func(), func(topology.NodeID)) {
+		h := &hang{gate: make(chan struct{})}
+		cfg.Metrics = h.metrics(cfg.Metrics)
 		n, err := live.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n.Start()
-		t.Cleanup(n.Stop)
-		return n.Runtime, n.Stop
+		stop := func() { h.release(); n.Stop() }
+		t.Cleanup(stop)
+		return n.Runtime, stop, h.silence
 	}},
-	{"wire", func(t *testing.T, cfg live.Config) (*live.Runtime, func()) {
+	{"wire", func(t *testing.T, cfg live.Config) (*live.Runtime, func(), func(topology.NodeID)) {
 		d, err := wire.Deploy(wire.Config{
 			Topo: cfg.Topo, ChannelState: cfg.ChannelState, RetryEvery: cfg.RetryEvery,
 			OnDeliver: cfg.OnDeliver, Journal: cfg.Journal,
@@ -41,8 +50,47 @@ var wallClocks = []struct {
 			t.Fatal(err)
 		}
 		t.Cleanup(d.Close)
-		return d.Runtime, d.Close
+		return d.Runtime, d.Close, d.CloseSwitch
 	}},
+}
+
+// hang stops a live switch from stepping: once the switch is silenced,
+// its units' metrics block in their next Read — the state the next
+// snapshot ID records — and hold its goroutine until release.
+type hang struct {
+	node atomic.Int64 // the silenced switch + 1, or 0
+	gate chan struct{}
+	once sync.Once
+}
+
+func (h *hang) silence(id topology.NodeID) { h.node.Store(int64(id) + 1) }
+func (h *hang) release()                   { h.once.Do(func() { close(h.gate) }) }
+
+// metrics wraps every unit's metric (a packet counter where inner has
+// none) in one that hangs once its switch is silenced.
+func (h *hang) metrics(inner func(dataplane.UnitID) core.Metric) func(dataplane.UnitID) core.Metric {
+	return func(id dataplane.UnitID) core.Metric {
+		var m core.Metric = &counters.PacketCount{}
+		if inner != nil {
+			if im := inner(id); im != nil {
+				m = im
+			}
+		}
+		return hangingMetric{m, h, int64(id.Node) + 1}
+	}
+}
+
+type hangingMetric struct {
+	core.Metric
+	h    *hang
+	node int64
+}
+
+func (m hangingMetric) Read() uint64 {
+	if m.h.node.Load() == m.node {
+		<-m.h.gate
+	}
+	return m.Metric.Read()
 }
 
 // testbed is the 2x2x3 leaf-spine.
@@ -97,7 +145,7 @@ func TestMarkersNeverReachHosts(t *testing.T) {
 		t.Run(wc.name, func(t *testing.T) {
 			ls := testbed(t)
 			h := &hosts{}
-			rt, _ := wc.deploy(t, live.Config{
+			rt, _, _ := wc.deploy(t, live.Config{
 				Topo: ls.Topology, ChannelState: true, RetryEvery: 5 * time.Millisecond, OnDeliver: h.deliver,
 			})
 			defer trickle(rt, ls.Topology)()
@@ -144,7 +192,7 @@ func TestTrainKeepsChannelFIFO(t *testing.T) {
 				const total, window = 2000, 128
 				var delivered atomic.Uint64
 				var firstBad atomic.Pointer[string]
-				rt, _ := wc.deploy(t, live.Config{
+				rt, _, _ := wc.deploy(t, live.Config{
 					Topo: testbed(t).Topology,
 					OnDeliver: func(p *packet.Packet, _ topology.HostID) { // one flow, one delivering goroutine
 						if want := delivered.Load(); p.Seq != want {
@@ -193,7 +241,7 @@ func TestLonePacketIsNotHeld(t *testing.T) {
 		for _, cs := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/cs=%v", wc.name, cs), func(t *testing.T) {
 				delivered := make(chan uint64, 1)
-				rt, _ := wc.deploy(t, live.Config{
+				rt, _, _ := wc.deploy(t, live.Config{
 					Topo: testbed(t).Topology, ChannelState: cs, RetryEvery: time.Hour,
 					OnDeliver: func(p *packet.Packet, _ topology.HostID) { delivered <- p.Seq },
 				})
@@ -241,7 +289,7 @@ func TestRetryEvery(t *testing.T) {
 		for _, every := range []time.Duration{0, -1} {
 			t.Run(fmt.Sprintf("%s/%v", wc.name, every), func(t *testing.T) {
 				jr := journal.NewSet(0)
-				rt, stop := wc.deploy(t, live.Config{Topo: testbed(t).Topology, ChannelState: true, RetryEvery: every, Journal: jr})
+				rt, stop, _ := wc.deploy(t, live.Config{Topo: testbed(t).Topology, ChannelState: true, RetryEvery: every, Journal: jr})
 				_, done, err := rt.TakeSnapshot(0)
 				if err != nil {
 					t.Fatal(err)
@@ -279,5 +327,55 @@ func TestRetryEvery(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSilentSwitchIsExcluded stops one leaf mid-run and holds both
+// runtimes to the exclusion timer the Fabric derives from RetryEvery
+// (20 ms, so max(50 ms, 40 ms)): every later snapshot is taken, and
+// finalizes within ExcludeAfter + RetryEvery of its Begin, on the
+// observer's clock, with exactly that leaf excluded. wakeup is room for
+// the retry goroutine to run after its tick. The auditor agrees with
+// every verdict.
+func TestSilentSwitchIsExcluded(t *testing.T) {
+	const every, excludeAfter, wakeup = 20 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond
+	for _, wc := range wallClocks {
+		t.Run(wc.name, func(t *testing.T) {
+			ls := testbed(t)
+			silent := ls.Leaves[1]
+			rt, _, silence := wc.deploy(t, live.Config{Topo: ls.Topology, Journal: journal.NewSet(0)})
+			snapshot := func() *observer.GlobalSnapshot {
+				t.Helper()
+				_, done, err := rt.TakeSnapshot(0)
+				if err != nil {
+					t.Fatalf("TakeSnapshot refused: %v", err)
+				}
+				select {
+				case g := <-done:
+					return g
+				case <-time.After(10 * time.Second):
+					t.Fatal("a snapshot never finalized")
+					return nil
+				}
+			}
+			if g := snapshot(); len(g.Excluded) != 0 || len(g.Results) != 28 {
+				t.Fatalf("before the silence: excluded=%v results=%d", g.Excluded, len(g.Results))
+			}
+			silence(silent)
+			for i := 0; i < 5; i++ {
+				g := snapshot()
+				took := time.Duration(g.CompletedAt.Sub(g.ScheduledAt))
+				if !reflect.DeepEqual(g.Excluded, []topology.NodeID{silent}) || len(g.Results) != 18 || !g.Consistent {
+					t.Errorf("snapshot %d: excluded=%v results=%d consistent=%v; want switch %d excluded, 18 results, consistent",
+						g.ID, g.Excluded, len(g.Results), g.Consistent, silent)
+				}
+				if took < excludeAfter || took > excludeAfter+every+wakeup {
+					t.Errorf("snapshot %d finalized %v after Begin, want between %v and %v", g.ID, took, excludeAfter, excludeAfter+every+wakeup)
+				}
+			}
+			if d := rt.Audit().Disagreements; d != 0 {
+				t.Errorf("audit: %d disagreement(s) with the observer", d)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@
 // send (see switchNode.Burst).
 //
 // The deployment and its host loop — routes, completion gates, one
-// node.Switch per topology node, the snapshot collector, the switch
+// node.Switch per topology node, the observer and its timers, the switch
 // goroutines, the recovery relay, TakeSnapshot and the clock — are a
 // live.Runtime, the same one package live runs over mailboxes. What is
 // written here is what a UDP transport adds: the sockets, the frame

@@ -40,8 +40,10 @@ type Config struct {
 	// packet counters.
 	Metrics func(id dataplane.UnitID) core.Metric
 
-	// RetryEvery drives the observer's recovery loop. Default 20 ms;
-	// negative disables.
+	// RetryEvery drives the observer's recovery loop, as in live.Config:
+	// a retry after RetryEvery, and the silent switches excluded after
+	// max(50 ms, 2 × RetryEvery). Default 20 ms (so a 50 ms exclusion);
+	// negative disables both.
 	RetryEvery time.Duration
 
 	// OnDeliver observes packets delivered to hosts. Called from the
@@ -252,7 +254,7 @@ func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
 // from.
 type Deployment struct {
 	// Runtime is the deployment and its goroutines: the switches the
-	// sockets feed and the collector the observer socket reports to. It
+	// sockets feed and the Fabric the observer socket reports to. It
 	// brings Switch, Journal, Audit, Snapshots, CompletedEpochs and
 	// Inject.
 	*live.Runtime
@@ -396,10 +398,16 @@ func (d *Deployment) closeSockets() {
 	d.obsConn.Close()
 	d.sinkConn.Close()
 	d.hostConn.Close()
-	for _, sn := range d.switches {
-		sn.conn.Close()
+	for id := range d.switches {
+		d.CloseSwitch(topology.NodeID(id))
 	}
 }
+
+// CloseSwitch closes one switch's socket, as when the device dies: its
+// goroutine ends, whatever is sent to it is lost, and the rest of the
+// deployment runs on — the observer excludes it from every snapshot it
+// no longer answers.
+func (d *Deployment) CloseSwitch(id topology.NodeID) { d.switches[id].conn.Close() }
 
 // Close shuts the deployment down and waits for its goroutines. It is
 // idempotent.
