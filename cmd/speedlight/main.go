@@ -34,7 +34,6 @@ import (
 	"speedlight/internal/export"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
-	"speedlight/internal/node"
 	"speedlight/internal/reconcile"
 	"speedlight/internal/sim"
 	"speedlight/internal/snapstore"
@@ -185,10 +184,7 @@ func campaign() {
 
 	if *metricsAddr != "" {
 		health := telemetry.NewHealth()
-		// The emulation completes into a sink of its own; this one only
-		// names the same three objects to the endpoint assembler.
-		sink := node.Sink{Journal: cfg.Journal, Snapstore: cfg.Snapstore, Invariants: cfg.Invariants}
-		mc := sink.Endpoints(cfg.Registry, health, net.Inner().CompletedEpochs, net.Audit, net.BlockedProfile)
+		mc := net.Inner().Endpoints(health, net.BlockedProfile)
 		health.SetReady(true)
 		srv, err := telemetry.ServeConfig(*metricsAddr, mc)
 		if err != nil {

@@ -5,15 +5,17 @@
 // its goroutine empties a burst at a time — and the snapshot observer
 // runs in its own goroutine with wall-clock initiation timers.
 //
-// It is also the one wall-clock host loop (Runtime): a node.Fabric — the
-// routes, completion gates, one node.Switch per topology node, the
-// observer with its retry and exclusion timers, and the recovery relay —
-// plus a Device per switch that moves its bytes, driven by one goroutine
-// loop per switch, one retry loop, one TakeSnapshot and one clock.
-// Package wire is a Runtime over UDP sockets; Network is one over
-// mailboxes, and what is written for it here is what a goroutine
-// transport adds: the mailboxes and the trains into them, the observer
-// goroutine and Inject's back-pressure.
+// It is also the one wall-clock deployment (Runtime): one Config, and a
+// node.Fabric — the routes, completion gates, one node.Switch per
+// topology node, the observer with its retry and exclusion timers, and
+// the recovery relay — plus a Device per switch that moves its bytes,
+// driven by one goroutine loop per switch, one retry loop, one
+// TakeSnapshot and one clock, with the Fabric's observability endpoints
+// served from Start to Stop. Package wire is a Runtime over UDP sockets;
+// Network is one over mailboxes, and what is written for it here is what
+// a goroutine transport adds: the mailboxes and the trains into them,
+// the observer goroutine, Inject's back-pressure and the
+// speedlight_live_* metrics that count them.
 //
 // The protocol logic is exactly the same state-machine code the
 // discrete-event simulation drives (internal/core, internal/control,
@@ -45,13 +47,14 @@ import (
 	"speedlight/internal/topology"
 )
 
-// Config parameterizes a live network.
+// Config parameterizes a wall-clock deployment: a live Network, or a
+// wire Deployment (wire.Config is this type).
 type Config struct {
 	// Topo is the network topology. Required.
 	Topo *topology.Topology
 
-	// Snapshot protocol parameters (defaults: 256, wraparound on,
-	// channel state off).
+	// Snapshot protocol parameters (zero values: MaxID 256, wraparound
+	// off, channel state off).
 	MaxID        uint32
 	WrapAround   bool
 	ChannelState bool
@@ -60,8 +63,9 @@ type Config struct {
 	// packet counters.
 	Metrics func(id dataplane.UnitID) core.Metric
 
-	// OnDeliver observes packets reaching hosts. Called from switch
-	// goroutines; must be safe for concurrent use.
+	// OnDeliver observes packets reaching hosts. Called from live's
+	// switch goroutines and from wire's host-sink goroutine; must be safe
+	// for concurrent use.
 	OnDeliver func(pkt *packet.Packet, host topology.HostID)
 
 	// RetryEvery is the recovery period: a snapshot incomplete for it is
@@ -78,7 +82,7 @@ type Config struct {
 	// (Prometheus /metrics, expvar /debug/vars, /debug/pprof, /healthz,
 	// /readyz, and — when journaling is on — /journal, /audit and
 	// /trace) on this address from Start until Stop. A Registry is
-	// created automatically if none was provided.
+	// created if none was provided.
 	MetricsAddr string
 
 	// Journal, when set, records every protocol event into per-switch
@@ -94,8 +98,8 @@ type Config struct {
 
 	// Snapstore, when set, ingests every completed global snapshot as a
 	// sealed delta-encoded epoch (internal/snapstore). Ingestion runs on
-	// the observer goroutine; with MetricsAddr set the query plane is
-	// served at /snapshots, and a readiness check flips /readyz when
+	// the observer host's goroutine; with MetricsAddr set the query plane
+	// is served at /snapshots, and a readiness check flips /readyz when
 	// ingestion lags the observer by more than node.SnapstoreLagMax
 	// epochs.
 	Snapstore *snapstore.Store
@@ -114,10 +118,10 @@ const retryDefault = 20 * time.Millisecond
 var errStopped = errors.New("live: network stopped")
 
 // Runtime is a wall-clock deployment: a node.Fabric whose switches run on
-// a transport's Devices, one goroutine per switch, and the observer
-// host's recovery loop. A Network is a Runtime over in-process mailboxes,
-// a wire.Deployment one over UDP sockets; what is written here, they
-// share.
+// a transport's Devices, one goroutine per switch, the observer host's
+// recovery loop, and the server of the Fabric's endpoints. A Network is a
+// Runtime over in-process mailboxes, a wire.Deployment one over UDP
+// sockets; what is written here, they share.
 type Runtime struct {
 	// The fields every switch and host reads, step after step, come
 	// first: nothing writes them after Start.
@@ -128,6 +132,8 @@ type Runtime struct {
 	cfg  Config
 
 	sink    node.Sink // the Fabric's
+	health  *telemetry.Health
+	metSrv  *telemetry.Server
 	wg      sync.WaitGroup
 	stopped sync.Once
 }
@@ -157,15 +163,18 @@ type Clock struct{ started time.Time }
 // Now returns wall time since Start as protocol time.
 func (c *Clock) Now() sim.Time { return sim.Time(time.Since(c.started).Nanoseconds()) }
 
-// NewRuntime builds the deployment cfg describes — fabric, sink and
-// recovery period — with each switch on the Device attach makes on the
-// runtime's clock. MetricsAddr and OnDeliver are the transport's to
-// honour. A zero RetryEvery means 20 ms, a negative one no recovery.
+// NewRuntime builds the deployment cfg describes — fabric, sink,
+// recovery period and endpoints — with each switch on the Device attach
+// makes on the runtime's clock. OnDeliver is the transport's to honour.
+// A zero RetryEvery means 20 ms, a negative one no recovery.
 func NewRuntime(cfg Config, attach func(*topology.Switch, *Clock) (Device, func(control.Result), error)) (*Runtime, error) {
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = retryDefault
 	}
-	r := &Runtime{cfg: cfg, stop: make(chan struct{}), sink: node.Sink{
+	if cfg.MetricsAddr != "" && cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
+	}
+	r := &Runtime{cfg: cfg, stop: make(chan struct{}), health: telemetry.NewHealth(), sink: node.Sink{
 		Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
 		Snapstore: cfg.Snapstore, Invariants: cfg.Invariants,
 	}}
@@ -222,10 +231,21 @@ func (ev *Event) Step(sw *node.Switch) {
 	}
 }
 
-// Start starts the clock and launches a goroutine per switch, the
-// recovery loop, and one per host: the transport's own goroutines (its
-// observer host, say), which must return once Stop is called.
+// Start serves the endpoints when MetricsAddr is set, starts the clock
+// and launches a goroutine per switch, the recovery loop, and one per
+// host: the transport's own goroutines (its observer host, say), which
+// must return once Stop is called. A metrics server that fails to bind
+// is reported on stderr but does not stop the deployment.
 func (r *Runtime) Start(hosts ...func()) {
+	if r.cfg.MetricsAddr != "" {
+		// No blocking source: the goroutines are real, there is no
+		// sharded simulation engine to attribute.
+		srv, err := telemetry.ServeConfig(r.cfg.MetricsAddr, r.Endpoints(r.health, nil))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "live: metrics server: %v\n", err)
+		}
+		r.metSrv = srv
+	}
 	r.started = time.Now()
 	for _, dev := range r.devs {
 		hosts = append(hosts, func() { r.run(dev) })
@@ -240,14 +260,37 @@ func (r *Runtime) Start(hosts ...func()) {
 			f()
 		}()
 	}
+	r.health.SetReady(true)
 }
 
-// Stop shuts the runtime down and waits for its goroutines. It is
-// idempotent. A transport whose devices park anywhere but on the stop
-// channel wakes them first (wire closes its sockets).
+// Stop shuts the runtime down, waits for its goroutines and closes the
+// metrics server. It is idempotent. A transport whose devices park
+// anywhere but on the stop channel wakes them first (wire closes its
+// sockets).
 func (r *Runtime) Stop() {
-	r.stopped.Do(func() { close(r.stop) })
-	r.wg.Wait()
+	r.stopped.Do(func() {
+		r.health.SetReady(false)
+		close(r.stop)
+		r.wg.Wait()
+		_ = r.metSrv.Close()
+		r.metSrv = nil
+	})
+}
+
+// Registry returns the telemetry registry, or nil when disabled.
+func (r *Runtime) Registry() *telemetry.Registry { return r.cfg.Registry }
+
+// Health returns the deployment's health state: ready between Start and
+// Stop. It backs the /healthz and /readyz probes.
+func (r *Runtime) Health() *telemetry.Health { return r.health }
+
+// MetricsAddr returns the bound observability address, or "" when no
+// metrics server is running (useful with a ":0" MetricsAddr).
+func (r *Runtime) MetricsAddr() string {
+	if r.metSrv == nil {
+		return ""
+	}
+	return r.metSrv.Addr()
 }
 
 // run is one switch's goroutine: the single owner of both its data plane
@@ -347,8 +390,8 @@ type mailbox struct {
 	highWater *telemetry.Gauge
 }
 
-func newMailbox(highWater *telemetry.Gauge) *mailbox {
-	return &mailbox{wake: make(chan struct{}, 1), room: make(chan struct{}, 1), highWater: highWater}
+func newMailbox() *mailbox {
+	return &mailbox{wake: make(chan struct{}, 1), room: make(chan struct{}, 1)}
 }
 
 // put queues evs in order, books the depth the queue reached, and
@@ -434,18 +477,15 @@ type Network struct {
 	// Runtime is the deployment and its goroutines: the switches the
 	// mailboxes feed and the Fabric that assembles their snapshots into
 	// sink. It brings Switch, Journal, Audit, Snapshots,
-	// CompletedEpochs, Inject and TakeSnapshot. Results reach it through
-	// obsEvents — the network path from switch CPU to observer host — so
-	// switch goroutines do no observer work.
+	// CompletedEpochs, Inject, TakeSnapshot, Stop and the observability
+	// surface. Results reach it through obsEvents — the network path from
+	// switch CPU to observer host — so switch goroutines do no observer
+	// work.
 	*Runtime
 	sws       []*liveSwitch // by NodeID
 	obsEvents chan control.Result
 
 	tel liveTelemetry
-	// endpoints is what Start serves on MetricsAddr.
-	endpoints telemetry.MuxConfig
-	metSrv    *telemetry.Server
-	health    *telemetry.Health
 }
 
 // liveTelemetry is the runtime's own metric set: the queueing and
@@ -470,30 +510,25 @@ func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 
 // New builds a live network. Call Start to launch its goroutines.
 func New(cfg Config) (*Network, error) {
-	if cfg.MetricsAddr != "" && cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
-	n := &Network{
-		// Deep enough for every unit's result from a few snapshots in
-		// flight; a full queue blocks the sending switch.
-		obsEvents: make(chan control.Result, 1024),
-		tel:       newLiveTelemetry(cfg.Registry),
-		health:    telemetry.NewHealth(),
-	}
-	swEvents := cfg.Registry.CounterVec("speedlight_live_switch_events_total",
-		"events processed per switch goroutine", "switch")
+	// Deep enough for every unit's result from a few snapshots in flight;
+	// a full queue blocks the sending switch.
+	n := &Network{obsEvents: make(chan control.Result, 1024)}
 	var err error
 	n.Runtime, err = NewRuntime(cfg, func(spec *topology.Switch, clock *Clock) (Device, func(control.Result), error) {
-		ls := &liveSwitch{Clock: clock, net: n, spec: spec, inbox: newMailbox(n.tel.inboxHighWater),
-			events: swEvents.With(fmt.Sprint(spec.ID)), ports: make([]*train, len(spec.Ports))}
+		ls := &liveSwitch{Clock: clock, net: n, spec: spec, inbox: newMailbox(), ports: make([]*train, len(spec.Ports))}
 		n.sws = append(n.sws, ls)
 		return ls, n.toObserver, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	n.tel = newLiveTelemetry(n.Registry())
+	swEvents := n.Registry().CounterVec("speedlight_live_switch_events_total",
+		"events processed per switch goroutine", "switch")
 	for id, ls := range n.sws {
 		ls.sw = n.Switch(topology.NodeID(id))
+		ls.inbox.highWater = n.tel.inboxHighWater
+		ls.events = swEvents.With(fmt.Sprint(id))
 		trains := make([]*train, len(n.sws)) // by neighbour
 		for p, peer := range ls.spec.Ports {
 			if peer.Kind == topology.PeerSwitch {
@@ -504,9 +539,6 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	// No blocking source: live switches are real goroutines, there is no
-	// sharded simulation engine to attribute.
-	n.endpoints = n.sink.Endpoints(cfg.Registry, n.health, n.CompletedEpochs, n.Audit, nil)
 	return n, nil
 }
 
@@ -520,48 +552,8 @@ func (n *Network) toObserver(res control.Result) {
 }
 
 // Start launches the switch and observer goroutines, and the
-// observability HTTP server when MetricsAddr is configured. A metrics
-// server that fails to bind is reported on stderr but does not stop
-// the network.
-func (n *Network) Start() {
-	if n.cfg.MetricsAddr != "" {
-		srv, err := telemetry.ServeConfig(n.cfg.MetricsAddr, n.endpoints)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "live: metrics server: %v\n", err)
-		} else {
-			n.metSrv = srv
-		}
-	}
-	n.Runtime.Start(n.runObserver)
-	n.health.SetReady(true)
-}
-
-// Stop terminates all goroutines and the metrics server. It is
-// idempotent.
-func (n *Network) Stop() {
-	n.health.SetReady(false)
-	n.Runtime.Stop()
-	if n.metSrv != nil {
-		_ = n.metSrv.Close()
-		n.metSrv = nil
-	}
-}
-
-// Registry returns the telemetry registry, or nil when disabled.
-func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }
-
-// Health returns the runtime's health state: ready between Start and
-// Stop. It backs the /healthz and /readyz probes.
-func (n *Network) Health() *telemetry.Health { return n.health }
-
-// MetricsAddr returns the bound observability address, or "" when no
-// metrics server is running (useful with a ":0" MetricsAddr).
-func (n *Network) MetricsAddr() string {
-	if n.metSrv == nil {
-		return ""
-	}
-	return n.metSrv.Addr()
-}
+// observability server when MetricsAddr is configured.
+func (n *Network) Start() { n.Runtime.Start(n.runObserver) }
 
 // Burst takes the mailbox's backlog and steps it, parking on an empty
 // mailbox until a put or Stop.
@@ -643,11 +635,13 @@ func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
 		t := ls.ports[port]
 		t.evs = append(t.evs, Event{Kind: EvPacket, Pkt: pkt, Port: peer.Port})
 	case topology.PeerHost:
+		// Counted once the hook returns, so a scrape never counts a
+		// delivery the hook has not seen.
 		n := ls.net
-		n.tel.delivered.Inc()
 		if n.cfg.OnDeliver != nil {
 			n.cfg.OnDeliver(pkt, peer.Host)
 		}
+		n.tel.delivered.Inc()
 	}
 }
 

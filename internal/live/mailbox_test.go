@@ -71,7 +71,7 @@ func consume(m *mailbox, total int, each func(Event)) <-chan bool {
 // producers, the consumer sees each one's events in the order put.
 func TestMailboxFIFOPerProducer(t *testing.T) {
 	const producers, each = 8, 5000
-	m := newMailbox(nil)
+	m := newMailbox()
 	var next [producers]uint64
 	var disorder atomic.Int64
 	done := consume(m, producers*each, func(ev Event) {
@@ -105,7 +105,7 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 // edge for 100 k events; it must see them all.
 func TestMailboxNoLostWakeup(t *testing.T) {
 	const total = 100_000
-	m := newMailbox(nil)
+	m := newMailbox()
 	var sum uint64
 	done := consume(m, total, func(ev Event) { sum += uint64(ev.ID) })
 	go func() {
@@ -130,7 +130,7 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 // inboxDepth are admitted and the tail refused, control events are
 // admitted on top of a full mailbox, and take returns the lot in order.
 func TestMailboxBound(t *testing.T) {
-	m := newMailbox(nil)
+	m := newMailbox()
 	train := make([]Event, inboxDepth+100)
 	for i := range train {
 		train[i] = pkt(0, uint64(i))

@@ -16,7 +16,6 @@ import (
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
-	"speedlight/internal/wire"
 )
 
 // runtime is what the conformance test needs of a runtime. Deliveries
@@ -90,47 +89,29 @@ func (e *emu) snapshot() *observer.GlobalSnapshot {
 	return snaps[0]
 }
 
-// realtime runs live or wire: behind what they share and the two calls
-// they spell differently, this test cannot tell them apart.
+// realtime runs a wallClocks runtime: behind the Runtime live and wire
+// share, this test cannot tell them apart.
 type realtime struct {
-	t   *testing.T
-	h   *hosts
-	net interface {
-		Inject(topology.HostID, *packet.Packet) error
-		Audit() *audit.Report
-	}
-	take func() (packet.SeqID, <-chan *observer.GlobalSnapshot, error)
+	t    *testing.T
+	h    *hosts
+	rt   *live.Runtime
 	stop func()
 }
 
-func newLive(t *testing.T, topo *topology.Topology, channelState bool, h *hosts) runtime {
-	n, err := live.New(live.Config{
-		Topo: topo, MaxID: 256, WrapAround: true, ChannelState: channelState,
-		RetryEvery: 5 * time.Millisecond, Journal: journal.NewSet(0), OnDeliver: h.deliver,
-	})
-	if err != nil {
-		t.Fatal(err)
+// newRealtime is the one builder of both wall-clock runtimes: deploy is
+// a wallClocks row's.
+func newRealtime(deploy func(*testing.T, live.Config) (*live.Runtime, func(), func(topology.NodeID))) func(*testing.T, *topology.Topology, bool, *hosts) runtime {
+	return func(t *testing.T, topo *topology.Topology, channelState bool, h *hosts) runtime {
+		rt, stop, _ := deploy(t, live.Config{
+			Topo: topo, MaxID: 256, WrapAround: true, ChannelState: channelState,
+			RetryEvery: 5 * time.Millisecond, Journal: journal.NewSet(0), OnDeliver: h.deliver,
+		})
+		return &realtime{t, h, rt, stop}
 	}
-	n.Start()
-	t.Cleanup(n.Stop)
-	take := func() (packet.SeqID, <-chan *observer.GlobalSnapshot, error) { return n.TakeSnapshot(0) }
-	return &realtime{t, h, n, take, n.Stop}
-}
-
-func newWire(t *testing.T, topo *topology.Topology, channelState bool, h *hosts) runtime {
-	d, err := wire.Deploy(wire.Config{
-		Topo: topo, MaxID: 256, WrapAround: true, ChannelState: channelState,
-		RetryEvery: 5 * time.Millisecond, Journal: journal.NewSet(0), OnDeliver: h.deliver,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	return &realtime{t, h, d, d.TakeSnapshot, d.Close}
 }
 
 func (r *realtime) inject(src topology.HostID, pkt *packet.Packet) {
-	if err := r.net.Inject(src, pkt); err != nil {
+	if err := r.rt.Inject(src, pkt); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -141,11 +122,11 @@ func (r *realtime) drain() {
 
 func (r *realtime) audit() *audit.Report {
 	r.stop() // the rings are quiet from here on
-	return r.net.Audit()
+	return r.rt.Audit()
 }
 
 func (r *realtime) snapshot() *observer.GlobalSnapshot {
-	_, done, err := r.take()
+	_, done, err := r.rt.TakeSnapshot(0)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -163,10 +144,15 @@ func (r *realtime) snapshot() *observer.GlobalSnapshot {
 // packets, the network drains, and one snapshot of the idle network
 // must account for every one of them at the edge.
 func TestRuntimeConformance(t *testing.T) {
-	for _, rt := range []struct {
+	type builder struct {
 		name  string
 		build func(*testing.T, *topology.Topology, bool, *hosts) runtime
-	}{{"emunet", newEmu}, {"live", newLive}, {"wire", newWire}} {
+	}
+	runtimes := []builder{{"emunet", newEmu}}
+	for _, wc := range wallClocks {
+		runtimes = append(runtimes, builder{wc.name, newRealtime(wc.deploy)})
+	}
+	for _, rt := range runtimes {
 		for _, channelState := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/cs=%v", rt.name, channelState), func(t *testing.T) {
 				ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{

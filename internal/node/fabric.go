@@ -7,11 +7,14 @@ import (
 	"speedlight/internal/audit"
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
+	"speedlight/internal/epochtrace"
+	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/routing"
 	"speedlight/internal/sim"
+	"speedlight/internal/snapstore"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
 )
@@ -160,6 +163,32 @@ func (f *Fabric) Audit() *audit.Report {
 // CompletedEpochs returns how many global snapshots the observer has
 // assembled. Safe from any goroutine.
 func (f *Fabric) CompletedEpochs() uint64 { return f.cfg.Sink.CompletedEpochs() }
+
+// Endpoints assembles the deployment's observability endpoint set —
+// handlers only: serving them is the caller's. The Registry brings
+// /metrics; the Sink's Journal brings /journal, /audit and the /trace
+// family, whose per-pair stall attribution is blocked (nil off a sharded
+// engine); its Snapstore brings /snapshots and a "snapstore-lag"
+// readiness check on health; and its Invariants bring /invariants.
+func (f *Fabric) Endpoints(health *telemetry.Health, blocked func() []epochtrace.ShardBlocking) telemetry.MuxConfig {
+	s := f.cfg.Sink
+	mc := telemetry.MuxConfig{Registry: f.cfg.Registry, Health: health}
+	if jr := s.Journal; jr != nil {
+		mc.Journal = journal.HTTPHandler(jr.Events)
+		mc.Audit = audit.HTTPHandler(f.Audit)
+		mc.EpochTrace = epochtrace.HTTPHandler(func() []*epochtrace.EpochTrace {
+			return epochtrace.Build(jr.Events())
+		}, blocked)
+	}
+	if s.Snapstore != nil {
+		mc.Snapshots = snapstore.HTTPHandler(s.Snapstore.View)
+		health.AddCheck("snapstore-lag", snapstore.HealthCheck(s.Snapstore, s.CompletedEpochs, SnapstoreLagMax))
+	}
+	if s.Invariants != nil {
+		mc.Invariants = invariant.HTTPHandler(s.Invariants)
+	}
+	return mc
+}
 
 // Snapshots returns a copy of the snapshots completed so far.
 func (f *Fabric) Snapshots() []*observer.GlobalSnapshot {

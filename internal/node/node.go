@@ -7,8 +7,8 @@
 // switch, the observer behind one mutex with its retry and exclusion
 // timers (RecoveryTimers is their one defaulting rule), the recovery
 // relay (NewFabric, Fabric.Retries), the snapshot set churn edits
-// (Remove, Reprovision, RouteAround), and Sink.Endpoints the one
-// assembly of the observability endpoint set.
+// (Remove, Reprovision, RouteAround), and Endpoints, the one assembly
+// of the observability endpoint set from the Registry and Sink it holds.
 //
 // Nothing here starts a goroutine, arms a timer or reads a clock: the
 // runtime that hosts a switch supplies time and the wire through Host

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"speedlight/internal/audit"
-	"speedlight/internal/epochtrace"
 	"speedlight/internal/invariant"
 	"speedlight/internal/journal"
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/snapstore"
-	"speedlight/internal/telemetry"
 )
 
 // Sink is where an assembled global snapshot goes: the anomaly hook,
@@ -66,32 +63,5 @@ func (s *Sink) anomaly(reason string, id packet.SeqID) {
 }
 
 // SnapstoreLagMax is how many epochs Snapstore's ingestion may trail the
-// observer before the readiness check Endpoints registers fails.
+// observer before the readiness check Fabric.Endpoints registers fails.
 const SnapstoreLagMax = 8
-
-// Endpoints assembles the observability endpoint set of a deployment
-// that completes into s — handlers only: serving them is the caller's.
-// A Journal brings /journal, /audit (auditRun's report) and the /trace
-// family, whose per-pair stall attribution is blocked (nil off a sharded
-// engine); Snapstore brings /snapshots and a "snapstore-lag" readiness
-// check on health, completed being the observer's epoch count; and
-// Invariants brings /invariants.
-func (s *Sink) Endpoints(reg *telemetry.Registry, health *telemetry.Health, completed func() uint64,
-	auditRun func() *audit.Report, blocked func() []epochtrace.ShardBlocking) telemetry.MuxConfig {
-	mc := telemetry.MuxConfig{Registry: reg, Health: health}
-	if jr := s.Journal; jr != nil {
-		mc.Journal = journal.HTTPHandler(jr.Events)
-		mc.Audit = audit.HTTPHandler(auditRun)
-		mc.EpochTrace = epochtrace.HTTPHandler(func() []*epochtrace.EpochTrace {
-			return epochtrace.Build(jr.Events())
-		}, blocked)
-	}
-	if s.Snapstore != nil {
-		mc.Snapshots = snapstore.HTTPHandler(s.Snapstore.View)
-		health.AddCheck("snapstore-lag", snapstore.HealthCheck(s.Snapstore, completed, SnapstoreLagMax))
-	}
-	if s.Invariants != nil {
-		mc.Invariants = invariant.HTTPHandler(s.Invariants)
-	}
-	return mc
-}

@@ -1,13 +1,18 @@
 package node_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"speedlight/internal/audit"
 	"speedlight/internal/core"
 	"speedlight/internal/counters"
 	"speedlight/internal/dataplane"
@@ -16,12 +21,13 @@ import (
 	"speedlight/internal/observer"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
+	"speedlight/internal/snapstore"
 	"speedlight/internal/topology"
 	"speedlight/internal/wire"
 )
 
 // wallClocks are the two wall-clock runtimes. deploy builds one from the
-// options both take, starts it, and returns its Runtime, the stop that
+// one Config both take, starts it, and returns its Runtime, the stop that
 // ends it (run again at the test's end) and silence, which makes one
 // switch stop answering for good: live's stops stepping (see hang),
 // wire's loses its socket.
@@ -42,10 +48,7 @@ var wallClocks = []struct {
 		return n.Runtime, stop, h.silence
 	}},
 	{"wire", func(t *testing.T, cfg live.Config) (*live.Runtime, func(), func(topology.NodeID)) {
-		d, err := wire.Deploy(wire.Config{
-			Topo: cfg.Topo, ChannelState: cfg.ChannelState, RetryEvery: cfg.RetryEvery,
-			OnDeliver: cfg.OnDeliver, Journal: cfg.Journal,
-		})
+		d, err := wire.Deploy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,6 +378,73 @@ func TestSilentSwitchIsExcluded(t *testing.T) {
 			}
 			if d := rt.Audit().Disagreements; d != 0 {
 				t.Errorf("audit: %d disagreement(s) with the observer", d)
+			}
+		})
+	}
+}
+
+// TestEndpointsOnBothTransports: given a MetricsAddr and no Registry,
+// either runtime makes the registry and serves the Fabric's endpoints
+// from Start to Stop — the observer's counts, the audit of its journal,
+// the snapshot history and readiness — and none after.
+func TestEndpointsOnBothTransports(t *testing.T) {
+	for _, wc := range wallClocks {
+		t.Run(wc.name, func(t *testing.T) {
+			rt, stop, _ := wc.deploy(t, live.Config{
+				Topo: testbed(t).Topology, MetricsAddr: "127.0.0.1:0",
+				Journal: journal.NewSet(0), Snapstore: snapstore.New(snapstore.Config{}),
+			})
+			_, done, err := rt.TakeSnapshot(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var id packet.SeqID
+			select {
+			case g := <-done:
+				id = g.ID
+			case <-time.After(10 * time.Second):
+				t.Fatal("snapshot never completed")
+			}
+			get := func(path string) (int, []byte) {
+				t.Helper()
+				resp, err := http.Get("http://" + rt.MetricsAddr() + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, body
+			}
+
+			if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(string(body), "speedlight_obs_snapshots_completed_total 1\n") {
+				t.Errorf("/metrics = %d without speedlight_obs_snapshots_completed_total 1", code)
+			}
+			var rep audit.Report
+			if code, body := get("/audit"); code != http.StatusOK {
+				t.Errorf("/audit = %d: %s", code, body)
+			} else if err := json.Unmarshal(body, &rep); err != nil {
+				t.Errorf("/audit is not a report: %v", err)
+			} else if rep.Disagreements != 0 {
+				t.Errorf("/audit: %d disagreement(s) with the observer", rep.Disagreements)
+			}
+			var list snapstore.ListJSON
+			if code, body := get("/snapshots"); code != http.StatusOK {
+				t.Errorf("/snapshots = %d: %s", code, body)
+			} else if err := json.Unmarshal(body, &list); err != nil {
+				t.Errorf("/snapshots is not an epoch index: %v", err)
+			} else if list.Retained != 1 || len(list.Epochs) != 1 || list.Epochs[0].Epoch != uint64(id) {
+				t.Errorf("/snapshots retains %d epoch(s) %+v, want snapshot %d", list.Retained, list.Epochs, id)
+			}
+			if code, body := get("/readyz"); code != http.StatusOK {
+				t.Errorf("/readyz = %d: %s", code, body)
+			}
+
+			stop()
+			if addr := rt.MetricsAddr(); addr != "" {
+				t.Errorf("MetricsAddr() = %q after the stop, want \"\"", addr)
 			}
 		})
 	}

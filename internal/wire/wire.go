@@ -3,12 +3,8 @@ package wire
 import (
 	"net"
 	"syscall"
-	"time"
 
 	"speedlight/internal/control"
-	"speedlight/internal/core"
-	"speedlight/internal/dataplane"
-	"speedlight/internal/journal"
 	"speedlight/internal/live"
 	"speedlight/internal/node"
 	"speedlight/internal/observer"
@@ -25,41 +21,9 @@ const maxDatagram = 1400
 // waits behind a socket that never runs dry; nothing else holds a frame.
 const burstCap = 32
 
-// Config parameterizes a UDP deployment.
-type Config struct {
-	// Topo is the network topology. Required.
-	Topo *topology.Topology
-
-	// Snapshot protocol parameters (defaults: MaxID 256, wraparound on,
-	// channel state off).
-	MaxID        uint32
-	WrapAround   bool
-	ChannelState bool
-
-	// Metrics builds each unit's snapshot target; nil defaults to
-	// packet counters.
-	Metrics func(id dataplane.UnitID) core.Metric
-
-	// RetryEvery drives the observer's recovery loop, as in live.Config:
-	// a retry after RetryEvery, and the silent switches excluded after
-	// max(50 ms, 2 × RetryEvery). Default 20 ms (so a 50 ms exclusion);
-	// negative disables both.
-	RetryEvery time.Duration
-
-	// OnDeliver observes packets delivered to hosts. Called from the
-	// deployment's host-sink goroutine.
-	OnDeliver func(pkt *packet.Packet, host topology.HostID)
-
-	// Journal, when set, records every protocol event into per-switch
-	// flight-recorder rings. The rings are lock-free and safe for the
-	// deployment's concurrent goroutines. Nil disables journaling.
-	Journal *journal.Set
-	// OnAnomaly receives a flight-recorder dump (the last 512 journal
-	// events) whenever a snapshot finalizes inconsistent or with
-	// excluded devices. Called with the fabric's lock held; must not
-	// call back into the deployment.
-	OnAnomaly func(reason string, snapshotID packet.SeqID, dump []journal.Event)
-}
+// Config parameterizes a UDP deployment: it is live.Config, the one
+// wall-clock configuration, passed to the Runtime whole.
+type Config = live.Config
 
 // staging is the train a switch is building for one destination socket.
 type staging struct {
@@ -255,8 +219,8 @@ func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
 type Deployment struct {
 	// Runtime is the deployment and its goroutines: the switches the
 	// sockets feed and the Fabric the observer socket reports to. It
-	// brings Switch, Journal, Audit, Snapshots, CompletedEpochs and
-	// Inject.
+	// brings Switch, Journal, Audit, Snapshots, CompletedEpochs, Inject
+	// and the observability surface (Registry, Health, MetricsAddr).
 	*live.Runtime
 	cfg      Config
 	switches []*switchNode // by NodeID
@@ -269,7 +233,8 @@ func bind() (*net.UDPConn, error) {
 	return net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 }
 
-// Deploy binds all sockets on loopback and starts the node goroutines.
+// Deploy binds all sockets on loopback and starts the node goroutines,
+// and the observability server when MetricsAddr is set.
 func Deploy(cfg Config) (*Deployment, error) {
 	d := &Deployment{cfg: cfg}
 	if err := d.build(); err != nil {
@@ -290,12 +255,7 @@ func (d *Deployment) build() (err error) {
 			return err
 		}
 	}
-	cfg := d.cfg
-	d.Runtime, err = live.NewRuntime(live.Config{
-		Topo: cfg.Topo, MaxID: cfg.MaxID, WrapAround: cfg.WrapAround, ChannelState: cfg.ChannelState,
-		Metrics: cfg.Metrics, RetryEvery: cfg.RetryEvery, Journal: cfg.Journal, OnAnomaly: cfg.OnAnomaly,
-	}, d.attach)
-	if err != nil {
+	if d.Runtime, err = live.NewRuntime(d.cfg, d.attach); err != nil {
 		return err
 	}
 	toHosts := d.sinkConn.LocalAddr().(*net.UDPAddr)
@@ -409,8 +369,8 @@ func (d *Deployment) closeSockets() {
 // no longer answers.
 func (d *Deployment) CloseSwitch(id topology.NodeID) { d.switches[id].conn.Close() }
 
-// Close shuts the deployment down and waits for its goroutines. It is
-// idempotent.
+// Close shuts the deployment down, waits for its goroutines and closes
+// the metrics server. It is idempotent.
 func (d *Deployment) Close() {
 	d.closeSockets()
 	d.Stop()
