@@ -35,8 +35,8 @@ type Fabric struct {
 	cfg      FabricConfig // DP as every switch starts from it
 	cpTel    *control.Telemetry
 	fibs     map[topology.NodeID]*routing.FIB
-	utilized map[topology.NodeID]map[[2]int]bool
-	sws      []*Switch // by NodeID
+	utilized []routing.PortPairs // by NodeID
+	sws      []*Switch           // by NodeID
 
 	mu   sync.Mutex
 	obs  *observer.Observer

@@ -113,7 +113,7 @@ func TestGatesFromUtilizedPairs(t *testing.T) {
 
 						want = nil
 						for in := range spec.Ports {
-							if in == p || used[spec.ID][[2]int{in, p}] {
+							if in == p || used[spec.ID].Has(in, p) {
 								want = append(want, classes(in)...)
 							}
 						}

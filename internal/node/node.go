@@ -62,9 +62,10 @@ type Config struct {
 	// Node, NumPorts and EdgePorts from Spec. A nil Balancer means ECMP;
 	// a nil Metrics, or a nil metric from it, means a packet counter.
 	DP dataplane.Config
-	// Utilized is the switch's entry of routing.UtilizedPairs, from
-	// which its completion gates derive (see completionChannels).
-	Utilized map[[2]int]bool
+	// Utilized is the switch's entry of routing.UtilizedPairs, the
+	// (ingress, egress) port pairs some route uses, from which its
+	// completion gates derive (see completionChannels).
+	Utilized routing.PortPairs
 
 	CPTelemetry *control.Telemetry
 	// OnResult ships a finished per-unit snapshot toward the observer.
@@ -122,12 +123,12 @@ func New(cfg Config, host Host) (*Switch, error) {
 // switch-facing ingress unit gates on its external class channels; a
 // host-facing ingress unit gates on nothing (hosts cannot carry
 // markers); an egress unit gates on the internal channels some
-// forwarding path actually uses (used: exact, from FIB path
-// enumeration) plus its own port, which the initiation path refreshes
-// every epoch. A channel no route uses is not an incident channel of
-// the unit: nothing will ever arrive on it to wait for. Channels come
-// out ascending.
-func completionChannels(spec *topology.Switch, used map[[2]int]bool, numCoS int) func(dataplane.UnitID) []int {
+// forwarding path actually uses (used: exact, the switch's entry of
+// routing.UtilizedPairs over the FIBs it is built with) plus its own
+// port, which the initiation path refreshes every epoch. A channel no
+// route uses is not an incident channel of the unit: nothing will ever
+// arrive on it to wait for. Channels come out ascending.
+func completionChannels(spec *topology.Switch, used routing.PortPairs, numCoS int) func(dataplane.UnitID) []int {
 	return func(id dataplane.UnitID) []int {
 		if id.Dir == dataplane.Ingress {
 			if spec.Ports[id.Port].Kind == topology.PeerSwitch {
@@ -141,7 +142,7 @@ func completionChannels(spec *topology.Switch, used map[[2]int]bool, numCoS int)
 		}
 		var chans []int
 		for p := range spec.Ports {
-			if p != id.Port && !used[[2]int{p, id.Port}] {
+			if p != id.Port && !used.Has(p, id.Port) {
 				continue
 			}
 			for c := 0; c < numCoS; c++ {

@@ -249,49 +249,71 @@ func (f *Flowlet) Pick(pkt *packet.Packet, ports []int, now sim.Time) int {
 // Name implements Balancer.
 func (f *Flowlet) Name() string { return "flowlet" }
 
-// UtilizedPairs returns, for every switch, the set of (ingress port,
-// egress port) pairs that some host-to-host path actually traverses
-// under the given FIBs. Control planes use this to remove structurally
-// idle internal channels from snapshot-completion consideration — the
-// paper's Section 6 "removal of non-utilized upstream neighbors" (e.g.,
-// uplink-to-uplink channels in valley-free leaf-spine routing never
-// carry traffic).
-func UtilizedPairs(t *topology.Topology, fibs map[topology.NodeID]*FIB) map[topology.NodeID]map[[2]int]bool {
-	used := make(map[topology.NodeID]map[[2]int]bool, len(t.Switches))
-	for _, sw := range t.Switches {
-		used[sw.ID] = make(map[[2]int]bool)
+// PortPairs is one switch's set of utilized (ingress port, egress port)
+// pairs, dense over its ports. The zero value holds none.
+type PortPairs struct {
+	ports int
+	used  []bool // [in*ports + out]
+}
+
+// Has reports whether some host-to-host path enters the switch on port
+// in and leaves it on port out.
+func (p PortPairs) Has(in, out int) bool {
+	return in < p.ports && out < p.ports && p.used[in*p.ports+out]
+}
+
+// UtilizedPairs returns, for every switch, indexed by NodeID, the set of
+// (ingress port, egress port) pairs that some host-to-host path actually
+// traverses under the given FIBs. Control planes use this to remove
+// structurally idle internal channels from snapshot-completion
+// consideration — the paper's Section 6 "removal of non-utilized
+// upstream neighbors" (e.g., uplink-to-uplink channels in valley-free
+// leaf-spine routing never carry traffic).
+//
+// Forwarding depends only on the destination, so it walks once per
+// destination host, from every other host's (switch, port), reading each
+// switch's ECMP group once and entering each (switch, ingress port)
+// state at most once: O(hosts × states) steps, where a state is a switch
+// port. A fabric calls it when it is built and again on every churn
+// reroute.
+func UtilizedPairs(t *topology.Topology, fibs map[topology.NodeID]*FIB) []PortPairs {
+	type state struct{ node, in int }
+	used := make([]PortPairs, len(t.Switches))
+	seen := make([][]int, len(t.Switches)) // [node][in]: last destination index + 1
+	groups := make([][]int, len(t.Switches))
+	for i, sw := range t.Switches {
+		n := len(sw.Ports)
+		used[i], seen[i] = PortPairs{ports: n, used: make([]bool, n*n)}, make([]int, n)
 	}
-	type key struct {
-		node topology.NodeID
-		in   int
-		dst  topology.HostID
-	}
-	seen := make(map[key]bool)
-	var walk func(node topology.NodeID, in int, dst topology.HostID)
-	walk = func(node topology.NodeID, in int, dst topology.HostID) {
-		k := key{node, in, dst}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		fib := fibs[node]
-		if fib == nil {
-			return
-		}
-		for _, e := range fib.Ports(dst) {
-			used[node][[2]int{in, e}] = true
-			peer := t.Peer(node, e)
-			if peer.Kind == topology.PeerSwitch {
-				walk(peer.Node, peer.Port, dst)
+	var stack []state
+	for d, dst := range t.Hosts {
+		visit := func(node, in int) {
+			if seen[node][in] != d+1 {
+				seen[node][in] = d + 1
+				stack = append(stack, state{node, in})
 			}
 		}
-	}
-	for _, src := range t.Hosts {
-		for _, dst := range t.Hosts {
-			if src.ID == dst.ID {
-				continue
+		for i := range groups {
+			groups[i] = nil
+			if fib := fibs[topology.NodeID(i)]; fib != nil {
+				groups[i] = fib.Ports(dst.ID)
 			}
-			walk(src.Node, src.Port, dst.ID)
+		}
+		for _, src := range t.Hosts {
+			if src.ID != dst.ID {
+				visit(int(src.Node), src.Port)
+			}
+		}
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			pp := used[s.node]
+			for _, e := range groups[s.node] {
+				pp.used[s.in*pp.ports+e] = true
+				if peer := t.Switches[s.node].Ports[e]; peer.Kind == topology.PeerSwitch {
+					visit(int(peer.Node), peer.Port)
+				}
+			}
 		}
 	}
 	return used

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,21 +10,8 @@ import (
 	"speedlight/internal/topology"
 )
 
-func leafSpine(t *testing.T) *topology.LeafSpine {
-	t.Helper()
-	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
-		HostLinkLatency:   sim.Microsecond,
-		FabricLinkLatency: sim.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ls
-}
-
 func TestComputeFIBsLeafSpine(t *testing.T) {
-	ls := leafSpine(t)
+	ls := leafSpineOf(t, 2, 2, 3)
 	fibs, err := ComputeFIBs(ls.Topology)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +223,7 @@ func TestUtilizedPairsFatTreeValleyFree(t *testing.T) {
 		for _, e := range ft.Edge[pod] {
 			for _, in := range []int{2, 3} {
 				for _, out := range []int{2, 3} {
-					if used[e][[2]int{in, out}] {
+					if used[e].Has(in, out) {
 						t.Errorf("edge %d: uplink-to-uplink pair (%d,%d) marked utilized", e, in, out)
 					}
 				}
@@ -244,13 +232,13 @@ func TestUtilizedPairsFatTreeValleyFree(t *testing.T) {
 	}
 	// But host-to-uplink pairs are used.
 	e := ft.Edge[0][0]
-	if !used[e][[2]int{0, 2}] && !used[e][[2]int{0, 3}] {
+	if !used[e].Has(0, 2) && !used[e].Has(0, 3) {
 		t.Error("no host-to-uplink pair utilized at edge 0")
 	}
 }
 
 func TestComputeFIBsFilteredSpineDown(t *testing.T) {
-	ls := leafSpine(t)
+	ls := leafSpineOf(t, 2, 2, 3)
 	full, err := ComputeFIBs(ls.Topology)
 	if err != nil {
 		t.Fatal(err)
@@ -314,3 +302,192 @@ func TestComputeFIBsFilteredPartition(t *testing.T) {
 		t.Errorf("s1 lost its local host: %v", got)
 	}
 }
+
+// utilizedPairsRef is the depth-first walk UtilizedPairs replaced: one
+// walk per ordered host pair, memoised per (switch, ingress port,
+// destination). It is the oracle of TestUtilizedPairsMatchesReference.
+func utilizedPairsRef(t *topology.Topology, fibs map[topology.NodeID]*FIB) map[topology.NodeID]map[[2]int]bool {
+	used := make(map[topology.NodeID]map[[2]int]bool, len(t.Switches))
+	for _, sw := range t.Switches {
+		used[sw.ID] = make(map[[2]int]bool)
+	}
+	type key struct {
+		node topology.NodeID
+		in   int
+		dst  topology.HostID
+	}
+	seen := make(map[key]bool)
+	var walk func(node topology.NodeID, in int, dst topology.HostID)
+	walk = func(node topology.NodeID, in int, dst topology.HostID) {
+		k := key{node, in, dst}
+		if seen[k] {
+			return
+		}
+		seen[k] = true
+		fib := fibs[node]
+		if fib == nil {
+			return
+		}
+		for _, e := range fib.Ports(dst) {
+			used[node][[2]int{in, e}] = true
+			peer := t.Peer(node, e)
+			if peer.Kind == topology.PeerSwitch {
+				walk(peer.Node, peer.Port, dst)
+			}
+		}
+	}
+	for _, src := range t.Hosts {
+		for _, dst := range t.Hosts {
+			if src.ID == dst.ID {
+				continue
+			}
+			walk(src.Node, src.Port, dst.ID)
+		}
+	}
+	return used
+}
+
+func leafSpineOf(tb testing.TB, leaves, spines, hosts int) *topology.LeafSpine {
+	tb.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
+		Leaves: leaves, Spines: spines, HostsPerLeaf: hosts,
+		HostLinkLatency: sim.Microsecond, FabricLinkLatency: sim.Microsecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ls
+}
+
+func fatTree(tb testing.TB, k int) *topology.Topology {
+	tb.Helper()
+	ft, err := topology.NewFatTree(topology.FatTreeConfig{K: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ft.Topology
+}
+
+// star is one switch with a host on every port: the Fig. 10
+// bisection's topology.
+func star(tb testing.TB, ports int) *topology.Topology {
+	tb.Helper()
+	b := topology.NewBuilder()
+	sw := b.AddSwitch(ports)
+	for p := 0; p < ports; p++ {
+		b.AttachHost(sw, p, sim.Microsecond)
+	}
+	topo, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
+}
+
+func fibsOf(tb testing.TB, topo *topology.Topology) map[topology.NodeID]*FIB {
+	tb.Helper()
+	fibs, err := ComputeFIBs(topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fibs
+}
+
+// TestUtilizedPairsMatchesReference: the per-destination walk marks
+// exactly the pairs the per-pair walk does, on every topology the
+// runtimes build and on FIBs computed around churn.
+func TestUtilizedPairsMatchesReference(t *testing.T) {
+	type tc struct {
+		name string
+		topo *topology.Topology
+		fibs map[topology.NodeID]*FIB
+	}
+	var cases []tc
+	full := func(name string, topo *topology.Topology) {
+		cases = append(cases, tc{name, topo, fibsOf(t, topo)})
+	}
+	for _, hosts := range []int{1, 4, 28} {
+		full(fmt.Sprintf("leaf-spine 8x4x%d", hosts), leafSpineOf(t, 8, 4, hosts).Topology)
+	}
+	full("leaf-spine 2x2x3", leafSpineOf(t, 2, 2, 3).Topology)
+	full("fat-tree k=4", fatTree(t, 4))
+	full("fat-tree k=6", fatTree(t, 6))
+	full("star 64", star(t, 64))
+	ls := leafSpineOf(t, 8, 4, 4)
+	spine, leaf, uplink := ls.Spines[0], ls.Leaves[0], ls.UplinkPorts(ls.Leaves[0])[0]
+	peer := ls.Peer(leaf, uplink)
+	drained := Filter{LinkDown: func(n topology.NodeID, p int) bool {
+		return (n == leaf && p == uplink) || (n == peer.Node && p == peer.Port)
+	}}
+	// A FIB pushed to one leaf alone leaves the fabric's routes
+	// asymmetric: the spine behind the drained uplink still sends down it.
+	pushed := fibsOf(t, ls.Topology)
+	pushed[leaf] = ComputeFIBsFiltered(ls.Topology, drained)[leaf]
+	cases = append(cases,
+		tc{"leaf-spine 8x4x4 spine down", ls.Topology, ComputeFIBsFiltered(ls.Topology, Filter{
+			SwitchDown: func(n topology.NodeID) bool { return n == spine },
+		})},
+		tc{"leaf-spine 8x4x4 uplink drained", ls.Topology, ComputeFIBsFiltered(ls.Topology, drained)},
+		tc{"leaf-spine 8x4x4 uplink drained at one leaf", ls.Topology, pushed},
+	)
+	for _, c := range cases {
+		got, want := UtilizedPairs(c.topo, c.fibs), utilizedPairsRef(c.topo, c.fibs)
+		if len(got) != len(c.topo.Switches) {
+			t.Fatalf("%s: %d entries for %d switches", c.name, len(got), len(c.topo.Switches))
+		}
+		total := 0
+		for _, sw := range c.topo.Switches {
+			n := 0
+			for in := range sw.Ports {
+				for out := range sw.Ports {
+					if has, ref := got[sw.ID].Has(in, out), want[sw.ID][[2]int{in, out}]; has != ref {
+						t.Errorf("%s: switch %d pair (%d,%d): got %v, reference %v", c.name, sw.ID, in, out, has, ref)
+					} else if ref {
+						n++
+					}
+				}
+			}
+			if n != len(want[sw.ID]) {
+				t.Errorf("%s: switch %d: reference has %d pairs, %d of them on its ports", c.name, sw.ID, len(want[sw.ID]), n)
+			}
+			total += n
+		}
+		if total == 0 {
+			t.Errorf("%s: no pair utilized", c.name)
+		}
+	}
+}
+
+// BenchmarkUtilizedPairs prices the walk at every fabric build and churn
+// reroute, beside the per-pair reference: the snapshot_storm's 288-port
+// leaf-spine, the 96-port fabric of fabric_serial, and the Fig. 10
+// bisection's 64-port star.
+func BenchmarkUtilizedPairs(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		topo *topology.Topology
+	}{
+		{"leaf-spine-288", leafSpineOf(b, 8, 4, 28).Topology},
+		{"fabric-96", leafSpineOf(b, 8, 4, 4).Topology},
+		{"star-64", star(b, 64)},
+	} {
+		fibs := fibsOf(b, c.topo)
+		b.Run(c.name+"/walk", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkPairs = UtilizedPairs(c.topo, fibs)
+			}
+		})
+		b.Run(c.name+"/ref", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRef = utilizedPairsRef(c.topo, fibs)
+			}
+		})
+	}
+}
+
+var (
+	sinkPairs []PortPairs
+	sinkRef   map[topology.NodeID]map[[2]int]bool
+)
