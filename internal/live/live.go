@@ -65,7 +65,10 @@ type Config struct {
 
 	// OnDeliver observes packets reaching hosts. Called from live's
 	// switch goroutines and from wire's host-sink goroutine; must be safe
-	// for concurrent use.
+	// for concurrent use. A delivered packet belongs to the callee, which
+	// may keep it or Inject it again: on live it is the pointer a host
+	// injected, on wire it may be any struct an earlier Inject handed
+	// over (see Runtime.Inject).
 	OnDeliver func(pkt *packet.Packet, host topology.HostID)
 
 	// RetryEvery is the recovery period: a snapshot incomplete for it is
@@ -151,7 +154,8 @@ type Device interface {
 	// markers if asked) and then, if asked, a poll. A full queue must not
 	// drop them: the observer asks for a retry once.
 	Control(id packet.SeqID, markers, poll bool)
-	// Inject takes a host's packet in at port.
+	// Inject takes a host's packet in at port; nil means it took the
+	// packet (Runtime.Inject).
 	Inject(port int, pkt *packet.Packet) error
 }
 
@@ -325,7 +329,11 @@ func (r *Runtime) retry() {
 	}
 }
 
-// Inject sends a packet from a host into its edge switch.
+// Inject sends a packet from a host into its edge switch. When it
+// returns nil the runtime has taken the packet: the caller must not read
+// or write it afterwards. live forwards the pointer itself (to
+// OnDeliver, if it arrives); wire encodes it, then decodes a later
+// delivery into it. On an error the caller keeps it.
 func (r *Runtime) Inject(host topology.HostID, pkt *packet.Packet) error {
 	if int(host) >= len(r.cfg.Topo.Hosts) {
 		return fmt.Errorf("live: unknown host %d", host)

@@ -233,6 +233,91 @@ func TestTrainKeepsChannelFIFO(t *testing.T) {
 	}
 }
 
+// TestDeliveredPacketsRoundTrip runs the benchmark's closed loop on both
+// runtimes: tokens packets, each handed back by OnDeliver, rewritten
+// whole and injected again under the next Seq, from every host to every
+// other. Every delivery must carry exactly the fields injected under its
+// Seq, to the host it names — a struct recycled while its consumer still
+// held it would not — and every packet sent is delivered once. live
+// delivers the injected pointers themselves; wire decodes deliveries
+// into structs Inject handed over, so its deliveries come in no more
+// distinct structs than the tokens and its free list (256) hold.
+func TestDeliveredPacketsRoundTrip(t *testing.T) {
+	const tokens, total = 128, 5000
+	injected := func(seq uint64) packet.Packet {
+		src := seq % 6
+		return packet.Packet{
+			SrcHost: uint32(src), DstHost: uint32((src + 1 + seq/6%5) % 6),
+			SrcPort: uint16(seq), DstPort: 80 + uint16(seq>>16), Proto: 6, CoS: uint8(seq % 4),
+			Size: uint32(64 + seq%1400), Seq: seq,
+		}
+	}
+	for _, wc := range wallClocks {
+		t.Run(wc.name, func(t *testing.T) {
+			spare := map[string]int{"live": 0, "wire": 256}[wc.name]
+			back := make(chan *packet.Packet, tokens)
+			var mu sync.Mutex
+			seen := make([]bool, total)
+			structs := map[*packet.Packet]bool{}
+			var delivered int
+			var bad []string
+			rt, _, _ := wc.deploy(t, live.Config{
+				Topo: testbed(t).Topology,
+				OnDeliver: func(p *packet.Packet, host topology.HostID) {
+					mu.Lock()
+					structs[p] = true
+					switch {
+					case p.Seq >= total || seen[p.Seq]:
+						bad = append(bad, fmt.Sprintf("Seq %d delivered again or never sent", p.Seq))
+					case *p != injected(p.Seq) || uint32(host) != p.DstHost:
+						bad = append(bad, fmt.Sprintf("to host %d: %+v, injected %+v", host, *p, injected(p.Seq)))
+					default:
+						seen[p.Seq] = true
+						delivered++
+					}
+					mu.Unlock()
+					select {
+					case back <- p:
+					default: // a duplicate must not block the runtime; it is reported
+					}
+				},
+			})
+			for i := 0; i < tokens; i++ {
+				back <- new(packet.Packet)
+			}
+			deadline := time.After(20 * time.Second)
+			for seq := uint64(0); seq < total; seq++ {
+				var p *packet.Packet
+				select {
+				case p = <-back:
+				case <-deadline:
+					t.Fatalf("stalled: %d of %d sent", seq, total)
+				}
+				*p = injected(seq)
+				if err := rt.Inject(topology.HostID(p.SrcHost), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			await(t, "every packet sent to be delivered", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return delivered+len(bad) >= total
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if len(bad) > 0 {
+				t.Errorf("%d bad deliveries, the first: %s", len(bad), bad[0])
+			}
+			if delivered != total {
+				t.Errorf("delivered %d of %d", delivered, total)
+			}
+			if len(structs) > tokens+spare {
+				t.Errorf("deliveries came in %d distinct packets, want at most %d tokens + %d", len(structs), tokens, spare)
+			}
+		})
+	}
+}
+
 // TestLonePacketIsNotHeld: nothing stays staged while the network is
 // idle. One packet into it is delivered, and one snapshot then
 // completes, with no further traffic and no retry (the retry period is

@@ -122,3 +122,43 @@ func TestHandleDataFrameAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkTrainAllocs pins the sink: a 16-frame host-deliver train is
+// decoded into packets off the free list and handed to OnDeliver without
+// allocating while the list holds packets, and with the list dry costs
+// one packet per delivery and nothing else.
+//
+//speedlight:allocgate wire.Deployment.deliver
+func TestSinkTrainAllocs(t *testing.T) {
+	var train []byte
+	for i := 0; i < 16; i++ {
+		train = appendHostDeliver(train, topology.HostID(i%6), &packet.Packet{
+			SrcHost: 1, DstHost: uint32(i % 6), Size: 100, Proto: 6, Seq: uint64(i)})
+	}
+	d := &Deployment{free: make(chan *packet.Packet, freeCap)}
+	delivered, bad := 0, 0
+	d.cfg.OnDeliver = func(p *packet.Packet, host topology.HostID) {
+		if p.Seq != uint64(delivered%16) || uint32(host) != p.DstHost {
+			bad++
+		}
+		delivered++
+		d.recycle(p) // hand it back: the list stays primed
+	}
+	for i := 0; i < 16; i++ {
+		d.recycle(new(packet.Packet))
+	}
+	if n := testing.AllocsPerRun(1000, func() { d.deliver(train) }); n != 0 {
+		t.Fatalf("a 16-frame train with a primed free list allocates %v, want 0", n)
+	}
+	if delivered != 16*1001 || bad != 0 {
+		t.Fatalf("%d deliveries (%d wrong), want %d", delivered, bad, 16*1001)
+	}
+
+	d.cfg.OnDeliver = func(*packet.Packet, topology.HostID) {} // keeps every packet
+	for len(d.free) > 0 {
+		<-d.free
+	}
+	if n := testing.AllocsPerRun(1000, func() { d.deliver(train) }); n != 16 {
+		t.Fatalf("a 16-frame train with a dry free list allocates %v, want 16 (one packet per delivery)", n)
+	}
+}

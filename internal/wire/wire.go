@@ -16,6 +16,10 @@ import (
 // Ethernet's MTU, so a train is never fragmented.
 const maxDatagram = 1400
 
+// freeCap bounds the free list of packets Inject has encoded and no
+// longer needs, which the host sink decodes deliveries into.
+const freeCap = 256
+
 // burstCap is how many datagrams a switch takes from its socket before
 // it flushes what they made it stage. It bounds how long a staged frame
 // waits behind a socket that never runs dry; nothing else holds a frame.
@@ -193,10 +197,16 @@ func (s *switchNode) Control(id packet.SeqID, _, poll bool) {
 
 // Inject sends a host's packet to port from the hosts' socket. Inject is
 // public API reachable from any goroutine, so it encodes into a fresh
-// buffer rather than sharing a scratch.
+// buffer rather than sharing a scratch. A sent packet is the
+// deployment's (live.Runtime.Inject): it goes on the free list, for the
+// sink to decode a later delivery into. A caller whose send failed keeps
+// its packet.
 func (s *switchNode) Inject(port int, pkt *packet.Packet) error {
-	_, err := s.d.hostConn.WriteToUDP(appendData(make([]byte, 0, maxMsgLen), port, pkt), s.addr)
-	return err
+	if _, err := s.d.hostConn.WriteToUDP(appendData(make([]byte, 0, maxMsgLen), port, pkt), s.addr); err != nil {
+		return err
+	}
+	s.d.recycle(pkt)
+	return nil
 }
 
 // stagingFor returns the staging buffer for the socket at addr, made on
@@ -224,6 +234,9 @@ type Deployment struct {
 	*live.Runtime
 	cfg      Config
 	switches []*switchNode // by NodeID
+	// free holds packets nobody else holds any more — what Inject has
+	// sent — for deliver to decode into; any goroutine may fill it.
+	free chan *packet.Packet
 
 	obsConn, sinkConn, hostConn *net.UDPConn
 }
@@ -250,6 +263,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 // everything bound, resolves each port's destination socket. It starts
 // nothing.
 func (d *Deployment) build() (err error) {
+	d.free = make(chan *packet.Packet, freeCap)
 	for _, c := range []**net.UDPConn{&d.obsConn, &d.sinkConn, &d.hostConn} {
 		if *c, err = bind(); err != nil {
 			return err
@@ -325,24 +339,45 @@ func (d *Deployment) runSink() {
 		if err != nil {
 			return
 		}
-		if d.cfg.OnDeliver == nil {
+		if d.cfg.OnDeliver != nil {
+			d.deliver(buf[:n])
+		}
+	}
+}
+
+// deliver hands each host-deliver frame of one sink datagram to
+// OnDeliver, decoded into a packet off the free list: the callee owns
+// it, so each delivery gets its own. Only a dry list allocates; a frame
+// that does not decode leaves its packet to the collector.
+//
+//speedlight:hotpath
+func (d *Deployment) deliver(data []byte) {
+	for frame, rest := next(data); frame != nil; frame, rest = next(rest) {
+		if frame[0] != msgHostDeliver {
 			continue
 		}
-		// One allocation per train: OnDeliver may keep its packet, so
-		// each delivery gets its own element. The edge strips the
-		// snapshot header, so the count is exact, and it is never short:
-		// no host-deliver frame is smaller than this divisor.
-		pkts := make([]packet.Packet, n/(5+packet.PacketBaseLen))
-		k := 0
-		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
-			if frame[0] != msgHostDeliver {
-				continue
-			}
-			if host, err := decodeHostDeliver(frame, &pkts[k]); err == nil {
-				d.cfg.OnDeliver(&pkts[k], host)
-				k++
-			}
+		var pkt *packet.Packet
+		select {
+		case pkt = <-d.free:
+		default:
+			pkt = fresh()
 		}
+		if host, err := decodeHostDeliver(frame, pkt); err == nil {
+			d.cfg.OnDeliver(pkt, host)
+		}
+	}
+}
+
+// fresh is deliver's cold path, a packet when the free list is dry:
+// kept out of deliver so hotalloc can bless it.
+func fresh() *packet.Packet { return new(packet.Packet) }
+
+// recycle puts a packet nobody holds any more on the free list; a full
+// list leaves it to the collector.
+func (d *Deployment) recycle(pkt *packet.Packet) {
+	select {
+	case d.free <- pkt:
+	default:
 	}
 }
 
