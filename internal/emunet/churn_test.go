@@ -152,7 +152,8 @@ func TestChurnScenarioEquivalence(t *testing.T) {
 // TestChurnSnapstoreDeparture drives a switch departure through the
 // snapshot-history store: a spine leaves mid-retention-window and never
 // returns, so its units flow through snapstore's departure-delta path
-// while eviction promotes retention heads. Every retained epoch's
+// while eviction hides epochs the retained ones reconstruct through.
+// Every retained epoch's
 // reconstruction from the final view must equal the state captured when
 // that epoch was ingested, and the departed units must read absent from
 // every post-departure cut.
@@ -213,8 +214,8 @@ func TestChurnSnapstoreDeparture(t *testing.T) {
 		t.Fatalf("campaign completed %d snapshots, want at least 4", len(snaps))
 	}
 
-	// Small retention and a long checkpoint cadence force head
-	// promotion: eviction repeatedly lands on non-checkpoint epochs.
+	// Small retention and a long checkpoint cadence: eviction repeatedly
+	// lands on non-checkpoint epochs.
 	store := snapstore.New(snapstore.Config{Retention: 3, CheckpointEvery: 5})
 	type capture struct {
 		regs    []snapstore.Reg
@@ -251,12 +252,11 @@ func TestChurnSnapstoreDeparture(t *testing.T) {
 	}
 
 	// Reconstruction equivalence: every retained epoch rebuilt from the
-	// final view — across whatever promotions eviction performed — must
-	// match its at-ingest materialization exactly.
+	// final view — through whatever evicted epochs its chain still holds
+	// — must match its at-ingest materialization exactly. The chain's
+	// own invariant (it starts at a base) is not visible from here;
+	// snapstore's TestStoreRetention and TestChainBound hold it.
 	final := store.View()
-	if !final.Epochs()[0].IsBase() {
-		t.Fatal("view invariant broken: retention head is not a base")
-	}
 	for _, e := range final.Epochs() {
 		st, err := final.State(e.ID)
 		if err != nil {

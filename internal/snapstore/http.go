@@ -20,7 +20,8 @@ type ListJSON struct {
 	Epochs   []EpochJSON `json:"epochs"`
 }
 
-// EpochJSON is one sealed epoch's metadata.
+// EpochJSON is one sealed epoch's metadata. Base marks a checkpoint:
+// an epoch that stores its full cut.
 type EpochJSON struct {
 	Epoch       uint64  `json:"epoch"`
 	Seq         uint64  `json:"seq"`
@@ -85,7 +86,7 @@ func stateToJSON(st *State) StateJSON {
 // consistent point-in-time history even while the store keeps sealing.
 func (v *View) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for i := range v.epochs {
+	for i := v.lo; i < len(v.epochs); i++ {
 		if err := enc.Encode(stateToJSON(v.stateAt(i))); err != nil {
 			return err
 		}

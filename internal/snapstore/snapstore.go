@@ -4,12 +4,14 @@
 //
 // Epochs are stored as delta encodings — only the registers that
 // changed since the previous consistent cut — with a full
-// materialization ("base") every CheckpointEvery epochs so any retained
-// epoch reconstructs by walking at most one checkpoint interval of
-// deltas. Retention is exact: once more than Retention epochs are
-// held, the oldest is compacted away, and when the surviving oldest
-// epoch is not a base it is promoted to one (a copy carrying its full
-// materialization) so every published view remains self-contained.
+// materialization ("base") every min(CheckpointEvery, Retention)
+// epochs, so any epoch reconstructs by walking back at most one
+// checkpoint interval of deltas. Retention is exact: once more than
+// Retention epochs are held, the oldest is hidden from the view, but it
+// stays in the view's chain while a retained epoch still reconstructs
+// through it. A chain always starts at a base, so no cut is ever copied
+// to evict an epoch, and at most Retention + min(CheckpointEvery,
+// Retention) − 1 epochs are resident.
 //
 // Reads never block ingestion. Each seal publishes an immutable View
 // through a single atomic pointer swap (in the spirit of Bezerra et
@@ -54,12 +56,13 @@ type Reg struct {
 }
 
 // Delta is one register change relative to the previous sealed epoch.
+// Its fields are ordered to pack it into 16 bytes.
 type Delta struct {
-	// Unit is the dense unit index into the store's unit table.
-	Unit int32
 	// Value and Consistent are the register's new state. When Present
 	// is false the unit left the cut and both are zero.
-	Value      uint64
+	Value uint64
+	// Unit is the dense unit index into the store's unit table.
+	Unit       int32
 	Consistent bool
 	Present    bool
 }
@@ -86,7 +89,7 @@ type Epoch struct {
 
 	// deltas holds the registers that changed since the previous sealed
 	// epoch. base, when non-nil, is the full materialization of this
-	// epoch's cut (checkpoint epochs and promoted retention heads).
+	// epoch's cut (checkpoint epochs only).
 	deltas []Delta
 	base   []Reg
 	// nUnits is the unit-table length at seal time: indices >= nUnits
@@ -107,7 +110,9 @@ type Config struct {
 	// CheckpointEvery is the full-materialization cadence: every Nth
 	// sealed epoch stores its complete cut alongside the delta, so
 	// reconstruction walks at most N-1 delta sets. Default 16; 1 makes
-	// every epoch a base (no delta chains).
+	// every epoch a base (no delta chains). A Retention below it sets
+	// the cadence instead, which bounds the evicted epochs kept for
+	// reconstruction.
 	CheckpointEvery int
 	// Registry, when set, enables the store's telemetry. Nil disables
 	// instrumentation.
@@ -155,24 +160,22 @@ type Store struct {
 // storeTelemetry is the store's metric set; all fields are nil no-ops
 // without a registry.
 type storeTelemetry struct {
-	seals      *telemetry.Counter
-	deltas     *telemetry.Counter
-	bases      *telemetry.Counter
-	evicted    *telemetry.Counter
-	promotions *telemetry.Counter
-	retained   *telemetry.Gauge
-	lag        *telemetry.Gauge
+	seals    *telemetry.Counter
+	deltas   *telemetry.Counter
+	bases    *telemetry.Counter
+	evicted  *telemetry.Counter
+	retained *telemetry.Gauge
+	lag      *telemetry.Gauge
 }
 
 func newStoreTelemetry(reg *telemetry.Registry) storeTelemetry {
 	return storeTelemetry{
-		seals:      reg.Counter("speedlight_snapstore_seals_total", "epochs sealed into the history store"),
-		deltas:     reg.Counter("speedlight_snapstore_deltas_total", "register deltas recorded across all sealed epochs"),
-		bases:      reg.Counter("speedlight_snapstore_bases_total", "full-materialization (base) epochs stored"),
-		evicted:    reg.Counter("speedlight_snapstore_evicted_total", "epochs compacted away by retention"),
-		promotions: reg.Counter("speedlight_snapstore_promotions_total", "retained epochs promoted to bases during compaction"),
-		retained:   reg.Gauge("speedlight_snapstore_epochs_retained", "epochs currently retained in the store"),
-		lag:        reg.Gauge("speedlight_snapstore_lag_epochs", "observer epochs completed but not yet sealed into the store"),
+		seals:    reg.Counter("speedlight_snapstore_seals_total", "epochs sealed into the history store"),
+		deltas:   reg.Counter("speedlight_snapstore_deltas_total", "register deltas recorded across all sealed epochs"),
+		bases:    reg.Counter("speedlight_snapstore_bases_total", "full-materialization (base) epochs stored"),
+		evicted:  reg.Counter("speedlight_snapstore_evicted_total", "epochs compacted away by retention"),
+		retained: reg.Gauge("speedlight_snapstore_epochs_retained", "epochs currently retained in the store"),
+		lag:      reg.Gauge("speedlight_snapstore_lag_epochs", "observer epochs completed but not yet sealed into the store"),
 	}
 }
 
@@ -323,19 +326,11 @@ func (s *Store) Seal(completedAt sim.Time, consistent bool, excluded []topology.
 	}
 	e.nUnits = len(s.units)
 
-	// The successor view is the retained epochs plus e, compacted to the
-	// retention bound: the oldest cut epochs go.
+	// Checkpoint cadence: the first epoch is a base, and so is every
+	// min(CheckpointEvery, Retention)-th after it (prev is exactly this
+	// epoch's state once the deltas above are applied).
 	old := s.View()
-	n := len(old.epochs) + 1
-	cut := 0
-	if n > s.cfg.Retention {
-		cut = n - s.cfg.Retention
-	}
-	// Checkpoint cadence: an epoch that heads the view (the first one,
-	// or any under Retention 1) is a base; otherwise every
-	// CheckpointEvery-th epoch materializes its full cut (prev is exactly
-	// this epoch's state once the deltas above are applied).
-	if cut >= len(old.epochs) || s.sinceBase+1 >= s.cfg.CheckpointEvery {
+	if len(old.epochs) == 0 || s.sinceBase+1 >= min(s.cfg.CheckpointEvery, s.cfg.Retention) {
 		// Non-nil even for an empty cut: IsBase tests for nil.
 		e.base = append(make([]Reg, 0, len(s.prev)), s.prev...)
 		s.sinceBase = 0
@@ -344,40 +339,30 @@ func (s *Store) Seal(completedAt sim.Time, consistent bool, excluded []topology.
 		s.sinceBase++
 	}
 
-	// The surviving head is promoted to a base if compaction cut the
-	// chain in front of it.
-	epochs := make([]*Epoch, 0, n-cut)
-	if cut > 0 {
-		s.tel.evicted.Add(uint64(cut))
+	// The successor view is the old chain plus e. Past the retention
+	// bound the oldest retained epoch is hidden; the chain then sheds
+	// every epoch before the last base at or before its first retained
+	// one. A base falls in every window of the cadence, so fewer than
+	// min(CheckpointEvery, Retention) epochs stay hidden.
+	lo := old.lo
+	if old.Len() == s.cfg.Retention {
+		lo++
+		s.tel.evicted.Inc()
 	}
-	if cut < len(old.epochs) {
-		head := old.epochs[cut]
-		if !head.IsBase() {
-			head = promote(old, cut)
-			s.tel.promotions.Inc()
-		}
-		epochs = append(epochs, head)
-		epochs = append(epochs, old.epochs[cut+1:]...)
+	b := lo // index into old.epochs, then e
+	for b < len(old.epochs) && !old.epochs[b].IsBase() {
+		b--
 	}
-	epochs = append(epochs, e)
+	epochs := make([]*Epoch, 0, len(old.epochs)+1-b)
+	epochs = append(append(epochs, old.epochs[b:]...), e)
 
-	s.view.Store(&View{epochs: epochs, units: s.units[:len(s.units):len(s.units)]})
+	v := &View{epochs: epochs, lo: lo - b, units: s.units[:len(s.units):len(s.units)]}
+	s.view.Store(v)
 	s.sealed.Add(1)
 	s.tel.seals.Inc()
 	s.tel.deltas.Add(uint64(len(e.deltas)))
-	s.tel.retained.Set(int64(len(epochs)))
+	s.tel.retained.Set(int64(v.Len()))
 	return e
-}
-
-// promote returns a base-carrying copy of v.epochs[i]: same identity
-// and deltas, plus the full materialization of its cut reconstructed
-// from the old view. The original epoch is left untouched — views that
-// reference it remain valid.
-func promote(v *View, i int) *Epoch {
-	st := v.stateAt(i)
-	p := *v.epochs[i]
-	p.base = st.Regs
-	return &p
 }
 
 // Ingest records one assembled global snapshot as a sealed epoch:

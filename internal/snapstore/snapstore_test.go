@@ -1,8 +1,10 @@
 package snapstore_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"speedlight/internal/control"
@@ -123,22 +125,23 @@ func TestStoreDuplicateObserveKeepsFirst(t *testing.T) {
 	}
 }
 
-func TestStoreRetentionAndPromotion(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := snapstore.New(snapstore.Config{Retention: 4, CheckpointEvery: 16, Registry: reg})
+func TestStoreRetention(t *testing.T) {
+	cfg := snapstore.Config{Retention: 4, CheckpointEvery: 16}
+	s := snapstore.New(cfg)
 	u := unit(0, 0, dataplane.Ingress)
 
 	for i := 1; i <= 10; i++ {
 		seal(s, packet.SeqID(i), map[dataplane.UnitID]uint64{u: uint64(i * 100)})
+		checkChain(t, s.View(), cfg)
 	}
 	v := s.View()
 	if v.Len() != 4 {
 		t.Fatalf("retained %d epochs, want 4", v.Len())
 	}
-	// Oldest retained epoch (7) is far from the only natural base (1),
-	// which was evicted — it must have been promoted.
-	if !v.Epochs()[0].IsBase() {
-		t.Fatal("view head must be a base after compaction")
+	// Retention 4 sets the cadence: bases at 1, 5 and 9, so the oldest
+	// retained epoch (7) reconstructs through hidden epochs 5 and 6.
+	if _, hidden, _ := v.Chain(); hidden != 2 {
+		t.Fatalf("chain hides %d epochs, want 2 (epochs 5 and 6)", hidden)
 	}
 	for i := 7; i <= 10; i++ {
 		st, err := v.State(packet.SeqID(i))
@@ -149,8 +152,54 @@ func TestStoreRetentionAndPromotion(t *testing.T) {
 			t.Fatalf("u@%d = %+v, want %d", i, r, i*100)
 		}
 	}
-	if _, err := v.State(3); err == nil {
-		t.Fatal("evicted epoch 3 should not reconstruct")
+	for _, id := range []packet.SeqID{3, 6} {
+		if _, err := v.State(id); err == nil {
+			t.Fatalf("evicted epoch %d should not reconstruct", id)
+		}
+	}
+}
+
+// checkChain asserts the view invariant: a nonempty chain starts at a
+// base, fewer than min(CheckpointEvery, Retention) evicted epochs ride
+// ahead of the retained ones, and no more than Retention of those are
+// visible.
+func checkChain(t *testing.T, v *snapstore.View, cfg snapstore.Config) {
+	t.Helper()
+	base, hidden, resident := v.Chain()
+	c := min(cfg.CheckpointEvery, cfg.Retention)
+	if resident > 0 && !base {
+		t.Fatalf("chain of %d epochs does not start at a base", resident)
+	}
+	if hidden > c-1 || v.Len() > cfg.Retention || resident != hidden+v.Len() {
+		t.Fatalf("chain holds %d epochs, %d hidden and %d retained: want at most %d hidden and %d retained",
+			resident, hidden, v.Len(), c-1, cfg.Retention)
+	}
+}
+
+// chainConfigs are the store geometries the chain tests run over:
+// retention below, at and above the cadence, every epoch a base, a
+// cadence that never fires, and the storm's own.
+var chainConfigs = []snapstore.Config{
+	{Retention: 1, CheckpointEvery: 16},
+	{Retention: 3, CheckpointEvery: 64},
+	{Retention: 8, CheckpointEvery: 1 << 30},
+	{Retention: 7, CheckpointEvery: 5},
+	{Retention: 128, CheckpointEvery: 1},
+	{Retention: 256, CheckpointEvery: 16},
+}
+
+// TestChainBound seals 2 000 epochs at each chain geometry and holds
+// every published chain to checkChain's bound, so to Retention +
+// min(CheckpointEvery, Retention) − 1 epochs: eviction never lets it
+// grow.
+func TestChainBound(t *testing.T) {
+	u := unit(0, 0, dataplane.Ingress)
+	for _, cfg := range chainConfigs {
+		s := snapstore.New(cfg)
+		for i := 1; i <= 2000; i++ {
+			seal(s, packet.SeqID(i), map[dataplane.UnitID]uint64{u: uint64(i % 3)})
+			checkChain(t, s.View(), cfg)
+		}
 	}
 }
 
@@ -236,6 +285,7 @@ func FuzzViewDiff(f *testing.F) {
 		}
 		s := snapstore.New(snapstore.Config{Retention: 1 + int(data[0]%8), CheckpointEvery: 1 + int(data[1]%8)})
 		data = data[2:]
+		var held []heldView
 		for id := packet.SeqID(1); len(data) >= nUnits && id <= 64; id++ {
 			// A byte per unit: a multiple of five leaves the unit out of
 			// the cut (a departure, or a registration still to come),
@@ -256,8 +306,54 @@ func FuzzViewDiff(f *testing.F) {
 					checkDiff(t, v, ea.ID, eb.ID)
 				}
 			}
+			if id%5 == 0 {
+				held = append(held, capture(t, v))
+			}
+		}
+		// Views share their hidden prefix with their successors: every
+		// held view still answers what it answered when published.
+		for _, h := range held {
+			h.verify(t)
+			for _, ea := range h.v.Epochs() {
+				for _, eb := range h.v.Epochs() {
+					checkDiff(t, h.v, ea.ID, eb.ID)
+				}
+			}
 		}
 	})
+}
+
+// heldView is a published view with the cuts it reconstructed then.
+type heldView struct {
+	v    *snapstore.View
+	cuts map[packet.SeqID][]snapstore.Reg
+}
+
+func capture(t *testing.T, v *snapstore.View) heldView {
+	t.Helper()
+	h := heldView{v: v, cuts: map[packet.SeqID][]snapstore.Reg{}}
+	for _, e := range v.Epochs() {
+		st, err := v.State(e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.cuts[e.ID] = st.Regs
+	}
+	return h
+}
+
+// verify requires the view to reconstruct every cut it captured.
+func (h heldView) verify(t *testing.T) {
+	t.Helper()
+	for id, want := range h.cuts {
+		st, err := h.v.State(id)
+		if err != nil {
+			t.Fatalf("held view lost epoch %d: %v", id, err)
+		}
+		if !slices.Equal(st.Regs, want) {
+			t.Fatalf("held view epoch %d: %+v, captured %+v", id, st.Regs, want)
+		}
+	}
 }
 
 // checkDiff compares Diff(a, b) with the register-wise comparison of
@@ -343,14 +439,14 @@ func gaugeValue(t *testing.T, reg *telemetry.Registry, name string) int64 {
 // long random campaign of epochs (units churning in and out, values
 // repeating and changing) is driven through the store while a naive
 // full-materialization reference records every cut. Every retained
-// epoch, reconstructed through base + delta chains — including across
-// retention/compaction boundaries and promoted heads — must match the
-// reference exactly.
+// epoch, reconstructed through base + delta chains — including through
+// epochs retention has hidden — must match the reference exactly, and
+// so must every epoch of every fifth view, checked again at the end.
 func TestDeltaPropertyRandom(t *testing.T) {
 	configs := []snapstore.Config{
 		{Retention: 16, CheckpointEvery: 4},
 		{Retention: 7, CheckpointEvery: 5},   // retention not a multiple of cadence
-		{Retention: 3, CheckpointEvery: 64},  // compaction promotes almost every seal
+		{Retention: 3, CheckpointEvery: 64},  // retention sets the cadence
 		{Retention: 128, CheckpointEvery: 1}, // every epoch a base
 	}
 	units := make([]dataplane.UnitID, 24)
@@ -365,22 +461,9 @@ func TestDeltaPropertyRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + ci)))
 		s := snapstore.New(cfg)
 		reference := map[packet.SeqID]map[dataplane.UnitID]uint64{}
-		for epoch := 1; epoch <= 200; epoch++ {
-			id := packet.SeqID(epoch)
-			cut := map[dataplane.UnitID]uint64{}
-			for _, u := range units {
-				if rng.Intn(10) == 0 {
-					continue // unit drops out of this cut
-				}
-				// Small value range forces frequent unchanged registers
-				// (the elision path) and frequent changes.
-				cut[u] = uint64(rng.Intn(4))
-			}
-			seal(s, id, cut)
-			reference[id] = cut
-
-			// Check every retained epoch against the reference.
-			v := s.View()
+		var held []*snapstore.View
+		check := func(v *snapstore.View) {
+			t.Helper()
 			for _, e := range v.Epochs() {
 				want := reference[e.ID]
 				st, err := v.State(e.ID)
@@ -402,9 +485,33 @@ func TestDeltaPropertyRandom(t *testing.T) {
 					}
 				}
 			}
+		}
+		for epoch := 1; epoch <= 200; epoch++ {
+			id := packet.SeqID(epoch)
+			cut := map[dataplane.UnitID]uint64{}
+			for _, u := range units {
+				if rng.Intn(10) == 0 {
+					continue // unit drops out of this cut
+				}
+				// Small value range forces frequent unchanged registers
+				// (the elision path) and frequent changes.
+				cut[u] = uint64(rng.Intn(4))
+			}
+			seal(s, id, cut)
+			reference[id] = cut
+
+			// Check every retained epoch against the reference.
+			v := s.View()
+			check(v)
 			if v.Len() > cfg.Retention {
 				t.Fatalf("cfg %d: view holds %d epochs, retention %d", ci, v.Len(), cfg.Retention)
 			}
+			if epoch%5 == 0 {
+				held = append(held, v)
+			}
+		}
+		for _, v := range held {
+			check(v)
 		}
 	}
 }
@@ -438,4 +545,110 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %.1f/op in steady state, want 0", allocs)
 	}
+}
+
+// TestOldViewsSurviveIngest races readers that hold views against a
+// writer sealing ten retentions' worth of epochs. Views share their
+// chain's hidden prefix with every successor, so each reader captures
+// its view's cuts and one diff, checks them against the values the
+// writer sealed, and asks the same view again while sealing goes on:
+// the answers must not move.
+func TestOldViewsSurviveIngest(t *testing.T) {
+	cfg := snapstore.Config{Retention: 16, CheckpointEvery: 5}
+	units := []dataplane.UnitID{unit(0, 0, dataplane.Ingress), unit(0, 1, dataplane.Egress), unit(1, 0, dataplane.Ingress)}
+	// cut is epoch id's sealed content, a pure function of id: units
+	// leave and come back, values change every few epochs.
+	cut := func(id packet.SeqID) map[dataplane.UnitID]uint64 {
+		c := map[dataplane.UnitID]uint64{}
+		for i, u := range units {
+			if (uint64(id)+uint64(i))%7 != 0 {
+				c[u] = (uint64(id) + uint64(i)) / 3
+			}
+		}
+		return c
+	}
+	matches := func(st *snapstore.State, id packet.SeqID) bool {
+		want := cut(id)
+		for _, u := range units {
+			r, ok := st.Value(u)
+			if w, in := want[u]; ok != in || r.Value != w {
+				return false
+			}
+		}
+		return true
+	}
+
+	s := snapstore.New(cfg)
+	seal(s, 1, cut(1))
+	// reader queries every retained epoch of fresh views until done,
+	// holding each view with one diff it answered, and asks the held
+	// views again on every pass and once more after the last seal.
+	reader := func(ready func(), done <-chan struct{}) error {
+		var held []heldDiff
+		recheck := func() error {
+			for _, h := range held {
+				if d, err := h.v.Diff(h.from, h.to); err != nil || !slices.Equal(d, h.diff) {
+					return fmt.Errorf("held view's Diff(%d, %d) moved: %+v, captured %+v (%v)", h.from, h.to, d, h.diff, err)
+				}
+				if st, err := h.v.State(h.from); err != nil || !matches(st, h.from) {
+					return fmt.Errorf("held view lost epoch %d (%v)", h.from, err)
+				}
+			}
+			return nil
+		}
+		for pass := 0; ; pass++ {
+			select {
+			case <-done:
+				return recheck()
+			default:
+			}
+			v := s.View()
+			eps := v.Epochs()
+			for _, e := range eps {
+				if st, err := v.State(e.ID); err != nil || !matches(st, e.ID) {
+					return fmt.Errorf("epoch %d reconstructs wrong (%v)", e.ID, err)
+				}
+			}
+			from, to := eps[0].ID, eps[len(eps)-1].ID
+			d, err := v.Diff(from, to)
+			if err != nil {
+				return err
+			}
+			held = append(held[max(0, len(held)-63):], heldDiff{v, from, to, d})
+			if err := recheck(); err != nil {
+				return err
+			}
+			if pass == 0 {
+				ready()
+			}
+		}
+	}
+	var started sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		started.Add(1)
+		go func() {
+			ready := sync.OnceFunc(started.Done)
+			defer ready() // a reader failing its first pass
+			errs <- reader(ready, done)
+		}()
+	}
+	started.Wait()
+	for id := packet.SeqID(2); id <= packet.SeqID(10*cfg.Retention); id++ {
+		seal(s, id, cut(id))
+	}
+	close(done)
+	for r := 0; r < 4; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// heldDiff is a view a reader holds, with a diff it answered.
+type heldDiff struct {
+	v        *snapstore.View
+	from, to packet.SeqID
+	diff     []snapstore.RegDiff
 }

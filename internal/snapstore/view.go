@@ -2,6 +2,7 @@ package snapstore
 
 import (
 	"fmt"
+	"sync"
 
 	"speedlight/internal/dataplane"
 	"speedlight/internal/packet"
@@ -13,19 +14,23 @@ import (
 // is rebuilt (never appended in place) on every publish. The zero View
 // is an empty history.
 //
-// View invariant: epochs[0], when present, always carries a base, so
-// every retained epoch reconstructs without leaving the view.
+// A view is a chain that starts at a base: epochs[lo:] are the retained
+// epochs, and the hidden epochs[:lo] are evicted ones the oldest
+// retained epoch still reconstructs through (fewer than
+// min(CheckpointEvery, Retention) of them). Every retained epoch
+// therefore reconstructs without leaving the view.
 type View struct {
-	epochs []*Epoch // seal order (ascending Seq)
+	epochs []*Epoch // seal order (ascending Seq); epochs[0] is a base
+	lo     int      // index of the first retained epoch
 	units  []dataplane.UnitID
 }
 
 // Len returns the number of retained epochs.
-func (v *View) Len() int { return len(v.epochs) }
+func (v *View) Len() int { return len(v.epochs) - v.lo }
 
 // Epochs returns the retained epochs in seal order. The slice is
 // shared and must not be modified.
-func (v *View) Epochs() []*Epoch { return v.epochs }
+func (v *View) Epochs() []*Epoch { return v.epochs[v.lo:] }
 
 // Units returns the store's dense unit table at publish time. Indices
 // are stable for the life of the store; the slice is shared and must
@@ -34,7 +39,7 @@ func (v *View) Units() []dataplane.UnitID { return v.units }
 
 // Latest returns the most recently sealed epoch, or nil when empty.
 func (v *View) Latest() *Epoch {
-	if len(v.epochs) == 0 {
+	if v.Len() == 0 {
 		return nil
 	}
 	return v.epochs[len(v.epochs)-1]
@@ -44,7 +49,7 @@ func (v *View) Latest() *Epoch {
 // -1 when it is not retained. Scans from the newest end: queries skew
 // heavily toward recent epochs.
 func (v *View) find(id packet.SeqID) int {
-	for i := len(v.epochs) - 1; i >= 0; i-- {
+	for i := len(v.epochs) - 1; i >= v.lo; i-- {
 		if v.epochs[i].ID == id {
 			return i
 		}
@@ -84,48 +89,65 @@ func (s *State) Value(u dataplane.UnitID) (Reg, bool) {
 }
 
 // State reconstructs the consistent cut at the epoch with the given
-// snapshot ID: the nearest base at or before it, plus every delta set
-// up to and including it. The returned Regs slice is freshly
+// snapshot ID (see resolve). The returned Regs slice is freshly
 // allocated and owned by the caller.
 func (v *View) State(id packet.SeqID) (*State, error) {
 	i := v.find(id)
 	if i < 0 {
-		return nil, fmt.Errorf("snapstore: epoch %d not retained", id)
+		return nil, notRetained(id)
 	}
 	return v.stateAt(i), nil
 }
 
-// stateAt reconstructs the cut at epoch index i. The view invariant
-// (epochs[0] is a base) guarantees the backward walk terminates.
+func notRetained(id packet.SeqID) error {
+	return fmt.Errorf("snapstore: epoch %d not retained", id)
+}
+
+// stateAt reconstructs the cut at chain index i.
 func (v *View) stateAt(i int) *State {
-	e := v.epochs[i]
-	// Walk back to the nearest base.
-	b := i
-	for b > 0 && !v.epochs[b].IsBase() {
-		b--
+	regs := make([]Reg, v.epochs[i].nUnits)
+	v.resolve(regs, i)
+	return &State{Epoch: v.epochs[i], Units: v.units, Regs: regs}
+}
+
+// resolve writes the cut at chain index j into dst, which is
+// epochs[j].nUnits long. It walks back from j and sets each register
+// from the newest delta that names it, until every register is set or
+// it reaches a base, which supplies the registers still unset. The
+// chain starts at a base, so the walk never leaves the view.
+//
+//speedlight:hotpath
+func (v *View) resolve(dst []Reg, j int) {
+	var stack [16]uint64 // a bit per unit, up to 1 024 units
+	set := stack[:]
+	if len(dst) > 64*len(stack) {
+		set = bitset(len(dst))
 	}
-	base := v.epochs[b]
-	if base.base == nil {
-		panic(fmt.Sprintf("snapstore: view invariant broken — no base at or before epoch %d", e.ID))
-	}
-	regs := make([]Reg, e.nUnits)
-	copy(regs, base.base)
-	// Apply delta sets forward, (b, i]. Applying epoch b's own deltas
-	// would double-apply: a base already includes them.
-	for j := b + 1; j <= i; j++ {
-		for _, d := range v.epochs[j].deltas {
-			if int(d.Unit) >= len(regs) {
-				continue // registered after e sealed; absent from e's cut
+	left := len(dst)
+	for k := j; left > 0; k-- {
+		e := v.epochs[k]
+		if e.base != nil {
+			for i := range dst {
+				if set[i>>6]&(1<<(i&63)) == 0 {
+					dst[i] = regAt(e.base, i)
+				}
 			}
-			if d.Present {
-				regs[d.Unit] = Reg{Value: d.Value, Consistent: d.Consistent, Present: true}
-			} else {
-				regs[d.Unit] = Reg{}
+			return
+		}
+		// An epoch at or before j registered no unit past dst's end.
+		for _, d := range e.deltas {
+			if i := int(d.Unit); set[i>>6]&(1<<(i&63)) == 0 {
+				set[i>>6] |= 1 << (i & 63)
+				dst[i] = Reg{Value: d.Value, Consistent: d.Consistent, Present: d.Present}
+				left--
 			}
 		}
 	}
-	return &State{Epoch: e, Units: v.units, Regs: regs}
 }
+
+// bitset is resolve's register set for cuts past 1 024 units (cold:
+// those do not fit its stack array).
+func bitset(units int) []uint64 { return make([]uint64, (units+63)/64) }
 
 // RegDiff is one unit's register change between two cuts.
 type RegDiff struct {
@@ -133,32 +155,44 @@ type RegDiff struct {
 	From, To Reg
 }
 
-// reg returns the cut's register at dense index i; an index past the
-// epoch's registration horizon reads absent.
-func (s *State) reg(i int) Reg {
-	if i < len(s.Regs) {
-		return s.Regs[i]
+// regAt returns the register at dense index i; an index past the cut's
+// registration horizon reads absent.
+func regAt(regs []Reg, i int) Reg {
+	if i < len(regs) {
+		return regs[i]
 	}
 	return Reg{}
 }
 
+// cuts pools Diff's scratch buffer for its two reconstructed cuts.
+var cuts = sync.Pool{New: func() any { return new([]Reg) }}
+
 // Diff reconstructs both cuts and returns the registers that differ,
 // in dense unit order, or nil when none do. from and to may be in
-// either order and need not be adjacent. The result is allocated once,
-// at its final size: the differing registers are counted first.
+// either order and need not be adjacent. The cuts resolve into a
+// pooled buffer, so the result is Diff's only allocation, made once at
+// its final size: the differing registers are counted first.
 func (v *View) Diff(from, to packet.SeqID) ([]RegDiff, error) {
-	a, err := v.State(from)
-	if err != nil {
-		return nil, err
+	i, j := v.find(from), v.find(to)
+	if i < 0 {
+		return nil, notRetained(from)
 	}
-	b, err := v.State(to)
-	if err != nil {
-		return nil, err
+	if j < 0 {
+		return nil, notRetained(to)
 	}
-	n := max(len(a.Regs), len(b.Regs))
+	na, nb := v.epochs[i].nUnits, v.epochs[j].nUnits
+	buf := cuts.Get().(*[]Reg)
+	defer cuts.Put(buf)
+	if cap(*buf) < na+nb {
+		*buf = make([]Reg, na+nb)
+	}
+	a, b := (*buf)[:na], (*buf)[na:na+nb]
+	v.resolve(a, i)
+	v.resolve(b, j)
+	n := max(na, nb)
 	count := 0
-	for i := 0; i < n; i++ {
-		if a.reg(i) != b.reg(i) {
+	for k := 0; k < n; k++ {
+		if regAt(a, k) != regAt(b, k) {
 			count++
 		}
 	}
@@ -166,9 +200,9 @@ func (v *View) Diff(from, to packet.SeqID) ([]RegDiff, error) {
 		return nil, nil
 	}
 	out := make([]RegDiff, 0, count)
-	for i := 0; i < n; i++ {
-		if ra, rb := a.reg(i), b.reg(i); ra != rb {
-			out = append(out, RegDiff{Unit: v.units[i], From: ra, To: rb})
+	for k := 0; k < n; k++ {
+		if ra, rb := regAt(a, k), regAt(b, k); ra != rb {
+			out = append(out, RegDiff{Unit: v.units[k], From: ra, To: rb})
 		}
 	}
 	return out, nil
