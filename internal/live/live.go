@@ -160,18 +160,41 @@ type Device interface {
 }
 
 // Clock is a runtime's wall clock: the time since Start as protocol
-// time. Every Device of a Runtime embeds a pointer to the Runtime's one
-// Clock, and with it node.Host's Now.
+// time. The Runtime reads it where it acts itself (Begin, the retry
+// loop); a Device reads it through its Stamp, once per input it takes.
 type Clock struct{ started time.Time }
 
 // Now returns wall time since Start as protocol time.
 func (c *Clock) Now() sim.Time { return sim.Time(time.Since(c.started).Nanoseconds()) }
 
+// Stamp is a Device's time, and with it node.Host's Now: the Runtime's
+// Clock as Take last read it. A Device Takes once it has taken input in
+// — after everything it steps was sent — and every step of that input
+// runs at the stamp, as a switch stamps a frame on arrival and not at
+// each pipeline stage. Each sender stamped before it sent, so a stamp
+// is never earlier than any stamp that caused it; the burst or datagram
+// the stamp covers bounds how late it can be.
+type Stamp struct {
+	clock *Clock
+	now   sim.Time
+}
+
+// Take reads the clock.
+//
+//speedlight:hotpath
+func (s *Stamp) Take() { s.now = s.clock.Now() }
+
+// Now returns the instant Take read.
+//
+//speedlight:hotpath
+func (s *Stamp) Now() sim.Time { return s.now }
+
 // NewRuntime builds the deployment cfg describes — fabric, sink,
 // recovery period and endpoints — with each switch on the Device attach
-// makes on the runtime's clock. OnDeliver is the transport's to honour.
-// A zero RetryEvery means 20 ms, a negative one no recovery.
-func NewRuntime(cfg Config, attach func(*topology.Switch, *Clock) (Device, func(control.Result), error)) (*Runtime, error) {
+// makes with a Stamp on the runtime's clock. OnDeliver is the
+// transport's to honour. A zero RetryEvery means 20 ms, a negative one
+// no recovery.
+func NewRuntime(cfg Config, attach func(*topology.Switch, Stamp) (Device, func(control.Result), error)) (*Runtime, error) {
 	if cfg.RetryEvery == 0 {
 		cfg.RetryEvery = retryDefault
 	}
@@ -189,7 +212,7 @@ func NewRuntime(cfg Config, attach func(*topology.Switch, *Clock) (Device, func(
 		Topo: cfg.Topo, Sink: &r.sink, Registry: cfg.Registry, RetryAfter: sim.Duration(cfg.RetryEvery.Nanoseconds()),
 		DP: dataplane.Config{MaxID: cfg.MaxID, WrapAround: cfg.WrapAround, ChannelState: cfg.ChannelState, Metrics: cfg.Metrics},
 		Attach: func(spec *topology.Switch, _ *dataplane.Config) (node.Host, func(control.Result), error) {
-			dev, onResult, err := attach(spec, &r.Clock)
+			dev, onResult, err := attach(spec, Stamp{clock: &r.Clock})
 			r.devs = append(r.devs, dev)
 			return dev, onResult, err
 		},
@@ -455,9 +478,10 @@ func signal(c chan struct{}) {
 
 // liveSwitch is one switch goroutine's state: the Device, and so the
 // node.Host, of the switch it runs. Other goroutines read it (to put
-// into its mailbox) and nothing writes it after New.
+// into its mailbox); after New only its goroutine writes it, the Stamp
+// once per burst.
 type liveSwitch struct {
-	*Clock
+	Stamp
 	net   *Network
 	sw    *node.Switch
 	spec  *topology.Switch
@@ -522,8 +546,8 @@ func New(cfg Config) (*Network, error) {
 	// a full queue blocks the sending switch.
 	n := &Network{obsEvents: make(chan control.Result, 1024)}
 	var err error
-	n.Runtime, err = NewRuntime(cfg, func(spec *topology.Switch, clock *Clock) (Device, func(control.Result), error) {
-		ls := &liveSwitch{Clock: clock, net: n, spec: spec, inbox: newMailbox(), ports: make([]*train, len(spec.Ports))}
+	n.Runtime, err = NewRuntime(cfg, func(spec *topology.Switch, stamp Stamp) (Device, func(control.Result), error) {
+		ls := &liveSwitch{Stamp: stamp, net: n, spec: spec, inbox: newMailbox(), ports: make([]*train, len(spec.Ports))}
 		n.sws = append(n.sws, ls)
 		return ls, n.toObserver, nil
 	})
@@ -564,7 +588,9 @@ func (n *Network) toObserver(res control.Result) {
 func (n *Network) Start() { n.Runtime.Start(n.runObserver) }
 
 // Burst takes the mailbox's backlog and steps it, parking on an empty
-// mailbox until a put or Stop.
+// mailbox until a put or Stop. The whole burst runs at one stamp, taken
+// once the backlog is in hand: everything in it was put, and so
+// stamped by its sender, before.
 func (ls *liveSwitch) Burst() bool {
 	burst := ls.inbox.take()
 	for ; len(burst) == 0; burst = ls.inbox.take() {
@@ -574,6 +600,7 @@ func (ls *liveSwitch) Burst() bool {
 		case <-ls.inbox.wake:
 		}
 	}
+	ls.Take()
 	ls.events.Add(uint64(len(burst)))
 	ls.net.tel.events.Add(uint64(len(burst)))
 	for i := range burst {

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"speedlight/internal/core"
+	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/telemetry"
 	"speedlight/internal/topology"
@@ -198,6 +200,58 @@ func TestForwardDropsAndCountsAtFullMailbox(t *testing.T) {
 	}
 	if got := len(leaf.ports[uplink].evs); got != 0 {
 		t.Errorf("%d events still staged after Flush", got)
+	}
+}
+
+// TestBurstRunsAtOneStamp: a burst is stamped once, when it is taken,
+// and every step of it runs at that stamp. k packets, each carrying the
+// next snapshot ID, are queued at a spine whose goroutine never started,
+// and one Burst stepped by hand journals at least one record per packet,
+// all at one instant; the next burst, taken later, at a later one.
+func TestBurstRunsAtOneStamp(t *testing.T) {
+	const k = 16
+	n, leaf, uplink, spine := uplinked(t, Config{Journal: journal.NewSet(0)})
+	n.started = time.Now() // the clock runs; no goroutine does
+	home := n.cfg.Topo.HostsOn(leaf.spec.ID)[0].ID
+	stamps := func(ids ...packet.SeqID) (records int, at map[int64]bool) {
+		t.Helper()
+		ring := n.Journal().For(int(spine.spec.ID))
+		seen := ring.Appended()
+		for _, id := range ids {
+			leaf.Forward(uplink, &packet.Packet{DstHost: uint32(home), Size: 100, HasSnap: true, Snap: packet.SnapshotHeader{ID: core.Wrap(id, 256, false)}})
+		}
+		leaf.Flush()
+		if !spine.Burst() {
+			t.Fatal("Burst reported shutdown")
+		}
+		at = map[int64]bool{}
+		for _, ev := range ring.Events()[seen:] {
+			at[ev.AtNs] = true
+			if ev.Kind == journal.KindRecord {
+				records++
+			}
+		}
+		return records, at
+	}
+	ids := make([]packet.SeqID, k)
+	for i := range ids {
+		ids[i] = packet.SeqID(i + 1)
+	}
+	records, first := stamps(ids...)
+	if records < k || len(first) != 1 {
+		t.Fatalf("one burst of %d packets journaled %d records at %d instants, want at least %d at one", k, records, len(first), k)
+	}
+	time.Sleep(time.Millisecond)
+	records, next := stamps(k + 1)
+	if records == 0 || len(next) != 1 {
+		t.Fatalf("the next burst journaled %d records at %d instants, want some at one", records, len(next))
+	}
+	for a := range first {
+		for b := range next {
+			if b <= a {
+				t.Errorf("the next burst is stamped %d ns, the first %d ns", b, a)
+			}
+		}
 	}
 }
 

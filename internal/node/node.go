@@ -46,7 +46,11 @@ const BroadcastHost = topology.HostID(0xFFFFFFFF)
 
 // Host is what a runtime provides to the switches it runs.
 type Host interface {
-	// Now is the protocol time, read once per step.
+	// Now is the protocol time of a step: the instant the step's input
+	// was taken in, read once per step. Steps of one input may share it
+	// (a wall-clock host stamps a burst or a datagram once), and it
+	// must be no earlier than the stamp of any step that sent that
+	// input, so stamps stay causal.
 	Now() sim.Time
 	// Forward puts a packet that finished egress processing on the wire
 	// behind port (toward a switch or a host; an unwired port eats it).

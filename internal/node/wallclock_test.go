@@ -534,3 +534,150 @@ func TestEndpointsOnBothTransports(t *testing.T) {
 		})
 	}
 }
+
+// TestStampsAreCausal holds both runtimes to the time rule of node.Host:
+// a step runs at the instant its input was taken in, no earlier than
+// the stamp of the step that sent that input. On a loaded run — a
+// closed loop of packets between every pair of hosts while snapshots
+// are taken back to back — every switch's ring never goes back in
+// time, and neither do the observer host's own ObsResult stamps; every
+// Initiate of snapshot k is stamped no earlier than its ObsBegin, every
+// Record of k no earlier than the first Initiate of k, and every
+// ObsResult no earlier than its unit's Record of that ID. The observer
+// ring as a whole may step back: TakeSnapshot's caller, the retry loop
+// and the observer host each read the clock before the Fabric's lock
+// orders their appends.
+func TestStampsAreCausal(t *testing.T) {
+	for _, wc := range wallClocks {
+		for _, cs := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cs=%v", wc.name, cs), func(t *testing.T) {
+				const tokens, snapshots = 128, 100
+				topo := testbed(t).Topology
+				jr := journal.NewSet(1 << 16)
+				back := make(chan *packet.Packet, tokens) // room for every packet in flight
+				rt, stop, _ := wc.deploy(t, live.Config{
+					Topo: topo, ChannelState: cs, Journal: jr,
+					OnDeliver: func(p *packet.Packet, _ topology.HostID) {
+						select {
+						case back <- p:
+						default:
+						}
+					},
+				})
+				quit := make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() { // the closed loop; a token wire loses is made anew
+					defer wg.Done()
+					hosts := uint32(len(topo.Hosts))
+					for i := uint32(0); ; i++ {
+						var p *packet.Packet
+						select {
+						case <-quit:
+							return
+						case p = <-back:
+						case <-time.After(time.Millisecond):
+							p = new(packet.Packet)
+						}
+						src := i % hosts
+						*p = packet.Packet{SrcHost: src, DstHost: (src + 1 + i/hosts%(hosts-1)) % hosts,
+							SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 100}
+						if rt.Inject(topology.HostID(src), p) != nil {
+							return
+						}
+					}
+				}()
+				for i := 0; i < snapshots; i++ {
+					_, done, err := rt.TakeSnapshot(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					select {
+					case <-done:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("snapshot %d never finalized", i)
+					}
+				}
+				close(quit)
+				wg.Wait()
+				stop() // the rings are quiet from here on
+				if lost := jr.Overwritten(); lost != 0 {
+					t.Fatalf("the rings overwrote %d events", lost)
+				}
+
+				type unit struct {
+					sw, port int
+					dir      journal.Dir
+				}
+				begun := map[packet.SeqID]int64{}
+				firstInit := map[packet.SeqID]int64{}
+				records := map[unit][]journal.Event{}
+				for _, sw := range topo.Switches {
+					var last int64
+					for _, ev := range jr.For(int(sw.ID)).Events() {
+						if ev.AtNs < last {
+							t.Fatalf("switch %d: %s at %d ns after an event at %d ns", sw.ID, ev.Kind, ev.AtNs, last)
+						}
+						last = ev.AtNs
+						switch ev.Kind {
+						case journal.KindInitiate:
+							if at, ok := firstInit[ev.SnapshotID]; !ok || ev.AtNs < at {
+								firstInit[ev.SnapshotID] = ev.AtNs
+							}
+						case journal.KindRecord:
+							u := unit{ev.Switch, ev.Port, ev.Dir}
+							records[u] = append(records[u], ev)
+						}
+					}
+				}
+				var results []journal.Event
+				var last int64
+				for _, ev := range jr.Observer().Events() {
+					switch ev.Kind {
+					case journal.KindObsBegin:
+						begun[ev.SnapshotID] = ev.AtNs
+					case journal.KindObsResult:
+						if ev.AtNs < last {
+							t.Fatalf("the observer host stamped a result %d ns after one at %d ns", ev.AtNs, last)
+						}
+						last = ev.AtNs
+						results = append(results, ev)
+					}
+				}
+				if len(records) == 0 || len(results) == 0 {
+					t.Fatalf("%d records and %d observer results: the check saw nothing", len(records), len(results))
+				}
+				for id, at := range firstInit {
+					if b, ok := begun[id]; !ok || at < b {
+						t.Errorf("snapshot %d: first initiate at %d ns, begun at %d ns (journaled: %v)", id, at, b, ok)
+					}
+				}
+				for _, recs := range records {
+					for _, ev := range recs {
+						if at, ok := firstInit[ev.NewID]; !ok || ev.AtNs < at {
+							t.Errorf("switch %d port %d %s: record of %d at %d ns, first initiate at %d ns (journaled: %v)",
+								ev.Switch, ev.Port, ev.Dir, ev.NewID, ev.AtNs, at, ok)
+						}
+					}
+				}
+				for _, res := range results {
+					var rec *journal.Event
+					recs := records[unit{res.Switch, res.Port, res.Dir}]
+					for i := range recs {
+						if recs[i].OldID < res.SnapshotID && res.SnapshotID <= recs[i].NewID {
+							rec = &recs[i]
+							break
+						}
+					}
+					switch {
+					case rec == nil:
+						t.Errorf("switch %d port %d %s: result of %d without a record of it", res.Switch, res.Port, res.Dir, res.SnapshotID)
+					case res.AtNs < rec.AtNs:
+						t.Errorf("switch %d port %d %s: result of %d at %d ns, recorded at %d ns",
+							res.Switch, res.Port, res.Dir, res.SnapshotID, res.AtNs, rec.AtNs)
+					}
+				}
+			})
+		}
+	}
+}

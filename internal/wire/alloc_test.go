@@ -99,16 +99,17 @@ func readDeliveries(t *testing.T, sink *net.UDPConn, want int) (pkts []packet.Pa
 }
 
 // TestHandleDataFrameAllocs pins the switch's burst path: a 16-frame
-// train through handle — the walk, decode into the node's own packet,
-// the step, encode into the destination's staging buffer — and the Flush
-// that writes the answering train allocate nothing.
+// train stamped as it is read and through handle — the walk, decode
+// into the node's own packet, the step at the stamp, encode into the
+// destination's staging buffer — and the Flush that writes the
+// answering train allocate nothing.
 //
-//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.Flush live.Event.Step
+//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.Flush live.Event.Step live.Stamp.Take live.Stamp.Now
 func TestHandleDataFrameAllocs(t *testing.T) {
 	sn, sink, src, dst := bareSwitch(t)
 	train := dataTrain(16, src, dst)
-	if n := testing.AllocsPerRun(1000, func() { sn.handle(train); sn.Flush() }); n != 0 {
-		t.Fatalf("a 16-frame train through handle and Flush allocates %v, want 0", n)
+	if n := testing.AllocsPerRun(1000, func() { sn.Take(); sn.handle(train); sn.Flush() }); n != 0 {
+		t.Fatalf("a 16-frame train through Take, handle and Flush allocates %v, want 0", n)
 	}
 	// The frames did take the whole path: the sink holds one train of 16
 	// deliveries to dst per run.

@@ -22,9 +22,12 @@
 // The package exists for two reasons: it exercises the binary codecs
 // end-to-end through the kernel's loopback, and it demonstrates that
 // nothing in the protocol implementation depends on the simulator. UDP
-// may drop or reorder under load; the protocol's recovery machinery
-// (re-initiation, register polls) is expected to cope, exactly as it
-// must on a lossy ASIC-to-CPU path.
+// may drop under load, and the protocol's recovery machinery
+// (re-initiation, register polls) recovers loss, as it must on a lossy
+// ASIC-to-CPU path. It recovers nothing else: channel state needs each
+// channel in FIFO order, and the deployment relies on loopback keeping
+// one sender's datagrams in order (see switchNode). Nothing here
+// enforces that order yet: ROADMAP item 22 is open to make it so.
 package wire
 
 import (

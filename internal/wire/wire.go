@@ -40,7 +40,6 @@ type staging struct {
 // plane and control plane, preserving unit linearizability; the socket
 // provides per-sender FIFO on loopback.
 type switchNode struct {
-	*live.Clock
 	d    *Deployment
 	sw   *node.Switch
 	spec *topology.Switch
@@ -65,13 +64,16 @@ type switchNode struct {
 	rc   syscall.RawConn
 	read func(fd uintptr) bool
 	buf  []byte
-	// pkt is the one packet data frames decode into: the step encodes
-	// it into a staging buffer (or drops it) before the goroutine
-	// decodes the next frame, and nothing downstream of a switch keeps
-	// a packet. It is the only field written after Deploy, and the pad
-	// keeps it off the cache line of whatever switchNode follows in
-	// memory, whose head Inject and Control read from other goroutines
-	// (sharing that line cost wire_udp 4-8 % of ops_per_s on a 2-CPU box).
+	// Stamp is the switch's time: taken once per datagram read (see
+	// readBurst). pkt is the one packet data frames decode into: the
+	// step encodes it into a staging buffer (or drops it) before the
+	// goroutine decodes the next frame, and nothing downstream of a
+	// switch keeps a packet. They are the only fields written after
+	// Deploy, and the pad keeps them off the cache line of whatever
+	// switchNode follows in memory, whose head Inject and Control read
+	// from other goroutines (sharing that line cost wire_udp 4-8 % of
+	// ops_per_s on a 2-CPU box).
+	live.Stamp
 	pkt packet.Packet
 	_   [64]byte
 }
@@ -88,7 +90,9 @@ func (s *switchNode) Burst() bool {
 }
 
 // readBurst is the read Burst hands the raw connection; false (nothing
-// read) parks until the socket is readable.
+// read) parks until the socket is readable. Each datagram is stamped as
+// it is read, not once per burst: one read late in the burst may have
+// been sent after the burst began, by a sender that had stamped later.
 func (s *switchNode) readBurst(fd uintptr) bool {
 	took := 0
 	for took < burstCap {
@@ -99,6 +103,7 @@ func (s *switchNode) readBurst(fd uintptr) bool {
 		if err != nil {
 			break // EAGAIN: the backlog is taken
 		}
+		s.Take()
 		s.handle(s.buf[:n])
 		took++
 	}
@@ -289,13 +294,13 @@ func (d *Deployment) build() (err error) {
 
 // attach binds spec's socket (topology IDs are dense, in order) and
 // returns the switch's device and its results' way to the observer.
-func (d *Deployment) attach(spec *topology.Switch, clock *live.Clock) (live.Device, func(control.Result), error) {
+func (d *Deployment) attach(spec *topology.Switch, stamp live.Stamp) (live.Device, func(control.Result), error) {
 	conn, err := bind()
 	if err != nil {
 		return nil, nil, err
 	}
 	sn := &switchNode{
-		Clock: clock,
+		Stamp: stamp,
 		d:     d,
 		spec:  spec,
 		conn:  conn,
@@ -312,7 +317,8 @@ func (d *Deployment) attach(spec *topology.Switch, clock *live.Clock) (live.Devi
 	return sn, func(res control.Result) { sn.obs.buf = appendResult(sn.room(sn.obs), res) }, nil
 }
 
-// runObserver receives results on the observer socket.
+// runObserver receives results on the observer socket, the results of
+// one datagram at the instant it was read.
 func (d *Deployment) runObserver() {
 	buf := make([]byte, maxDatagram)
 	for {
@@ -320,12 +326,13 @@ func (d *Deployment) runObserver() {
 		if err != nil {
 			return
 		}
+		now := d.Now()
 		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
 			if frame[0] != msgResult {
 				continue
 			}
 			if res, err := decodeResult(frame); err == nil {
-				d.Result(res, d.Now())
+				d.Result(res, now)
 			}
 		}
 	}
