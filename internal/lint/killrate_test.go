@@ -32,7 +32,7 @@ type mutant struct {
 
 var mutants = []mutant{
 	{"detguard", "time.%s in deterministic package", "internal/core/core.go", "\tfound := false\n", "\tfound := time.Now().IsZero()\n", `time\.Now`},
-	{"detguard", "global rand.%s", "internal/sim/sim.go", "\treturn &Event{index: -1}\n", "\treturn &Event{index: -1 - rand.Intn(1)}\n", `rand\.Intn`},
+	{"detguard", "global rand.%s", "internal/sim/sim.go", "\treturn &Event{}\n", "\treturn &Event{i: int64(rand.Intn(1))}\n", `rand\.Intn`},
 	{"detguard", "map iteration order feeds %s", "internal/observer/observer.go", "\tsort.Slice(out, func(i, j int) bool { return out[i] < out[j] })\n", "", `feeds out`},
 
 	{"hotalloc", "make in", "internal/node/node.go", "(egress int, ok bool) {\n", "(egress int, ok bool) {\n\t_ = make([]int, 1)\n", ``},

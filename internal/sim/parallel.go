@@ -212,25 +212,6 @@ type pshard struct {
 	waitC       *telemetry.Counter
 }
 
-// nextTime returns the shard's earliest live event time, recycling
-// cancelled queue tops into the shard's pool. Must only be called by
-// the context that currently owns the shard (its worker during an
-// epoch, the coordinator otherwise).
-func (sh *pshard) nextTime() Time {
-	for {
-		ev := sh.q.peek()
-		if ev == nil {
-			return maxTime
-		}
-		if ev.canceled {
-			sh.q.pop()
-			sh.pool.put(ev)
-			continue
-		}
-		return ev.at
-	}
-}
-
 // NewParallel returns a sharded engine with the given worker shard
 // count and conservative lookahead. The lookahead must not exceed the
 // minimum virtual-time latency of any cross-shard interaction the
@@ -558,8 +539,8 @@ func (p *Parallel) After(d Duration, fn func()) Handle {
 	return parProc{p: p, dom: GlobalDomain}.After(d, fn)
 }
 
-// Cancel suppresses a scheduled event. On the Parallel engine the slot
-// is reclaimed lazily when the event's time is reached.
+// Cancel suppresses a scheduled event. As on the serial engine, the
+// event is reclaimed lazily when its time is reached.
 func (p *Parallel) Cancel(h Handle) {
 	parProc{p: p, dom: GlobalDomain}.Cancel(h)
 }
@@ -602,12 +583,12 @@ func (p *Parallel) run(limit Time) {
 	defer p.stopWorkers()
 	for {
 		p.drainRings()
-		g := p.global.nextTime()
+		g := p.global.q.nextAt()
 		fence := min(g, limit)
 		s, busy := maxTime, 0 // earliest shard event; shards with work below the fence
 		var bsh *pshard
 		for _, sh := range p.shards {
-			t := sh.nextTime()
+			t := sh.q.nextAt()
 			s = min(s, t)
 			if t < fence {
 				busy++
@@ -645,7 +626,7 @@ func (p *Parallel) run(limit Time) {
 // worker dispatch, no rings: with every other shard quiet, cross-shard
 // sends push straight into the target queue.
 func (p *Parallel) soloRun(sh *pshard, fence Time) {
-	head := sh.nextTime()
+	head := sh.q.nextAt()
 	lim := head.Add(sh.minOutLa)
 	if lim < head {
 		lim = maxTime // overflow, or no outbound pairs at all
@@ -807,7 +788,7 @@ func (p *Parallel) epochLoop(sh *pshard, fence Time) {
 				holdup = k
 			}
 		}
-		head := sh.nextTime()
+		head := sh.q.nextAt()
 		pub := head
 		if bound < pub {
 			pub = bound
@@ -863,20 +844,14 @@ func (p *Parallel) epochLoop(sh *pshard, fence Time) {
 //speedlight:hotpath
 //speedlight:shard
 func (p *Parallel) processBatch(sh *pshard, lim Time, max int) {
-	for n := 0; n < max; n++ {
-		top := sh.q.peek()
-		if top == nil || top.at >= lim {
-			return
+	for n := 0; n < max && sh.q.nextAt() < lim; n++ {
+		ev := sh.q.pop()
+		if !ev.canceled {
+			sh.now = ev.at
+			sh.fired++
+			ev.fire()
 		}
-		sh.q.pop()
-		if top.canceled {
-			sh.pool.put(top)
-			continue
-		}
-		sh.now = top.at
-		sh.fired++
-		top.fire()
-		sh.pool.put(top)
+		sh.pool.put(ev)
 	}
 }
 
@@ -1174,8 +1149,9 @@ func (pr parProc) sendAt(owner int, at Time, fn func(), cfn CallFn, a, b any, i 
 	return h
 }
 
-// Cancel suppresses a scheduled event of this domain. The slot is
-// reclaimed lazily when the event's time is reached. Cancelling a
+// Cancel suppresses a scheduled event of this domain. The event leaves
+// Pending at once and is reclaimed lazily, unfired, when its time is
+// reached — the serial engine's rule too. Cancelling a
 // fired-but-not-yet-recycled event is a no-op; cancelling through a
 // stale handle (event already recycled) panics. Cancelling another
 // domain's event is a context violation (the flag write would race

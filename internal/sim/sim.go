@@ -6,14 +6,18 @@
 // Tofino, this repository runs every experiment on the engines here.
 // Two implementations share one contract (the Sim interface):
 //
-//   - Engine: the serial reference — a classic event-heap simulator
+//   - Engine: the serial reference — a classic event-queue simulator
 //     with virtual nanosecond time and fully seeded randomness.
 //   - Parallel (parallel.go): a conservatively synchronized sharded
 //     engine that partitions simulation domains across worker
 //     goroutines; each shard free-runs up to the clocks its inbound
 //     neighbor shards publish plus the pair's link-latency lookahead.
 //
-// Both keep their pending events in the same queue (evq.go).
+// Both keep their pending events in the same queue (evq.go): a heap of
+// distinct times whose events wait in one bucket per time, sorted by
+// (src, seq) once when their time becomes current. Event times are
+// quantized, so each instant holds many events (~24 at a time on
+// cmd/bench's fabric_serial).
 //
 // Determinism contract. Every event carries a tie-break key
 // (time, src, seq): src is the scheduling domain and seq a per-domain
@@ -28,6 +32,8 @@
 // Memory discipline. Events are pooled: each execution context (the
 // serial engine; each shard of the parallel engine) keeps a free list,
 // and a fired or cancelled event returns to the popping context's list.
+// Both engines cancel lazily: a cancelled event leaves Pending at once
+// but stays queued, and is recycled unfired when its time is reached.
 // Schedulers hand out generation-counted Handles instead of raw event
 // pointers, so a stale handle (one whose event has already been
 // recycled) is detected at Cancel time and panics instead of corrupting
@@ -109,10 +115,13 @@ type Event struct {
 	// its per-domain schedule counter. Ties at one instant resolve by
 	// (src, seq), which both engines compute identically.
 	src int32
-	seq uint64
 	// owner is the domain whose state the callback touches; it decides
 	// which shard executes the event on the Parallel engine.
 	owner int32
+	seq   uint64
+	// next chains the event into its queue bucket. It sits beside the
+	// key, which the queue reads as it walks the chain.
+	next *Event
 	// Exactly one of fn and cfn is set: fn is the legacy closure form,
 	// cfn the closure-free form with its arguments stored alongside.
 	fn  func()
@@ -121,14 +130,13 @@ type Event struct {
 	b   any
 	i   int64
 
-	index    int // queue index, -1 while in a mailbox or once popped
-	canceled bool
 	// gen counts reuses: it is incremented every time the event leaves
 	// a free list, invalidating handles to its previous life. pooled
 	// marks the event as sitting in a free list (fired or cancelled,
 	// not yet reused).
-	gen    uint64
-	pooled bool
+	gen      uint64
+	canceled bool
+	pooled   bool
 }
 
 // At returns the virtual time the event is scheduled for.
@@ -193,14 +201,13 @@ func (p *eventPool) get() *Event {
 	ev.gen++ // invalidate handles to the previous life
 	ev.pooled = false
 	ev.canceled = false
-	ev.index = -1
 	return ev
 }
 
 // newPoolEvent is the pool's cold allocation path, kept out of the
 // hot-path functions so the hotalloc analyzer can bless get.
 func newPoolEvent() *Event {
-	return &Event{index: -1}
+	return &Event{}
 }
 
 //speedlight:hotpath
@@ -285,10 +292,12 @@ type Proc interface {
 	ScheduleCall(at Time, fn CallFn, a, b any, i int64) Handle
 	AfterCall(d Duration, fn CallFn, a, b any, i int64) Handle
 	SendCall(owner int, d Duration, fn CallFn, a, b any, i int64) Handle
-	// Cancel suppresses a scheduled event of this domain. Cancelling an
-	// already-fired (or already-cancelled) event whose Event has not
-	// been recycled yet is a no-op; cancelling through a handle whose
-	// event has been recycled panics (use-after-free detection).
+	// Cancel suppresses a scheduled event of this domain. The event
+	// leaves Pending at once and is recycled, unfired, when its time is
+	// reached. Cancelling an already-fired (or already-cancelled) event
+	// whose Event has not been recycled yet is a no-op; cancelling
+	// through a handle whose event has been recycled panics
+	// (use-after-free detection).
 	Cancel(h Handle)
 	// NewTicker schedules fn every period in this domain, first firing
 	// one period from Now.
@@ -405,24 +414,21 @@ func (e *Engine) After(d Duration, fn func()) Handle {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// Cancel suppresses a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op while its Event object has not
-// been reused; once the engine has recycled the event for a new
-// schedule, Cancel panics (see Handle).
+// Cancel suppresses a scheduled event. The event leaves Pending at once
+// but stays queued, and returns to the pool when its time is reached.
+// Cancelling an already-fired or already-cancelled event is a no-op
+// while its Event object has not been reused; once the engine has
+// recycled the event for a new schedule, Cancel panics (see Handle).
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	if ev == nil {
 		return
 	}
 	h.checkGen()
-	if ev.pooled || ev.canceled {
-		return // already fired or already cancelled: no-op
+	if ev.pooled {
+		return // fired (or reclaimed) and not yet reused: no-op
 	}
 	ev.canceled = true
-	if ev.index >= 0 {
-		e.q.remove(ev)
-		e.pool.put(ev)
-	}
 }
 
 // Step executes the next event, advancing virtual time. It returns false
@@ -455,13 +461,20 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time <= t, then sets the clock to t.
 // Events scheduled after t remain pending.
+//
+//speedlight:hotpath
 func (e *Engine) RunUntil(t Time) {
-	for {
-		next, ok := e.peek()
-		if !ok || next > t {
-			break
+	for e.q.nextAt() <= t {
+		ev := e.q.pop()
+		if ev == nil {
+			break // empty queue and t == maxTime
 		}
-		e.Step()
+		if !ev.canceled {
+			e.now = ev.at
+			e.fired++
+			ev.fire()
+		}
+		e.pool.put(ev)
 	}
 	if e.now < t {
 		e.now = t
@@ -470,22 +483,6 @@ func (e *Engine) RunUntil(t Time) {
 
 // RunFor advances the simulation by d from the current time.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// peek returns the time of the next uncancelled event.
-func (e *Engine) peek() (Time, bool) {
-	for {
-		ev := e.q.peek()
-		if ev == nil {
-			return 0, false
-		}
-		if ev.canceled {
-			e.q.pop()
-			e.pool.put(ev)
-			continue
-		}
-		return ev.at, true
-	}
-}
 
 // NewTicker schedules fn every period in the global domain, first
 // firing one period from now.
