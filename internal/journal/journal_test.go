@@ -56,6 +56,24 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestCountsOutliveTheRing: a ring counts every event it is handed by
+// (kind, flag), overwritten or not; a counts-only set keeps none.
+func TestCountsOutliveTheRing(t *testing.T) {
+	sets := []*Set{NewSet(4), NewCounts()}
+	for _, s := range sets {
+		for i := 0; i < 10; i++ {
+			s.For(i % 2).Append(Initiate(int64(i), i%2, packet.SeqID(i), i%5 == 0))
+		}
+		s.Observer().Append(ObsBegin(0, 1))
+		if got := [3]uint64{s.Count(KindInitiate, false), s.Count(KindInitiate, true), s.Count(KindObsBegin, false)}; got != [3]uint64{8, 2, 1} {
+			t.Errorf("Count = %v, want [8 2 1]", got)
+		}
+	}
+	if counts := sets[1]; len(counts.Events()) != 0 || counts.For(0).Cap() != 0 || counts.Overwritten() != 0 {
+		t.Error("a counts-only ring keeps events")
+	}
+}
+
 func TestCapacityRoundsUpToPowerOfTwo(t *testing.T) {
 	if got := New(5).Cap(); got != 8 {
 		t.Fatalf("New(5).Cap() = %d, want 8", got)

@@ -122,6 +122,28 @@ func TestCounterVecLabels(t *testing.T) {
 	}
 }
 
+// TestFuncSumsOwnersOnce: a Func family gathers as its kind, summing one
+// read per owner however often each owner registers.
+func TestFuncSumsOwnersOnce(t *testing.T) {
+	reg := NewRegistry()
+	a, b := new(int), new(int)
+	reg.Func("done_total", "done", KindCounter, a, func() int64 { return 3 })
+	reg.Func("done_total", "done", KindCounter, a, func() int64 { return 100 })
+	reg.Func("done_total", "done", KindCounter, b, func() int64 { return 4 })
+	reg.Func("open", "open", KindGauge, a, func() int64 { return -2 })
+	got := reg.Gather()
+	if len(got) != 2 || got[0].Name != "done_total" || got[0].Kind != KindCounter || got[0].Value != 7 ||
+		got[1].Name != "open" || got[1].Kind != KindGauge || got[1].GaugeValue != -2 {
+		t.Fatalf("Gather = %+v, want done_total 7 and open -2", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Counter under a Func family's name must panic")
+		}
+	}()
+	reg.Counter("done_total", "done")
+}
+
 func TestPrometheusHistogramFormat(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_us", "latency", []float64{1, 10})
