@@ -53,12 +53,11 @@ type Config struct {
 	CompletionChannels func(id dataplane.UnitID) []int
 	// OnResult receives finished snapshots. Required.
 	OnResult func(Result)
-	// Telemetry receives the plane's metric updates. Nil disables
-	// instrumentation; one Telemetry may be shared across planes.
-	Telemetry *Telemetry
-	// Journal receives the plane's protocol events (initiations, polls,
-	// finalized results) for the flight recorder. Normally the same ring
-	// the switch's dataplane writes to. Nil disables journaling.
+	// Journal receives the plane's protocol events (initiations,
+	// notifications serviced, polls, finalized results): the flight
+	// recorder's record and, counted, the plane's telemetry. Normally
+	// the same ring the switch's dataplane writes to. Nil disables
+	// both.
 	Journal *journal.Journal
 }
 
@@ -77,7 +76,6 @@ type unitState struct {
 // Plane is one switch's snapshot control plane.
 type Plane struct {
 	cfg          Config
-	tel          *Telemetry
 	jr           *journal.Journal
 	channelState bool
 	maxID        uint32
@@ -103,14 +101,10 @@ func New(cfg Config) (*Plane, error) {
 	swCfg := cfg.Switch.Config()
 	p := &Plane{
 		cfg:          cfg,
-		tel:          cfg.Telemetry,
 		jr:           cfg.Journal,
 		channelState: swCfg.ChannelState,
 		maxID:        swCfg.MaxID,
 		wrap:         swCfg.WrapAround,
-	}
-	if p.tel == nil {
-		p.tel = nopTelemetry
 	}
 	ids := cfg.Switch.UnitIDs()
 	p.units = make([]*unitState, len(ids))
@@ -200,9 +194,6 @@ func (p *Plane) Initiate(id packet.SeqID, now sim.Time) []Initiation {
 	re := id <= p.initiated
 	if !re {
 		p.initiated = id
-		p.tel.Initiations.Inc()
-	} else {
-		p.tel.ReInitiations.Inc()
 	}
 	if p.jr != nil {
 		p.jr.Append(journal.Initiate(int64(now), p.Node(), id, re))
@@ -228,7 +219,6 @@ func (p *Plane) HandleNotification(n dataplane.CPUNotification, now sim.Time) {
 	if st == nil {
 		return
 	}
-	p.tel.NotifsServiced.Inc()
 	if p.jr != nil {
 		p.jr.Append(journal.NotifService(int64(now), p.Node(), n.Unit.Port,
 			n.Unit.Dir.Journal(), n.NewSIDU))
@@ -342,12 +332,8 @@ func (p *Plane) readThrough(st *unitState, toRead packet.SeqID, now sim.Time) {
 	st.lastRead = toRead
 }
 
-// emit counts and ships one finalized per-unit result.
+// emit journals and ships one finalized per-unit result.
 func (p *Plane) emit(res Result) {
-	p.tel.Results.Inc()
-	if !res.Consistent {
-		p.tel.ResultsInconsistent.Inc()
-	}
 	if p.jr != nil {
 		p.jr.Append(journal.Result(int64(res.ReadAt), int(res.Unit.Node), res.Unit.Port,
 			res.Unit.Dir.Journal(), res.SnapshotID, res.Value, res.Consistent))
@@ -359,7 +345,6 @@ func (p *Plane) emit(res Result) {
 // as if freshly notified, recovering from dropped notifications
 // (Section 6). It is safe to call at any time.
 func (p *Plane) Poll(now sim.Time) {
-	p.tel.Polls.Inc()
 	if p.jr != nil {
 		p.jr.Append(journal.Poll(int64(now), p.Node()))
 	}

@@ -25,9 +25,6 @@ func (h *HighWater) Set(v uint64) {
 	}
 }
 
-// Current returns the instantaneous value.
-func (h *HighWater) Current() uint64 { return h.cur }
-
 // Reset clears the high-water mark down to the current value, e.g.
 // after a snapshot epoch has been read out.
 func (h *HighWater) Reset() { h.max = h.cur }

@@ -144,9 +144,10 @@ type Config struct {
 	Telemetry *Telemetry
 
 	// Journal receives this switch's protocol events (unit records,
-	// absorbs, marker and notification activity) for the flight
-	// recorder. Nil disables journaling at the cost of one nil check
-	// per packet.
+	// absorbs, marker and notification activity): the flight
+	// recorder's record and, counted, the notification and rollover
+	// telemetry. Nil disables both at the cost of one nil check per
+	// packet.
 	Journal *journal.Journal
 }
 
@@ -354,19 +355,14 @@ func (s *Switch) pushNotif(n CPUNotification) {
 	if !s.cfg.ChannelState && !n.SIDChanged() {
 		return
 	}
-	s.tel.NotifsGenerated.Inc()
 	if s.jr != nil {
 		s.jr.Append(journal.NotifGenerated(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, n.Unit.Dir.Journal(), n.NewSIDU))
-	}
-	if n.SIDChanged() && core.RolledOver(n.OldSID, n.NewSID) {
-		s.tel.Rollovers.Inc()
 	}
 	if s.cfg.OnNotify != nil {
 		s.cfg.OnNotify(n)
 	}
 	if len(s.notifs)-s.notifHead >= s.notifCap {
 		s.notifDrops++
-		s.tel.NotifsDropped.Inc()
 		if s.jr != nil {
 			s.jr.Append(journal.NotifDropped(int64(n.Exported), int(s.cfg.Node), n.Unit.Port, n.Unit.Dir.Journal(), n.NewSIDU))
 		}

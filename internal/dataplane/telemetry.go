@@ -2,11 +2,14 @@ package dataplane
 
 import "speedlight/internal/telemetry"
 
-// Telemetry is the data plane's metric set. All fields are optional:
-// nil counters are no-ops (the telemetry package's
-// zero-overhead-when-disabled contract), so a zero Telemetry — or a
-// nil Config.Telemetry, which New replaces with one — disables
-// instrumentation without branching beyond a nil check per update.
+// Telemetry is the data plane's metric set: what no journal event
+// counts. Notifications generated and dropped, and snapshot-ID
+// rollovers, are journal events, counted by the switch's ring
+// (Config.Journal). All fields are optional: nil counters are no-ops
+// (the telemetry package's zero-overhead-when-disabled contract), so a
+// zero Telemetry — or a nil Config.Telemetry, which New replaces with
+// one — disables instrumentation without branching beyond a nil check
+// per update.
 //
 // One Telemetry may be shared by every switch of a network; all
 // updates are atomic.
@@ -15,20 +18,12 @@ type Telemetry struct {
 	// traversals (the per-packet hot path).
 	PacketsIngress *telemetry.Counter
 	PacketsEgress  *telemetry.Counter
-	// NotifsGenerated counts notifications exported toward the CPU;
-	// NotifsDropped counts those lost at the full notification queue
-	// (the raw-socket buffer of Section 7.2).
-	NotifsGenerated *telemetry.Counter
-	NotifsDropped   *telemetry.Counter
 	// NotifQueueHighWater tracks the deepest the CPU notification
 	// queue has been.
 	NotifQueueHighWater *telemetry.Gauge
 	// Recirculations counts packets re-entering ingress via the
 	// recirculation channel (footnote 2).
 	Recirculations *telemetry.Counter
-	// Rollovers counts snapshot-ID wire wraparounds observed in
-	// exported notifications (Section 5.3).
-	Rollovers *telemetry.Counter
 	// Markers counts control-plane marker packets processed
 	// (IngressOnly and IngressFromCP, the Section 6 liveness path).
 	Markers *telemetry.Counter
@@ -44,11 +39,8 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 	return &Telemetry{
 		PacketsIngress:      reg.Counter("speedlight_dp_packets_ingress_total", "packets processed by ingress units"),
 		PacketsEgress:       reg.Counter("speedlight_dp_packets_egress_total", "packets processed by egress units"),
-		NotifsGenerated:     reg.Counter("speedlight_dp_notifs_generated_total", "notifications exported to the switch CPU"),
-		NotifsDropped:       reg.Counter("speedlight_dp_notifs_dropped_total", "notifications dropped at the full CPU queue"),
 		NotifQueueHighWater: reg.Gauge("speedlight_dp_notif_queue_high_water", "deepest CPU notification queue occupancy"),
 		Recirculations:      reg.Counter("speedlight_dp_recirculations_total", "packets recirculated through ingress"),
-		Rollovers:           reg.Counter("speedlight_dp_rollovers_total", "snapshot ID wire wraparounds observed"),
 		Markers:             reg.Counter("speedlight_dp_markers_total", "control-plane marker packets processed"),
 		Initiations:         reg.Counter("speedlight_dp_initiations_total", "initiation messages processed at ingress units"),
 	}

@@ -82,8 +82,15 @@ func completeEpochs(t *testing.T, n *Network, count, units int) []float64 {
 
 // recoveries returns the run's re-initiations and observer retries.
 func recoveries(reg *telemetry.Registry) (reinits, retries uint64) {
-	return reg.Counter("speedlight_cp_reinitiations_total", "").Value(),
-		reg.Counter("speedlight_obs_retries_total", "").Value()
+	for _, s := range reg.Gather() {
+		switch s.Name {
+		case "speedlight_cp_reinitiations_total":
+			reinits = s.Value
+		case "speedlight_obs_retries_total":
+			retries = s.Value
+		}
+	}
+	return reinits, retries
 }
 
 // TestStormCompletionRegimes pins how the benchmark's snapshot storm

@@ -75,7 +75,7 @@ func TestChannelStateCompletesWithoutRetry(t *testing.T) {
 			t.Errorf("snapshot %d needed a retry of switch %d", ev.SnapshotID, ev.Switch)
 		}
 	}
-	if got := reg.Counter("speedlight_cp_reinitiations_total", "").Value(); got != 0 {
+	if got := counter(reg, "speedlight_cp_reinitiations_total"); got != 0 {
 		t.Errorf("speedlight_cp_reinitiations_total = %d, want 0", got)
 	}
 }

@@ -421,7 +421,7 @@ func TestRetryAdmittedAtFullMailbox(t *testing.T) {
 	}
 	eventually(t, "initiation, re-initiation and poll queued on top of the full mailbox",
 		func() bool { return n.tel.inboxHighWater.Value() >= inboxDepth+3 })
-	if got := reg.Counter("speedlight_obs_retries_total", "").Value(); got != 1 {
+	if got := counter(reg, "speedlight_obs_retries_total"); got != 1 {
 		t.Errorf("observer asked %d devices to retry, want the wedged one", got)
 	}
 	if got := n.tel.inboxDrops.Value(); got != 0 {

@@ -70,8 +70,6 @@ type Config struct {
 	// (ingress, egress) port pairs some route uses, from which its
 	// completion gates derive (see completionChannels).
 	Utilized routing.PortPairs
-
-	CPTelemetry *control.Telemetry
 	// OnResult ships a finished per-unit snapshot toward the observer.
 	// It runs on the goroutine that called into the switch.
 	OnResult func(control.Result)
@@ -111,7 +109,6 @@ func New(cfg Config, host Host) (*Switch, error) {
 	cp, err := control.New(control.Config{
 		Switch:             dp,
 		CompletionChannels: completionChannels(cfg.Spec, cfg.Utilized, dp.NumCoS()),
-		Telemetry:          cfg.CPTelemetry,
 		Journal:            dpc.Journal,
 		OnResult:           cfg.OnResult,
 	})

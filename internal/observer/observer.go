@@ -65,13 +65,13 @@ type Config struct {
 	ExcludeAfter sim.Duration
 	// OnComplete receives each finalized global snapshot. Required.
 	OnComplete func(*GlobalSnapshot)
-	// Telemetry receives the observer's metric updates. Nil disables
-	// instrumentation.
+	// Telemetry receives the observer's metric updates that no journal
+	// event counts. Nil disables them.
 	Telemetry *Telemetry
 	// Journal receives the observer's protocol events (snapshot begin,
-	// accepted results, retries, exclusions, completion) for the flight
-	// recorder — normally a Set's Observer() ring. Nil disables
-	// journaling.
+	// accepted results, retries, exclusions, completion): the flight
+	// recorder's record and, counted, the observer's protocol
+	// telemetry — normally a Set's Observer() ring. Nil disables both.
 	Journal *journal.Journal
 }
 
@@ -264,8 +264,6 @@ func (o *Observer) Begin(now sim.Time) (packet.SeqID, error) {
 		}
 	}
 	o.pend[id] = p
-	o.tel.Begun.Inc()
-	o.tel.Pending.Set(int64(len(o.pend)))
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsBegin(int64(now), id))
 	}
@@ -325,11 +323,6 @@ func (o *Observer) finalize(p *pending, now sim.Time, excluded []topology.NodeID
 		}
 	}
 	o.free = append(o.free, p)
-	o.tel.Completed.Inc()
-	if !snap.Consistent {
-		o.tel.Inconsistent.Inc()
-	}
-	o.tel.Pending.Set(int64(len(o.pend)))
 	o.tel.CompletionLatencyUS.Observe(now.Sub(snap.ScheduledAt).Micros())
 	if o.cfg.Journal != nil {
 		o.cfg.Journal.Append(journal.ObsComplete(int64(now), snap.ID, snap.Consistent, len(snap.Excluded)))
@@ -372,8 +365,6 @@ func (o *Observer) CheckTimeouts(now sim.Time) []Action {
 			p.retried = true
 			act.Retry = p.missingDevices(o.units)
 		}
-		o.tel.Retries.Add(uint64(len(act.Retry)))
-		o.tel.Exclusions.Add(uint64(len(act.Excluded)))
 		if o.cfg.Journal != nil {
 			for _, dev := range act.Retry {
 				o.cfg.Journal.Append(journal.ObsRetry(int64(now), id, int(dev)))

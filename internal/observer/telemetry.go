@@ -2,25 +2,14 @@ package observer
 
 import "speedlight/internal/telemetry"
 
-// Telemetry is the observer's metric set. Nil fields (or a nil
+// Telemetry is the observer's metric set beyond its journal events,
+// whose counts are its protocol counters (snapshots begun, completed
+// and inconsistent, retries, exclusions). Nil fields (or a nil
 // Config.Telemetry) are no-ops.
 type Telemetry struct {
-	// Begun counts snapshots started; Completed counts snapshots
-	// finalized; Inconsistent counts completed snapshots in which at
-	// least one included unit's value was inconsistent.
-	Begun        *telemetry.Counter
-	Completed    *telemetry.Counter
-	Inconsistent *telemetry.Counter
-	// Retries counts devices asked to re-initiate a stalled snapshot;
-	// Exclusions counts devices dropped from a snapshot after timeout
-	// (Section 6 failure handling).
-	Retries    *telemetry.Counter
-	Exclusions *telemetry.Counter
 	// ResultsIgnored counts per-unit results discarded as duplicate,
 	// spurious, or arriving after exclusion.
 	ResultsIgnored *telemetry.Counter
-	// Pending mirrors the number of snapshots still being assembled.
-	Pending *telemetry.Gauge
 	// CompletionLatencyUS observes, per completed snapshot, the
 	// microseconds between scheduling and global assembly — the
 	// paper's completion-latency evaluation axis.
@@ -31,13 +20,7 @@ type Telemetry struct {
 // returns the resolved handles. A nil registry yields no-op metrics.
 func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 	return &Telemetry{
-		Begun:          reg.Counter("speedlight_obs_snapshots_begun_total", "network-wide snapshots started"),
-		Completed:      reg.Counter("speedlight_obs_snapshots_completed_total", "network-wide snapshots assembled"),
-		Inconsistent:   reg.Counter("speedlight_obs_snapshots_inconsistent_total", "assembled snapshots with an inconsistent unit"),
-		Retries:        reg.Counter("speedlight_obs_retries_total", "devices asked to re-initiate a stalled snapshot"),
-		Exclusions:     reg.Counter("speedlight_obs_exclusions_total", "devices excluded from a snapshot after timeout"),
 		ResultsIgnored: reg.Counter("speedlight_obs_results_ignored_total", "per-unit results discarded as duplicate or spurious"),
-		Pending:        reg.Gauge("speedlight_obs_snapshots_pending", "snapshots currently being assembled"),
 		CompletionLatencyUS: reg.Histogram("speedlight_obs_completion_latency_us",
 			"snapshot completion latency, scheduling to assembly (microseconds)", telemetry.LatencyBucketsUS),
 	}

@@ -11,22 +11,23 @@ import (
 	"speedlight/internal/telemetry"
 )
 
-// newInstrumentedObs builds an observer with a real registry attached,
-// returning the telemetry handles for assertion.
-func newInstrumentedObs(t *testing.T, mod func(*Config)) (*Observer, *Telemetry, *[]*GlobalSnapshot) {
+// newInstrumentedObs builds an observer with a real registry and a
+// journal ring attached, returning the telemetry handles and the ring
+// (whose counts are the protocol counters) for assertion.
+func newInstrumentedObs(t *testing.T, mod func(*Config)) (*Observer, *Telemetry, *journal.Journal, *[]*GlobalSnapshot) {
 	t.Helper()
-	tel := NewTelemetry(telemetry.NewRegistry())
+	tel, jr := NewTelemetry(telemetry.NewRegistry()), journal.New(64)
 	o, done := newObs(t, func(c *Config) {
-		c.Telemetry = tel
+		c.Telemetry, c.Journal = tel, jr
 		if mod != nil {
 			mod(c)
 		}
 	})
-	return o, tel, done
+	return o, tel, jr, done
 }
 
 func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
-	o, tel, done := newInstrumentedObs(t, func(c *Config) {
+	o, tel, jr, done := newInstrumentedObs(t, func(c *Config) {
 		c.RetryAfter = 100
 		c.ExcludeAfter = 300
 	})
@@ -36,19 +37,19 @@ func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
 	id, _ := o.Begin(0)
 	feedAll(o, id, unitsOf(1, 1), true, 10)
 
-	if got := tel.Begun.Value(); got != 1 {
+	if got := jr.Count(journal.KindObsBegin, false); got != 1 {
 		t.Errorf("Begun = %d", got)
 	}
-	if got := tel.Pending.Value(); got != 1 {
+	if got := o.Pending(); got != 1 {
 		t.Errorf("Pending = %d", got)
 	}
 
 	// Devices 2 and 3 are still missing at the retry deadline.
 	o.CheckTimeouts(150)
-	if got := tel.Retries.Value(); got != 2 {
+	if got := jr.Count(journal.KindObsRetry, false); got != 2 {
 		t.Errorf("Retries = %d, want 2 (devices 2 and 3)", got)
 	}
-	if got := tel.Exclusions.Value(); got != 0 {
+	if got := jr.Count(journal.KindObsExclude, false); got != 0 {
 		t.Errorf("Exclusions = %d before exclude deadline", got)
 	}
 
@@ -56,19 +57,19 @@ func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
 	// dropped.
 	feedAll(o, id, unitsOf(3, 1), true, 200)
 	o.CheckTimeouts(400)
-	if got := tel.Exclusions.Value(); got != 1 {
+	if got := jr.Count(journal.KindObsExclude, false); got != 1 {
 		t.Errorf("Exclusions = %d, want 1 (device 2)", got)
 	}
-	if got := tel.Retries.Value(); got != 2 {
+	if got := jr.Count(journal.KindObsRetry, false); got != 2 {
 		t.Errorf("Retries grew to %d after exclusion", got)
 	}
 	if len(*done) != 1 {
 		t.Fatal("snapshot not finalized after exclusion")
 	}
-	if got := tel.Completed.Value(); got != 1 {
+	if got := jr.Count(journal.KindObsComplete, true); got != 1 {
 		t.Errorf("Completed = %d", got)
 	}
-	if got := tel.Pending.Value(); got != 0 {
+	if got := o.Pending(); got != 0 {
 		t.Errorf("Pending = %d after completion", got)
 	}
 	if got := tel.CompletionLatencyUS.Count(); got != 1 {
@@ -77,7 +78,7 @@ func TestTelemetryRetryAndExclusionCounters(t *testing.T) {
 }
 
 func TestTelemetryInconsistentAndIgnoredCounters(t *testing.T) {
-	o, tel, _ := newInstrumentedObs(t, nil)
+	o, tel, jr, _ := newInstrumentedObs(t, nil)
 	units := unitsOf(1, 1)
 	o.Register(1, units)
 	id, _ := o.Begin(0)
@@ -87,10 +88,10 @@ func TestTelemetryInconsistentAndIgnoredCounters(t *testing.T) {
 	o.OnResult(control.Result{Unit: units[1], SnapshotID: 42, Consistent: true}, 0)
 	o.OnResult(control.Result{Unit: units[1], SnapshotID: id, Consistent: true}, 0)
 
-	if got := tel.Completed.Value(); got != 1 {
+	if got := jr.Count(journal.KindObsComplete, false) + jr.Count(journal.KindObsComplete, true); got != 1 {
 		t.Fatalf("Completed = %d", got)
 	}
-	if got := tel.Inconsistent.Value(); got != 1 {
+	if got := jr.Count(journal.KindObsComplete, false); got != 1 {
 		t.Errorf("Inconsistent = %d", got)
 	}
 	if got := tel.ResultsIgnored.Value(); got != 2 {
@@ -102,8 +103,7 @@ func TestTelemetryInconsistentAndIgnoredCounters(t *testing.T) {
 // trace: its journal stamps are all epochtrace needs to rebuild a
 // snapshot's lifecycle span and each device's last accepted result.
 func TestTracerRecordsLifecycle(t *testing.T) {
-	jr := journal.New(64)
-	o, _, _ := newInstrumentedObs(t, func(c *Config) { c.Journal = jr })
+	o, _, jr, _ := newInstrumentedObs(t, nil)
 	u1, u2 := unitsOf(1, 1), unitsOf(2, 1)
 	o.Register(1, u1)
 	o.Register(2, u2)

@@ -72,9 +72,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Micros returns the time as a float64 number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Millis returns the time as a float64 number of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // Seconds returns the duration as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

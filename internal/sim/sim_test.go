@@ -17,9 +17,6 @@ func TestTimeDurationHelpers(t *testing.T) {
 	if Time(1500).Micros() != 1.5 {
 		t.Error("Micros conversion")
 	}
-	if Time(2_500_000).Millis() != 2.5 {
-		t.Error("Millis conversion")
-	}
 	if (2 * Second).Seconds() != 2 {
 		t.Error("Seconds conversion")
 	}

@@ -43,11 +43,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// Stddev returns the unbiased sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // PopStddev returns the population standard deviation (n denominator).
 // The load-balance experiment reports the spread of uplink EWMAs at a
 // single instant, which is a complete population, not a sample.

@@ -1,8 +1,9 @@
 // Package telemetry is Speedlight's measurement substrate: a
 // dependency-free, concurrency-safe metrics core (counters, gauges,
-// fixed-bucket histograms, a registry with labeled families), a
-// snapshot-lifecycle tracer, and HTTP exposition in Prometheus text
-// format, expvar JSON, and net/http/pprof.
+// fixed-bucket histograms, a registry with labeled families and with
+// Func families read at Gather — the protocol counters, which are
+// journal ring counts), and HTTP exposition in Prometheus text format,
+// expvar JSON, and net/http/pprof.
 //
 // The package is built for the per-packet hot path: every update is a
 // handful of atomic operations with zero allocations, and every metric
