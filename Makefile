@@ -12,7 +12,9 @@ help:
 	@echo "  all          build + lint + hotgate + test"
 	@echo "  build        go build ./..."
 	@echo "  test         go test -shuffle=on ./..."
-	@echo "  race         go test -race ./..."
+	@echo "  race         go test -race -p 1 ./... (one package at a time:"
+	@echo "               two slow ones side by side pass the 10-minute"
+	@echo "               per-package timeout on 2 CPUs)"
 	@echo "  lint         build speedlightvet and run the analyzer suite"
 	@echo "  hotgate      cross-check //speedlight:hotpath functions against"
 	@echo "               their //speedlight:allocgate allocation gates"
@@ -36,7 +38,7 @@ test:
 	go test -shuffle=on ./...
 
 race:
-	go test -race ./...
+	go test -race -p 1 ./...
 
 # lint builds the protocol-invariant analyzer suite and runs it over
 # every package, _test.go files included, through go vet — the one way

@@ -143,11 +143,11 @@ func TestHandleNotificationAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		id++
 		pkt.Snap.ID = core.Wrap(id, 0, false)
-		notif, changed := u.OnPacket(pkt, u.Config().CPChannel)
-		if !changed {
+		_, notif := u.OnPacket(pkt, u.Config().CPChannel)
+		if notif == nil || !notif.SIDChanged() {
 			t.Fatal("initiation did not advance the unit")
 		}
-		plane.HandleNotification(dataplane.CPUNotification{Unit: unit, Notification: notif}, 0)
+		plane.HandleNotification(dataplane.CPUNotification{Unit: unit, Notification: *notif}, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("HandleNotification allocates %.1f/op, want 0", allocs)

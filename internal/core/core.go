@@ -22,8 +22,8 @@
 //     streams and compare results.
 //
 // Units are pure state machines: no goroutines, no clocks. The
-// simulation (internal/emunet) and live (internal/runtime) harnesses
-// drive them.
+// simulation (internal/emunet) and the wall-clock runtimes
+// (internal/live, internal/wire) drive them.
 package core
 
 import (
@@ -157,6 +157,7 @@ type Unit struct {
 	wsid     packet.WireID  // sid wrapped: the current-ID register
 	lastSeen []packet.SeqID // per-channel last seen ID, unwrapped
 	snaps    []slot         // register array, indexed by sid mod MaxID
+	note     Notification   // OnPacket's report, valid until the next step
 }
 
 // NewUnit creates a processing unit with all state zeroed, as when a new
@@ -249,19 +250,22 @@ func (u *Unit) slotOf(id packet.SeqID) *slot {
 // OnPacket runs the snapshot pipeline of Figures 4 and 5 on a packet
 // arriving on the given upstream channel. It mutates the packet's
 // snapshot header (stamping the unit's current ID for the next hop) and
-// returns a notification if the unit's ID or the channel's last-seen
-// entry advanced.
+// returns the packet's unwrapped snapshot ID and the unit's report of
+// the step: nil when it moved no register and absorbed nothing, else
+// the unit's own Notification, valid until the unit's next step. An
+// absorb moves no register, so the caller exports a report only when
+// SIDChanged or LastSeenChanged.
 //
 // The packet must carry a snapshot header; adding headers at the
 // snapshot-enabled edge is the data plane wiring's job (Section 5.1).
 //
 // A packet carrying the unit's own epoch on a channel that has already
 // seen it is the steady state: nothing can advance, so it costs one
-// register compare, the metric update and a notification copied from
-// the cached registers — no unwrap, no slot, no Metric.Read.
+// register compare and the metric update — no unwrap, no slot, no
+// Metric.Read, no report, as the hardware exports nothing (Section 5.3).
 //
 //speedlight:hotpath
-func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
+func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (packet.SeqID, *Notification) {
 	if !pkt.HasSnap {
 		panic("core: OnPacket without snapshot header")
 	}
@@ -274,13 +278,7 @@ func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 		if hdr.Type == packet.TypeData {
 			u.metric.Update(pkt)
 		}
-		return Notification{
-			Channel: channel,
-			OldSID:  u.wsid, NewSID: u.wsid, OldLastSeen: u.wsid, NewLastSeen: u.wsid,
-			OldSIDU: u.sid, NewSIDU: u.sid, OldSeenU: u.sid, NewSeenU: u.sid,
-			PacketSID: u.sid,
-			WireID:    u.wsid,
-		}, false
+		return u.sid, nil
 	}
 
 	// Read the target state before applying this packet: a snapshot
@@ -337,7 +335,10 @@ func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 	// Stamp the outgoing header with the (possibly advanced) local ID.
 	hdr.ID = u.wrap(u.sid)
 
-	n := Notification{
+	if u.sid == oldSID && u.lastSeen[channel] == oldLS && !absorbed && !absorbMissed {
+		return psid, nil // an in-flight packet with nothing to fold into
+	}
+	u.note = Notification{
 		Channel:     channel,
 		OldSID:      u.wrap(oldSID),
 		NewSID:      u.wrap(u.sid),
@@ -353,14 +354,14 @@ func (u *Unit) OnPacket(pkt *packet.Packet, channel int) (Notification, bool) {
 		Absorbed:     absorbed,
 		AbsorbMissed: absorbMissed,
 	}
-	return n, n.SIDChanged() || n.LastSeenChanged()
+	return psid, &u.note
 }
 
 // Register read-back interface: the control plane reads these over PCIe
 // in hardware (Section 7.2), or directly in emulation.
 
 // RegCurrentSID returns the wrapped current snapshot ID register.
-func (u *Unit) RegCurrentSID() packet.WireID { return u.wrap(u.sid) }
+func (u *Unit) RegCurrentSID() packet.WireID { return u.wsid }
 
 // RegLastSeen returns the wrapped last-seen register for a channel.
 func (u *Unit) RegLastSeen(ch int) packet.WireID { return u.wrap(u.lastSeen[ch]) }

@@ -82,8 +82,8 @@ func TestSnapshotTriggeredByHigherID(t *testing.T) {
 	// record the state BEFORE this packet (its send was post-snapshot
 	// upstream).
 	p := dataPkt(1, 0)
-	n, changed := u.OnPacket(p, 0)
-	if !changed || !n.SIDChanged() {
+	_, n := u.OnPacket(p, 0)
+	if n == nil || !n.SIDChanged() {
 		t.Fatal("expected SID change notification")
 	}
 	if u.CurrentSID() != 1 {
@@ -166,8 +166,8 @@ func TestInitiationPacketNotCountedNotAbsorbed(t *testing.T) {
 	u.OnPacket(dataPkt(0, 0), 0)
 
 	// Initiation for epoch 1 from the CPU.
-	n, changed := u.OnPacket(initPkt(1), 2)
-	if !changed || !n.SIDChanged() {
+	_, n := u.OnPacket(initPkt(1), 2)
+	if n == nil || !n.SIDChanged() {
 		t.Fatal("initiation should advance the SID")
 	}
 	if m.Read() != 1 {
@@ -187,8 +187,7 @@ func TestDuplicateInitiationIgnored(t *testing.T) {
 	u := mustUnit(t, testCfg(nil), &pktCount{})
 	u.OnPacket(initPkt(1), 1)
 	sid := u.CurrentSID()
-	_, changed := u.OnPacket(initPkt(1), 1)
-	if changed {
+	if _, n := u.OnPacket(initPkt(1), 1); n != nil {
 		t.Error("duplicate initiation produced a notification")
 	}
 	if u.CurrentSID() != sid {
@@ -282,8 +281,8 @@ func TestNoWraparoundUsesFullIDSpace(t *testing.T) {
 func TestNotificationCarriesFormerValues(t *testing.T) {
 	u := mustUnit(t, testCfg(nil), &pktCount{})
 	u.OnPacket(dataPkt(1, 0), 0)
-	n, changed := u.OnPacket(dataPkt(2, 0), 0)
-	if !changed {
+	_, n := u.OnPacket(dataPkt(2, 0), 0)
+	if n == nil {
 		t.Fatal("no notification")
 	}
 	if n.OldSID != 1 || n.NewSID != 2 {
@@ -300,8 +299,7 @@ func TestNotificationCarriesFormerValues(t *testing.T) {
 func TestNoNotificationWithoutProgress(t *testing.T) {
 	u := mustUnit(t, testCfg(nil), &pktCount{})
 	u.OnPacket(dataPkt(1, 0), 0)
-	_, changed := u.OnPacket(dataPkt(1, 0), 0) // same epoch, same lastSeen
-	if changed {
+	if _, n := u.OnPacket(dataPkt(1, 0), 0); n != nil { // same epoch, same lastSeen
 		t.Error("notification emitted with no state change")
 	}
 }
@@ -547,8 +545,7 @@ func TestStaleInitiationIgnoredUnderWraparound(t *testing.T) {
 		t.Fatalf("sid = %d", u.CurrentSID())
 	}
 	// A delayed retry for snapshot 2 arrives after the unit reached 3.
-	_, changed := u.OnPacket(initPkt(2), 1)
-	if changed {
+	if _, n := u.OnPacket(initPkt(2), 1); n != nil {
 		t.Error("stale initiation produced a notification")
 	}
 	if u.CurrentSID() != 3 {

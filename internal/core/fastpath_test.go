@@ -12,7 +12,9 @@ import (
 // path: every packet reads the metric, unwraps its ID, takes the slot
 // branches and assembles its notification from wrapped registers. It
 // never touches the cached wsid, so a unit driven only through it is the
-// executable specification the fast unit is compared against.
+// executable specification the fast unit is compared against. It
+// returns a notification for every packet, and whether it must be
+// exported.
 func referenceOnPacket(u *Unit, pkt *packet.Packet, channel int) (Notification, bool) {
 	if !pkt.HasSnap {
 		panic("core: OnPacket without snapshot header")
@@ -106,7 +108,9 @@ func newDiffPair(t testing.TB, cfg Config) *diffPair {
 // epochs from the reference unit's current ID (or, with fromLastSeen,
 // from the channel's last-seen entry) — behind or ahead, across
 // rollover when wrapping — and fails unless the two agree on the
-// notification, the change flag, the stamped header and every register.
+// packet's epoch, the notification, the stamped header and every
+// register. The fast unit returns no notification exactly when the
+// reference's reports no change, no absorb and no absorb miss.
 func (d *diffPair) step(t testing.TB, ch int, data, fromLastSeen bool, delta int64) {
 	t.Helper()
 	base := d.ref.sid
@@ -131,24 +135,30 @@ func (d *diffPair) step(t testing.TB, ch int, data, fromLastSeen bool, delta int
 		d.steady++
 	}
 
-	fn, fc := d.fast.OnPacket(fp, ch)
+	psid, fn := d.fast.OnPacket(fp, ch)
 	rn, rc := referenceOnPacket(d.ref, rp, ch)
 
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%+v ch=%d wire=%d: "+format, append([]any{d.cfg, ch, raw}, args...)...)
 	}
-	if fn != rn || fc != rc {
-		fail("OnPacket = (%+v, %v), reference (%+v, %v)", fn, fc, rn, rc)
+	if psid != rn.PacketSID {
+		fail("packet epoch %d, reference %d", psid, rn.PacketSID)
+	}
+	if quiet := !rc && !rn.Absorbed && !rn.AbsorbMissed; (fn == nil) != quiet {
+		fail("notification %+v, reference %+v (change %v)", fn, rn, rc)
+	}
+	if fn != nil && *fn != rn {
+		fail("notification %+v, reference %+v", *fn, rn)
 	}
 	if fp.Snap != rp.Snap {
 		fail("stamped header %+v, reference %+v", fp.Snap, rp.Snap)
 	}
-	if f, r := d.fast.RegCurrentSID(), d.ref.RegCurrentSID(); f != r {
+	if f, r := d.fast.RegCurrentSID(), d.ref.wrap(d.ref.sid); f != r {
 		fail("RegCurrentSID %d, reference %d", f, r)
 	}
-	if d.fast.wsid != d.fast.RegCurrentSID() {
-		fail("cached epoch %d, register %d", d.fast.wsid, d.fast.RegCurrentSID())
+	if d.fast.wsid != d.fast.wrap(d.fast.sid) {
+		fail("cached epoch %d, wrapped epoch %d", d.fast.wsid, d.fast.wrap(d.fast.sid))
 	}
 	for c := 0; c < diffChannels; c++ {
 		if f, r := d.fast.RegLastSeen(c), d.ref.RegLastSeen(c); f != r {

@@ -177,6 +177,12 @@ type Switch struct {
 	// inits holds the initiation packets InitiateIngress returns, NumCoS
 	// per port from port*NumCoS: the switch's own, made at New.
 	inits []*packet.Packet
+
+	// routes is cfg.FIB's next hops by destination host, compiled at
+	// version routesAt, as an ASIC's match table is programmed from the
+	// control plane's FIB.
+	routes   [][]int
+	routesAt uint64
 }
 
 // New builds a switch data plane.
@@ -240,7 +246,23 @@ func New(cfg Config) (*Switch, error) {
 		s.ports = append(s.ports, &Port{IngressUnit: ing, EgressUnit: egr})
 		s.edge[p] = cfg.EdgePorts[p]
 	}
+	if cfg.FIB != nil {
+		s.compileRoutes()
+	}
 	return s, nil
+}
+
+// compileRoutes rebuilds the route table from the FIB as it stands.
+func (s *Switch) compileRoutes() {
+	n := 0
+	for h := range s.cfg.FIB.NextHops {
+		n = max(n, int(h)+1)
+	}
+	s.routes = make([][]int, n)
+	for h, group := range s.cfg.FIB.NextHops {
+		s.routes[h] = group
+	}
+	s.routesAt = s.cfg.FIB.Version
 }
 
 // ingressChannel returns the ingress-unit channel for a packet's class.
@@ -318,9 +340,9 @@ func (s *Switch) UnitIDs() []UnitID {
 
 // journalUnit records the protocol transitions one OnPacket call
 // produced: the unit advancing its epoch (and any rollover), last-seen
-// movement, and in-flight absorption. step calls it for every packet
-// when a journal is attached. Note absorbs can occur without a
-// notification-worthy change (a second in-flight packet on an
+// movement, and in-flight absorption. step calls it for every report
+// the unit makes when a journal is attached. Note absorbs can occur
+// without a notification-worthy change (a second in-flight packet on an
 // already-seen channel), which is why this does not piggyback on
 // pushNotif.
 //
@@ -419,38 +441,36 @@ const (
 	markerOut
 )
 
-// step runs one packet through the unit (port, dir) on channel ch: the
-// unit's state machine, then the journal, then a notification when
-// anything changed. It returns the packet's unwrapped snapshot ID.
-// Every entry point below is this step plus what it does to the header
-// before and after.
+// step runs one packet through the unit (port, dir) on channel ch and
+// returns the packet's unwrapped snapshot ID. A steady-state step ends
+// there: the unit reports nothing, so nothing is journaled but a
+// marker, and nothing is exported. Otherwise the unit's report goes to
+// the journal, and to the CPU when the epoch or the channel's last-seen
+// entry moved. Every entry point below is this step plus what it does
+// to the header before and after.
 //
 //speedlight:hotpath
 func (s *Switch) step(pkt *packet.Packet, port int, dir Direction, ch int, mark marker, now sim.Time) SeqID {
-	var notif core.Notification
-	var changed bool
-	if dir == Ingress {
-		notif, changed = s.ports[port].IngressUnit.OnPacket(pkt, ch)
-	} else {
-		notif, changed = s.ports[port].EgressUnit.OnPacket(pkt, ch)
+	u := s.ports[port].IngressUnit
+	if dir == Egress {
+		u = s.ports[port].EgressUnit
 	}
+	psid, n := u.OnPacket(pkt, ch)
 	if s.jr != nil {
 		switch mark {
 		case markerIn:
-			s.jr.Append(journal.MarkerReceived(int64(now), int(s.cfg.Node), port, ch, notif.PacketSID))
+			s.jr.Append(journal.MarkerReceived(int64(now), int(s.cfg.Node), port, ch, psid))
 		case markerOut:
-			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, notif.PacketSID, int(pkt.CoS)))
+			s.jr.Append(journal.MarkerSent(int64(now), int(s.cfg.Node), port, psid, int(pkt.CoS)))
 		}
-		s.journalUnit(port, dir, &notif, now)
+		if n != nil {
+			s.journalUnit(port, dir, n, now)
+		}
 	}
-	if changed {
-		s.pushNotif(CPUNotification{
-			Unit:         UnitID{s.cfg.Node, port, dir},
-			Notification: notif,
-			Exported:     now,
-		})
+	if n != nil && (n.SIDChanged() || n.LastSeenChanged()) {
+		s.pushNotif(CPUNotification{Unit: UnitID{s.cfg.Node, port, dir}, Notification: *n, Exported: now})
 	}
-	return notif.PacketSID
+	return psid
 }
 
 // addHeader gives a packet that has no snapshot header one carrying the
@@ -469,20 +489,24 @@ func (s *Switch) addHeader(pkt *packet.Packet, port int) {
 	}
 }
 
-// route is the forwarding lookup: the balancer's pick among the FIB's
-// ports toward the packet's destination, or a drop when there is no
-// route (or nothing to look one up in).
+// route is the forwarding lookup: the balancer's pick among the ports
+// the route table holds toward the packet's destination, or a drop when
+// there is no route (or nothing to look one up in). The table is
+// recompiled first when the FIB's version has moved since; a FIB
+// rewritten without a version bump is not seen.
 //
 //speedlight:hotpath
 func (s *Switch) route(pkt *packet.Packet, now sim.Time) IngressResult {
 	if s.cfg.FIB == nil || s.cfg.Balancer == nil {
 		return IngressResult{Drop: true}
 	}
-	group := s.cfg.FIB.Ports(topology.HostID(pkt.DstHost))
-	if len(group) == 0 {
+	if s.cfg.FIB.Version != s.routesAt {
+		s.compileRoutes()
+	}
+	if int(pkt.DstHost) >= len(s.routes) || len(s.routes[pkt.DstHost]) == 0 {
 		return IngressResult{Drop: true}
 	}
-	return IngressResult{EgressPort: s.cfg.Balancer.Pick(pkt, group, now)}
+	return IngressResult{EgressPort: s.cfg.Balancer.Pick(pkt, s.routes[pkt.DstHost], now)}
 }
 
 // forward runs a packet through a port's ingress unit on channel ch and

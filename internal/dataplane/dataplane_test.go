@@ -96,6 +96,35 @@ func TestIngressDropsUnroutable(t *testing.T) {
 	}
 }
 
+// TestRouteTableFollowsFIBVersion: the switch routes from the table it
+// compiled from its FIB, and recompiles it when the FIB's version moves —
+// a rewrite without the bump goes unseen.
+func TestRouteTableFollowsFIBVersion(t *testing.T) {
+	s := testSwitch(t, nil)
+	route := func(dst uint32) IngressResult { return s.Ingress(&packet.Packet{DstHost: dst}, 0, 0) }
+	if res := route(10); res.Drop || res.EgressPort != 2 {
+		t.Fatalf("host 10 routed %+v, want port 2", res)
+	}
+	fib := s.cfg.FIB
+	fib.NextHops = map[topology.HostID][]int{10: {3}, 12: {1}}
+	if res := route(10); res.Drop || res.EgressPort != 2 {
+		t.Fatalf("host 10 routed %+v before the version bump, want the compiled port 2", res)
+	}
+	if res := route(12); !res.Drop {
+		t.Fatalf("host 12 routed %+v before the version bump, want a drop", res)
+	}
+	fib.Version++
+	if res := route(10); res.Drop || res.EgressPort != 3 {
+		t.Fatalf("host 10 routed %+v after the bump, want port 3", res)
+	}
+	if res := route(12); res.Drop || res.EgressPort != 1 {
+		t.Fatalf("host 12 routed %+v after the bump, want port 1", res)
+	}
+	if res := route(11); !res.Drop {
+		t.Fatalf("host 11 routed %+v after its route went, want a drop", res)
+	}
+}
+
 func TestChannelRewrittenAcrossSwitch(t *testing.T) {
 	s := testSwitch(t, nil)
 	pkt := &packet.Packet{DstHost: 10}

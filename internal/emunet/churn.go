@@ -197,7 +197,7 @@ func (n *Network) flushQueues(es *EmuSwitch) {
 				n.churnDrops.Add(1)
 			}
 		}
-		q.txScheduled = false
+		q.queued, q.txScheduled = 0, false
 		q.setDepth()
 	}
 }

@@ -293,6 +293,7 @@ func (f *pktFIFO) pop() *packet.Packet {
 // channel model of Section 4.1.
 type portQueue struct {
 	perCoS      []pktFIFO
+	queued      int // packets over all classes
 	txScheduled bool
 	drops       uint64
 	// depth is the egress unit's registered depth gauge (Network.Gauge),
@@ -300,15 +301,13 @@ type portQueue struct {
 	depth *counters.Gauge
 	// rate is the link's transmission rate in bits per second.
 	rate float64
+	// txSize and txTime are the last packet size serialization priced
+	// and its price.
+	txSize uint32
+	txTime sim.Duration
 }
 
-func (q *portQueue) length() int {
-	n := 0
-	for i := range q.perCoS {
-		n += q.perCoS[i].len()
-	}
-	return n
-}
+func (q *portQueue) length() int { return q.queued }
 
 // setDepth mirrors the queue's occupancy into its depth gauge, if any.
 //
@@ -320,14 +319,17 @@ func (q *portQueue) setDepth() {
 }
 
 // serialization returns the transmission time of a packet of the given
-// size on the port's link.
+// size on the port's link. A run of equal sizes is priced once.
 //
 //speedlight:hotpath
 func (q *portQueue) serialization(size uint32) sim.Duration {
 	if size == 0 {
 		size = 64
 	}
-	return sim.DurationOfSeconds(float64(size) * 8 / q.rate)
+	if size != q.txSize {
+		q.txSize, q.txTime = size, sim.DurationOfSeconds(float64(size)*8/q.rate)
+	}
+	return q.txTime
 }
 
 // head returns the highest-priority non-empty class, or -1.
@@ -348,6 +350,7 @@ func (q *portQueue) head() int {
 type EmuSwitch struct {
 	*node.Switch
 	Node   topology.NodeID
+	spec   *topology.Switch // the switch's ports and their peers
 	Clock  *clock.Clock
 	queues []*portQueue
 
@@ -684,7 +687,7 @@ func (n *Network) attach(spec *topology.Switch, dp *dataplane.Config) (node.Host
 // newSwitch makes and registers the EmuSwitch around spec's planes.
 func (n *Network) newSwitch(spec *topology.Switch) *EmuSwitch {
 	cfg, id := &n.cfg, spec.ID
-	es := &EmuSwitch{Node: id, dom: switchDomain(id), rng: n.eng.NewRand()}
+	es := &EmuSwitch{Node: id, spec: spec, dom: switchDomain(id), rng: n.eng.NewRand()}
 	es.proc = n.eng.Proc(es.dom)
 	n.sws[id] = es
 	es.queues = make([]*portQueue, len(spec.Ports))
@@ -1022,6 +1025,7 @@ func (n *Network) enqueue(es *EmuSwitch, pkt *packet.Packet, port int) {
 		cos = len(q.perCoS) - 1
 	}
 	q.perCoS[cos].push(pkt)
+	q.queued++
 	n.tel.queueHighWater.SetMax(int64(q.length()))
 	q.setDepth()
 	if !q.txScheduled {
@@ -1086,6 +1090,7 @@ func (n *Network) txCall(a, _ any, i int64) {
 	port, cos := int(i>>txCoSBits)&(1<<txPortBits-1), int(i)&(1<<txCoSBits-1)
 	q := es.queues[port]
 	head := q.perCoS[cos].pop()
+	q.queued--
 	q.setDepth()
 	n.transmit(es, head, port)
 	n.scheduleTx(es, port)
@@ -1105,7 +1110,7 @@ func (n *Network) transmit(es *EmuSwitch, pkt *packet.Packet, port int) {
 		es.ppool.Put(pkt)
 		return
 	}
-	peer := n.cfg.Topo.Peer(es.Node, port)
+	peer := &es.spec.Ports[port]
 	switch peer.Kind {
 	case topology.PeerSwitch:
 		// Markers ride the wire like data, subject to the same injected
@@ -1157,7 +1162,7 @@ func (n *Network) deliverGlobalCall(_, b any, i int64) {
 //
 //speedlight:hotpath
 //speedlight:pool-transfer pkt
-func (n *Network) wireHop(es *EmuSwitch, pkt *packet.Packet, port int, peer topology.Peer) {
+func (n *Network) wireHop(es *EmuSwitch, pkt *packet.Packet, port int, peer *topology.Peer) {
 	if es.linkDown[port] {
 		// Administratively drained link: the wire is cut, so anything
 		// the queue still pushes onto it is eaten deterministically

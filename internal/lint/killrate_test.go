@@ -41,7 +41,7 @@ var mutants = []mutant{
 	{"hotalloc", "fmt.%s in", "internal/node/node.go", "Packet(pkt *packet.Packet, port int) {\n", "Packet(pkt *packet.Packet, port int) {\n\t_ = fmt.Sprint(port)\n", `fmt\.Sprint`},
 	{"hotalloc", "sync.Pool %s in", "internal/node/node.go", "\tok := s.Egress(pkt, port, now)\n", "\tvar kp sync.Pool\n\tkp.Put(port)\n\tok := s.Egress(pkt, port, now)\n", `sync\.Pool Put`},
 	{"hotalloc", "function literal in", "internal/node/node.go", "\t\tnotif, ok := s.DP.PopNotif()\n", "\t\t_ = func() {}\n\t\tnotif, ok := s.DP.PopNotif()\n", ``},
-	{"hotalloc", "pointer composite literal in", "internal/core/core.go", "channel int) (Notification, bool) {\n", "channel int) (Notification, bool) {\n\t_ = &Notification{}\n", ``},
+	{"hotalloc", "pointer composite literal in", "internal/core/core.go", "channel int) (packet.SeqID, *Notification) {\n", "channel int) (packet.SeqID, *Notification) {\n\t_ = &Notification{}\n", ``},
 	{"hotalloc", "string concatenation in", "internal/control/control.go", "HandleNotification(n dataplane.CPUNotification, now sim.Time) {\n", "HandleNotification(n dataplane.CPUNotification, now sim.Time) {\n\tvar ks string\n\t_ = ks + \"x\"\n", ``},
 	{"hotalloc", "map literal in", "internal/observer/observer.go", "OnResult(res control.Result, now sim.Time) {\n", "OnResult(res control.Result, now sim.Time) {\n\t_ = map[int]int{}\n", ``},
 	{"hotalloc", "slice literal in", "internal/emunet/emunet.go", "\tq := es.queues[port]\n\tif q.length() >= n.cfg.QueueCapacity {\n", "\t_ = []int{1}\n\tq := es.queues[port]\n\tif q.length() >= n.cfg.QueueCapacity {\n", ``},
@@ -72,7 +72,7 @@ var mutants = []mutant{
 	{"shardsafe", "touches Parallel.%s directly", "internal/sim/parallel.go", "\t\t\treturn\n\t\t}\n\t\tsh.q.push(ev)\n", "\t\t\treturn\n\t\t}\n\t\tp.shards[0].q.push(ev)\n", `drainRing touches Parallel\.shards`},
 
 	{"wrappedcmp", "unwrap with core.Unwrap before comparing", "internal/core/core.go", "\treturn new.Raw() < old.Raw()\n", "\treturn new < old\n", `^<`},
-	{"wrappedcmp", "wire IDs are opaque outside", "internal/core/core.go", "RegCurrentSID() packet.WireID { return u.wrap(u.sid) }", "RegCurrentSID() packet.WireID { w := u.wrap(u.sid); w += 1; return w }", `^\+=`},
+	{"wrappedcmp", "wire IDs are opaque outside", "internal/core/core.go", "RegCurrentSID() packet.WireID { return u.wsid }", "RegCurrentSID() packet.WireID { w := u.wsid; w += 1; return w }", `^\+=`},
 	{"wrappedcmp", "advance the unwrapped SeqID", "internal/core/core.go", "{ return u.wrap(u.lastSeen[ch]) }", "{ w := u.wrap(u.lastSeen[ch]); w++; return w }", `^\+\+`},
 	{"wrappedcmp", "conversion into wrapped wire ID", "internal/control/control.go", "\treturn core.Wrap(id, p.maxID, p.wrap)\n", "\treturn packet.WireID(id)\n", ``},
 	{"wrappedcmp", "conversion out of wrapped wire ID", "internal/control/control.go", "\treturn core.Unwrap(wire, ref, p.maxID, p.wrap)\n", "\treturn packet.SeqID(wire)\n", ``},

@@ -184,9 +184,9 @@ func TestFabricRecoversLostInitiation(t *testing.T) {
 
 // TestFabricExcludesSilentSwitch steps what a switch that stops answering
 // does to a deployment, on the Fabric every runtime builds: it ignores
-// initiations and the retry's relay alike, so each snapshot finalizes at
-// ExcludeAfter with exactly that switch excluded, and its subscription
-// yields it. Without the exclusion timer every snapshot would stay
+// initiations and the retry's relay alike, so each snapshot, retried at
+// RetryAfter, finalizes at ExcludeAfter with exactly that switch
+// excluded, and its subscription yields it. Without the exclusion timer every snapshot would stay
 // pending, and with MaxID 256 the 129th Begin would find the window full.
 func TestFabricExcludesSilentSwitch(t *testing.T) {
 	const retryAfter, excludeAfter = 20 * sim.Millisecond, 50 * sim.Millisecond
@@ -243,6 +243,8 @@ func TestFabricExcludesSilentSwitch(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		begun = net.now
 		id, sub = epoch()
+		net.now = begun.Add(retryAfter)
+		net.fab.Retries(net.now, relay)
 		net.now = begun.Add(excludeAfter)
 		net.fab.Retries(net.now, relay)
 		g, ok := <-sub

@@ -342,8 +342,10 @@ type Action struct {
 
 // CheckTimeouts scans pending snapshots: those older than RetryAfter get
 // a retry request (once); those older than ExcludeAfter have their
-// missing devices excluded, which may finalize the snapshot. The caller
-// relays retry requests to the named control planes.
+// missing devices excluded, which may finalize the snapshot. With
+// retries enabled, exclusion waits for a check after the retry, so a
+// device is never excluded unasked, however late the checks run. The
+// caller relays retry requests to the named control planes.
 func (o *Observer) CheckTimeouts(now sim.Time) []Action {
 	var actions []Action
 	ids := make([]packet.SeqID, 0, len(o.pend))
@@ -356,7 +358,7 @@ func (o *Observer) CheckTimeouts(now sim.Time) []Action {
 		age := now.Sub(p.scheduledAt)
 		var act Action
 		act.SnapshotID = id
-		if o.cfg.ExcludeAfter > 0 && age >= o.cfg.ExcludeAfter {
+		if o.cfg.ExcludeAfter > 0 && age >= o.cfg.ExcludeAfter && (p.retried || o.cfg.RetryAfter <= 0) {
 			// Exclude every device still missing units; the snapshot
 			// finalizes without them.
 			act.Excluded = p.missingDevices(o.units)

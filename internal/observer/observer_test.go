@@ -264,6 +264,35 @@ func TestRetryThenExclude(t *testing.T) {
 	}
 }
 
+// TestLateCheckRetriesBeforeExcluding: a first check that finds an epoch
+// already past ExcludeAfter (the checks ran late) retries, and only the
+// next check excludes.
+func TestLateCheckRetriesBeforeExcluding(t *testing.T) {
+	o, done := newObs(t, func(c *Config) {
+		c.RetryAfter = 100
+		c.ExcludeAfter = 300
+	})
+	o.Register(1, unitsOf(1, 1))
+	o.Register(2, unitsOf(2, 1))
+	id, _ := o.Begin(0)
+	feedAll(o, id, unitsOf(1, 1), true, 10)
+
+	acts := o.CheckTimeouts(400)
+	if len(acts) != 1 || len(acts[0].Excluded) != 0 || len(acts[0].Retry) != 1 || acts[0].Retry[0] != 2 {
+		t.Fatalf("first late check = %+v, want a retry of device 2", acts)
+	}
+	if len(*done) != 0 {
+		t.Fatal("snapshot finalized by a check that retried")
+	}
+	acts = o.CheckTimeouts(401)
+	if len(acts) != 1 || len(acts[0].Retry) != 0 || len(acts[0].Excluded) != 1 || acts[0].Excluded[0] != 2 {
+		t.Fatalf("second check = %+v, want device 2 excluded", acts)
+	}
+	if len(*done) != 1 {
+		t.Fatal("snapshot not finalized after exclusion")
+	}
+}
+
 func TestLateResultAfterExclusionIgnored(t *testing.T) {
 	o, done := newObs(t, func(c *Config) { c.ExcludeAfter = 100 })
 	o.Register(1, unitsOf(1, 1))
