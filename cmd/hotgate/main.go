@@ -13,7 +13,12 @@
 //
 // Usage:
 //
-//	hotgate [root]
+//	hotgate [-cover] [root]
+//
+// With -cover, each gate then runs alone under go test with coverage
+// of the packages its names live in, and a name whose function ran no
+// statement fails: a gate that never runs a path proves nothing about
+// its allocations.
 //
 // Names are canonical "pkg.Recv.Func" (methods) or "pkg.Func"
 // (functions), matching the directive docs in DESIGN.md §9. The walk
@@ -22,12 +27,16 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -38,15 +47,32 @@ type site struct {
 	name string // canonical function name (hotpath) or gate name (allocgate)
 }
 
+// span is a function's lines in a file named by its slash path in the
+// module.
+type span struct {
+	file     string
+	from, to int
+}
+
+// gateFunc is one annotated test or benchmark and the names it gates.
+type gateFunc struct {
+	dir, fn string
+	names   []string
+}
+
 func main() {
+	cover := flag.Bool("cover", false, "run each gate and fail on a named function it never executes")
+	flag.Parse()
 	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
+	if flag.NArg() > 0 {
+		root = flag.Arg(0)
 	}
-	hot := map[string]token.Position{}  // hotpath fn -> decl position
-	gated := map[string][]string{}      // hotpath fn -> gate test names
-	var annotations []site              // every allocgate name, for staleness
-	misplaced := []site{}               // allocgate outside a Test/Benchmark
+	hot := map[string]token.Position{} // hotpath fn -> decl position
+	body := map[string]span{}          // hotpath fn -> its lines
+	var gates []*gateFunc              // for -cover
+	gated := map[string][]string{}     // hotpath fn -> gate test names
+	var annotations []site             // every allocgate name, for staleness
+	misplaced := []site{}              // allocgate outside a Test/Benchmark
 
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -68,11 +94,14 @@ func main() {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		isTest := strings.HasSuffix(path, "_test.go")
+		rel, _ := filepath.Rel(root, path) // path is under root
+		rel = filepath.ToSlash(rel)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Doc == nil {
 				continue
 			}
+			var g *gateFunc
 			for _, c := range fd.Doc.List {
 				line := strings.TrimPrefix(c.Text, "//")
 				fields := strings.Fields(line)
@@ -82,7 +111,9 @@ func main() {
 				switch fields[0] {
 				case "speedlight:hotpath":
 					if !isTest {
-						hot[canonical(f.Name.Name, fd)] = fset.Position(fd.Pos())
+						name := canonical(f.Name.Name, fd)
+						hot[name] = fset.Position(fd.Pos())
+						body[name] = span{rel, hot[name].Line, fset.Position(fd.End()).Line}
 					}
 				case "speedlight:allocgate":
 					gate := f.Name.Name + "." + fd.Name.Name
@@ -91,6 +122,11 @@ func main() {
 						misplaced = append(misplaced, site{fset.Position(c.Pos()), gate})
 						continue
 					}
+					if g == nil {
+						g = &gateFunc{dir: "./" + filepath.Dir(rel), fn: fd.Name.Name}
+						gates = append(gates, g)
+					}
+					g.names = append(g.names, fields[1:]...)
 					for _, name := range fields[1:] {
 						gated[name] = append(gated[name], gate)
 						annotations = append(annotations, site{fset.Position(c.Pos()), name})
@@ -130,16 +166,57 @@ func main() {
 			m.pos, m.name)
 		bad++
 	}
+	if bad == 0 && *cover {
+		for _, g := range gates {
+			bad += runGate(root, g, body)
+		}
+	}
 	if bad > 0 {
 		os.Exit(1)
 	}
-	gates := map[string]bool{}
-	for _, names := range gated {
-		for _, g := range names {
-			gates[g] = true
+	fmt.Printf("hotgate: %d hotpath functions covered by %d gates\n", len(hot), len(gates))
+}
+
+// runGate runs one gate alone with coverage of the packages its names
+// live in, and reports each name whose function ran no statement.
+func runGate(root string, g *gateFunc, body map[string]span) int {
+	var pkgs []string
+	for _, n := range g.names {
+		pkgs = append(pkgs, "./"+path.Dir(body[n].file))
+	}
+	prof := filepath.Join(os.TempDir(), fmt.Sprintf("hotgate-%d.cover", os.Getpid()))
+	defer os.Remove(prof)
+	sel := []string{"-run=^" + g.fn + "$"}
+	if strings.HasPrefix(g.fn, "Benchmark") {
+		sel = []string{"-run=^$", "-bench=^" + g.fn + "$", "-benchtime=1x"}
+	}
+	out, err := exec.Command("go", append([]string{"test", "-C", root, "-count=1", "-coverpkg=" + strings.Join(pkgs, ","), "-coverprofile=" + prof, g.dir}, sel...)...).CombinedOutput()
+	mod, err2 := exec.Command("go", "list", "-C", root, "-m").Output()
+	data, err3 := os.ReadFile(prof)
+	if err = errors.Join(err, err2, err3); err != nil {
+		fmt.Printf("%s %s: %v\n%s", g.dir, g.fn, err, out)
+		return 1
+	}
+	hit := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		var from, c0, to, c1, stmts, count int
+		file, pos, _ := strings.Cut(strings.TrimPrefix(line, strings.TrimSpace(string(mod))+"/"), ":")
+		if _, err := fmt.Sscanf(pos, "%d.%d,%d.%d %d %d", &from, &c0, &to, &c1, &stmts, &count); err != nil || count == 0 {
+			continue
+		}
+		for _, n := range g.names {
+			fn := body[n]
+			hit[n] = hit[n] || file == fn.file && from >= fn.from && to <= fn.to
 		}
 	}
-	fmt.Printf("hotgate: %d hotpath functions covered by %d gates\n", len(hot), len(gates))
+	bad := 0
+	for _, n := range g.names {
+		if !hit[n] {
+			fmt.Printf("%s:%d: %s is named by the //speedlight:allocgate of %s, which never executes it\n", body[n].file, body[n].from, n, g.fn)
+			bad++
+		}
+	}
+	return bad
 }
 
 // canonical builds "pkg.Recv.Func" for methods and "pkg.Func" for
