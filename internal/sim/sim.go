@@ -14,10 +14,12 @@
 //     neighbor shards publish plus the pair's link-latency lookahead.
 //
 // Both keep their pending events in the same queue (evq.go): a heap of
-// distinct times whose events wait in one bucket per time, sorted by
-// (src, seq) once when their time becomes current. Event times are
-// quantized, so each instant holds many events (~24 at a time on
-// cmd/bench's fabric_serial).
+// distinct times whose events wait in one bucket per time. When a time
+// becomes current its events are grouped into one lane per scheduling
+// domain, each in seq order, and the lanes are linked by ascending
+// domain: (src, seq) order without a sort. Event times are quantized,
+// so each instant holds many events (~37 on cmd/bench's
+// fabric_serial, from ~9 domains).
 //
 // Determinism contract. Every event carries a tie-break key
 // (time, src, seq): src is the scheduling domain and seq a per-domain
