@@ -34,9 +34,9 @@ import (
 // conditionally still discharges it. Function literals run on their
 // own schedule with nothing held. There is no acquisition-order rule:
 // each scoped package declares at most one mutex (node.Fabric.mu,
-// packet.Central.mu, emunet.Network.syncMu, live.mailbox.mu), so the
-// tree has no order to get wrong (TestProtocolTable fails when one
-// gains a second).
+// packet.Central.mu, emunet.Network.syncMu, live.mailbox.mu,
+// wire.hostTx.mu), so the tree has no order to get wrong
+// (TestProtocolTable fails when one gains a second).
 var lockorder = &analyzer{name: "lockorder", run: func(p *pass) {
 	if !protocol[p.scope()].locks {
 		return

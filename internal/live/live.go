@@ -9,12 +9,13 @@
 // node.Fabric — the routes, completion gates, one node.Switch per
 // topology node, the observer with its retry and exclusion timers, and
 // the recovery relay — plus a Device per switch that moves its bytes,
-// driven by one goroutine loop per switch, one retry loop, one
-// TakeSnapshot and one clock, with the Fabric's observability endpoints
-// served from Start to Stop. Package wire is a Runtime over UDP sockets;
-// Network is one over mailboxes, and what is written for it here is what
-// a goroutine transport adds: the mailboxes and the trains into them,
-// the observer goroutine, Inject's back-pressure and the
+// driven by one goroutine loop per switch, one TakeSnapshot, one clock
+// and the recovery check its transport's observer host runs (Timers),
+// with the Fabric's observability endpoints served from Start to Stop.
+// Package wire is a Runtime over UDP sockets; Network is one over
+// mailboxes, and what is written for it here is what a goroutine
+// transport adds: the mailboxes and the trains into them, the observer
+// goroutine, Inject's back-pressure and the
 // speedlight_live_* metrics that count them.
 //
 // The protocol logic is exactly the same state-machine code the
@@ -122,7 +123,7 @@ var errStopped = errors.New("live: network stopped")
 
 // Runtime is a wall-clock deployment: a node.Fabric whose switches run on
 // a transport's Devices, one goroutine per switch, the observer host's
-// recovery loop, and the server of the Fabric's endpoints. A Network is a
+// recovery check, and the server of the Fabric's endpoints. A Network is a
 // Runtime over in-process mailboxes, a wire.Deployment one over UDP
 // sockets; what is written here, they share.
 type Runtime struct {
@@ -135,6 +136,7 @@ type Runtime struct {
 	cfg  Config
 
 	sink    node.Sink // the Fabric's
+	due     time.Time // the observer host's next recovery check (zero: its first call)
 	health  *telemetry.Health
 	metSrv  *telemetry.Server
 	wg      sync.WaitGroup
@@ -160,8 +162,8 @@ type Device interface {
 }
 
 // Clock is a runtime's wall clock: the time since Start as protocol
-// time. The Runtime reads it where it acts itself (Begin, the retry
-// loop); a Device reads it through its Stamp, once per input it takes.
+// time. The Runtime reads it where it acts itself (Begin, the recovery
+// check); a Device reads it through its Stamp, once per input it takes.
 type Clock struct{ started time.Time }
 
 // Now returns wall time since Start as protocol time.
@@ -259,8 +261,8 @@ func (ev *Event) Step(sw *node.Switch) {
 }
 
 // Start serves the endpoints when MetricsAddr is set, starts the clock
-// and launches a goroutine per switch, the recovery loop, and one per
-// host: the transport's own goroutines (its observer host, say), which
+// and launches a goroutine per switch and one per host: the transport's
+// own goroutines (its observer host, which runs Timers, say), which
 // must return once Stop is called. A metrics server that fails to bind
 // is reported on stderr but does not stop the deployment.
 func (r *Runtime) Start(hosts ...func()) {
@@ -276,9 +278,6 @@ func (r *Runtime) Start(hosts ...func()) {
 	r.started = time.Now()
 	for _, dev := range r.devs {
 		hosts = append(hosts, func() { r.run(dev) })
-	}
-	if r.cfg.RetryEvery > 0 {
-		hosts = append(hosts, r.retry)
 	}
 	r.wg.Add(len(hosts))
 	for _, f := range hosts {
@@ -335,21 +334,21 @@ func (r *Runtime) run(dev Device) {
 	}
 }
 
-// retry is the observer host's recovery loop. A retried device gets a
-// re-initiation, which floods markers in channel-state mode (first
-// initiations do not), and a poll.
-func (r *Runtime) retry() {
-	t := time.NewTicker(r.cfg.RetryEvery)
-	defer t.Stop()
-	relay := func(dev topology.NodeID, id packet.SeqID) { r.devs[dev].Control(id, r.cfg.ChannelState, true) }
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.Retries(r.Now(), relay)
-		}
+// Timers is the observer host's recovery check. Its goroutine calls it
+// once it has taken every result waiting, so no result it has not read
+// yet counts as silence. When a check is due it runs the observer's
+// retry and exclusion timers — a retried device gets a re-initiation,
+// which floods markers in channel-state mode (first initiations do not),
+// and a poll — and the next check falls due RetryEvery after this one
+// ran: a retried device has at least that long to answer before it can
+// be excluded. Timers returns when the next check is due: with recovery
+// off, never, and Timers returns the zero time.
+func (r *Runtime) Timers() time.Time {
+	if r.cfg.RetryEvery > 0 && !time.Now().Before(r.due) {
+		r.Retries(r.Now(), func(dev topology.NodeID, id packet.SeqID) { r.devs[dev].Control(id, r.cfg.ChannelState, true) })
+		r.due = time.Now().Add(r.cfg.RetryEvery)
 	}
+	return r.due
 }
 
 // Inject sends a packet from a host into its edge switch. When it
@@ -516,6 +515,7 @@ type Network struct {
 	*Runtime
 	sws       []*liveSwitch // by NodeID
 	obsEvents chan control.Result
+	stall     func() // runs before each result the observer host takes: a test seam, a no-op outside tests
 
 	tel liveTelemetry
 }
@@ -544,7 +544,7 @@ func newLiveTelemetry(reg *telemetry.Registry) liveTelemetry {
 func New(cfg Config) (*Network, error) {
 	// Deep enough for every unit's result from a few snapshots in flight;
 	// a full queue blocks the sending switch.
-	n := &Network{obsEvents: make(chan control.Result, 1024)}
+	n := &Network{obsEvents: make(chan control.Result, 1024), stall: func() {}}
 	var err error
 	n.Runtime, err = NewRuntime(cfg, func(spec *topology.Switch, stamp Stamp) (Device, func(control.Result), error) {
 		ls := &liveSwitch{Stamp: stamp, net: n, spec: spec, inbox: newMailbox(), ports: make([]*train, len(spec.Ports))}
@@ -680,16 +680,28 @@ func (ls *liveSwitch) Forward(port int, pkt *packet.Packet) {
 	}
 }
 
-// runObserver is the observer host's goroutine: it takes results off
-// the queue.
+// runObserver is the observer host's goroutine: it takes results, each
+// at the instant it takes it, and once none is waiting runs the
+// recovery check (Timers); it parks until the next result, the next
+// check or Stop. The timer is reset to each new due time; with recovery
+// off it never is, and its one firing is a wake-up with nothing due.
 func (n *Network) runObserver() {
+	var due time.Time
+	t := time.NewTimer(retryDefault)
+	defer t.Stop()
 	for {
+		if len(n.obsEvents) == 0 && n.Timers() != due {
+			due = n.due
+			t.Reset(time.Until(due))
+		}
 		select {
 		case <-n.stop:
 			return
+		case <-t.C:
 		case res := <-n.obsEvents:
 			// +1: the result just dequeued was part of the backlog.
 			n.tel.obsHighWater.SetMax(int64(len(n.obsEvents)) + 1)
+			n.stall()
 			n.Result(res, n.Now())
 		}
 	}

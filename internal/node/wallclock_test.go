@@ -544,9 +544,9 @@ func TestEndpointsOnBothTransports(t *testing.T) {
 // Initiate of snapshot k is stamped no earlier than its ObsBegin, every
 // Record of k no earlier than the first Initiate of k, and every
 // ObsResult no earlier than its unit's Record of that ID. The observer
-// ring as a whole may step back: TakeSnapshot's caller, the retry loop
-// and the observer host each read the clock before the Fabric's lock
-// orders their appends.
+// ring as a whole may step back: TakeSnapshot's caller and the observer
+// host (its results and its recovery check) each read the clock before
+// the Fabric's lock orders their appends.
 func TestStampsAreCausal(t *testing.T) {
 	for _, wc := range wallClocks {
 		for _, cs := range []bool{false, true} {

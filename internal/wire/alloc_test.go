@@ -104,7 +104,7 @@ func readDeliveries(t *testing.T, sink *net.UDPConn, want int) (pkts []packet.Pa
 // destination's staging buffer — and the Flush that writes the
 // answering train allocate nothing.
 //
-//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.switchNode.room wire.switchNode.emit wire.switchNode.Flush live.Event.Step live.Stamp.Take live.Stamp.Now
+//speedlight:allocgate wire.switchNode.handle wire.switchNode.Forward wire.decodeData wire.frameLen wire.next wire.staging.room wire.staging.emit wire.switchNode.Flush live.Event.Step live.Stamp.Take live.Stamp.Now
 func TestHandleDataFrameAllocs(t *testing.T) {
 	sn, sink, src, dst := bareSwitch(t)
 	train := dataTrain(16, src, dst)

@@ -9,15 +9,20 @@
 // takes its socket's backlog a burst at a time and answers with one
 // datagram per neighbour socket, so a loaded network pays a kernel round
 // trip per burst, not per frame, and an idle one sends trains of one —
-// byte for byte the single-message datagrams hosts and the observer
-// send (see switchNode.Burst).
+// byte for byte the single-message datagrams the observer sends (see
+// switchNode.Burst). Hosts send trains too: Inject only queues its frame,
+// and one host-transmit goroutine writes each switch's queue out as
+// trains, so a loaded host pays a kernel round trip per train and an
+// idle one still sends one datagram per packet (see hostTx).
 //
 // The deployment and its host loop — routes, completion gates, one
 // node.Switch per topology node, the observer and its timers, the switch
-// goroutines, the recovery relay, TakeSnapshot and the clock — are a
-// live.Runtime, the same one package live runs over mailboxes. What is
-// written here is what a UDP transport adds: the sockets, the frame
-// codec, the trains and the observer's and host sink's sockets.
+// goroutines, the recovery check and relay, TakeSnapshot and the clock —
+// are a live.Runtime, the same one package live runs over mailboxes.
+// What is written here is what a UDP transport adds: the sockets, the
+// frame codec, the trains, the hosts' transmit queue, the host sink's
+// socket and the observer host, which reads its socket's backlog before
+// it runs the Runtime's recovery check (Deployment.runObserver).
 //
 // The package exists for two reasons: it exercises the binary codecs
 // end-to-end through the kernel's loopback, and it demonstrates that
@@ -68,8 +73,9 @@ var (
 // its buffer encodes without allocating. Every send context in this
 // package owns its buffers exclusively: a switch node's goroutine is
 // the only writer of its staging buffers (results included — OnResult
-// fires on the switch goroutine), and a control or host send encodes
-// into a buffer of its own.
+// fires on the switch goroutine), the host-transmit goroutine of its
+// trains, a host send encodes into its switch's queue under the hosts'
+// lock, and a control send into a buffer of its own.
 //
 // Frames carry no length prefix: a frame's length follows from its own
 // first bytes — the type byte, and for the two packet-carrying types

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"net"
+	"os"
+	"sync"
 	"syscall"
 
 	"speedlight/internal/control"
@@ -25,12 +27,20 @@ const freeCap = 256
 // waits behind a socket that never runs dry; nothing else holds a frame.
 const burstCap = 32
 
+// hostQueueCap bounds the bytes of frames Inject queues for one switch
+// socket: a full queue goes out as about one burst, burstCap datagrams,
+// what the switch takes per wake-up. Inject waits while its queue is
+// full (hostTx.put).
+const hostQueueCap = burstCap * maxDatagram
+
 // Config parameterizes a UDP deployment: it is live.Config, the one
 // wall-clock configuration, passed to the Runtime whole.
 type Config = live.Config
 
-// staging is the train a switch is building for one destination socket.
+// staging is the train a sender is building for one destination socket,
+// and the socket it goes out from.
 type staging struct {
+	conn *net.UDPConn
 	addr *net.UDPAddr
 	buf  []byte // capacity maxDatagram, never grown
 }
@@ -152,30 +162,30 @@ func (s *switchNode) Forward(port int, pkt *packet.Packet) {
 	switch peer := s.spec.Ports[port]; peer.Kind {
 	case topology.PeerSwitch:
 		// The sender encodes the neighbor's ingress port.
-		to.buf = appendData(s.room(to), peer.Port, pkt)
+		to.buf = appendData(to.room(), peer.Port, pkt)
 	case topology.PeerHost:
-		to.buf = appendHostDeliver(s.room(to), peer.Host, pkt)
+		to.buf = appendHostDeliver(to.room(), peer.Host, pkt)
 	}
 }
 
-// room returns to's buffer with space for any one frame, writing the
+// room returns the buffer with space for any one frame, writing the
 // train out first if the next frame might not fit in the datagram.
 //
 //speedlight:hotpath
-func (s *switchNode) room(to *staging) []byte {
+func (to *staging) room() []byte {
 	if len(to.buf)+maxMsgLen > maxDatagram {
-		s.emit(to)
+		to.emit()
 	}
 	return to.buf
 }
 
-// emit writes to's train out as one datagram. A send error loses the
+// emit writes the train out as one datagram. A send error loses the
 // train as a full socket buffer would; recovery is the protocol's.
 //
 //speedlight:hotpath
-func (s *switchNode) emit(to *staging) {
+func (to *staging) emit() {
 	if len(to.buf) > 0 {
-		s.conn.WriteToUDP(to.buf, to.addr)
+		to.conn.WriteToUDP(to.buf, to.addr)
 		to.buf = to.buf[:0]
 	}
 }
@@ -185,7 +195,7 @@ func (s *switchNode) emit(to *staging) {
 //speedlight:hotpath
 func (s *switchNode) Flush() {
 	for _, to := range s.outs {
-		s.emit(to)
+		to.emit()
 	}
 }
 
@@ -200,18 +210,88 @@ func (s *switchNode) Control(id packet.SeqID, _, poll bool) {
 	s.d.obsConn.WriteToUDP(msg, s.addr)
 }
 
-// Inject sends a host's packet to port from the hosts' socket. Inject is
-// public API reachable from any goroutine, so it encodes into a fresh
-// buffer rather than sharing a scratch. A sent packet is the
-// deployment's (live.Runtime.Inject): it goes on the free list, for the
-// sink to decode a later delivery into. A caller whose send failed keeps
-// its packet.
+// Inject queues a host's packet, as the data frame its switch takes in
+// at port, for the host-transmit goroutine to send (hostTx), and returns
+// without a syscall. A queued packet is the deployment's
+// (live.Runtime.Inject): it goes on the free list, for the sink to
+// decode a later delivery into. A full queue makes Inject wait for room;
+// after Close it refuses, and the caller keeps its packet.
+//
+//speedlight:hotpath
 func (s *switchNode) Inject(port int, pkt *packet.Packet) error {
-	if _, err := s.d.hostConn.WriteToUDP(appendData(make([]byte, 0, maxMsgLen), port, pkt), s.addr); err != nil {
+	if err := s.d.tx.put(s.spec.ID, port, pkt); err != nil {
 		return err
 	}
 	s.d.recycle(pkt)
 	return nil
+}
+
+// hostTx is the hosts' transmit path: per switch socket, a queue of the
+// data frames Inject encoded and nobody has sent yet. Inject appends
+// under mu; one goroutine (runHosts) swaps every queue out at once and
+// writes each from the hosts' socket as trains, so a host's packets
+// leave in the order they were queued. An idle host sends trains of one
+// frame, the datagram a lone Inject always sent; a loaded one coalesces
+// in proportion to its backlog. Nothing is sent, and no syscall made,
+// under mu.
+type hostTx struct {
+	mu     sync.Mutex
+	q      [][]byte // by NodeID; capacity hostQueueCap + maxMsgLen, never grown
+	queued bool     // some queue is not empty
+	closed bool     // Close has begun: nothing is queued from here on
+	// changed is what runHosts parks on while nothing is queued, and an
+	// Inject whose queue is full while it is. One condition serves both:
+	// while a put waits, something is queued, so runHosts does not.
+	changed sync.Cond
+	// spare, the queues transmit took last, written out and emptied, and
+	// trains, one per switch socket, are runHosts' alone.
+	spare  [][]byte
+	trains []*staging
+}
+
+// put appends pkt's data frame to switch id's queue, waiting while the
+// queue is full, and refuses once Close has begun. It wakes runHosts
+// after it unlocks.
+//
+//speedlight:hotpath
+func (tx *hostTx) put(id topology.NodeID, port int, pkt *packet.Packet) error {
+	tx.mu.Lock()
+	defer tx.changed.Broadcast()
+	defer tx.mu.Unlock()
+	for !tx.closed && len(tx.q[id]) >= hostQueueCap {
+		tx.changed.Wait()
+	}
+	if tx.closed {
+		return net.ErrClosed
+	}
+	tx.q[id], tx.queued = appendData(tx.q[id], port, pkt), true
+	return nil
+}
+
+// transmit waits until something is queued or Close has begun, takes
+// every queue, wakes the puts waiting for room, and writes each queue
+// out as trains of at most maxDatagram bytes, cut at frame boundaries.
+// False means Close has begun.
+//
+//speedlight:hotpath
+func (tx *hostTx) transmit() (open bool) {
+	tx.mu.Lock()
+	for !tx.queued && !tx.closed {
+		tx.changed.Wait()
+	}
+	tx.q, tx.spare = tx.spare, tx.q
+	tx.queued, open = false, !tx.closed
+	tx.mu.Unlock()
+	tx.changed.Broadcast()
+	for id, frames := range tx.spare {
+		to := tx.trains[id]
+		for frame, rest := next(frames); frame != nil; frame, rest = next(rest) {
+			to.buf = append(to.room(), frame...)
+		}
+		to.emit()
+		tx.spare[id] = frames[:0]
+	}
+	return open
 }
 
 // stagingFor returns the staging buffer for the socket at addr, made on
@@ -223,14 +303,14 @@ func (s *switchNode) stagingFor(addr *net.UDPAddr) *staging {
 			return to
 		}
 	}
-	to := &staging{addr: addr, buf: make([]byte, 0, maxDatagram)}
+	to := &staging{conn: s.conn, addr: addr, buf: make([]byte, 0, maxDatagram)}
 	s.outs = append(s.outs, to)
 	return to
 }
 
 // Deployment is a running UDP deployment: one socket per switch, one
 // observer socket, one host-sink socket, and the one the hosts send
-// from.
+// from, with the host-transmit queue behind it.
 type Deployment struct {
 	// Runtime is the deployment and its goroutines: the switches the
 	// sockets feed and the Fabric the observer socket reports to. It
@@ -240,11 +320,17 @@ type Deployment struct {
 	cfg      Config
 	switches []*switchNode // by NodeID
 	// free holds packets nobody else holds any more — what Inject has
-	// sent — for deliver to decode into; any goroutine may fill it.
+	// encoded into a queue — for deliver to decode into; any goroutine
+	// may fill it.
 	free chan *packet.Packet
+	tx   hostTx
 
 	obsConn, sinkConn, hostConn *net.UDPConn
 }
+
+// testHookObserverStall runs on the observer host before each datagram
+// it takes: a test seam, a no-op outside tests.
+var testHookObserverStall = func() {}
 
 // bind opens one loopback socket on a port of the kernel's choosing.
 func bind() (*net.UDPConn, error) {
@@ -259,14 +345,14 @@ func Deploy(cfg Config) (*Deployment, error) {
 		d.closeSockets()
 		return nil, err
 	}
-	d.Start(d.runObserver, d.runSink)
+	d.Start(d.runObserver, d.runSink, d.runHosts)
 	return d, nil
 }
 
 // build binds the observer's, the sink's and the hosts' sockets, makes
 // the runtime — a bound socket under every switch — and then, with
-// everything bound, resolves each port's destination socket. It starts
-// nothing.
+// everything bound, resolves each port's destination socket and makes
+// the hosts' queue and train toward each switch. It starts nothing.
 func (d *Deployment) build() (err error) {
 	d.free = make(chan *packet.Packet, freeCap)
 	for _, c := range []**net.UDPConn{&d.obsConn, &d.sinkConn, &d.hostConn} {
@@ -278,7 +364,11 @@ func (d *Deployment) build() (err error) {
 		return err
 	}
 	toHosts := d.sinkConn.LocalAddr().(*net.UDPAddr)
+	d.tx.changed.L = &d.tx.mu
 	for id, sn := range d.switches {
+		d.tx.q = append(d.tx.q, make([]byte, 0, hostQueueCap+maxMsgLen))
+		d.tx.spare = append(d.tx.spare, make([]byte, 0, hostQueueCap+maxMsgLen))
+		d.tx.trains = append(d.tx.trains, &staging{conn: d.hostConn, addr: sn.addr, buf: make([]byte, 0, maxDatagram)})
 		sn.sw = d.Switch(topology.NodeID(id))
 		for p, peer := range sn.spec.Ports {
 			switch peer.Kind {
@@ -314,27 +404,45 @@ func (d *Deployment) attach(spec *topology.Switch, stamp live.Stamp) (live.Devic
 	d.switches = append(d.switches, sn)
 	// Ship over the wire to the observer. Runs on the switch goroutine
 	// (inside handle), which owns the staging.
-	return sn, func(res control.Result) { sn.obs.buf = appendResult(sn.room(sn.obs), res) }, nil
+	return sn, func(res control.Result) { sn.obs.buf = appendResult(sn.obs.room(), res) }, nil
 }
 
-// runObserver receives results on the observer socket, the results of
-// one datagram at the instant it was read.
+// runObserver is the observer host. It takes its socket's backlog
+// without blocking, as a switch does (readBurst), the results of each
+// datagram at the instant it was read; once a read would block, it runs
+// the recovery check (Timers), and parks with a read deadline at the
+// next one. Closing the socket ends it.
 func (d *Deployment) runObserver() {
 	buf := make([]byte, maxDatagram)
-	for {
-		n, _, err := d.obsConn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return
-		}
-		now := d.Now()
-		for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
-			if frame[0] != msgResult {
+	read := func(fd uintptr) bool {
+		for {
+			n, err := syscall.Read(int(fd), buf)
+			if err == syscall.EINTR {
 				continue
 			}
-			if res, err := decodeResult(frame); err == nil {
-				d.Result(res, now)
+			if err != nil { // EAGAIN: the backlog is taken
+				d.obsConn.SetReadDeadline(d.Timers())
+				return false
+			}
+			testHookObserverStall()
+			now := d.Now()
+			for frame, rest := next(buf[:n]); frame != nil; frame, rest = next(rest) {
+				if res, err := decodeResult(frame); err == nil && frame[0] == msgResult {
+					d.Result(res, now)
+				}
 			}
 		}
+	}
+	rc, _ := d.obsConn.SyscallConn() // fails on a closed conn only
+	for os.IsTimeout(rc.Read(read)) {
+		d.obsConn.SetReadDeadline(d.Timers())
+	}
+}
+
+// runHosts is the host-transmit goroutine: it writes out what Inject
+// queues until Close.
+func (d *Deployment) runHosts() {
+	for d.tx.transmit() {
 	}
 }
 
@@ -412,8 +520,13 @@ func (d *Deployment) closeSockets() {
 func (d *Deployment) CloseSwitch(id topology.NodeID) { d.switches[id].conn.Close() }
 
 // Close shuts the deployment down, waits for its goroutines and closes
-// the metrics server. It is idempotent.
+// the metrics server. It is idempotent. What the hosts queued and nobody
+// sent yet is lost with the sockets.
 func (d *Deployment) Close() {
+	d.tx.mu.Lock()
+	d.tx.closed = true
+	d.tx.mu.Unlock()
+	d.tx.changed.Broadcast()
 	d.closeSockets()
 	d.Stop()
 }

@@ -8,6 +8,7 @@ import (
 
 	"speedlight/internal/control"
 	"speedlight/internal/dataplane"
+	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
@@ -293,31 +294,44 @@ func TestUDPChannelStateSnapshot(t *testing.T) {
 	}
 }
 
+// TestUDPRetryRecoversLostInitiation loses one leaf's first initiation —
+// the snapshot is begun and every other switch is told to initiate it,
+// as TakeSnapshot does — and the observer host retries that switch, and
+// it alone, once; the snapshot completes with nothing excluded.
 func TestUDPRetryRecoversLostInitiation(t *testing.T) {
-	// Deploy, then snapshot while one switch's initiation is delayed:
-	// the retry loop re-sends initiations and polls until the snapshot
-	// assembles. (Simulated by snapshotting with no traffic at all: the
-	// first initiation round completes everything; the retry loop's
-	// ticks must at minimum do no harm, and Snapshots must report the
-	// result.)
 	ls := leafSpine(t)
-	d, err := Deploy(Config{Topo: ls.Topology, RetryEvery: 5 * time.Millisecond})
+	lost := ls.Leaves[1]
+	jr := journal.NewSet(0)
+	d, err := Deploy(Config{Topo: ls.Topology, Journal: jr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	_, done, err := d.TakeSnapshot()
+	id, done, err := d.Begin(d.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, sn := range d.switches {
+		if sn.spec.ID != lost {
+			sn.Control(id, false, false)
+		}
+	}
 	select {
-	case <-done:
+	case g := <-done:
+		if len(g.Excluded) != 0 || len(g.Results) != 28 || !g.Consistent {
+			t.Errorf("snapshot: excluded=%v results=%d consistent=%v", g.Excluded, len(g.Results), g.Consistent)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("snapshot timed out")
 	}
-	// Let several retry ticks fire on the (now empty) pending set.
-	time.Sleep(25 * time.Millisecond)
-	if got := len(d.Snapshots()); got != 1 {
-		t.Errorf("Snapshots() = %d, want 1", got)
+	d.Close() // the rings are quiet from here on
+	var retried []int
+	for _, ev := range jr.Events() {
+		if ev.Kind == journal.KindObsRetry {
+			retried = append(retried, ev.Switch)
+		}
+	}
+	if len(retried) != 1 || retried[0] != int(lost) {
+		t.Errorf("retries of switches %v, want one, of switch %d", retried, lost)
 	}
 }
