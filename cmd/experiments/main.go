@@ -1,11 +1,13 @@
 // Command experiments regenerates the tables and figures of the
-// paper's evaluation (Section 8) on the emulated substrate.
+// paper's evaluation (Section 8), and its use-case claims, on the
+// emulated substrate.
 //
 // Usage:
 //
 //	experiments -run all
 //	experiments -run table1 -ports 64
 //	experiments -run fig9,fig13 -seed 7
+//	experiments -run usecases        # loop detection, microbursts, provisioning
 //	experiments -run all -quick      # the scale the shape tests assert
 //
 // Output is printed as aligned data series and tables; every figure
@@ -61,6 +63,7 @@ var catalog = []struct {
 			{experiments.AblationNotifBuffers(o).Table(), "", 0}, {experiments.AblationPartialDeployment(o).Table(), "", 0}}
 	}},
 	{"fig13", func(o experiments.Options, _ int) []part { return []part{{experiments.Fig13(o).Table(), "fig13", 0}} }},
+	{"usecases", func(o experiments.Options, _ int) []part { return []part{{experiments.UseCases(o), "usecases", 0}} }},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

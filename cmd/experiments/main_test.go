@@ -16,7 +16,7 @@ func TestRunRejectsUnknownName(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("ran experiments despite the unknown name:\n%s", out.String())
 	}
-	for _, want := range []string{`"tabel1"`, "table1", "fig13", "ablations"} {
+	for _, want := range []string{`"tabel1"`, "table1", "fig13", "ablations", "usecases"} {
 		if !strings.Contains(errOut.String(), want) {
 			t.Errorf("error output missing %s:\n%s", want, errOut.String())
 		}

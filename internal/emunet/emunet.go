@@ -84,9 +84,6 @@ type Config struct {
 	// epoch tracer's critical path names the straggler.
 	CPServiceTimeFor func(node topology.NodeID) dist.Dist
 
-	// LinkRateBps is the transmission rate of every link. Default
-	// 25 Gb/s (the testbed's server links).
-	LinkRateBps float64
 	// QueueCapacity bounds each egress queue, in packets. Default 512.
 	QueueCapacity int
 	// NotifCapacity bounds each switch CPU's notification socket
@@ -173,9 +170,6 @@ func (c *Config) setDefaults() {
 	if c.CPServiceTime == nil {
 		c.CPServiceTime = dist.LogNormalFromMedianP99(110_000, 200_000)
 	}
-	if c.LinkRateBps == 0 {
-		c.LinkRateBps = 25e9
-	}
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 512
 	}
@@ -224,6 +218,10 @@ var (
 // invariant evaluation run off the serialized global domain), and the
 // parallel engine needs a positive lower bound on their delivery time.
 const observerLatency = 50 * sim.Microsecond
+
+// defaultLinkRateBps is the transmission rate of a link whose topology
+// leaves its RateBps zero: 25 Gb/s, the testbed's server links.
+const defaultLinkRateBps = 25e9
 
 // resultChunk is a block of results on their way from one switch to the
 // observer domain.
@@ -692,9 +690,9 @@ func (n *Network) newSwitch(spec *topology.Switch) *EmuSwitch {
 	n.sws[id] = es
 	es.queues = make([]*portQueue, len(spec.Ports))
 	for i, peer := range spec.Ports {
-		q := &portQueue{perCoS: make([]pktFIFO, cfg.NumCoS), rate: cfg.LinkRateBps}
-		if peer.RateBps > 0 {
-			q.rate = peer.RateBps
+		q := &portQueue{perCoS: make([]pktFIFO, cfg.NumCoS), rate: peer.RateBps}
+		if q.rate == 0 {
+			q.rate = defaultLinkRateBps
 		}
 		q.depth = n.gauges[dataplane.UnitID{Node: id, Port: i, Dir: dataplane.Egress}]
 		es.queues[i] = q

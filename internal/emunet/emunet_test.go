@@ -15,22 +15,25 @@ import (
 	"speedlight/internal/topology"
 )
 
-func leafSpine(t *testing.T) *topology.LeafSpine {
+func newNet(t *testing.T, mod func(*Config)) *Network {
+	t.Helper()
+	return newRatedNet(t, 0, mod)
+}
+
+// newRatedNet builds the 2x2x3 testbed with every link at rateBps (0:
+// the emulation's default).
+func newRatedNet(t *testing.T, rateBps float64, mod func(*Config)) *Network {
 	t.Helper()
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
 		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
 		HostLinkLatency:   sim.Microsecond,
 		FabricLinkLatency: sim.Microsecond,
+		HostRateBps:       rateBps,
+		FabricRateBps:     rateBps,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ls
-}
-
-func newNet(t *testing.T, mod func(*Config)) *Network {
-	t.Helper()
-	ls := leafSpine(t)
 	cfg := Config{
 		Topo:         ls.Topology,
 		Seed:         42,
@@ -348,15 +351,14 @@ func TestPartialDeployment(t *testing.T) {
 
 func TestQueueDepthGaugeMetric(t *testing.T) {
 	maxSeen := uint64(0)
-	n := newNet(t, func(c *Config) {
+	// Slow links so queues build.
+	n := newRatedNet(t, 1e9, func(c *Config) {
 		c.Metrics = func(net *Network, id dataplane.UnitID) core.Metric {
 			if id.Dir == dataplane.Egress {
 				return net.Gauge(id)
 			}
 			return nil // default packet counter for ingress
 		}
-		// Slow links so queues build.
-		c.LinkRateBps = 1e9
 	})
 	// Incast: everyone sends to host 0.
 	for _, h := range n.Topo().Hosts {
@@ -382,8 +384,7 @@ func TestQueueDepthGaugeMetric(t *testing.T) {
 }
 
 func TestHotQueueDropsUnderOverload(t *testing.T) {
-	n := newNet(t, func(c *Config) {
-		c.LinkRateBps = 1e8 // 100 Mb/s: trivially overloaded
+	n := newRatedNet(t, 1e8, func(c *Config) { // 100 Mb/s: trivially overloaded
 		c.QueueCapacity = 16
 	})
 	for _, h := range n.Topo().Hosts {
@@ -513,9 +514,8 @@ func TestCoSPriorityOvertaking(t *testing.T) {
 	// Strict priority: with a slow link and a backlog of best-effort
 	// packets, a high-class packet injected later is delivered first.
 	order := []uint8{}
-	n := newNet(t, func(c *Config) {
+	n := newRatedNet(t, 1e8, func(c *Config) { // 100 Mb/s: 1500B takes 120 µs
 		c.NumCoS = 2
-		c.LinkRateBps = 1e8 // 100 Mb/s: 1500B takes 120 µs
 		c.OnDeliver = func(p *packet.Packet, _ topology.HostID, _ sim.Time) {
 			order = append(order, p.CoS)
 		}

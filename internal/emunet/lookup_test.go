@@ -79,7 +79,7 @@ func TestUnknownIDs(t *testing.T) {
 // TestEgressGaugeRegisteredAfterNew: a depth gauge first asked for
 // after the network is built still follows its port's queue.
 func TestEgressGaugeRegisteredAfterNew(t *testing.T) {
-	n := newNet(t, func(c *Config) { c.LinkRateBps = 1e9 })
+	n := newRatedNet(t, 1e9, nil)
 	g := n.Gauge(dataplane.UnitID{Node: 0, Port: 0, Dir: dataplane.Egress})
 	for _, h := range n.Topo().Hosts[1:] {
 		h := h

@@ -1,7 +1,7 @@
 package emunet_test
 
 // The snapshot-series driver against the loop it replaced in the figure
-// harnesses and the examples: same seed, same events, same snapshots.
+// harnesses: same seed, same events, same snapshots.
 
 import (
 	"reflect"

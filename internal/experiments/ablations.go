@@ -34,7 +34,7 @@ type InitiatorsResult struct {
 // must propagate through the network on piggybacked traffic.
 func AblationInitiators(o Options) *InitiatorsResult {
 	run := func(single bool) *stats.CDF {
-		n, ls := testbedNet(o.Seed, o.Shards, false, nil)
+		n, ls := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, nil)
 		fire := n.ScheduleSnapshot
 		if single {
 			fire = func(at sim.Time) (packet.SeqID, error) { return n.ScheduleSnapshotSingle(ls.Leaves[0], at) }
@@ -75,7 +75,7 @@ type ClocksResult struct {
 // clocks, PTP discipline (the paper's choice), and LAN NTP.
 func AblationClocks(o Options) *ClocksResult {
 	run := func(cc clock.Config) *stats.CDF {
-		n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) { c.Clock = cc })
+		n, _ := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) { c.Clock = cc })
 		// NTP-scale offsets need a deadline far enough out that no
 		// clock has already passed it.
 		ids := syncSeries(n, 2*sim.Microsecond, 0, scale(o, 80, 30), 5*sim.Millisecond, 100*sim.Millisecond, n.ScheduleSnapshot)
@@ -188,7 +188,7 @@ type PartialResult struct {
 func AblationPartialDeployment(o Options) *PartialResult {
 	res := &PartialResult{}
 	for disabled := 0; disabled <= 2; disabled++ {
-		n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
+		n, _ := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) {
 			c.SnapshotDisabled = map[topology.NodeID]bool{}
 			for i := 0; i < disabled; i++ {
 				c.SnapshotDisabled[topology.NodeID(2+i)] = true // spines are nodes 2,3

@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section 8) on the emulated substrate:
+// paper's evaluation (Section 8), and measures its use cases, on the
+// emulated substrate:
 //
 //	Table 1  — data-plane resource usage of the three variants
 //	Figure 9 — synchronization CDFs: snapshots vs. counter polling
@@ -9,9 +10,15 @@
 //	            mirroring the paper's own methodology)
 //	Figure 12 — load-balance standard deviation CDFs for Hadoop,
 //	            GraphX and memcache under ECMP and flowlet switching,
-//	            measured with snapshots and with polling
+//	            measured with snapshots and with polling (the Section
+//	            8.3 use case)
 //	Figure 13 — pairwise Spearman correlation of egress ports under
-//	            GraphX, snapshots vs. polling
+//	            GraphX, snapshots vs. polling (the Section 8.4 use case)
+//	UseCases  — the remaining use cases: loop detection (Section 10:
+//	            snapshots never show an impossible FIB-version pair,
+//	            polling does), microbursts (Section 2.1: a high-water
+//	            register catches what a gauge misses) and provisioning
+//	            (Section 2.2: equal averages, different concurrency)
 //
 // Each experiment is a plain function returning a printable result;
 // cmd/experiments prints them and this package's tests assert their
@@ -20,8 +27,9 @@
 // between snapshots and polling, the channel-state variant's longer
 // tail, snapshot rate falling inversely with port count, sub-RTT
 // synchronization even for 10,000 routers, flowlet switching's better
-// balance (and polling's inability to bound its own error), and
-// snapshots finding strictly more significant correlations.
+// balance (and polling's inability to bound its own error),
+// snapshots finding strictly more significant correlations, and each
+// use case's contrast.
 package experiments
 
 import (

@@ -99,7 +99,7 @@ func collectTestbedOffsets(o Options, snapshots int) []float64 {
 		recsMu sync.Mutex // OnProgress fires concurrently under shards
 		recs   []rec
 	)
-	n, _ := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
+	n, _ := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) {
 		c.OnProgress = func(id packet.SeqID, at sim.Time) {
 			recsMu.Lock()
 			recs = append(recs, rec{id, at})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"speedlight/internal/analysis"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
 	"speedlight/internal/packet"
@@ -73,7 +72,7 @@ func Fig12(o Options) *Fig12Result {
 // methods over the same run, returning per-instant uplink standard
 // deviations in microseconds.
 func fig12Run(app, balancer string, seed int64, shards, samples int) (snapStd, pollStd []float64) {
-	net, ls := testbedNet(seed, shards, false, func(c *emunet.Config) {
+	net, ls := testbedNet(seed, shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) {
 		c.Metrics = emunet.EWMAMetrics
 		if balancer == "flowlet" {
 			c.NewBalancer = routing.PaperFlowlet
@@ -98,42 +97,26 @@ func fig12Run(app, balancer string, seed int64, shards, samples int) (snapStd, p
 	ids := net.SnapshotSeries(samples, sim.Millisecond, 50*sim.Millisecond, func(now sim.Time) (packet.SeqID, error) {
 		id, err := net.ScheduleSnapshot(now.Add(200 * sim.Microsecond))
 		poller.PollAll(sweep, func(s []polling.Sample) {
-			pollStd = append(pollStd, groupStddevs(groups, samplesByUnit(s))...)
+			pollStd = groupStddevs(pollStd, groups, pollValues(s))
 		})
 		return id, err
 	})
 	wl.Stop()
 
-	snapStd = analysis.ImbalanceSamples(net.Completed(ids), groups, 0.001) // ns -> µs
+	snapStd = imbalanceSamples(net.Completed(ids), groups, 0.001) // ns -> µs
 	return snapStd, pollStd
 }
 
-// samplesByUnit converts poll samples to a per-unit value map in
-// microseconds.
-func samplesByUnit(s []polling.Sample) map[dataplane.UnitID]float64 {
-	out := make(map[dataplane.UnitID]float64, len(s))
+// pollValues looks a poll sweep's samples up by unit, in microseconds.
+func pollValues(s []polling.Sample) func(dataplane.UnitID) (float64, bool) {
+	us := make(map[dataplane.UnitID]float64, len(s))
 	for _, smp := range s {
-		out[smp.Unit] = float64(smp.Value) / 1000
+		us[smp.Unit] = float64(smp.Value) / 1000
 	}
-	return out
-}
-
-// groupStddevs computes the per-group standard deviation of the units'
-// values; groups with missing values are skipped.
-func groupStddevs(groups [][]dataplane.UnitID, values map[dataplane.UnitID]float64) []float64 {
-	var out []float64
-	for _, g := range groups {
-		var xs []float64
-		for _, u := range g {
-			if v, ok := values[u]; ok {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == len(g) && len(xs) > 1 {
-			out = append(out, stats.PopStddev(xs))
-		}
+	return func(u dataplane.UnitID) (float64, bool) {
+		v, ok := us[u]
+		return v, ok
 	}
-	return out
 }
 
 // Figures renders one figure per workload, in the paper's form.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"speedlight/internal/analysis"
 	"speedlight/internal/dataplane"
 	"speedlight/internal/emunet"
 	"speedlight/internal/packet"
@@ -60,7 +59,7 @@ type Fig13Result struct {
 // master's port must be uncorrelated, and same-leaf uplink pairs
 // (ECMP next-hops) must be positively correlated.
 func Fig13(o Options) *Fig13Result {
-	net, ls := testbedNet(o.Seed, o.Shards, false, func(c *emunet.Config) {
+	net, ls := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) {
 		c.Metrics = emunet.EWMAMetrics
 	})
 	hosts := net.Topo().HostIDs()
@@ -98,7 +97,7 @@ func Fig13(o Options) *Fig13Result {
 	})
 	wl.Stop()
 
-	snapSeries := analysis.UnitSeries(net.Snapshots(), units)
+	snapSeries := unitSeries(net.Snapshots(), units)
 
 	// Equalize polling series lengths (a sweep cut off by the end of
 	// the run would desynchronize the matrix).

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"speedlight/internal/emunet"
 	"speedlight/internal/polling"
 	"speedlight/internal/sim"
 	"speedlight/internal/stats"
@@ -28,7 +29,9 @@ func Fig9(o Options) *Fig9Result {
 	res := &Fig9Result{}
 
 	snapshotRun := func(channelState bool) *stats.CDF {
-		n, _ := testbedNet(o.Seed, o.Shards, channelState, nil)
+		n, _ := testbedNet(o.Seed, o.Shards, testbedHostBps, testbedFabricBps, func(c *emunet.Config) {
+			c.ChannelState = channelState
+		})
 		// Heavy background load: the testbed measured synchronization
 		// under running application workloads, so every utilized
 		// channel sees fresh-epoch traffic within microseconds.
@@ -40,7 +43,7 @@ func Fig9(o Options) *Fig9Result {
 	res.SwitchChannelState = snapshotRun(true)
 
 	// Polling baseline: sequential sweeps over every unit.
-	n, _ := testbedNet(o.Seed+1, o.Shards, false, nil)
+	n, _ := testbedNet(o.Seed+1, o.Shards, testbedHostBps, testbedFabricBps, nil)
 	bg := &workload.Uniform{Net: n, Hosts: n.Topo().HostIDs(), Interval: 5 * sim.Microsecond}
 	bg.Start()
 	n.RunFor(2 * sim.Millisecond)

@@ -8,17 +8,20 @@ import (
 	"speedlight/internal/workload"
 )
 
+// The paper's testbed pairs 25 GbE server links with 100 GbE fabric
+// links (Section 8).
+const testbedHostBps, testbedFabricBps = 25e9, 100e9
+
 // testbedTopo builds the paper's testbed fabric (Figure 8): two leaves
-// and two spines carved as four virtual switches, six servers.
-func testbedTopo() *topology.LeafSpine {
+// and two spines carved as four virtual switches, six servers, with
+// host links at hostBps and fabric links at fabricBps.
+func testbedTopo(hostBps, fabricBps float64) *topology.LeafSpine {
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
 		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
 		HostLinkLatency:   sim.Microsecond,
 		FabricLinkLatency: sim.Microsecond,
-		// The testbed pairs 25 GbE server links with 100 GbE fabric
-		// links (Section 8).
-		HostRateBps:   25e9,
-		FabricRateBps: 100e9,
+		HostRateBps:       hostBps,
+		FabricRateBps:     fabricBps,
 	})
 	if err != nil {
 		panic(err) // static configuration; cannot fail
@@ -26,18 +29,18 @@ func testbedTopo() *topology.LeafSpine {
 	return ls
 }
 
-// testbedNet builds an emulated network over the testbed topology.
+// testbedNet builds an emulated network over the testbed topology at
+// the given link rates; mod, if non-nil, adjusts the configuration.
 // shards selects the simulation engine (0/1 serial, >=2 parallel);
 // results are byte-identical either way.
-func testbedNet(seed int64, shards int, channelState bool, mod func(*emunet.Config)) (*emunet.Network, *topology.LeafSpine) {
-	ls := testbedTopo()
+func testbedNet(seed int64, shards int, hostBps, fabricBps float64, mod func(*emunet.Config)) (*emunet.Network, *topology.LeafSpine) {
+	ls := testbedTopo(hostBps, fabricBps)
 	cfg := emunet.Config{
-		Topo:         ls.Topology,
-		Seed:         seed,
-		Shards:       shards,
-		MaxID:        256,
-		WrapAround:   true,
-		ChannelState: channelState,
+		Topo:       ls.Topology,
+		Seed:       seed,
+		Shards:     shards,
+		MaxID:      256,
+		WrapAround: true,
 	}
 	if mod != nil {
 		mod(&cfg)

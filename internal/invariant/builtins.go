@@ -5,15 +5,14 @@ import (
 
 	"speedlight/internal/dataplane"
 	"speedlight/internal/snapstore"
-	"speedlight/internal/stats"
 )
 
 // Order asserts a rollout ordering between two units: Before must
 // never lag After. A cut where After's register exceeds Before's is
 // the classic migration hazard — e.g. a leaf forwarding on FIB v2
 // while its counterpart still announces v1 opens a forwarding-loop
-// window (the loopdetect example's impossible state). Units absent
-// from the cut are not compared.
+// window (the impossible state of experiments' loop-detection use
+// case). Units absent from the cut are not compared.
 func Order(name string, before, after dataplane.UnitID) Invariant {
 	return &orderInv{name: name, before: before, after: after}
 }
@@ -37,47 +36,9 @@ func (o *orderInv) Eval(_ *snapstore.View, st *snapstore.State) (string, bool) {
 	return "", true
 }
 
-// Skew asserts load balance across a unit group: the population
-// stddev of the group's registers must not exceed maxFrac of the group
-// mean (coefficient of variation). The loadbalance example's uplink
-// skew check, evaluated continuously. Groups with fewer than two
-// present units, or a zero mean, trivially hold.
-func Skew(name string, group []dataplane.UnitID, maxFrac float64) Invariant {
-	return &skewInv{name: name, group: group, maxFrac: maxFrac}
-}
-
-type skewInv struct {
-	name    string
-	group   []dataplane.UnitID
-	maxFrac float64
-}
-
-func (s *skewInv) Name() string { return s.name }
-
-func (s *skewInv) Eval(_ *snapstore.View, st *snapstore.State) (string, bool) {
-	xs := make([]float64, 0, len(s.group))
-	for _, u := range s.group {
-		if r, ok := st.Value(u); ok {
-			xs = append(xs, float64(r.Value))
-		}
-	}
-	if len(xs) < 2 {
-		return "", true
-	}
-	mean := stats.Mean(xs)
-	if mean == 0 {
-		return "", true
-	}
-	cv := stats.PopStddev(xs) / mean
-	if cv > s.maxFrac {
-		return fmt.Sprintf("group stddev/mean %.3f exceeds %.3f (mean %.1f over %d units)", cv, s.maxFrac, mean, len(xs)), false
-	}
-	return "", true
-}
-
 // Bound asserts provisioning headroom: at most maxOver of the given
-// units may carry a register above threshold in the same cut. The
-// provisioning example's concurrent-load check — one hot uplink is
+// units may carry a register above threshold in the same cut: the
+// provisioning use case's concurrent-load check — one hot uplink is
 // routine, several at once in a single consistent cut is the
 // under-provisioning signal a sequential poll would miss.
 func Bound(name string, units []dataplane.UnitID, threshold uint64, maxOver int) Invariant {

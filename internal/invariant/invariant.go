@@ -2,12 +2,12 @@
 // predicates over consistent cuts, evaluated continuously as the
 // snapshot store seals epochs.
 //
-// The examples' one-shot analyses — forwarding-loop windows, uplink
-// load-balance skew, provisioning headroom — become registered
-// invariants: every sealed epoch streams through all of them, each
-// verdict is counted in labeled telemetry, and violations flow into a
-// bounded history, the OnViolation hook (normally the network's
-// OnAnomaly flight-recorder path), and the /invariants query endpoint.
+// One-shot analyses — forwarding-loop windows, provisioning headroom,
+// counter monotonicity — become registered invariants: every sealed
+// epoch streams through all of them, each verdict is counted in
+// labeled telemetry, and violations flow into a bounded history, the
+// OnViolation hook (normally the network's OnAnomaly flight-recorder
+// path), and the /invariants query endpoint.
 //
 // Concurrency contract: Eval must be called from a single goroutine —
 // the same completion path that seals store epochs. Register is

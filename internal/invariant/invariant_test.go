@@ -56,22 +56,6 @@ func TestOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestSkewInvariant(t *testing.T) {
-	s := snapstore.New(snapstore.Config{})
-	g := []dataplane.UnitID{unit(0, 4, dataplane.Egress), unit(0, 5, dataplane.Egress)}
-	e := invariant.New(invariant.Config{})
-	e.Register(invariant.Skew("uplink-skew", g, 0.25))
-
-	ep := seal(s, 1, map[dataplane.UnitID]uint64{g[0]: 100, g[1]: 104})
-	if v := e.Eval(s.View(), ep); v != nil {
-		t.Fatalf("balanced cut flagged: %v", v)
-	}
-	ep = seal(s, 2, map[dataplane.UnitID]uint64{g[0]: 100, g[1]: 300})
-	if v := e.Eval(s.View(), ep); len(v) != 1 {
-		t.Fatalf("skewed cut not flagged: %v", v)
-	}
-}
-
 func TestBoundInvariant(t *testing.T) {
 	s := snapstore.New(snapstore.Config{})
 	us := []dataplane.UnitID{unit(0, 4, dataplane.Egress), unit(0, 5, dataplane.Egress), unit(1, 4, dataplane.Egress)}

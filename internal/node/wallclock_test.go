@@ -423,8 +423,8 @@ func TestRetryEvery(t *testing.T) {
 // (20 ms, so max(50 ms, 40 ms)): every later snapshot is taken, and
 // finalizes within ExcludeAfter + RetryEvery of its Begin, on the
 // observer's clock, with exactly that leaf excluded. wakeup is room for
-// the retry goroutine to run after its tick. The auditor agrees with
-// every verdict.
+// the observer host to run its recovery check (Runtime.Timers) after
+// the check falls due. The auditor agrees with every verdict.
 func TestSilentSwitchIsExcluded(t *testing.T) {
 	const every, excludeAfter, wakeup = 20 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond
 	for _, wc := range wallClocks {

@@ -273,59 +273,33 @@ type Memcache struct {
 	Clients []topology.HostID
 	Servers []topology.HostID
 
-	// RequestInterval is the gap between multi-gets per client
-	// (default 20 µs).
-	RequestInterval sim.Duration
-	// KeysPerGet is the number of servers touched per multi-get
-	// (default: all of them, like a 50-key multi-get spread over the
-	// cluster).
-	KeysPerGet int
-	// RequestSize / ResponseSize default to 100 / 500 bytes.
-	RequestSize  uint32
-	ResponseSize uint32
-	// WaveSpread bounds the stagger of a multi-get's per-key requests.
-	// The default (the full RequestInterval) models a pipelined client
-	// whose load is smooth; a small value models strict request waves
-	// whose responses collide — incast.
-	WaveSpread sim.Duration
-
 	r       *rand.Rand
 	tickers []*sim.Ticker
 	stopped bool
 	nextSrc uint16
 }
 
+// A memcache client sends a multi-get every memcacheInterval, one
+// memcacheRequest-byte request to every server (a 50-key multi-get
+// spread over the cluster), each answered with memcacheResponse bytes.
+const (
+	memcacheInterval = 20 * sim.Microsecond
+	memcacheRequest  = 100
+	memcacheResponse = 500
+)
+
 // Name implements App.
 func (m *Memcache) Name() string { return "memcache" }
 
-func (m *Memcache) defaults() {
-	if m.RequestInterval == 0 {
-		m.RequestInterval = 20 * sim.Microsecond
-	}
-	if m.KeysPerGet == 0 || m.KeysPerGet > len(m.Servers) {
-		m.KeysPerGet = len(m.Servers)
-	}
-	if m.RequestSize == 0 {
-		m.RequestSize = 100
-	}
-	if m.ResponseSize == 0 {
-		m.ResponseSize = 500
-	}
-	if m.WaveSpread == 0 {
-		m.WaveSpread = m.RequestInterval
-	}
+// Start implements App.
+func (m *Memcache) Start() {
 	if m.r == nil {
 		m.r = m.Net.Engine().NewRand()
 	}
-}
-
-// Start implements App.
-func (m *Memcache) Start() {
-	m.defaults()
 	m.stopped = false
 	for _, c := range m.Clients {
 		c := c
-		tk := m.Net.Engine().NewTicker(m.RequestInterval, func() { m.multiGet(c) })
+		tk := m.Net.Engine().NewTicker(memcacheInterval, func() { m.multiGet(c) })
 		m.tickers = append(m.tickers, tk)
 	}
 }
@@ -343,16 +317,15 @@ func (m *Memcache) multiGet(client topology.HostID) {
 	if m.stopped {
 		return
 	}
-	// Pick KeysPerGet servers (all, when the cluster is small). The
-	// per-key requests are staggered across the interval rather than
-	// fired as one wave: a loaded client pipelines continuously, which
-	// is what makes the resulting load genuinely smooth and balanced.
-	perm := m.r.Perm(len(m.Servers))[:m.KeysPerGet]
-	for _, si := range perm {
+	// Every server, in random order. The per-key requests are staggered
+	// across the interval rather than fired as one wave: a loaded client
+	// pipelines continuously, which is what makes the resulting load
+	// genuinely smooth and balanced.
+	for _, si := range m.r.Perm(len(m.Servers)) {
 		srv := m.Servers[si]
 		m.nextSrc++
 		srcPort := 40000 + m.nextSrc%20000
-		stagger := sim.Duration(m.r.Int63n(int64(m.WaveSpread)))
+		stagger := sim.Duration(m.r.Int63n(int64(memcacheInterval)))
 		sp := srcPort
 		m.Net.Engine().After(stagger, func() {
 			if m.stopped {
@@ -363,7 +336,7 @@ func (m *Memcache) multiGet(client topology.HostID) {
 				SrcPort: sp,
 				DstPort: 11211,
 				Proto:   6,
-				Size:    m.RequestSize,
+				Size:    memcacheRequest,
 			})
 		})
 		// Response, after the request and a small service delay.
@@ -376,7 +349,7 @@ func (m *Memcache) multiGet(client topology.HostID) {
 				SrcPort: 11211,
 				DstPort: sp,
 				Proto:   6,
-				Size:    m.ResponseSize,
+				Size:    memcacheResponse,
 			})
 		})
 	}
