@@ -19,7 +19,8 @@ help:
 	@echo "  hotgate      cross-check //speedlight:hotpath functions against"
 	@echo "               their //speedlight:allocgate allocation gates"
 	@echo "  vet          plain go vet"
-	@echo "  bench-shards serial-vs-sharded scaling benchmarks"
+	@echo "  bench-shards sharded-engine speedup over serial on identical"
+	@echo "               inputs (cmd/bench -workload fabric_sharded)"
 	@echo "  churn        seeded churn scenario suite under -race with"
 	@echo "               shuffled order, then all four CLI scenarios at"
 	@echo "               shards 1/4/8 (CI churn-scenarios gate)"
@@ -62,11 +63,14 @@ hotgate:
 vet:
 	go vet ./...
 
-# bench-shards runs the serial-vs-sharded scaling benchmarks on both
-# the fat-tree and leaf-spine fabrics. The ratios mean speedup only on
-# a machine with at least as many CPUs as shards.
+# bench-shards runs the benchmark's fabric_sharded workload, which
+# clamps its shard count to the machine's CPUs, runs the serial engine
+# on identical inputs, checks the two digests equal and reports the
+# ratio as sim.shard_speedup (the command CI's sharded-engine step
+# runs). The ratio means speedup only with at least as many CPUs as
+# shards.
 bench-shards:
-	go test -run '^$$' -bench BenchmarkShardScaling -benchtime 5x -timeout 30m .
+	go run ./cmd/bench -workload fabric_sharded -trace 1
 
 # churn is the churn-scenarios CI gate: the seeded scenario suite
 # (rolling upgrade, link-flap storm, partition-and-heal, provisioning

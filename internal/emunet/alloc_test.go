@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"speedlight/internal/control"
+	"speedlight/internal/journal"
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
@@ -18,6 +19,71 @@ func quietNet(t *testing.T, mod func(*Config)) *Network {
 			mod(c)
 		}
 	})
+}
+
+// pipelineLoop is the 2x2x3 testbed's steady per-packet load: each step
+// injects one packet from host 0 to host 3, every 1 024th runs the
+// fabric for 1 ms, and every 8 192nd schedules a snapshot. set is the
+// flight-recorder journal (nil: off). Its seed and shape are the
+// allocation gate's and the trace budget's.
+func pipelineLoop(t *testing.T, set *journal.Set) (*Network, func()) {
+	t.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		HostLinkLatency: sim.Microsecond, FabricLinkLatency: sim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Topo: ls.Topology, Seed: 1, Journal: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	return n, func() {
+		pkt := n.NewPacket()
+		pkt.DstHost, pkt.SrcPort, pkt.Proto, pkt.Size = 3, uint16(i), 6, 1000
+		n.InjectFromHost(0, pkt)
+		if i%1024 == 1023 {
+			n.RunFor(sim.Millisecond)
+		}
+		if i%8192 == 8191 {
+			if _, err := n.ScheduleSnapshot(n.Engine().Now().Add(sim.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i++
+	}
+}
+
+// TestPipelineAllocs gates emunet's per-packet pipeline — a packet's
+// arrival at each switch, its queueing, serialization and transmission,
+// each wire hop, the notifications its hops raise and its delivery —
+// with the journal off and on and snapshots running: a packet
+// allocates nothing, and a snapshot's own objects amortize to under
+// one per packet.
+//
+//speedlight:allocgate emunet.Network.arrive emunet.Network.enqueue emunet.Network.scheduleTx emunet.Network.txCall
+//speedlight:allocgate emunet.Network.transmit emunet.Network.deliverLocalCall emunet.Network.wireHop emunet.Network.drainNotifs
+//speedlight:allocgate emunet.pktFIFO.push emunet.pktFIFO.peek emunet.pktFIFO.pop emunet.portQueue.head
+//speedlight:allocgate emunet.portQueue.setDepth emunet.portQueue.serialization
+func TestPipelineAllocs(t *testing.T) {
+	for _, set := range []*journal.Set{nil, journal.NewSet(0)} {
+		n, step := pipelineLoop(t, set)
+		for i := 0; i < 8192; i++ {
+			step() // warm the pools, the queues and the journal rings
+		}
+		if allocs := testing.AllocsPerRun(2*8192, step); allocs != 0 {
+			t.Errorf("journal %v: a packet allocates %.1f/op, want 0", set != nil, allocs)
+		}
+		n.RunFor(10 * sim.Millisecond)
+		if got := len(n.Snapshots()); got != 3 {
+			t.Errorf("journal %v: %d snapshots completed, want 3", set != nil, got)
+		}
+		if err := n.LeakCheck(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestResultHandoffAllocs gates a result's trip from a switch to the

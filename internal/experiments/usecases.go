@@ -300,15 +300,14 @@ func provisionRun(o Options, rounds int, scenario string) provArm {
 	net.SnapshotSeries(rounds, stride, 0, func(now sim.Time) (packet.SeqID, error) {
 		return net.ScheduleSnapshot(now.Add(100 * sim.Microsecond))
 	})
-	elapsed := eng.Now() // the capacity window ends before the drain
+	// The capacity window ends before the drain, and so do the bytes.
+	elapsed, sent := eng.Now(), pktBytes
 	net.RunFor(50 * sim.Millisecond)
 
 	st := inv.Status()[0]
 	return provArm{
-		scenario: scenario,
-		// Every burst's bytes, the drain's included, over the uplinks'
-		// capacity until elapsed.
-		util:       float64(pktBytes*8) / (rateBps * elapsed.Micros() / 1e6 * float64(len(uplinks))),
+		scenario:   scenario,
+		util:       float64(sent*8) / (rateBps * elapsed.Micros() / 1e6 * float64(len(uplinks))),
 		loaded:     concurrentLoad(net.Snapshots(), uplinks, 2),
 		cuts:       st.Evals,
 		violations: st.Violations,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,12 +32,16 @@ func TestUseCasesShape(t *testing.T) {
 	if float64(b.highWaterHits) < 0.9*float64(b.rounds) || b.highWaterHits <= b.gaugeHits {
 		t.Errorf("high-water register caught %d of %d bursts, gauge %d", b.highWaterHits, b.rounds, b.gaugeHits)
 	}
-	// Provisioning: synchronized bursts load more uplinks at once, and
-	// only they break the headroom invariant.
+	// Provisioning: the two workloads average the same utilization,
+	// yet synchronized bursts load more uplinks at once, and only they
+	// break the headroom invariant.
 	if len(p) != 2 {
 		t.Fatalf("scenarios = %d", len(p))
 	}
 	sync, stag := p[0], p[1]
+	if d := math.Abs(sync.util-stag.util) * 100; d > 1 {
+		t.Errorf("average uplink utilization %.1f%% vs %.1f%%: %.1f points apart, want at most 1", sync.util*100, stag.util*100, d)
+	}
 	if sync.loaded.Quantile(0.9) <= stag.loaded.Quantile(0.9) {
 		t.Errorf("synchronized p90 %.0f not above staggered p90 %.0f", sync.loaded.Quantile(0.9), stag.loaded.Quantile(0.9))
 	}
@@ -54,8 +59,8 @@ func TestUseCasesShape(t *testing.T) {
 	want := []any{
 		0, 9, 10, 0,
 		0, 19,
-		"72.8", 4.0, uint64(9), uint64(40),
-		"72.4", 1.0, uint64(0), uint64(40),
+		"35.6", 4.0, uint64(9), uint64(40),
+		"35.3", 1.0, uint64(0), uint64(40),
 	}
 	for i := range want {
 		if got[i] != want[i] {

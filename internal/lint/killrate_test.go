@@ -59,7 +59,7 @@ var mutants = []mutant{
 	{"poolown", "may leak on this return path", "internal/sim/sim.go", "\tev := e.pool.get()\n\tev.at = at\n", "\tev := e.pool.get()\n\tif fn == nil && cfn == nil {\n\t\treturn Handle{}\n\t}\n\tev.at = at\n", `value ev`},
 	{"poolown", "may leak on this return path", "internal/emunet/emunet.go", "NewPacket() *packet.Packet { return n.dpool.Get() }", "NewPacket() *packet.Packet { pkt := n.dpool.Get(); pkt.Size = 1; return nil }", `value pkt`},
 	{"poolown", "may leak on this return path", "internal/emunet/determinism_test.go", "\t\t\tn.InjectFromHost(src, pkt)\n", "\t\t\t_ = src\n", `value pkt`},
-	{"poolown", "may leak on this return path", "bench_test.go", "\t\t\t\t\t\tn.InjectFrom(p, h.ID, pkt)\n", "", `value pkt`},
+	{"poolown", "may leak on this return path", "internal/emunet/alloc_test.go", "\t\tn.InjectFromHost(0, pkt)\n", "", `value pkt`},
 	{"poolown", "result of pooled %s discarded", "internal/sim/sim.go", "\te.q.push(ev)\n", "\te.q.push(ev)\n\te.pool.get()\n", `pooled get`},
 	{"poolown", "overwritten while still owned", "internal/sim/parallel.go", "\tev := home.pool.get()\n", "\tev := home.pool.get()\n\tev = home.pool.get()\n", `value ev`},
 	{"poolown", "double Put of pooled value", "internal/emunet/emunet.go", "\t\tn.churnDrops.Add(1)\n\t\tes.ppool.Put(pkt)\n\t\treturn\n\t}\n\tes.pkts.Inc()\n", "\t\tn.churnDrops.Add(1)\n\t\tes.ppool.Put(pkt)\n\t\tes.ppool.Put(pkt)\n\t\treturn\n\t}\n\tes.pkts.Inc()\n", `value pkt`},

@@ -46,6 +46,27 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeaderCodecAllocs gates the snapshot header's wire codec: with
+// room in the buffer, an encode and a decode allocate nothing.
+//
+//speedlight:allocgate packet.SnapshotHeader.AppendBinary
+func TestHeaderCodecAllocs(t *testing.T) {
+	h := SnapshotHeader{Type: TypeData, ID: 123456, Channel: 17}
+	buf := make([]byte, 0, HeaderLen)
+	var out SnapshotHeader
+	if allocs := testing.AllocsPerRun(1000, func() {
+		buf = h.AppendBinary(buf[:0])
+		if err := out.UnmarshalBinary(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("header encode and decode allocate %.1f/op, want 0", allocs)
+	}
+	if out != h {
+		t.Fatalf("round trip: got %+v, want %+v", out, h)
+	}
+}
+
 func TestHeaderRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, id uint32, ch uint16) bool {
 		h := SnapshotHeader{Type: Type(typ & 0x0f), ID: WireIDFromRaw(id), Channel: ch}

@@ -25,6 +25,8 @@ type Counter struct {
 }
 
 // Inc adds one.
+//
+//speedlight:hotpath
 func (c *Counter) Inc() {
 	if c == nil {
 		return
@@ -33,6 +35,8 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
+//
+//speedlight:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -71,6 +75,8 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // SetMax raises the gauge to v if v is larger — a high-water mark.
+//
+//speedlight:hotpath
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return
@@ -114,6 +120,8 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
+//
+//speedlight:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return

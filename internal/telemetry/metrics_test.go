@@ -34,6 +34,33 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocs gates the primitives instrumented code calls per
+// packet — a counter increment and add, a gauge high-water update and a
+// histogram observation — on live metrics and on nil (disabled) ones:
+// neither allocates.
+//
+//speedlight:allocgate telemetry.Counter.Inc telemetry.Counter.Add telemetry.Gauge.SetMax telemetry.Histogram.Observe
+func TestHotPathAllocs(t *testing.T) {
+	for _, reg := range []*Registry{NewRegistry(), nil} {
+		c := reg.Counter("pkts_total", "")
+		g := reg.Gauge("depth", "")
+		h := reg.Histogram("lat_us", "", LatencyBucketsUS)
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			c.Inc()
+			c.Add(2)
+			g.SetMax(int64(i & 1023))
+			h.Observe(float64(i & 4095))
+			i++
+		}); allocs != 0 {
+			t.Errorf("enabled %v: the hot-path primitives allocate %.1f/op, want 0", reg != nil, allocs)
+		}
+		if reg != nil && (c.Value() != 3*1001 || g.Value() != 1000 || h.Count() != 1001) {
+			t.Errorf("counter %d, gauge %d, histogram count %d: want 3003, 1000, 1001", c.Value(), g.Value(), h.Count())
+		}
+	}
+}
+
 func TestCounterGauge(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("reqs_total", "requests")
