@@ -15,7 +15,8 @@ help:
 	@echo "  race         go test -race -p 1 ./... (one package at a time:"
 	@echo "               two slow ones side by side pass the 10-minute"
 	@echo "               per-package timeout on 2 CPUs)"
-	@echo "  lint         build speedlightvet and run the analyzer suite"
+	@echo "  lint         build speedlightvet and run the analyzer suite,"
+	@echo "               then the test-only-export check"
 	@echo "  hotgate      cross-check //speedlight:hotpath functions against"
 	@echo "               their //speedlight:allocgate allocation gates"
 	@echo "  vet          plain go vet"
@@ -43,20 +44,24 @@ race:
 
 # lint builds the protocol-invariant analyzer suite and runs it over
 # every package, _test.go files included, through go vet — the one way
-# to run it (given package patterns, the binary prints this line).
+# to run it (given package patterns, the binary prints this line). Then
+# it runs the whole-tree check no per-package analyzer can make: every
+# export under internal/ is named by a non-test file or carries a
+# //speedlight:api reason ("test-only exports: 0 of N ...").
 lint: $(SLVET)
 	@start=$$(date +%s%N); status=0; \
 	go vet -vettool=$(SLVET) ./... || status=$$?; \
 	end=$$(date +%s%N); \
 	echo "speedlightvet wall-clock: $$(( (end - start) / 1000000 )) ms"; \
-	exit $$status
+	[ "$$status" = 0 ] || exit $$status
+	go test -count=1 -run TestNoTestOnlyExports -v ./internal/lint
 
 $(SLVET): FORCE
 	go build -o $(SLVET) ./cmd/speedlightvet
 
 # hotgate verifies every //speedlight:hotpath function is named by a
-# //speedlight:allocgate annotation on an AllocsPerRun test or 0-alloc
-# benchmark, and that no annotation is stale.
+# //speedlight:allocgate annotation on an AllocsPerRun test, and that no
+# annotation is stale.
 hotgate:
 	go run ./cmd/hotgate
 

@@ -1,13 +1,12 @@
 // Command hotgate cross-checks the zero-allocation contract's two
 // halves: every function marked //speedlight:hotpath must be named by
-// a //speedlight:allocgate annotation on an allocation-gated test or
-// benchmark, and every allocgate name must still refer to a hotpath
-// function.
+// a //speedlight:allocgate annotation on an allocation-gated test, and
+// every allocgate name must still refer to a hotpath function.
 //
 // The hotpath directive is a promise ("this path allocates nothing in
 // steady state") that the hotalloc analyzer checks structurally; the
-// allocgate annotation records which AllocsPerRun test or 0-alloc
-// benchmark proves the promise empirically. hotgate fails CI when a
+// allocgate annotation records which AllocsPerRun test proves the
+// promise empirically. hotgate fails CI when a
 // hotpath function has no empirical gate, or when an annotation has
 // gone stale after a rename.
 //
@@ -54,7 +53,7 @@ type span struct {
 	from, to int
 }
 
-// gateFunc is one annotated test or benchmark and the names it gates.
+// gateFunc is one annotated test and the names it gates.
 type gateFunc struct {
 	dir, fn string
 	names   []string
@@ -72,7 +71,7 @@ func main() {
 	var gates []*gateFunc              // for -cover
 	gated := map[string][]string{}     // hotpath fn -> gate test names
 	var annotations []site             // every allocgate name, for staleness
-	misplaced := []site{}              // allocgate outside a Test/Benchmark
+	misplaced := []site{}              // allocgate outside a Test
 
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -117,8 +116,7 @@ func main() {
 					}
 				case "speedlight:allocgate":
 					gate := f.Name.Name + "." + fd.Name.Name
-					if !isTest || !(strings.HasPrefix(fd.Name.Name, "Test") ||
-						strings.HasPrefix(fd.Name.Name, "Benchmark")) {
+					if !isTest || !strings.HasPrefix(fd.Name.Name, "Test") {
 						misplaced = append(misplaced, site{fset.Position(c.Pos()), gate})
 						continue
 					}
@@ -150,7 +148,7 @@ func main() {
 	}
 	sort.Slice(uncovered, func(i, j int) bool { return uncovered[i].name < uncovered[j].name })
 	for _, u := range uncovered {
-		fmt.Printf("%s: //speedlight:hotpath %s has no allocation gate: annotate the AllocsPerRun test or 0-alloc benchmark that exercises it with //speedlight:allocgate %s\n",
+		fmt.Printf("%s: //speedlight:hotpath %s has no allocation gate: annotate the AllocsPerRun test that exercises it with //speedlight:allocgate %s\n",
 			u.pos, u.name, u.name)
 		bad++
 	}
@@ -162,7 +160,7 @@ func main() {
 		}
 	}
 	for _, m := range misplaced {
-		fmt.Printf("%s: //speedlight:allocgate on %s: the annotation belongs on a Test or Benchmark function in a _test.go file\n",
+		fmt.Printf("%s: //speedlight:allocgate on %s: the annotation belongs on a Test function in a _test.go file\n",
 			m.pos, m.name)
 		bad++
 	}
@@ -186,11 +184,7 @@ func runGate(root string, g *gateFunc, body map[string]span) int {
 	}
 	prof := filepath.Join(os.TempDir(), fmt.Sprintf("hotgate-%d.cover", os.Getpid()))
 	defer os.Remove(prof)
-	sel := []string{"-run=^" + g.fn + "$"}
-	if strings.HasPrefix(g.fn, "Benchmark") {
-		sel = []string{"-run=^$", "-bench=^" + g.fn + "$", "-benchtime=1x"}
-	}
-	out, err := exec.Command("go", append([]string{"test", "-C", root, "-count=1", "-coverpkg=" + strings.Join(pkgs, ","), "-coverprofile=" + prof, g.dir}, sel...)...).CombinedOutput()
+	out, err := exec.Command("go", "test", "-C", root, "-count=1", "-coverpkg="+strings.Join(pkgs, ","), "-coverprofile="+prof, g.dir, "-run=^"+g.fn+"$").CombinedOutput()
 	mod, err2 := exec.Command("go", "list", "-C", root, "-m").Output()
 	data, err3 := os.ReadFile(prof)
 	if err = errors.Join(err, err2, err3); err != nil {

@@ -184,7 +184,7 @@ func campaign() {
 
 	if *metricsAddr != "" {
 		health := telemetry.NewHealth()
-		mc := net.Inner().Endpoints(health, net.BlockedProfile)
+		mc := net.Inner().Endpoints(health, net.Inner().BlockedProfile)
 		health.SetReady(true)
 		srv, err := telemetry.ServeConfig(*metricsAddr, mc)
 		if err != nil {
@@ -282,7 +282,7 @@ func campaign() {
 			return epochtrace.WriteJSONL(w, traces)
 		})
 		roll := epochtrace.NewRollup(traces)
-		roll.Blocking = net.BlockedProfile()
+		roll.Blocking = net.Inner().BlockedProfile()
 		printCritical(os.Stdout, roll)
 	}
 

@@ -70,9 +70,13 @@ func (k Kind) String() string {
 }
 
 // MarshalJSON encodes the kind as its name.
+//
+//speedlight:api encoding/json calls it
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
 // UnmarshalJSON decodes a kind name.
+//
+//speedlight:api encoding/json calls it
 func (k *Kind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {

@@ -169,9 +169,6 @@ func (p *Plane) Gates(id dataplane.UnitID, ch int) bool {
 	return st != nil && slices.Contains(st.gateChans, ch)
 }
 
-// Initiated returns the highest snapshot ID this plane has initiated.
-func (p *Plane) Initiated() packet.SeqID { return p.initiated }
-
 // Initiation pairs an initiation packet with the egress port whose
 // per-class FIFO queue it must traverse.
 type Initiation struct {
@@ -375,14 +372,6 @@ func (p *Plane) Poll(now sim.Time) {
 			}, now)
 		}
 	}
-}
-
-// LastRead returns the unit's latest finalized snapshot ID.
-func (p *Plane) LastRead(id dataplane.UnitID) packet.SeqID {
-	if st := p.unitOf(id); st != nil {
-		return st.lastRead
-	}
-	return 0
 }
 
 // Complete reports whether snapshot id has been finalized (read or

@@ -335,8 +335,8 @@ func TestReInitiationHarmless(t *testing.T) {
 	if len(r.results) != count {
 		t.Errorf("re-initiation produced %d extra results", len(r.results)-count)
 	}
-	if r.plane.Initiated() != 1 {
-		t.Errorf("Initiated = %d", r.plane.Initiated())
+	if r.plane.initiated != 1 {
+		t.Errorf("initiated = %d", r.plane.initiated)
 	}
 }
 
@@ -372,18 +372,20 @@ func TestWraparoundAcrossManyLaps(t *testing.T) {
 	}
 }
 
+// TestLastRead: a unit's finalized ID, which Complete reads, moves to
+// the snapshot read, and a unit of another switch has no state here.
 func TestLastRead(t *testing.T) {
 	r := newRig(t, false, nil)
-	ing0 := dataplane.UnitID{Node: 1, Port: 0, Dir: dataplane.Ingress}
-	if r.plane.LastRead(ing0) != 0 {
-		t.Error("initial LastRead nonzero")
+	ing0 := r.plane.unitOf(dataplane.UnitID{Node: 1, Port: 0, Dir: dataplane.Ingress})
+	if ing0.lastRead != 0 {
+		t.Error("initial lastRead nonzero")
 	}
 	r.initiate(2, 0)
 	r.pump(0)
-	if got := r.plane.LastRead(ing0); got != 2 {
-		t.Errorf("LastRead = %d, want 2", got)
+	if got := ing0.lastRead; got != 2 {
+		t.Errorf("lastRead = %d, want 2", got)
 	}
-	if r.plane.LastRead(dataplane.UnitID{Node: 9}) != 0 {
-		t.Error("unknown unit LastRead should be 0")
+	if r.plane.unitOf(dataplane.UnitID{Node: 9}) != nil {
+		t.Error("unit of another switch has state")
 	}
 }

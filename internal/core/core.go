@@ -16,10 +16,10 @@
 //     array with optional ID wraparound, and it reports progress to the
 //     control plane through notifications.
 //
-//   - IdealUnit is the idealized algorithm of Figure 3, with unbounded
-//     IDs and loop-through of skipped epochs. It exists as an executable
-//     specification: tests drive Unit and IdealUnit with the same packet
-//     streams and compare results.
+//   - IdealUnit (ideal_test.go) is the idealized algorithm of Figure 3,
+//     with unbounded IDs and loop-through of skipped epochs. It exists
+//     as an executable specification: tests drive Unit and IdealUnit
+//     with the same packet streams and compare results.
 //
 // Units are pure state machines: no goroutines, no clocks. The
 // simulation (internal/emunet) and the wall-clock runtimes
@@ -385,25 +385,3 @@ func (u *Unit) CurrentSID() packet.SeqID { return u.sid }
 // LastSeenUnwrapped returns the unit's unwrapped last-seen entry.
 // Emulation-side observability only.
 func (u *Unit) LastSeenUnwrapped(ch int) packet.SeqID { return u.lastSeen[ch] }
-
-// MinLastSeen returns the smallest last-seen ID across channels,
-// excluding the control plane pseudo-channel, which participates only in
-// rollover detection (Section 6). Snapshots up to this ID are complete
-// at this unit (Figure 3, line 12).
-func (u *Unit) MinLastSeen() packet.SeqID {
-	min := packet.SeqID(1<<63 - 1)
-	found := false
-	for ch, ls := range u.lastSeen {
-		if ch == u.cfg.CPChannel {
-			continue
-		}
-		found = true
-		if ls < min {
-			min = ls
-		}
-	}
-	if !found {
-		return u.sid
-	}
-	return min
-}

@@ -97,26 +97,9 @@ func TestSnapshotDisabledForwarding(t *testing.T) {
 	if s.Port(0).IngressUnit.CurrentSID() != 0 {
 		t.Error("disabled switch advanced its snapshot state")
 	}
-	// Unroutable drops; recirculation also takes the plain path.
+	// Unroutable drops.
 	if res := s.Ingress(&packet.Packet{DstHost: 99}, 0, 0); !res.Drop {
 		t.Error("unroutable not dropped")
-	}
-	s2, err := New(Config{
-		Node: 8, NumPorts: 2, MaxID: 16,
-		SnapshotDisabled: true, Recirculation: true,
-		Metrics: func(UnitID) core.Metric { return &counters.PacketCount{} },
-		FIB: &routing.FIB{
-			Node: 8, Version: 1,
-			NextHops: map[topology.HostID][]int{10: {1}},
-		},
-		Balancer: routing.ECMP{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := &packet.Packet{DstHost: 10, HasSnap: true}
-	if res := s2.Recirculate(rp, 0, 0); res.Drop || res.EgressPort != 1 {
-		t.Errorf("disabled recirculation forwarding: %+v", res)
 	}
 }
 

@@ -96,12 +96,6 @@ type Config struct {
 	// means 1 (no service classes).
 	NumCoS int
 
-	// Recirculation adds the footnote-2 internal channel: a packet that
-	// finishes egress processing may re-enter the same port's ingress
-	// unit (P4 recirculate). The channel is modeled exactly like any
-	// other FIFO logical channel, with its own last-seen entry.
-	Recirculation bool
-
 	// Snapshot protocol parameters shared by all units.
 	MaxID        uint32
 	WrapAround   bool
@@ -212,13 +206,8 @@ func New(cfg Config) (*Switch, error) {
 	}
 	for p := 0; p < cfg.NumPorts; p++ {
 		// An ingress unit's upstream channels are the external
-		// neighbor's CoS sub-channels, optionally the recirculation
-		// channel from the port's own egress unit, and the CPU
-		// pseudo-channel.
+		// neighbor's CoS sub-channels and the CPU pseudo-channel.
 		ingChans := cfg.NumCoS + 1
-		if cfg.Recirculation {
-			ingChans++
-		}
 		ingCfg := core.Config{
 			MaxID:        cfg.MaxID,
 			WrapAround:   cfg.WrapAround,
@@ -286,21 +275,7 @@ func (s *Switch) internalChannel(port int, cos uint8) uint16 {
 
 // ingressCPChannel is the CPU pseudo-channel index at ingress units
 // (always the last channel).
-func (s *Switch) ingressCPChannel() int {
-	if s.cfg.Recirculation {
-		return s.cfg.NumCoS + 1
-	}
-	return s.cfg.NumCoS
-}
-
-// ingressRecircChannel is the recirculation channel index at ingress
-// units, or -1 when recirculation is disabled.
-func (s *Switch) ingressRecircChannel() int {
-	if !s.cfg.Recirculation {
-		return -1
-	}
-	return s.cfg.NumCoS
-}
+func (s *Switch) ingressCPChannel() int { return s.cfg.NumCoS }
 
 // NumCoS returns the switch's class-of-service count.
 func (s *Switch) NumCoS() int { return s.cfg.NumCoS }
@@ -580,27 +555,6 @@ func (s *Switch) Egress(pkt *packet.Packet, port int, now sim.Time) EgressResult
 		return EgressResult{StripHeader: true}
 	}
 	return EgressResult{}
-}
-
-// Recirculate re-enters a packet into a port's ingress unit on the
-// recirculation channel after its egress processing (footnote 2 of the
-// paper: recirculation is just another FIFO logical channel). The
-// caller must preserve per-channel order: recirculated packets re-enter
-// in the order they left the egress unit. The packet is counted again
-// by the ingress metric — it really does traverse the pipeline twice —
-// and a fresh forwarding decision is returned.
-//
-//speedlight:hotpath
-func (s *Switch) Recirculate(pkt *packet.Packet, port int, now sim.Time) IngressResult {
-	if !s.cfg.Recirculation {
-		panic(fmt.Sprintf("dataplane: switch %d has no recirculation channel", s.cfg.Node))
-	}
-	s.tel.Recirculations.Inc()
-	s.tel.PacketsIngress.Inc()
-	if s.cfg.SnapshotDisabled {
-		return s.route(pkt, now)
-	}
-	return s.forward(pkt, port, s.ingressRecircChannel(), now)
 }
 
 // InitiationPacket builds the control plane's initiation message for a

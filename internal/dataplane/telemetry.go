@@ -21,9 +21,6 @@ type Telemetry struct {
 	// NotifQueueHighWater tracks the deepest the CPU notification
 	// queue has been.
 	NotifQueueHighWater *telemetry.Gauge
-	// Recirculations counts packets re-entering ingress via the
-	// recirculation channel (footnote 2).
-	Recirculations *telemetry.Counter
 	// Markers counts control-plane marker packets processed
 	// (IngressOnly and IngressFromCP, the Section 6 liveness path).
 	Markers *telemetry.Counter
@@ -40,7 +37,6 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		PacketsIngress:      reg.Counter("speedlight_dp_packets_ingress_total", "packets processed by ingress units"),
 		PacketsEgress:       reg.Counter("speedlight_dp_packets_egress_total", "packets processed by egress units"),
 		NotifQueueHighWater: reg.Gauge("speedlight_dp_notif_queue_high_water", "deepest CPU notification queue occupancy"),
-		Recirculations:      reg.Counter("speedlight_dp_recirculations_total", "packets recirculated through ingress"),
 		Markers:             reg.Counter("speedlight_dp_markers_total", "control-plane marker packets processed"),
 		Initiations:         reg.Counter("speedlight_dp_initiations_total", "initiation messages processed at ingress units"),
 	}

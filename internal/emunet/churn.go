@@ -10,8 +10,8 @@ package emunet
 //
 // The teardown contract is leak-freedom: a switch or link leaving the
 // fabric must return every pooled packet it strands (egress queues,
-// packets on the wire) to a pool. LeakCheck verifies the identity
-// allocated == free after a quiesced drain.
+// packets on the wire) to a pool. The tests' LeakCheck verifies the
+// identity allocated == free after a quiesced drain.
 //
 // The stale-event hazard: closure-free events (transmit completions,
 // CP loop steps) armed before a teardown would otherwise fire against
@@ -209,21 +209,4 @@ func (n *Network) journalChurn(sw, port int, op uint64) {
 		return
 	}
 	n.cfg.Journal.Observer().Append(journal.Churn(int64(n.gproc.Now()), sw, port, op))
-}
-
-// LeakCheck verifies pooled-packet leak-freedom: after traffic stops
-// and the network drains, every pooled packet — allocated by any pool of
-// the network's central exchange — must be back in a free list. A
-// nonzero residue means some teardown or drop path lost a packet. Driver
-// context only (it reads every switch's pool), after a quiesced drain —
-// packets still legitimately in flight count as leaks here.
-func (n *Network) LeakCheck() error {
-	free := n.central.FreeLen() + n.dpool.FreeLen()
-	for _, es := range n.sws {
-		free += es.ppool.FreeLen()
-	}
-	if live := int(n.central.Allocated()) - free; live != 0 {
-		return fmt.Errorf("emunet: %d pooled packet(s) still in flight after drain", live)
-	}
-	return nil
 }

@@ -349,7 +349,7 @@ func TestChurnEpochTraceExact(t *testing.T) {
 		t.Fatal("campaign journaled no churn events")
 	}
 	for _, tr := range traces {
-		if got, want := tr.CriticalSumNs(), tr.DurationNs(); got != want {
+		if got, want := criticalSum(tr), tr.DurationNs(); got != want {
 			t.Errorf("epoch %d: critical-path sum %d ns != duration %d ns (excluded=%d retries=%d)",
 				tr.ID, got, want, tr.Excluded, tr.Retries)
 		}

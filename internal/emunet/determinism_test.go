@@ -34,6 +34,7 @@ type artifacts struct {
 	audit     string // audit report JSON
 	snapshots string // snapshot set JSON
 	epochs    string // reconstructed epoch-trace JSONL
+	traces    []*epochtrace.EpochTrace
 	churn     string // churn classification, one line per churn event
 	// disagreements is the audit's count of snapshots the observer
 	// published as consistent but the replay proved broken.
@@ -146,10 +147,11 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 	if err := rep.WriteJSON(&ab); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.SnapshotsJSON(&sb, n.Snapshots()); err != nil {
+	if err := export.SnapshotsCSV(&sb, n.Snapshots()); err != nil {
 		t.Fatal(err)
 	}
-	if err := epochtrace.WriteJSONL(&eb, n.EpochTraces()); err != nil {
+	traces := n.EpochTraces()
+	if err := epochtrace.WriteJSONL(&eb, traces); err != nil {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer
@@ -175,6 +177,7 @@ func runCampaign(t testing.TB, cc campaignConfig, shards int) artifacts {
 		audit:         ab.String(),
 		snapshots:     sb.String(),
 		epochs:        eb.String(),
+		traces:        traces,
 		churn:         cb.String(),
 		disagreements: rep.Disagreements,
 		completed:     len(n.Snapshots()),

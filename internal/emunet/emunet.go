@@ -433,8 +433,8 @@ type Network struct {
 	tel netTelemetry
 
 	// Packet pooling: central is the exchange behind every switch's
-	// free list; dpool is the driver/global-context pool (NewPacket,
-	// global-domain deliveries).
+	// free list; dpool is the driver/global-context pool (global-domain
+	// deliveries).
 	central *packet.Central
 	dpool   packet.Pool
 
@@ -853,10 +853,6 @@ func (n *Network) BlockedProfile() []epochtrace.ShardBlocking {
 	return out
 }
 
-// Registry returns the telemetry registry the network was built with,
-// or nil when telemetry is disabled.
-func (n *Network) Registry() *telemetry.Registry { return n.cfg.Registry }
-
 // NotifDropsTotal sums dropped notifications across all switches.
 func (n *Network) NotifDropsTotal() uint64 {
 	var total uint64
@@ -950,18 +946,13 @@ func (n *Network) InjectFrom(p sim.Proc, host topology.HostID, pkt *packet.Packe
 	p.SendCall(es.dom, sim.Duration(h.Latency), n.arriveFn, es, pkt, int64(h.Port))
 }
 
-// NewPacket returns a zeroed pool-owned packet for injection from
-// driver or global-domain context. Ownership passes to the network at
-// InjectFrom*; the packet is recycled at its terminal point (host
-// delivery or any drop), so the caller — including OnInject/OnDeliver
-// hooks — must not retain it past the hand-off. Packets built directly
-// with &packet.Packet{...} remain outside the pool and are never
-// recycled.
-func (n *Network) NewPacket() *packet.Packet { return n.dpool.Get() }
-
-// NewPacketFor is NewPacket for a per-host traffic source running in
-// the host's own switch domain (InjectFrom with HostProc): the packet
-// comes from that switch's pool, which the calling context owns.
+// NewPacketFor returns a zeroed pool-owned packet for a per-host
+// traffic source running in the host's own switch domain (InjectFrom
+// with HostProc): the packet comes from that switch's pool, which the
+// calling context owns. Ownership passes to the network at InjectFrom*;
+// the packet is recycled at its terminal point (host delivery or any
+// drop), so the caller — including OnInject/OnDeliver hooks — must not
+// retain it past the hand-off.
 func (n *Network) NewPacketFor(host topology.HostID) *packet.Packet {
 	h := n.cfg.Topo.Host(host)
 	if h == nil {

@@ -6,7 +6,6 @@ package emunet_test
 // deliberately injected straggler.
 
 import (
-	"strings"
 	"testing"
 
 	"speedlight/internal/dist"
@@ -19,6 +18,16 @@ import (
 // sixtyFourPortCampaign builds a 4x4 leaf-spine with 8 hosts per leaf:
 // 4 leaves x (8 host + 4 uplink) ports + 4 spines x 4 downlinks = 64
 // switch ports.
+// criticalSum sums an epoch's critical-path segments, which partition
+// its completion latency.
+func criticalSum(tr *epochtrace.EpochTrace) int64 {
+	var sum int64
+	for _, s := range tr.Critical {
+		sum += s.DurationNs()
+	}
+	return sum
+}
+
 func sixtyFourPortCampaign(seed int64, mutate func(*emunet.Config)) campaignConfig {
 	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{
 		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
@@ -46,15 +55,12 @@ func sixtyFourPortCampaign(seed int64, mutate func(*emunet.Config)) campaignConf
 // against the 1% bound.)
 func TestCriticalPathSumMatchesCompletionLatency(t *testing.T) {
 	art := runCampaign(t, sixtyFourPortCampaign(17, nil), 0)
-	traces, err := epochtrace.ReadJSONL(strings.NewReader(art.epochs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := art.traces
 	if len(traces) == 0 {
 		t.Fatal("campaign produced no epoch traces")
 	}
 	for _, tr := range traces {
-		dur, sum := tr.DurationNs(), tr.CriticalSumNs()
+		dur, sum := tr.DurationNs(), criticalSum(tr)
 		tol := dur / 100
 		if tol < 1 {
 			tol = 1
@@ -101,10 +107,7 @@ func TestCriticalPathAttributesInjectedStraggler(t *testing.T) {
 	})
 	cc.snapshots = 4
 	art := runCampaign(t, cc, 0)
-	traces, err := epochtrace.ReadJSONL(strings.NewReader(art.epochs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := art.traces
 	if len(traces) == 0 {
 		t.Fatal("campaign produced no epoch traces")
 	}

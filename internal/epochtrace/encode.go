@@ -20,22 +20,6 @@ func WriteJSONL(w io.Writer, traces []*EpochTrace) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a JSONL epoch-trace dump.
-func ReadJSONL(r io.Reader) ([]*EpochTrace, error) {
-	var traces []*EpochTrace
-	dec := json.NewDecoder(r)
-	for {
-		var t EpochTrace
-		if err := dec.Decode(&t); err != nil {
-			if err == io.EOF {
-				return traces, nil
-			}
-			return nil, err
-		}
-		traces = append(traces, &t)
-	}
-}
-
 // chromeEvent is one entry of the Chrome trace-event format ("catapult"
 // JSON array flavor), loadable in chrome://tracing and Perfetto.
 type chromeEvent struct {

@@ -139,16 +139,6 @@ type EpochTrace struct {
 // DurationNs is the epoch's completion latency.
 func (t *EpochTrace) DurationNs() int64 { return t.EndNs - t.BeginNs }
 
-// CriticalSumNs sums the critical segments; by construction it equals
-// DurationNs.
-func (t *EpochTrace) CriticalSumNs() int64 {
-	var sum int64
-	for _, s := range t.Critical {
-		sum += s.DurationNs()
-	}
-	return sum
-}
-
 // unitTimes collects the causal chain timestamps of one unit within one
 // epoch; -1 marks an event the journal did not record.
 type unitTimes struct {

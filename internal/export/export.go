@@ -1,5 +1,5 @@
 // Package export flattens snapshot campaign results — global snapshots
-// and invariant standings — to CSV and JSON rows, for analysis outside
+// and invariant standings — to CSV rows, for analysis outside
 // the repository (spreadsheets, gnuplot, pandas). Artifacts with a
 // schema of their own are written by the package that owns it: the
 // snapshot history by snapstore, the audit report by audit, figures and
@@ -8,7 +8,6 @@ package export
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -22,15 +21,15 @@ import (
 // SnapshotRow is one unit's value in one snapshot, flattened for
 // serialization.
 type SnapshotRow struct {
-	SnapshotID packet.SeqID `json:"snapshot_id"`
-	Switch     int          `json:"switch"`
-	Port       int          `json:"port"`
-	Direction  string       `json:"direction"`
-	Value      uint64       `json:"value"`
-	Consistent bool         `json:"consistent"`
+	SnapshotID packet.SeqID
+	Switch     int
+	Port       int
+	Direction  string
+	Value      uint64
+	Consistent bool
 	// ScheduledNs and CompletedNs bracket the snapshot in virtual time.
-	ScheduledNs int64 `json:"scheduled_ns"`
-	CompletedNs int64 `json:"completed_ns"`
+	ScheduledNs int64
+	CompletedNs int64
 }
 
 // Rows flattens global snapshots into deterministic, sorted rows.
@@ -88,13 +87,6 @@ func SnapshotsCSV(w io.Writer, snaps []*observer.GlobalSnapshot) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// SnapshotsJSON writes flattened snapshots as a JSON array.
-func SnapshotsJSON(w io.Writer, snaps []*observer.GlobalSnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Rows(snaps))
 }
 
 // InvariantsCSV writes an invariant engine's standing and violation

@@ -3,7 +3,6 @@ package export
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"testing"
 
 	"speedlight/internal/control"
@@ -67,29 +66,9 @@ func TestSnapshotsCSV(t *testing.T) {
 	}
 }
 
-func TestSnapshotsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SnapshotsJSON(&buf, sampleSnaps()); err != nil {
-		t.Fatal(err)
-	}
-	var rows []SnapshotRow
-	if err := json.Unmarshal(buf.Bytes(), &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[2].Value != 20 || rows[2].Direction != "egress" {
-		t.Errorf("row = %+v", rows[2])
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SnapshotsCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := SnapshotsJSON(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -122,13 +122,6 @@ func (e *Engine) Register(inv Invariant) {
 	})
 }
 
-// Len returns the number of registered invariants.
-func (e *Engine) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.entries)
-}
-
 // Eval streams one sealed epoch through every registered invariant and
 // returns the violations found (nil when all hold). The epoch's state
 // is reconstructed once from v and shared across invariants.

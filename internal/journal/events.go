@@ -46,9 +46,13 @@ func ParseDir(s string) (Dir, error) {
 }
 
 // MarshalJSON encodes the direction as its name.
+//
+//speedlight:api encoding/json calls it
 func (d Dir) MarshalJSON() ([]byte, error) { return json.Marshal(d.String()) }
 
 // UnmarshalJSON decodes a direction name.
+//
+//speedlight:api encoding/json calls it
 func (d *Dir) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
@@ -213,9 +217,13 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // MarshalJSON encodes the kind as its name.
+//
+//speedlight:api encoding/json calls it
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
 // UnmarshalJSON decodes a kind name.
+//
+//speedlight:api encoding/json calls it
 func (k *Kind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {

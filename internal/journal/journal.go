@@ -109,14 +109,6 @@ func New(capacity int) *Journal {
 	return j
 }
 
-// Cap returns the ring capacity in events.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.slots)
-}
-
 // Append counts the event, then stamps it with its append ordinal in
 // this ring and publishes it, overwriting the oldest event once the
 // ring is full; a counts-only ring stops at the count. Safe for

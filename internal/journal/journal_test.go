@@ -17,7 +17,7 @@ import (
 func TestNilReceiversAreNoOps(t *testing.T) {
 	var j *Journal
 	j.Append(Poll(1, 0)) // must not panic
-	if j.Events() != nil || j.Appended() != 0 || j.Overwritten() != 0 || j.Cap() != 0 {
+	if j.Events() != nil || j.Appended() != 0 || j.Overwritten() != 0 {
 		t.Fatal("nil Journal should read empty")
 	}
 	var s *Set
@@ -32,8 +32,8 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 
 func TestRingWraparound(t *testing.T) {
 	j := New(4)
-	if j.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", j.Cap())
+	if len(j.slots) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(j.slots))
 	}
 	for i := 0; i < 10; i++ {
 		j.Append(Initiate(int64(i), 0, packet.SeqID(i), false))
@@ -69,17 +69,17 @@ func TestCountsOutliveTheRing(t *testing.T) {
 			t.Errorf("Count = %v, want [8 2 1]", got)
 		}
 	}
-	if counts := sets[1]; len(counts.Events()) != 0 || counts.For(0).Cap() != 0 || counts.Overwritten() != 0 {
+	if counts := sets[1]; len(counts.Events()) != 0 || len(counts.For(0).slots) != 0 || counts.Overwritten() != 0 {
 		t.Error("a counts-only ring keeps events")
 	}
 }
 
 func TestCapacityRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := New(5).Cap(); got != 8 {
-		t.Fatalf("New(5).Cap() = %d, want 8", got)
+	if got := len(New(5).slots); got != 8 {
+		t.Fatalf("New(5) holds %d events, want 8", got)
 	}
-	if got := New(0).Cap(); got != DefaultCapacity {
-		t.Fatalf("New(0).Cap() = %d, want %d", got, DefaultCapacity)
+	if got := len(New(0).slots); got != DefaultCapacity {
+		t.Fatalf("New(0) holds %d events, want %d", got, DefaultCapacity)
 	}
 }
 

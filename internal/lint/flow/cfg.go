@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // Block is a maximal straight-line run of statements. Nodes holds the
@@ -560,24 +559,4 @@ func (c *CFG) Terminators() []*Block {
 		}
 	}
 	return out
-}
-
-// Dump renders the CFG in a compact single-line-per-block format used
-// by the shape tests: "b0(entry) -> b1,b2".
-func (c *CFG) Dump() string {
-	var sb strings.Builder
-	for _, b := range c.Blocks {
-		fmt.Fprintf(&sb, "b%d(%s)", b.Index, b.Kind)
-		if len(b.Succs) > 0 {
-			sb.WriteString(" ->")
-			for i, s := range b.Succs {
-				if i > 0 {
-					sb.WriteString(",")
-				}
-				fmt.Fprintf(&sb, " b%d", s.Index)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,26 @@ import (
 	"strings"
 	"testing"
 )
+
+// Dump renders the CFG in a compact single-line-per-block format used
+// by the shape tests: "b0(entry) -> b1,b2".
+func (c *CFG) Dump() string {
+	var sb strings.Builder
+	for _, b := range c.Blocks {
+		fmt.Fprintf(&sb, "b%d(%s)", b.Index, b.Kind)
+		if len(b.Succs) > 0 {
+			sb.WriteString(" ->")
+			for i, s := range b.Succs {
+				if i > 0 {
+					sb.WriteString(",")
+				}
+				fmt.Fprintf(&sb, " b%d", s.Index)
+			}
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
 
 // parseBody parses a function-body snippet into its *ast.BlockStmt.
 // Snippets may reference undeclared identifiers; CFG construction is

@@ -22,6 +22,8 @@ import (
 //	//speedlight:shard                       (shardsafe: worker entry point)
 //	//speedlight:global-only                 (shardsafe: GlobalDomain-only API)
 //	//speedlight:allocgate <name>...         (hotgate: test covers these hot paths)
+//	//speedlight:api <reason>                (TestNoTestOnlyExports: an export
+//	                                         no non-test file names, and why)
 func Directive(doc *ast.CommentGroup, name string) (string, bool) {
 	if doc == nil {
 		return "", false

@@ -1,10 +1,31 @@
-// Package linttest runs the built speedlightvet through `go vet`, the
-// one way an analyzer ever runs, for the golden suites and the
-// real-tree kill-rate: there is no second loader to keep honest.
+package lint_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// The goldens and the kill-rate run the built speedlightvet through
+// `go vet`, the one way an analyzer ever runs: there is no second
+// loader to keep honest. The tool is built once per test binary; it is
+// built by a child process go test's result cache cannot see, and
+// this package's own analyzers are linked into the test binary, which
+// is what invalidates a cached "ok" when one of them changes.
 //
 // A golden suite is a directory holding a GOPATH:
 //
-//	<analyzer>/testdata/src/<pkg>/<files>.go
+//	testdata/<suite>/src/<pkg>/<files>.go
 //
 // Each directory under src is one package whose import path is its
 // bare directory name, so the fake "packet" or "sim" a rule binds to by
@@ -18,30 +39,33 @@
 // must match a diagnostic reported on that line. Diagnostics without a
 // matching want, and wants without a matching diagnostic, fail the
 // test.
-package linttest
 
-import (
-	"bytes"
-	"errors"
-	"io/fs"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
-	"slices"
-	"strconv"
-	"strings"
-	"testing"
+// goldens names each suite under testdata and the analyzer whose
+// findings it checks (locksend's fixtures are lockorder's rules).
+var goldens = []struct{ suite, analyzer string }{
+	{"detguard", "detguard"},
+	{"hotalloc", "hotalloc"},
+	{"journalctor", "journalctor"},
+	{"lockorder", "lockorder"},
+	{"locksend", "lockorder"},
+	{"poolown", "poolown"},
+	{"shardsafe", "shardsafe"},
+	{"wrappedcmp", "wrappedcmp"},
+}
 
-	// The tool is built by a child process go test's result cache
-	// cannot see; linking the analyzers into every suite's test binary
-	// is what invalidates a cached "ok" when one of them changes.
-	_ "speedlight/internal/lint"
-)
+func TestGolden(t *testing.T) {
+	tool := vetTool(t)
+	for _, g := range goldens {
+		t.Run(g.suite, func(t *testing.T) {
+			t.Parallel()
+			golden(t, tool, filepath.Join("testdata", g.suite), g.analyzer)
+		})
+	}
+}
 
-// Finding is one diagnostic line of the tool: "file:line:col:
+// finding is one diagnostic line of the tool: "file:line:col:
 // [analyzer] message".
-type Finding struct {
+type finding struct {
 	File     string // absolute
 	Line     int
 	Analyzer string
@@ -54,37 +78,60 @@ var (
 	patternRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 )
 
-// Tool builds cmd/speedlightvet into the test's temporary directory
-// and returns the binary's path. The caller's working directory must
-// be inside the module.
-func Tool(t testing.TB) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "speedlightvet")
-	if out, err := goCmd(".", nil, "build", "-o", bin, "speedlight/cmd/speedlightvet"); err != nil {
-		t.Fatalf("go build speedlightvet: %v\n%s", err, out)
+var (
+	toolOnce sync.Once
+	toolDir  string
+	toolBin  string
+	toolErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if toolDir != "" {
+		os.RemoveAll(toolDir)
 	}
-	return bin
+	os.Exit(code)
 }
 
-// Vet runs `go vet -vettool=tool args...` in dir and returns the
+// vetTool builds cmd/speedlightvet once per test binary and returns
+// the binary's path. The caller's working directory must be inside the
+// module.
+func vetTool(t testing.TB) string {
+	t.Helper()
+	toolOnce.Do(func() {
+		if toolDir, toolErr = os.MkdirTemp("", "speedlightvet"); toolErr != nil {
+			return
+		}
+		toolBin = filepath.Join(toolDir, "speedlightvet")
+		if out, err := goCmd(".", nil, "build", "-o", toolBin, "speedlight/cmd/speedlightvet"); err != nil {
+			toolErr = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if toolErr != nil {
+		t.Fatalf("go build speedlightvet: %v", toolErr)
+	}
+	return toolBin
+}
+
+// vet runs `go vet -vettool=tool args...` in dir and returns the
 // tool's findings, each once (a package and its test variant report
 // the shared files twice). env is appended to a hermetic environment.
 // Any output that is neither a finding nor a package header fails the
 // test: a mutant that does not type-check must not pass for killed.
-func Vet(t testing.TB, tool, dir string, env []string, args ...string) []Finding {
+func vet(t testing.TB, tool, dir string, env []string, args ...string) []finding {
 	t.Helper()
 	out, err := goCmd(dir, env, append([]string{"vet", "-vettool=" + tool}, args...)...)
 	// A non-zero exit is how go vet says "findings"; the output decides.
 	if exit := (*exec.ExitError)(nil); err != nil && !errors.As(err, &exit) {
 		t.Fatalf("go vet: %v", err)
 	}
-	var found []Finding
+	var found []finding
 	for _, line := range strings.Split(out, "\n") {
 		m := findingRE.FindStringSubmatch(line)
 		switch {
 		case m != nil:
 			n, _ := strconv.Atoi(m[2])
-			f := Finding{File: m[1], Line: n, Analyzer: m[3], Message: m[4]}
+			f := finding{File: m[1], Line: n, Analyzer: m[3], Message: m[4]}
 			if !filepath.IsAbs(f.File) {
 				f.File = filepath.Join(dir, f.File)
 			}
@@ -110,17 +157,16 @@ func goCmd(dir string, env []string, args ...string) (string, error) {
 	return stderr.String(), err
 }
 
-// Golden vets every package of the GOPATH at ./testdata and checks the
-// named analyzer's findings against the // want comments of its
-// sources.
-func Golden(t *testing.T, analyzer string) {
+// golden vets every package of the GOPATH at dir and checks the named
+// analyzer's findings against the // want comments of its sources.
+func golden(t *testing.T, tool, dir, analyzer string) {
 	t.Helper()
-	gopath, err := filepath.Abs("testdata")
+	gopath, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := filepath.Join(gopath, "src")
-	found := Vet(t, Tool(t), src, []string{"GO111MODULE=off", "GOPATH=" + gopath}, "./...")
+	found := vet(t, tool, src, []string{"GO111MODULE=off", "GOPATH=" + gopath}, "./...")
 
 	type place struct {
 		file string

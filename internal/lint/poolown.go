@@ -111,8 +111,7 @@ const (
 var blessedConsumers = map[string]map[string]bool{
 	"sim": {
 		"Send": true, "SendAt": true, "SendCall": true,
-		"Schedule": true, "ScheduleCall": true,
-		"After": true, "AfterCall": true,
+		"Schedule": true, "After": true, "AfterCall": true,
 	},
 	"emunet": {"InjectFrom": true, "InjectFromHost": true},
 }

@@ -212,7 +212,7 @@ func TestBurstRunsAtOneStamp(t *testing.T) {
 	const k = 16
 	n, leaf, uplink, spine := uplinked(t, Config{Journal: journal.NewSet(0)})
 	n.started = time.Now() // the clock runs; no goroutine does
-	home := n.cfg.Topo.HostsOn(leaf.spec.ID)[0].ID
+	home := n.cfg.Topo.Peer(leaf.spec.ID, 0).Host
 	stamps := func(ids ...packet.SeqID) (records int, at map[int64]bool) {
 		t.Helper()
 		ring := n.Journal().For(int(spine.spec.ID))

@@ -12,6 +12,7 @@ import (
 	"speedlight/internal/emunet"
 	"speedlight/internal/journal"
 	"speedlight/internal/live"
+	"speedlight/internal/packet"
 	"speedlight/internal/reconcile"
 	"speedlight/internal/sim"
 	"speedlight/internal/telemetry"
@@ -109,7 +110,7 @@ func desFabric(t *testing.T, leaves, spines, hosts int) *topology.LeafSpine {
 	return ls
 }
 
-// traffic has a random host send a random other host a pooled packet
+// traffic has a random host send a random other host a packet
 // every 3 µs until the engine reaches until.
 func traffic(n *emunet.Network, until sim.Time) {
 	eng := n.Engine()
@@ -122,9 +123,7 @@ func traffic(n *emunet.Network, until sim.Time) {
 			return
 		}
 		seq++
-		pkt := n.NewPacket()
-		pkt.DstHost, pkt.SrcPort, pkt.DstPort, pkt.Proto, pkt.Size = uint32(dst), 1000+seq, 80, 6, 1000
-		n.InjectFromHost(src, pkt)
+		n.InjectFromHost(src, &packet.Packet{DstHost: uint32(dst), SrcPort: 1000 + seq, DstPort: 80, Proto: 6, Size: 1000})
 	})
 }
 
@@ -350,7 +349,6 @@ var desFamilies = []string{
 	"speedlight_dp_notifs_generated_total counter",
 	"speedlight_dp_packets_egress_total counter",
 	"speedlight_dp_packets_ingress_total counter",
-	"speedlight_dp_recirculations_total counter",
 	"speedlight_dp_rollovers_total counter",
 	"speedlight_net_packets_delivered_total counter",
 	"speedlight_net_packets_injected_total counter",
@@ -383,7 +381,6 @@ var liveFamilies = []string{
 	"speedlight_dp_notifs_generated_total counter",
 	"speedlight_dp_packets_egress_total counter",
 	"speedlight_dp_packets_ingress_total counter",
-	"speedlight_dp_recirculations_total counter",
 	"speedlight_dp_rollovers_total counter",
 	"speedlight_live_events_total counter",
 	"speedlight_live_inbox_drops_total counter",

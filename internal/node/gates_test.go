@@ -3,6 +3,7 @@ package node_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"speedlight/internal/control"
@@ -58,7 +59,7 @@ func TestGatesFromUtilizedPairs(t *testing.T) {
 		uplinks func(topology.NodeID) []int
 	}{
 		{"leaf-spine 2x2x3", ls.Topology, func(n topology.NodeID) []int {
-			if ls.IsLeaf(n) {
+			if slices.Contains(ls.Leaves, n) {
 				return ls.UplinkPorts(n)
 			}
 			return nil

@@ -170,9 +170,8 @@ func TestInitiateOrder(t *testing.T) {
 	if len(h.fwd) != 0 {
 		t.Fatalf("initiation without markers forwarded %d packet(s)", len(h.fwd))
 	}
-	if sw.CP.Initiated() != 1 || len(h.log) != 8 {
-		t.Fatalf("initiated %d with %d result(s), want snapshot 1 finished on 8 units: %q",
-			sw.CP.Initiated(), len(h.log), h.log)
+	if !sw.CP.Complete(1) || len(h.log) != 8 {
+		t.Fatalf("%d result(s), want snapshot 1 finished on 8 units: %q", len(h.log), h.log)
 	}
 
 	h.log = nil

@@ -121,10 +121,15 @@ func trickle(rt *live.Runtime, topo *topology.Topology) (stop func()) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			for _, sw := range topo.Switches {
-				hosts := topo.HostsOn(sw.ID)
+				var hosts []topology.HostID
+				for _, p := range sw.Ports {
+					if p.Kind == topology.PeerHost {
+						hosts = append(hosts, p.Host)
+					}
+				}
 				for k, h := range hosts {
-					rt.Inject(h.ID, &packet.Packet{
-						DstHost: uint32(hosts[(k+1)%len(hosts)].ID), SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 100,
+					rt.Inject(h, &packet.Packet{
+						DstHost: uint32(hosts[(k+1)%len(hosts)]), SrcPort: uint16(i), DstPort: 80, Proto: 6, Size: 100,
 					})
 				}
 			}

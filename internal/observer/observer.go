@@ -201,16 +201,6 @@ func (o *Observer) Unregister(node topology.NodeID) {
 	delete(o.devices, node)
 }
 
-// Devices returns the registered device IDs in ascending order.
-func (o *Observer) Devices() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(o.devices))
-	for n := range o.devices {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // CanStart reports whether starting one more snapshot would respect the
 // no-lapping rule: the span between the oldest incomplete snapshot and
 // the new ID must stay below MaxID-1.

@@ -1,6 +1,7 @@
 package observer
 
 import (
+	"slices"
 	"testing"
 
 	"speedlight/internal/control"
@@ -9,6 +10,16 @@ import (
 	"speedlight/internal/sim"
 	"speedlight/internal/topology"
 )
+
+// devices is the registered device IDs in ascending order.
+func devices(o *Observer) []topology.NodeID {
+	var out []topology.NodeID
+	for n := range o.devices {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
+}
 
 func unitsOf(node topology.NodeID, ports int) []dataplane.UnitID {
 	var out []dataplane.UnitID
@@ -165,8 +176,8 @@ func TestMultiDeviceAssembly(t *testing.T) {
 	u1, u2 := unitsOf(1, 1), unitsOf(2, 1)
 	o.Register(1, u1)
 	o.Register(2, u2)
-	if got := o.Devices(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Devices = %v", got)
+	if got := devices(o); !slices.Equal(got, []topology.NodeID{1, 2}) {
+		t.Fatalf("devices = %v", got)
 	}
 	id, _ := o.Begin(0)
 	feedAll(o, id, u1, true, 0)

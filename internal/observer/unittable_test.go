@@ -2,6 +2,7 @@ package observer
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"speedlight/internal/control"
@@ -9,6 +10,7 @@ import (
 	"speedlight/internal/packet"
 	"speedlight/internal/sim"
 	"speedlight/internal/telemetry"
+	"speedlight/internal/topology"
 )
 
 // tableHarness drives one observer through a membership script and
@@ -158,8 +160,8 @@ func TestUnitTableMembership(t *testing.T) {
 			h.wantPending(b)
 			h.feed(b, big[len(dev1):])
 			h.wantResults(b, big)
-			if got := h.o.Devices(); len(got) != 1 || got[0] != 1 {
-				h.t.Errorf("Devices = %v", got)
+			if got := devices(h.o); !slices.Equal(got, []topology.NodeID{1}) {
+				h.t.Errorf("devices = %v", got)
 			}
 		}},
 		{"duplicate, unknown, late-registered and finalized are ignored", nil, func(h *tableHarness) {

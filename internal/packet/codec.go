@@ -43,14 +43,9 @@ var (
 	ErrPacketBadVersion = errors.New("packet: unsupported packet version")
 )
 
-// MarshalBinary encodes the packet.
-func (p *Packet) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(nil), nil
-}
-
 // AppendBinary appends the packet's encoding to dst and returns the
 // extended slice. With at least PacketMaxLen of spare capacity in dst
-// it allocates nothing; this is the hot-path form of MarshalBinary.
+// it allocates nothing.
 //
 //speedlight:hotpath
 func (p *Packet) AppendBinary(dst []byte) []byte {

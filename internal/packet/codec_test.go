@@ -12,10 +12,7 @@ func TestPacketRoundTripWithSnapshot(t *testing.T) {
 		HasSnap: true,
 		Snap:    SnapshotHeader{Type: TypeInitiation, ID: 0xabcdef, Channel: 9},
 	}
-	data, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendBinary(nil)
 	if len(data) != PacketMaxLen {
 		t.Fatalf("encoded length %d", len(data))
 	}
@@ -30,10 +27,7 @@ func TestPacketRoundTripWithSnapshot(t *testing.T) {
 
 func TestPacketRoundTripWithoutSnapshot(t *testing.T) {
 	p := Packet{SrcHost: 9, DstHost: 8, Proto: 17, Size: 64, Seq: 1}
-	data, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := p.AppendBinary(nil)
 	if len(data) != PacketBaseLen {
 		t.Fatalf("encoded length %d", len(data))
 	}
@@ -57,10 +51,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if hasSnap {
 			p.Snap = SnapshotHeader{Type: Type(snapType & 0x0f), ID: WireIDFromRaw(snapID), Channel: snapCh}
 		}
-		data, err := p.MarshalBinary()
-		if err != nil {
-			return false
-		}
+		data := p.AppendBinary(nil)
 		var got Packet
 		if err := got.UnmarshalBinary(data); err != nil {
 			return false
@@ -77,7 +68,7 @@ func TestPacketUnmarshalErrors(t *testing.T) {
 	if err := p.UnmarshalBinary(make([]byte, 10)); err != ErrPacketShort {
 		t.Errorf("short: %v", err)
 	}
-	good, _ := (&Packet{HasSnap: true}).MarshalBinary()
+	good := (&Packet{HasSnap: true}).AppendBinary(nil)
 
 	bad := append([]byte(nil), good...)
 	bad[0] = 0
@@ -105,8 +96,7 @@ func TestPacketDecodeGarbage(t *testing.T) {
 		if err := p.UnmarshalBinary(data); err != nil {
 			return true
 		}
-		out, err := p.MarshalBinary()
-		return err == nil && len(out) >= PacketBaseLen
+		return len(p.AppendBinary(nil)) >= PacketBaseLen
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

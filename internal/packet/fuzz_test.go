@@ -9,7 +9,7 @@ import (
 // header decoder, and that anything accepted re-encodes to the same
 // bytes (the codec is canonical).
 func FuzzSnapshotHeaderDecode(f *testing.F) {
-	seed, _ := SnapshotHeader{Type: TypeInitiation, ID: 77, Channel: 3}.MarshalBinary()
+	seed := SnapshotHeader{Type: TypeInitiation, ID: 77, Channel: 3}.AppendBinary(nil)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0xA5})
@@ -19,10 +19,7 @@ func FuzzSnapshotHeaderDecode(f *testing.F) {
 		if err := h.UnmarshalBinary(data); err != nil {
 			return
 		}
-		out, err := h.MarshalBinary()
-		if err != nil {
-			t.Fatalf("decoded header failed to re-encode: %v", err)
-		}
+		out := h.AppendBinary(nil)
 		if !bytes.Equal(out, data[:HeaderLen]) {
 			t.Fatalf("codec not canonical: %x -> %+v -> %x", data[:HeaderLen], h, out)
 		}
@@ -35,7 +32,7 @@ func FuzzPacketDecode(f *testing.F) {
 	p := Packet{SrcHost: 1, DstHost: 2, SrcPort: 3, DstPort: 4, Proto: 6,
 		Size: 1500, Seq: 9, CoS: 2, HasSnap: true,
 		Snap: SnapshotHeader{Type: TypeData, ID: 5, Channel: 1}}
-	seed, _ := p.MarshalBinary()
+	seed := p.AppendBinary(nil)
 	f.Add(seed)
 	f.Add(seed[:PacketBaseLen])
 	f.Add([]byte{0xA6, 0x01})
@@ -44,10 +41,7 @@ func FuzzPacketDecode(f *testing.F) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			return
 		}
-		out, err := got.MarshalBinary()
-		if err != nil {
-			t.Fatalf("decoded packet failed to re-encode: %v", err)
-		}
+		out := got.AppendBinary(nil)
 		var again Packet
 		if err := again.UnmarshalBinary(out); err != nil {
 			t.Fatalf("re-encoded packet failed to decode: %v", err)

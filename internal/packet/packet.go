@@ -181,14 +181,9 @@ var (
 	ErrBadVersion  = errors.New("packet: unsupported snapshot header version")
 )
 
-// MarshalBinary encodes the header into an 8-byte slice.
-func (h SnapshotHeader) MarshalBinary() ([]byte, error) {
-	return h.AppendBinary(nil), nil
-}
-
 // AppendBinary appends the 8-byte encoding of the header to dst and
 // returns the extended slice. With capacity in dst it allocates
-// nothing; this is the hot-path form of MarshalBinary.
+// nothing.
 //
 //speedlight:hotpath
 func (h SnapshotHeader) AppendBinary(dst []byte) []byte {

@@ -30,10 +30,7 @@ func TestTypeString(t *testing.T) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := SnapshotHeader{Type: TypeInitiation, ID: 0xdeadbeef, Channel: 513}
-	data, err := h.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := h.AppendBinary(nil)
 	if len(data) != HeaderLen {
 		t.Fatalf("encoded length %d", len(data))
 	}
@@ -70,10 +67,7 @@ func TestHeaderCodecAllocs(t *testing.T) {
 func TestHeaderRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, id uint32, ch uint16) bool {
 		h := SnapshotHeader{Type: Type(typ & 0x0f), ID: WireIDFromRaw(id), Channel: ch}
-		data, err := h.MarshalBinary()
-		if err != nil {
-			return false
-		}
+		data := h.AppendBinary(nil)
 		var got SnapshotHeader
 		if err := got.UnmarshalBinary(data); err != nil {
 			return false
@@ -95,7 +89,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	if err := h.UnmarshalBinary(bad); err != ErrBadMagic {
 		t.Errorf("bad magic: %v", err)
 	}
-	good, _ := SnapshotHeader{}.MarshalBinary()
+	good := SnapshotHeader{}.AppendBinary(nil)
 	good[1] = 0x2<<4 | 0 // future version
 	if err := h.UnmarshalBinary(good); err != ErrBadVersion {
 		t.Errorf("bad version: %v", err)
@@ -153,7 +147,7 @@ func TestClone(t *testing.T) {
 
 func TestWireBytesLayout(t *testing.T) {
 	h := SnapshotHeader{Type: TypeData, ID: 0x01020304, Channel: 0x0506}
-	data, _ := h.MarshalBinary()
+	data := h.AppendBinary(nil)
 	want := []byte{0xA5, 0x10, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06}
 	if !bytes.Equal(data, want) {
 		t.Errorf("wire bytes = %x, want %x", data, want)

@@ -150,6 +150,8 @@ func (p *Pool) refill() *Packet {
 
 // Allocated returns the number of packets ever created by pools backed
 // by this exchange. Safe for concurrent use.
+//
+//speedlight:api emunet's tests' leak check and packet's tests read it
 func (c *Central) Allocated() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,6 +160,8 @@ func (c *Central) Allocated() uint64 {
 
 // FreeLen returns the exchange's current free-list length. Safe for
 // concurrent use.
+//
+//speedlight:api emunet's tests' leak check and packet's tests read it
 func (c *Central) FreeLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,6 +170,8 @@ func (c *Central) FreeLen() int {
 
 // FreeLen returns the pool's local free-list length. Like Get and Put
 // it must be called from the pool's owning context.
+//
+//speedlight:api emunet's tests' leak check and packet's tests read it
 func (p *Pool) FreeLen() int { return len(p.free) }
 
 // spill moves a batch to the Central so sink-heavy contexts feed

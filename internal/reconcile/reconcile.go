@@ -211,28 +211,16 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Desired exposes the desired-state spec for mutation. Mutate it only
-// from global-domain events (a scenario step, a driver between runs),
-// then either call Reconcile directly or let the watcher converge.
-func (c *Controller) Desired() *Spec { return &c.desired }
-
 // Links returns the fabric's links in canonical order.
 func (c *Controller) Links() []Link { return c.links }
 
-// Start arms the periodic watcher. Stop disarms it.
+// Start arms the periodic watcher, which runs for the life of the
+// engine.
 func (c *Controller) Start() {
 	if c.ticker != nil {
 		return
 	}
 	c.ticker = c.cfg.Proc.NewTicker(c.cfg.Interval, func() { c.Reconcile() })
-}
-
-// Stop disarms the watcher.
-func (c *Controller) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
 }
 
 // Log returns every operation applied so far, in application order.

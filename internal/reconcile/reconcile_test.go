@@ -72,8 +72,8 @@ func TestReconcileConvergesAndIsIdempotent(t *testing.T) {
 	if len(links) != 4 {
 		t.Fatalf("2x2 leaf-spine has %d links, want 4", len(links))
 	}
-	c.Desired().SetSwitchDown(f.topo.Switches[0].ID, true)
-	c.Desired().SetLinkDown(links[1], true)
+	c.desired.SetSwitchDown(f.topo.Switches[0].ID, true)
+	c.desired.SetLinkDown(links[1], true)
 
 	ops := c.Reconcile()
 	if ops != 3 { // switch down + link down + reroute
@@ -94,8 +94,8 @@ func TestReconcileConvergesAndIsIdempotent(t *testing.T) {
 	}
 
 	// Restore everything; downs and ups both converge.
-	c.Desired().SetSwitchDown(f.topo.Switches[0].ID, false)
-	c.Desired().SetLinkDown(links[1], false)
+	c.desired.SetSwitchDown(f.topo.Switches[0].ID, false)
+	c.desired.SetLinkDown(links[1], false)
 	if ops := c.Reconcile(); ops != 3 {
 		t.Fatalf("restore pass applied %d ops, want 3", ops)
 	}
@@ -120,8 +120,8 @@ func TestReconcileOrdersTeardownBeforeRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c // first controller unused beyond topology sanity
-	c2.Desired().SetSwitchDown(down, false)
-	c2.Desired().SetSwitchDown(f.topo.Switches[0].ID, true)
+	c2.desired.SetSwitchDown(down, false)
+	c2.desired.SetSwitchDown(f.topo.Switches[0].ID, true)
 	c2.Reconcile()
 	log := c2.Log()
 	if len(log) < 2 {
@@ -139,14 +139,14 @@ func TestReconcileConfigPushWaitsForSwitchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := f.topo.Switches[0].ID
-	c.Desired().SetSwitchDown(node, true)
+	c.desired.SetSwitchDown(node, true)
 	c.Reconcile()
-	c.Desired().BumpConfig(node)
+	c.desired.BumpConfig(node)
 	c.Reconcile()
 	if len(f.pushes) != 0 {
 		t.Fatalf("config pushed to a down switch: %v", f.pushes)
 	}
-	c.Desired().SetSwitchDown(node, false)
+	c.desired.SetSwitchDown(node, false)
 	c.Reconcile()
 	if len(f.pushes) != 1 || f.pushes[0] != node {
 		t.Fatalf("pushes = %v, want [%d] once the switch returned", f.pushes, node)
@@ -169,7 +169,7 @@ func TestNewAdoptsActualState(t *testing.T) {
 	if ops := c.Reconcile(); ops != 0 {
 		t.Fatalf("adopting controller applied %d ops, want 0", ops)
 	}
-	if !c.Desired().SwitchDown(down) {
+	if !c.desired.SwitchDown(down) {
 		t.Error("actual down state not adopted into desired")
 	}
 }

@@ -188,18 +188,6 @@ func Table1(ports int) []Usage {
 	}
 }
 
-// Components returns the pipeline decomposition included in a variant,
-// for documentation and inspection.
-func Components(v Variant) []Component {
-	var out []Component
-	for _, c := range components {
-		if c.MinVariant <= v {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // FractionOfTofino reports the heaviest relative use of any dedicated
 // resource, against public Tofino 1 budgets (12 physical stages per
 // pipeline would be 100% of a 12-stage device; the paper reports its

@@ -111,16 +111,23 @@ func TestUnderQuarterOfTofino(t *testing.T) {
 	}
 }
 
+// TestComponentsFilter: a variant's estimate sums exactly the
+// components it includes, and each variant includes more than the one
+// before it.
 func TestComponentsFilter(t *testing.T) {
-	base := Components(PacketCount)
-	all := Components(ChannelState)
-	if len(base) >= len(all) {
-		t.Error("channel state should include more components")
-	}
-	for _, c := range base {
-		if c.MinVariant > PacketCount {
-			t.Errorf("component %q leaked into base variant", c.Name)
+	prev := -1
+	for v := PacketCount; v <= ChannelState; v++ {
+		want := 0
+		for _, c := range components {
+			if c.MinVariant <= v {
+				want += c.StatefulALUs + c.StatelessALUs
+			}
 		}
+		u := Estimate(v, 64)
+		if got := u.StatefulALUs + u.StatelessALUs; got != want || got <= prev {
+			t.Errorf("%v: %d ALUs, want %d (more than %d)", v, got, want, prev)
+		}
+		prev = want
 	}
 }
 

@@ -21,12 +21,12 @@ func TestComputeFIBsLeafSpine(t *testing.T) {
 	}
 	leaf0 := fibs[ls.Leaves[0]]
 	// Local host: single directly attached port.
-	localHost := ls.HostsOn(ls.Leaves[0])[0]
+	localHost := ls.Host(ls.Peer(ls.Leaves[0], 0).Host)
 	if got := leaf0.Ports(localHost.ID); len(got) != 1 || got[0] != localHost.Port {
 		t.Errorf("local next hop = %v", got)
 	}
 	// Remote host: both uplinks form the ECMP group.
-	remoteHost := ls.HostsOn(ls.Leaves[1])[0]
+	remoteHost := ls.Host(ls.Peer(ls.Leaves[1], 0).Host)
 	if got := leaf0.Ports(remoteHost.ID); len(got) != 2 {
 		t.Errorf("remote ECMP group = %v, want 2 uplinks", got)
 	}
@@ -255,14 +255,14 @@ func TestComputeFIBsFilteredSpineDown(t *testing.T) {
 	// Leaves lose the ECMP member through the down spine but stay
 	// connected via the surviving one.
 	leaf0 := fibs[ls.Leaves[0]]
-	remote := ls.HostsOn(ls.Leaves[1])[0]
+	remote := ls.Host(ls.Peer(ls.Leaves[1], 0).Host)
 	fullGroup := full[ls.Leaves[0]].Ports(remote.ID)
 	group := leaf0.Ports(remote.ID)
 	if len(group) != len(fullGroup)-1 {
 		t.Fatalf("filtered ECMP group %v, want one fewer than %v", group, fullGroup)
 	}
 	// Local delivery is untouched.
-	local := ls.HostsOn(ls.Leaves[0])[0]
+	local := ls.Host(ls.Peer(ls.Leaves[0], 0).Host)
 	if got := leaf0.Ports(local.ID); len(got) != 1 || got[0] != local.Port {
 		t.Errorf("local next hop = %v", got)
 	}

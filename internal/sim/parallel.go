@@ -90,7 +90,6 @@ type Parallel struct {
 	domains   []pardom
 	shards    []*pshard
 	global    *pshard // GlobalDomain-owned events, run by the coordinator
-	rng       *rand.Rand
 	seedSrc   *rand.Rand
 	fired     uint64 // events executed in global context
 	workersUp bool
@@ -228,7 +227,6 @@ func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 	}
 	p := &Parallel{
 		lookahead: lookahead,
-		rng:       rand.New(rand.NewSource(seed)),
 		seedSrc:   rand.New(rand.NewSource(seed ^ 0x5eed_11a7)),
 		global:    &pshard{},
 		shards:    make([]*pshard, shards),
@@ -239,9 +237,6 @@ func NewParallel(seed int64, shards int, lookahead Duration) *Parallel {
 	}
 	return p
 }
-
-// Shards returns the worker shard count.
-func (p *Parallel) Shards() int { return len(p.shards) }
 
 // SetShardLinks declares the directed cross-shard channels the
 // simulation will actually use, replacing the default complete pair
@@ -363,10 +358,6 @@ func (p *Parallel) ensureDomain(domain int) {
 // between Run* calls and inside GlobalDomain events; domain code must
 // use its own Proc's Now.
 func (p *Parallel) Now() Time { return p.now }
-
-// Rand returns the engine's main random stream (driver/global-context
-// only).
-func (p *Parallel) Rand() *rand.Rand { return p.rng }
 
 // NewRand returns a fresh stream seeded from the engine. Call it in a
 // deterministic order (normally at build time) and use each stream from
@@ -993,8 +984,6 @@ type parProc struct {
 	dom int
 }
 
-func (pr parProc) Domain() int { return pr.dom }
-
 // Now returns the domain's shard-local clock while shards execute (an
 // epoch or a solo run) and the global clock otherwise (driver context,
 // or a GlobalDomain event executing with workers parked).
@@ -1041,10 +1030,6 @@ func (pr parProc) Send(owner int, d Duration, fn func()) Handle {
 
 func (pr parProc) SendAt(owner int, at Time, fn func()) Handle {
 	return pr.sendAt(owner, at, fn, nil, nil, nil, 0)
-}
-
-func (pr parProc) ScheduleCall(at Time, fn CallFn, a, b any, i int64) Handle {
-	return pr.sendAt(pr.dom, at, nil, fn, a, b, i)
 }
 
 func (pr parProc) AfterCall(d Duration, fn CallFn, a, b any, i int64) Handle {

@@ -25,13 +25,14 @@ type simRecord struct {
 // events), exactly the discipline emunet switches follow.
 type scenarioNode struct {
 	proc Proc
+	dom  int
 	rng  *rand.Rand
 	log  []simRecord
 	seen int64
 }
 
 func (n *scenarioNode) record(val int64) {
-	n.log = append(n.log, simRecord{at: n.proc.Now(), dom: n.proc.Domain(), idx: len(n.log), val: val})
+	n.log = append(n.log, simRecord{at: n.proc.Now(), dom: n.dom, idx: len(n.log), val: val})
 }
 
 // runScenario drives a mixed workload — intra-domain chains, random
@@ -41,9 +42,9 @@ func (n *scenarioNode) record(val int64) {
 func runScenario(eng Sim, domains int, minLatency Duration) []simRecord {
 	nodes := make([]*scenarioNode, domains+1)
 	for d := 1; d <= domains; d++ {
-		nodes[d] = &scenarioNode{proc: eng.Proc(d), rng: eng.NewRand()}
+		nodes[d] = &scenarioNode{proc: eng.Proc(d), dom: d, rng: eng.NewRand()}
 	}
-	global := &scenarioNode{proc: eng.Proc(GlobalDomain), rng: eng.NewRand()}
+	global := &scenarioNode{proc: eng.Proc(GlobalDomain), dom: GlobalDomain, rng: eng.NewRand()}
 	nodes[GlobalDomain] = global
 
 	var hop func(n *scenarioNode, ttl int)
@@ -55,7 +56,7 @@ func runScenario(eng Sim, domains int, minLatency Duration) []simRecord {
 		}
 		tgt := 1 + n.rng.Intn(domains)
 		delay := minLatency + Duration(n.rng.Intn(500))
-		if tgt == n.proc.Domain() {
+		if tgt == n.dom {
 			n.proc.After(Duration(1+n.rng.Intn(200)), func() { hop(n, ttl-1) })
 			return
 		}

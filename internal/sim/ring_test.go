@@ -96,7 +96,7 @@ func ringFloodLogs(t *testing.T, ringCap int) (right, left []int64) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		a.ScheduleCall(Time(1+i), burst, nil, nil, int64(i))
+		a.AfterCall(Duration(1+i), burst, nil, nil, int64(i))
 	}
 	p.RunUntil(5000)
 	return right, left
@@ -206,7 +206,7 @@ func TestSetShardLinksValidation(t *testing.T) {
 	var got []int64
 	sink := CallFn(func(_, _ any, i int64) { got = append(got, i) })
 	cross := CallFn(func(_, _ any, i int64) { a.SendCall(2, 5, sink, nil, nil, i) })
-	a.ScheduleCall(1, cross, nil, nil, 7)
+	a.AfterCall(1, cross, nil, nil, 7)
 	_ = b
 	p2.RunUntil(100)
 	if len(got) != 1 || got[0] != 7 {
@@ -228,7 +228,7 @@ func TestUndeclaredPairPanics(t *testing.T) {
 	var rogue, fwd CallFn
 	rogue = func(_, _ any, i int64) { b.SendCall(1, 10, rogue, nil, nil, i) }
 	fwd = func(_, _ any, i int64) { a.SendCall(2, 10, rogue, nil, nil, i) }
-	a.ScheduleCall(1, fwd, nil, nil, 0)
+	a.AfterCall(1, fwd, nil, nil, 0)
 	defer func() {
 		r := recover()
 		if r == nil {

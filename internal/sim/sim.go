@@ -39,8 +39,8 @@
 // Schedulers hand out generation-counted Handles instead of raw event
 // pointers, so a stale handle (one whose event has already been
 // recycled) is detected at Cancel time and panics instead of corrupting
-// an unrelated event. The *Call scheduling variants (ScheduleCall,
-// AfterCall, SendCall) carry their arguments inside the pooled event,
+// an unrelated event. The *Call scheduling variants (AfterCall,
+// SendCall) carry their arguments inside the pooled event,
 // so the hottest emulation paths schedule without allocating a closure.
 // See DESIGN.md, "Memory management and hot paths".
 package sim
@@ -138,9 +138,6 @@ type Event struct {
 	pooled   bool
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // fire invokes the event's callback.
 //
 //speedlight:hotpath
@@ -161,15 +158,6 @@ func (e *Event) fire() {
 type Handle struct {
 	ev  *Event
 	gen uint64
-}
-
-// At returns the virtual time the event was scheduled for. It must only
-// be inspected while the handle is live (before the event is recycled).
-func (h Handle) At() Time {
-	if h.ev == nil {
-		return 0
-	}
-	return h.ev.at
 }
 
 // checkGen panics when the handle's event has been recycled.
@@ -230,9 +218,6 @@ type Sim interface {
 	// the Parallel engine it is only meaningful between Run* calls and
 	// inside GlobalDomain events; domain code must use its Proc's Now.
 	Now() Time
-	// Rand returns the engine's main random stream (driver context
-	// only — never from inside a non-global domain's events).
-	Rand() *rand.Rand
 	// NewRand returns a fresh stream seeded from the engine, for a
 	// component that wants randomness independent of interleaving.
 	NewRand() *rand.Rand
@@ -267,8 +252,6 @@ type Sim interface {
 // calls — never from another domain's events. The serial Engine cannot
 // tell the difference; the Parallel engine's determinism depends on it.
 type Proc interface {
-	// Domain returns the domain this handle schedules as.
-	Domain() int
 	// Now returns the domain's current virtual time: the executing
 	// event's timestamp inside the domain, the global time otherwise.
 	Now() Time
@@ -284,11 +267,10 @@ type Proc interface {
 	Send(owner int, d Duration, fn func()) Handle
 	// SendAt is Send with an absolute time.
 	SendAt(owner int, at Time, fn func()) Handle
-	// ScheduleCall, AfterCall and SendCall are the closure-free forms
-	// of Schedule, After and Send: fn must be a package-level function
-	// or a cached method value, and its arguments travel inside the
-	// pooled event, so the call site allocates nothing.
-	ScheduleCall(at Time, fn CallFn, a, b any, i int64) Handle
+	// AfterCall and SendCall are the closure-free forms of After and
+	// Send: fn must be a package-level function or a cached method
+	// value, and its arguments travel inside the pooled event, so the
+	// call site allocates nothing.
 	AfterCall(d Duration, fn CallFn, a, b any, i int64) Handle
 	SendCall(owner int, d Duration, fn CallFn, a, b any, i int64) Handle
 	// Cancel suppresses a scheduled event of this domain. The event
@@ -311,7 +293,6 @@ type Engine struct {
 	q       evq
 	domSeq  []uint64 // per-domain schedule counters (the seq key)
 	pool    eventPool
-	rng     *rand.Rand
 	seedSrc *rand.Rand // derives seeds for component substreams
 	fired   uint64
 }
@@ -322,19 +303,13 @@ var _ Sim = (*Engine)(nil)
 // seed. Two engines built with the same seed and driven by the same
 // logic produce identical runs.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng: rand.New(rand.NewSource(seed)),
-		// The xor only decorrelates the substream-seed source from
-		// the main RNG stream.
-		seedSrc: rand.New(rand.NewSource(seed ^ 0x5eed_11a7)),
-	}
+	// The xor fixes which seeds the substreams get: every run's
+	// randomness, and so every digest, depends on it.
+	return &Engine{seedSrc: rand.New(rand.NewSource(seed ^ 0x5eed_11a7))}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's main random stream.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // NewRand returns a fresh random stream seeded from the engine, for a
 // component that wants randomness independent of event interleaving.
@@ -496,8 +471,7 @@ type engineProc struct {
 	dom int
 }
 
-func (p engineProc) Domain() int { return p.dom }
-func (p engineProc) Now() Time   { return p.e.now }
+func (p engineProc) Now() Time { return p.e.now }
 
 func (p engineProc) Schedule(at Time, fn func()) Handle {
 	return p.e.schedule(p.dom, p.dom, at, fn, nil, nil, nil, 0)
@@ -519,10 +493,6 @@ func (p engineProc) Send(owner int, d Duration, fn func()) Handle {
 
 func (p engineProc) SendAt(owner int, at Time, fn func()) Handle {
 	return p.e.schedule(p.dom, owner, at, fn, nil, nil, nil, 0)
-}
-
-func (p engineProc) ScheduleCall(at Time, fn CallFn, a, b any, i int64) Handle {
-	return p.e.schedule(p.dom, p.dom, at, nil, fn, a, b, i)
 }
 
 func (p engineProc) AfterCall(d Duration, fn CallFn, a, b any, i int64) Handle {

@@ -1,5 +1,8 @@
 package snapstore
 
+// DeltaCount returns how many register changes the epoch recorded.
+func (e *Epoch) DeltaCount() int { return len(e.deltas) }
+
 // Chain reports the shape of the view's chain: whether it starts at a
 // base, how many evicted epochs it keeps hidden ahead of the retained
 // ones, and how many epochs it holds in all.

@@ -100,9 +100,6 @@ type Epoch struct {
 // IsBase reports whether the epoch carries a full materialization.
 func (e *Epoch) IsBase() bool { return e.base != nil }
 
-// DeltaCount returns how many register changes the epoch recorded.
-func (e *Epoch) DeltaCount() int { return len(e.deltas) }
-
 // Config parameterizes a store.
 type Config struct {
 	// Retention bounds the number of retained epochs. Default 1024.
@@ -188,9 +185,6 @@ func New(cfg Config) *Store {
 		tel:     newStoreTelemetry(cfg.Registry),
 	}
 }
-
-// Retention returns the configured epoch bound.
-func (s *Store) Retention() int { return s.cfg.Retention }
 
 // Sealed returns how many epochs have ever been sealed. Safe from any
 // goroutine; with the observer's completed count it yields the

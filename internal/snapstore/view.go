@@ -37,14 +37,6 @@ func (v *View) Epochs() []*Epoch { return v.epochs[v.lo:] }
 // not be modified.
 func (v *View) Units() []dataplane.UnitID { return v.units }
 
-// Latest returns the most recently sealed epoch, or nil when empty.
-func (v *View) Latest() *Epoch {
-	if v.Len() == 0 {
-		return nil
-	}
-	return v.epochs[len(v.epochs)-1]
-}
-
 // find returns the index of the epoch with the given snapshot ID, or
 // -1 when it is not retained. Scans from the newest end: queries skew
 // heavily toward recent epochs.
@@ -55,14 +47,6 @@ func (v *View) find(id packet.SeqID) int {
 		}
 	}
 	return -1
-}
-
-// Epoch returns the retained epoch with the given snapshot ID.
-func (v *View) Epoch(id packet.SeqID) (*Epoch, bool) {
-	if i := v.find(id); i >= 0 {
-		return v.epochs[i], true
-	}
-	return nil, false
 }
 
 // State is one epoch's fully reconstructed consistent cut.

@@ -74,20 +74,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // CDF is an empirical cumulative distribution function built from a set
 // of samples. The zero value is not usable; construct with NewCDF.
 type CDF struct {

@@ -35,6 +35,8 @@ type FatTreeConfig struct {
 // [k/2, k) for aggregation uplinks; aggregation switches use [0, k/2)
 // for edge downlinks and [k/2, k) for core uplinks; core switch j uses
 // port p for pod p.
+//
+//speedlight:api the fabric the routing, node, emunet and topology tests share (PAPER.md's substitution table)
 func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	k := cfg.K
 	if k < 2 || k%2 != 0 {
@@ -85,16 +87,4 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	}
 	ft.Topology = t
 	return ft, nil
-}
-
-// NumSwitches returns the fabric's total switch count: k pods of k
-// switches each (k/2 edge + k/2 agg), plus (k/2)^2 core — k^2 + k^2/4.
-func (ft *FatTree) NumSwitches() int {
-	half := ft.K / 2
-	return ft.K*ft.K + half*half
-}
-
-// NumHosts returns the host count: k^3/4.
-func (ft *FatTree) NumHosts() int {
-	return ft.K * ft.K * ft.K / 4
 }

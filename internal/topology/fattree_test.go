@@ -23,10 +23,10 @@ func TestFatTreeK4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ft.Switches); got != 20 || got != ft.NumSwitches() {
+	if got := len(ft.Switches); got != 20 {
 		t.Errorf("switches = %d, want 20", got)
 	}
-	if got := len(ft.Hosts); got != 16 || got != ft.NumHosts() {
+	if got := len(ft.Hosts); got != 16 {
 		t.Errorf("hosts = %d, want 16", got)
 	}
 	if len(ft.Edge) != 4 || len(ft.Edge[0]) != 2 || len(ft.Agg[0]) != 2 || len(ft.Core) != 4 {

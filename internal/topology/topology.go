@@ -195,17 +195,6 @@ func (t *Topology) Peer(node NodeID, port int) Peer {
 	return sw.Ports[port]
 }
 
-// HostsOn returns the hosts attached to a switch, in port order.
-func (t *Topology) HostsOn(node NodeID) []*Host {
-	var out []*Host
-	for _, h := range t.Hosts {
-		if h.Node == node {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
 // LeafSpineConfig parameterizes a two-tier Clos fabric like the paper's
 // testbed topology (Figure 8): leaves at the edge with hosts below and a
 // full mesh to the spines above.
@@ -273,9 +262,4 @@ func (ls *LeafSpine) UplinkPorts(leaf NodeID) []int {
 		ports[i] = ls.Cfg.HostsPerLeaf + i
 	}
 	return ports
-}
-
-// IsLeaf reports whether the node is a leaf switch.
-func (ls *LeafSpine) IsLeaf(n NodeID) bool {
-	return int(n) < ls.Cfg.Leaves
 }

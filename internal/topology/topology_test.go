@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"speedlight/internal/sim"
@@ -74,6 +75,8 @@ func TestBuilderRejectsUnknownSwitch(t *testing.T) {
 	}
 }
 
+// TestHostsOn: each host records the switch and port it is attached
+// to, and that port names the host back.
 func TestHostsOn(t *testing.T) {
 	b := NewBuilder()
 	s0 := b.AddSwitch(4)
@@ -85,9 +88,17 @@ func TestHostsOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := topo.HostsOn(s0)
-	if len(hs) != 2 {
-		t.Fatalf("HostsOn(s0) = %d hosts", len(hs))
+	want := []struct {
+		node NodeID
+		port int
+	}{{s0, 0}, {s1, 0}, {s0, 1}}
+	for i, h := range topo.Hosts {
+		if h.Node != want[i].node || h.Port != want[i].port {
+			t.Errorf("host %d on (%d, %d), want %v", h.ID, h.Node, h.Port, want[i])
+		}
+		if p := topo.Peer(h.Node, h.Port); p.Kind != PeerHost || p.Host != h.ID {
+			t.Errorf("port (%d, %d) peer = %+v, want host %d", h.Node, h.Port, p, h.ID)
+		}
 	}
 }
 
@@ -127,15 +138,12 @@ func TestLeafSpine(t *testing.T) {
 	}
 	// Host links.
 	for _, h := range ls.Hosts {
-		if !ls.IsLeaf(h.Node) {
+		if !slices.Contains(ls.Leaves, h.Node) {
 			t.Errorf("host %d on non-leaf %d", h.ID, h.Node)
 		}
 		if h.Latency != sim.Microsecond {
 			t.Errorf("host latency = %d", h.Latency)
 		}
-	}
-	if ls.IsLeaf(ls.Spines[0]) {
-		t.Error("spine misclassified as leaf")
 	}
 }
 

@@ -201,9 +201,13 @@ func TestEpochTracePartitionOnWireJournal(t *testing.T) {
 					t.Errorf("epoch %d: consistent=%v span [%d, %d], %d switch traces",
 						tr.ID, tr.Consistent, tr.BeginNs, tr.EndNs, len(tr.Switches))
 				}
-				if tr.CriticalSumNs() != tr.DurationNs() {
+				var sum int64
+				for _, s := range tr.Critical {
+					sum += s.DurationNs()
+				}
+				if sum != tr.DurationNs() {
 					t.Errorf("epoch %d: critical path sums to %d ns, completion latency is %d ns",
-						tr.ID, tr.CriticalSumNs(), tr.DurationNs())
+						tr.ID, sum, tr.DurationNs())
 				}
 			}
 			if good, bad, open := d.Audit().Counts(); good != rounds || bad != 0 || open != 0 {

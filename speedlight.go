@@ -330,13 +330,6 @@ func (n *Network) Uplinks(leaf int) [][2]int {
 	return out
 }
 
-// NumSwitches returns the fabric's switch count (leaves then spines).
-func (n *Network) NumSwitches() int { return len(n.ls.Switches) }
-
-// Journal returns the flight-recorder set the network was built with,
-// or nil when journaling is disabled.
-func (n *Network) Journal() *journal.Set { return n.inner.Journal() }
-
 // Snapstore returns the snapshot-history store the network was built
 // with, or nil when history is disabled.
 func (n *Network) Snapstore() *snapstore.Store { return n.cfg.Snapstore }
@@ -356,17 +349,6 @@ func (n *Network) Audit() *audit.Report { return n.inner.Audit() }
 // latency (see internal/epochtrace). Nil when journaling is disabled.
 func (n *Network) EpochTraces() []*epochtrace.EpochTrace { return n.inner.EpochTraces() }
 
-// BarrierProfile returns the sharded engine's cumulative per-shard
-// work/wait split (the shard-barrier profiler), or nil on a serial
-// engine or when metrics are disabled.
-func (n *Network) BarrierProfile() []sim.BarrierShardStats { return n.inner.BarrierProfile() }
-
-// BlockedProfile returns the sharded engine's per-pair stall
-// attribution (which waiter shard lost how much wall time to which
-// holdup shard's published clock), most blocking pair first, or nil on
-// a serial engine or when metrics are disabled.
-func (n *Network) BlockedProfile() []epochtrace.ShardBlocking { return n.inner.BlockedProfile() }
-
 // Reconciler builds a fabric reconciliation controller over this
 // network: declare desired churn on its Spec (switches down, links
 // drained, config pushes) and the controller converges the fabric —
@@ -380,11 +362,6 @@ func (n *Network) Reconciler() (*reconcile.Controller, error) {
 		Proc:   n.inner.Engine().Proc(sim.GlobalDomain),
 	})
 }
-
-// LeakCheck verifies pooled-packet leak-freedom: after traffic stops
-// and the network drains, every pooled packet must be back in a free
-// list. A non-nil error means a teardown or drop path lost a packet.
-func (n *Network) LeakCheck() error { return n.inner.LeakCheck() }
 
 // ClassifyChurn grades every journaled churn event against the
 // snapshots it overlapped — clean, excluded, inconsistent-caught, or

@@ -9,6 +9,9 @@ import (
 	"speedlight/internal/epochtrace"
 	"speedlight/internal/journal"
 	"speedlight/internal/packet"
+	"speedlight/internal/reconcile"
+	"speedlight/internal/sim"
+	"speedlight/internal/topology"
 )
 
 func TestDefaultsAndHosts(t *testing.T) {
@@ -19,8 +22,8 @@ func TestDefaultsAndHosts(t *testing.T) {
 	if got := len(n.Hosts()); got != 6 {
 		t.Errorf("hosts = %d, want 6 (paper testbed)", got)
 	}
-	if n.NumSwitches() != 4 {
-		t.Errorf("switches = %d", n.NumSwitches())
+	if got := len(n.Inner().Topo().Switches); got != 4 {
+		t.Errorf("switches = %d", got)
 	}
 	if got := n.Uplinks(0); len(got) != 2 {
 		t.Errorf("uplinks = %v", got)
@@ -125,10 +128,56 @@ func TestEpochTraceChrome(t *testing.T) {
 	if epochs != snapshots || len(wavefront) != snapshots {
 		t.Fatalf("epoch spans = %d over %d threads, want %d", epochs, len(wavefront), snapshots)
 	}
+	switches := len(n.Inner().Topo().Switches)
 	for tid, got := range wavefront {
-		if got != n.NumSwitches() {
-			t.Errorf("epoch %d: wavefront spans = %d, want one per switch (%d)", tid, got, n.NumSwitches())
+		if got != switches {
+			t.Errorf("epoch %d: wavefront spans = %d, want one per switch (%d)", tid, got, switches)
 		}
+	}
+}
+
+// TestChurnCampaign runs what `speedlight -channel-state -churn
+// rolling-upgrade -audit -workload none` runs on the default fabric: a
+// journaled campaign while a reconciler takes each spine down and back,
+// then the churn classification and the audit, all through the facade,
+// and pins what the CLI prints for it. On a fabric this idle, each
+// churn event overlaps a snapshot that finishes with the spine
+// excluded, never a silent disagreement.
+func TestChurnCampaign(t *testing.T) {
+	n, err := New(Config{Seed: 1, ChannelState: true, Journal: journal.NewSet(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := n.Reconciler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spines := []topology.NodeID{2, 3} // after the two leaves, as the CLI numbers them
+	const interval = 2 * time.Millisecond
+	step := sim.Duration(interval.Nanoseconds())
+	reconcile.RollingUpgrade(spines, 2*step, step, 2*step).Schedule(ctrl)
+	ctrl.Start()
+	n.Run(2 * time.Millisecond)
+	const snapshots = 8
+	for i := 0; i < snapshots; i++ {
+		n.Run(interval)
+		if _, err := n.Snapshot(); err != nil {
+			t.Fatalf("snapshot %d: %v", i+1, err)
+		}
+	}
+	if len(ctrl.Log()) != 8 {
+		t.Errorf("%d reconcile ops, want 8 (each spine taken down and brought back)", len(ctrl.Log()))
+	}
+	cs := n.ClassifyChurn()
+	tal := reconcile.TallyOutcomes(cs)
+	t.Logf("%d reconcile op(s), %d churn event(s): %s", len(ctrl.Log()), len(cs), tal)
+	if len(cs) != len(ctrl.Log()) || tal.Excluded != len(cs) || tal.SilentDisagreement != 0 {
+		t.Errorf("%d churn events (%s), want every reconcile op journaled and excluded", len(cs), tal)
+	}
+	rep := n.Audit()
+	if consistent, inconsistent, incomplete := rep.Counts(); consistent != snapshots-1 || inconsistent != 0 || incomplete != 1 || rep.Disagreements != 0 {
+		t.Errorf("audit: %d consistent, %d inconsistent, %d incomplete, %d disagreement(s); want %d, 0, 1, 0",
+			consistent, inconsistent, incomplete, rep.Disagreements, snapshots-1)
 	}
 }
 
